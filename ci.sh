@@ -18,6 +18,11 @@ run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --workspace --release
 run cargo test -q --workspace
+# The acceptance benchmark is a package of its own (stackbench/, outside the
+# workspace) that imports the crates by path: build it and run its ~4 s
+# smoke test here, so a signature change it depends on fails CI rather than
+# the acceptance run.
+run cargo test -q --offline --manifest-path stackbench/Cargo.toml
 # The server integration suite (sessions, plan cache, TCP worker pool) is
 # part of the workspace tests, but run it explicitly so a hang or flake is
 # attributed to the right target. RE_TRANSPORT selects the wire protocol

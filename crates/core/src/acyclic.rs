@@ -39,12 +39,11 @@ use crate::frontier::{
 };
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
-use re_join::reduce_then_prune_ctx;
+use re_join::{reduce_then_prune_ctx, ReduceStats};
 use re_query::{JoinProjectQuery, JoinTree};
 use re_ranking::{RankKey, Ranking};
-use re_storage::{Attr, Database, Relation, Tuple, Value};
+use re_storage::{project_key, Attr, Database, KeyTable, Relation, Tuple, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Per-node state: the reduced relation, positional plans, and the node's
 /// slice of the frontier kernel (arena + interner + anchor queues).
@@ -190,10 +189,20 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
-        let (pruned, reduced, rstats) = reduce_then_prune_ctx(ctx, query, tree, db)?;
-        let mut built = Self::from_reduced(query.projection().to_vec(), ranking, pruned, reduced)?;
+        let reduction = reduce_then_prune_ctx(ctx, query, tree, db)?;
+        Self::from_reduction(query.projection().to_vec(), ranking, reduction)
+    }
+
+    /// [`AcyclicEnumerator::from_reduced`] over the output of
+    /// `reduce_then_prune*`, recording the reducer's counters.
+    pub(crate) fn from_reduction(
+        projection: Vec<Attr>,
+        ranking: R,
+        (tree, reduced, rstats): (JoinTree, Vec<Relation>, ReduceStats),
+    ) -> Result<Self, EnumError> {
+        let mut built = Self::from_reduced(projection, ranking, tree, reduced)?;
         built
-            .stats_mut()
+            .stats
             .record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
         Ok(built)
     }
@@ -249,34 +258,63 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             });
         }
 
-        // Preprocessing (Algorithm 1): bottom-up cell construction. The
-        // anchor maps assign dense queue ids per distinct anchor value;
-        // they are build-time only — cells remember their anchor id, so
-        // the maps are dropped (with their tuples) before enumeration.
+        // Preprocessing (Algorithm 1): bottom-up cell construction, one
+        // bulk build per node. The anchor tables assign dense queue ids per
+        // distinct anchor value in first-occurrence order; they are
+        // build-time only — cells remember their anchor id, so the tables
+        // are dropped before enumeration. A node with an empty anchor (the
+        // root; a cartesian child) has the single queue 0 and no table.
         if !empty_result {
-            let mut anchor_ids: Vec<HashMap<Tuple, u32>> = (0..tree.len())
-                .map(|u| HashMap::with_capacity(nodes[u].relation.len().min(1024)))
-                .collect();
+            let _span = re_obs::Span::enter("preprocess.cells");
+            let mut trace_span = re_obs::trace::child_span("preprocess.cells");
+            let mut anchor_ids: Vec<Option<KeyTable>> = (0..tree.len()).map(|_| None).collect();
             let mut out_buf: Tuple = Vec::new();
             let mut ptr_buf: Vec<CellId> = Vec::new();
-            let mut anchor_buf: Tuple = Vec::new();
+            let mut key_buf: Tuple = Vec::new();
             for &u in &tree.post_order() {
-                'rows: for row in 0..nodes[u].relation.len() {
+                // Pass 1: every row's queue and every queue's size, so each
+                // queue is allocated once, filled, and heapified.
+                let rows = nodes[u].relation.len();
+                let mut queue_of: Vec<u32> = Vec::new();
+                let mut queue_len: Vec<usize> = vec![rows];
+                if !nodes[u].anchor_pos.is_empty() {
+                    let ns = &nodes[u];
+                    let (table, ids) = KeyTable::group_rows(ns.relation.iter(), &ns.anchor_pos);
+                    queue_len = vec![0; table.len()];
+                    for &aid in &ids {
+                        queue_len[aid as usize] += 1;
+                    }
+                    queue_of = ids;
+                    anchor_ids[u] = Some(table);
+                }
+                nodes[u].queues = queue_len
+                    .iter()
+                    .map(|&n| FrontierHeap::with_pushed_capacity(n))
+                    .collect();
+
+                // Pass 2: one cell per row, on top of each child's best.
+                let mut cells = 0u64;
+                let mut cell_bytes = 0usize;
+                'rows: for row in 0..rows {
                     out_buf.clear();
                     ptr_buf.clear();
-                    anchor_buf.clear();
                     {
                         let ns = &nodes[u];
                         let t = ns.relation.tuple(row);
                         out_buf.extend(ns.own_proj_pos.iter().map(|&p| t[p]));
                         for (ci, &child) in ns.children.iter().enumerate() {
-                            anchor_buf.clear();
-                            anchor_buf.extend(ns.child_anchor_pos[ci].iter().map(|&p| t[p]));
                             let child_ns = &nodes[child];
-                            let top = anchor_ids[child]
-                                .get(anchor_buf.as_slice())
-                                .and_then(|&aid| child_ns.queues[aid as usize].peek());
-                            let Some(top) = top else {
+                            let aid = match &anchor_ids[child] {
+                                None => Some(0),
+                                Some(table) => table.get(project_key(
+                                    t,
+                                    &ns.child_anchor_pos[ci],
+                                    &mut key_buf,
+                                )),
+                            };
+                            let Some(top) =
+                                aid.and_then(|aid| child_ns.queues[aid as usize].peek())
+                            else {
                                 // A dangling tuple; cannot happen on a fully
                                 // reduced instance but skipping it keeps the
                                 // enumerator correct regardless.
@@ -286,45 +324,46 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                             ptr_buf.push(top.cell);
                             out_buf.extend_from_slice(child_ns.arena.output(top.cell));
                         }
-                        anchor_buf.clear();
-                        anchor_buf.extend(ns.anchor_pos.iter().map(|&p| t[p]));
                     }
                     let key = ranking.key(&nodes[u].plan, &out_buf);
-                    let anchor = match anchor_ids[u].get(anchor_buf.as_slice()) {
-                        Some(&aid) => aid,
-                        None => {
-                            let aid = nodes[u].queues.len() as u32;
-                            nodes[u].queues.push(FrontierHeap::new());
-                            anchor_ids[u].insert(anchor_buf.clone(), aid);
-                            aid
-                        }
-                    };
+                    let anchor = queue_of.get(row).copied().unwrap_or(0);
                     let ns = &mut nodes[u];
                     let (key_id, key_bytes) = ns.keys.intern(key);
                     let cell = ns
                         .arena
                         .push(row as u32, anchor, key_id, 0, &out_buf, &ptr_buf);
-                    let NodeState {
-                        arena,
-                        keys,
-                        queues,
-                        tie_perm,
-                        ..
-                    } = ns;
-                    let grown = queues[anchor as usize]
-                        .push(FrontierEntry { key: key_id, cell }, |a, b| {
-                            entry_cmp(keys, arena, tie_perm, a, b)
-                        });
-                    // Bump the raw counters, not `record_*`: preprocessing
-                    // work must not leak into the per-answer delay
-                    // histogram.
-                    stats.cells_created += 1;
-                    stats.pq_pushes += 1;
-                    stats.frontier_alloc(
-                        (arena.bytes_per_cell() + key_bytes + grown) as u64,
-                        arena.bytes_per_cell() as u64 + key_bytes as u64 + ENTRY_BYTES,
-                    );
+                    ns.queues[anchor as usize].push_unordered(FrontierEntry { key: key_id, cell });
+                    cells += 1;
+                    cell_bytes += ns.arena.bytes_per_cell() + key_bytes;
                 }
+
+                let NodeState {
+                    arena,
+                    keys,
+                    queues,
+                    tie_perm,
+                    ..
+                } = &mut nodes[u];
+                let mut queue_bytes = 0;
+                for queue in queues.iter_mut() {
+                    queue.heapify(|a, b| entry_cmp(keys, arena, tie_perm, a, b));
+                    queue_bytes += queue.retained_bytes();
+                }
+                // Bump the raw counters, not `record_*`: preprocessing
+                // work must not leak into the per-answer delay histogram.
+                stats.cells_created += cells;
+                stats.pq_pushes += cells;
+                stats.frontier_alloc(
+                    (cell_bytes + queue_bytes) as u64,
+                    cell_bytes as u64 + cells * ENTRY_BYTES,
+                );
+            }
+            if let Some(s) = trace_span.as_mut() {
+                use re_obs::AttrValue;
+                let sum = |f: fn(&NodeState<R>) -> usize| nodes.iter().map(f).sum::<usize>() as u64;
+                s.set_attr("rows", AttrValue::U64(sum(|n| n.relation.len())));
+                s.set_attr("anchors", AttrValue::U64(sum(|n| n.queues.len())));
+                s.set_attr("keys", AttrValue::U64(sum(|n| n.keys.len())));
             }
         }
 
@@ -756,6 +795,128 @@ mod tests {
                 vec![3, 2],
             ]
         );
+    }
+
+    /// Anchor id of every cell, queue count and interned-key count, per node.
+    fn build_shape<R: Ranking + Clone>(
+        e: &AcyclicEnumerator<R>,
+    ) -> (Vec<Vec<u32>>, Vec<usize>, Vec<usize>) {
+        let anchors = e
+            .nodes
+            .iter()
+            .map(|n| {
+                (0..n.arena.len() as u32)
+                    .map(|c| n.arena.anchor(c))
+                    .collect()
+            })
+            .collect();
+        let queues = e.nodes.iter().map(|n| n.queues.len()).collect();
+        let keys = e.nodes.iter().map(|n| n.keys.len()).collect();
+        (anchors, queues, keys)
+    }
+
+    #[test]
+    fn bulk_build_reproduces_the_incremental_builds_ids_and_stats_on_example_4() {
+        // Constants recorded from the one-push-at-a-time build this bulk
+        // build replaced (commit b320aa1), default root and root R3.
+        type Case = (Option<usize>, [&'static [u32]; 4], [usize; 4], [u64; 4]);
+        let cases: [Case; 2] = [
+            (
+                None,
+                [&[0, 0, 0, 0], &[0, 1], &[0], &[0, 0]],
+                [1, 2, 1, 1],
+                [808, 720, 1208, 1056],
+            ),
+            (
+                Some(2),
+                [&[0, 0, 1, 1], &[0, 0], &[0], &[0, 0]],
+                [2, 1, 1, 1],
+                [772, 684, 1296, 1144],
+            ),
+        ];
+        let (db, q) = (paper_db(), paper_query());
+        for (root, anchors, queues, [bytes, peak, end_bytes, end_peak]) in cases {
+            let tree = match root {
+                None => JoinTree::build(&q).unwrap(),
+                Some(r) => JoinTree::build_rooted(&q, r).unwrap(),
+            };
+            let mut e =
+                AcyclicEnumerator::with_tree(&q, &db, SumRanking::value_sum(), tree).unwrap();
+            let (got_anchors, got_queues, got_keys) = build_shape(&e);
+            assert_eq!(got_anchors, anchors.map(<[u32]>::to_vec), "root {root:?}");
+            assert_eq!(got_queues, queues, "root {root:?}");
+            assert_eq!(got_keys, [3, 1, 1, 2], "root {root:?}");
+            let s = e.stats();
+            assert_eq!((s.cells_created, s.pq_pushes, s.pq_pops), (9, 9, 0));
+            assert_eq!((s.frontier_bytes, s.frontier_peak_bytes), (bytes, peak));
+            // Queue capacities match too: successor pushes grow the
+            // retained bytes at the same points.
+            assert_eq!(e.by_ref().count(), 6);
+            let s = e.stats();
+            assert_eq!((s.cells_created, s.pq_pushes, s.pq_pops), (16, 16, 16));
+            assert_eq!(
+                (s.frontier_bytes, s.frontier_peak_bytes),
+                (end_bytes, end_peak)
+            );
+        }
+    }
+
+    #[test]
+    fn anchor_ids_are_dense_in_first_occurrence_order() {
+        // R(a, b) ⋈ S(b, c): S is anchored on b. Every b of S occurs in R
+        // and vice versa, so the instance is already reduced.
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut draw = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let s_rows: Vec<Tuple> = (0..600).map(|i| vec![draw(40) << 32, i]).collect();
+        let r_rows: Vec<Tuple> = s_rows.iter().map(|t| vec![draw(9), t[0]]).collect();
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("R", attrs(["a", "b"]), r_rows).unwrap())
+            .unwrap();
+        db.add_relation(Relation::with_tuples("S", attrs(["b", "c"]), s_rows.clone()).unwrap())
+            .unwrap();
+        let q = QueryBuilder::new()
+            .atom("R", "R", ["a", "b"])
+            .atom("S", "S", ["b", "c"])
+            .project(["a", "c"])
+            .build()
+            .unwrap();
+        let tree = JoinTree::build_rooted(&q, 0).unwrap();
+        let e = AcyclicEnumerator::with_tree(&q, &db, SumRanking::value_sum(), tree).unwrap();
+        let mut model: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        let expected: Vec<u32> = s_rows
+            .iter()
+            .map(|t| {
+                let next = model.len() as u32;
+                *model.entry(t[0]).or_insert(next)
+            })
+            .collect();
+        let (anchors, queues, _) = build_shape(&e);
+        assert_eq!(anchors[1], expected);
+        assert_eq!(queues, [1, model.len()]);
+        assert_eq!(anchors[0], vec![0; 600]);
+        // Each queue holds exactly the cells of its anchor, best on top.
+        let s = &e.nodes[1];
+        for (aid, queue) in s.queues.iter().enumerate() {
+            let members = expected.iter().filter(|&&a| a as usize == aid).count();
+            assert_eq!(queue.len(), members);
+            let top = queue.peek().unwrap();
+            assert_eq!(s.arena.anchor(top.cell) as usize, aid);
+            for cell in (0..600u32).filter(|&c| s.arena.anchor(c) as usize == aid) {
+                let other = FrontierEntry {
+                    key: s.arena.key_id(cell),
+                    cell,
+                };
+                assert_ne!(
+                    entry_cmp(&s.keys, &s.arena, &s.tie_perm, other, top),
+                    Ordering::Less
+                );
+            }
+        }
     }
 
     #[test]

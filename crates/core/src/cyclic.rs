@@ -11,7 +11,7 @@ use crate::acyclic::AcyclicEnumerator;
 use crate::error::EnumError;
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
-use re_join::{materialize_bags_reported, BagKernel};
+use re_join::{materialize_bags_reported, reduce_then_prune_relations_ctx, BagKernel};
 use re_query::{Atom, GhdPlan, JoinProjectQuery, JoinTree, QueryError};
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Tuple};
@@ -80,8 +80,9 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
     /// context with the default (generic join) bag kernel. On a pooled
     /// context the bags are materialised as parallel pool tasks (they are
     /// independent sub-joins) and the kernels inside each bag fan out
-    /// further over morsels of the same pool. Bag materialisation dominates
-    /// cyclic preprocessing, so this is where the cores go.
+    /// further over morsels of the same pool. The bags then go straight to
+    /// the residual reducer and Algorithm 1 — no copy, no database in
+    /// between — which cost about as much again as materialising them.
     ///
     /// Determinism contract: the bag relations, `bag_sizes()` and the full
     /// enumeration order are identical to the serial build at any thread
@@ -123,12 +124,13 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         candidates: usize,
     ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
-        let mut bag_db = Database::new();
         let mut atoms = Vec::with_capacity(plan.len());
+        let mut bag_rels = Vec::with_capacity(plan.len());
         let mut bag_sizes = Vec::with_capacity(plan.len());
         let mut bag_details = Vec::with_capacity(plan.len());
         let built = materialize_bags_reported(query, db, plan.bags(), ctx, kernel)?;
         for (i, (bag, (rel, info))) in plan.bags().iter().zip(built).enumerate() {
+            debug_assert_eq!(rel.attrs(), &bag.attrs[..]);
             bag_sizes.push(rel.len());
             bag_details.push(BagDetail {
                 name: info.name,
@@ -146,7 +148,7 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
                 bag.name.clone(),
                 bag.attrs.clone(),
             ));
-            bag_db.set_relation(rel);
+            bag_rels.push(Some(rel));
         }
         let residual = JoinProjectQuery::new(atoms, query.projection().to_vec())?;
         let tree = match JoinTree::build(&residual) {
@@ -154,7 +156,16 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
             Err(QueryError::NotAcyclic) => return Err(EnumError::ResidualCyclic),
             Err(e) => return Err(EnumError::Query(e)),
         };
-        let mut inner = AcyclicEnumerator::with_tree_ctx(&residual, &bag_db, ranking, tree, ctx)?;
+        // The bag relations are already named and keyed like the residual
+        // atoms, so they go to the reducer as they are, in node order.
+        let relations = tree
+            .nodes()
+            .iter()
+            .map(|n| bag_rels[n.atom_index].take().expect("one node per bag"))
+            .collect();
+        let reduction = reduce_then_prune_relations_ctx(ctx, tree, relations)?;
+        let mut inner =
+            AcyclicEnumerator::from_reduction(query.projection().to_vec(), ranking, reduction)?;
         let report = GhdReport {
             shape: plan.shape().to_string(),
             bags: plan.len(),

@@ -31,9 +31,8 @@
 
 use crate::cell::CellId;
 use re_ranking::RankKey;
-use re_storage::Value;
+use re_storage::{mix_key, IdSlots, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Packed `next`-pointer sentinel: not computed yet (`⊥` in the paper).
 pub const NEXT_NOT_COMPUTED: u32 = u32::MAX;
@@ -181,22 +180,24 @@ impl CellArena {
     }
 }
 
-/// Approximate per-id bucket overhead of the interner's fingerprint map
-/// (the `u64` fingerprint plus a candidate-list slot).
+/// Per-id overhead of the interner's fingerprint table: the stored `u64`
+/// fingerprint plus the id's nominal share of the slot array.
 const INTERN_BUCKET_BYTES: usize = 16;
 
 /// Stores each distinct rank key once and hands out dense `u32` ids.
 ///
-/// Deduplication buckets candidates by [`RankKey::fingerprint`] and
-/// confirms with `Ord` — keys that compare equal through different
-/// representations may receive two ids, which costs a little sharing but
-/// never correctness, because every ordering decision goes through
-/// [`KeyInterner::cmp`]'s value comparison.
+/// Deduplication finds candidates by [`RankKey::fingerprint`] in one flat
+/// open-addressing table ([`IdSlots`], fingerprints stored per id — no
+/// bucket `Vec` per distinct key) and confirms with `Ord`. Keys that
+/// compare equal through different representations may receive two ids,
+/// which costs a little sharing but never correctness, because every
+/// ordering decision goes through [`KeyInterner::cmp`]'s value comparison.
 #[derive(Debug, Default)]
 pub struct KeyInterner<K> {
     keys: Vec<K>,
-    /// fingerprint → candidate ids (almost always one).
-    buckets: HashMap<u64, Vec<u32>>,
+    /// `fingerprints[id]` is `keys[id].fingerprint()`.
+    fingerprints: Vec<u64>,
+    slots: IdSlots,
     /// Heap bytes owned by the stored keys (length-based estimate).
     key_heap_bytes: usize,
 }
@@ -206,7 +207,8 @@ impl<K: RankKey> KeyInterner<K> {
     pub fn new() -> Self {
         KeyInterner {
             keys: Vec::new(),
-            buckets: HashMap::new(),
+            fingerprints: Vec::new(),
+            slots: IdSlots::new(),
             key_heap_bytes: 0,
         }
     }
@@ -215,17 +217,19 @@ impl<K: RankKey> KeyInterner<K> {
     /// (`0` when the key deduplicated against an existing entry).
     pub fn intern(&mut self, key: K) -> (u32, usize) {
         let fp = key.fingerprint();
-        let ids = self.buckets.entry(fp).or_default();
-        for &id in ids.iter() {
-            if self.keys[id as usize].cmp(&key) == Ordering::Equal {
-                return (id, 0);
-            }
+        let (keys, fingerprints) = (&self.keys, &self.fingerprints);
+        let (id, fresh) = self.slots.find_or_insert(
+            mix_key(&[fp]),
+            |id| fingerprints[id as usize] == fp && keys[id as usize].cmp(&key) == Ordering::Equal,
+            |id| mix_key(&[fingerprints[id as usize]]),
+        );
+        if !fresh {
+            return (id, 0);
         }
-        let id = self.keys.len() as u32;
         let bytes = std::mem::size_of::<K>() + key.heap_bytes() + INTERN_BUCKET_BYTES;
         self.key_heap_bytes += key.heap_bytes();
         self.keys.push(key);
-        ids.push(id);
+        self.fingerprints.push(fp);
         (id, bytes)
     }
 
@@ -286,6 +290,61 @@ impl FrontierHeap {
         FrontierHeap { slots: Vec::new() }
     }
 
+    /// An empty heap with the capacity `entries` one-at-a-time pushes
+    /// would have grown it to (doubling from four), in one allocation. The
+    /// bulk build sizes each queue this way so that the capacity-based
+    /// byte accounting, and the point at which a later successor push
+    /// grows the queue, are those of the incremental build.
+    pub fn with_pushed_capacity(entries: usize) -> Self {
+        let capacity = match entries {
+            0 => 0,
+            n => n.next_power_of_two().max(4),
+        };
+        FrontierHeap {
+            slots: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Append an entry without restoring heap order; callers finish a run
+    /// of these with [`FrontierHeap::heapify`] before reading the heap.
+    pub fn push_unordered(&mut self, entry: FrontierEntry) {
+        self.slots.push(entry);
+    }
+
+    /// Establish heap order over the stored entries in linear time.
+    pub fn heapify(&mut self, mut cmp: impl FnMut(FrontierEntry, FrontierEntry) -> Ordering) {
+        for i in (0..self.slots.len() / 2).rev() {
+            self.sift_down(i, &mut cmp);
+        }
+    }
+
+    fn sift_down(
+        &mut self,
+        mut i: usize,
+        cmp: &mut impl FnMut(FrontierEntry, FrontierEntry) -> Ordering,
+    ) {
+        let n = self.slots.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let smallest =
+                if right < n && cmp(self.slots[right], self.slots[left]) == Ordering::Less {
+                    right
+                } else {
+                    left
+                };
+            if cmp(self.slots[smallest], self.slots[i]) == Ordering::Less {
+                self.slots.swap(i, smallest);
+                i = smallest;
+            } else {
+                break;
+            }
+        }
+    }
+
     /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -336,27 +395,7 @@ impl FrontierHeap {
         }
         self.slots.swap(0, n - 1);
         let top = self.slots.pop();
-        let n = self.slots.len();
-        let mut i = 0;
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let smallest =
-                if right < n && cmp(self.slots[right], self.slots[left]) == Ordering::Less {
-                    right
-                } else {
-                    left
-                };
-            if cmp(self.slots[smallest], self.slots[i]) == Ordering::Less {
-                self.slots.swap(i, smallest);
-                i = smallest;
-            } else {
-                break;
-            }
-        }
+        self.sift_down(0, &mut cmp);
         top
     }
 
@@ -463,6 +502,52 @@ mod tests {
         assert!(h.is_empty());
         assert!(h.retained_bytes() >= 5 * std::mem::size_of::<FrontierEntry>());
         assert_eq!(h.live_bytes(), 0);
+    }
+
+    #[test]
+    fn bulk_built_heap_equals_the_pushed_one_in_capacity_and_pop_order() {
+        let cmp = |a: FrontierEntry, b: FrontierEntry| {
+            a.key.cmp(&b.key).then_with(|| a.cell.cmp(&b.cell))
+        };
+        for n in [0usize, 1, 3, 4, 5, 8, 9, 100, 1024, 1025] {
+            let entries: Vec<FrontierEntry> = (0..n as u32)
+                .map(|i| FrontierEntry {
+                    key: i.wrapping_mul(2_654_435_761) % 17,
+                    cell: i,
+                })
+                .collect();
+            let mut pushed = FrontierHeap::new();
+            let mut grown = 0;
+            for &e in &entries {
+                grown += pushed.push(e, cmp);
+            }
+            let mut bulk = FrontierHeap::with_pushed_capacity(n);
+            for &e in &entries {
+                bulk.push_unordered(e);
+            }
+            bulk.heapify(cmp);
+            assert_eq!(bulk.retained_bytes(), pushed.retained_bytes(), "n = {n}");
+            assert_eq!(bulk.retained_bytes(), grown, "n = {n}");
+            assert_eq!(bulk.peek(), pushed.peek());
+            while let Some(e) = pushed.pop(cmp) {
+                assert_eq!(bulk.pop(cmp), Some(e));
+            }
+            assert!(bulk.pop(cmp).is_none());
+        }
+    }
+
+    #[test]
+    fn interner_keeps_ids_across_table_growth() {
+        let mut i: KeyInterner<u64> = KeyInterner::new();
+        // Far past the slot array's initial size; fingerprints of u64 keys
+        // are the identity, multiples of 2^32 agree in their low bits.
+        let ids: Vec<u32> = (0..5_000u64).map(|k| i.intern(k << 32).0).collect();
+        assert_eq!(ids, (0..5_000).collect::<Vec<u32>>());
+        for k in 0..5_000u64 {
+            assert_eq!(i.intern(k << 32), (k as u32, 0));
+        }
+        assert_eq!(i.len(), 5_000);
+        assert_eq!(i.bytes(), 5_000 * (8 + INTERN_BUCKET_BYTES));
     }
 
     #[test]

@@ -62,7 +62,7 @@
 use crate::error::EnumError;
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
-use re_join::{full_reduce_relations, par_sorted_index, reduce_then_prune, reduce_then_prune_ctx};
+use re_join::{full_reduce_relations, reduce_then_prune, reduce_then_prune_ctx, sorted_index};
 use re_query::{JoinProjectQuery, JoinTree};
 use re_ranking::{Direction, LexRanking, Weight, WeightAssignment};
 use re_storage::{Attr, Database, Relation, SortedIndex, Tuple, Value};
@@ -91,21 +91,17 @@ struct LazyIndex {
 }
 
 impl LazyIndex {
-    /// Count a probe; build once the scan warm-up is exhausted. The build
-    /// runs through the enumerator's [`ExecContext`] — morsel-parallel on
-    /// a pooled context, byte-identical to the serial build by the
-    /// `re_exec` determinism contract — so deferring it out of
-    /// preprocessing does not serialise it. Returns the built index if
+    /// Count a probe; build once the scan warm-up is exhausted (one flat
+    /// grouping pass, see [`SortedIndex`]). Returns the built index if
     /// available.
     fn touch<'a>(
         idx: &'a mut LazyIndex,
-        ctx: &ExecContext,
         rel: &Relation,
         stats: &mut EnumStats,
     ) -> Option<&'a SortedIndex> {
         idx.touches += 1;
         if idx.built.is_none() && idx.touches > LAZY_BUILD_TOUCHES {
-            let built = par_sorted_index(ctx, rel, &idx.key_attrs)
+            let built = sorted_index(rel, &idx.key_attrs)
                 .expect("index key attributes were validated at plan time");
             let bytes = built.bytes() as u64;
             stats.frontier_alloc(bytes, bytes);
@@ -117,14 +113,8 @@ impl LazyIndex {
     /// Rows matching `key`, in ascending storage order — from the index
     /// when built, by scan otherwise (identical results: the index groups
     /// rows ascending per key).
-    fn rows_for(
-        &mut self,
-        ctx: &ExecContext,
-        rel: &Relation,
-        key: &[Value],
-        stats: &mut EnumStats,
-    ) -> Vec<u32> {
-        if let Some(index) = Self::touch(self, ctx, rel, stats) {
+    fn rows_for(&mut self, rel: &Relation, key: &[Value], stats: &mut EnumStats) -> Vec<u32> {
+        if let Some(index) = Self::touch(self, rel, stats) {
             return index.rows(key).to_vec();
         }
         let pos = &self.key_pos;
@@ -146,13 +136,12 @@ impl LazyIndex {
     /// candidate sort).
     fn union_rows(
         &mut self,
-        ctx: &ExecContext,
         rel: &Relation,
         key_list: &[Tuple],
         key_set: &HashSet<Tuple>,
         stats: &mut EnumStats,
     ) -> Vec<u32> {
-        if let Some(index) = Self::touch(self, ctx, rel, stats) {
+        if let Some(index) = Self::touch(self, rel, stats) {
             let mut merged: Vec<u32> = Vec::new();
             for k in key_list {
                 merged.extend_from_slice(index.rows(k));
@@ -237,10 +226,6 @@ pub struct LexiEnumerator {
     relations: Vec<Relation>,
     /// Lazily built grouped-adjacency indexes shared by all level plans.
     indexes: Vec<LazyIndex>,
-    /// The execution context lazy index builds run under (the same one
-    /// preprocessing used) — pooled contexts keep deferred builds
-    /// morsel-parallel.
-    exec: ExecContext,
     levels: Vec<LevelPlan>,
     weights: WeightAssignment,
     /// Cell arena: weight-sorted candidate lists.
@@ -356,9 +341,9 @@ impl LexiEnumerator {
     }
 
     /// [`LexiEnumerator::new`] with the preprocessing pass — the full
-    /// reducer and the grouped-adjacency index builds — running under
-    /// `ctx`. The enumerator, and therefore every emitted answer, is
-    /// identical to the serial build at any thread count.
+    /// reducer — running under `ctx`. The enumerator, and therefore every
+    /// emitted answer, is identical to the serial build at any thread
+    /// count.
     pub fn new_ctx(
         query: &JoinProjectQuery,
         db: &Database,
@@ -386,7 +371,6 @@ impl LexiEnumerator {
             output_perm,
             relations,
             indexes: Vec::new(),
-            exec: ctx.clone(),
             levels: Vec::new(),
             weights: ranking.weights().clone(),
             cells: Vec::new(),
@@ -597,7 +581,6 @@ impl LexiEnumerator {
             levels,
             relations,
             indexes,
-            exec,
             weights,
             attr_order,
             prefix,
@@ -614,7 +597,7 @@ impl LexiEnumerator {
                 Some((idx, bound_levels)) => {
                     key.clear();
                     key.extend(bound_levels.iter().map(|&l| prefix[l]));
-                    Some(indexes[*idx].rows_for(exec, rel, &key, stats))
+                    Some(indexes[*idx].rows_for(rel, &key, stats))
                 }
                 None => None,
             };
@@ -633,9 +616,8 @@ impl LexiEnumerator {
                 );
                 match rows {
                     None => {
-                        rows = Some(
-                            indexes[link.index].union_rows(exec, rel, &key_list, &key_set, stats),
-                        );
+                        rows =
+                            Some(indexes[link.index].union_rows(rel, &key_list, &key_set, stats));
                     }
                     Some(ref mut r) => {
                         let pos = &link.node_key_pos;

@@ -27,7 +27,7 @@ use re_join::{full_reduce_ctx, par_hash_join, par_project_distinct};
 use re_query::{Atom, JoinProjectQuery, JoinTree, StarShape};
 use re_ranking::RankKey;
 use re_ranking::Ranking;
-use re_storage::{Attr, Database, HashIndex, Relation, Tuple};
+use re_storage::{project_key, Attr, Database, HashIndex, Relation, Tuple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -90,9 +90,9 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
             let leaf_pos = rel.positions(leaf)?;
             let mut heavy = Relation::new(format!("{}_heavy", rel.name()), rel.attrs().to_vec());
             let mut light = Relation::new(format!("{}_light", rel.name()), rel.attrs().to_vec());
+            let mut key = Vec::new();
             for t in rel.iter() {
-                let key: Tuple = leaf_pos.iter().map(|&p| t[p]).collect();
-                if idx.get(&key).len() >= threshold {
+                if idx.rows(project_key(t, &leaf_pos, &mut key)).len() >= threshold {
                     heavy.push_unchecked(t);
                 } else {
                     light.push_unchecked(t);

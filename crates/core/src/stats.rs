@@ -274,8 +274,8 @@ pub struct StatsSnapshot {
     pub reduce_input_rows: u64,
     /// Rows surviving full-reducer passes, summed over passes.
     pub reduce_output_rows: u64,
-    /// Parallel-preprocessing tasks executed on the worker pool (morsels,
-    /// radix partitions and bags — see `re_exec::PoolStats`).
+    /// Parallel-preprocessing tasks executed on the worker pool (morsels
+    /// and bags — see `re_exec::PoolStats`).
     pub pool_tasks: u64,
     /// Pool tasks that were work-stolen from another worker's deque.
     pub pool_steals: u64,

@@ -191,13 +191,17 @@ impl ExecContext {
     /// stamped with its index and the worker lane that executed it — a
     /// pooled fan-out therefore shows up in the trace as sibling spans on
     /// per-worker tracks. Untraced runs skip all of this.
+    ///
+    /// A single task (`n <= 1` — a relation above the parallel threshold
+    /// but inside one morsel) runs inline: a hand-off would buy no
+    /// parallelism, only a wake-up and a wait.
     pub fn map<'env, T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send + 'env,
         F: Fn(usize) -> T + Sync + 'env,
     {
         match &self.pool {
-            Some(pool) => {
+            Some(pool) if n > 1 => {
                 // Caller-side wall-clock of the fan-out: inside a
                 // `capture_phases` frame this attributes pooled time to
                 // the enclosing preprocessing phase.
@@ -211,18 +215,18 @@ impl ExecContext {
                     None => pool.map_indexed(n, f),
                 }
             }
-            None => (0..n).map(f).collect(),
+            _ => (0..n).map(f).collect(),
         }
     }
 
     /// Run `f(0), ..., f(n - 1)` for effect (pooled or inline). Same trace
-    /// propagation as [`ExecContext::map`].
+    /// propagation and single-task rule as [`ExecContext::map`].
     pub fn run<'env, F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync + 'env,
     {
         match &self.pool {
-            Some(pool) => {
+            Some(pool) if n > 1 => {
                 let _span = re_obs::Span::enter("exec.pooled_run");
                 match trace::current() {
                     Some((ctx, parent)) => pool.run_indexed(n, move |i| {
@@ -233,7 +237,7 @@ impl ExecContext {
                     None => pool.run_indexed(n, f),
                 }
             }
-            None => (0..n).for_each(f),
+            _ => (0..n).for_each(f),
         }
     }
 }
@@ -268,6 +272,27 @@ mod tests {
         let a = serial.map(10, |i| i * 7);
         let b = pooled.map(10, |i| i * 7);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_single_task_runs_inline_without_touching_the_pool() {
+        let pooled = ExecContext::with_threads(2);
+        let caller = std::thread::current().id();
+        let ((one, none), phases) = re_obs::capture_phases(|| {
+            let one = pooled.map(1, |i| (i + 41, std::thread::current().id()));
+            let none = pooled.map(0, |i| i);
+            pooled.run(1, |i| assert_eq!(i, 0));
+            (one, none)
+        });
+        assert_eq!(one, vec![(41, caller)]);
+        assert!(none.is_empty());
+        assert_eq!(pooled.pool_stats().tasks_executed, 0);
+        assert!(phases.iter().all(|(name, _)| name != "exec.pooled_run"));
+        // The pool itself gives the same answer, and two tasks do go to it.
+        let pool = pooled.pool().expect("a pooled context has a pool");
+        assert_eq!(pool.map_indexed(1, |i| i + 41), vec![one[0].0]);
+        assert_eq!(pooled.map(2, |i| i + 41), vec![41, 42]);
+        assert_eq!(pooled.pool_stats().tasks_executed, 3);
     }
 
     #[test]

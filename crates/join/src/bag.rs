@@ -17,7 +17,7 @@
 //! lexicographically sorted and distinct over `bag.attrs` — so they are
 //! byte-interchangeable, which the `wcoj_differential` suite enforces.
 
-use crate::bind::bind_atom;
+use crate::bind::bind_atoms_of;
 use crate::error::JoinError;
 use crate::parallel::{par_hash_join, par_project_distinct, par_semi_join};
 use crate::wcoj::{wcoj_materialize_reported, WcojReport};
@@ -111,11 +111,7 @@ pub fn materialize_bag_reported(
     ctx.check_cancelled()?;
     re_fault::fire("bags.materialize")?;
     let mut span = re_obs::trace::child_span("bag.materialize");
-    let mut rels: Vec<Relation> = bag
-        .atoms
-        .iter()
-        .map(|&i| bind_atom(query, db, i))
-        .collect::<Result<_, _>>()?;
+    let mut rels = bind_atoms_of(query, db, bag.atoms.iter().copied())?;
 
     semi_join_sweep(ctx, &mut rels)?;
 

@@ -12,15 +12,36 @@ use re_storage::{Database, Relation};
 /// copied once per atom) relation with its own variable names, so the rest
 /// of the pipeline never needs to know two atoms scan the same base table.
 pub fn bind_atoms(query: &JoinProjectQuery, db: &Database) -> Result<Vec<Relation>, JoinError> {
-    (0..query.atoms().len())
+    bind_atoms_of(query, db, 0..query.atoms().len())
+}
+
+/// Bind the atoms at `atom_indices`, in that order — the unit operators
+/// that touch only part of a query use (a reducer binds its tree's nodes,
+/// a GHD bag its own atoms), so no atom's rows are copied for nothing.
+/// Timed as the `preprocess.bind` phase; under a request trace the span
+/// carries the atoms bound and the rows copied.
+pub fn bind_atoms_of(
+    query: &JoinProjectQuery,
+    db: &Database,
+    atom_indices: impl IntoIterator<Item = usize>,
+) -> Result<Vec<Relation>, JoinError> {
+    let _span = re_obs::Span::enter("preprocess.bind");
+    let mut trace_span = re_obs::trace::child_span("preprocess.bind");
+    let bound = atom_indices
+        .into_iter()
         .map(|i| bind_atom(query, db, i))
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    if let Some(s) = trace_span.as_mut() {
+        use re_obs::AttrValue;
+        s.set_attr("atoms", AttrValue::U64(bound.len() as u64));
+        let rows: usize = bound.iter().map(Relation::len).sum();
+        s.set_attr("rows", AttrValue::U64(rows as u64));
+    }
+    Ok(bound)
 }
 
 /// Bind a single atom (by index) of `query` — the per-atom unit of
-/// [`bind_atoms`]. Operators that only touch a subset of the atoms (GHD bag
-/// materialisation binds just `bag.atoms`) use this to avoid cloning the
-/// relations of every other atom in the query.
+/// [`bind_atoms_of`].
 pub fn bind_atom(
     query: &JoinProjectQuery,
     db: &Database,

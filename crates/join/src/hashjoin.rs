@@ -11,8 +11,7 @@
 use crate::error::JoinError;
 use crate::reducer::{full_reduce, shared_attrs};
 use re_query::{JoinProjectQuery, JoinTree};
-use re_storage::{Attr, Database, HashIndex, Relation, Value};
-use std::collections::HashSet;
+use re_storage::{project_key, Attr, Database, HashIndex, KeyTable, Relation, Value};
 
 /// Natural hash join of two relations on their shared attributes. The
 /// output schema is `left`'s attributes followed by `right`'s non-shared
@@ -34,7 +33,7 @@ pub fn hash_join(left: &Relation, right: &Relation, out_name: &str) -> Result<Re
 
     // Output-order contract: build on `right`, probe `left` in storage
     // order, and emit each probe's matches in ascending right-row order
-    // (HashIndex id lists are insertion-ordered). The parallel kernel
+    // (index groups ascend in storage order). The parallel kernel
     // `re_join::par_hash_join` reproduces exactly this order, so changing
     // the build/probe side choice here would break the byte-identity
     // determinism contract (and the enumeration-order tests with it).
@@ -42,12 +41,10 @@ pub fn hash_join(left: &Relation, right: &Relation, out_name: &str) -> Result<Re
     let left_shared_pos = left.positions(&shared)?;
     let right_extra_pos = right.positions(&right_extra)?;
 
-    let mut key: Vec<Value> = Vec::with_capacity(shared.len());
+    let mut key: Vec<Value> = Vec::new();
     let mut row: Vec<Value> = Vec::with_capacity(left.arity() + right_extra.len());
     for lt in left.iter() {
-        key.clear();
-        key.extend(left_shared_pos.iter().map(|&p| lt[p]));
-        for &rid in right_index.get(&key) {
+        for &rid in right_index.rows(project_key(lt, &left_shared_pos, &mut key)) {
             let rt = right.tuple(rid as usize);
             row.clear();
             row.extend_from_slice(lt);
@@ -101,18 +98,10 @@ pub fn yannakakis_join(
 pub fn project_distinct(rel: &Relation, attrs: &[Attr]) -> Result<Relation, JoinError> {
     let pos = rel.positions(attrs)?;
     let mut out = Relation::new(format!("πd({})", rel.name()), attrs.to_vec());
-    let mut seen: HashSet<Vec<Value>> = HashSet::with_capacity(rel.len());
-    let mut key: Vec<Value> = Vec::with_capacity(pos.len());
-    for t in rel.iter() {
-        key.clear();
-        key.extend(pos.iter().map(|&p| t[p]));
-        // Two lookups for fresh keys, but no allocation at all for
-        // duplicate ones — and duplicates dominate in the projections this
-        // kernel exists for.
-        if !seen.contains(&key) {
-            out.push_unchecked(&key);
-            seen.insert(key.clone());
-        }
+    if !pos.is_empty() {
+        // The table's key slab *is* the projection: distinct keys, back to
+        // back, in first-occurrence order.
+        out.append_rows(KeyTable::of_rows(rel.iter(), &pos).flat_keys());
     }
     Ok(out)
 }

@@ -34,15 +34,13 @@ pub use bag::{
     materialize_bag, materialize_bag_ctx, materialize_bag_kernel, materialize_bags,
     materialize_bags_reported, materialize_bags_with, BagBuildInfo, BagKernel,
 };
-pub use bind::{bind_atom, bind_atoms};
+pub use bind::{bind_atom, bind_atoms, bind_atoms_of};
 pub use error::JoinError;
 pub use hashjoin::{full_join, hash_join, project_distinct, yannakakis_join};
-pub use parallel::{
-    par_dedup, par_hash_join, par_project_distinct, par_semi_join, par_sorted_index,
-    PartitionedIndex,
-};
+pub use parallel::{par_dedup, par_hash_join, par_project_distinct, par_semi_join, sorted_index};
 pub use reducer::{
     full_reduce, full_reduce_ctx, full_reduce_relations, full_reduce_relations_ctx,
-    reduce_then_prune, reduce_then_prune_ctx, semi_join, ReduceStats,
+    reduce_then_prune, reduce_then_prune_ctx, reduce_then_prune_relations_ctx, semi_join,
+    ReduceStats,
 };
 pub use wcoj::{wcoj_materialize, wcoj_materialize_reported, WcojReport};

@@ -1,13 +1,17 @@
 //! Morsel-driven parallel counterparts of the join kernels.
 //!
 //! Every kernel here obeys one hard contract: **its output is byte-identical
-//! to the serial kernel it shadows, at any thread count.** The recipe is the
-//! same everywhere — split the input into contiguous morsels
-//! ([`re_storage::Relation::chunks`]), run one task per morsel (or per
-//! radix partition) on the [`ExecContext`]'s pool, and merge the per-task
-//! results *by task index*, never by completion order. Scheduling therefore
-//! never leaks into the output, and enumeration order downstream cannot
-//! depend on `RE_EXEC_THREADS`.
+//! to the serial kernel it shadows, at any thread count.** What a kernel
+//! *builds* — the key set a semi-join probes, the grouped index a hash join
+//! probes — is one flat [`KeyTable`]-based structure built once on the
+//! calling thread: a single hashing pass with no allocation per key, and
+//! first-occurrence ids are inherently sequential. What it *probes with*
+//! is split into contiguous morsels
+//! ([`re_storage::Relation::chunks`]), one task per morsel on the
+//! [`ExecContext`]'s pool, and the per-task results are merged *by task
+//! index*, never by completion order. Scheduling therefore never leaks
+//! into the output, and enumeration order downstream cannot depend on
+//! `RE_EXEC_THREADS`.
 //!
 //! Inputs below [`ExecContext::should_parallelise`]'s threshold take the
 //! serial kernel directly: the contract then holds trivially and small
@@ -15,209 +19,28 @@
 
 use crate::error::JoinError;
 use crate::hashjoin::{hash_join, project_distinct};
-use crate::reducer::{semi_join, shared_attrs};
+use crate::reducer::shared_attrs;
 use re_exec::ExecContext;
-use re_storage::{Attr, Relation, Tuple, Value};
-use std::collections::HashMap;
-use std::sync::Mutex;
+use re_storage::{project_key, Attr, HashIndex, KeyTable, Relation, SortedIndex, Value};
 
-/// Radix partition of a key: a cheap fixed-seed multiply-rotate hash
-/// reduced modulo the partition count. This runs once per tuple on every
-/// parallel path, so it must cost next to nothing next to the (SipHash)
-/// hash-map operation that usually follows; the partitioning is stable
-/// across runs, although nothing downstream depends on it.
-#[inline]
-fn partition_of(key: &[Value], partitions: usize) -> usize {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &v in key {
-        h ^= v.wrapping_mul(0xA24B_AED4_963E_E407);
-        h = h.rotate_left(23).wrapping_mul(0x9FB2_1C65_1E98_DF25);
-    }
-    ((h >> 32) as usize) % partitions
-}
-
-/// How many radix partitions to build for a context: a few per thread, so
-/// the per-partition build tasks stay balanced under key skew.
-fn partition_count(ctx: &ExecContext) -> usize {
-    (ctx.threads() * 4).max(1)
-}
-
-/// A hash index radix-partitioned by join-key hash, built in parallel over
-/// contiguous tuple chunks. Per key, row ids are in ascending storage order
-/// — exactly the order [`re_storage::HashIndex`] produces — so probes see
-/// matches in the same order the serial kernels do.
-pub struct PartitionedIndex {
-    partitions: Vec<HashMap<Tuple, Vec<u32>>>,
-    key_positions: Vec<usize>,
-}
-
-impl PartitionedIndex {
-    /// Build over `relation`, keyed on `key_attrs`.
-    pub fn build(
-        ctx: &ExecContext,
-        relation: &Relation,
-        key_attrs: &[Attr],
-    ) -> Result<Self, JoinError> {
-        // Row ids are u32, like the serial `HashIndex`'s; make the limit
-        // explicit instead of silently wrapping past 2^32 rows.
-        debug_assert!(relation.len() <= u32::MAX as usize);
-        let key_positions = relation.positions(key_attrs)?;
-        let parts = partition_count(ctx);
-        let chunks = relation.chunks(ctx.morsel_rows());
-        // Pass 1 (one task per chunk): bucket global row ids by partition.
-        // Within a bucket the ids are ascending because the chunk is
-        // scanned in storage order.
-        let bucketed: Vec<Vec<Vec<u32>>> = ctx.map(chunks.len(), |c| {
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            let mut key: Tuple = Vec::with_capacity(key_positions.len());
-            for (row, t) in chunks[c].global_rows() {
-                key.clear();
-                key.extend(key_positions.iter().map(|&p| t[p]));
-                buckets[partition_of(&key, parts)].push(row as u32);
-            }
-            buckets
-        });
-        // Pass 2 (one task per partition): build the sub-map, visiting the
-        // chunk buckets in chunk order so per-key id lists stay ascending.
-        let partitions: Vec<HashMap<Tuple, Vec<u32>>> = ctx.map(parts, |p| {
-            let rows: usize = bucketed.iter().map(|chunk| chunk[p].len()).sum();
-            let mut map: HashMap<Tuple, Vec<u32>> = HashMap::with_capacity(rows);
-            let mut key: Tuple = Vec::with_capacity(key_positions.len());
-            for chunk in &bucketed {
-                for &row in &chunk[p] {
-                    let t = relation.tuple(row as usize);
-                    key.clear();
-                    key.extend(key_positions.iter().map(|&q| t[q]));
-                    // Allocate the key only for its first occurrence; on
-                    // skewed join keys most rows hit an existing entry.
-                    if let Some(ids) = map.get_mut(key.as_slice()) {
-                        ids.push(row);
-                    } else {
-                        map.insert(key.clone(), vec![row]);
-                    }
-                }
-            }
-            map
-        });
-        Ok(PartitionedIndex {
-            partitions,
-            key_positions,
-        })
-    }
-
-    /// Row ids matching a key, in ascending storage order.
-    pub fn get(&self, key: &[Value]) -> &[u32] {
-        self.partitions[partition_of(key, self.partitions.len())]
-            .get(key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Whether a key is present.
-    pub fn contains(&self, key: &[Value]) -> bool {
-        self.partitions[partition_of(key, self.partitions.len())].contains_key(key)
-    }
-
-    /// Positions of the key attributes in the indexed relation.
-    pub fn key_positions(&self) -> &[usize] {
-        &self.key_positions
-    }
-}
-
-/// Build a [`re_storage::SortedIndex`] (grouped adjacency) over `relation`
-/// through the execution context: radix-partitioned grouping over
-/// contiguous chunks, merged back into the serial first-occurrence layout.
-/// The result is **identical** to `SortedIndex::build` at any thread count
-/// — groups in first-occurrence order, row ids ascending per key — so the
-/// enumerators that probe it stay byte-deterministic.
-pub fn par_sorted_index(
-    ctx: &ExecContext,
-    relation: &Relation,
-    key_attrs: &[Attr],
-) -> Result<re_storage::SortedIndex, JoinError> {
+/// Build a [`SortedIndex`] over `relation` as a preprocessing phase: timed
+/// as `preprocess.sorted_index` and, under a request trace, recorded as an
+/// `index.sorted_build` span carrying the index's keys, rows and bytes.
+pub fn sorted_index(relation: &Relation, key_attrs: &[Attr]) -> Result<SortedIndex, JoinError> {
     let _span = re_obs::Span::enter("preprocess.sorted_index");
     let mut trace_span = re_obs::trace::child_span("index.sorted_build");
-    if !ctx.should_parallelise(relation.len()) {
-        let index = re_storage::SortedIndex::build(relation, key_attrs)?;
-        annotate_index_span(trace_span.as_mut(), relation.name(), &index);
-        return Ok(index);
-    }
-    debug_assert!(relation.len() <= u32::MAX as usize);
-    let key_positions = relation.positions(key_attrs)?;
-    let parts = partition_count(ctx);
-    let chunks = relation.chunks(ctx.morsel_rows());
-    // Pass 1 (one task per chunk): bucket global row ids by partition;
-    // ascending within a bucket because chunks scan in storage order.
-    let bucketed: Vec<Vec<Vec<u32>>> = ctx.map(chunks.len(), |c| {
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
-        let mut key: Tuple = Vec::with_capacity(key_positions.len());
-        for (row, t) in chunks[c].global_rows() {
-            key.clear();
-            key.extend(key_positions.iter().map(|&p| t[p]));
-            buckets[partition_of(&key, parts)].push(row as u32);
-        }
-        buckets
-    });
-    // Pass 2 (one task per partition): group the partition's rows per key,
-    // visiting chunk buckets in chunk order so id lists stay ascending and
-    // the first id of each group is the key's globally smallest row.
-    let grouped: Vec<Vec<(Tuple, Vec<u32>)>> = ctx.map(parts, |p| {
-        let rows: usize = bucketed.iter().map(|chunk| chunk[p].len()).sum();
-        let mut map: HashMap<Tuple, Vec<u32>> = HashMap::with_capacity(rows);
-        let mut order: Vec<Tuple> = Vec::new();
-        let mut key: Tuple = Vec::with_capacity(key_positions.len());
-        for chunk in &bucketed {
-            for &row in &chunk[p] {
-                let t = relation.tuple(row as usize);
-                key.clear();
-                key.extend(key_positions.iter().map(|&q| t[q]));
-                if let Some(ids) = map.get_mut(key.as_slice()) {
-                    ids.push(row);
-                } else {
-                    map.insert(key.clone(), vec![row]);
-                    order.push(key.clone());
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|k| {
-                let ids = map.remove(&k).expect("ordered key was grouped");
-                (k, ids)
-            })
-            .collect()
-    });
-    // Deterministic merge: global first-occurrence order is ascending
-    // first-row order, which the per-partition groups carry in ids[0].
-    let mut entries: Vec<(Tuple, Vec<u32>)> = grouped.into_iter().flatten().collect();
-    entries.sort_unstable_by_key(|(_, ids)| ids[0]);
-    let index = re_storage::SortedIndex::from_grouped(
-        key_attrs.to_vec(),
-        key_positions,
-        entries,
-        relation.len(),
-    );
-    annotate_index_span(trace_span.as_mut(), relation.name(), &index);
-    Ok(index)
-}
-
-/// Record a built [`re_storage::SortedIndex`]'s keys/rows/bytes onto an
-/// `index.sorted_build` trace span, when one is open.
-fn annotate_index_span(
-    span: Option<&mut re_obs::trace::SpanGuard>,
-    relation: &str,
-    index: &re_storage::SortedIndex,
-) {
-    if let Some(s) = span {
+    let index = SortedIndex::build(relation, key_attrs)?;
+    if let Some(s) = trace_span.as_mut() {
         use re_obs::AttrValue;
-        s.set_attr("relation", AttrValue::Str(relation.to_string()));
+        s.set_attr("relation", AttrValue::Str(relation.name().to_string()));
         s.set_attr("keys", AttrValue::U64(index.distinct_keys() as u64));
         s.set_attr("rows", AttrValue::U64(index.len() as u64));
         s.set_attr("bytes", AttrValue::U64(index.bytes() as u64));
     }
+    Ok(index)
 }
 
-/// Parallel natural hash join: radix-partitioned build over `right`,
+/// Parallel natural hash join: one grouped index over `right`,
 /// morsel-parallel probe over `left`, per-morsel outputs concatenated in
 /// morsel order. Output identical to [`hash_join`].
 pub fn par_hash_join(
@@ -239,18 +62,16 @@ pub fn par_hash_join(
     let mut out_attrs: Vec<Attr> = left.attrs().to_vec();
     out_attrs.extend(right_extra.iter().cloned());
 
-    let index = PartitionedIndex::build(ctx, right, &shared)?;
+    let index = HashIndex::build(right, &shared)?;
     let left_shared_pos = left.positions(&shared)?;
     let right_extra_pos = right.positions(&right_extra)?;
 
     let chunks = left.chunks(ctx.morsel_rows());
     let pieces: Vec<Vec<Value>> = ctx.map(chunks.len(), |c| {
         let mut out: Vec<Value> = Vec::new();
-        let mut key: Tuple = Vec::with_capacity(left_shared_pos.len());
+        let mut key = Vec::new();
         for lt in chunks[c].iter() {
-            key.clear();
-            key.extend(left_shared_pos.iter().map(|&p| lt[p]));
-            for &rid in index.get(&key) {
+            for &rid in index.rows(project_key(lt, &left_shared_pos, &mut key)) {
                 let rt = right.tuple(rid as usize);
                 out.extend_from_slice(lt);
                 out.extend(right_extra_pos.iter().map(|&p| rt[p]));
@@ -268,17 +89,16 @@ pub fn par_hash_join(
     Ok(out)
 }
 
-/// Parallel semi-join `left ⋉ right`: morsel tasks compute keep flags
-/// against a partitioned index of `right`; the in-order compaction then
-/// matches [`semi_join`]'s retain order exactly.
+/// Semi-join `left ⋉ right` under an execution context: keep the tuples of
+/// `left` whose shared-attribute values appear in `right`. The key set of
+/// `right` carries no row ids — a semi-join never reads them. Large left
+/// sides are probed one morsel per task, the keep flags merged in morsel
+/// order, so the retain order is the serial one at any thread count.
 pub fn par_semi_join(
     ctx: &ExecContext,
     left: &mut Relation,
     right: &Relation,
 ) -> Result<(), JoinError> {
-    if !ctx.should_parallelise(left.len()) {
-        return semi_join(left, right);
-    }
     let shared = shared_attrs(left, right);
     if shared.is_empty() {
         if right.is_empty() {
@@ -287,18 +107,19 @@ pub fn par_semi_join(
         return Ok(());
     }
     let left_pos = left.positions(&shared)?;
-    let index = PartitionedIndex::build(ctx, right, &shared)?;
+    let keys = KeyTable::of_rows(right.iter(), &right.positions(&shared)?);
+    if !ctx.should_parallelise(left.len()) {
+        let mut key = Vec::new();
+        left.retain(|t| keys.contains(project_key(t, &left_pos, &mut key)));
+        return Ok(());
+    }
     let keeps: Vec<Vec<bool>> = {
         let chunks = left.chunks(ctx.morsel_rows());
         ctx.map(chunks.len(), |c| {
-            let mut key: Tuple = Vec::with_capacity(left_pos.len());
+            let mut key = Vec::new();
             chunks[c]
                 .iter()
-                .map(|t| {
-                    key.clear();
-                    key.extend(left_pos.iter().map(|&p| t[p]));
-                    index.contains(&key)
-                })
+                .map(|t| keys.contains(project_key(t, &left_pos, &mut key)))
                 .collect()
         })
     };
@@ -307,128 +128,63 @@ pub fn par_semi_join(
     Ok(())
 }
 
-/// First-occurrence winners, one `(first_row, key)` entry per distinct
-/// projected key. Shared by the parallel distinct-projection and dedup
-/// kernels.
-///
-/// Pass 1 (one task per chunk) builds per-partition first-occurrence maps
-/// of the chunk; pass 2 (one task per partition) merges them *in chunk
-/// order*, keeping the first entry seen — which is the globally smallest
-/// row for the key, because rows ascend across chunks and each local map
-/// already holds the chunk-minimum. Keys move (never clone) through the
-/// merge. The result is unsorted; callers order by row as needed.
-fn first_occurrence_entries(
-    ctx: &ExecContext,
-    rel: &Relation,
-    positions: &[usize],
-    parts: usize,
-) -> Vec<(u32, Tuple)> {
-    // First-occurrence rows are u32 (like all row ids in the kernels).
-    debug_assert!(rel.len() <= u32::MAX as usize);
+/// The distinct keys of `rel` at `positions`, in first-occurrence order:
+/// one task per morsel collects the morsel's distinct keys, then the
+/// per-morsel tables are folded into the first *in morsel order* — a key's
+/// first morsel is the one holding its first row, and within a morsel the
+/// table already is in first-occurrence order. The fold touches each
+/// morsel's distinct keys, not its rows.
+fn distinct_keys(ctx: &ExecContext, rel: &Relation, positions: &[usize]) -> KeyTable {
     let chunks = rel.chunks(ctx.morsel_rows());
-    let locals: Vec<Vec<HashMap<Tuple, u32>>> = ctx.map(chunks.len(), |c| {
-        let mut maps: Vec<HashMap<Tuple, u32>> = vec![HashMap::new(); parts];
-        let mut key: Tuple = Vec::with_capacity(positions.len());
-        for (row, t) in chunks[c].global_rows() {
-            key.clear();
-            key.extend(positions.iter().map(|&p| t[p]));
-            let map = &mut maps[partition_of(&key, parts)];
-            // Clone the key only on first occurrence — duplicates (the
-            // common case in the projections this kernel serves) cost no
-            // allocation.
-            if !map.contains_key(key.as_slice()) {
-                map.insert(key.clone(), row as u32);
-            }
-        }
-        maps
+    let locals = ctx.map(chunks.len(), |c| {
+        KeyTable::of_rows(chunks[c].iter(), positions)
     });
-    // Transpose ownership chunk-major → partition-major so the merge tasks
-    // can consume their maps without cloning keys; the slots hand each
-    // pass-2 task exclusive ownership of its partition's maps.
-    let mut by_part: Vec<Vec<HashMap<Tuple, u32>>> = (0..parts).map(|_| Vec::new()).collect();
-    for chunk_maps in locals {
-        for (p, map) in chunk_maps.into_iter().enumerate() {
-            by_part[p].push(map);
+    let mut locals = locals.into_iter();
+    let mut merged = locals
+        .next()
+        .unwrap_or_else(|| KeyTable::new(positions.len()));
+    for local in locals {
+        for id in 0..local.len() as u32 {
+            merged.insert(local.key(id));
         }
     }
-    let slots: Vec<Mutex<Vec<HashMap<Tuple, u32>>>> = by_part.into_iter().map(Mutex::new).collect();
-    ctx.map(parts, |p| {
-        let maps = std::mem::take(&mut *slots[p].lock().expect("winner slot poisoned"));
-        let mut iter = maps.into_iter();
-        let mut base = iter.next().unwrap_or_default();
-        for map in iter {
-            for (key, row) in map {
-                base.entry(key).or_insert(row);
-            }
-        }
-        base.into_iter()
-            .map(|(key, row)| (row, key))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    merged
 }
 
 /// Parallel `SELECT DISTINCT` projection. Output identical to
-/// [`project_distinct`]: distinct keys in first-occurrence order (sorting
-/// the per-key winners by their first-occurrence row *is* that order).
+/// [`project_distinct`]: distinct keys in first-occurrence order.
 pub fn par_project_distinct(
     ctx: &ExecContext,
     rel: &Relation,
     attrs: &[Attr],
 ) -> Result<Relation, JoinError> {
-    if !ctx.should_parallelise(rel.len()) {
+    if !ctx.should_parallelise(rel.len()) || attrs.is_empty() {
         return project_distinct(rel, attrs);
     }
-    let pos = rel.positions(attrs)?;
-    let parts = partition_count(ctx);
-    let mut entries = first_occurrence_entries(ctx, rel, &pos, parts);
-    entries.sort_unstable_by_key(|&(row, _)| row);
+    let keys = distinct_keys(ctx, rel, &rel.positions(attrs)?);
     let mut out = Relation::new(format!("πd({})", rel.name()), attrs.to_vec());
-    out.reserve_rows(entries.len());
-    for (_, key) in &entries {
-        out.push_unchecked(key);
-    }
+    out.append_rows(keys.flat_keys());
     Ok(out)
 }
 
 /// Parallel in-place removal of exact duplicate tuples (first occurrence
 /// kept). Output identical to [`re_storage::Relation::dedup_tuples`].
-///
-/// This is the in-place sibling of [`par_project_distinct`], completing
-/// the parallel kernel set for callers that dedup loaded or derived
-/// relations in place (bulk ingest paths); no enumerator preprocessing
-/// path needs it today — they project-distinct into fresh relations —
-/// but it shares `first_occurrence_entries` with the projection kernel,
-/// so it carries no extra determinism machinery of its own.
 pub fn par_dedup(ctx: &ExecContext, rel: &mut Relation) {
     if !ctx.should_parallelise(rel.len()) || rel.arity() == 0 {
         rel.dedup_tuples();
         return;
     }
-    let pos: Vec<usize> = (0..rel.arity()).collect();
-    let parts = partition_count(ctx);
-    let mut kept: Vec<u32> = first_occurrence_entries(ctx, rel, &pos, parts)
-        .into_iter()
-        .map(|(row, _)| row)
-        .collect();
-    kept.sort_unstable();
-    let mut next = kept.into_iter().peekable();
-    let mut row: u32 = 0;
-    rel.retain(|_| {
-        let keep = next.peek() == Some(&row);
-        if keep {
-            next.next();
-        }
-        row += 1;
-        keep
-    });
+    let all: Vec<usize> = (0..rel.arity()).collect();
+    let keys = distinct_keys(ctx, rel, &all);
+    let mut out = Relation::new(rel.name(), rel.attrs().to_vec());
+    out.append_rows(keys.flat_keys());
+    *rel = out;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reducer::semi_join;
     use re_storage::attr::attrs;
 
     /// A context that forces every kernel onto its parallel path, even on
@@ -543,38 +299,70 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_index_agrees_with_hash_index() {
-        let r = right_rel();
-        let key = attrs(["B"]);
-        let ctx = tiny_parallel_ctx(3);
-        let par = PartitionedIndex::build(&ctx, &r, &key).unwrap();
-        let serial = re_storage::HashIndex::build(&r, &key).unwrap();
-        for b in 0..8u64 {
-            assert_eq!(par.get(&[b]), serial.get(&[b]), "key {b}");
-            assert_eq!(par.contains(&[b]), serial.contains(&[b]));
+    fn sorted_index_keeps_the_layout_contract_and_lands_in_the_trace() {
+        let j = hash_join(&left_rel(), &right_rel(), "J").unwrap();
+        let tctx = re_obs::TraceCtx::new("index");
+        for key in [attrs(["B"]), attrs(["B", "C"])] {
+            let index = {
+                let _g = re_obs::trace::install(&tctx, 0);
+                sorted_index(&j, &key).unwrap()
+            };
+            let pos = j.positions(&key).unwrap();
+            // Groups in first-occurrence order, row ids ascending, every
+            // row in exactly the group of its key.
+            let mut first_rows = Vec::new();
+            let mut seen = 0;
+            for (k, rows) in index.iter() {
+                assert!(rows.windows(2).all(|w| w[0] < w[1]));
+                for &r in rows {
+                    let t = j.tuple(r as usize);
+                    assert!(pos.iter().zip(k).all(|(&p, &v)| t[p] == v));
+                }
+                assert_eq!(index.rows(k), rows);
+                first_rows.push(rows[0]);
+                seen += rows.len();
+            }
+            assert!(first_rows.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(seen, j.len());
         }
+        let trace = tctx.finish();
+        assert_eq!(trace.spans_named("index.sorted_build").count(), 2);
     }
 
     #[test]
-    fn par_sorted_index_matches_serial_layout() {
-        let r = right_rel();
-        let serial = re_storage::SortedIndex::build(&r, &attrs(["B"])).unwrap();
+    fn pooled_kernels_equal_serial_ones_on_skewed_and_distinct_keys() {
+        // One hot key plus a long tail of distinct ones, over enough rows
+        // for several morsels per task.
+        let l = Relation::with_tuples(
+            "L",
+            attrs(["A", "B"]),
+            (0..500u64).map(|i| vec![i, if i % 3 == 0 { 0 } else { i }]),
+        )
+        .unwrap();
+        let r = Relation::with_tuples(
+            "R",
+            attrs(["B", "C"]),
+            (0..300u64).map(|i| vec![(i * 7) % 400, i % 5]),
+        )
+        .unwrap();
+        let join = hash_join(&l, &r, "J").unwrap();
+        let mut semi = l.clone();
+        semi_join(&mut semi, &r).unwrap();
+        let proj = project_distinct(&join, &attrs(["C", "B"])).unwrap();
+        let mut dedup = join.project(&attrs(["B", "C"])).unwrap();
+        let dup_input = dedup.clone();
+        dedup.dedup_tuples();
         for threads in [1, 2, 4] {
-            let par = par_sorted_index(&tiny_parallel_ctx(threads), &r, &attrs(["B"])).unwrap();
-            assert_eq!(par.distinct_keys(), serial.distinct_keys());
-            assert_eq!(par.len(), serial.len());
-            for b in 0..8u64 {
-                assert_eq!(par.rows(&[b]), serial.rows(&[b]), "key {b}");
-            }
-        }
-        // Composite keys through the parallel path too.
-        let j = hash_join(&left_rel(), &right_rel(), "J").unwrap();
-        let key = attrs(["B", "C"]);
-        let serial = re_storage::SortedIndex::build(&j, &key).unwrap();
-        let par = par_sorted_index(&tiny_parallel_ctx(3), &j, &key).unwrap();
-        for t in j.iter() {
-            let k = vec![t[1], t[2]];
-            assert_eq!(par.rows(&k), serial.rows(&k));
+            let ctx = tiny_parallel_ctx(threads).with_morsel_rows(37);
+            assert_identical(&par_hash_join(&ctx, &l, &r, "J").unwrap(), &join);
+            let mut s = l.clone();
+            par_semi_join(&ctx, &mut s, &r).unwrap();
+            assert_identical(&s, &semi);
+            let p = par_project_distinct(&ctx, &join, &attrs(["C", "B"])).unwrap();
+            assert_identical(&p, &proj);
+            let mut d = dup_input.clone();
+            par_dedup(&ctx, &mut d);
+            assert_identical(&d, &dedup);
         }
     }
 

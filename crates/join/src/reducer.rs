@@ -6,12 +6,12 @@
 //! two sweeps of semi-joins over a join tree: a bottom-up pass
 //! (`parent ⋉ child`) followed by a top-down pass (`child ⋉ parent`).
 
-use crate::bind::bind_atoms;
+use crate::bind::bind_atoms_of;
 use crate::error::JoinError;
 use crate::parallel::par_semi_join;
 use re_exec::ExecContext;
 use re_query::{JoinProjectQuery, JoinTree};
-use re_storage::{Attr, Database, HashIndex, Relation};
+use re_storage::{project_key, Attr, Database, KeyTable, Relation};
 use std::collections::BTreeSet;
 
 /// Keep only the tuples of `left` whose shared-attribute values appear in
@@ -19,22 +19,7 @@ use std::collections::BTreeSet;
 /// no-op when `right` is non-empty and empties `left` otherwise (standard
 /// semi-join semantics under natural join).
 pub fn semi_join(left: &mut Relation, right: &Relation) -> Result<(), JoinError> {
-    let shared = shared_attrs(left, right);
-    if shared.is_empty() {
-        if right.is_empty() {
-            left.retain(|_| false);
-        }
-        return Ok(());
-    }
-    let left_pos = left.positions(&shared)?;
-    let right_index = HashIndex::build(right, &shared)?;
-    let mut key = Vec::with_capacity(shared.len());
-    left.retain(|t| {
-        key.clear();
-        key.extend(left_pos.iter().map(|&p| t[p]));
-        right_index.contains(&key)
-    });
-    Ok(())
+    par_semi_join(&ExecContext::serial(), left, right)
 }
 
 /// Per-operator counters of one full-reducer run: every semi-join pass
@@ -160,21 +145,15 @@ pub fn full_reduce(
 }
 
 /// [`full_reduce`] under an execution context (see
-/// [`full_reduce_relations_ctx`]).
+/// [`full_reduce_relations_ctx`]). Each node's atom is bound — its rows
+/// copied from the base table — exactly once, straight into node order.
 pub fn full_reduce_ctx(
     ctx: &ExecContext,
     query: &JoinProjectQuery,
     tree: &JoinTree,
     db: &Database,
 ) -> Result<(Vec<Relation>, ReduceStats), JoinError> {
-    let bound = bind_atoms(query, db)?;
-    // Reorder to node order (node i of an unpruned tree is atom i, but a
-    // pruned tree may have fewer nodes).
-    let mut relations: Vec<Relation> = tree
-        .nodes()
-        .iter()
-        .map(|n| bound[n.atom_index].clone())
-        .collect();
+    let mut relations = bind_atoms_of(query, db, tree.nodes().iter().map(|n| n.atom_index))?;
     let stats = full_reduce_relations_ctx(ctx, tree, &mut relations)?;
     Ok((relations, stats))
 }
@@ -204,18 +183,40 @@ pub fn reduce_then_prune_ctx(
     tree: JoinTree,
     db: &Database,
 ) -> Result<(JoinTree, Vec<Relation>, ReduceStats), JoinError> {
-    let (reduced_all, stats) = full_reduce_ctx(ctx, query, &tree, db)?;
-    let mut by_atom: Vec<Option<Relation>> = vec![None; query.atoms().len()];
-    for (node, rel) in tree.nodes().iter().zip(reduced_all) {
+    let (reduced, stats) = full_reduce_ctx(ctx, query, &tree, db)?;
+    let (pruned, reduced) = prune_reduced(tree, reduced);
+    Ok((pruned, reduced, stats))
+}
+
+/// [`reduce_then_prune_ctx`] over relations the caller already owns:
+/// `relations[i]` is the bound relation of node `i` of the unpruned `tree`
+/// (the GHD enumerator hands its freshly materialised bags over this way,
+/// with no detour through a database).
+pub fn reduce_then_prune_relations_ctx(
+    ctx: &ExecContext,
+    tree: JoinTree,
+    mut relations: Vec<Relation>,
+) -> Result<(JoinTree, Vec<Relation>, ReduceStats), JoinError> {
+    let stats = full_reduce_relations_ctx(ctx, &tree, &mut relations)?;
+    let (pruned, reduced) = prune_reduced(tree, relations);
+    Ok((pruned, reduced, stats))
+}
+
+/// Prune the non-projecting subtrees of a fully reduced instance, keeping
+/// the relations of the surviving nodes (node-aligned with the result).
+fn prune_reduced(tree: JoinTree, reduced: Vec<Relation>) -> (JoinTree, Vec<Relation>) {
+    let atom_slots = tree.nodes().iter().map(|n| n.atom_index + 1).max();
+    let mut by_atom: Vec<Option<Relation>> = vec![None; atom_slots.unwrap_or(0)];
+    for (node, rel) in tree.nodes().iter().zip(reduced) {
         by_atom[node.atom_index] = Some(rel);
     }
     let pruned = tree.prune_non_projecting();
-    let reduced = pruned
+    let kept = pruned
         .nodes()
         .iter()
         .map(|n| by_atom[n.atom_index].take().expect("kept node was reduced"))
         .collect();
-    Ok((pruned, reduced, stats))
+    (pruned, kept)
 }
 
 /// Sanity check used by tests and debug assertions: a reduced instance is
@@ -247,14 +248,11 @@ fn semi_join_would_keep_all(left: &Relation, right: &Relation) -> Result<bool, J
         return Ok(!right.is_empty() || left.is_empty());
     }
     let left_pos = left.positions(&shared)?;
-    let idx = HashIndex::build(right, &shared)?;
-    for t in left.iter() {
-        let key: Vec<_> = left_pos.iter().map(|&p| t[p]).collect();
-        if !idx.contains(&key) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    let keys = KeyTable::of_rows(right.iter(), &right.positions(&shared)?);
+    let mut key = Vec::new();
+    Ok(left
+        .iter()
+        .all(|t| keys.contains(project_key(t, &left_pos, &mut key))))
 }
 
 fn two_mut<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
@@ -336,6 +334,89 @@ mod tests {
         let empty = Relation::new("E", attrs(["B"]));
         semi_join(&mut l, &empty).unwrap();
         assert_eq!(l.len(), 0);
+    }
+
+    #[test]
+    fn semi_join_equals_its_definition_on_generated_relations() {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut draw = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        // (left schema, right schema): one, two and zero shared attributes.
+        let shapes: [(&[&str], &[&str]); 3] = [
+            (&["A", "B"], &["B", "C"]),
+            (&["A", "B", "C"], &["C", "D", "B"]),
+            (&["A", "B"], &["C", "D"]),
+        ];
+        for (la, ra) in shapes {
+            for (l_rows, r_rows, domain) in
+                [(200, 150, 40), (300, 0, 40), (0, 50, 40), (500, 500, 7)]
+            {
+                let gen = |n: usize, arity: usize, draw: &mut dyn FnMut(u64) -> u64| {
+                    (0..n)
+                        .map(|_| (0..arity).map(|_| draw(domain) << 33).collect())
+                        .collect::<Vec<Vec<u64>>>()
+                };
+                let left = Relation::with_tuples(
+                    "L",
+                    attrs(la.iter().copied()),
+                    gen(l_rows, la.len(), &mut draw),
+                )
+                .unwrap();
+                let right = Relation::with_tuples(
+                    "R",
+                    attrs(ra.iter().copied()),
+                    gen(r_rows, ra.len(), &mut draw),
+                )
+                .unwrap();
+                // The definition: keep t ∈ L iff some s ∈ R agrees with it
+                // on every shared attribute, in L's storage order.
+                let shared = shared_attrs(&left, &right);
+                let (lp, rp) = (
+                    left.positions(&shared).unwrap(),
+                    right.positions(&shared).unwrap(),
+                );
+                let expected: Vec<Vec<u64>> = left
+                    .iter()
+                    .filter(|t| {
+                        right
+                            .iter()
+                            .any(|s| lp.iter().zip(&rp).all(|(&a, &b)| t[a] == s[b]))
+                    })
+                    .map(|t| t.to_vec())
+                    .collect();
+                let mut got = left.clone();
+                semi_join(&mut got, &right).unwrap();
+                let got: Vec<Vec<u64>> = got.iter().map(|t| t.to_vec()).collect();
+                assert_eq!(got, expected, "{la:?} ⋉ {ra:?}, {l_rows}×{r_rows}");
+                if shared.is_empty() {
+                    assert_eq!(got.len(), if r_rows == 0 { 0 } else { l_rows });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reducers_bind_each_tree_node_once_and_agree() {
+        let q = path_query();
+        let db = path_db();
+        let tree = JoinTree::build_rooted(&q, 1).unwrap();
+        let (reduced, stats) = full_reduce(&q, &tree, &db).unwrap();
+        // Handing over already-bound relations gives the same reduction
+        // (here nothing is pruned: A and D sit at the two ends).
+        let bound = bind_atoms_of(&q, &db, tree.nodes().iter().map(|n| n.atom_index)).unwrap();
+        let (pruned, via_relations, stats2) =
+            reduce_then_prune_relations_ctx(&ExecContext::serial(), tree.clone(), bound).unwrap();
+        assert_eq!(pruned.len(), tree.len());
+        assert_eq!(stats, stats2);
+        for (a, b) in reduced.iter().zip(&via_relations) {
+            assert_eq!(a.name(), b.name());
+            assert_eq!(a.attrs(), b.attrs());
+            assert!(a.iter().eq(b.iter()));
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! wraps a synchronous pipeline in [`capture_phases`] receives every span
 //! that closed on that thread during the closure, with its duration. The
 //! query server uses this to attach a preprocessing breakdown
-//! (`preprocess.reduce`, `preprocess.ghd_select`, `preprocess.bags`,
-//! `preprocess.sorted_index`, …) to each cursor and to the slow-query
+//! (`preprocess.bind`, `preprocess.reduce`, `preprocess.ghd_select`,
+//! `preprocess.bags`, `preprocess.cells`, `preprocess.sorted_index`, …)
+//! to each cursor and to the slow-query
 //! log — the global histograms aggregate across operations, the capture
 //! stack attributes phases to *this* operation.
 //!

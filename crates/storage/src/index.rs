@@ -1,38 +1,81 @@
-//! Hash indexes over relations.
+//! Indexes over relations.
 //!
 //! The enumeration algorithms rely on constant-time lookups of tuples by a
 //! subset of their attributes (the *anchor* attributes of a join-tree node)
 //! and on degree information (how many tuples share a key) for the
 //! heavy/light split of the star-query algorithm.
+//!
+//! Layout: a row index is a [`KeyTable`] (distinct keys → dense group ids
+//! in first-occurrence order, keys in one flat slab) plus the groups in
+//! CSR form — `offsets[id] .. offsets[id + 1]` delimits group `id` inside
+//! one `rows` buffer. Building it is one hashing pass that assigns each
+//! row its group id and counts group sizes, a prefix sum, and one scatter;
+//! no allocation per key or per group, and nothing about the result
+//! depends on how the build was scheduled. [`TrieIndex`] is the sorted
+//! multi-level sibling the worst-case-optimal join walks.
 
 use crate::attr::Attr;
 use crate::error::StorageError;
+use crate::keytable::KeyTable;
 use crate::relation::Relation;
 use crate::value::{Tuple, Value};
 use std::collections::HashMap;
 
-/// A hash index from key tuples (values of a column subset) to the row ids
-/// of matching tuples.
+/// The grouped row index under the name hash joins and semi-joins know it
+/// by; one structure serves both roles.
+pub type HashIndex = SortedIndex;
+
+/// A grouped-adjacency index: key tuple → matching row ids, all groups in
+/// one flat buffer.
+///
+/// Probing is one [`KeyTable`] lookup returning a slice, and iterating a
+/// group is a linear scan — no per-key `Vec` headers, no pointer chasing.
+///
+/// Layout contract (what lets any build strategy be byte-identical to the
+/// serial one): groups are laid out in **first-occurrence order** of their
+/// key, and within a group row ids are in **ascending storage order**.
 #[derive(Clone, Debug)]
-pub struct HashIndex {
+pub struct SortedIndex {
     key_attrs: Vec<Attr>,
     key_positions: Vec<usize>,
-    map: HashMap<Tuple, Vec<u32>>,
+    /// Distinct keys; a key's id is its group number.
+    keys: KeyTable,
+    /// Group `id` is `rows[offsets[id] .. offsets[id + 1]]`.
+    offsets: Vec<u32>,
+    /// All row ids, grouped per key.
+    rows: Vec<u32>,
 }
 
-impl HashIndex {
+impl SortedIndex {
     /// Build an index over `relation` keyed on `key_attrs`.
     pub fn build(relation: &Relation, key_attrs: &[Attr]) -> Result<Self, StorageError> {
         let key_positions = relation.positions(key_attrs)?;
-        let mut map: HashMap<Tuple, Vec<u32>> = HashMap::with_capacity(relation.len());
-        for (i, t) in relation.iter().enumerate() {
-            let key: Tuple = key_positions.iter().map(|&p| t[p]).collect();
-            map.entry(key).or_default().push(i as u32);
+        // Row ids are u32 throughout the kernels.
+        debug_assert!(relation.len() <= u32::MAX as usize);
+        // Pass 1: a group id per row; group sizes are counted one slot to
+        // the right so the prefix sum turns them into offsets.
+        let (keys, group_of) = KeyTable::group_rows(relation.iter(), &key_positions);
+        let mut offsets: Vec<u32> = vec![0; keys.len() + 1];
+        for &id in &group_of {
+            offsets[id as usize + 1] += 1;
         }
-        Ok(HashIndex {
+        for id in 1..offsets.len() {
+            offsets[id] += offsets[id - 1];
+        }
+        // Pass 2: scatter rows in storage order, so each group ascends.
+        let mut cursor: Vec<u32> = offsets[..keys.len()].to_vec();
+        let mut rows = vec![0u32; group_of.len()];
+        for (row, &id) in group_of.iter().enumerate() {
+            let at = &mut cursor[id as usize];
+            rows[*at as usize] = row as u32;
+            *at += 1;
+        }
+        Ok(SortedIndex {
             key_attrs: key_attrs.to_vec(),
             key_positions,
-            map,
+            keys,
+            offsets,
+            rows,
         })
     }
 
@@ -46,138 +89,29 @@ impl HashIndex {
         &self.key_positions
     }
 
-    /// Row ids matching a key, or an empty slice.
-    pub fn get(&self, key: &[Value]) -> &[u32] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Whether a key is present.
-    pub fn contains(&self, key: &[Value]) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Iterate over `(key, row ids)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &Vec<u32>)> + '_ {
-        self.map.iter()
-    }
-
-    /// Extract the key of an arbitrary tuple of the indexed relation.
-    pub fn key_of(&self, tuple: &[Value]) -> Tuple {
-        self.key_positions.iter().map(|&p| tuple[p]).collect()
-    }
-}
-
-/// A grouped-adjacency index: row ids grouped by key in one flat buffer.
-///
-/// Functionally a [`HashIndex`] (key tuple → matching row ids), but the
-/// per-key lists live contiguously in a single `Vec<u32>` with the map only
-/// holding `(offset, len)` slots. This is the shape the enumeration hot
-/// paths want: building it is one grouping pass with exactly one allocation
-/// per distinct key (the key tuple itself), probing it is a hash lookup
-/// returning a slice, and iterating a group is a linear scan — no
-/// per-key `Vec` headers, no pointer chasing.
-///
-/// Layout contract (what makes parallel builds byte-identical to serial
-/// ones): groups are laid out in **first-occurrence order** of their key,
-/// and within a group row ids are in **ascending storage order**.
-#[derive(Clone, Debug)]
-pub struct SortedIndex {
-    key_attrs: Vec<Attr>,
-    key_positions: Vec<usize>,
-    /// `(offset, len)` into `rows` per key.
-    groups: HashMap<Tuple, (u32, u32)>,
-    /// All row ids, grouped per key.
-    rows: Vec<u32>,
-}
-
-impl SortedIndex {
-    /// Build an index over `relation` keyed on `key_attrs`.
-    pub fn build(relation: &Relation, key_attrs: &[Attr]) -> Result<Self, StorageError> {
-        let key_positions = relation.positions(key_attrs)?;
-        // Two-pass grouping: bucket per key first, then flatten. The
-        // intermediate map reuses the probe buffer so only distinct keys
-        // allocate.
-        let mut buckets: HashMap<Tuple, Vec<u32>> = HashMap::new();
-        let mut order: Vec<Tuple> = Vec::new();
-        let mut key: Tuple = Vec::with_capacity(key_positions.len());
-        for (i, t) in relation.iter().enumerate() {
-            key.clear();
-            key.extend(key_positions.iter().map(|&p| t[p]));
-            if let Some(ids) = buckets.get_mut(key.as_slice()) {
-                ids.push(i as u32);
-            } else {
-                buckets.insert(key.clone(), vec![i as u32]);
-                order.push(key.clone());
-            }
-        }
-        Ok(Self::from_grouped(
-            key_attrs.to_vec(),
-            key_positions,
-            order.into_iter().map(|k| {
-                let ids = buckets.remove(&k).expect("ordered key was bucketed");
-                (k, ids)
-            }),
-            relation.len(),
-        ))
-    }
-
-    /// Assemble an index from pre-grouped `(key, ascending row ids)` pairs
-    /// in first-occurrence order — the constructor parallel builders use
-    /// after their deterministic merge.
-    pub fn from_grouped(
-        key_attrs: Vec<Attr>,
-        key_positions: Vec<usize>,
-        grouped: impl IntoIterator<Item = (Tuple, Vec<u32>)>,
-        total_rows: usize,
-    ) -> Self {
-        let mut rows: Vec<u32> = Vec::with_capacity(total_rows);
-        let mut groups: HashMap<Tuple, (u32, u32)> = HashMap::new();
-        for (key, ids) in grouped {
-            debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
-            let offset = rows.len() as u32;
-            rows.extend_from_slice(&ids);
-            let prev = groups.insert(key, (offset, ids.len() as u32));
-            debug_assert!(prev.is_none(), "duplicate key group");
-        }
-        SortedIndex {
-            key_attrs,
-            key_positions,
-            groups,
-            rows,
-        }
-    }
-
-    /// The attributes this index is keyed on.
-    pub fn key_attrs(&self) -> &[Attr] {
-        &self.key_attrs
-    }
-
-    /// Positions of the key attributes in the indexed relation.
-    pub fn key_positions(&self) -> &[usize] {
-        &self.key_positions
+    fn group(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        &self.rows[self.offsets[id] as usize..self.offsets[id + 1] as usize]
     }
 
     /// Row ids matching a key (ascending storage order), or an empty slice.
     pub fn rows(&self, key: &[Value]) -> &[u32] {
-        match self.groups.get(key) {
-            Some(&(off, len)) => &self.rows[off as usize..(off + len) as usize],
-            None => &[],
-        }
+        self.keys.get(key).map_or(&[], |id| self.group(id))
     }
 
     /// Whether a key is present.
     pub fn contains(&self, key: &[Value]) -> bool {
-        self.groups.contains_key(key)
+        self.keys.contains(key)
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.groups.len()
+        self.keys.len()
+    }
+
+    /// Iterate over `(key, row ids)` groups in first-occurrence order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Value], &[u32])> + '_ {
+        (0..self.keys.len() as u32).map(|id| (self.keys.key(id), self.group(id)))
     }
 
     /// Total indexed rows.
@@ -191,14 +125,10 @@ impl SortedIndex {
     }
 
     /// Approximate bytes retained by the index (length-based, so stable
-    /// across runs): the flat row buffer plus one key tuple and slot per
-    /// distinct key. Used for enumeration memory accounting.
+    /// across runs): the row buffer, one offset per group and the key
+    /// table. Used for enumeration memory accounting.
     pub fn bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<u32>()
-            + self.groups.len()
-                * (self.key_positions.len() * std::mem::size_of::<Value>()
-                    + std::mem::size_of::<Tuple>()
-                    + std::mem::size_of::<(u32, u32)>())
+        (self.rows.len() + self.offsets.len()) * std::mem::size_of::<u32>() + self.keys.bytes()
     }
 }
 
@@ -412,9 +342,9 @@ mod tests {
     fn hash_index_lookup() {
         let r = rel();
         let idx = HashIndex::build(&r, &attrs(["B"])).unwrap();
-        assert_eq!(idx.get(&[10]).len(), 2);
-        assert_eq!(idx.get(&[20]), &[2]);
-        assert_eq!(idx.get(&[99]).len(), 0);
+        assert_eq!(idx.rows(&[10]).len(), 2);
+        assert_eq!(idx.rows(&[20]), &[2]);
+        assert_eq!(idx.rows(&[99]).len(), 0);
         assert_eq!(idx.distinct_keys(), 3);
         assert!(idx.contains(&[30]));
     }
@@ -423,16 +353,15 @@ mod tests {
     fn hash_index_composite_key() {
         let r = rel();
         let idx = HashIndex::build(&r, &attrs(["A", "B"])).unwrap();
-        assert_eq!(idx.get(&[1, 20]), &[2]);
+        assert_eq!(idx.rows(&[1, 20]), &[2]);
         assert_eq!(idx.distinct_keys(), 4);
-        assert_eq!(idx.key_of(&[7, 8]), vec![7, 8]);
     }
 
     #[test]
     fn hash_index_empty_key_groups_everything() {
         let r = rel();
         let idx = HashIndex::build(&r, &[]).unwrap();
-        assert_eq!(idx.get(&[]).len(), 4);
+        assert_eq!(idx.rows(&[]).len(), 4);
         assert_eq!(idx.distinct_keys(), 1);
     }
 
@@ -463,7 +392,7 @@ mod tests {
         let sorted = SortedIndex::build(&r, &attrs(["B"])).unwrap();
         let hash = HashIndex::build(&r, &attrs(["B"])).unwrap();
         for b in [10u64, 20, 30, 99] {
-            assert_eq!(sorted.rows(&[b]), hash.get(&[b]), "key {b}");
+            assert_eq!(sorted.rows(&[b]), hash.rows(&[b]), "key {b}");
             assert_eq!(sorted.contains(&[b]), hash.contains(&[b]));
         }
         assert_eq!(sorted.distinct_keys(), 3);
@@ -485,6 +414,55 @@ mod tests {
         assert_eq!(idx.rows(&[1, 7]), &[0, 2]);
         assert_eq!(idx.rows(&[2, 7]), &[1]);
         assert_eq!(idx.rows(&[9, 9]), &[] as &[u32]);
+    }
+
+    #[test]
+    fn index_layout_contract_holds_on_generated_relations() {
+        let mut x: u64 = 0xD1B5_4A32_D192_ED03;
+        let mut draw = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let r = Relation::with_tuples(
+            "G",
+            attrs(["A", "B", "C"]),
+            (0..3_000).map(|_| vec![draw(50) << 40, draw(3), draw(1_000)]),
+        )
+        .unwrap();
+        for key in [attrs(["A"]), attrs(["B", "A"]), attrs(["C", "A", "B"])] {
+            let idx = SortedIndex::build(&r, &key).unwrap();
+            let pos = r.positions(&key).unwrap();
+            // Model: groups in first-occurrence order, rows ascending.
+            let mut order: Vec<Tuple> = Vec::new();
+            let mut groups: HashMap<Tuple, Vec<u32>> = HashMap::new();
+            for (i, t) in r.iter().enumerate() {
+                let k: Tuple = pos.iter().map(|&p| t[p]).collect();
+                if !groups.contains_key(&k) {
+                    order.push(k.clone());
+                }
+                groups.entry(k).or_default().push(i as u32);
+            }
+            assert_eq!(idx.distinct_keys(), order.len());
+            assert_eq!(idx.len(), r.len());
+            let got: Vec<(Tuple, Vec<u32>)> = idx
+                .iter()
+                .map(|(k, rows)| (k.to_vec(), rows.to_vec()))
+                .collect();
+            let want: Vec<(Tuple, Vec<u32>)> = order
+                .iter()
+                .map(|k| (k.clone(), groups[k].clone()))
+                .collect();
+            assert_eq!(got, want);
+            for k in &order {
+                assert_eq!(idx.rows(k), groups[k].as_slice());
+                assert!(idx.contains(k));
+            }
+            assert!(idx.rows(&vec![u64::MAX; key.len()]).is_empty());
+            let key_bytes = order.len() * (key.len() * 8 + 8);
+            assert_eq!(idx.bytes(), (r.len() + order.len() + 1) * 4 + key_bytes);
+        }
     }
 
     #[test]

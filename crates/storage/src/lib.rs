@@ -8,9 +8,11 @@
 //! * [`Attr`] — cheaply clonable interned attribute names,
 //! * [`Relation`] — a named, flat, row-major relation over a fixed schema,
 //! * [`Database`] — a set of relations addressed by name,
-//! * [`HashIndex`] — hash indexes on arbitrary column subsets (used for
-//!   semi-joins, hash joins and the anchor-keyed priority queues of the
-//!   enumeration algorithms),
+//! * [`KeyTable`] — the flat dictionary from fixed-arity keys to dense ids
+//!   under every grouping and filtering pass (semi-joins, distinct
+//!   projection, the anchor ids of the enumeration algorithms),
+//! * [`HashIndex`] / [`SortedIndex`] — grouped row indexes on arbitrary
+//!   column subsets (hash joins, lexicographic enumeration),
 //! * [`Dictionary`] — a string interner for loading textual data.
 //!
 //! The storage layer is deliberately simple: values are fixed-width, tuples
@@ -22,6 +24,7 @@ pub mod database;
 pub mod dictionary;
 pub mod error;
 pub mod index;
+pub mod keytable;
 pub mod relation;
 pub mod value;
 
@@ -30,5 +33,6 @@ pub use database::Database;
 pub use dictionary::Dictionary;
 pub use error::StorageError;
 pub use index::{DegreeIndex, HashIndex, SortedIndex, TrieIndex};
+pub use keytable::{mix_key, project_key, IdSlots, KeyTable};
 pub use relation::{Relation, RelationChunk};
 pub use value::{Tuple, Value};

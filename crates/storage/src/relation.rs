@@ -2,6 +2,7 @@
 
 use crate::attr::Attr;
 use crate::error::StorageError;
+use crate::keytable::KeyTable;
 use crate::value::{Tuple, Value};
 use std::collections::HashSet;
 
@@ -164,19 +165,28 @@ impl Relation {
         Ok(vals)
     }
 
-    /// Retain only tuples satisfying the predicate.
+    /// Retain only tuples satisfying the predicate, compacting in place
+    /// (a pass that keeps everything moves nothing). A relation that lost
+    /// more than half of its storage hands the slack back, so a reduced
+    /// relation parked in a session is not as large as its base table.
     pub fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
         let arity = self.arity();
         if arity == 0 {
             return;
         }
-        let mut out = Vec::with_capacity(self.data.len());
-        for t in self.data.chunks_exact(arity) {
-            if keep(t) {
-                out.extend_from_slice(t);
+        let mut kept = 0;
+        for read in (0..self.data.len()).step_by(arity) {
+            if keep(&self.data[read..read + arity]) {
+                if kept != read {
+                    self.data.copy_within(read..read + arity, kept);
+                }
+                kept += arity;
             }
         }
-        self.data = out;
+        self.data.truncate(kept);
+        if kept <= self.data.capacity() / 2 {
+            self.data.shrink_to_fit();
+        }
     }
 
     /// Select tuples where `attr == value`, returning a new relation.
@@ -202,14 +212,8 @@ impl Relation {
         if arity == 0 || self.data.is_empty() {
             return;
         }
-        let mut seen: HashSet<Tuple> = HashSet::with_capacity(self.len());
-        let mut out = Vec::with_capacity(self.data.len());
-        for t in self.data.chunks_exact(arity) {
-            if seen.insert(t.to_vec()) {
-                out.extend_from_slice(t);
-            }
-        }
-        self.data = out;
+        let all: Vec<usize> = (0..arity).collect();
+        self.data = KeyTable::of_rows(self.iter(), &all).flat_keys().to_vec();
     }
 
     /// Sort tuples lexicographically by the given attribute positions.

@@ -81,6 +81,61 @@ fn acyclic_workloads_match_the_reference_engine() {
     }
 }
 
+/// The bulk preprocessing build (flat key tables, queues sized and
+/// heapified once) must do the same *work* as the one-cell-at-a-time build
+/// it replaced: these are the `EnumStats` of commit b320aa1 on the same
+/// inputs, right after the build and after 500 answers.
+#[test]
+fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
+    let dblp = DblpWorkload::generate(700, 11, WeightScheme::Random);
+    // (cells, pushes, pops, frontier_bytes, frontier_peak_bytes)
+    type Counters = (u64, u64, u64, u64, u64);
+    let cases: [(_, Counters, Counters); 3] = [
+        (
+            dblp.two_hop(),
+            (1400, 1400, 0, 100_200, 92_936),
+            (2106, 2106, 1063, 136_936, 126_816),
+        ),
+        (
+            dblp.three_hop(),
+            (2100, 2100, 0, 135_896, 125_016),
+            (4155, 4155, 2186, 237_608, 225_680),
+        ),
+        (
+            dblp.four_hop(),
+            (2800, 2800, 0, 163_752, 148_200),
+            (7327, 7327, 4767, 335_296, 317_824),
+        ),
+    ];
+    let counters = |s: &EnumStats| {
+        (
+            s.cells_created,
+            s.pq_pushes,
+            s.pq_pops,
+            s.frontier_bytes,
+            s.frontier_peak_bytes,
+        )
+    };
+    for (spec, at_build, after_500) in cases {
+        for ctx in [ExecContext::serial(), env_ctx()] {
+            let mut e =
+                AcyclicEnumerator::new_ctx(&spec.query, dblp.db(), spec.sum_ranking(), &ctx)
+                    .unwrap();
+            assert_eq!(counters(e.stats()), at_build, "{} at build", spec.name);
+            assert_eq!(e.by_ref().take(500).count(), 500);
+            assert_eq!(counters(e.stats()), after_500, "{} after 500", spec.name);
+        }
+    }
+    let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
+    let (spec, plan) = dblp.cycle(3);
+    let mut e = CyclicEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking(), &plan).unwrap();
+    let built = (15_262, 15_262, 0, 717_768, 708_792);
+    assert_eq!(counters(e.stats()), built, "6-cycle at build");
+    assert_eq!(e.by_ref().take(300).count(), 300);
+    let after = (15_262, 15_262, 4043, 717_768, 708_792);
+    assert_eq!(counters(e.stats()), after, "6-cycle after 300");
+}
+
 #[test]
 fn cyclic_workloads_match_the_reference_engine() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);

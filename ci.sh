@@ -28,7 +28,9 @@ run cargo test -q --offline --manifest-path stackbench/Cargo.toml
 # attributed to the right target. RE_TRANSPORT selects the wire protocol
 # every TcpClient in the suite negotiates on its first frame; run the full
 # suite under both so JSON-lines and binary framing stay byte-equivalent
-# end to end.
+# end to end. The suite includes the Prometheus smoke-scrape (the
+# exposition parses; span and OPEN/FETCH histograms populate after a
+# cyclic OPEN + FETCH, in-process and over TCP).
 run env RE_TRANSPORT=json cargo test -q -p re_server --test server_integration
 run env RE_TRANSPORT=binary cargo test -q -p re_server --test server_integration
 # Reactor front-end: idle-cost (zero wakeups while parked), pipelining
@@ -37,11 +39,6 @@ run env RE_TRANSPORT=binary cargo test -q -p re_server --test server_integration
 # equivalence suite.
 run cargo test -q -p re_server --test reactor_integration
 run cargo test -q -p re_server --test transport_equivalence
-# Smoke-scrape the Prometheus metrics surface: the exposition must parse
-# (HELP/TYPE/sample lines well-formed) and the preprocessing-span and
-# OPEN/FETCH latency histograms must populate after a cyclic OPEN + FETCH,
-# both in-process and over TCP.
-run cargo test -q -p re_server --test server_integration metrics_exposition_covers_spans_latencies_and_ttfa
 # Parallel preprocessing is contractually bit-for-bit deterministic: the
 # suite compares every re_workloads query against the serial engine at
 # pool sizes 1, 2 and N. Run it under both env-forced thread counts so a

@@ -13,7 +13,7 @@
 //! and [`SharedStats`] is a lock-free accumulator of snapshots built on
 //! plain atomics.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use re_obs::{counter_table, AtomicCounters};
 
 /// Counters collected while an enumerator runs.
 #[derive(Clone, Debug, Default)]
@@ -78,6 +78,17 @@ pub struct EnumStats {
     pub ops_per_answer: Vec<u64>,
     /// Operations accumulated since the last emitted answer.
     ops_since_last: u64,
+}
+
+/// The additive counters an enumerator produces under the name its
+/// [`StatsSnapshot`] reports them by, listed once for [`EnumStats::merge`]
+/// and [`EnumStats::snapshot`]: expands to `$apply!(field field ...)`.
+macro_rules! snapshot_counters {
+    ($apply:ident) => {
+        $apply!(pq_pushes pq_pops cells_created cells_reused tuple_allocs
+            frontier_bytes frontier_peak_bytes ghd_bags ghd_estimated_rows ghd_fallbacks
+            reduce_passes reduce_input_rows reduce_output_rows)
+    };
 }
 
 impl EnumStats {
@@ -183,25 +194,16 @@ impl EnumStats {
     /// Merge another statistics object into this one (used by composite
     /// enumerators such as the star and union enumerators).
     pub fn merge(&mut self, other: &EnumStats) {
-        self.pq_pushes += other.pq_pushes;
-        self.pq_pops += other.pq_pops;
-        self.cells_created += other.cells_created;
-        self.cells_reused += other.cells_reused;
-        self.relation_clones += other.relation_clones;
-        self.reducer_calls += other.reducer_calls;
-        self.tuple_allocs += other.tuple_allocs;
+        macro_rules! add {
+            ($($field:ident)*) => { $(self.$field += other.$field;)* };
+        }
         // A composite's frontier is the disjoint union of its parts, so
         // bytes add; the sum of the parts' peaks upper-bounds the
         // composite peak.
-        self.frontier_bytes += other.frontier_bytes;
-        self.frontier_peak_bytes += other.frontier_peak_bytes;
+        snapshot_counters!(add);
+        self.relation_clones += other.relation_clones;
+        self.reducer_calls += other.reducer_calls;
         self.frontier_live_bytes += other.frontier_live_bytes;
-        self.ghd_bags += other.ghd_bags;
-        self.ghd_estimated_rows += other.ghd_estimated_rows;
-        self.ghd_fallbacks += other.ghd_fallbacks;
-        self.reduce_passes += other.reduce_passes;
-        self.reduce_input_rows += other.reduce_input_rows;
-        self.reduce_output_rows += other.reduce_output_rows;
         // answers / histogram are tracked by the composite itself
     }
 
@@ -210,90 +212,71 @@ impl EnumStats {
     /// are zero here: enumerators do not own the worker pool; the process
     /// that does (e.g. the server) fills them in.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            pq_pushes: self.pq_pushes,
-            pq_pops: self.pq_pops,
-            cells_created: self.cells_created,
-            cells_reused: self.cells_reused,
-            answers: self.answers,
-            tuple_allocs: self.tuple_allocs,
-            frontier_bytes: self.frontier_bytes,
-            frontier_peak_bytes: self.frontier_peak_bytes,
-            ghd_bags: self.ghd_bags,
-            ghd_estimated_rows: self.ghd_estimated_rows,
-            ghd_fallbacks: self.ghd_fallbacks,
-            reduce_passes: self.reduce_passes,
-            reduce_input_rows: self.reduce_input_rows,
-            reduce_output_rows: self.reduce_output_rows,
-            ..StatsSnapshot::zero()
+        macro_rules! copy {
+            ($($field:ident)*) => {
+                StatsSnapshot { answers: self.answers, $($field: self.$field,)* ..StatsSnapshot::zero() }
+            };
         }
+        snapshot_counters!(copy)
     }
 }
 
-/// A plain-counter summary of [`EnumStats`]: twenty-one `u64` fields,
-/// `Copy`, trivially mergeable. Differences of snapshots are meaningful
-/// (all counters are monotone), so per-page costs can be computed as
-/// `after.diff(&before)`.
-///
-/// The four robustness outcomes (`requests_shed`, `deadline_exceeded`,
-/// `cancelled`, `faults_injected`) are zero in enumerator-produced
-/// snapshots — the serving layer that observes those outcomes adds them
-/// as deltas, exactly like the pool counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Total priority-queue insertions.
-    pub pq_pushes: u64,
-    /// Total priority-queue pops.
-    pub pq_pops: u64,
-    /// Total cells allocated (including preprocessing).
-    pub cells_created: u64,
-    /// Memoized cells served from the memo instead of being rebuilt (the
-    /// lexicographic enumerator's prefix-binding reuse).
-    pub cells_reused: u64,
-    /// Number of answers emitted so far.
-    pub answers: u64,
-    /// Hot-path `Tuple` allocations beyond emitted answers (the
-    /// zero-allocation tripwire; see [`EnumStats::tuple_allocs`]).
-    pub tuple_allocs: u64,
-    /// Bytes retained by the frontier (monotone; see
-    /// [`EnumStats::frontier_bytes`]).
-    pub frontier_bytes: u64,
-    /// Peak live frontier bytes (monotone; see
-    /// [`EnumStats::frontier_peak_bytes`]).
-    pub frontier_peak_bytes: u64,
-    /// Bags of the GHD plan behind this enumerator (zero when acyclic).
-    pub ghd_bags: u64,
-    /// Rounded AGM bag-size estimate of the chosen GHD plan, when
-    /// cost-based selection produced it.
-    pub ghd_estimated_rows: u64,
-    /// GHD selections that fell back to single-bag full materialisation.
-    pub ghd_fallbacks: u64,
-    /// Semi-join passes executed by the preprocessing full reducer.
-    pub reduce_passes: u64,
-    /// Rows entering full-reducer passes, summed over passes.
-    pub reduce_input_rows: u64,
-    /// Rows surviving full-reducer passes, summed over passes.
-    pub reduce_output_rows: u64,
-    /// Parallel-preprocessing tasks executed on the worker pool (morsels
-    /// and bags — see `re_exec::PoolStats`).
-    pub pool_tasks: u64,
-    /// Pool tasks that were work-stolen from another worker's deque.
-    pub pool_steals: u64,
-    /// Wall-clock time spent inside pool task bodies, in microseconds,
-    /// summed over all threads.
-    pub pool_busy_micros: u64,
-    /// Requests refused by admission control (in-flight gate, pipeline
-    /// cap or load shedding) with a typed `overloaded` error.
-    pub requests_shed: u64,
-    /// Requests aborted because their deadline passed (mid-preprocessing
-    /// or mid-fetch).
-    pub deadline_exceeded: u64,
-    /// Requests aborted by an explicit `CANCEL` (or a fetch on a cursor
-    /// that was cancelled).
-    pub cancelled: u64,
-    /// Faults injected by armed `re_fault` failpoints (process-global
-    /// total folded in by the serving layer).
-    pub faults_injected: u64,
+counter_table! {
+    /// A plain-counter summary of [`EnumStats`]: [`StatsSnapshot::N`] `u64`
+    /// fields, `Copy`, trivially mergeable. Differences of snapshots are
+    /// meaningful (all counters are monotone), so per-page costs can be
+    /// computed as `after.diff(&before)`.
+    ///
+    /// The pool counters and the four robustness outcomes are zero in
+    /// enumerator-produced snapshots — the serving layer that owns the
+    /// pool and observes those outcomes adds them as deltas.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct StatsSnapshot, key prefix "" {
+        pq_pushes: Counter "enum.pq_pushes" = "Priority-queue insertions.",
+        pq_pops: Counter "enum.pq_pops" = "Priority-queue pops.",
+        /// Includes preprocessing.
+        cells_created: Counter "enum.cells_created" = "Cells allocated.",
+        /// The lexicographic enumerator's prefix-binding reuse.
+        cells_reused: Counter "enum.cells_reused" = "Memoized cells served from the memo.",
+        answers: Counter "enum.answers" = "Answers emitted.",
+        /// Allocations beyond the emitted answers; see
+        /// [`EnumStats::tuple_allocs`].
+        tuple_allocs: Counter "enum.tuple_allocs" = "Hot-path tuple allocations (tripwire).",
+        /// See [`EnumStats::frontier_bytes`].
+        frontier_bytes: Counter "enum.frontier_bytes" = "Frontier bytes retained (monotone).",
+        /// Each producer's peak of live frontier bytes is monotone (see
+        /// [`EnumStats::frontier_peak_bytes`]); the producers' peaks need
+        /// not coincide in time, so their sum bounds the combined peak.
+        frontier_peak_bytes: Counter "enum.frontier_peak_bytes" = "Summed peak frontier bytes (upper bound).",
+        /// Zero for acyclic statements, which need no decomposition.
+        ghd_bags: Counter "enum.ghd_bags" = "Bags across chosen GHD plans.",
+        /// Rounded, for plans that cost-based selection produced.
+        ghd_estimated_rows: Counter "enum.ghd_estimated_rows" = "Summed AGM bag-size estimates.",
+        /// The bag is then a full materialisation.
+        ghd_fallbacks: Counter "enum.ghd_fallbacks" = "GHD selections that fell back to a single bag.",
+        /// Passes of the preprocessing full reducer.
+        reduce_passes: Counter "enum.reduce_passes" = "Semi-join reducer passes.",
+        /// Summed over passes.
+        reduce_input_rows: Counter "enum.reduce_input_rows" = "Rows scanned by the semi-join reducer.",
+        /// Summed over passes.
+        reduce_output_rows: Counter "enum.reduce_output_rows" = "Rows surviving the semi-join reducer.",
+        /// Morsels and bags run on the worker pool — see
+        /// `re_exec::PoolStats`.
+        pool_tasks: Counter "exec.pool_tasks" = "Parallel-preprocessing tasks executed.",
+        /// Taken from another worker's deque.
+        pool_steals: Counter "exec.pool_steals" = "Pool tasks stolen across workers.",
+        /// Wall-clock time, summed over all threads.
+        pool_busy_micros: Counter "exec.pool_busy_micros" = "Microseconds inside pool task bodies.",
+        /// Each was answered with a typed `overloaded` error.
+        requests_shed: Counter "server.requests_shed" = "Requests refused by admission control (in-flight gate, pipeline cap, load shedding).",
+        /// Mid-preprocessing or mid-fetch.
+        deadline_exceeded: Counter "server.deadline_exceeded" = "Requests aborted because their deadline passed.",
+        /// Also counts a fetch cancelled because its connection died.
+        cancelled: Counter "server.cancelled" = "Sessions cancelled by explicit CANCEL requests.",
+        /// The process-global `re_fault` total, folded in by the serving
+        /// layer.
+        faults_injected: Counter "fault.injected_total" = "Faults injected by armed failpoints (RE_FAULT).",
+    }
 }
 
 impl StatsSnapshot {
@@ -306,74 +289,23 @@ impl StatsSnapshot {
     /// including the frontier byte fields, which count retained bytes and
     /// a running peak — so sums of snapshots (and of snapshot deltas)
     /// stay meaningful.
-    ///
-    /// Peak caveat (same as [`EnumStats::merge`]): the producers' peaks
-    /// need not coincide in time, so the summed `frontier_peak_bytes` is
-    /// an **upper bound** on the true peak of the combined frontier, not
-    /// an observed maximum.
     pub fn merge(&mut self, other: &StatsSnapshot) {
-        self.pq_pushes += other.pq_pushes;
-        self.pq_pops += other.pq_pops;
-        self.cells_created += other.cells_created;
-        self.cells_reused += other.cells_reused;
-        self.answers += other.answers;
-        self.tuple_allocs += other.tuple_allocs;
-        self.frontier_bytes += other.frontier_bytes;
-        self.frontier_peak_bytes += other.frontier_peak_bytes;
-        self.ghd_bags += other.ghd_bags;
-        self.ghd_estimated_rows += other.ghd_estimated_rows;
-        self.ghd_fallbacks += other.ghd_fallbacks;
-        self.reduce_passes += other.reduce_passes;
-        self.reduce_input_rows += other.reduce_input_rows;
-        self.reduce_output_rows += other.reduce_output_rows;
-        self.pool_tasks += other.pool_tasks;
-        self.pool_steals += other.pool_steals;
-        self.pool_busy_micros += other.pool_busy_micros;
-        self.requests_shed += other.requests_shed;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.cancelled += other.cancelled;
-        self.faults_injected += other.faults_injected;
+        let mut sum = self.values();
+        for (total, add) in sum.iter_mut().zip(other.values()) {
+            *total += add;
+        }
+        *self = StatsSnapshot::from_values(sum);
     }
 
     /// Component-wise difference `self - earlier` (saturating, so a stale
     /// `earlier` cannot underflow).
     #[must_use]
     pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            pq_pushes: self.pq_pushes.saturating_sub(earlier.pq_pushes),
-            pq_pops: self.pq_pops.saturating_sub(earlier.pq_pops),
-            cells_created: self.cells_created.saturating_sub(earlier.cells_created),
-            cells_reused: self.cells_reused.saturating_sub(earlier.cells_reused),
-            answers: self.answers.saturating_sub(earlier.answers),
-            tuple_allocs: self.tuple_allocs.saturating_sub(earlier.tuple_allocs),
-            frontier_bytes: self.frontier_bytes.saturating_sub(earlier.frontier_bytes),
-            frontier_peak_bytes: self
-                .frontier_peak_bytes
-                .saturating_sub(earlier.frontier_peak_bytes),
-            ghd_bags: self.ghd_bags.saturating_sub(earlier.ghd_bags),
-            ghd_estimated_rows: self
-                .ghd_estimated_rows
-                .saturating_sub(earlier.ghd_estimated_rows),
-            ghd_fallbacks: self.ghd_fallbacks.saturating_sub(earlier.ghd_fallbacks),
-            reduce_passes: self.reduce_passes.saturating_sub(earlier.reduce_passes),
-            reduce_input_rows: self
-                .reduce_input_rows
-                .saturating_sub(earlier.reduce_input_rows),
-            reduce_output_rows: self
-                .reduce_output_rows
-                .saturating_sub(earlier.reduce_output_rows),
-            pool_tasks: self.pool_tasks.saturating_sub(earlier.pool_tasks),
-            pool_steals: self.pool_steals.saturating_sub(earlier.pool_steals),
-            pool_busy_micros: self
-                .pool_busy_micros
-                .saturating_sub(earlier.pool_busy_micros),
-            requests_shed: self.requests_shed.saturating_sub(earlier.requests_shed),
-            deadline_exceeded: self
-                .deadline_exceeded
-                .saturating_sub(earlier.deadline_exceeded),
-            cancelled: self.cancelled.saturating_sub(earlier.cancelled),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
+        let mut delta = self.values();
+        for (later, before) in delta.iter_mut().zip(earlier.values()) {
+            *later = later.saturating_sub(before);
         }
+        StatsSnapshot::from_values(delta)
     }
 
     /// Total priority-queue operations.
@@ -387,29 +319,7 @@ impl StatsSnapshot {
 /// *delta* of its cursor's counters after every page; readers take a
 /// consistent-enough snapshot with [`SharedStats::snapshot`].
 #[derive(Debug, Default)]
-pub struct SharedStats {
-    pq_pushes: AtomicU64,
-    pq_pops: AtomicU64,
-    cells_created: AtomicU64,
-    cells_reused: AtomicU64,
-    answers: AtomicU64,
-    tuple_allocs: AtomicU64,
-    frontier_bytes: AtomicU64,
-    frontier_peak_bytes: AtomicU64,
-    ghd_bags: AtomicU64,
-    ghd_estimated_rows: AtomicU64,
-    ghd_fallbacks: AtomicU64,
-    reduce_passes: AtomicU64,
-    reduce_input_rows: AtomicU64,
-    reduce_output_rows: AtomicU64,
-    pool_tasks: AtomicU64,
-    pool_steals: AtomicU64,
-    pool_busy_micros: AtomicU64,
-    requests_shed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    cancelled: AtomicU64,
-    faults_injected: AtomicU64,
-}
+pub struct SharedStats(AtomicCounters<{ StatsSnapshot::N }>);
 
 impl SharedStats {
     /// Create a zeroed accumulator.
@@ -417,73 +327,14 @@ impl SharedStats {
         SharedStats::default()
     }
 
-    /// Add a snapshot (typically a delta) to the totals. Uses relaxed
-    /// ordering: the counters are monitoring data, not synchronisation.
+    /// Add a snapshot (typically a delta) to the totals.
     pub fn add(&self, delta: &StatsSnapshot) {
-        self.pq_pushes.fetch_add(delta.pq_pushes, Ordering::Relaxed);
-        self.pq_pops.fetch_add(delta.pq_pops, Ordering::Relaxed);
-        self.cells_created
-            .fetch_add(delta.cells_created, Ordering::Relaxed);
-        self.cells_reused
-            .fetch_add(delta.cells_reused, Ordering::Relaxed);
-        self.answers.fetch_add(delta.answers, Ordering::Relaxed);
-        self.tuple_allocs
-            .fetch_add(delta.tuple_allocs, Ordering::Relaxed);
-        self.frontier_bytes
-            .fetch_add(delta.frontier_bytes, Ordering::Relaxed);
-        self.frontier_peak_bytes
-            .fetch_add(delta.frontier_peak_bytes, Ordering::Relaxed);
-        self.ghd_bags.fetch_add(delta.ghd_bags, Ordering::Relaxed);
-        self.ghd_estimated_rows
-            .fetch_add(delta.ghd_estimated_rows, Ordering::Relaxed);
-        self.ghd_fallbacks
-            .fetch_add(delta.ghd_fallbacks, Ordering::Relaxed);
-        self.reduce_passes
-            .fetch_add(delta.reduce_passes, Ordering::Relaxed);
-        self.reduce_input_rows
-            .fetch_add(delta.reduce_input_rows, Ordering::Relaxed);
-        self.reduce_output_rows
-            .fetch_add(delta.reduce_output_rows, Ordering::Relaxed);
-        self.pool_tasks
-            .fetch_add(delta.pool_tasks, Ordering::Relaxed);
-        self.pool_steals
-            .fetch_add(delta.pool_steals, Ordering::Relaxed);
-        self.pool_busy_micros
-            .fetch_add(delta.pool_busy_micros, Ordering::Relaxed);
-        self.requests_shed
-            .fetch_add(delta.requests_shed, Ordering::Relaxed);
-        self.deadline_exceeded
-            .fetch_add(delta.deadline_exceeded, Ordering::Relaxed);
-        self.cancelled.fetch_add(delta.cancelled, Ordering::Relaxed);
-        self.faults_injected
-            .fetch_add(delta.faults_injected, Ordering::Relaxed);
+        self.0.add(delta.values());
     }
 
     /// Current totals.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            pq_pushes: self.pq_pushes.load(Ordering::Relaxed),
-            pq_pops: self.pq_pops.load(Ordering::Relaxed),
-            cells_created: self.cells_created.load(Ordering::Relaxed),
-            cells_reused: self.cells_reused.load(Ordering::Relaxed),
-            answers: self.answers.load(Ordering::Relaxed),
-            tuple_allocs: self.tuple_allocs.load(Ordering::Relaxed),
-            frontier_bytes: self.frontier_bytes.load(Ordering::Relaxed),
-            frontier_peak_bytes: self.frontier_peak_bytes.load(Ordering::Relaxed),
-            ghd_bags: self.ghd_bags.load(Ordering::Relaxed),
-            ghd_estimated_rows: self.ghd_estimated_rows.load(Ordering::Relaxed),
-            ghd_fallbacks: self.ghd_fallbacks.load(Ordering::Relaxed),
-            reduce_passes: self.reduce_passes.load(Ordering::Relaxed),
-            reduce_input_rows: self.reduce_input_rows.load(Ordering::Relaxed),
-            reduce_output_rows: self.reduce_output_rows.load(Ordering::Relaxed),
-            pool_tasks: self.pool_tasks.load(Ordering::Relaxed),
-            pool_steals: self.pool_steals.load(Ordering::Relaxed),
-            pool_busy_micros: self.pool_busy_micros.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-        }
+        StatsSnapshot::from_values(self.0.load())
     }
 }
 
@@ -584,6 +435,11 @@ mod tests {
         assert_eq!(delta.cells_created, 0);
     }
 
+    /// Every declared counter gets its own value: `start`, `start + 1`, ...
+    fn distinct(start: u64) -> StatsSnapshot {
+        StatsSnapshot::from_values(std::array::from_fn(|i| start + i as u64))
+    }
+
     #[test]
     fn shared_stats_accumulates_across_threads() {
         let shared = std::sync::Arc::new(SharedStats::new());
@@ -592,29 +448,7 @@ mod tests {
                 let shared = std::sync::Arc::clone(&shared);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        shared.add(&StatsSnapshot {
-                            pq_pushes: 1,
-                            pq_pops: 2,
-                            cells_created: 3,
-                            cells_reused: 8,
-                            answers: 4,
-                            tuple_allocs: 9,
-                            frontier_bytes: 10,
-                            frontier_peak_bytes: 11,
-                            ghd_bags: 2,
-                            ghd_estimated_rows: 12,
-                            ghd_fallbacks: 1,
-                            reduce_passes: 13,
-                            reduce_input_rows: 14,
-                            reduce_output_rows: 15,
-                            pool_tasks: 5,
-                            pool_steals: 6,
-                            pool_busy_micros: 7,
-                            requests_shed: 16,
-                            deadline_exceeded: 17,
-                            cancelled: 18,
-                            faults_injected: 19,
-                        });
+                        shared.add(&distinct(1));
                     }
                 })
             })
@@ -622,25 +456,72 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let total = shared.snapshot();
-        assert_eq!(total.pq_pushes, 400);
-        assert_eq!(total.pq_pops, 800);
-        assert_eq!(total.cells_created, 1200);
-        assert_eq!(total.cells_reused, 3200);
-        assert_eq!(total.answers, 1600);
-        assert_eq!(total.ghd_bags, 800);
-        assert_eq!(total.ghd_estimated_rows, 4800);
-        assert_eq!(total.ghd_fallbacks, 400);
-        assert_eq!(total.reduce_passes, 5200);
-        assert_eq!(total.reduce_input_rows, 5600);
-        assert_eq!(total.reduce_output_rows, 6000);
-        assert_eq!(total.pool_tasks, 2000);
-        assert_eq!(total.pool_steals, 2400);
-        assert_eq!(total.pool_busy_micros, 2800);
-        assert_eq!(total.requests_shed, 6400);
-        assert_eq!(total.deadline_exceeded, 6800);
-        assert_eq!(total.cancelled, 7200);
-        assert_eq!(total.faults_injected, 7600);
+        for (i, total) in shared.snapshot().values().into_iter().enumerate() {
+            let key = StatsSnapshot::FIELDS[i].key;
+            assert_eq!(total, 400 * (i as u64 + 1), "{key}");
+        }
+    }
+
+    #[test]
+    fn every_declared_counter_survives_merge_diff_and_the_atomic_mirror() {
+        let (a, b) = (distinct(100), distinct(1));
+        assert_eq!(StatsSnapshot::from_values(a.values()), a);
+        let mut sum = a;
+        sum.merge(&b);
+        let shared = SharedStats::new();
+        shared.add(&a);
+        shared.add(&StatsSnapshot::zero());
+        shared.add(&b);
+        assert_eq!(shared.snapshot(), sum);
+        for i in 0..StatsSnapshot::N {
+            let key = StatsSnapshot::FIELDS[i].key;
+            assert_eq!(sum.values()[i], 101 + 2 * i as u64, "{key}");
+            assert_eq!(sum.diff(&a).values()[i], b.values()[i], "{key}");
+        }
+        // The descriptors are distinct, so no two counters can collide
+        // on the wire or on the metrics page.
+        let mut keys: Vec<_> = StatsSnapshot::FIELDS.iter().map(|f| f.key).collect();
+        let mut metrics: Vec<_> = StatsSnapshot::FIELDS.iter().map(|f| f.metric).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        metrics.sort_unstable();
+        metrics.dedup();
+        assert_eq!(
+            (keys.len(), metrics.len()),
+            (StatsSnapshot::N, StatsSnapshot::N)
+        );
+    }
+
+    #[test]
+    fn enumerator_snapshots_carry_every_counter_the_enumerator_produces() {
+        let mut a = EnumStats::new();
+        a.record_push();
+        a.record_pop();
+        a.record_cell();
+        a.record_cell_reuse();
+        a.record_tuple_allocs(2);
+        a.frontier_alloc(64, 48);
+        a.record_reduce(3, 50, 40);
+        a.ghd_bags = 2;
+        a.ghd_estimated_rows = 90;
+        a.ghd_fallbacks = 1;
+        a.record_answer();
+        let snap = a.snapshot();
+        let produced: Vec<_> = StatsSnapshot::FIELDS
+            .iter()
+            .zip(snap.values())
+            .filter(|(_, v)| *v != 0)
+            .map(|(f, _)| f.key)
+            .collect();
+        assert_eq!(produced.len(), 14, "{produced:?}");
+        // A composite adds its parts' counters but tracks answers itself.
+        let mut composite = EnumStats::new();
+        composite.merge(&a);
+        composite.merge(&a);
+        let mut twice = snap;
+        twice.merge(&snap);
+        twice.answers = 0;
+        assert_eq!(composite.snapshot(), twice);
     }
 
     #[test]

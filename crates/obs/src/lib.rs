@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod expo;
 pub mod hist;
 pub mod log;
@@ -37,6 +38,7 @@ pub mod span;
 pub mod timing;
 pub mod trace;
 
+pub use counters::{scalar_metrics, AtomicCounters, CounterField};
 pub use expo::{
     render_prometheus, render_prometheus_labeled, sanitize_metric_name, validate_exposition,
     LabeledMetric, MetricKind, ScalarMetric,

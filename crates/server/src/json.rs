@@ -10,8 +10,16 @@
 //!   above 2^53;
 //! * object keys are kept in insertion order (lookup is linear, objects are
 //!   small).
+//!
+//! [`Json`] is the *parser's* result. Messages are written without building
+//! a tree: `JsonSink` puts each field a message visits straight into the
+//! output line, and `JsonSource` hands the fields of a parsed line back to
+//! the same visitor (`Sink` / `Source` in `crate::protocol`).
 
-use std::fmt;
+use crate::protocol::{Kinds, Sink, Source};
+use re_obs::CounterField;
+use re_storage::Tuple;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -302,12 +310,31 @@ fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+fn uint_into(out: &mut String, n: u64) {
+    let _ = write!(out, "{n}");
+}
+
+fn array_into<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
 }
 
 impl fmt::Display for Json {
@@ -324,18 +351,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::UInt(n) => out.push_str(&n.to_string()),
+            Json::UInt(n) => uint_into(out, *n),
             Json::Str(s) => escape_into(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_into(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => array_into(out, items, |out, v| v.write_into(out)),
             Json::Obj(members) => {
                 out.push('{');
                 for (i, (k, v)) in members.iter().enumerate() {
@@ -352,14 +370,198 @@ impl Json {
     }
 }
 
-/// Convenience constructor for an object literal.
-pub fn obj(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// The JSON [`Sink`]: one object per message, a named key per visited
+/// field in visiting order, absent optional fields omitted.
+#[derive(Default)]
+pub(crate) struct JsonSink(String);
+
+impl JsonSink {
+    /// Close the object and return the line (no trailing newline).
+    pub(crate) fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
+
+    fn key(&mut self, key: &str) {
+        self.0.push(if self.0.is_empty() { '{' } else { ',' });
+        escape_into(&mut self.0, key);
+        self.0.push(':');
+    }
+
+    fn uint_rows<R: AsRef<[u64]>>(&mut self, key: &str, rows: &[R]) {
+        self.key(key);
+        array_into(&mut self.0, rows, |out, row| {
+            array_into(out, row.as_ref(), |out, &v| uint_into(out, v))
+        });
+    }
+}
+
+impl Sink for JsonSink {
+    fn kind(&mut self, kinds: &Kinds, name: &str) {
+        if kinds.ok_flag {
+            self.bool("ok", name != "error");
+        }
+        self.str(kinds.key, name);
+    }
+
+    fn u64(&mut self, key: &str, value: u64) {
+        self.key(key);
+        uint_into(&mut self.0, value);
+    }
+
+    fn bool(&mut self, key: &str, value: bool) {
+        self.key(key);
+        self.0.push_str(if value { "true" } else { "false" });
+    }
+
+    fn str(&mut self, key: &str, value: &str) {
+        self.key(key);
+        escape_into(&mut self.0, value);
+    }
+
+    fn opt_str(&mut self, key: &str, value: &str) {
+        if !value.is_empty() {
+            self.str(key, value);
+        }
+    }
+
+    fn opt_u64(&mut self, key: &str, value: Option<u64>) {
+        if let Some(value) = value {
+            self.u64(key, value);
+        }
+    }
+
+    fn strings(&mut self, key: &str, value: &[String]) {
+        self.key(key);
+        array_into(&mut self.0, value, |out, s| escape_into(out, s));
+    }
+
+    fn rows(&mut self, key: &str, value: &[Tuple]) {
+        self.uint_rows(key, value);
+    }
+
+    fn counters(&mut self, fields: &[CounterField], values: &[u64]) {
+        for (field, &value) in fields.iter().zip(values) {
+            self.u64(field.key, value);
+        }
+    }
+
+    fn counter_rows<const N: usize>(&mut self, key: &str, rows: &[[u64; N]]) {
+        self.uint_rows(key, rows);
+    }
+}
+
+/// The JSON [`Source`]: the fields of one parsed line, looked up by key.
+/// A required key that is absent or of the wrong type is an error, and so
+/// is an optional key of the wrong type.
+pub(crate) struct JsonSource<'a> {
+    json: &'a Json,
+    /// The variant name, once read: the subject of the error messages.
+    kind: &'static str,
+}
+
+fn uint_row(row: &Json) -> Option<Vec<u64>> {
+    row.as_arr()?.iter().map(Json::as_u64).collect()
+}
+
+impl<'a> JsonSource<'a> {
+    pub(crate) fn new(json: &'a Json) -> Self {
+        JsonSource { json, kind: "" }
+    }
+
+    fn optional<T>(
+        &self,
+        key: &str,
+        what: &str,
+        get: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let found = self.json.get(key).map(get);
+        found
+            .map(|v| v.ok_or_else(|| self.needs(what, key)))
+            .transpose()
+    }
+
+    fn required<T>(
+        &self,
+        key: &str,
+        what: &str,
+        get: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let found = self.json.get(key).and_then(get);
+        found.ok_or_else(|| self.needs(what, key))
+    }
+
+    fn needs(&self, what: &str, key: &str) -> String {
+        format!("`{}` needs {what} `{key}`", self.kind)
+    }
+}
+
+impl Source for JsonSource<'_> {
+    fn kind(&mut self, kinds: &Kinds) -> Result<&'static str, String> {
+        let name = self.json.get(kinds.key).and_then(Json::as_str);
+        let name = name.ok_or_else(|| format!("missing `{}`", kinds.key))?;
+        let known = kinds.names.iter().copied().find(|&n| n == name);
+        self.kind = known.ok_or_else(|| format!("unknown `{}` `{name}`", kinds.key))?;
+        Ok(self.kind)
+    }
+
+    fn u64(&mut self, key: &str) -> Result<u64, String> {
+        self.required(key, "an unsigned integer", Json::as_u64)
+    }
+
+    fn bool(&mut self, key: &str) -> Result<bool, String> {
+        self.required(key, "a boolean", Json::as_bool)
+    }
+
+    fn str(&mut self, key: &str) -> Result<String, String> {
+        self.required(key, "a string", |v| v.as_str().map(str::to_string))
+    }
+
+    fn opt_str(&mut self, key: &str) -> Result<String, String> {
+        let value = self.optional(key, "a string", |v| v.as_str().map(str::to_string))?;
+        Ok(value.unwrap_or_default())
+    }
+
+    fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
+        self.optional(key, "an unsigned integer", Json::as_u64)
+    }
+
+    fn strings(&mut self, key: &str) -> Result<Vec<String>, String> {
+        self.required(key, "an array of strings", |v| {
+            let items = v.as_arr()?.iter();
+            items.map(|s| s.as_str().map(str::to_string)).collect()
+        })
+    }
+
+    fn rows(&mut self, key: &str) -> Result<Vec<Tuple>, String> {
+        self.required(key, "an array of unsigned-integer rows", |v| {
+            v.as_arr()?.iter().map(uint_row).collect()
+        })
+    }
+
+    fn counters<const N: usize>(
+        &mut self,
+        fields: &[CounterField; N],
+        required: bool,
+    ) -> Result<[u64; N], String> {
+        let mut values = [0; N];
+        for (value, field) in values.iter_mut().zip(fields) {
+            *value = if required {
+                self.u64(field.key)?
+            } else {
+                let lenient = self.json.get(field.key).and_then(Json::as_u64);
+                lenient.unwrap_or(0)
+            };
+        }
+        Ok(values)
+    }
+
+    fn counter_rows<const N: usize>(&mut self, key: &str) -> Result<Vec<[u64; N]>, String> {
+        self.required(key, "an array of counter rows", |v| {
+            let rows = v.as_arr()?.iter();
+            rows.map(|row| uint_row(row)?.try_into().ok()).collect()
+        })
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The JSON-lines wire protocol.
+//! The message model and the JSON-lines wire protocol.
 //!
 //! One request per line, one response per line, UTF-8, no framing beyond
 //! `\n`. Requests are objects with a `"cmd"` discriminator; responses carry
@@ -16,10 +16,96 @@
 //! ```
 //!
 //! plus one-shot `query`, and the `stats` / `catalog` / `ping` endpoints.
+//!
+//! Each message describes its fields once for writing (`write`) and once
+//! for reading (`read`), as calls on a field visitor (`Sink` / `Source`).
+//! The JSON visitor (`crate::json`) uses the keys; the binary one
+//! (`crate::wire`) is positional. The counters of a `stats` response are
+//! declared once each, in the tables below.
 
-use crate::json::{obj, Json};
+use crate::json::{Json, JsonSink, JsonSource};
 use rankedenum_core::StatsSnapshot;
+use re_obs::{counter_table, CounterField};
 use re_storage::Tuple;
+
+/// Wire identity of a message family: the JSON discriminator key and the
+/// variant names. A variant's binary tag is its 1-based position in `names`.
+pub(crate) struct Kinds {
+    pub(crate) key: &'static str,
+    /// Whether JSON lines lead with `"ok"` (false only on `error`), so a
+    /// client can branch before it reads the discriminator.
+    pub(crate) ok_flag: bool,
+    pub(crate) names: &'static [&'static str],
+}
+
+pub(crate) const REQUESTS: Kinds = Kinds {
+    key: "cmd",
+    ok_flag: false,
+    names: &[
+        "open", "fetch", "close", "cancel", "query", "explain", "stats", "metrics", "catalog",
+        "ping",
+    ],
+};
+
+pub(crate) const RESPONSES: Kinds = Kinds {
+    key: "type",
+    ok_flag: true,
+    names: &[
+        "opened",
+        "page",
+        "closed",
+        "cancelled",
+        "result",
+        "explained",
+        "stats",
+        "metrics",
+        "catalog",
+        "pong",
+        "error",
+    ],
+};
+
+/// The visitor a message writes itself into: one call per field, in wire
+/// order. JSON writes `key: value`; binary ignores the key.
+pub(crate) trait Sink {
+    /// The variant discriminator: `name`, one of `kinds.names`.
+    fn kind(&mut self, kinds: &Kinds, name: &str);
+    fn u64(&mut self, key: &str, value: u64);
+    fn bool(&mut self, key: &str, value: bool);
+    fn str(&mut self, key: &str, value: &str);
+    /// A string whose empty value means "absent": JSON omits the key.
+    fn opt_str(&mut self, key: &str, value: &str);
+    /// JSON omits the key when `None`; binary writes a presence byte.
+    fn opt_u64(&mut self, key: &str, value: Option<u64>);
+    fn strings(&mut self, key: &str, value: &[String]);
+    fn rows(&mut self, key: &str, value: &[Tuple]);
+    /// One counter table, flattened: each value under its `key`.
+    fn counters(&mut self, fields: &[CounterField], values: &[u64]);
+    /// A list of counter rows under one key (JSON: an array of arrays).
+    fn counter_rows<const N: usize>(&mut self, key: &str, rows: &[[u64; N]]);
+}
+
+/// The visitor a message reads itself from: the mirror of [`Sink`].
+pub(crate) trait Source {
+    /// The variant discriminator, as its name in `kinds.names`; a name or
+    /// tag outside the family is an error.
+    fn kind(&mut self, kinds: &Kinds) -> Result<&'static str, String>;
+    fn u64(&mut self, key: &str) -> Result<u64, String>;
+    fn bool(&mut self, key: &str) -> Result<bool, String>;
+    fn str(&mut self, key: &str) -> Result<String, String>;
+    fn opt_str(&mut self, key: &str) -> Result<String, String>;
+    fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String>;
+    fn strings(&mut self, key: &str) -> Result<Vec<String>, String>;
+    fn rows(&mut self, key: &str) -> Result<Vec<Tuple>, String>;
+    /// With `required: false` a JSON line may omit the table's keys (they
+    /// read as zero); binary payloads always carry every value.
+    fn counters<const N: usize>(
+        &mut self,
+        fields: &[CounterField; N],
+        required: bool,
+    ) -> Result<[u64; N], String>;
+    fn counter_rows<const N: usize>(&mut self, key: &str) -> Result<Vec<[u64; N]>, String>;
+}
 
 /// A client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,204 +174,206 @@ pub enum Request {
 }
 
 impl Request {
-    /// Decode a request line.
-    pub fn decode(line: &str) -> Result<Request, String> {
-        let json = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        let cmd = json
-            .get("cmd")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing `cmd`".to_string())?;
-        let str_field = |name: &str| -> Result<String, String> {
-            json.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{cmd}` needs a string `{name}`"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            json.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("`{cmd}` needs an unsigned integer `{name}`"))
-        };
-        let bool_field = |name: &str| -> Result<bool, String> {
-            json.get(name)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("`{cmd}` needs a boolean `{name}`"))
-        };
-        match cmd {
-            "open" => Ok(Request::Open {
-                db: str_field("db")?,
-                sql: str_field("sql")?,
-                // Optional — absent means "use the server default"; when
-                // present it must be an unsigned integer.
-                deadline_millis: match json.get("deadline_millis") {
-                    None => None,
-                    Some(v) => Some(v.as_u64().ok_or_else(|| {
-                        "`open` needs an unsigned integer `deadline_millis`".to_string()
-                    })?),
-                },
-            }),
-            "fetch" => Ok(Request::Fetch {
-                session: u64_field("session")?,
-                k: u64_field("k")?,
-            }),
-            "close" => Ok(Request::Close {
-                session: u64_field("session")?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                session: u64_field("session")?,
-            }),
-            "query" => Ok(Request::Query {
-                db: str_field("db")?,
-                sql: str_field("sql")?,
-            }),
-            "explain" => Ok(Request::Explain {
-                db: str_field("db")?,
-                sql: str_field("sql")?,
-                analyze: bool_field("analyze")?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "catalog" => Ok(Request::Catalog),
-            "ping" => Ok(Request::Ping),
-            other => Err(format!("unknown command `{other}`")),
-        }
-    }
-
-    /// Encode the request as one JSON line (no trailing newline).
-    pub fn encode(&self) -> String {
-        let json = match self {
+    /// Visit the variant's discriminator and fields, in wire order.
+    pub(crate) fn write(&self, s: &mut impl Sink) {
+        match self {
             Request::Open {
                 db,
                 sql,
                 deadline_millis,
             } => {
-                let mut fields = vec![
-                    ("cmd", Json::Str("open".into())),
-                    ("db", Json::Str(db.clone())),
-                    ("sql", Json::Str(sql.clone())),
-                ];
-                if let Some(ms) = deadline_millis {
-                    fields.push(("deadline_millis", Json::UInt(*ms)));
-                }
-                obj(fields)
+                s.kind(&REQUESTS, "open");
+                s.str("db", db);
+                s.str("sql", sql);
+                s.opt_u64("deadline_millis", *deadline_millis);
             }
-            Request::Fetch { session, k } => obj([
-                ("cmd", Json::Str("fetch".into())),
-                ("session", Json::UInt(*session)),
-                ("k", Json::UInt(*k)),
-            ]),
-            Request::Close { session } => obj([
-                ("cmd", Json::Str("close".into())),
-                ("session", Json::UInt(*session)),
-            ]),
-            Request::Cancel { session } => obj([
-                ("cmd", Json::Str("cancel".into())),
-                ("session", Json::UInt(*session)),
-            ]),
-            Request::Query { db, sql } => obj([
-                ("cmd", Json::Str("query".into())),
-                ("db", Json::Str(db.clone())),
-                ("sql", Json::Str(sql.clone())),
-            ]),
-            Request::Explain { db, sql, analyze } => obj([
-                ("cmd", Json::Str("explain".into())),
-                ("db", Json::Str(db.clone())),
-                ("sql", Json::Str(sql.clone())),
-                ("analyze", Json::Bool(*analyze)),
-            ]),
-            Request::Stats => obj([("cmd", Json::Str("stats".into()))]),
-            Request::Metrics => obj([("cmd", Json::Str("metrics".into()))]),
-            Request::Catalog => obj([("cmd", Json::Str("catalog".into()))]),
-            Request::Ping => obj([("cmd", Json::Str("ping".into()))]),
-        };
-        json.to_string()
+            Request::Fetch { session, k } => {
+                s.kind(&REQUESTS, "fetch");
+                s.u64("session", *session);
+                s.u64("k", *k);
+            }
+            Request::Close { session } => {
+                s.kind(&REQUESTS, "close");
+                s.u64("session", *session);
+            }
+            Request::Cancel { session } => {
+                s.kind(&REQUESTS, "cancel");
+                s.u64("session", *session);
+            }
+            Request::Query { db, sql } => {
+                s.kind(&REQUESTS, "query");
+                s.str("db", db);
+                s.str("sql", sql);
+            }
+            Request::Explain { db, sql, analyze } => {
+                s.kind(&REQUESTS, "explain");
+                s.str("db", db);
+                s.str("sql", sql);
+                s.bool("analyze", *analyze);
+            }
+            Request::Stats => s.kind(&REQUESTS, "stats"),
+            Request::Metrics => s.kind(&REQUESTS, "metrics"),
+            Request::Catalog => s.kind(&REQUESTS, "catalog"),
+            Request::Ping => s.kind(&REQUESTS, "ping"),
+        }
+    }
+
+    /// Read the discriminator, then that variant's fields in wire order.
+    pub(crate) fn read(s: &mut impl Source) -> Result<Request, String> {
+        Ok(match s.kind(&REQUESTS)? {
+            "open" => Request::Open {
+                db: s.str("db")?,
+                sql: s.str("sql")?,
+                deadline_millis: s.opt_u64("deadline_millis")?,
+            },
+            "fetch" => Request::Fetch {
+                session: s.u64("session")?,
+                k: s.u64("k")?,
+            },
+            "close" => Request::Close {
+                session: s.u64("session")?,
+            },
+            "cancel" => Request::Cancel {
+                session: s.u64("session")?,
+            },
+            "query" => Request::Query {
+                db: s.str("db")?,
+                sql: s.str("sql")?,
+            },
+            "explain" => Request::Explain {
+                db: s.str("db")?,
+                sql: s.str("sql")?,
+                analyze: s.bool("analyze")?,
+            },
+            "stats" => Request::Stats,
+            "metrics" => Request::Metrics,
+            "catalog" => Request::Catalog,
+            "ping" => Request::Ping,
+            other => return Err(format!("`{other}` is not a request")),
+        })
+    }
+
+    /// Decode a request line.
+    pub fn decode(line: &str) -> Result<Request, String> {
+        let json = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        Request::read(&mut JsonSource::new(&json))
+    }
+
+    /// Encode the request as one JSON line (no trailing newline).
+    pub fn encode(&self) -> String {
+        let mut sink = JsonSink::default();
+        self.write(&mut sink);
+        sink.finish()
     }
 }
 
-/// Counters of one shared-pool worker slot, as carried by the `stats`
-/// endpoint. The last entry of [`StatsReport::per_worker`] is the caller
-/// slot (threads helping a batch to completion) — see the exec pool's
-/// `WorkerStat`. Skew across entries is the signal the aggregate hides.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerCounters {
-    /// Tasks this worker executed to completion.
-    pub tasks: u64,
-    /// Tasks this worker took from another worker's deque.
-    pub steals: u64,
-    /// Microseconds this worker spent inside task bodies.
-    pub busy_micros: u64,
+counter_table! {
+    /// Counters of one shared-pool worker slot, as carried by the `stats`
+    /// endpoint (one positional row per slot) and the labeled
+    /// `exec.worker_*` metrics. The last entry of
+    /// [`StatsReport::per_worker`] is the caller slot (threads helping a
+    /// batch to completion) — see the exec pool's `WorkerStat`. Skew across
+    /// entries is the signal the aggregate hides.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct WorkerCounters, key prefix "" {
+        /// Tasks this worker ran to completion.
+        tasks: Counter "exec.worker_tasks" = "Pool tasks executed, per worker slot.",
+        steals: Counter "exec.worker_steals" = "Pool tasks stolen from another deque, per worker slot.",
+        busy_micros: Counter "exec.worker_busy_micros" = "Microseconds inside task bodies, per worker slot.",
+    }
 }
 
-/// Transport-level counters of the TCP front-end, as carried by the
-/// `stats` endpoint. All zero while only the in-process client is used;
-/// populated by whichever front-end (reactor or thread-per-connection)
-/// serves the instance. The reactor's defining property is visible here:
-/// `epoll_waits` and `wakeups` stand still while every connection is
-/// idle — parked sessions cost no periodic polling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportCounters {
-    /// Times the reactor's poll wait returned (with at least one event
-    /// or a wakeup; an idle reactor does not tick this).
-    pub epoll_waits: u64,
-    /// Wakeup-pipe signals the reactor consumed (worker completions and
-    /// shutdown).
-    pub wakeups: u64,
-    /// Request bytes read off accepted connections.
-    pub bytes_in: u64,
-    /// Response bytes written to accepted connections.
-    pub bytes_out: u64,
-    /// Connections accepted since start.
-    pub conns_accepted: u64,
-    /// Connections that ended with a peer EOF/reset (as opposed to
-    /// server shutdown).
-    pub disconnects: u64,
+counter_table! {
+    /// Transport-level counters of the TCP front-end, as carried by the
+    /// `stats` endpoint. All zero while only the in-process client is used;
+    /// populated by whichever front-end (reactor or thread-per-connection)
+    /// serves the instance. The reactor's defining property is visible here:
+    /// `epoll_waits` and `wakeups` stand still while every connection is
+    /// idle — parked sessions cost no periodic polling.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct TransportCounters, key prefix "reactor_" {
+        /// Each return carried at least one event or a wakeup.
+        epoll_waits: Counter "reactor.epoll_waits" = "Poll waits the reactor returned from (0 while idle).",
+        /// Counts the wake-pipe signals the reactor consumed, the
+        /// shutdown signal among them.
+        wakeups: Counter "reactor.wakeups" = "Worker-completion wakeups delivered over the wake pipe.",
+        bytes_in: Counter "reactor.bytes_in" = "Bytes read off client connections.",
+        bytes_out: Counter "reactor.bytes_out" = "Bytes written to client connections.",
+        conns_accepted: Counter "reactor.conns_accepted" = "Connections accepted by the TCP front-end.",
+        /// Every teardown of an accepted connection counts, whatever ended
+        /// it — a framing error and a socket the front-end failed to set
+        /// up included — so `conns_accepted - disconnects` is the number
+        /// of connections currently open.
+        disconnects: Counter "reactor.disconnects" = "Connections that ended (EOF, reset, or shutdown).",
+    }
 }
 
-/// Server-wide counters reported by the `stats` endpoint.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatsReport {
-    /// Sessions currently live.
-    pub sessions_open: u64,
-    /// Sessions opened since the server started.
-    pub sessions_opened: u64,
-    /// Sessions reaped by eviction (idle TTL + memory budget).
-    pub sessions_evicted: u64,
-    /// Sessions evicted specifically to enforce the memory budget (a
-    /// subset of `sessions_evicted`).
-    pub sessions_evicted_budget: u64,
-    /// Sessions evicted by the idle TTL sweep (the remainder:
-    /// `sessions_evicted - sessions_evicted_budget`).
-    pub sessions_evicted_idle: u64,
-    /// Configured parked-memory budget in bytes (`0` = unlimited).
-    pub session_budget_bytes: u64,
-    /// Frontier bytes currently retained by parked sessions.
-    pub session_bytes_parked: u64,
-    /// Enumerators built (preprocessing passes run).
-    pub enumerators_built: u64,
-    /// Plan-cache hits.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses (statements planned from scratch).
-    pub plan_cache_misses: u64,
-    /// Plans currently cached.
-    pub plan_cache_size: u64,
-    /// Threads of the shared preprocessing pool (1 = serial).
-    pub exec_pool_threads: u64,
-    /// Shape of the most recent GHD plan chosen for a cyclic statement,
-    /// annotated with the fallback reason when selection degraded to a
-    /// single full-materialisation bag. Empty until a cyclic query runs.
-    pub ghd_last_plan: String,
-    /// Enumeration work aggregated across all workers and sessions,
-    /// including the shared pool's parallel-preprocessing counters
-    /// (`pool_tasks` / `pool_steals` / `pool_busy_micros`) and the
-    /// robustness outcomes (`requests_shed` / `deadline_exceeded` /
-    /// `cancelled` / `faults_injected`).
-    pub enumeration: StatsSnapshot,
-    /// Transport-level counters of the TCP front-end (zero when only the
-    /// in-process client is used).
-    pub transport: TransportCounters,
-    /// Per-worker slices of the pool counters: one entry per pool worker
-    /// plus a trailing caller slot; empty when preprocessing is serial.
-    pub per_worker: Vec<WorkerCounters>,
+counter_table! {
+    /// Server-wide counters reported by the `stats` endpoint.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct StatsReport, key prefix "" {
+        sessions_open: Gauge "sessions.open" = "Sessions currently live.",
+        sessions_opened: Counter "sessions.opened" = "Sessions opened since start.",
+        sessions_evicted: Counter "sessions.evicted" = "Sessions reaped by eviction (idle TTL + memory budget).",
+        /// A subset of `sessions_evicted`.
+        sessions_evicted_budget: Counter "sessions.evicted_budget" = "Sessions evicted to enforce the memory budget.",
+        /// The remainder: `sessions_evicted - sessions_evicted_budget`.
+        sessions_evicted_idle: Counter "sessions.evicted_idle" = "Sessions evicted by the idle TTL sweep.",
+        /// In bytes.
+        session_budget_bytes: Gauge "sessions.budget_bytes" = "Configured parked-memory budget (0 = unlimited).",
+        session_bytes_parked: Gauge "sessions.bytes_parked" = "Frontier bytes retained by parked sessions.",
+        enumerators_built: Counter "enumerators.built" = "Enumerators built (preprocessing passes).",
+        plan_cache_hits: Counter "plan_cache.hits" = "Plan-cache hits.",
+        /// Statements planned from scratch.
+        plan_cache_misses: Counter "plan_cache.misses" = "Plan-cache misses.",
+        plan_cache_size: Gauge "plan_cache.size" = "Plans currently cached.",
+        /// 1 = serial preprocessing.
+        exec_pool_threads: Gauge "exec.pool_threads" = "Threads of the shared preprocessing pool.",
+    }
+    extra {
+        /// Shape of the most recent GHD plan chosen for a cyclic statement,
+        /// annotated with the fallback reason when selection degraded to a
+        /// single full-materialisation bag. Empty until a cyclic query runs.
+        ghd_last_plan: String,
+        /// Enumeration work aggregated across all workers and sessions,
+        /// including the shared pool's parallel-preprocessing counters and
+        /// the robustness outcomes.
+        enumeration: StatsSnapshot,
+        /// Transport-level counters of the TCP front-end (zero when only the
+        /// in-process client is used).
+        transport: TransportCounters,
+        /// Per-worker slices of the pool counters: one entry per pool worker
+        /// plus a trailing caller slot; empty when preprocessing is serial.
+        per_worker: Vec<WorkerCounters>,
+    }
+}
+
+impl StatsReport {
+    fn write(&self, s: &mut impl Sink) {
+        s.counters(&Self::FIELDS, &self.values());
+        s.str("ghd_last_plan", &self.ghd_last_plan);
+        s.counters(&StatsSnapshot::FIELDS, &self.enumeration.values());
+        s.counters(&TransportCounters::FIELDS, &self.transport.values());
+        let workers: Vec<_> = self.per_worker.iter().map(WorkerCounters::values).collect();
+        s.counter_rows("per_worker", &workers);
+    }
+
+    fn read(s: &mut impl Source) -> Result<StatsReport, String> {
+        let scalars = s.counters(&Self::FIELDS, true)?;
+        Ok(StatsReport {
+            ghd_last_plan: s.str("ghd_last_plan")?,
+            enumeration: StatsSnapshot::from_values(s.counters(&StatsSnapshot::FIELDS, true)?),
+            // Absent on pre-reactor stats lines; read as zero so old
+            // captures keep decoding.
+            transport: TransportCounters::from_values(
+                s.counters(&TransportCounters::FIELDS, false)?,
+            ),
+            per_worker: (s.counter_rows("per_worker")?.into_iter())
+                .map(WorkerCounters::from_values)
+                .collect(),
+            ..StatsReport::from_values(scalars)
+        })
+    }
 }
 
 /// A server response.
@@ -365,84 +453,6 @@ pub enum Response {
     },
 }
 
-fn rows_to_json(rows: &[Tuple]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|row| Json::Arr(row.iter().map(|&v| Json::UInt(v)).collect()))
-            .collect(),
-    )
-}
-
-fn rows_from_json(json: &Json) -> Result<Vec<Tuple>, String> {
-    json.as_arr()
-        .ok_or_else(|| "`rows` must be an array".to_string())?
-        .iter()
-        .map(|row| {
-            row.as_arr()
-                .ok_or_else(|| "row must be an array".to_string())?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| "row values must be unsigned".to_string())
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn workers_to_json(workers: &[WorkerCounters]) -> Json {
-    Json::Arr(
-        workers
-            .iter()
-            .map(|w| {
-                Json::Arr(vec![
-                    Json::UInt(w.tasks),
-                    Json::UInt(w.steals),
-                    Json::UInt(w.busy_micros),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn workers_from_json(json: &Json) -> Result<Vec<WorkerCounters>, String> {
-    json.as_arr()
-        .ok_or_else(|| "`per_worker` must be an array".to_string())?
-        .iter()
-        .map(|entry| {
-            let triple = entry.as_arr().filter(|t| t.len() == 3).ok_or_else(|| {
-                "per-worker entry must be [tasks, steals, busy_micros]".to_string()
-            })?;
-            let field = |i: usize| {
-                triple[i]
-                    .as_u64()
-                    .ok_or_else(|| "per-worker counters must be unsigned".to_string())
-            };
-            Ok(WorkerCounters {
-                tasks: field(0)?,
-                steals: field(1)?,
-                busy_micros: field(2)?,
-            })
-        })
-        .collect()
-}
-
-fn strings_to_json(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect())
-}
-
-fn strings_from_json(json: &Json, what: &str) -> Result<Vec<String>, String> {
-    json.as_arr()
-        .ok_or_else(|| format!("`{what}` must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{what}` must contain strings"))
-        })
-        .collect()
-}
-
 impl Response {
     /// An unclassified error response (no code, no retry hint).
     pub fn error(message: impl Into<String>) -> Response {
@@ -472,331 +482,167 @@ impl Response {
         }
     }
 
-    /// Encode the response as one JSON line (no trailing newline).
-    pub fn encode(&self) -> String {
-        let json = match self {
+    /// Visit the variant's discriminator and fields, in wire order.
+    pub(crate) fn write(&self, s: &mut impl Sink) {
+        match self {
             Response::Opened {
                 session,
                 columns,
                 algorithm,
                 plan_cached,
-            } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("opened".into())),
-                ("session", Json::UInt(*session)),
-                ("columns", strings_to_json(columns)),
-                ("algorithm", Json::Str(algorithm.clone())),
-                ("plan_cached", Json::Bool(*plan_cached)),
-            ]),
-            Response::Page { rows, exhausted } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("page".into())),
-                ("rows", rows_to_json(rows)),
-                ("exhausted", Json::Bool(*exhausted)),
-            ]),
-            Response::Closed { existed } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("closed".into())),
-                ("existed", Json::Bool(*existed)),
-            ]),
-            Response::Cancelled { existed } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("cancelled".into())),
-                ("existed", Json::Bool(*existed)),
-            ]),
+            } => {
+                s.kind(&RESPONSES, "opened");
+                s.u64("session", *session);
+                s.strings("columns", columns);
+                s.str("algorithm", algorithm);
+                s.bool("plan_cached", *plan_cached);
+            }
+            Response::Page { rows, exhausted } => {
+                s.kind(&RESPONSES, "page");
+                s.rows("rows", rows);
+                s.bool("exhausted", *exhausted);
+            }
+            Response::Closed { existed } => {
+                s.kind(&RESPONSES, "closed");
+                s.bool("existed", *existed);
+            }
+            Response::Cancelled { existed } => {
+                s.kind(&RESPONSES, "cancelled");
+                s.bool("existed", *existed);
+            }
             Response::Result {
                 columns,
                 rows,
                 algorithm,
                 plan_cached,
-            } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("result".into())),
-                ("columns", strings_to_json(columns)),
-                ("rows", rows_to_json(rows)),
-                ("algorithm", Json::Str(algorithm.clone())),
-                ("plan_cached", Json::Bool(*plan_cached)),
-            ]),
-            Response::Stats(report) => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("stats".into())),
-                ("sessions_open", Json::UInt(report.sessions_open)),
-                ("sessions_opened", Json::UInt(report.sessions_opened)),
-                ("sessions_evicted", Json::UInt(report.sessions_evicted)),
-                (
-                    "sessions_evicted_budget",
-                    Json::UInt(report.sessions_evicted_budget),
-                ),
-                (
-                    "sessions_evicted_idle",
-                    Json::UInt(report.sessions_evicted_idle),
-                ),
-                (
-                    "session_budget_bytes",
-                    Json::UInt(report.session_budget_bytes),
-                ),
-                (
-                    "session_bytes_parked",
-                    Json::UInt(report.session_bytes_parked),
-                ),
-                ("enumerators_built", Json::UInt(report.enumerators_built)),
-                ("plan_cache_hits", Json::UInt(report.plan_cache_hits)),
-                ("plan_cache_misses", Json::UInt(report.plan_cache_misses)),
-                ("plan_cache_size", Json::UInt(report.plan_cache_size)),
-                ("exec_pool_threads", Json::UInt(report.exec_pool_threads)),
-                ("ghd_last_plan", Json::Str(report.ghd_last_plan.clone())),
-                ("pq_pushes", Json::UInt(report.enumeration.pq_pushes)),
-                ("pq_pops", Json::UInt(report.enumeration.pq_pops)),
-                (
-                    "cells_created",
-                    Json::UInt(report.enumeration.cells_created),
-                ),
-                ("cells_reused", Json::UInt(report.enumeration.cells_reused)),
-                ("answers", Json::UInt(report.enumeration.answers)),
-                ("tuple_allocs", Json::UInt(report.enumeration.tuple_allocs)),
-                (
-                    "frontier_bytes",
-                    Json::UInt(report.enumeration.frontier_bytes),
-                ),
-                (
-                    "frontier_peak_bytes",
-                    Json::UInt(report.enumeration.frontier_peak_bytes),
-                ),
-                ("ghd_bags", Json::UInt(report.enumeration.ghd_bags)),
-                (
-                    "ghd_estimated_rows",
-                    Json::UInt(report.enumeration.ghd_estimated_rows),
-                ),
-                (
-                    "ghd_fallbacks",
-                    Json::UInt(report.enumeration.ghd_fallbacks),
-                ),
-                (
-                    "reduce_passes",
-                    Json::UInt(report.enumeration.reduce_passes),
-                ),
-                (
-                    "reduce_input_rows",
-                    Json::UInt(report.enumeration.reduce_input_rows),
-                ),
-                (
-                    "reduce_output_rows",
-                    Json::UInt(report.enumeration.reduce_output_rows),
-                ),
-                ("pool_tasks", Json::UInt(report.enumeration.pool_tasks)),
-                ("pool_steals", Json::UInt(report.enumeration.pool_steals)),
-                (
-                    "pool_busy_micros",
-                    Json::UInt(report.enumeration.pool_busy_micros),
-                ),
-                (
-                    "requests_shed",
-                    Json::UInt(report.enumeration.requests_shed),
-                ),
-                (
-                    "deadline_exceeded",
-                    Json::UInt(report.enumeration.deadline_exceeded),
-                ),
-                ("cancelled", Json::UInt(report.enumeration.cancelled)),
-                (
-                    "faults_injected",
-                    Json::UInt(report.enumeration.faults_injected),
-                ),
-                (
-                    "reactor_epoll_waits",
-                    Json::UInt(report.transport.epoll_waits),
-                ),
-                ("reactor_wakeups", Json::UInt(report.transport.wakeups)),
-                ("reactor_bytes_in", Json::UInt(report.transport.bytes_in)),
-                ("reactor_bytes_out", Json::UInt(report.transport.bytes_out)),
-                (
-                    "reactor_conns_accepted",
-                    Json::UInt(report.transport.conns_accepted),
-                ),
-                (
-                    "reactor_disconnects",
-                    Json::UInt(report.transport.disconnects),
-                ),
-                ("per_worker", workers_to_json(&report.per_worker)),
-            ]),
-            Response::Explained { text } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("explained".into())),
-                ("text", Json::Str(text.clone())),
-            ]),
-            Response::Metrics { body } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("metrics".into())),
-                ("body", Json::Str(body.clone())),
-            ]),
-            Response::Catalog { databases } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("catalog".into())),
-                ("databases", strings_to_json(databases)),
-            ]),
-            Response::Pong => obj([("ok", Json::Bool(true)), ("type", Json::Str("pong".into()))]),
+            } => {
+                s.kind(&RESPONSES, "result");
+                s.strings("columns", columns);
+                s.rows("rows", rows);
+                s.str("algorithm", algorithm);
+                s.bool("plan_cached", *plan_cached);
+            }
+            Response::Explained { text } => {
+                s.kind(&RESPONSES, "explained");
+                s.str("text", text);
+            }
+            Response::Stats(report) => {
+                s.kind(&RESPONSES, "stats");
+                report.write(s);
+            }
+            Response::Metrics { body } => {
+                s.kind(&RESPONSES, "metrics");
+                s.str("body", body);
+            }
+            Response::Catalog { databases } => {
+                s.kind(&RESPONSES, "catalog");
+                s.strings("databases", databases);
+            }
+            Response::Pong => s.kind(&RESPONSES, "pong"),
             Response::Error {
                 message,
                 code,
                 retry_after_millis,
             } => {
-                let mut fields = vec![
-                    ("ok", Json::Bool(false)),
-                    ("type", Json::Str("error".into())),
-                    ("error", Json::Str(message.clone())),
-                ];
-                if !code.is_empty() {
-                    fields.push(("code", Json::Str(code.clone())));
-                }
-                if let Some(ms) = retry_after_millis {
-                    fields.push(("retry_after_millis", Json::UInt(*ms)));
-                }
-                obj(fields)
+                s.kind(&RESPONSES, "error");
+                s.str("error", message);
+                s.opt_str("code", code);
+                s.opt_u64("retry_after_millis", *retry_after_millis);
             }
-        };
-        json.to_string()
+        }
+    }
+
+    /// Read the discriminator, then that variant's fields in wire order.
+    pub(crate) fn read(s: &mut impl Source) -> Result<Response, String> {
+        Ok(match s.kind(&RESPONSES)? {
+            "opened" => Response::Opened {
+                session: s.u64("session")?,
+                columns: s.strings("columns")?,
+                algorithm: s.str("algorithm")?,
+                plan_cached: s.bool("plan_cached")?,
+            },
+            "page" => Response::Page {
+                rows: s.rows("rows")?,
+                exhausted: s.bool("exhausted")?,
+            },
+            "closed" => Response::Closed {
+                existed: s.bool("existed")?,
+            },
+            "cancelled" => Response::Cancelled {
+                existed: s.bool("existed")?,
+            },
+            "result" => Response::Result {
+                columns: s.strings("columns")?,
+                rows: s.rows("rows")?,
+                algorithm: s.str("algorithm")?,
+                plan_cached: s.bool("plan_cached")?,
+            },
+            "explained" => Response::Explained {
+                text: s.str("text")?,
+            },
+            "stats" => Response::Stats(Box::new(StatsReport::read(s)?)),
+            "metrics" => Response::Metrics {
+                body: s.str("body")?,
+            },
+            "catalog" => Response::Catalog {
+                databases: s.strings("databases")?,
+            },
+            "pong" => Response::Pong,
+            "error" => Response::Error {
+                message: s.str("error")?,
+                code: s.opt_str("code")?,
+                retry_after_millis: s.opt_u64("retry_after_millis")?,
+            },
+            other => return Err(format!("`{other}` is not a response")),
+        })
+    }
+
+    /// Encode the response as one JSON line (no trailing newline).
+    pub fn encode(&self) -> String {
+        let mut sink = JsonSink::default();
+        self.write(&mut sink);
+        sink.finish()
     }
 
     /// Decode a response line.
     pub fn decode(line: &str) -> Result<Response, String> {
         let json = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        let kind = json
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing `type`".to_string())?;
-        let u64_field = |name: &str| -> Result<u64, String> {
-            json.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("`{kind}` response needs `{name}`"))
-        };
-        let bool_field = |name: &str| -> Result<bool, String> {
-            json.get(name)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("`{kind}` response needs `{name}`"))
-        };
-        let str_field = |name: &str| -> Result<String, String> {
-            json.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{kind}` response needs `{name}`"))
-        };
-        match kind {
-            "opened" => Ok(Response::Opened {
-                session: u64_field("session")?,
-                columns: strings_from_json(
-                    json.get("columns").ok_or("missing `columns`")?,
-                    "columns",
-                )?,
-                algorithm: str_field("algorithm")?,
-                plan_cached: bool_field("plan_cached")?,
-            }),
-            "page" => Ok(Response::Page {
-                rows: rows_from_json(json.get("rows").ok_or("missing `rows`")?)?,
-                exhausted: bool_field("exhausted")?,
-            }),
-            "closed" => Ok(Response::Closed {
-                existed: bool_field("existed")?,
-            }),
-            "cancelled" => Ok(Response::Cancelled {
-                existed: bool_field("existed")?,
-            }),
-            "result" => Ok(Response::Result {
-                columns: strings_from_json(
-                    json.get("columns").ok_or("missing `columns`")?,
-                    "columns",
-                )?,
-                rows: rows_from_json(json.get("rows").ok_or("missing `rows`")?)?,
-                algorithm: str_field("algorithm")?,
-                plan_cached: bool_field("plan_cached")?,
-            }),
-            "stats" => Ok(Response::Stats(Box::new(StatsReport {
-                sessions_open: u64_field("sessions_open")?,
-                sessions_opened: u64_field("sessions_opened")?,
-                sessions_evicted: u64_field("sessions_evicted")?,
-                sessions_evicted_budget: u64_field("sessions_evicted_budget")?,
-                sessions_evicted_idle: u64_field("sessions_evicted_idle")?,
-                session_budget_bytes: u64_field("session_budget_bytes")?,
-                session_bytes_parked: u64_field("session_bytes_parked")?,
-                enumerators_built: u64_field("enumerators_built")?,
-                plan_cache_hits: u64_field("plan_cache_hits")?,
-                plan_cache_misses: u64_field("plan_cache_misses")?,
-                plan_cache_size: u64_field("plan_cache_size")?,
-                exec_pool_threads: u64_field("exec_pool_threads")?,
-                ghd_last_plan: str_field("ghd_last_plan")?,
-                enumeration: StatsSnapshot {
-                    pq_pushes: u64_field("pq_pushes")?,
-                    pq_pops: u64_field("pq_pops")?,
-                    cells_created: u64_field("cells_created")?,
-                    cells_reused: u64_field("cells_reused")?,
-                    answers: u64_field("answers")?,
-                    tuple_allocs: u64_field("tuple_allocs")?,
-                    frontier_bytes: u64_field("frontier_bytes")?,
-                    frontier_peak_bytes: u64_field("frontier_peak_bytes")?,
-                    ghd_bags: u64_field("ghd_bags")?,
-                    ghd_estimated_rows: u64_field("ghd_estimated_rows")?,
-                    ghd_fallbacks: u64_field("ghd_fallbacks")?,
-                    reduce_passes: u64_field("reduce_passes")?,
-                    reduce_input_rows: u64_field("reduce_input_rows")?,
-                    reduce_output_rows: u64_field("reduce_output_rows")?,
-                    pool_tasks: u64_field("pool_tasks")?,
-                    pool_steals: u64_field("pool_steals")?,
-                    pool_busy_micros: u64_field("pool_busy_micros")?,
-                    requests_shed: u64_field("requests_shed")?,
-                    deadline_exceeded: u64_field("deadline_exceeded")?,
-                    cancelled: u64_field("cancelled")?,
-                    faults_injected: u64_field("faults_injected")?,
-                },
-                // Absent on pre-reactor stats lines; default to zero so
-                // old captures keep decoding.
-                transport: {
-                    let opt = |name: &str| json.get(name).and_then(Json::as_u64).unwrap_or(0);
-                    TransportCounters {
-                        epoll_waits: opt("reactor_epoll_waits"),
-                        wakeups: opt("reactor_wakeups"),
-                        bytes_in: opt("reactor_bytes_in"),
-                        bytes_out: opt("reactor_bytes_out"),
-                        conns_accepted: opt("reactor_conns_accepted"),
-                        disconnects: opt("reactor_disconnects"),
-                    }
-                },
-                per_worker: workers_from_json(
-                    json.get("per_worker").ok_or("missing `per_worker`")?,
-                )?,
-            }))),
-            "explained" => Ok(Response::Explained {
-                text: str_field("text")?,
-            }),
-            "metrics" => Ok(Response::Metrics {
-                body: str_field("body")?,
-            }),
-            "catalog" => Ok(Response::Catalog {
-                databases: strings_from_json(
-                    json.get("databases").ok_or("missing `databases`")?,
-                    "databases",
-                )?,
-            }),
-            "pong" => Ok(Response::Pong),
-            "error" => Ok(Response::Error {
-                message: str_field("error")?,
-                code: json
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                retry_after_millis: json.get("retry_after_millis").and_then(Json::as_u64),
-            }),
-            other => Err(format!("unknown response type `{other}`")),
-        }
+        Response::read(&mut JsonSource::new(&json))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn requests_roundtrip() {
-        for req in [
+    /// A report in which every declared counter has its own value — 1, 2,
+    /// 3, ... in wire order — so a counter dropped, duplicated or swapped
+    /// by any hop shows. A counter added to a table is covered without
+    /// editing a test.
+    pub(crate) fn sample_report() -> StatsReport {
+        fn next<const N: usize>(from: &mut u64) -> [u64; N] {
+            std::array::from_fn(|_| {
+                *from += 1;
+                *from
+            })
+        }
+        let mut n = 0;
+        let scalars = next(&mut n);
+        StatsReport {
+            ghd_last_plan: "cycle-split(0,3) over 6 atoms".into(),
+            enumeration: StatsSnapshot::from_values(next(&mut n)),
+            transport: TransportCounters::from_values(next(&mut n)),
+            per_worker: vec![
+                WorkerCounters::from_values(next(&mut n)),
+                WorkerCounters::from_values(next(&mut n)),
+            ],
+            ..StatsReport::from_values(scalars)
+        }
+    }
+
+    /// One sample (or more) of every request variant.
+    pub(crate) fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Open {
                 db: "dblp".into(),
                 sql: "SELECT DISTINCT a FROM T ORDER BY a LIMIT 5".into(),
@@ -807,7 +653,10 @@ mod tests {
                 sql: "SELECT DISTINCT a FROM T ORDER BY a LIMIT 5".into(),
                 deadline_millis: Some(1500),
             },
-            Request::Fetch { session: 7, k: 10 },
+            Request::Fetch {
+                session: u64::MAX,
+                k: 10,
+            },
             Request::Close { session: 7 },
             Request::Cancel { session: 9 },
             Request::Query {
@@ -823,14 +672,12 @@ mod tests {
             Request::Metrics,
             Request::Catalog,
             Request::Ping,
-        ] {
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_roundtrip() {
-        for resp in [
+    /// One sample (or more) of every response variant.
+    pub(crate) fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Opened {
                 session: 3,
                 columns: vec!["a1".into(), "a2".into()],
@@ -838,7 +685,9 @@ mod tests {
                 plan_cached: true,
             },
             Response::Page {
-                rows: vec![vec![1, 2], vec![3, 4]],
+                // u64-exact: values beyond 2^53 survive, unlike any
+                // float-backed JSON implementation.
+                rows: vec![vec![u64::MAX, 2], vec![3, 1 << 60]],
                 exhausted: false,
             },
             Response::Closed { existed: true },
@@ -850,67 +699,11 @@ mod tests {
                 algorithm: "union-merge".into(),
                 plan_cached: false,
             },
-            Response::Stats(Box::new(StatsReport {
-                sessions_open: 1,
-                sessions_opened: 2,
-                sessions_evicted: 3,
-                sessions_evicted_budget: 17,
-                sessions_evicted_idle: 26,
-                session_budget_bytes: 18,
-                session_bytes_parked: 19,
-                enumerators_built: 4,
-                plan_cache_hits: 5,
-                plan_cache_misses: 6,
-                plan_cache_size: 7,
-                exec_pool_threads: 8,
-                ghd_last_plan: "cycle-split(0,3) over 6 atoms".into(),
-                enumeration: StatsSnapshot {
-                    pq_pushes: 9,
-                    pq_pops: 10,
-                    cells_created: 11,
-                    cells_reused: 16,
-                    answers: 12,
-                    tuple_allocs: 20,
-                    frontier_bytes: 21,
-                    frontier_peak_bytes: 22,
-                    ghd_bags: 23,
-                    ghd_estimated_rows: 24,
-                    ghd_fallbacks: 25,
-                    reduce_passes: 27,
-                    reduce_input_rows: 28,
-                    reduce_output_rows: 29,
-                    pool_tasks: 13,
-                    pool_steals: 14,
-                    pool_busy_micros: 15,
-                    requests_shed: 35,
-                    deadline_exceeded: 36,
-                    cancelled: 37,
-                    faults_injected: 38,
-                },
-                transport: TransportCounters {
-                    epoll_waits: 39,
-                    wakeups: 40,
-                    bytes_in: 41,
-                    bytes_out: 42,
-                    conns_accepted: 43,
-                    disconnects: 44,
-                },
-                per_worker: vec![
-                    WorkerCounters {
-                        tasks: 30,
-                        steals: 31,
-                        busy_micros: 32,
-                    },
-                    WorkerCounters {
-                        tasks: 33,
-                        steals: 0,
-                        busy_micros: 34,
-                    },
-                ],
-            })),
             Response::Explained {
                 text: "EXPLAIN\nstatement: join-project (2 atoms)\n".into(),
             },
+            Response::Stats(Box::new(sample_report())),
+            Response::Stats(Box::default()),
             Response::Metrics {
                 body: "# TYPE re_sessions_open gauge\nre_sessions_open 1\n".into(),
             },
@@ -918,24 +711,105 @@ mod tests {
                 databases: vec!["a".into(), "b".into()],
             },
             Response::Pong,
-            Response::Error {
-                message: "boom".into(),
-                code: String::new(),
-                retry_after_millis: None,
-            },
-            Response::Error {
-                message: "too busy".into(),
-                code: "overloaded".into(),
-                retry_after_millis: Some(250),
-            },
-            Response::Error {
-                message: "query deadline exceeded".into(),
-                code: "deadline_exceeded".into(),
-                retry_after_millis: None,
-            },
-        ] {
+            Response::error("boom"),
+            Response::overloaded("too busy", 250),
+            Response::error_coded("query deadline exceeded", "deadline_exceeded"),
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip() {
+        for req in sample_requests() {
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip() {
+        for resp in sample_responses() {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
+    }
+
+    /// The `stats` line of `report`, parsed, minus the keys `drop` selects.
+    fn stats_line_without(report: &StatsReport, drop: impl Fn(&str) -> bool) -> String {
+        let line = Response::Stats(Box::new(report.clone())).encode();
+        let Json::Obj(members) = Json::parse(&line).unwrap() else {
+            panic!("a stats line is an object");
+        };
+        Json::Obj(members.into_iter().filter(|(k, _)| !drop(k)).collect()).to_string()
+    }
+
+    #[test]
+    fn every_declared_counter_is_on_the_stats_line_under_its_key() {
+        let report = sample_report();
+        let json = Json::parse(&stats_line_without(&report, |_| false)).unwrap();
+        let tables = [
+            (&StatsReport::FIELDS[..], &report.values()[..]),
+            (&StatsSnapshot::FIELDS[..], &report.enumeration.values()[..]),
+            (
+                &TransportCounters::FIELDS[..],
+                &report.transport.values()[..],
+            ),
+        ];
+        let mut seen = 0;
+        for (fields, values) in tables {
+            for (field, &value) in fields.iter().zip(values) {
+                let on_line = json.get(field.key).and_then(Json::as_u64);
+                assert_eq!(on_line, Some(value), "{}", field.key);
+                seen += 1;
+            }
+        }
+        // ok, type, ghd_last_plan and per_worker are the only other keys:
+        // no two counters share one.
+        let Json::Obj(members) = &json else {
+            unreachable!()
+        };
+        assert_eq!(members.len(), seen + 4);
+        assert_eq!(
+            json.get("per_worker").unwrap().to_string(),
+            format!(
+                "{:?}",
+                report
+                    .per_worker
+                    .iter()
+                    .map(WorkerCounters::values)
+                    .collect::<Vec<_>>()
+            )
+            .replace(' ', "")
+        );
+    }
+
+    #[test]
+    fn stats_decode_requires_every_counter_but_the_transport_ones() {
+        let report = sample_report();
+        // Pre-reactor captures carry no `reactor_*` key at all: they keep
+        // decoding, with zero transport counters.
+        let old = stats_line_without(&report, |k| k.starts_with("reactor_"));
+        let expected = StatsReport {
+            transport: TransportCounters::default(),
+            ..report.clone()
+        };
+        assert_eq!(
+            Response::decode(&old).unwrap(),
+            Response::Stats(Box::new(expected))
+        );
+        // Each transport key is optional on its own, too.
+        for field in &TransportCounters::FIELDS {
+            let line = stats_line_without(&report, |k| k == field.key);
+            assert!(Response::decode(&line).is_ok(), "{}", field.key);
+        }
+        // Every other key is required.
+        let required = (StatsReport::FIELDS.iter().chain(&StatsSnapshot::FIELDS))
+            .map(|f| f.key)
+            .chain(["ghd_last_plan", "per_worker"]);
+        for key in required {
+            let line = stats_line_without(&report, |k| k == key);
+            assert!(Response::decode(&line).is_err(), "missing `{key}` decodes");
+        }
+        // A per-worker row is exactly one value per declared counter.
+        let short = stats_line_without(&report, |_| false).replace("[40,41,42]", "[40,41]");
+        assert!(Response::decode(&short).is_err());
     }
 
     #[test]
@@ -959,7 +833,9 @@ mod tests {
     fn malformed_requests_are_rejected_with_reasons() {
         assert!(Request::decode("not json").is_err());
         assert!(Request::decode("{\"cmd\":\"nope\"}").is_err());
+        assert!(Request::decode("{\"cmd\":7}").is_err());
         assert!(Request::decode("{\"cmd\":\"fetch\",\"session\":1}").is_err());
+        assert!(Request::decode("{\"cmd\":\"fetch\",\"session\":\"1\",\"k\":1}").is_err());
         assert!(Request::decode("{\"cmd\":\"open\",\"db\":\"d\"}").is_err());
         assert!(Request::decode("{\"cmd\":\"cancel\"}").is_err());
         // `deadline_millis`, when present, must be an unsigned integer.

@@ -244,17 +244,13 @@ impl Reactor {
             if wait_events(&self.poller, &mut events, None).is_err() {
                 return;
             }
-            {
-                let stats = self.server.transport_stats();
-                stats.add(&stats.epoll_waits, 1);
-            }
+            self.server.bump_transport(|t| t.epoll_waits = 1);
             self.ready_events.record(events.len() as u64);
             for &event in &events {
                 match event.token {
                     WAKER => {
                         let drained = self.waker.drain();
-                        let stats = self.server.transport_stats();
-                        stats.add(&stats.wakeups, drained);
+                        self.server.bump_transport(|t| t.wakeups = drained);
                         self.drain_completions(drained);
                     }
                     LISTENER => self.accept_ready(),
@@ -274,11 +270,10 @@ impl Reactor {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let stats = self.server.transport_stats();
-                    stats.add(&stats.conns_accepted, 1);
+                    self.server.bump_transport(|t| t.conns_accepted = 1);
                     let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
-                        stats.add(&stats.disconnects, 1);
+                        self.server.bump_transport(|t| t.disconnects = 1);
                         continue;
                     }
                     let token = self.next_token;
@@ -288,7 +283,7 @@ impl Reactor {
                         .register(stream.as_raw_fd(), token, Interest::READ)
                         .is_err()
                     {
-                        stats.add(&stats.disconnects, 1);
+                        self.server.bump_transport(|t| t.disconnects = 1);
                         continue;
                     }
                     self.conns.insert(token, Conn::new(stream));
@@ -340,8 +335,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.inbuf.extend_from_slice(&chunk[..n]);
-                    let stats = self.server.transport_stats();
-                    stats.add(&stats.bytes_in, n as u64);
+                    self.server.bump_transport(|t| t.bytes_in = n as u64);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -515,8 +509,7 @@ impl Reactor {
             match stream.write_vectored(&slices) {
                 Ok(0) => return false,
                 Ok(mut n) => {
-                    let stats = server.transport_stats();
-                    stats.add(&stats.bytes_out, n as u64);
+                    server.bump_transport(|t| t.bytes_out = n as u64);
                     while n > 0 {
                         let front_left =
                             conn.outq.front().expect("bytes imply a buffer").len() - conn.outpos;
@@ -551,8 +544,7 @@ impl Reactor {
         if let Some(stream) = conn.stream.take() {
             let _ = self.poller.deregister(stream.as_raw_fd());
             drop(stream);
-            let stats = self.server.transport_stats();
-            stats.add(&stats.disconnects, 1);
+            self.server.bump_transport(|t| t.disconnects = 1);
         }
         conn.queued.clear();
         conn.outq.clear();

@@ -21,7 +21,8 @@ use rankedenum_core::{
 };
 use re_obs::trace::TraceCtx;
 use re_obs::{
-    saturating_nanos, AtomicHistogram, FieldValue, LabeledMetric, MetricKind, ScalarMetric,
+    saturating_nanos, scalar_metrics, AtomicCounters, AtomicHistogram, FieldValue, LabeledMetric,
+    ScalarMetric,
 };
 use re_sql::{ExplainMode, OwnedSqlExecutor};
 use std::io::{Read, Write};
@@ -132,36 +133,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Transport-level counters, bumped by whichever TCP front-end serves
-/// the instance and snapshotted into [`StatsReport::transport`]. Plain
-/// relaxed atomics: every field is a monotone total.
-#[derive(Default)]
-pub(crate) struct TransportStats {
-    pub(crate) epoll_waits: AtomicU64,
-    pub(crate) wakeups: AtomicU64,
-    pub(crate) bytes_in: AtomicU64,
-    pub(crate) bytes_out: AtomicU64,
-    pub(crate) conns_accepted: AtomicU64,
-    pub(crate) disconnects: AtomicU64,
-}
-
-impl TransportStats {
-    pub(crate) fn add(&self, field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> TransportCounters {
-        TransportCounters {
-            epoll_waits: self.epoll_waits.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The shared state of the ranked-query service.
 pub struct RankedQueryServer {
     catalog: Catalog,
@@ -200,8 +171,9 @@ pub struct RankedQueryServer {
     obs_close_ns: Arc<AtomicHistogram>,
     obs_fetch_rows: Arc<AtomicHistogram>,
     slow_queries: Arc<AtomicU64>,
-    /// Transport counters of whichever TCP front-end serves this instance.
-    transport_stats: TransportStats,
+    /// Transport counters of whichever TCP front-end serves this instance,
+    /// snapshotted into [`StatsReport::transport`].
+    transport_stats: AtomicCounters<{ TransportCounters::N }>,
 }
 
 impl RankedQueryServer {
@@ -238,13 +210,16 @@ impl RankedQueryServer {
             obs_close_ns: registry.histogram("server.close_ns"),
             obs_fetch_rows: registry.histogram("server.fetch_rows"),
             slow_queries: registry.counter("server.slow_queries"),
-            transport_stats: TransportStats::default(),
+            transport_stats: AtomicCounters::default(),
         })
     }
 
-    /// The transport counters, for the TCP front-ends to bump.
-    pub(crate) fn transport_stats(&self) -> &TransportStats {
-        &self.transport_stats
+    /// Add to the transport counters `set` touches (for the TCP front-ends;
+    /// the untouched ones stay zero and are skipped).
+    pub(crate) fn bump_transport(&self, set: impl FnOnce(&mut TransportCounters)) {
+        let mut delta = TransportCounters::default();
+        set(&mut delta);
+        self.transport_stats.add(delta.values());
     }
 
     /// The database catalog (register databases here before serving).
@@ -306,12 +281,13 @@ impl RankedQueryServer {
                     busy_micros: w.busy_micros,
                 })
                 .collect(),
-            transport: self.transport_stats.snapshot(),
+            transport: TransportCounters::from_values(self.transport_stats.load()),
         }
     }
 
-    /// Add a delta with only the robustness counters set to the shared
-    /// metrics (the other fields stay zero and merge as no-ops).
+    /// Add to the shared metrics the robustness counters `set` touches: the
+    /// untouched ones stay zero, which [`SharedStats::add`] skips, so a
+    /// single-counter bump is one `fetch_add`.
     fn bump(&self, set: impl FnOnce(&mut StatsSnapshot)) {
         let mut delta = StatsSnapshot::zero();
         set(&mut delta);
@@ -480,20 +456,6 @@ impl RankedQueryServer {
         response
     }
 
-    /// Decode a request line, dispatch it, encode the response line.
-    ///
-    /// A panic inside dispatch (a bug, not a protocol error) is caught and
-    /// turned into an error response: one bad request must not take down
-    /// the worker serving it — the shared tables recover from lock
-    /// poisoning (see [`SessionTable`]), so the server keeps serving.
-    pub fn handle_line(&self, line: &str) -> String {
-        let response = match Request::decode(line) {
-            Ok(request) => self.handle_caught(request),
-            Err(message) => Response::error(message),
-        };
-        response.encode()
-    }
-
     fn do_open(&self, db_name: String, sql: String, deadline_millis: Option<u64>) -> Response {
         // The request's own deadline wins; otherwise the configured
         // default applies. The token exists even without a deadline so a
@@ -621,9 +583,10 @@ impl RankedQueryServer {
             };
             return Response::error(message);
         };
-        // Catch panics *here*, not only in `handle_line`: the session is
-        // checked out, and bailing without `discard`/`put_back` would leak
-        // its id in the table's checked-out set forever.
+        // Catch panics *here*, not only at the `handle_caught` boundary:
+        // the session is checked out, and bailing without `discard` /
+        // `put_back` would leak its id in the table's checked-out set
+        // forever.
         type FetchOutcome = Result<(Vec<re_storage::Tuple>, bool), re_fault::FaultError>;
         let page = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> FetchOutcome {
             re_fault::fire("fetch.next")?;
@@ -814,289 +777,41 @@ impl RankedQueryServer {
     /// `stats` counters as scalars, then every registry histogram (spans,
     /// op latencies, cursor delay/TTFA) and registry counter.
     fn render_metrics(&self) -> String {
-        let report = self.stats_report();
-        let e = &report.enumeration;
-        let gauge = MetricKind::Gauge;
-        let counter = MetricKind::Counter;
-        let scalars = [
-            (
-                "sessions.open",
-                "Sessions currently live.",
-                gauge,
-                report.sessions_open,
-            ),
-            (
-                "sessions.opened",
-                "Sessions opened since start.",
-                counter,
-                report.sessions_opened,
-            ),
-            (
-                "sessions.evicted",
-                "Sessions reaped by eviction (idle TTL + memory budget).",
-                counter,
-                report.sessions_evicted,
-            ),
-            (
-                "sessions.evicted_budget",
-                "Sessions evicted to enforce the memory budget.",
-                counter,
-                report.sessions_evicted_budget,
-            ),
-            (
-                "sessions.evicted_idle",
-                "Sessions evicted by the idle TTL sweep.",
-                counter,
-                report.sessions_evicted_idle,
-            ),
-            (
-                "sessions.budget_bytes",
-                "Configured parked-memory budget (0 = unlimited).",
-                gauge,
-                report.session_budget_bytes,
-            ),
-            (
-                "sessions.bytes_parked",
-                "Frontier bytes retained by parked sessions.",
-                gauge,
-                report.session_bytes_parked,
-            ),
-            (
-                "enumerators.built",
-                "Enumerators built (preprocessing passes).",
-                counter,
-                report.enumerators_built,
-            ),
-            (
-                "plan_cache.hits",
-                "Plan-cache hits.",
-                counter,
-                report.plan_cache_hits,
-            ),
-            (
-                "plan_cache.misses",
-                "Plan-cache misses.",
-                counter,
-                report.plan_cache_misses,
-            ),
-            (
-                "plan_cache.size",
-                "Plans currently cached.",
-                gauge,
-                report.plan_cache_size,
-            ),
-            (
-                "exec.pool_threads",
-                "Threads of the shared preprocessing pool.",
-                gauge,
-                report.exec_pool_threads,
-            ),
-            (
-                "enum.pq_pushes",
-                "Priority-queue insertions.",
-                counter,
-                e.pq_pushes,
-            ),
-            ("enum.pq_pops", "Priority-queue pops.", counter, e.pq_pops),
-            (
-                "enum.cells_created",
-                "Cells allocated.",
-                counter,
-                e.cells_created,
-            ),
-            (
-                "enum.cells_reused",
-                "Memoized cells served from the memo.",
-                counter,
-                e.cells_reused,
-            ),
-            ("enum.answers", "Answers emitted.", counter, e.answers),
-            (
-                "enum.tuple_allocs",
-                "Hot-path tuple allocations (tripwire).",
-                counter,
-                e.tuple_allocs,
-            ),
-            (
-                "enum.frontier_bytes",
-                "Frontier bytes retained (monotone).",
-                counter,
-                e.frontier_bytes,
-            ),
-            (
-                "enum.frontier_peak_bytes",
-                "Summed peak frontier bytes (upper bound).",
-                counter,
-                e.frontier_peak_bytes,
-            ),
-            (
-                "enum.ghd_bags",
-                "Bags across chosen GHD plans.",
-                counter,
-                e.ghd_bags,
-            ),
-            (
-                "enum.ghd_estimated_rows",
-                "Summed AGM bag-size estimates.",
-                counter,
-                e.ghd_estimated_rows,
-            ),
-            (
-                "enum.ghd_fallbacks",
-                "GHD selections that fell back to a single bag.",
-                counter,
-                e.ghd_fallbacks,
-            ),
-            (
-                "enum.reduce_passes",
-                "Semi-join reducer passes.",
-                counter,
-                e.reduce_passes,
-            ),
-            (
-                "enum.reduce_input_rows",
-                "Rows scanned by the semi-join reducer.",
-                counter,
-                e.reduce_input_rows,
-            ),
-            (
-                "enum.reduce_output_rows",
-                "Rows surviving the semi-join reducer.",
-                counter,
-                e.reduce_output_rows,
-            ),
-            (
-                "exec.pool_tasks",
-                "Parallel-preprocessing tasks executed.",
-                counter,
-                e.pool_tasks,
-            ),
-            (
-                "exec.pool_steals",
-                "Pool tasks stolen across workers.",
-                counter,
-                e.pool_steals,
-            ),
-            (
-                "exec.pool_busy_micros",
-                "Microseconds inside pool task bodies.",
-                counter,
-                e.pool_busy_micros,
-            ),
-            (
-                "server.requests_shed",
-                "Requests refused by admission control (in-flight gate, pipeline cap, load shedding).",
-                counter,
-                e.requests_shed,
-            ),
-            (
-                "server.deadline_exceeded",
-                "Requests aborted because their deadline passed.",
-                counter,
-                e.deadline_exceeded,
-            ),
-            (
-                "server.cancelled",
-                "Sessions cancelled by explicit CANCEL requests.",
-                counter,
-                e.cancelled,
-            ),
-            (
-                "fault.injected_total",
-                "Faults injected by armed failpoints (RE_FAULT).",
-                counter,
-                e.faults_injected,
-            ),
-            (
-                "reactor.epoll_waits",
-                "Poll waits the reactor returned from (0 while idle).",
-                counter,
-                report.transport.epoll_waits,
-            ),
-            (
-                "reactor.wakeups",
-                "Worker-completion wakeups delivered over the wake pipe.",
-                counter,
-                report.transport.wakeups,
-            ),
-            (
-                "reactor.bytes_in",
-                "Bytes read off client connections.",
-                counter,
-                report.transport.bytes_in,
-            ),
-            (
-                "reactor.bytes_out",
-                "Bytes written to client connections.",
-                counter,
-                report.transport.bytes_out,
-            ),
-            (
-                "reactor.conns_accepted",
-                "Connections accepted by the TCP front-end.",
-                counter,
-                report.transport.conns_accepted,
-            ),
-            (
-                "reactor.disconnects",
-                "Connections that ended (EOF, reset, or shutdown).",
-                counter,
-                report.transport.disconnects,
-            ),
-        ];
-        let scalars: Vec<ScalarMetric> = scalars
-            .into_iter()
-            .map(|(name, help, kind, value)| ScalarMetric {
-                name,
-                help,
-                kind,
-                value: value as f64,
-            })
-            .collect();
-        // Per-worker slices of the pool counters, labeled by slot. The
-        // final slot aggregates caller threads helping batches (see the
-        // exec pool's `WorkerStat`); skew across workers is the signal
-        // the `exec.pool_*` aggregates hide.
-        let worker_label = |i: usize| {
-            if i + 1 == report.per_worker.len() {
-                "caller".to_string()
-            } else {
-                i.to_string()
-            }
-        };
-        let labeled: Vec<LabeledMetric> = report
-            .per_worker
-            .iter()
-            .enumerate()
-            .flat_map(|(i, w)| {
-                [
-                    (
-                        "exec.worker_tasks",
-                        "Pool tasks executed, per worker slot.",
-                        w.tasks,
-                    ),
-                    (
-                        "exec.worker_steals",
-                        "Pool tasks stolen from another deque, per worker slot.",
-                        w.steals,
-                    ),
-                    (
-                        "exec.worker_busy_micros",
-                        "Microseconds inside task bodies, per worker slot.",
-                        w.busy_micros,
-                    ),
-                ]
-                .map(|(name, help, value)| LabeledMetric {
-                    name,
-                    help,
-                    kind: counter,
-                    labels: vec![("worker".to_string(), worker_label(i))],
-                    value: value as f64,
-                })
-            })
-            .collect();
+        let (scalars, labeled) = report_metrics(&self.stats_report());
         re_obs::render_prometheus_labeled(&scalars, &labeled, re_obs::global())
     }
+}
+
+/// The samples a [`StatsReport`] contributes to the metrics page, straight
+/// off the counter tables: every declared scalar in wire order, then the
+/// per-worker slices of the pool counters labeled by slot. The final slot
+/// aggregates caller threads helping batches (see the exec pool's
+/// `WorkerStat`); skew across workers is the signal the `exec.pool_*`
+/// aggregates hide.
+fn report_metrics(report: &StatsReport) -> (Vec<ScalarMetric>, Vec<LabeledMetric>) {
+    let (enumeration, transport) = (report.enumeration.values(), report.transport.values());
+    let scalars = scalar_metrics(&StatsReport::FIELDS, &report.values())
+        .chain(scalar_metrics(&StatsSnapshot::FIELDS, &enumeration))
+        .chain(scalar_metrics(&TransportCounters::FIELDS, &transport))
+        .collect();
+    let mut labeled = Vec::new();
+    for (i, worker) in report.per_worker.iter().enumerate() {
+        let slot = if i + 1 == report.per_worker.len() {
+            "caller".to_string()
+        } else {
+            i.to_string()
+        };
+        for m in scalar_metrics(&WorkerCounters::FIELDS, &worker.values()) {
+            labeled.push(LabeledMetric {
+                name: m.name,
+                help: m.help,
+                kind: m.kind,
+                labels: vec![("worker".to_string(), slot.clone())],
+                value: m.value,
+            });
+        }
+    }
+    (scalars, labeled)
 }
 
 /// One admitted in-flight slot; released on drop — including a panic's
@@ -1287,11 +1002,10 @@ fn serve_connection(
     shutdown: &AtomicBool,
     max_pipeline: usize,
 ) {
-    let stats = server.transport_stats();
-    stats.add(&stats.conns_accepted, 1);
+    server.bump_transport(|t| t.conns_accepted = 1);
     let _ = stream.set_nodelay(true);
     let Ok(mut reader) = stream.try_clone() else {
-        stats.add(&stats.disconnects, 1);
+        server.bump_transport(|t| t.disconnects = 1);
         return;
     };
     let _ = reader.set_read_timeout(Some(Duration::from_millis(100)));
@@ -1308,7 +1022,7 @@ fn serve_connection(
             Ok(0) => break, // EOF
             Ok(n) => {
                 pending.extend_from_slice(&chunk[..n]);
-                stats.add(&stats.bytes_in, n as u64);
+                server.bump_transport(|t| t.bytes_in = n as u64);
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1362,11 +1076,60 @@ fn serve_connection(
             if writer.write_all(&out).and_then(|_| writer.flush()).is_err() {
                 break 'conn;
             }
-            stats.add(&stats.bytes_out, out.len() as u64);
+            server.bump_transport(|t| t.bytes_out = out.len() as u64);
         }
         if framing_broken {
             break;
         }
     }
-    stats.add(&stats.disconnects, 1);
+    server.bump_transport(|t| t.disconnects = 1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::tests::sample_report;
+    use re_obs::CounterField;
+
+    #[test]
+    fn every_declared_counter_is_on_the_metrics_page_with_its_help_kind_and_value() {
+        let report = sample_report();
+        let (scalars, labeled) = report_metrics(&report);
+        let registry = re_obs::MetricsRegistry::new();
+        let page = re_obs::render_prometheus_labeled(&scalars, &labeled, &registry);
+        re_obs::validate_exposition(&page).unwrap();
+        let header = |f: &CounterField| {
+            let name = re_obs::sanitize_metric_name(f.metric);
+            let kind = format!("{:?}", f.kind).to_lowercase();
+            (
+                format!("# HELP {name} {}\n# TYPE {name} {kind}\n", f.help),
+                name,
+            )
+        };
+        let tables = [
+            (&StatsReport::FIELDS[..], &report.values()[..]),
+            (&StatsSnapshot::FIELDS[..], &report.enumeration.values()[..]),
+            (
+                &TransportCounters::FIELDS[..],
+                &report.transport.values()[..],
+            ),
+        ];
+        for (fields, values) in tables {
+            for (field, value) in fields.iter().zip(values) {
+                let (header, name) = header(field);
+                let sample = format!("{header}{name} {value}\n");
+                assert_eq!(page.matches(&sample).count(), 1, "{sample}");
+            }
+        }
+        let [first, caller] = &report.per_worker[..] else {
+            panic!("the sample report has two worker slots");
+        };
+        for (i, field) in WorkerCounters::FIELDS.iter().enumerate() {
+            let (header, name) = header(field);
+            let (a, b) = (first.values()[i], caller.values()[i]);
+            let samples =
+                format!("{header}{name}{{worker=\"0\"}} {a}\n{name}{{worker=\"caller\"}} {b}\n");
+            assert_eq!(page.matches(&samples).count(), 1, "{samples}");
+        }
+    }
 }

@@ -24,14 +24,16 @@
 //! memory, and since framing cannot resync after a bad prefix the
 //! connection is torn down with a final error frame.
 //!
-//! Payload encoding is a `u8` tag plus fields in declaration order:
-//! integers little-endian, strings and rows length-prefixed with `u32`
-//! counts. Encode/decode are exact inverses for every variant (see the
-//! round-trip tests here and the property fuzz in
+//! Payload encoding is a `u8` tag plus the fields each message visits
+//! (`write` / `read` in `crate::protocol`), positionally: integers
+//! little-endian, strings and rows length-prefixed with `u32` counts, an
+//! optional integer as a presence byte plus the word. Encode/decode are
+//! exact inverses for every variant (see the round-trip tests here, the
+//! golden bytes in `tests/wire_golden.rs` and the property fuzz in
 //! `tests/transport_equivalence.rs`).
 
-use crate::protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
-use rankedenum_core::StatsSnapshot;
+use crate::protocol::{Kinds, Request, Response, Sink, Source};
+use re_obs::CounterField;
 use re_storage::Tuple;
 
 /// First bytes of a binary-protocol connection.
@@ -113,43 +115,87 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
 }
 
 // ---------------------------------------------------------------------
-// Payload encoding primitives.
+// Payload encoding: the binary field visitors.
 // ---------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// The binary [`Sink`]: a tag byte, then the visited fields positionally.
+#[derive(Default)]
+struct BinarySink(Vec<u8>);
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_strings(out: &mut Vec<u8>, items: &[String]) {
-    put_u32(out, items.len() as u32);
-    for s in items {
-        put_str(out, s);
+impl BinarySink {
+    fn u32(&mut self, v: usize) {
+        self.0.extend_from_slice(&(v as u32).to_le_bytes());
     }
-}
 
-fn put_rows(out: &mut Vec<u8>, rows: &[Tuple]) {
-    put_u32(out, rows.len() as u32);
-    for row in rows {
-        put_u32(out, row.len() as u32);
-        for &v in row.iter() {
-            put_u64(out, v);
+    fn word(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn words(&mut self, values: &[u64]) {
+        self.0.reserve(8 * values.len());
+        for &v in values {
+            self.word(v);
         }
     }
 }
 
+impl Sink for BinarySink {
+    fn kind(&mut self, kinds: &Kinds, name: &str) {
+        let position = kinds.names.iter().position(|&n| n == name);
+        let position = position.expect("every variant is in its family's table");
+        self.0.push(position as u8 + 1);
+    }
+
+    fn u64(&mut self, _key: &str, value: u64) {
+        self.word(value);
+    }
+
+    fn bool(&mut self, _key: &str, value: bool) {
+        self.0.push(value as u8);
+    }
+
+    fn str(&mut self, _key: &str, value: &str) {
+        self.u32(value.len());
+        self.0.extend_from_slice(value.as_bytes());
+    }
+
+    fn opt_str(&mut self, key: &str, value: &str) {
+        self.str(key, value);
+    }
+
+    fn opt_u64(&mut self, key: &str, value: Option<u64>) {
+        self.bool(key, value.is_some());
+        self.word(value.unwrap_or(0));
+    }
+
+    fn strings(&mut self, key: &str, value: &[String]) {
+        self.u32(value.len());
+        for s in value {
+            self.str(key, s);
+        }
+    }
+
+    fn rows(&mut self, _key: &str, value: &[Tuple]) {
+        self.u32(value.len());
+        for row in value {
+            self.u32(row.len());
+            self.words(row);
+        }
+    }
+
+    fn counters(&mut self, _fields: &[CounterField], values: &[u64]) {
+        self.words(values);
+    }
+
+    fn counter_rows<const N: usize>(&mut self, _key: &str, rows: &[[u64; N]]) {
+        self.u32(rows.len());
+        for row in rows {
+            self.words(row);
+        }
+    }
+}
+
+/// The binary [`Source`]: a bounds-checked cursor over one payload.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -169,33 +215,12 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("invalid boolean byte {other}")),
-        }
-    }
-
     /// A `u32` element count, sanity-bounded by the bytes actually
     /// present (each element needs at least `min_elem_bytes`), so a
     /// corrupt count cannot pre-allocate gigabytes.
     fn count(&mut self, min_elem_bytes: usize) -> Result<usize, String> {
-        let n = self.u32()? as usize;
+        let b = self.take(4)?;
+        let n = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
         let available = self.buf.len() - self.pos;
         if n.saturating_mul(min_elem_bytes.max(1)) > available {
             return Err(format!("element count {n} exceeds the payload"));
@@ -203,29 +228,17 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not valid UTF-8".to_string())
+    /// The next `n` little-endian words, bounds-checked once.
+    fn words(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a, String> {
+        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        Ok(self.take(8 * n)?.chunks_exact(8).map(word))
     }
 
-    fn strings(&mut self) -> Result<Vec<String>, String> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.str()).collect()
-    }
-
-    fn rows(&mut self) -> Result<Vec<Tuple>, String> {
-        let n = self.count(4)?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let width = self.count(8)?;
-            let mut row = Vec::with_capacity(width);
-            for _ in 0..width {
-                row.push(self.u64()?);
-            }
-            rows.push(row);
-        }
-        Ok(rows)
+    fn word_array<const N: usize>(&mut self) -> Result<[u64; N], String> {
+        let mut words = self.words(N)?;
+        Ok(std::array::from_fn(|_| {
+            words.next().expect("N words taken")
+        }))
     }
 
     fn finish(self) -> Result<(), String> {
@@ -239,374 +252,98 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Request payloads.
-// ---------------------------------------------------------------------
+impl Source for Reader<'_> {
+    fn kind(&mut self, kinds: &Kinds) -> Result<&'static str, String> {
+        let tag = self.take(1)?[0];
+        let name = kinds.names.get((tag as usize).wrapping_sub(1));
+        name.copied()
+            .ok_or_else(|| format!("unknown `{}` tag {tag}", kinds.key))
+    }
 
-const REQ_OPEN: u8 = 1;
-const REQ_FETCH: u8 = 2;
-const REQ_CLOSE: u8 = 3;
-const REQ_CANCEL: u8 = 4;
-const REQ_QUERY: u8 = 5;
-const REQ_EXPLAIN: u8 = 6;
-const REQ_STATS: u8 = 7;
-const REQ_METRICS: u8 = 8;
-const REQ_CATALOG: u8 = 9;
-const REQ_PING: u8 = 10;
+    fn u64(&mut self, _key: &str) -> Result<u64, String> {
+        Ok(self.word_array::<1>()?[0])
+    }
+
+    fn bool(&mut self, _key: &str) -> Result<bool, String> {
+        match self.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(format!("invalid boolean byte {other}")),
+        }
+    }
+
+    fn str(&mut self, _key: &str) -> Result<String, String> {
+        let len = self.count(1)?;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not valid UTF-8".to_string())
+    }
+
+    fn opt_str(&mut self, key: &str) -> Result<String, String> {
+        self.str(key)
+    }
+
+    fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
+        let present = self.bool(key)?;
+        let value = self.u64(key)?;
+        Ok(present.then_some(value))
+    }
+
+    fn strings(&mut self, key: &str) -> Result<Vec<String>, String> {
+        let n = self.count(4)?;
+        (0..n).map(|_| self.str(key)).collect()
+    }
+
+    fn rows(&mut self, _key: &str) -> Result<Vec<Tuple>, String> {
+        let n = self.count(4)?;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            let width = self.count(8)?;
+            rows.push(self.words(width)?.collect());
+        }
+        Ok(rows)
+    }
+
+    fn counters<const N: usize>(
+        &mut self,
+        _fields: &[CounterField; N],
+        _required: bool,
+    ) -> Result<[u64; N], String> {
+        self.word_array()
+    }
+
+    fn counter_rows<const N: usize>(&mut self, _key: &str) -> Result<Vec<[u64; N]>, String> {
+        let n = self.count(8 * N)?;
+        (0..n).map(|_| self.word_array()).collect()
+    }
+}
 
 /// Encode one request as a binary payload (no frame prefix).
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    match request {
-        Request::Open {
-            db,
-            sql,
-            deadline_millis,
-        } => {
-            out.push(REQ_OPEN);
-            put_str(&mut out, db);
-            put_str(&mut out, sql);
-            put_bool(&mut out, deadline_millis.is_some());
-            put_u64(&mut out, deadline_millis.unwrap_or(0));
-        }
-        Request::Fetch { session, k } => {
-            out.push(REQ_FETCH);
-            put_u64(&mut out, *session);
-            put_u64(&mut out, *k);
-        }
-        Request::Close { session } => {
-            out.push(REQ_CLOSE);
-            put_u64(&mut out, *session);
-        }
-        Request::Cancel { session } => {
-            out.push(REQ_CANCEL);
-            put_u64(&mut out, *session);
-        }
-        Request::Query { db, sql } => {
-            out.push(REQ_QUERY);
-            put_str(&mut out, db);
-            put_str(&mut out, sql);
-        }
-        Request::Explain { db, sql, analyze } => {
-            out.push(REQ_EXPLAIN);
-            put_str(&mut out, db);
-            put_str(&mut out, sql);
-            put_bool(&mut out, *analyze);
-        }
-        Request::Stats => out.push(REQ_STATS),
-        Request::Metrics => out.push(REQ_METRICS),
-        Request::Catalog => out.push(REQ_CATALOG),
-        Request::Ping => out.push(REQ_PING),
-    }
-    out
+    let mut sink = BinarySink::default();
+    request.write(&mut sink);
+    sink.0
 }
 
 /// Decode one request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
-    let mut r = Reader::new(payload);
-    let request = match r.u8()? {
-        REQ_OPEN => {
-            let db = r.str()?;
-            let sql = r.str()?;
-            let has_deadline = r.bool()?;
-            let deadline = r.u64()?;
-            Request::Open {
-                db,
-                sql,
-                deadline_millis: has_deadline.then_some(deadline),
-            }
-        }
-        REQ_FETCH => Request::Fetch {
-            session: r.u64()?,
-            k: r.u64()?,
-        },
-        REQ_CLOSE => Request::Close { session: r.u64()? },
-        REQ_CANCEL => Request::Cancel { session: r.u64()? },
-        REQ_QUERY => Request::Query {
-            db: r.str()?,
-            sql: r.str()?,
-        },
-        REQ_EXPLAIN => Request::Explain {
-            db: r.str()?,
-            sql: r.str()?,
-            analyze: r.bool()?,
-        },
-        REQ_STATS => Request::Stats,
-        REQ_METRICS => Request::Metrics,
-        REQ_CATALOG => Request::Catalog,
-        REQ_PING => Request::Ping,
-        other => return Err(format!("unknown request tag {other}")),
-    };
-    r.finish()?;
+    let mut reader = Reader::new(payload);
+    let request = Request::read(&mut reader)?;
+    reader.finish()?;
     Ok(request)
-}
-
-// ---------------------------------------------------------------------
-// Response payloads.
-// ---------------------------------------------------------------------
-
-const RESP_OPENED: u8 = 1;
-const RESP_PAGE: u8 = 2;
-const RESP_CLOSED: u8 = 3;
-const RESP_CANCELLED: u8 = 4;
-const RESP_RESULT: u8 = 5;
-const RESP_EXPLAINED: u8 = 6;
-const RESP_STATS: u8 = 7;
-const RESP_METRICS: u8 = 8;
-const RESP_CATALOG: u8 = 9;
-const RESP_PONG: u8 = 10;
-const RESP_ERROR: u8 = 11;
-
-fn put_stats(out: &mut Vec<u8>, report: &StatsReport) {
-    put_u64(out, report.sessions_open);
-    put_u64(out, report.sessions_opened);
-    put_u64(out, report.sessions_evicted);
-    put_u64(out, report.sessions_evicted_budget);
-    put_u64(out, report.sessions_evicted_idle);
-    put_u64(out, report.session_budget_bytes);
-    put_u64(out, report.session_bytes_parked);
-    put_u64(out, report.enumerators_built);
-    put_u64(out, report.plan_cache_hits);
-    put_u64(out, report.plan_cache_misses);
-    put_u64(out, report.plan_cache_size);
-    put_u64(out, report.exec_pool_threads);
-    put_str(out, &report.ghd_last_plan);
-    let e = &report.enumeration;
-    for v in [
-        e.pq_pushes,
-        e.pq_pops,
-        e.cells_created,
-        e.cells_reused,
-        e.answers,
-        e.tuple_allocs,
-        e.frontier_bytes,
-        e.frontier_peak_bytes,
-        e.ghd_bags,
-        e.ghd_estimated_rows,
-        e.ghd_fallbacks,
-        e.reduce_passes,
-        e.reduce_input_rows,
-        e.reduce_output_rows,
-        e.pool_tasks,
-        e.pool_steals,
-        e.pool_busy_micros,
-        e.requests_shed,
-        e.deadline_exceeded,
-        e.cancelled,
-        e.faults_injected,
-    ] {
-        put_u64(out, v);
-    }
-    let t = &report.transport;
-    for v in [
-        t.epoll_waits,
-        t.wakeups,
-        t.bytes_in,
-        t.bytes_out,
-        t.conns_accepted,
-        t.disconnects,
-    ] {
-        put_u64(out, v);
-    }
-    put_u32(out, report.per_worker.len() as u32);
-    for w in &report.per_worker {
-        put_u64(out, w.tasks);
-        put_u64(out, w.steals);
-        put_u64(out, w.busy_micros);
-    }
-}
-
-fn read_stats(r: &mut Reader<'_>) -> Result<StatsReport, String> {
-    let sessions_open = r.u64()?;
-    let sessions_opened = r.u64()?;
-    let sessions_evicted = r.u64()?;
-    let sessions_evicted_budget = r.u64()?;
-    let sessions_evicted_idle = r.u64()?;
-    let session_budget_bytes = r.u64()?;
-    let session_bytes_parked = r.u64()?;
-    let enumerators_built = r.u64()?;
-    let plan_cache_hits = r.u64()?;
-    let plan_cache_misses = r.u64()?;
-    let plan_cache_size = r.u64()?;
-    let exec_pool_threads = r.u64()?;
-    let ghd_last_plan = r.str()?;
-    let enumeration = StatsSnapshot {
-        pq_pushes: r.u64()?,
-        pq_pops: r.u64()?,
-        cells_created: r.u64()?,
-        cells_reused: r.u64()?,
-        answers: r.u64()?,
-        tuple_allocs: r.u64()?,
-        frontier_bytes: r.u64()?,
-        frontier_peak_bytes: r.u64()?,
-        ghd_bags: r.u64()?,
-        ghd_estimated_rows: r.u64()?,
-        ghd_fallbacks: r.u64()?,
-        reduce_passes: r.u64()?,
-        reduce_input_rows: r.u64()?,
-        reduce_output_rows: r.u64()?,
-        pool_tasks: r.u64()?,
-        pool_steals: r.u64()?,
-        pool_busy_micros: r.u64()?,
-        requests_shed: r.u64()?,
-        deadline_exceeded: r.u64()?,
-        cancelled: r.u64()?,
-        faults_injected: r.u64()?,
-    };
-    let transport = TransportCounters {
-        epoll_waits: r.u64()?,
-        wakeups: r.u64()?,
-        bytes_in: r.u64()?,
-        bytes_out: r.u64()?,
-        conns_accepted: r.u64()?,
-        disconnects: r.u64()?,
-    };
-    let n = r.count(24)?;
-    let per_worker = (0..n)
-        .map(|_| {
-            Ok(WorkerCounters {
-                tasks: r.u64()?,
-                steals: r.u64()?,
-                busy_micros: r.u64()?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(StatsReport {
-        sessions_open,
-        sessions_opened,
-        sessions_evicted,
-        sessions_evicted_budget,
-        sessions_evicted_idle,
-        session_budget_bytes,
-        session_bytes_parked,
-        enumerators_built,
-        plan_cache_hits,
-        plan_cache_misses,
-        plan_cache_size,
-        exec_pool_threads,
-        ghd_last_plan,
-        enumeration,
-        transport,
-        per_worker,
-    })
 }
 
 /// Encode one response as a binary payload (no frame prefix).
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    match response {
-        Response::Opened {
-            session,
-            columns,
-            algorithm,
-            plan_cached,
-        } => {
-            out.push(RESP_OPENED);
-            put_u64(&mut out, *session);
-            put_strings(&mut out, columns);
-            put_str(&mut out, algorithm);
-            put_bool(&mut out, *plan_cached);
-        }
-        Response::Page { rows, exhausted } => {
-            out.push(RESP_PAGE);
-            put_rows(&mut out, rows);
-            put_bool(&mut out, *exhausted);
-        }
-        Response::Closed { existed } => {
-            out.push(RESP_CLOSED);
-            put_bool(&mut out, *existed);
-        }
-        Response::Cancelled { existed } => {
-            out.push(RESP_CANCELLED);
-            put_bool(&mut out, *existed);
-        }
-        Response::Result {
-            columns,
-            rows,
-            algorithm,
-            plan_cached,
-        } => {
-            out.push(RESP_RESULT);
-            put_strings(&mut out, columns);
-            put_rows(&mut out, rows);
-            put_str(&mut out, algorithm);
-            put_bool(&mut out, *plan_cached);
-        }
-        Response::Explained { text } => {
-            out.push(RESP_EXPLAINED);
-            put_str(&mut out, text);
-        }
-        Response::Stats(report) => {
-            out.push(RESP_STATS);
-            put_stats(&mut out, report);
-        }
-        Response::Metrics { body } => {
-            out.push(RESP_METRICS);
-            put_str(&mut out, body);
-        }
-        Response::Catalog { databases } => {
-            out.push(RESP_CATALOG);
-            put_strings(&mut out, databases);
-        }
-        Response::Pong => out.push(RESP_PONG),
-        Response::Error {
-            message,
-            code,
-            retry_after_millis,
-        } => {
-            out.push(RESP_ERROR);
-            put_str(&mut out, message);
-            put_str(&mut out, code);
-            put_bool(&mut out, retry_after_millis.is_some());
-            put_u64(&mut out, retry_after_millis.unwrap_or(0));
-        }
-    }
-    out
+    let mut sink = BinarySink::default();
+    response.write(&mut sink);
+    sink.0
 }
 
 /// Decode one response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
-    let mut r = Reader::new(payload);
-    let response = match r.u8()? {
-        RESP_OPENED => Response::Opened {
-            session: r.u64()?,
-            columns: r.strings()?,
-            algorithm: r.str()?,
-            plan_cached: r.bool()?,
-        },
-        RESP_PAGE => Response::Page {
-            rows: r.rows()?,
-            exhausted: r.bool()?,
-        },
-        RESP_CLOSED => Response::Closed { existed: r.bool()? },
-        RESP_CANCELLED => Response::Cancelled { existed: r.bool()? },
-        RESP_RESULT => Response::Result {
-            columns: r.strings()?,
-            rows: r.rows()?,
-            algorithm: r.str()?,
-            plan_cached: r.bool()?,
-        },
-        RESP_EXPLAINED => Response::Explained { text: r.str()? },
-        RESP_STATS => Response::Stats(Box::new(read_stats(&mut r)?)),
-        RESP_METRICS => Response::Metrics { body: r.str()? },
-        RESP_CATALOG => Response::Catalog {
-            databases: r.strings()?,
-        },
-        RESP_PONG => Response::Pong,
-        RESP_ERROR => {
-            let message = r.str()?;
-            let code = r.str()?;
-            let has_retry = r.bool()?;
-            let retry = r.u64()?;
-            Response::Error {
-                message,
-                code,
-                retry_after_millis: has_retry.then_some(retry),
-            }
-        }
-        other => return Err(format!("unknown response tag {other}")),
-    };
-    r.finish()?;
+    let mut reader = Reader::new(payload);
+    let response = Response::read(&mut reader)?;
+    reader.finish()?;
     Ok(response)
 }
 
@@ -674,97 +411,9 @@ pub fn next_inbound(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_requests() -> Vec<Request> {
-        vec![
-            Request::Open {
-                db: "dblp".into(),
-                sql: "SELECT DISTINCT a FROM T ORDER BY a LIMIT 5".into(),
-                deadline_millis: None,
-            },
-            Request::Open {
-                db: "dblp".into(),
-                sql: "SELECT DISTINCT a FROM T ORDER BY a LIMIT 5".into(),
-                deadline_millis: Some(1500),
-            },
-            Request::Fetch {
-                session: u64::MAX,
-                k: 10,
-            },
-            Request::Close { session: 7 },
-            Request::Cancel { session: 9 },
-            Request::Query {
-                db: "d".into(),
-                sql: "SELECT DISTINCT a FROM T".into(),
-            },
-            Request::Explain {
-                db: "d".into(),
-                sql: "SELECT DISTINCT a FROM T ORDER BY a".into(),
-                analyze: true,
-            },
-            Request::Stats,
-            Request::Metrics,
-            Request::Catalog,
-            Request::Ping,
-        ]
-    }
-
-    fn sample_responses() -> Vec<Response> {
-        vec![
-            Response::Opened {
-                session: 3,
-                columns: vec!["a1".into(), "a2".into()],
-                algorithm: "acyclic".into(),
-                plan_cached: true,
-            },
-            Response::Page {
-                // u64-exact: values beyond 2^53 survive, unlike any
-                // float-backed JSON implementation.
-                rows: vec![vec![u64::MAX, 2], vec![3, 1 << 60]],
-                exhausted: false,
-            },
-            Response::Closed { existed: true },
-            Response::Cancelled { existed: false },
-            Response::Result {
-                columns: vec!["x".into()],
-                rows: vec![vec![9]],
-                algorithm: "union-merge".into(),
-                plan_cached: false,
-            },
-            Response::Explained {
-                text: "EXPLAIN\nstatement: join-project (2 atoms)\n".into(),
-            },
-            Response::Stats(Box::new(StatsReport {
-                sessions_open: 1,
-                sessions_opened: 2,
-                ghd_last_plan: "cycle-split(0,3) over 6 atoms".into(),
-                transport: TransportCounters {
-                    epoll_waits: 11,
-                    wakeups: 12,
-                    bytes_in: 13,
-                    bytes_out: 14,
-                    conns_accepted: 15,
-                    disconnects: 16,
-                },
-                per_worker: vec![WorkerCounters {
-                    tasks: 30,
-                    steals: 31,
-                    busy_micros: 32,
-                }],
-                ..StatsReport::default()
-            })),
-            Response::Metrics {
-                body: "# TYPE re_sessions_open gauge\nre_sessions_open 1\n".into(),
-            },
-            Response::Catalog {
-                databases: vec!["a".into(), "b".into()],
-            },
-            Response::Pong,
-            Response::error("boom"),
-            Response::overloaded("too busy", 250),
-            Response::error_coded("query deadline exceeded", "deadline_exceeded"),
-        ]
-    }
+    use crate::protocol::tests::{sample_report, sample_requests, sample_responses};
+    use crate::protocol::{StatsReport, TransportCounters, WorkerCounters};
+    use rankedenum_core::StatsSnapshot;
 
     #[test]
     fn requests_roundtrip_binary() {
@@ -778,6 +427,32 @@ mod tests {
         for resp in sample_responses() {
             assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn every_declared_counter_is_in_the_stats_frame_at_its_position() {
+        let report = sample_report();
+        // The frame, written out independently: tag, then the tables'
+        // values in declaration order around the one string.
+        let mut expected = vec![7u8];
+        let word = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+        report.values().iter().for_each(|&v| word(&mut expected, v));
+        expected.extend_from_slice(&(report.ghd_last_plan.len() as u32).to_le_bytes());
+        expected.extend_from_slice(report.ghd_last_plan.as_bytes());
+        let (enumeration, transport) = (report.enumeration.values(), report.transport.values());
+        (enumeration.iter().chain(&transport)).for_each(|&v| word(&mut expected, v));
+        expected.extend_from_slice(&(report.per_worker.len() as u32).to_le_bytes());
+        for worker in &report.per_worker {
+            worker.values().iter().for_each(|&v| word(&mut expected, v));
+        }
+        let words = StatsReport::N + StatsSnapshot::N + TransportCounters::N;
+        assert_eq!(
+            expected.len(),
+            1 + 8 * (words + 2 * WorkerCounters::N) + 8 + report.ghd_last_plan.len()
+        );
+        let response = Response::Stats(Box::new(report));
+        assert_eq!(encode_response(&response), expected);
+        assert_eq!(decode_response(&expected).unwrap(), response);
     }
 
     #[test]
@@ -858,10 +533,15 @@ mod tests {
     fn corrupt_element_counts_do_not_balloon() {
         // A "columns" count of ~4 billion with a 10-byte payload must be
         // rejected by the count bound, not attempted.
-        let mut payload = vec![RESP_OPENED];
-        put_u64(&mut payload, 1);
-        put_u32(&mut payload, u32::MAX); // columns count
+        let mut payload = vec![1]; // `opened`
+        payload.extend_from_slice(&1u64.to_le_bytes()); // session
+        payload.extend_from_slice(&u32::MAX.to_le_bytes()); // columns count
         assert!(decode_response(&payload).is_err());
+        // Same for a per-worker row count in a `stats` frame.
+        let mut stats = encode_response(&Response::Stats(Box::default()));
+        let count_at = stats.len() - 4;
+        stats[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_response(&stats).is_err());
     }
 
     #[test]

@@ -33,11 +33,14 @@ run cargo test -q --offline --manifest-path stackbench/Cargo.toml
 # cyclic OPEN + FETCH, in-process and over TCP).
 run env RE_TRANSPORT=json cargo test -q -p re_server --test server_integration
 run env RE_TRANSPORT=binary cargo test -q -p re_server --test server_integration
-# Reactor front-end: idle-cost (zero wakeups while parked), pipelining
-# order, both protocols on both front-ends, reactor metrics; plus the
-# binary-codec property/fuzz suite and the JSON/binary transport
-# equivalence suite.
-run cargo test -q -p re_server --test reactor_integration
+# Reactor front-end: idle-cost (zero wakeups while parked), one poll wait
+# per request, order behind a running batch, slow readers with and without
+# the reactor.flush failpoint, a batch outliving its connection, both
+# protocols on both front-ends, reactor metrics — under both client
+# protocols; plus the binary-codec property/fuzz suite and the JSON/binary
+# transport equivalence suite.
+run env RE_TRANSPORT=json cargo test -q -p re_server --test reactor_integration
+run env RE_TRANSPORT=binary cargo test -q -p re_server --test reactor_integration
 run cargo test -q -p re_server --test transport_equivalence
 # Parallel preprocessing is contractually bit-for-bit deterministic: the
 # suite compares every re_workloads query against the serial engine at

@@ -19,9 +19,9 @@
 //! * [`WakePipe`] is a non-blocking self-pipe: its read end is registered
 //!   with the poller, and any thread may call [`WakePipe::wake`] to make
 //!   a concurrent or future `wait` return — the mechanism worker threads
-//!   use to hand completions back to the reactor, and the reactor's only
-//!   shutdown signal (no periodic timeout polling: an idle reactor makes
-//!   *zero* wakeups until a socket or the pipe has news).
+//!   use when a connection needs the reactor's attention, and the
+//!   reactor's only shutdown signal (no periodic timeout polling: an idle
+//!   reactor makes *zero* wakeups until a socket or the pipe has news).
 //!
 //! Level-triggered readiness keeps the state machines simple: a socket
 //! that still has buffered bytes stays ready, so short reads never strand
@@ -81,8 +81,8 @@ pub struct Event {
 /// A non-blocking self-pipe for cross-thread wakeups.
 ///
 /// The read end is registered with a [`Poller`]; [`WakePipe::wake`] from
-/// any thread makes the poller's `wait` return. Wakeups coalesce: the
-/// pipe holds at most a few bytes, and [`WakePipe::drain`] empties it —
+/// any thread makes the poller's `wait` return. Wakeups coalesce: one
+/// [`WakePipe::drain`] takes every byte pending (up to 64 per call), and
 /// a full pipe on `wake` simply means a wakeup is already pending, which
 /// is exactly the semantics wanted.
 pub struct WakePipe {
@@ -109,8 +109,10 @@ impl WakePipe {
         let _ = sys::write_byte(self.write_fd);
     }
 
-    /// Empty the pipe, coalescing all pending wakeups into this call.
-    /// Returns how many wakeup bytes were drained.
+    /// Coalesce the pending wakeups into this call, with a single `read`:
+    /// returns how many wakeup bytes it took (at most 64). Bytes beyond
+    /// that keep the read end readable, so a level-triggered [`Poller`]
+    /// reports the pipe again and the next call takes them.
     pub fn drain(&self) -> u64 {
         sys::drain_fd(self.read_fd)
     }

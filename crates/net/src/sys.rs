@@ -38,17 +38,15 @@ pub(crate) fn write_byte(fd: RawFd) -> io::Result<()> {
     }
 }
 
-/// Read a non-blocking descriptor dry; returns the bytes drained.
+/// Take what one `read` finds on a non-blocking descriptor (up to 64
+/// bytes); returns the bytes drained. No second `read` to see `EAGAIN`:
+/// anything left keeps the descriptor readable, and the level-triggered
+/// poller reports it again.
 pub(crate) fn drain_fd(fd: RawFd) -> u64 {
-    let mut total = 0u64;
     let mut buf = [0u8; 64];
-    loop {
-        let n = unsafe { read(fd, buf.as_mut_ptr().cast(), buf.len()) };
-        if n <= 0 {
-            return total; // EAGAIN, EOF, or a racing drain — all fine
-        }
-        total += n as u64;
-    }
+    let n = unsafe { read(fd, buf.as_mut_ptr().cast(), buf.len()) };
+    // EAGAIN, EOF and a racing drain all count as nothing drained.
+    n.max(0) as u64
 }
 
 /// Clamp an optional timeout to the millisecond `c_int` the syscalls

@@ -60,6 +60,7 @@ pub mod reactor;
 pub mod server;
 pub mod session;
 pub mod wire;
+mod work_queue;
 
 pub use catalog::Catalog;
 pub use client::{

@@ -294,8 +294,11 @@ counter_table! {
     pub struct TransportCounters, key prefix "reactor_" {
         /// Each return carried at least one event or a wakeup.
         epoll_waits: Counter "reactor.epoll_waits" = "Poll waits the reactor returned from (0 while idle).",
-        /// Counts the wake-pipe signals the reactor consumed, the
-        /// shutdown signal among them.
+        /// Counts the wake-pipe signals the reactor consumed: a worker
+        /// pokes it when a response did not fit the socket, when a request
+        /// was queued behind the batch it just finished, or to close a
+        /// connection after a framing error — not once per request — and
+        /// shutdown pokes it once.
         wakeups: Counter "reactor.wakeups" = "Worker-completion wakeups delivered over the wake pipe.",
         bytes_in: Counter "reactor.bytes_in" = "Bytes read off client connections.",
         bytes_out: Counter "reactor.bytes_out" = "Bytes written to client connections.",

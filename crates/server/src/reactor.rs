@@ -1,38 +1,87 @@
 //! The event-driven TCP front-end: one poll thread, many connections.
 //!
-//! A single reactor thread owns every connection's state machine
-//! (reading → dispatching → writing) and multiplexes them over a
-//! level-triggered [`re_net::Poller`] (epoll on Linux). Parsed requests
-//! are handed to a small worker pool over a channel; each worker encodes
-//! its batch's responses into one buffer and hands it back over a
-//! completion channel, poking the reactor's [`re_net::WakePipe`]. The
-//! reactor therefore blocks in *one* indefinite poll wait: an idle
-//! connection — however many thousands of them — costs one parked buffer
-//! and zero wakeups, which the `reactor.epoll_waits` counter makes
-//! observable (and testable).
+//! A single reactor thread multiplexes every connection over a
+//! level-triggered [`re_net::Poller`] (epoll on Linux) and is the only
+//! thread that reads a socket, parses requests, decides what runs next and
+//! notices a peer going away. What it does *not* do is sit on the response
+//! path:
+//!
+//! ```text
+//! client   reactor thread                    worker thread
+//!   | req -> epoll_wait returns, read, parse
+//!   |        mark in flight, push the batch -> pop (the push wakes one worker)
+//!   |        back into epoll_wait             run it, encode one buffer
+//!   |                                         append, publish idle, writev
+//!   | <------------------------------------- response
+//! ```
+//!
+//! One poll wake and one thread wake per request; no completion message,
+//! no wake-pipe byte, no second poll. The reactor still blocks in *one*
+//! indefinite poll wait: an idle connection — however many thousands of
+//! them — costs one parked buffer and zero wakeups, which the
+//! `reactor.epoll_waits` / `reactor.wakeups` counters make observable (and
+//! testable).
+//!
+//! ## Who may write a socket
+//!
+//! Each connection's output half ([`ConnShared`]: the stream plus one
+//! mutex over the outbound queue) is shared between the reactor and the
+//! worker running the connection's batch. Whoever holds that mutex may
+//! write, and everybody writes through the one routine
+//! [`Outbound::flush`]. A worker appends its encoded batch and flushes it
+//! itself; only when the socket would block does it leave the rest to the
+//! reactor (`reactor_flushes`), which arms WRITE interest and finishes the
+//! job on writable events. While the reactor owns the leftover, workers
+//! append behind it and touch nothing else.
 //!
 //! ## Ordering and sessions
 //!
 //! Each connection has at most one batch *in flight* at a time: the
-//! reactor drains every complete request buffered on the socket into a
-//! queue, dispatches the queue as one job, and dispatches the next job
-//! only when the previous completion is back. Responses therefore come
-//! back in request order — the pipelining contract — and two pipelined
-//! FETCHes on the same session can never race each other's cursor
-//! checkout. Different connections' jobs run truly in parallel across
-//! the worker pool.
+//! reactor drains the complete requests a read brought into a queue,
+//! dispatches the queue as one job, and dispatches the next job only once
+//! the connection is idle again. "Idle" is shared state
+//! ([`ConnShared::inflight`]), not a message. The worker publishes it
+//! after appending its buffer but *before* the flush syscall: the
+//! client's next request can arrive the instant the bytes land, and the
+//! reactor must find the connection idle then (published after the write,
+//! every request-response exchange would lose that race and take the
+//! detour below). Responses still come back in request order — the
+//! pipelining contract — because a later batch's worker has to take the
+//! same output lock, behind bytes already queued. Two pipelined FETCHes
+//! on the same session can never race each other's cursor checkout, and
+//! different connections' jobs run truly in parallel across the pool.
 //!
 //! The per-connection pipeline cap is applied per read drain, exactly
 //! like the thread-per-connection front-end: requests beyond
 //! `max_pipeline` in one drain are answered — in order — with typed
 //! `overloaded` errors without ever being dispatched.
 //!
+//! ## When the wake pipe fires
+//!
+//! A worker pokes the reactor — one token on the attention channel, then
+//! one byte into the [`re_net::WakePipe`] — in exactly three cases:
+//!
+//! * its flush left bytes behind (or found the socket dead): the reactor
+//!   arms WRITE interest (or tears the connection down);
+//! * the reactor queued a request behind the running batch and asked to
+//!   be told when it ends ([`ConnShared::poke_when_done`]). No wake-up is
+//!   lost: the reactor sets the flag and then re-checks `inflight`, the
+//!   worker clears `inflight` and then test-and-clears the flag, all
+//!   `SeqCst` — whichever of the two comes second sees the other's store;
+//! * the batch was the last of a connection whose framing broke, which
+//!   the reactor closes once that batch has flushed (same flag).
+//!
+//! The fourth writer of the pipe is [`ServerHandle::shutdown`].
+//!
 //! ## Disconnects
 //!
 //! Peer EOF or reset tears the connection down *immediately*: the fd is
-//! deregistered and closed (level-triggered pollers would otherwise spin
-//! on a dead socket), queued-but-undispatched requests are dropped, and
-//! any in-flight FETCH's session gets its cancel token tripped through
+//! deregistered (level-triggered pollers would otherwise spin on a dead
+//! socket) and shut down in both directions — a worker may still hold the
+//! stream through its job, so dropping the reactor's handle alone would
+//! close nothing — queued-but-undispatched requests are dropped, later
+//! deliveries are discarded, and any in-flight FETCH's session gets its
+//! cancel token tripped through
 //! [`SessionTable::cancel_if_checked_out`] — the enumerator stops at its
 //! next morsel boundary instead of computing a page nobody will read.
 //! Parked sessions are deliberately left alone: clients resume sessions
@@ -43,13 +92,14 @@
 use crate::protocol::{Request, Response};
 use crate::server::{RankedQueryServer, ServerConfig, ServerHandle};
 use crate::wire::{self, InboundItem, Negotiation, WireProtocol};
+use crate::work_queue::{CloseOnDrop, WorkQueue};
 use re_net::{wait_events, Event, Interest, Poller, WakePipe};
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Token of the wake pipe's read end.
@@ -69,66 +119,171 @@ enum WorkItem {
     Shed,
 }
 
-/// One batch of a connection's queued items, run by a pool worker.
+/// One batch of a connection's queued items, run by a pool worker, which
+/// delivers the responses through `conn` itself.
 struct Job {
     token: u64,
+    conn: Arc<ConnShared>,
     protocol: WireProtocol,
     items: Vec<WorkItem>,
 }
 
-/// A finished job: every response of the batch, encoded in order into
-/// one buffer ready for vectored writes.
-struct Completion {
-    token: u64,
-    buf: Vec<u8>,
+/// The half of a connection the reactor shares with the worker running
+/// its batch. See the module docs for the protocol around each field.
+struct ConnShared {
+    /// Non-blocking. Read by the reactor only; written by whoever holds
+    /// `out`.
+    stream: TcpStream,
+    out: Mutex<Outbound>,
+    /// A batch of this connection is on the pool. Set by the reactor at
+    /// dispatch, cleared by the batch's worker once its responses are
+    /// queued.
+    inflight: AtomicBool,
+    /// The reactor wants a poke when the running batch ends.
+    poke_when_done: AtomicBool,
 }
 
-/// Per-connection state machine.
-struct Conn {
-    /// The socket; `None` after teardown while a completion is still in
-    /// flight (the entry then exists only to absorb that completion).
-    stream: Option<TcpStream>,
-    /// Negotiated from the first bytes; `None` until decided.
-    protocol: Option<WireProtocol>,
-    /// Raw bytes read but not yet parsed into complete requests.
-    inbuf: Vec<u8>,
+/// A connection's outbound queue. Every buffer in `outq` is non-empty and
+/// `outpos < outq[0].len()`.
+#[derive(Default)]
+struct Outbound {
     /// Encoded response buffers awaiting the socket, oldest first.
     outq: VecDeque<Vec<u8>>,
     /// Bytes of `outq.front()` already written.
     outpos: usize,
+    /// The socket stopped taking bytes (or died) under a worker's flush
+    /// and the reactor has been poked about it: until the reactor has
+    /// drained `outq`, it alone flushes.
+    reactor_flushes: bool,
+    /// Torn down: nobody will read what is delivered from now on.
+    closed: bool,
+}
+
+/// What [`Outbound::flush`] left behind.
+enum Flush {
+    /// Everything queued is on the wire.
+    Drained,
+    /// The socket would block; bytes remain.
+    Blocked,
+    /// The connection died under the write.
+    Dead,
+}
+
+impl Outbound {
+    /// Write as much of the queue as the socket accepts, one vectored
+    /// syscall per attempt — the only code that writes a connection.
+    ///
+    /// Failpoint `reactor.flush`: an injected error makes this attempt a
+    /// one-byte short write followed by a full socket, which drives the
+    /// leftover → reactor → WRITE-interest path whatever the socket
+    /// buffers would have taken.
+    fn flush(&mut self, mut stream: &TcpStream, server: &RankedQueryServer) -> Flush {
+        while !self.outq.is_empty() {
+            let short_write = re_fault::fire("reactor.flush").is_err();
+            let written = if short_write {
+                stream.write(&self.outq[0][self.outpos..=self.outpos])
+            } else {
+                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.outq.len());
+                for (i, buf) in self.outq.iter().enumerate() {
+                    let from = if i == 0 { self.outpos } else { 0 };
+                    slices.push(IoSlice::new(&buf[from..]));
+                }
+                stream.write_vectored(&slices)
+            };
+            match written {
+                Ok(0) => return Flush::Dead,
+                Ok(n) => {
+                    server.bump_transport(|t| t.bytes_out = n as u64);
+                    self.consume(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flush::Blocked,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return Flush::Dead,
+            }
+            if short_write {
+                break;
+            }
+        }
+        if self.outq.is_empty() {
+            Flush::Drained
+        } else {
+            Flush::Blocked
+        }
+    }
+
+    /// Drop the first `n` queued bytes, which the socket took.
+    fn consume(&mut self, mut n: usize) {
+        while let Some(front) = self.outq.front() {
+            let front_left = front.len() - self.outpos;
+            if n < front_left {
+                self.outpos += n;
+                return;
+            }
+            n -= front_left;
+            self.outq.pop_front();
+            self.outpos = 0;
+        }
+    }
+}
+
+impl ConnShared {
+    /// Poison recovery, not propagation: `Outbound` is only ever changed
+    /// by whole-buffer queue operations and plain stores, so a panic while
+    /// the guard is held leaves it valid — the policy of the session
+    /// table and [`WorkQueue`].
+    fn lock_out(&self) -> MutexGuard<'_, Outbound> {
+        self.out
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Worker side: queue a finished batch's responses, publish the
+    /// connection idle, and put the bytes on the wire. Returns whether the
+    /// reactor needs a poke (see the module docs for the three reasons).
+    fn deliver(&self, server: &RankedQueryServer, buf: Vec<u8>) -> bool {
+        let mut out = self.lock_out();
+        if !buf.is_empty() && !out.closed {
+            out.outq.push_back(buf);
+        }
+        // Idle goes out after the append — a later batch's responses queue
+        // behind these — and before the write: once the bytes land the
+        // client may answer at once, and the reactor must then find the
+        // connection idle.
+        self.inflight.store(false, Ordering::SeqCst);
+        let mut poke = self.poke_when_done.swap(false, Ordering::SeqCst);
+        if !out.closed && !out.reactor_flushes {
+            match out.flush(&self.stream, server) {
+                Flush::Drained => {}
+                // A dead socket goes the same way as a full one: the
+                // reactor's next flush sees it and tears down.
+                Flush::Blocked | Flush::Dead => {
+                    out.reactor_flushes = true;
+                    poke = true;
+                }
+            }
+        }
+        poke
+    }
+}
+
+/// Per-connection state machine, private to the reactor thread.
+struct Conn {
+    shared: Arc<ConnShared>,
+    /// Negotiated from the first bytes; `None` until decided.
+    protocol: Option<WireProtocol>,
+    /// Raw bytes read but not yet parsed into complete requests.
+    inbuf: Vec<u8>,
     /// Parsed items not yet dispatched (at most one job in flight).
     queued: VecDeque<WorkItem>,
-    /// Whether a job for this connection is running on the pool.
-    job_inflight: bool,
-    /// Session ids of the in-flight job's FETCHes — the sessions to
-    /// cancel if the peer disconnects before the job completes.
+    /// Session ids of the last dispatched job's FETCHes — the sessions to
+    /// cancel if the peer disconnects before that job ends. Stale, and
+    /// ignored, once `shared.inflight` is clear.
     inflight_fetches: Vec<u64>,
     /// Framing broke (oversized length prefix): close once the final
     /// error response has flushed.
     framing_broken: bool,
     /// The interest currently registered with the poller.
     interest: Interest,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream: Some(stream),
-            protocol: None,
-            inbuf: Vec::new(),
-            outq: VecDeque::new(),
-            outpos: 0,
-            queued: VecDeque::new(),
-            job_inflight: false,
-            inflight_fetches: Vec::new(),
-            framing_broken: false,
-            interest: Interest::READ,
-        }
-    }
-
-    fn has_output(&self) -> bool {
-        !self.outq.is_empty()
-    }
 }
 
 /// Serve with the reactor front-end. See [`crate::serve_reactor`].
@@ -146,47 +301,38 @@ pub(crate) fn serve_reactor(
     poller.register(waker.read_fd(), WAKER, Interest::READ)?;
     poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
 
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (done_tx, done_rx) = mpsc::channel::<Completion>();
+    let jobs = WorkQueue::<Job>::new();
+    let (attention_tx, attention_rx) = mpsc::channel::<u64>();
 
     let max_pipeline = config.max_pipeline.max(1);
     let mut threads: Vec<JoinHandle<()>> = (0..config.workers.max(1))
         .map(|_| {
-            let job_rx = Arc::clone(&job_rx);
-            let done_tx = done_tx.clone();
+            let jobs = Arc::clone(&jobs);
+            let attention_tx = attention_tx.clone();
             let server = Arc::clone(&server);
             let waker = Arc::clone(&waker);
-            std::thread::spawn(move || loop {
-                // Holding the receiver lock only while popping keeps the
-                // other workers free to pick up the next job.
-                let next = job_rx.lock().expect("job queue poisoned").recv();
-                let Ok(job) = next else {
-                    return; // reactor gone, queue drained
-                };
-                let mut buf = Vec::new();
-                for item in job.items {
-                    let response = match item {
-                        WorkItem::Request(request) => server.handle_caught(request),
-                        WorkItem::Malformed(message) => Response::error(message),
-                        WorkItem::Shed => server.shed_pipeline_response(max_pipeline),
-                    };
-                    wire::append_response(job.protocol, &response, &mut buf);
+            std::thread::spawn(move || {
+                while let Some(job) = jobs.pop() {
+                    let mut buf = Vec::new();
+                    for item in job.items {
+                        let response = match item {
+                            WorkItem::Request(request) => server.handle_caught(request),
+                            WorkItem::Malformed(message) => Response::error(message),
+                            WorkItem::Shed => server.shed_pipeline_response(max_pipeline),
+                        };
+                        wire::append_response(job.protocol, &response, &mut buf);
+                    }
+                    if job.conn.deliver(&server, buf) {
+                        // Token first, byte second: the reactor takes one
+                        // token per byte it drains. A send can only fail
+                        // once the reactor is gone, with every connection.
+                        let _ = attention_tx.send(job.token);
+                        waker.wake();
+                    }
                 }
-                if done_tx
-                    .send(Completion {
-                        token: job.token,
-                        buf,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-                waker.wake();
             })
         })
         .collect();
-    drop(done_tx); // the reactor detects worker loss via channel close
 
     let reactor = {
         let shutdown = Arc::clone(&shutdown);
@@ -198,8 +344,8 @@ pub(crate) fn serve_reactor(
                 poller,
                 waker,
                 shutdown,
-                job_tx,
-                done_rx,
+                jobs: jobs.close_on_drop(),
+                attention_rx,
                 conns: HashMap::new(),
                 next_token: FIRST_CONN,
                 max_pipeline,
@@ -224,8 +370,11 @@ struct Reactor {
     poller: Poller,
     waker: Arc<WakePipe>,
     shutdown: Arc<AtomicBool>,
-    job_tx: mpsc::Sender<Job>,
-    done_rx: mpsc::Receiver<Completion>,
+    /// Closed when the reactor goes, however it goes: that releases the
+    /// workers parked on it.
+    jobs: CloseOnDrop<Job>,
+    /// Tokens of connections a worker poked the reactor about.
+    attention_rx: mpsc::Receiver<u64>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     max_pipeline: usize,
@@ -240,7 +389,7 @@ impl Reactor {
         loop {
             // Indefinite wait: with nothing to do the reactor makes *zero*
             // syscalls — wakeups come only from sockets, the listener, or
-            // the wake pipe (worker completions and shutdown).
+            // the wake pipe (a worker's poke, or shutdown).
             if wait_events(&self.poller, &mut events, None).is_err() {
                 return;
             }
@@ -249,9 +398,9 @@ impl Reactor {
             for &event in &events {
                 match event.token {
                     WAKER => {
-                        let drained = self.waker.drain();
-                        self.server.bump_transport(|t| t.wakeups = drained);
-                        self.drain_completions(drained);
+                        let pokes = self.waker.drain();
+                        self.server.bump_transport(|t| t.wakeups = pokes);
+                        self.attend(pokes);
                     }
                     LISTENER => self.accept_ready(),
                     token => self.conn_ready(token, event),
@@ -286,7 +435,21 @@ impl Reactor {
                         self.server.bump_transport(|t| t.disconnects = 1);
                         continue;
                     }
-                    self.conns.insert(token, Conn::new(stream));
+                    let conn = Conn {
+                        shared: Arc::new(ConnShared {
+                            stream,
+                            out: Mutex::default(),
+                            inflight: AtomicBool::new(false),
+                            poke_when_done: AtomicBool::new(false),
+                        }),
+                        protocol: None,
+                        inbuf: Vec::new(),
+                        queued: VecDeque::new(),
+                        inflight_fetches: Vec::new(),
+                        framing_broken: false,
+                        interest: Interest::READ,
+                    };
+                    self.conns.insert(token, conn);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -297,34 +460,33 @@ impl Reactor {
 
     /// Advance one connection's state machine on readiness.
     fn conn_ready(&mut self, token: u64, event: Event) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return; // already torn down (e.g. by an earlier event this round)
-        };
-        if conn.stream.is_none() {
-            return; // awaiting its orphan completion
-        }
-        if event.writable && conn.has_output() && !Self::flush(&self.server, conn) {
-            self.teardown(token);
+        if event.writable && !self.flush_leftover(token) {
             return;
         }
         if event.readable || event.hangup {
-            match self.read_and_parse(token) {
+            match self.read_and_parse(token, event.hangup) {
                 ReadOutcome::Open => {}
-                ReadOutcome::Closed => {
-                    self.teardown(token);
-                    return;
-                }
+                ReadOutcome::Closed => return self.teardown(token),
             }
         }
-        self.after_progress(token);
+        self.dispatch_queued(token);
     }
 
-    /// Drain the socket into the connection's input buffer, negotiate the
-    /// protocol if still undecided, and parse complete requests into the
-    /// queue (applying the per-drain pipeline cap).
-    fn read_and_parse(&mut self, token: u64) -> ReadOutcome {
-        let conn = self.conns.get_mut(&token).expect("caller checked");
-        let stream = conn.stream.as_mut().expect("caller checked");
+    /// Read what the socket has, negotiate the protocol if still
+    /// undecided, and parse complete requests into the queue (applying the
+    /// per-drain pipeline cap).
+    ///
+    /// One `read` per readiness report unless it filled the whole chunk:
+    /// the poller is level-triggered, so bytes a short read left behind
+    /// are reported again, and a second `read` whose only answer is
+    /// `EAGAIN` is a syscall per request for nothing. A hang-up is read
+    /// through to EOF, so a peer that is gone is torn down in this round
+    /// instead of having its last requests dispatched first.
+    fn read_and_parse(&mut self, token: u64, hangup: bool) -> ReadOutcome {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return ReadOutcome::Closed; // by an earlier event of this round
+        };
+        let mut stream = &conn.shared.stream;
         let mut chunk = [0u8; 16 * 1024];
         let mut peer_closed = false;
         loop {
@@ -336,6 +498,9 @@ impl Reactor {
                 Ok(n) => {
                     conn.inbuf.extend_from_slice(&chunk[..n]);
                     self.server.bump_transport(|t| t.bytes_in = n as u64);
+                    if n < chunk.len() && !hangup {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -345,23 +510,23 @@ impl Reactor {
                 }
             }
         }
-        if conn.protocol.is_none() {
-            match wire::negotiate(&conn.inbuf) {
-                Negotiation::NeedMore => {
-                    return if peer_closed {
-                        ReadOutcome::Closed
-                    } else {
-                        ReadOutcome::Open
-                    };
-                }
-                Negotiation::Json => conn.protocol = Some(WireProtocol::Json),
+        let outcome = if peer_closed {
+            ReadOutcome::Closed
+        } else {
+            ReadOutcome::Open
+        };
+        let protocol = match conn.protocol {
+            Some(protocol) => protocol,
+            None => match wire::negotiate(&conn.inbuf) {
+                Negotiation::NeedMore => return outcome,
+                Negotiation::Json => WireProtocol::Json,
                 Negotiation::Binary => {
                     conn.inbuf.drain(..wire::BINARY_MAGIC.len());
-                    conn.protocol = Some(WireProtocol::Binary);
+                    WireProtocol::Binary
                 }
-            }
-        }
-        let protocol = conn.protocol.expect("negotiated above");
+            },
+        };
+        conn.protocol = Some(protocol);
         if !conn.framing_broken {
             let mut drained = 0usize;
             loop {
@@ -391,175 +556,154 @@ impl Reactor {
                 }
             }
         }
-        if peer_closed {
-            ReadOutcome::Closed
-        } else {
-            ReadOutcome::Open
-        }
+        outcome
     }
 
-    /// Absorb up to `drained` worker completions, flush their buffers,
-    /// and keep each connection's dispatch pipeline moving.
+    /// Answer `pokes` worker pokes: finish (or take over) the connection's
+    /// output and keep its dispatch pipeline moving.
     ///
-    /// Completions are consumed strictly 1:1 with drained wake-pipe
-    /// bytes — never speculatively — so a completion's byte can never go
-    /// stale in the pipe and fire a deferred wake while the reactor is
-    /// otherwise idle (the zero-wakeups-when-parked contract). The count
-    /// is sound because a worker always `send`s before it `wake`s and
-    /// the channel is FIFO: `drained` bytes imply at least `drained`
-    /// completions already queued, except for shutdown pokes, which
-    /// carry no completion and surface here as an early `Err` — the
-    /// loop's shutdown check handles those. (A `wake` can only be
-    /// dropped once the pipe holds a full 64 KiB of pending bytes, which
-    /// would take >65536 outstanding completions in one reactor
-    /// iteration — more than one per live connection — so the count
-    /// cannot run short in practice.)
-    fn drain_completions(&mut self, drained: u64) {
-        for _ in 0..drained {
-            let Ok(done) = self.done_rx.try_recv() else {
+    /// Tokens are consumed strictly 1:1 with drained wake-pipe bytes —
+    /// never speculatively — so a token's byte can never go stale in the
+    /// pipe and fire a deferred wake while the reactor is otherwise idle
+    /// (the zero-wakeups-when-parked contract). The count is sound
+    /// because a worker always sends its token before it writes its byte
+    /// and the channel is FIFO: `pokes` bytes imply at least `pokes`
+    /// tokens already queued, except for the shutdown poke, which carries
+    /// no token and surfaces here as an early `Err` — the loop's shutdown
+    /// check handles that one. Bytes beyond the one `read` the drain makes
+    /// are not lost either: the read end stays readable, the
+    /// level-triggered poller reports it again, and their tokens are taken
+    /// then. (A `wake` is only dropped once the pipe holds a full 64 KiB
+    /// of pending bytes, which takes more than 65 536 pokes outstanding
+    /// within one reactor iteration — a connection has a handful at most —
+    /// so the count cannot run short in practice.)
+    ///
+    /// Everything a poke asks for is idempotent — flush what is queued,
+    /// dispatch what is waiting if the connection is idle — so a poke
+    /// that lost a race to the reactor's own progress finds nothing to do.
+    fn attend(&mut self, pokes: u64) {
+        for _ in 0..pokes {
+            let Ok(token) = self.attention_rx.try_recv() else {
                 return;
             };
-            let Some(conn) = self.conns.get_mut(&done.token) else {
-                continue;
-            };
-            conn.job_inflight = false;
-            conn.inflight_fetches.clear();
-            if conn.stream.is_none() {
-                // The peer disconnected while the job ran: the responses
-                // have no reader, and the entry only waited for this.
-                self.conns.remove(&done.token);
-                continue;
+            if self.flush_leftover(token) {
+                self.dispatch_queued(token);
             }
-            if !done.buf.is_empty() {
-                conn.outq.push_back(done.buf);
-            }
-            if !Self::flush(&self.server, conn) {
-                self.teardown(done.token);
-                continue;
-            }
-            self.after_progress(done.token);
         }
     }
 
-    /// Dispatch the next batch if idle, re-arm interest, and close a
-    /// broken-framing connection whose final error has flushed.
-    fn after_progress(&mut self, token: u64) {
+    /// Reactor side of the output half: flush what a worker left behind
+    /// and hold WRITE interest exactly while bytes remain. Returns `false`
+    /// when the connection is gone (torn down here, or earlier).
+    fn flush_leftover(&mut self, token: u64) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return false;
         };
-        if conn.stream.is_none() {
-            return;
-        }
-        if !conn.job_inflight && !conn.queued.is_empty() {
-            let items: Vec<WorkItem> = conn.queued.drain(..).collect();
-            conn.inflight_fetches = items
-                .iter()
-                .filter_map(|item| match item {
-                    WorkItem::Request(Request::Fetch { session, .. }) => Some(*session),
-                    _ => None,
-                })
-                .collect();
-            conn.job_inflight = true;
-            let job = Job {
-                token,
-                protocol: conn.protocol.expect("items imply negotiation"),
-                items,
-            };
-            if self.job_tx.send(job).is_err() {
-                // No workers left (shutdown race): the connection cannot
-                // be served any more.
+        let flushed = {
+            let mut out = conn.shared.lock_out();
+            let flushed = out.flush(&conn.shared.stream, &self.server);
+            out.reactor_flushes = matches!(flushed, Flush::Blocked);
+            flushed
+        };
+        let wanted = match flushed {
+            Flush::Drained => Interest::READ,
+            Flush::Blocked => Interest::READ_WRITE,
+            Flush::Dead => {
                 self.teardown(token);
-                return;
+                return false;
             }
-        }
-        if conn.framing_broken && !conn.job_inflight && conn.queued.is_empty() && !conn.has_output()
-        {
-            self.teardown(token);
-            return;
-        }
-        let wanted = if conn.has_output() {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
         };
         if wanted != conn.interest {
-            let fd = conn.stream.as_ref().expect("checked above").as_raw_fd();
+            let fd = conn.shared.stream.as_raw_fd();
             if self.poller.modify(fd, token, wanted).is_err() {
                 self.teardown(token);
-                return;
+                return false;
             }
             conn.interest = wanted;
-        }
-    }
-
-    /// Write as much of the outbound queue as the socket accepts, with
-    /// one vectored syscall per attempt. Returns `false` when the
-    /// connection died under the write.
-    fn flush(server: &RankedQueryServer, conn: &mut Conn) -> bool {
-        let stream = conn.stream.as_mut().expect("caller checked");
-        while !conn.outq.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(conn.outq.len());
-            for (i, buf) in conn.outq.iter().enumerate() {
-                if i == 0 {
-                    slices.push(IoSlice::new(&buf[conn.outpos..]));
-                } else {
-                    slices.push(IoSlice::new(buf));
-                }
-            }
-            match stream.write_vectored(&slices) {
-                Ok(0) => return false,
-                Ok(mut n) => {
-                    server.bump_transport(|t| t.bytes_out = n as u64);
-                    while n > 0 {
-                        let front_left =
-                            conn.outq.front().expect("bytes imply a buffer").len() - conn.outpos;
-                        if n >= front_left {
-                            n -= front_left;
-                            conn.outq.pop_front();
-                            conn.outpos = 0;
-                        } else {
-                            conn.outpos += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
         }
         true
     }
 
-    /// Tear a connection down *now*: deregister and close the fd (a dead
-    /// socket must leave the level-triggered poller immediately), drop
-    /// queued-but-undispatched requests and unread responses, and cancel
-    /// any in-flight FETCH's session so its enumerator stops working for
-    /// a reader that is gone. The entry survives (stream-less) only while
-    /// a job is still in flight, to absorb its orphan completion.
-    fn teardown(&mut self, token: u64) {
+    /// Dispatch the queued requests as the next batch if the connection
+    /// is idle — otherwise ask the running batch's worker for a poke — and
+    /// close a broken-framing connection whose final error has flushed.
+    fn dispatch_queued(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if let Some(stream) = conn.stream.take() {
-            let _ = self.poller.deregister(stream.as_raw_fd());
-            drop(stream);
-            self.server.bump_transport(|t| t.disconnects = 1);
+        let shared = &conn.shared;
+        if !conn.queued.is_empty() {
+            let mut idle = !shared.inflight.load(Ordering::SeqCst);
+            if !idle {
+                // Flag first, then look again: a worker that cleared
+                // `inflight` before this second load may already be past
+                // its test of the flag, so the dispatch is ours.
+                shared.poke_when_done.store(true, Ordering::SeqCst);
+                idle = !shared.inflight.load(Ordering::SeqCst);
+            }
+            if idle {
+                let items: Vec<WorkItem> = conn.queued.drain(..).collect();
+                conn.inflight_fetches = items
+                    .iter()
+                    .filter_map(|item| match item {
+                        WorkItem::Request(Request::Fetch { session, .. }) => Some(*session),
+                        _ => None,
+                    })
+                    .collect();
+                // The batch that answers a framing error is the
+                // connection's last: hear about its end to close.
+                shared
+                    .poke_when_done
+                    .store(conn.framing_broken, Ordering::SeqCst);
+                shared.inflight.store(true, Ordering::SeqCst);
+                self.jobs.push(Job {
+                    token,
+                    conn: Arc::clone(shared),
+                    // Only a negotiated connection parses items.
+                    protocol: conn.protocol.expect("items imply negotiation"),
+                    items,
+                });
+            }
         }
-        conn.queued.clear();
-        conn.outq.clear();
-        conn.outpos = 0;
-        for session in std::mem::take(&mut conn.inflight_fetches) {
-            self.server.cancel_disconnected_fetch(session);
+        if conn.framing_broken
+            && conn.queued.is_empty()
+            && !shared.inflight.load(Ordering::SeqCst)
+            && shared.lock_out().outq.is_empty()
+        {
+            self.teardown(token);
         }
-        if !conn.job_inflight {
-            self.conns.remove(&token);
+    }
+
+    /// Tear a connection down *now*: deregister the fd (a dead socket must
+    /// leave the level-triggered poller immediately), shut the socket down
+    /// — the fd itself closes with the last `Arc`, which a worker may hold
+    /// — drop queued-but-undispatched requests and unread responses, and
+    /// cancel any in-flight FETCH's session so its enumerator stops
+    /// working for a reader that is gone.
+    fn teardown(&mut self, token: u64) {
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
+        let stream = &conn.shared.stream;
+        let _ = self.poller.deregister(stream.as_raw_fd());
+        let _ = stream.shutdown(Shutdown::Both);
+        {
+            let mut out = conn.shared.lock_out();
+            out.closed = true;
+            out.outq.clear();
+            out.outpos = 0;
+        }
+        self.server.bump_transport(|t| t.disconnects = 1);
+        if conn.shared.inflight.load(Ordering::SeqCst) {
+            for session in conn.inflight_fetches {
+                self.server.cancel_disconnected_fetch(session);
+            }
         }
     }
 
     /// Shutdown: tear down every connection (cancelling in-flight
-    /// fetches) and return, dropping `job_tx` so the workers drain their
-    /// queue and exit.
+    /// fetches) and return; dropping the reactor then closes the job
+    /// queue, so the workers drain it and exit.
     fn teardown_all(&mut self) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {

@@ -16,6 +16,7 @@ use crate::plan_cache::PlanCache;
 use crate::protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
 use crate::session::SessionTable;
 use crate::wire::{self, InboundItem, Negotiation, WireProtocol};
+use crate::work_queue::WorkQueue;
 use rankedenum_core::{
     machine_threads, CancelKind, CancelToken, ExecContext, SharedStats, StatsSnapshot, WorkerPool,
 };
@@ -28,7 +29,6 @@ use re_sql::{ExplainMode, OwnedSqlExecutor};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -900,10 +900,10 @@ pub fn serve(
     }
 }
 
-/// Serve with the event-driven reactor: one poll thread drives every
-/// connection's read/dispatch/write state machine and hands parsed
-/// requests to a `config.workers`-thread dispatch pool; completions come
-/// back over a wake pipe. Idle connections cost one buffer and zero
+/// Serve with the event-driven reactor: one poll thread reads, parses and
+/// dispatches for every connection and hands parsed requests to a
+/// `config.workers`-thread pool, whose workers write their responses to
+/// the socket themselves. Idle connections cost one buffer and zero
 /// wakeups, so tens of thousands of parked sessions can stay connected.
 pub fn serve_reactor(
     server: Arc<RankedQueryServer>,
@@ -916,8 +916,8 @@ pub fn serve_reactor(
 /// Serve with the legacy thread-per-connection front-end: a pool of
 /// `config.workers` threads, each owning one connection until EOF.
 ///
-/// The acceptor thread pushes connections into a channel; each worker pops
-/// one and serves it to completion. A worker therefore handles one
+/// The acceptor thread pushes connections into a [`WorkQueue`]; each worker
+/// pops one and serves it to completion. A worker therefore handles one
 /// connection at a time — the pool size bounds concurrent connections, and
 /// requests on *different* connections run truly in parallel while sharing
 /// the catalog, plan cache and session table. Kept as the comparison
@@ -932,22 +932,18 @@ pub fn serve_threaded(
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
+    let conns = WorkQueue::<TcpStream>::new();
 
     let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
         .map(|_| {
-            let conn_rx = Arc::clone(&conn_rx);
+            let conns = Arc::clone(&conns);
             let server = Arc::clone(&server);
             let shutdown = Arc::clone(&shutdown);
             let max_pipeline = config.max_pipeline;
-            std::thread::spawn(move || loop {
-                // Holding the receiver lock only while popping keeps the
-                // other workers free to pick up the next connection.
-                let next = conn_rx.lock().expect("worker queue poisoned").recv();
-                match next {
-                    Ok(stream) => serve_connection(&server, stream, &shutdown, max_pipeline),
-                    Err(_) => return, // acceptor gone, queue drained
+            std::thread::spawn(move || {
+                // `None`: acceptor gone, queue drained.
+                while let Some(stream) = conns.pop() {
+                    serve_connection(&server, stream, &shutdown, max_pipeline);
                 }
             })
         })
@@ -955,21 +951,17 @@ pub fn serve_threaded(
 
     let acceptor = {
         let shutdown = Arc::clone(&shutdown);
+        // Closed when this thread is done: the workers drain it and exit.
+        let conns = conns.close_on_drop();
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if shutdown.load(Ordering::SeqCst) {
                     break; // the wake-up connection is dropped unserved
                 }
-                match stream {
-                    Ok(stream) => {
-                        if conn_tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => continue,
+                if let Ok(stream) = stream {
+                    conns.push(stream);
                 }
             }
-            // Dropping conn_tx lets the workers drain and exit.
         })
     };
 

@@ -1,13 +1,28 @@
-//! Reactor front-end integration: idle cost, pipelining order, both
-//! transports on both front-ends, and the reactor's own metrics.
+//! Reactor front-end integration: idle cost, the one-poll-wait request
+//! path, pipelining order, slow readers, disconnects under a running
+//! batch, both transports on both front-ends, and the reactor's own
+//! metrics.
 
 use re_server::{
-    serve, serve_threaded, LocalClient, RankedQueryServer, Request, Response, ServerConfig,
-    TcpClient, Transport, WireProtocol,
+    serve, serve_threaded, wire, LocalClient, RankedQueryServer, Request, Response, ServerConfig,
+    ServerTransport, TcpClient, Transport, TransportCounters, WireProtocol,
 };
 use re_storage::{attr::attrs, Database, Relation};
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// The failpoint registry is process-global: tests that arm it, and the
+/// test that counts poll waits exactly, serialise on this. (The other
+/// tests only get slower under a foreign failpoint, never wrong.)
+static FAULTS: Mutex<()> = Mutex::new(());
+
+fn faults_locked() -> std::sync::MutexGuard<'static, ()> {
+    FAULTS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn coauthor_db() -> Database {
     let mut db = Database::new();
@@ -31,6 +46,157 @@ fn reactor_server() -> (Arc<RankedQueryServer>, re_server::ServerHandle) {
     server.catalog().register("dblp", coauthor_db());
     let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
     (server, handle)
+}
+
+/// A database whose 2-hop statement has more than 24 pages of 1 024
+/// distinct answers.
+fn wide_db() -> Database {
+    let mut db = Database::new();
+    let mut rows = Vec::new();
+    for paper in 0..1500u64 {
+        for slot in 0..5u64 {
+            rows.push(vec![
+                (paper * 7919 + slot * slot * 104_729 + slot * 31) % 4001,
+                10_000 + paper,
+            ]);
+        }
+    }
+    db.add_relation(Relation::with_tuples("AP", attrs(["aid", "pid"]), rows).unwrap())
+        .unwrap();
+    db
+}
+
+/// The protocol `RE_TRANSPORT` selects, as `TcpClient::connect` reads it.
+fn env_protocol() -> WireProtocol {
+    match std::env::var("RE_TRANSPORT").as_deref() {
+        Ok("binary") => WireProtocol::Binary,
+        _ => WireProtocol::Json,
+    }
+}
+
+/// A raw client socket: the tests below decide themselves what goes into
+/// which TCP segment and when (if ever) the responses are read.
+struct RawConn {
+    stream: TcpStream,
+    protocol: WireProtocol,
+    magic_sent: bool,
+}
+
+impl RawConn {
+    fn connect(handle: &re_server::ServerHandle, protocol: WireProtocol) -> RawConn {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        // A dead worker must fail the test, not hang it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        RawConn {
+            stream,
+            protocol,
+            magic_sent: false,
+        }
+    }
+
+    /// Write `requests` with one `write` call (one segment, sizes
+    /// permitting); returns the bytes written.
+    fn send(&mut self, requests: &[Request]) -> u64 {
+        let mut buf = Vec::new();
+        if self.protocol == WireProtocol::Binary && !self.magic_sent {
+            buf.extend_from_slice(&wire::BINARY_MAGIC);
+            self.magic_sent = true;
+        }
+        for request in requests {
+            match self.protocol {
+                WireProtocol::Json => {
+                    buf.extend_from_slice(request.encode().as_bytes());
+                    buf.push(b'\n');
+                }
+                WireProtocol::Binary => {
+                    wire::append_frame(&mut buf, &wire::encode_request(request))
+                }
+            }
+        }
+        self.stream.write_all(&buf).unwrap();
+        buf.len() as u64
+    }
+
+    /// The raw bytes of the next `n` responses.
+    fn read_raw(&mut self, n: usize) -> Vec<u8> {
+        let mut raw = Vec::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        while split_responses(self.protocol, &raw).len() < n {
+            let got = self.stream.read(&mut chunk).expect("response in time");
+            assert!(got > 0, "server closed the connection");
+            raw.extend_from_slice(&chunk[..got]);
+        }
+        assert_eq!(split_responses(self.protocol, &raw).len(), n);
+        raw
+    }
+
+    fn read_responses(&mut self, n: usize) -> Vec<Response> {
+        let raw = self.read_raw(n);
+        split_responses(self.protocol, &raw)
+            .into_iter()
+            .map(|payload| match self.protocol {
+                WireProtocol::Json => {
+                    Response::decode(std::str::from_utf8(payload).unwrap()).unwrap()
+                }
+                WireProtocol::Binary => wire::decode_response(payload).unwrap(),
+            })
+            .collect()
+    }
+}
+
+/// The payloads of the complete responses at the front of `raw` (JSON
+/// lines without their newline, binary frames without their length).
+fn split_responses(protocol: WireProtocol, raw: &[u8]) -> Vec<&[u8]> {
+    let mut rest = raw;
+    let mut payloads = Vec::new();
+    loop {
+        // Where the next payload sits in `rest`, and where the one after
+        // it starts.
+        let (payload, next) = match protocol {
+            WireProtocol::Json => match rest.iter().position(|&b| b == b'\n') {
+                Some(newline) => (0..newline, newline + 1),
+                None => return payloads,
+            },
+            WireProtocol::Binary => match rest.first_chunk::<4>() {
+                Some(prefix) => {
+                    let end = 4 + u32::from_le_bytes(*prefix) as usize;
+                    (4..end, end)
+                }
+                None => return payloads,
+            },
+        };
+        if rest.len() < next {
+            return payloads;
+        }
+        payloads.push(&rest[payload]);
+        rest = &rest[next..];
+    }
+}
+
+fn transport_stats(server: &RankedQueryServer) -> TransportCounters {
+    server.stats_report().transport
+}
+
+/// Poll `done` until it holds (the counters are bumped by server threads
+/// the test cannot join on).
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Write `requests` as one segment and wait until the reactor has read
+/// it — so the next segment is read, and dispatched or queued, on its own.
+fn send_and_wait_read(conn: &mut RawConn, server: &RankedQueryServer, requests: &[Request]) {
+    let target = transport_stats(server).bytes_in + conn.send(requests);
+    wait_until("the reactor read the segment", || {
+        transport_stats(server).bytes_in >= target
+    });
 }
 
 fn sample(body: &str, metric: &str) -> f64 {
@@ -160,7 +326,11 @@ fn reactor_counters_flow_into_stats_and_metrics() {
     assert!(stats.conns_accepted >= 1);
     assert!(stats.epoll_waits >= 1);
     assert!(stats.bytes_in > 0);
-    assert!(stats.bytes_out > 0);
+    // A worker counts the bytes once its write returns, by which time the
+    // client may already have its next request answered by another one.
+    wait_until("the written bytes are counted", || {
+        client.stats().unwrap().transport.bytes_out > 0
+    });
 
     let body = client.metrics().unwrap();
     re_obs::validate_exposition(&body).expect("well-formed exposition");
@@ -192,4 +362,216 @@ fn parked_sessions_survive_a_disconnect_and_resume_elsewhere() {
     assert_eq!(resumed.rows.len(), 2);
     assert!(second.close(session).unwrap());
     handle.shutdown();
+}
+
+/// The request path's economics: the reactor wakes once per request, to
+/// read it, and the worker that ran it writes the response — no
+/// completion hand-back, no wake-pipe byte, no second poll wait.
+#[test]
+fn sequential_requests_cost_one_poll_wait_each_and_no_wakeups() {
+    let _g = faults_locked();
+    let (server, handle) = reactor_server();
+    let mut tcp = TcpClient::connect(handle.addr()).unwrap();
+    let opened = tcp.open("dblp", TWO_HOP).unwrap();
+
+    let before = transport_stats(&server);
+    for i in 0..200 {
+        if i % 2 == 0 {
+            assert_eq!(tcp.request(Request::Ping).unwrap(), Response::Pong);
+        } else {
+            assert_eq!(tcp.fetch(opened.session, 1).unwrap().rows.len(), 1);
+        }
+    }
+    let after = transport_stats(&server);
+    assert_eq!(after.epoll_waits - before.epoll_waits, 200);
+    assert_eq!(after.wakeups - before.wakeups, 0);
+    handle.shutdown();
+}
+
+/// Requests that arrive while a batch runs queue behind it, go out as the
+/// next batch the moment its worker says so — one poke — and are
+/// answered in request order.
+#[test]
+fn requests_behind_a_running_batch_answer_in_order_after_one_poke() {
+    let _g = faults_locked();
+    let (server, handle) = reactor_server();
+    let mut local = LocalClient::new(Arc::clone(&server));
+    let reference = local.open("dblp", TWO_HOP).unwrap().session;
+    let expected = [
+        local.fetch(reference, 2).unwrap().rows,
+        local.fetch(reference, 2).unwrap().rows,
+    ];
+    let session = local.open("dblp", TWO_HOP).unwrap().session;
+    let fetch = Request::Fetch { session, k: 2 };
+
+    re_fault::configure("fetch.next=sleep(500)").unwrap();
+    let mut conn = RawConn::connect(&handle, env_protocol());
+    send_and_wait_read(&mut conn, &server, std::slice::from_ref(&fetch));
+    let before = transport_stats(&server);
+    // The first batch is now held inside its FETCH; each of these is its
+    // own segment and its own read.
+    for request in [Request::Ping, fetch, Request::Ping] {
+        send_and_wait_read(&mut conn, &server, &[request]);
+    }
+    re_fault::clear();
+
+    let responses = conn.read_responses(4);
+    let [first, second] = expected;
+    assert_eq!(
+        responses,
+        vec![
+            Response::Page {
+                rows: first,
+                exhausted: false
+            },
+            Response::Pong,
+            Response::Page {
+                rows: second,
+                exhausted: false
+            },
+            Response::Pong,
+        ]
+    );
+    let after = transport_stats(&server);
+    assert_eq!(after.wakeups - before.wakeups, 1, "one poke, one batch");
+    handle.shutdown();
+}
+
+/// A client that pipelines pages without reading them gets, once it does
+/// read, exactly the bytes of the request-by-request run: partial writes
+/// and the hand-over of leftover output to the reactor reorder nothing
+/// and lose nothing. Run once against whatever the socket buffers take
+/// (loopback ones usually take it all), and once with `reactor.flush`
+/// cutting every write short, which sends every byte down the leftover →
+/// poke → WRITE-interest path.
+#[test]
+fn a_slow_reader_gets_the_sequential_bytes_on_both_protocols() {
+    const PAGES: usize = 24;
+    const FAULTED_PAGES: usize = 2;
+    let _g = faults_locked();
+    let config = ServerConfig::default();
+    let server = RankedQueryServer::new(config.clone());
+    server.catalog().register("wide", wide_db());
+    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
+    let mut local = LocalClient::new(Arc::clone(&server));
+    let mut fetches = |n: usize| -> Vec<Request> {
+        let session = local.open("wide", TWO_HOP).unwrap().session;
+        vec![Request::Fetch { session, k: 1024 }; n]
+    };
+
+    for protocol in [WireProtocol::Json, WireProtocol::Binary] {
+        let mut sequential = Vec::new();
+        let mut conn = RawConn::connect(&handle, protocol);
+        for fetch in fetches(PAGES) {
+            conn.send(&[fetch]);
+            sequential.extend(conn.read_raw(1));
+        }
+        assert!(sequential.len() > PAGES * 1024 * 8, "full pages");
+
+        let mut conn = RawConn::connect(&handle, protocol);
+        conn.send(&fetches(PAGES));
+        std::thread::sleep(Duration::from_millis(300)); // the slow reader
+        assert!(conn.read_raw(PAGES) == sequential, "{protocol:?}");
+
+        let wakeups_before = transport_stats(&server).wakeups;
+        re_fault::configure("reactor.flush=error").unwrap();
+        let mut conn = RawConn::connect(&handle, protocol);
+        // One batch per page: the later ones finish while the reactor
+        // still drips out the first, and append behind its leftover.
+        for fetch in fetches(FAULTED_PAGES) {
+            send_and_wait_read(&mut conn, &server, &[fetch]);
+        }
+        let faulted = conn.read_raw(FAULTED_PAGES);
+        re_fault::clear();
+        assert!(sequential.starts_with(&faulted), "{protocol:?} faulted");
+        assert!(
+            transport_stats(&server).wakeups > wakeups_before,
+            "the short write handed the leftover to the reactor"
+        );
+    }
+    handle.shutdown();
+}
+
+/// A worker that finishes its batch after the peer is gone delivers into
+/// a closed connection: nothing panics, the disconnect counts once, and
+/// sessions parked at the time stay resumable.
+#[test]
+fn a_batch_outliving_its_connection_is_dropped_quietly() {
+    let _g = faults_locked();
+    // One worker: if delivering to the dead connection killed it, the
+    // request at the end would never be answered.
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let server = RankedQueryServer::new(config.clone());
+    server.catalog().register("dblp", coauthor_db());
+    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
+    let mut local = LocalClient::new(Arc::clone(&server));
+    let parked = local.open("dblp", TWO_HOP).unwrap().session;
+    let first_page = local.fetch(parked, 2).unwrap().rows;
+    let doomed = local.open("dblp", TWO_HOP).unwrap().session;
+
+    re_fault::configure("fetch.next=sleep(300)").unwrap();
+    let mut conn = RawConn::connect(&handle, env_protocol());
+    let fetch = Request::Fetch {
+        session: doomed,
+        k: 2,
+    };
+    send_and_wait_read(&mut conn, &server, &[fetch]);
+    let before = transport_stats(&server);
+    drop(conn); // FIN while the worker sleeps inside the FETCH
+    wait_until("the reactor tore the connection down", || {
+        transport_stats(&server).disconnects > before.disconnects
+    });
+    // The cancelled cursor is discarded when the worker comes back.
+    wait_until("the worker finished the orphaned batch", || {
+        local.stats().unwrap().sessions_open == 1
+    });
+    re_fault::clear();
+
+    let mut conn = RawConn::connect(&handle, env_protocol());
+    conn.send(&[Request::Fetch {
+        session: parked,
+        k: 2,
+    }]);
+    let [Response::Page { rows, .. }] = &conn.read_responses(1)[..] else {
+        panic!("the parked session must still be resumable");
+    };
+    assert_eq!(rows.len(), 2);
+    assert_ne!(rows, &first_page);
+    assert_eq!(
+        transport_stats(&server).disconnects,
+        before.disconnects + 1,
+        "exactly one disconnect"
+    );
+    handle.shutdown();
+}
+
+/// `ServerHandle::shutdown` returns — every thread joined — while all the
+/// workers are parked on the hand-off queue, on both front-ends.
+#[test]
+fn shutdown_joins_the_workers_parked_on_the_queue() {
+    for transport in [ServerTransport::Reactor, ServerTransport::ThreadPerConn] {
+        let config = ServerConfig {
+            transport,
+            ..ServerConfig::default()
+        };
+        let server = RankedQueryServer::new(config.clone());
+        let handle = serve(server, "127.0.0.1:0", &config).unwrap();
+        // One request served and its connection closed: whichever worker
+        // took it is back in `pop()` with the rest.
+        let mut client = TcpClient::connect(handle.addr()).unwrap();
+        assert_eq!(client.request(Request::Ping).unwrap(), Response::Pong);
+        drop(client);
+
+        let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.shutdown();
+            joined_tx.send(()).unwrap();
+        });
+        joined_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{transport:?}: shutdown did not join its threads"));
+    }
 }

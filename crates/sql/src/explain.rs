@@ -511,9 +511,17 @@ join tree (rooted, projection-pruned):
             "{text}"
         );
         // The analyze run recorded a trace and pushed it into the ring.
-        assert!(text.contains("trace: "), "{text}");
-        let trace = re_obs::global().latest_trace().expect("trace recorded");
-        assert!(text.contains(&trace.trace_id.to_string()), "{text}");
+        // Found by the id the report prints, not as the ring's newest
+        // entry: other tests of this binary push traces concurrently.
+        let id = text
+            .split_once("trace: ")
+            .and_then(|(_, rest)| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("no trace line in {text}"));
+        let trace = re_obs::global()
+            .recent_traces()
+            .into_iter()
+            .find(|t| t.trace_id.to_string() == id)
+            .expect("the report's trace is in the ring");
         // The acyclic open runs the reducer under the installed trace.
         assert!(trace.spans_named("preprocess.reduce").count() > 0);
     }

@@ -2,17 +2,126 @@
 //! preprocessing versus enumeration split, the cost of the full reducer, and
 //! the per-answer delay of the general algorithm versus the specialised
 //! lexicographic one — the design choices DESIGN.md calls out.
+//!
+//! `frontier_pop_push` times the frontier kernel by itself: one pop and one
+//! push on a 20 000-entry [`FrontierHeap`] of `SUM` keys, at two shares of
+//! rank ties, in nanoseconds per pair — the number to read before and
+//! after a change to the heap, its entries or their comparator, without an
+//! end-to-end run around it.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rankedenum_core::{AcyclicEnumerator, LexiEnumerator};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use rankedenum_core::{
+    AcyclicEnumerator, CellArena, FrontierEntry, FrontierHeap, KeyInterner, LexiEnumerator,
+};
 use re_bench::Scale;
 use re_join::full_reduce;
 use re_query::JoinTree;
+use re_ranking::{ExactSum, RankKey, Ranking, SumRanking};
+use re_storage::attr::attrs;
 use re_workloads::membership::WeightScheme;
 use re_workloads::DblpWorkload;
-use std::time::Duration;
+use std::cmp::Ordering;
+use std::time::{Duration, Instant};
+
+/// The order of the bench's entries, as the enumerators define it: key,
+/// then output, then cell.
+fn order(
+    keys: &KeyInterner<ExactSum>,
+    arena: &CellArena,
+    a: FrontierEntry,
+    b: FrontierEntry,
+) -> Ordering {
+    keys.cmp(a.key, b.key)
+        .then_with(|| arena.output(a.cell).cmp(arena.output(b.cell)))
+        .then_with(|| a.cell.cmp(&b.cell))
+}
+
+/// One pop and one push, `PAIRS` times, on a heap of `ENTRIES` two-column
+/// cells keyed by `SUM`, the way a root queue sees them: the popped cell
+/// `(x, y)` is succeeded by `(x + step, y)`, so keys only move up and the
+/// heap keeps its size (the classic hold model). Values and steps are
+/// drawn from `0..spread`; the narrower the range, the more cells share a
+/// sum. A first, untimed run creates every cell and key and records the
+/// entries it pushed; the timed runs replay them on a fresh heap, so the
+/// clock sees the heap and its comparator and nothing else. Prints
+/// nanoseconds per pair (best of five) and the share of pops that tied in
+/// rank with the pop before.
+fn frontier_pop_push(spread: u64) {
+    const ENTRIES: usize = 20_000;
+    const PAIRS: usize = 200_000;
+    let ranking = SumRanking::value_sum();
+    let plan = ranking.plan(&attrs(["x", "y"]));
+    let mut arena = CellArena::new(2, 0);
+    let mut keys: KeyInterner<ExactSum> = KeyInterner::new();
+    let mut seed: u64 = 0x2545_F491_4F6C_DD1D;
+    let mut draw = |m: u64| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed % m
+    };
+    let new_entry = |arena: &mut CellArena, keys: &mut KeyInterner<ExactSum>, out: [u64; 2]| {
+        let key = ranking.key(&plan, &out);
+        FrontierEntry {
+            prefix: key.prefix(),
+            tie0: out[0],
+            key: keys.intern(key).0,
+            cell: arena.push(0, 0, 0, &out, &[]),
+        }
+    };
+    let initial: Vec<FrontierEntry> = (0..ENTRIES)
+        .map(|_| {
+            let out = [draw(spread), draw(spread)];
+            new_entry(&mut arena, &mut keys, out)
+        })
+        .collect();
+    let build = |keys: &KeyInterner<ExactSum>, arena: &CellArena| {
+        let mut heap = FrontierHeap::with_capacity(ENTRIES);
+        for &entry in &initial {
+            heap.push_unordered(entry);
+        }
+        heap.heapify(|a, b| order(keys, arena, a, b));
+        heap
+    };
+
+    let mut heap = build(&keys, &arena);
+    let mut pushed = Vec::with_capacity(PAIRS);
+    let (mut ties, mut last_key) = (0usize, u32::MAX);
+    for _ in 0..PAIRS {
+        let top = heap
+            .pop(|a, b| order(&keys, &arena, a, b))
+            .expect("the heap keeps its size");
+        ties += usize::from(top.key == last_key);
+        last_key = top.key;
+        let out = arena.output(top.cell);
+        let successor = [out[0] + draw(spread), out[1]];
+        let entry = new_entry(&mut arena, &mut keys, successor);
+        heap.push(entry, |a, b| order(&keys, &arena, a, b));
+        pushed.push(entry);
+    }
+
+    let mut best = f64::MAX;
+    for _ in 0..5 {
+        let mut heap = build(&keys, &arena);
+        let start = Instant::now();
+        for &entry in &pushed {
+            black_box(heap.pop(|a, b| order(&keys, &arena, a, b)));
+            heap.push(entry, |a, b| order(&keys, &arena, a, b));
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / PAIRS as f64);
+    }
+    println!(
+        "micro_core/frontier_pop_push/spread={spread}: {best:.1} ns per pop+push \
+         ({ENTRIES} entries, {:.0}% of pops tie in rank with the pop before)",
+        ties as f64 * 100.0 / PAIRS as f64
+    );
+}
 
 fn bench(c: &mut Criterion) {
+    // About 20 % and 40 % rank ties.
+    frontier_pop_push(82_000);
+    frontier_pop_push(35_000);
+
     let factor = Scale::from_env().factor();
     let dblp = DblpWorkload::generate(8_000 * factor, 42, WeightScheme::Random);
     let spec2 = dblp.two_hop();

@@ -14,9 +14,24 @@
 //!
 //! Representation ([`crate::frontier`]): cell outputs live in one
 //! fixed-stride slab per node ([`CellArena`]), rank keys are interned once
-//! per distinct value ([`KeyInterner`]) and heap entries are two `u32`s
-//! ([`FrontierEntry`]) whose order is resolved by table lookup — key id,
-//! then the output tie-break read straight from the arena, then cell id.
+//! per distinct value ([`KeyInterner`]) and heap entries are 24-byte
+//! [`FrontierEntry`]s ordered by `(key, tie-permuted output, cell id)`.
+//! That order is what `entry_cmp` computes, in three steps: the key
+//! prefixes stored in the entries, when they differ; the first tie-break
+//! value stored in the entries, when the keys are equal and it differs;
+//! and only then the outputs in the arena and the cell ids. The first two
+//! steps settle almost every comparison of a sift from the two entries
+//! alone (equal key *ids* stand in for equal keys; the interner is read
+//! only when equal prefixes meet distinct ids). The second must wait for
+//! *known* key equality, because equal prefixes do not imply it: a
+//! `LexRanking` key shares its prefix with every key that agrees on the
+//! first attribute, a multi-component sum with the `f64` below it, a
+//! custom key that keeps the default prefix with every other key — and
+//! ordering those by output would break the rank order. Both shortcuts
+//! return what the full comparison would have, so the pop order — and
+//! with it every emitted sequence — is that of the two-`u32` entries this
+//! layout replaced.
+//!
 //! Anchor values get dense ids during preprocessing, so the per-anchor
 //! queues are a plain `Vec<FrontierHeap>` and the enumeration hot path
 //! never builds, hashes or clones an anchor tuple. Steady-state `next()`
@@ -75,9 +90,38 @@ struct NodeState<R: Ranking> {
     queues: Vec<FrontierHeap>,
 }
 
+impl<R: Ranking> NodeState<R> {
+    /// Intern `key`, store the cell it ranks and return the cell's heap
+    /// entry — with the two inline words [`entry_cmp`] reads first — plus
+    /// the bytes the interner newly retained.
+    fn new_cell(
+        &mut self,
+        key: R::Key,
+        row: u32,
+        anchor: u32,
+        advance_from: u32,
+        output: &[Value],
+        ptrs: &[CellId],
+    ) -> (FrontierEntry, usize) {
+        let prefix = key.prefix();
+        let (key_id, key_bytes) = self.keys.intern(key);
+        let entry = FrontierEntry {
+            prefix,
+            tie0: self.tie_perm.first().map_or(0, |&p| output[p]),
+            key: key_id,
+            cell: self.arena.push(row, anchor, advance_from, output, ptrs),
+        };
+        (entry, key_bytes)
+    }
+}
+
 /// Total order of a node's frontier entries: interned key, then the
 /// tie-permuted output read from the arena, then cell id — the same order
 /// the owned-tuple engine realised with cloned `(key, tie, cell)` entries.
+///
+/// The first two steps take the answer from the entries where they carry
+/// it (see the module docs); [`FrontierHeap`] runs the same two steps
+/// itself and calls this only for the third.
 fn entry_cmp<K: RankKey>(
     keys: &KeyInterner<K>,
     arena: &CellArena,
@@ -85,12 +129,21 @@ fn entry_cmp<K: RankKey>(
     a: FrontierEntry,
     b: FrontierEntry,
 ) -> Ordering {
+    if a.prefix != b.prefix {
+        debug_assert_eq!(a.prefix.cmp(&b.prefix), keys.cmp(a.key, b.key));
+        return a.prefix.cmp(&b.prefix);
+    }
     let by_key = keys.cmp(a.key, b.key);
     if by_key != Ordering::Equal {
         return by_key;
     }
     if a.cell == b.cell {
         return Ordering::Equal;
+    }
+    // The keys are known equal from here on, so the outputs decide, and
+    // the entries hold the first value the loop below would read.
+    if a.tie0 != b.tie0 {
+        return a.tie0.cmp(&b.tie0);
     }
     let oa = arena.output(a.cell);
     let ob = arena.output(b.cell);
@@ -289,7 +342,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                 }
                 nodes[u].queues = queue_len
                     .iter()
-                    .map(|&n| FrontierHeap::with_pushed_capacity(n))
+                    .map(|&n| FrontierHeap::with_capacity(n))
                     .collect();
 
                 // Pass 2: one cell per row, on top of each child's best.
@@ -328,11 +381,9 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                     let key = ranking.key(&nodes[u].plan, &out_buf);
                     let anchor = queue_of.get(row).copied().unwrap_or(0);
                     let ns = &mut nodes[u];
-                    let (key_id, key_bytes) = ns.keys.intern(key);
-                    let cell = ns
-                        .arena
-                        .push(row as u32, anchor, key_id, 0, &out_buf, &ptr_buf);
-                    ns.queues[anchor as usize].push_unordered(FrontierEntry { key: key_id, cell });
+                    let (entry, key_bytes) =
+                        ns.new_cell(key, row as u32, anchor, 0, &out_buf, &ptr_buf);
+                    ns.queues[anchor as usize].push_unordered(entry);
                     cells += 1;
                     cell_bytes += ns.arena.bytes_per_cell() + key_bytes;
                 }
@@ -475,8 +526,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         }
         let key = self.ranking.key(&self.nodes[node].plan, &out);
         let ns = &mut self.nodes[node];
-        let (key_id, key_bytes) = ns.keys.intern(key);
-        let id = ns.arena.push(row, anchor, key_id, ci as u32, &out, &ptrs);
+        let (entry, key_bytes) = ns.new_cell(key, row, anchor, ci as u32, &out, &ptrs);
         let NodeState {
             arena,
             keys,
@@ -484,13 +534,8 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             tie_perm,
             ..
         } = ns;
-        let grown = queues[anchor as usize].push(
-            FrontierEntry {
-                key: key_id,
-                cell: id,
-            },
-            |a, b| entry_cmp(keys, arena, tie_perm, a, b),
-        );
+        let grown =
+            queues[anchor as usize].push(entry, |a, b| entry_cmp(keys, arena, tie_perm, a, b));
         self.stats.record_cell();
         self.stats.record_push();
         self.stats.frontier_alloc(
@@ -817,21 +862,28 @@ mod tests {
 
     #[test]
     fn bulk_build_reproduces_the_incremental_builds_ids_and_stats_on_example_4() {
-        // Constants recorded from the one-push-at-a-time build this bulk
-        // build replaced (commit b320aa1), default root and root R3.
+        // Anchor ids, queue and key counts and the cell / push / pop
+        // counters are those of the one-push-at-a-time build this bulk
+        // build replaced (commit b320aa1), default root and root R3. The
+        // four byte columns are this commit's (PR 15): a heap entry is 24
+        // bytes, not 8, a cell's metadata 16, not 20, a one- or
+        // two-component key owns no heap block, and a built queue reserves
+        // exactly its length — e.g. 9 cells (132 slab + 9·16), 7 keys
+        // (7·40) and 9 entries (9·24) make the first 772, retained and
+        // live alike.
         type Case = (Option<usize>, [&'static [u32]; 4], [usize; 4], [u64; 4]);
         let cases: [Case; 2] = [
             (
                 None,
                 [&[0, 0, 0, 0], &[0, 1], &[0], &[0, 0]],
                 [1, 2, 1, 1],
-                [808, 720, 1208, 1056],
+                [772, 772, 1120, 984],
             ),
             (
                 Some(2),
                 [&[0, 0, 1, 1], &[0, 0], &[0], &[0, 0]],
                 [2, 1, 1, 1],
-                [772, 684, 1296, 1144],
+                [736, 736, 1264, 1000],
             ),
         ];
         let (db, q) = (paper_db(), paper_query());
@@ -849,8 +901,6 @@ mod tests {
             let s = e.stats();
             assert_eq!((s.cells_created, s.pq_pushes, s.pq_pops), (9, 9, 0));
             assert_eq!((s.frontier_bytes, s.frontier_peak_bytes), (bytes, peak));
-            // Queue capacities match too: successor pushes grow the
-            // retained bytes at the same points.
             assert_eq!(e.by_ref().count(), 6);
             let s = e.stats();
             assert_eq!((s.cells_created, s.pq_pushes, s.pq_pops), (16, 16, 16));
@@ -902,15 +952,14 @@ mod tests {
         // Each queue holds exactly the cells of its anchor, best on top.
         let s = &e.nodes[1];
         for (aid, queue) in s.queues.iter().enumerate() {
-            let members = expected.iter().filter(|&&a| a as usize == aid).count();
-            assert_eq!(queue.len(), members);
+            let mut members: Vec<u32> = queue.entries().iter().map(|e| e.cell).collect();
+            members.sort_unstable();
+            let of_anchor: Vec<u32> = (0..600)
+                .filter(|&c| expected[c as usize] == aid as u32)
+                .collect();
+            assert_eq!(members, of_anchor);
             let top = queue.peek().unwrap();
-            assert_eq!(s.arena.anchor(top.cell) as usize, aid);
-            for cell in (0..600u32).filter(|&c| s.arena.anchor(c) as usize == aid) {
-                let other = FrontierEntry {
-                    key: s.arena.key_id(cell),
-                    cell,
-                };
+            for &other in queue.entries() {
                 assert_ne!(
                     entry_cmp(&s.keys, &s.arena, &s.tie_perm, other, top),
                     Ordering::Less

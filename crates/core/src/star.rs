@@ -35,6 +35,8 @@ use std::collections::BinaryHeap;
 pub struct StarEnumerator<R: Ranking + Clone> {
     ranking: R,
     projection: Vec<Attr>,
+    /// The ranking's plan over `projection`, built once.
+    plan: R::Plan,
     threshold: usize,
     /// All-heavy output, sorted by `(key, tuple)`.
     heavy: Vec<(R::Key, Tuple)>,
@@ -102,6 +104,8 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
             light_rels.push(light);
         }
 
+        let plan = ranking.plan(&projection);
+
         // O_H: the all-heavy output, materialised and sorted.
         let mut heavy_output: Vec<(R::Key, Tuple)> = Vec::new();
         if !empty && heavy_rels.iter().all(|r| !r.is_empty()) {
@@ -114,7 +118,7 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
                 .iter()
                 .map(|t| {
                     let tuple = t.to_vec();
-                    (ranking.key_of(&projection, &tuple), tuple)
+                    (ranking.key(&plan, &tuple), tuple)
                 })
                 .collect();
             heavy_output.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -156,7 +160,7 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
         let mut pq = BinaryHeap::new();
         for (i, sub) in subs.iter_mut().enumerate() {
             if let Some(tuple) = sub.next() {
-                let key = ranking.key_of(&projection, &tuple);
+                let key = ranking.key(&plan, &tuple);
                 pq.push(Reverse(MergeEntry {
                     key,
                     tuple,
@@ -190,6 +194,7 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
         Ok(StarEnumerator {
             ranking,
             projection,
+            plan,
             threshold,
             heavy: heavy_output,
             heavy_cursor: 0,
@@ -241,21 +246,14 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
         self.subs.iter().map(|s| s.cell_count()).sum()
     }
 
-    /// Combined counters: the merge's own operations and the materialised
-    /// heavy output's bytes, plus every sub-enumerator's work and frontier
-    /// footprint (the tradeoff's memory side, end to end).
+    /// Combined counters: the merge's own operations, the star's reducer
+    /// pass and the materialised heavy output's bytes, plus every counter
+    /// of every sub-enumerator (its own reducer pass included) except its
+    /// `answers` — the tradeoff's memory side, end to end.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut total = self.stats.snapshot();
-        for sub in &self.subs {
-            let s = sub.stats().snapshot();
-            total.pq_pushes += s.pq_pushes;
-            total.pq_pops += s.pq_pops;
-            total.cells_created += s.cells_created;
-            total.tuple_allocs += s.tuple_allocs;
-            total.frontier_bytes += s.frontier_bytes;
-            total.frontier_peak_bytes += s.frontier_peak_bytes;
-        }
-        total
+        self.stats
+            .snapshot()
+            .with_parts(self.subs.iter().map(|sub| sub.stats().snapshot()))
     }
 }
 
@@ -267,7 +265,7 @@ impl<R: Ranking + Clone> Iterator for StarEnumerator<R> {
         self.stats.record_pop();
         if entry.source < self.subs.len() {
             if let Some(tuple) = self.subs[entry.source].next() {
-                let key = self.ranking.key_of(&self.projection, &tuple);
+                let key = self.ranking.key(&self.plan, &tuple);
                 self.pq.push(Reverse(MergeEntry {
                     key,
                     tuple,

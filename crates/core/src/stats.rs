@@ -297,6 +297,19 @@ impl StatsSnapshot {
         *self = StatsSnapshot::from_values(sum);
     }
 
+    /// The snapshot of a composite enumerator: `self`, the composite's own
+    /// counters, plus every counter of its `parts` except `answers` — a
+    /// part's answer is not the composite's until the merge emits it.
+    #[must_use]
+    pub fn with_parts(mut self, parts: impl IntoIterator<Item = StatsSnapshot>) -> Self {
+        let answers = self.answers;
+        for part in parts {
+            self.merge(&part);
+        }
+        self.answers = answers;
+        self
+    }
+
     /// Component-wise difference `self - earlier` (saturating, so a stale
     /// `earlier` cannot underflow).
     #[must_use]

@@ -75,8 +75,9 @@ pub trait RankedStream: Iterator<Item = Tuple> + Send {
 /// per-stream histogram and the global `cursor.delay_ns` aggregate) and
 /// the time from `opened_at` to the first answer (`cursor.ttfa_ns`).
 ///
-/// The per-`next()` cost is two `Instant::now()` calls, one local bucket
-/// increment and one relaxed `fetch_add` — allocation-free, preserving
+/// The per-`next()` cost is two `Instant::now()` calls (the first doubles
+/// as the deadline check's clock), one local bucket increment and one
+/// relaxed `fetch_add` — allocation-free, preserving
 /// the enumeration tripwires. The instrumentation-overhead gate in
 /// `check_bench` holds the enum benches (which run through this wrapper)
 /// to the same ratio-drift guard as uninstrumented runs.
@@ -137,13 +138,14 @@ impl Iterator for InstrumentedStream {
         if self.cancel_status.is_some() {
             return None;
         }
+        // One clock reading serves the deadline check and the delay.
+        let start = Instant::now();
         if let Some(token) = &self.cancel {
-            if let Err(kind) = token.check() {
+            if let Err(kind) = token.check_at(start) {
                 self.cancel_status = Some(kind);
                 return None;
             }
         }
-        let start = Instant::now();
         let item = self.inner.next();
         if item.is_some() {
             let nanos = saturating_nanos(start.elapsed());

@@ -54,6 +54,9 @@ impl Iterator for BranchStream {
 pub struct UnionEnumerator<R: Ranking + Clone> {
     ranking: R,
     projection: Vec<Attr>,
+    /// The ranking's plan over `projection`, built once: keying a merged
+    /// answer resolves no attribute.
+    plan: R::Plan,
     branches: Vec<BranchStream>,
     pq: BinaryHeap<Reverse<MergeEntry<R::Key>>>,
     last: Option<Tuple>,
@@ -112,10 +115,11 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     }
 
     fn merge(projection: Vec<Attr>, ranking: R, mut branches: Vec<BranchStream>) -> Self {
+        let plan = ranking.plan(&projection);
         let mut pq = BinaryHeap::new();
         for (i, b) in branches.iter_mut().enumerate() {
             if let Some(tuple) = b.next() {
-                let key = ranking.key_of(&projection, &tuple);
+                let key = ranking.key(&plan, &tuple);
                 pq.push(Reverse(MergeEntry {
                     key,
                     tuple,
@@ -126,6 +130,7 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
         UnionEnumerator {
             ranking,
             projection,
+            plan,
             branches,
             pq,
             last: None,
@@ -145,25 +150,17 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
         &self.stats
     }
 
-    /// Combined counters: the merge's own operations plus the work of
-    /// every branch enumerator (preprocessing cells, per-branch priority
-    /// queues, frontier bytes — the union's footprint is the disjoint sum
-    /// of its branch frontiers). Branch `answers` are excluded — a branch
-    /// answer is not a union answer until it survives deduplication, so
-    /// `answers` counts only what the union emitted.
+    /// Combined counters: the merge's own operations plus every counter
+    /// of every branch enumerator (reducer passes and rows, GHD plans,
+    /// preprocessing cells, per-branch priority queues, frontier bytes —
+    /// the union's footprint is the disjoint sum of its branch frontiers).
+    /// Branch `answers` are excluded — a branch answer is not a union
+    /// answer until it survives deduplication, so `answers` counts only
+    /// what the union emitted.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut total = self.stats.snapshot();
-        for branch in &self.branches {
-            let b = branch.snapshot();
-            total.pq_pushes += b.pq_pushes;
-            total.pq_pops += b.pq_pops;
-            total.cells_created += b.cells_created;
-            total.cells_reused += b.cells_reused;
-            total.tuple_allocs += b.tuple_allocs;
-            total.frontier_bytes += b.frontier_bytes;
-            total.frontier_peak_bytes += b.frontier_peak_bytes;
-        }
-        total
+        self.stats
+            .snapshot()
+            .with_parts(self.branches.iter().map(BranchStream::snapshot))
     }
 }
 
@@ -175,7 +172,7 @@ impl<R: Ranking + Clone + 'static> Iterator for UnionEnumerator<R> {
             let Reverse(entry) = self.pq.pop()?;
             self.stats.record_pop();
             if let Some(tuple) = self.branches[entry.source].next() {
-                let key = self.ranking.key_of(&self.projection, &tuple);
+                let key = self.ranking.key(&self.plan, &tuple);
                 self.pq.push(Reverse(MergeEntry {
                     key,
                     tuple,
@@ -314,6 +311,48 @@ mod tests {
         );
         let drained: Vec<Tuple> = e.collect();
         assert_eq!(drained.len(), 4);
+    }
+
+    #[test]
+    fn snapshot_folds_every_branch_counter_but_answers() {
+        // The 2-hop ∪ 3-hop shape of the benchmark's `union23`.
+        let mut db = Database::new();
+        let rows: Vec<Tuple> = (0..40u64).map(|i| vec![i % 9, i % 5 + 100]).collect();
+        db.add_relation(Relation::with_tuples("M", attrs(["aid", "pid"]), rows).unwrap())
+            .unwrap();
+        let two = QueryBuilder::new()
+            .atom("M1", "M", ["x", "p1"])
+            .atom("M2", "M", ["y", "p1"])
+            .project(["x", "y"])
+            .build()
+            .unwrap();
+        let three = QueryBuilder::new()
+            .atom("N1", "M", ["x", "p1"])
+            .atom("N2", "M", ["a2", "p1"])
+            .atom("N3", "M", ["a2", "y"])
+            .project(["x", "y"])
+            .build()
+            .unwrap();
+        let sum = SumRanking::value_sum;
+        let branches = [
+            AcyclicEnumerator::new(&two, &db, sum()).unwrap(),
+            AcyclicEnumerator::new(&three, &db, sum()).unwrap(),
+        ];
+        let union = UnionQuery::new(vec![two, three]).unwrap();
+        let mut e = UnionEnumerator::new(&union, &db, sum()).unwrap();
+        let built = e.stats_snapshot();
+        let reduced: u64 = branches.iter().map(|b| b.stats().reduce_input_rows).sum();
+        assert!(reduced > 0);
+        assert_eq!(built.reduce_input_rows, reduced, "both reducers' rows");
+        // Seeding the merge pulled one answer from each branch.
+        let expected = StatsSnapshot::zero().with_parts(branches.into_iter().map(|mut b| {
+            b.next();
+            b.stats().snapshot()
+        }));
+        assert_eq!(built, expected);
+        assert_eq!(built.answers, 0, "a branch answer is not a union answer");
+        assert_eq!(e.by_ref().take(5).count(), 5);
+        assert_eq!(e.stats_snapshot().answers, 5);
     }
 
     #[test]

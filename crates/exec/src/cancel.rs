@@ -99,11 +99,22 @@ impl CancelToken {
     /// explicit cancel takes precedence over a simultaneously-passed
     /// deadline (the client asked first).
     pub fn check(&self) -> Result<(), CancelKind> {
+        self.check_with(Instant::now)
+    }
+
+    /// [`CancelToken::check`] against a clock reading the caller already
+    /// took, for loops that time every iteration anyway.
+    pub fn check_at(&self, now: Instant) -> Result<(), CancelKind> {
+        self.check_with(|| now)
+    }
+
+    /// The clock is read only when there is a deadline to hold it against.
+    fn check_with(&self, now: impl FnOnce() -> Instant) -> Result<(), CancelKind> {
         if self.inner.cancelled.load(Ordering::Relaxed) {
             return Err(CancelKind::Explicit);
         }
         match self.inner.deadline {
-            Some(d) if Instant::now() >= d => Err(CancelKind::Deadline),
+            Some(d) if now() >= d => Err(CancelKind::Deadline),
             _ => Ok(()),
         }
     }
@@ -141,6 +152,20 @@ mod tests {
         assert_eq!(t.check(), Ok(()));
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(t.check(), Err(CancelKind::Deadline));
+    }
+
+    #[test]
+    fn check_at_holds_the_deadline_against_the_callers_clock_reading() {
+        let t = CancelToken::with_deadline(Duration::from_secs(3600));
+        let now = Instant::now();
+        assert_eq!(t.check_at(now), Ok(()));
+        assert_eq!(
+            t.check_at(now + Duration::from_secs(7200)),
+            Err(CancelKind::Deadline)
+        );
+        assert_eq!(t.check(), Ok(()), "the real clock has not moved");
+        t.cancel();
+        assert_eq!(t.check_at(now), Err(CancelKind::Explicit));
     }
 
     #[test]

@@ -100,22 +100,11 @@ impl WeightAssignment {
             .collect()
     }
 
-    /// The weight of a value under an attribute.
+    /// The weight of a value under an attribute — a convenience over
+    /// [`WeightAssignment::resolver`] for one-off lookups; anything that
+    /// looks up many values of one attribute resolves it once instead.
     pub fn weight_of(&self, attr: &Attr, value: Value) -> Weight {
-        if let Some(table) = self.tables.get(attr) {
-            if let Some(w) = table.get(&value) {
-                return *w;
-            }
-        }
-        let default = self
-            .attr_defaults
-            .get(attr)
-            .copied()
-            .unwrap_or(self.default);
-        match default {
-            DefaultWeight::ValueAsWeight => Weight::new(value as f64),
-            DefaultWeight::Zero => Weight::ZERO,
-        }
+        self.resolver(attr).weight_of(value)
     }
 
     /// Whether the attribute has an explicit table.
@@ -124,20 +113,26 @@ impl WeightAssignment {
     }
 
     /// A per-attribute resolver: the attribute's table and effective
-    /// default, resolved **once**. [`WeightAssignment::weight_of`] pays two
-    /// hash lookups per call (attribute, then value); inside a sort or a
-    /// bulk decorate pass that doubles the hash traffic for no reason —
-    /// resolve the attribute up front and each value costs at most one
-    /// lookup.
-    pub fn resolver(&self, attr: &Attr) -> AttrWeights<'_> {
+    /// default, resolved **once**. Looking a value up by attribute name
+    /// hashes the name into two maps before it reaches the value; ranking
+    /// plans, sorts and bulk decorate passes resolve each attribute up
+    /// front so a value costs at most one lookup (none without a table).
+    /// The resolver shares the table (`Arc`), so it outlives `self`.
+    pub fn resolver(&self, attr: &Attr) -> AttrWeights {
         AttrWeights {
-            table: self.tables.get(attr).map(Arc::as_ref),
+            table: self.tables.get(attr).cloned(),
             default: self
                 .attr_defaults
                 .get(attr)
                 .copied()
                 .unwrap_or(self.default),
         }
+    }
+
+    /// One resolver per attribute of `attrs`, in order — the shape of a
+    /// ranking plan.
+    pub fn resolvers(&self, attrs: &[Attr]) -> Vec<AttrWeights> {
+        attrs.iter().map(|a| self.resolver(a)).collect()
     }
 
     /// Bulk lookup: the weights of `values` under `attr`, in order — the
@@ -150,21 +145,19 @@ impl WeightAssignment {
 
 /// A [`WeightAssignment`] restricted to one attribute (see
 /// [`WeightAssignment::resolver`]).
-#[derive(Clone, Copy, Debug)]
-pub struct AttrWeights<'a> {
-    table: Option<&'a HashMap<Value, Weight>>,
+#[derive(Clone, Debug)]
+pub struct AttrWeights {
+    table: Option<Arc<HashMap<Value, Weight>>>,
     default: DefaultWeight,
 }
 
-impl AttrWeights<'_> {
+impl AttrWeights {
     /// The weight of one value — a single hash lookup (none when the
     /// attribute has no table).
     #[inline]
     pub fn weight_of(&self, value: Value) -> Weight {
-        if let Some(table) = self.table {
-            if let Some(w) = table.get(&value) {
-                return *w;
-            }
+        if let Some(w) = self.table.as_ref().and_then(|t| t.get(&value)) {
+            return *w;
         }
         match self.default {
             DefaultWeight::ValueAsWeight => Weight::new(value as f64),

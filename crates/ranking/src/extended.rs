@@ -16,7 +16,7 @@
 //! sub-tuple with a higher-keyed one must never lower the combined key);
 //! this is asserted in debug builds and documented per type.
 
-use crate::assignment::WeightAssignment;
+use crate::assignment::{AttrWeights, WeightAssignment};
 use crate::rank::Ranking;
 use crate::weight::{ExactSum, Weight};
 use re_storage::{Attr, Value};
@@ -62,17 +62,17 @@ impl Ranking for ProductRanking {
     /// of the factor order, which the enumerators' duplicate elimination and
     /// priority-queue invariants require (per-node attribute orders differ).
     type Key = ExactSum;
-    type Plan = Vec<Attr>;
+    type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        attrs.to_vec()
+        self.weights.resolvers(attrs)
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
         debug_assert_eq!(plan.len(), values.len());
         let mut prod = ExactSum::from(Weight::new(1.0));
-        for (a, &v) in plan.iter().zip(values) {
-            let w = self.weights.weight_of(a, v);
+        for (weights, &v) in plan.iter().zip(values) {
+            let w = weights.weight_of(v);
             debug_assert_non_negative(w, "ProductRanking");
             prod = prod.scale(w.value());
         }
@@ -105,10 +105,10 @@ impl Ranking for AvgRanking {
     /// Keys are the exact weight sum scaled exactly by `1/n` (see
     /// [`ExactSum`] for why exactness matters to the enumerators).
     type Key = ExactSum;
-    type Plan = Vec<Attr>;
+    type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        attrs.to_vec()
+        self.weights.resolvers(attrs)
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
@@ -120,11 +120,7 @@ impl Ranking for AvgRanking {
         // exact scaling per key preserves the raw-sum order at every tree
         // level (dividing each term separately would round with a different
         // divisor per node and lose cross-level consistency).
-        let sum = ExactSum::of(
-            plan.iter()
-                .zip(values)
-                .map(|(a, &v)| self.weights.weight_of(a, v)),
-        );
+        let sum = ExactSum::of(plan.iter().zip(values).map(|(w, &v)| w.weight_of(v)));
         sum.scale(1.0 / plan.len() as f64)
     }
 }
@@ -192,10 +188,11 @@ impl WeightedSumRanking {
     }
 }
 
-/// Key plan for [`WeightedSumRanking`]: the coefficient of each position.
+/// Key plan for [`WeightedSumRanking`]: the weights and the coefficient of
+/// each position.
 #[derive(Clone, Debug)]
 pub struct WeightedSumPlan {
-    slots: Vec<(Attr, f64)>,
+    slots: Vec<(AttrWeights, f64)>,
 }
 
 impl Ranking for WeightedSumRanking {
@@ -208,7 +205,7 @@ impl Ranking for WeightedSumRanking {
         WeightedSumPlan {
             slots: attrs
                 .iter()
-                .map(|a| (a.clone(), self.coefficient(a)))
+                .map(|a| (self.weights.resolver(a), self.coefficient(a)))
                 .collect(),
         }
     }
@@ -219,7 +216,7 @@ impl Ranking for WeightedSumRanking {
             plan.slots
                 .iter()
                 .zip(values)
-                .map(|((a, c), &v)| Weight::new(c * self.weights.weight_of(a, v).value())),
+                .map(|((w, c), &v)| Weight::new(c * w.weight_of(v).value())),
         )
     }
 }
@@ -270,11 +267,11 @@ impl SumProductRanking {
     }
 }
 
-/// Key plan for [`SumProductRanking`]: for each position, the group index
-/// (`usize::MAX` = uncovered singleton).
+/// Key plan for [`SumProductRanking`]: for each position, its weights and
+/// the group index (`usize::MAX` = uncovered singleton).
 #[derive(Clone, Debug)]
 pub struct SumProductPlan {
-    slots: Vec<(Attr, usize)>,
+    slots: Vec<(AttrWeights, usize)>,
     group_count: usize,
 }
 
@@ -288,7 +285,10 @@ impl Ranking for SumProductRanking {
         SumProductPlan {
             slots: attrs
                 .iter()
-                .map(|a| (a.clone(), self.group_of(a).unwrap_or(usize::MAX)))
+                .map(|a| {
+                    let group = self.group_of(a).unwrap_or(usize::MAX);
+                    (self.weights.resolver(a), group)
+                })
                 .collect(),
             group_count: self.groups.len(),
         }
@@ -302,8 +302,8 @@ impl Ranking for SumProductRanking {
         // contribute a neutral factor of 1, which keeps the key monotone.
         let mut products: Vec<Option<ExactSum>> = vec![None; plan.group_count];
         let mut total = ExactSum::zero();
-        for ((a, g), &v) in plan.slots.iter().zip(values) {
-            let w = self.weights.weight_of(a, v);
+        for ((weights, g), &v) in plan.slots.iter().zip(values) {
+            let w = weights.weight_of(v);
             debug_assert_non_negative(w, "SumProductRanking");
             if *g == usize::MAX {
                 total.add_weight(w);

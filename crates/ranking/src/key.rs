@@ -1,4 +1,4 @@
-//! Interning identity for rank keys.
+//! Interning identity and inline order hints for rank keys.
 //!
 //! The frontier kernel in `rankedenum-core` stores every distinct rank key
 //! **once** in a per-node interner and lets priority-queue entries carry a
@@ -7,7 +7,8 @@
 //! expansion or a lexicographic key vector grows. Interning needs two
 //! things beyond the [`Ord`] bound every key already has: a cheap hash of
 //! the key's *representation* to bucket candidates, and a byte count for
-//! memory accounting. [`RankKey`] provides both.
+//! memory accounting. [`RankKey`] provides both, plus a 64-bit order hint
+//! that lets most heap comparisons skip the interner altogether.
 //!
 //! The fingerprint contract is deliberately one-sided:
 //!
@@ -23,13 +24,27 @@
 //! with their value-based `Eq` (e.g. [`ExactSum`] equality is decided by
 //! an exact difference, not by representation), but a representation
 //! fingerprint is always available.
+//!
+//! The [`prefix`](RankKey::prefix) contract is one-sided in the same way:
+//!
+//! * `a.prefix() < b.prefix()` MUST imply `a < b`, while
+//! * equal prefixes decide nothing — the keys may compare either way.
+//!
+//! Equivalently, the prefix is a *weakly* monotone function of the key:
+//! `a ≤ b` implies `a.prefix() ≤ b.prefix()`, so in particular equal keys
+//! have equal prefixes. A frontier entry carries its key's prefix inline
+//! and a comparison consults the interned keys only when two prefixes are
+//! equal. The constant `0` — the default — satisfies the contract for any
+//! key type: it just never decides. A single-`f64` key's prefix is exact
+//! (it decides every comparison between unequal keys); a composite key
+//! projects onto something coarser that still never contradicts `Ord`.
 
-use crate::weight::{ExactSum, Weight};
+use crate::weight::{order_bits, ExactSum, Weight};
 use std::fmt::Debug;
-use std::hash::Hasher;
 
 /// A rank key that can be interned: totally ordered, cloneable, and able
-/// to report a representation fingerprint plus its owned heap bytes.
+/// to report a representation fingerprint, an order prefix, and its owned
+/// heap bytes.
 ///
 /// This is the bound on [`Ranking::Key`](crate::Ranking::Key); every key
 /// type shipped by this crate implements it, as do the integer types (for
@@ -40,6 +55,13 @@ pub trait RankKey: Ord + Clone + Debug + Send {
     /// (see the module docs for why that is sound).
     fn fingerprint(&self) -> u64;
 
+    /// A 64-bit order hint: `a.prefix() < b.prefix()` must imply `a < b`;
+    /// equal prefixes decide nothing (see the module docs). The default
+    /// never decides, which is always correct.
+    fn prefix(&self) -> u64 {
+        0
+    }
+
     /// Heap bytes owned by the key beyond `size_of::<Self>()`. Used for
     /// frontier memory accounting; an estimate based on `len` (not
     /// capacity) so it is deterministic across runs.
@@ -48,14 +70,13 @@ pub trait RankKey: Ord + Clone + Debug + Send {
     }
 }
 
-/// `DefaultHasher` seeded deterministically (its `new()` uses fixed keys),
-/// so fingerprints are stable within a process run.
-fn hash_u64s(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for w in words {
-        h.write_u64(w);
-    }
-    h.finish()
+/// Fold `words` into one fingerprint by multiply-rotate. Weak on its own,
+/// and that is enough: the interner re-mixes every fingerprint before it
+/// picks a slot, and a collision costs one extra `Ord` comparison.
+fn fold_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0, |h: u64, w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    })
 }
 
 impl RankKey for Weight {
@@ -65,29 +86,43 @@ impl RankKey for Weight {
     fn fingerprint(&self) -> u64 {
         self.value().to_bits()
     }
+
+    /// Exact: the order-preserving image of the weight's bits.
+    fn prefix(&self) -> u64 {
+        order_bits(self.value())
+    }
 }
 
 impl RankKey for ExactSum {
     /// Canonical (compressed, nonadjacent) expansions of the same value
-    /// agree component-wise in practice; the fingerprint hashes the
+    /// agree component-wise in practice; the fingerprint folds the
     /// component bits in order.
     fn fingerprint(&self) -> u64 {
-        hash_u64s(self.components().iter().map(|c| c.to_bits()))
+        fold_words(self.components().iter().map(|c| c.to_bits()))
+    }
+
+    /// The order-preserving image of the exact value rounded towards −∞
+    /// ([`ExactSum::floor`]) — exact for one-component sums; a longer
+    /// expansion shares its prefix with the `f64` just below its value,
+    /// and the interned keys settle that pair.
+    fn prefix(&self) -> u64 {
+        order_bits(self.floor())
     }
 
     fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(self.components())
+        ExactSum::heap_bytes(self)
     }
 }
 
 impl<K: RankKey> RankKey for Vec<K> {
     fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        h.write_usize(self.len());
-        for k in self {
-            h.write_u64(k.fingerprint());
-        }
-        h.finish()
+        fold_words(std::iter::once(self.len() as u64).chain(self.iter().map(RankKey::fingerprint)))
+    }
+
+    /// Lexicographic order is decided by the first element whenever the
+    /// first elements differ; the empty vector sorts first.
+    fn prefix(&self) -> u64 {
+        self.first().map_or(0, RankKey::prefix)
     }
 
     fn heap_bytes(&self) -> usize {
@@ -96,16 +131,23 @@ impl<K: RankKey> RankKey for Vec<K> {
 }
 
 macro_rules! int_rank_key {
-    ($($t:ty),*) => {
+    ($sign_bit:expr => $($t:ty),*) => {
         $(impl RankKey for $t {
             fn fingerprint(&self) -> u64 {
                 *self as u64
+            }
+
+            /// Exact: the value itself, offset so that negative values
+            /// sort below non-negative ones.
+            fn prefix(&self) -> u64 {
+                (*self as u64) ^ $sign_bit
             }
         })*
     };
 }
 
-int_rank_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_rank_key!(0 => u8, u16, u32, u64, usize);
+int_rank_key!(1 << 63 => i8, i16, i32, i64, isize);
 
 #[cfg(test)]
 mod tests {
@@ -144,12 +186,185 @@ mod tests {
 
     #[test]
     fn heap_bytes_track_component_count() {
-        assert_eq!(ExactSum::zero().heap_bytes(), 0);
-        let s = ExactSum::of([Weight::new(1e16), Weight::new(0.5)]);
-        assert_eq!(s.heap_bytes(), s.components().len() * 8);
-        assert!(s.heap_bytes() >= 16, "two-component expansion");
+        assert_eq!(RankKey::heap_bytes(&ExactSum::zero()), 0);
+        let inline = ExactSum::of([Weight::new(1e16), Weight::new(0.5)]);
+        assert_eq!(inline.components().len(), 2);
+        assert_eq!(
+            RankKey::heap_bytes(&inline),
+            0,
+            "two components stay inline"
+        );
+        let spilled = ExactSum::of([1e32, 1e16, 0.5].map(Weight::new));
+        assert_eq!(spilled.components().len(), 3);
+        assert_eq!(RankKey::heap_bytes(&spilled), 3 * 8);
         let v: Vec<Weight> = vec![Weight::new(1.0); 3];
         assert_eq!(v.heap_bytes(), 3 * std::mem::size_of::<Weight>());
         assert_eq!(7u64.heap_bytes(), 0);
+    }
+
+    /// Sums built to sit on the prefix contract's edges: one- to
+    /// four-component expansions, mixed signs and cancellation, adjacent
+    /// floats, binade boundaries, ±0 and subnormals — plus a seeded random
+    /// fill around each of them.
+    fn adversarial_sums() -> Vec<ExactSum> {
+        let big = (1u64 << 60) as f64;
+        let tiny = f64::from_bits(1);
+        let mut addends: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![0.0],
+            vec![-0.0],
+            vec![0.1, -0.1],
+            vec![big, 1.0, -(big - 1024.0)],
+            vec![1e16, 0.5],
+            vec![1e16, 1.0],
+            vec![1e16, -0.5],
+            vec![-1e16, 0.5],
+            vec![-1e16, -0.5],
+            vec![1e32, 1e16, 0.5],
+            vec![1e32, -1e16, 0.5],
+            vec![1e300, 1.0, -1e300, 1e-300, 3.5, -1.0],
+            vec![tiny],
+            vec![-tiny],
+            vec![tiny, tiny],
+            vec![f64::MIN_POSITIVE, -tiny],
+            vec![f64::MIN_POSITIVE, tiny],
+            vec![1.0, tiny],
+            vec![1.0, -tiny],
+            vec![-1.0, tiny],
+            vec![-1.0, -tiny],
+            vec![0.1, 0.2],
+            vec![0.3],
+            vec![0.1, 0.2, 0.3],
+        ];
+        // Binade boundaries and their neighbours, alone and nudged by a
+        // quarter, a half and a whole ulp from either side.
+        for exp in [-1022, -52, -1, 0, 1, 52, 53, 60, 1000] {
+            let edge = 2.0f64.powi(exp);
+            for base in [
+                edge,
+                edge.next_down(),
+                edge.next_up(),
+                -edge,
+                -edge.next_up(),
+            ] {
+                let ulp = base.abs().next_up() - base.abs();
+                addends.push(vec![base]);
+                for nudge in [ulp / 4.0, ulp / 2.0, ulp, -ulp / 4.0, -ulp / 2.0, -ulp] {
+                    addends.push(vec![base, nudge]);
+                    addends.push(vec![base, nudge, nudge / 1024.0]);
+                }
+            }
+        }
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut draw = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..400 {
+            // Two to four addends a few binades apart, signs mixed: sums
+            // whose dominant components collide or sit one ulp apart.
+            let scale = 2.0f64.powi((draw() % 9) as i32 * 26 - 104);
+            let n = 2 + draw() % 3;
+            let sum = (0..n)
+                .map(|i| {
+                    let mantissa = (draw() >> 11) as f64 / (1u64 << 53) as f64;
+                    let sign = if draw() % 3 == 0 { -1.0 } else { 1.0 };
+                    sign * (1.0 + mantissa) * scale * 2.0f64.powi(-(i as i32) * 27)
+                })
+                .collect();
+            addends.push(sum);
+        }
+        addends
+            .into_iter()
+            .map(|ws| ExactSum::of(ws.into_iter().map(Weight)))
+            .collect()
+    }
+
+    /// Both halves of the contract over every ordered pair of `keys`.
+    fn assert_prefix_contract<K: RankKey>(keys: &[K]) {
+        for a in keys {
+            for b in keys {
+                if a.prefix() < b.prefix() {
+                    assert!(a < b, "prefix({a:?}) < prefix({b:?}) but not a < b");
+                }
+                if a == b {
+                    assert_eq!(a.prefix(), b.prefix(), "{a:?} == {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_sum_prefixes_never_contradict_the_exact_order() {
+        let sums = adversarial_sums();
+        assert!(sums.iter().any(|s| s.components().len() >= 3));
+        assert!(
+            sums.iter().filter(|s| s.components().len() == 2).count() > 100,
+            "the pool must be dominated by multi-component sums"
+        );
+        assert_prefix_contract(&sums);
+        // One-component sums are decided by their prefixes alone.
+        for a in sums.iter().filter(|s| s.components().len() <= 1) {
+            for b in sums.iter().filter(|s| s.components().len() <= 1) {
+                assert_eq!(a.prefix().cmp(&b.prefix()), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn weight_vector_and_integer_prefixes_satisfy_the_contract() {
+        let tiny = f64::from_bits(1);
+        let weights: Vec<Weight> = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0f64.next_up(),
+            2.0,
+            1e300,
+            f64::INFINITY,
+        ]
+        .map(Weight)
+        .to_vec();
+        assert_prefix_contract(&weights);
+        for (a, b) in weights.iter().zip(&weights[1..]) {
+            assert!(
+                a.prefix() < b.prefix(),
+                "{a:?} {b:?}: weight prefixes are exact"
+            );
+        }
+        let mut vectors: Vec<Vec<Weight>> = vec![vec![]];
+        for &w in &weights {
+            vectors.push(vec![w]);
+            vectors.push(vec![w, Weight(-5.0)]);
+            vectors.push(vec![w, Weight(7.0)]);
+        }
+        assert_prefix_contract(&vectors);
+        assert_prefix_contract(&[i64::MIN, -2, -1, 0, 1, 2, i64::MAX]);
+        assert_prefix_contract(&[i8::MIN, -1, 0, 1, i8::MAX]);
+        assert_prefix_contract(&[0u64, 1, 2, u64::MAX]);
+        assert_prefix_contract(&[0u8, 1, u8::MAX]);
+        assert_prefix_contract(&[0usize, 9, usize::MAX]);
+        assert!((-1i32).prefix() < 0i32.prefix() && 0i32.prefix() < 1i32.prefix());
+    }
+
+    #[test]
+    fn the_default_prefix_never_decides() {
+        #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+        struct Custom(u32);
+        impl RankKey for Custom {
+            fn fingerprint(&self) -> u64 {
+                u64::from(self.0)
+            }
+        }
+        assert_eq!(Custom(1).prefix(), Custom(2).prefix());
+        assert_prefix_contract(&[Custom(1), Custom(2)]);
     }
 }

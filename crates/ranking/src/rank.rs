@@ -8,7 +8,7 @@
 //! (a larger key for the sub-tuple) can never make the whole tuple better.
 //! SUM, LEXICOGRAPHIC, MIN and MAX all have this property.
 
-use crate::assignment::WeightAssignment;
+use crate::assignment::{AttrWeights, WeightAssignment};
 use crate::key::RankKey;
 use crate::weight::{ExactSum, Weight};
 use re_storage::{Attr, Value};
@@ -76,19 +76,17 @@ impl Ranking for SumRanking {
     /// are added in, which the enumerators' duplicate elimination relies on
     /// (see [`ExactSum`] for the invariants).
     type Key = ExactSum;
-    type Plan = Vec<Attr>;
+    /// The weights of each position, resolved once per plan: computing a
+    /// key never hashes an attribute name.
+    type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        attrs.to_vec()
+        self.weights.resolvers(attrs)
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
         debug_assert_eq!(plan.len(), values.len());
-        ExactSum::of(
-            plan.iter()
-                .zip(values)
-                .map(|(a, &v)| self.weights.weight_of(a, v)),
-        )
+        ExactSum::of(plan.iter().zip(values).map(|(w, &v)| w.weight_of(v)))
     }
 }
 
@@ -165,11 +163,11 @@ impl LexRanking {
 }
 
 /// Key plan for [`LexRanking`]: for each key slot (in global priority
-/// order), which input position to read, which attribute it is, and its
-/// direction.
+/// order), which input position to read, that attribute's weights, and
+/// its direction.
 #[derive(Clone, Debug)]
 pub struct LexPlan {
-    slots: Vec<(usize, Attr, Direction)>,
+    slots: Vec<(usize, AttrWeights, Direction)>,
 }
 
 impl Ranking for LexRanking {
@@ -177,20 +175,22 @@ impl Ranking for LexRanking {
     type Plan = LexPlan;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        let mut slots: Vec<(usize, Attr, Direction)> = attrs
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (i, a.clone(), self.direction(a)))
-            .collect();
-        slots.sort_by_key(|(i, a, _)| (self.position(a), *i));
-        LexPlan { slots }
+        let mut order: Vec<usize> = (0..attrs.len()).collect();
+        order.sort_by_key(|&i| (self.position(&attrs[i]), i));
+        let slot = |i: usize| {
+            let a = &attrs[i];
+            (i, self.weights.resolver(a), self.direction(a))
+        };
+        LexPlan {
+            slots: order.into_iter().map(slot).collect(),
+        }
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
         plan.slots
             .iter()
-            .map(|(i, a, d)| {
-                let w = self.weights.weight_of(a, values[*i]);
+            .map(|(i, weights, d)| {
+                let w = weights.weight_of(values[*i]);
                 match d {
                     Direction::Asc => w,
                     Direction::Desc => -w,
@@ -216,16 +216,16 @@ impl MinRanking {
 
 impl Ranking for MinRanking {
     type Key = Weight;
-    type Plan = Vec<Attr>;
+    type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        attrs.to_vec()
+        self.weights.resolvers(attrs)
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
         plan.iter()
             .zip(values)
-            .map(|(a, &v)| self.weights.weight_of(a, v))
+            .map(|(w, &v)| w.weight_of(v))
             .min()
             .unwrap_or(Weight::ZERO)
     }
@@ -247,16 +247,16 @@ impl MaxRanking {
 
 impl Ranking for MaxRanking {
     type Key = Weight;
-    type Plan = Vec<Attr>;
+    type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        attrs.to_vec()
+        self.weights.resolvers(attrs)
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
         plan.iter()
             .zip(values)
-            .map(|(a, &v)| self.weights.weight_of(a, v))
+            .map(|(w, &v)| w.weight_of(v))
             .max()
             .unwrap_or(Weight::ZERO)
     }

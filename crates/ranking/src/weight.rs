@@ -101,6 +101,15 @@ impl fmt::Display for Weight {
     }
 }
 
+/// The order-preserving image of an `f64` in `u64`: `order_bits(a) <
+/// order_bits(b)` exactly when `a.total_cmp(&b)` is `Less` (the IEEE bits
+/// with the sign bit flipped for non-negative values and every bit flipped
+/// for negative ones).
+pub(crate) fn order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
 /// An **exact** sum of `f64` weights, represented as a nonoverlapping
 /// expansion (Shewchuk, *Adaptive Precision Floating-Point Arithmetic*).
 ///
@@ -122,15 +131,36 @@ impl fmt::Display for Weight {
 /// non-overlapping components, so addition is truly associative and
 /// commutative and comparisons are exact.
 ///
-/// Expansions of practically encountered sums have 1–3 components, so keys
-/// stay cheap to store and compare.
-#[derive(Clone, Debug, Default)]
+/// Expansions of practically encountered sums have 1–3 components. Up to
+/// two of them live in the value itself (24 bytes, no
+/// heap block): computing, cloning, comparing and dropping such a key
+/// never touches the allocator. Longer expansions spill to a boxed slice.
+/// The representation changes nothing about the invariants: the component
+/// list is the same canonical list either way.
+#[derive(Clone, Debug)]
 pub struct ExactSum {
     /// Nonadjacent (hence nonoverlapping) components in increasing
-    /// magnitude order, zeros eliminated — `compress` re-canonicalises
+    /// magnitude order, zeros eliminated — [`compress`] re-canonicalises
     /// after every mutation. Empty means zero. The last component
     /// determines the sign and approximates the total to within one ulp.
-    components: Vec<f64>,
+    repr: Repr,
+}
+
+/// Components an [`ExactSum`] stores without a heap block.
+const INLINE: usize = 2;
+
+#[derive(Clone, Debug)]
+enum Repr {
+    /// `components[..len]`, `len ≤ INLINE`.
+    Inline { len: u8, components: [f64; INLINE] },
+    /// More than `INLINE` components.
+    Spilled(Box<[f64]>),
+}
+
+impl Default for ExactSum {
+    fn default() -> Self {
+        ExactSum::from_canonical(&[])
+    }
 }
 
 /// Error-free transformation: `a + b = s + err` exactly (Knuth's TwoSum).
@@ -158,10 +188,88 @@ fn two_product(a: f64, b: f64) -> (f64, f64) {
     (p, err)
 }
 
+/// Canonicalise `e` in place to a **nonadjacent** expansion (Shewchuk's
+/// COMPRESS) and return its new length.
+///
+/// GROW-EXPANSION keeps expansions nonoverlapping but not nonadjacent:
+/// after cancellation (mixed-sign addends) the components below the top
+/// one can be far larger than one ulp of the top — e.g. adding
+/// `2^60, 1, -(2^60 - 1024)` leaves `[1.0, 1024.0]` for the value 1025.
+/// The dominant-component shortcut in [`ExactSum::cmp_exact`] is only
+/// sound for nonadjacent expansions (tail < 1 ulp of the top), so every
+/// mutation re-canonicalises. Compression also collapses exactly
+/// representable sums to a single component, which is the fast path for
+/// both comparison and equality.
+fn compress(e: &mut [f64]) -> usize {
+    let m = e.len();
+    if m < 2 {
+        // The in-place grow pass keeps zero residuals (and can leave a
+        // zero total on full cancellation); canonical form has none.
+        return usize::from(m == 1 && e[0] != 0.0);
+    }
+    // Downward pass: sweep significant partial sums towards the top,
+    // storing them from the top end down.
+    let mut q = e[m - 1];
+    let mut bottom = m - 1;
+    for i in (0..m - 1).rev() {
+        let (big, small) = fast_two_sum(q, e[i]);
+        if small != 0.0 {
+            e[bottom] = big;
+            bottom -= 1;
+            q = small;
+        } else {
+            q = big;
+        }
+    }
+    e[bottom] = q;
+    // Upward pass: re-accumulate, emitting finalised low components.
+    let mut out = 0usize;
+    let mut q = e[bottom];
+    for i in bottom + 1..m {
+        let (big, small) = fast_two_sum(e[i], q);
+        if small != 0.0 {
+            e[out] = small;
+            out += 1;
+        }
+        q = big;
+    }
+    if q != 0.0 {
+        e[out] = q;
+        out += 1;
+    }
+    out
+}
+
+/// Run `f` over a zeroed scratch slice of `len` components: on the stack
+/// for every expansion that occurs in practice, in a `Vec` beyond that.
+fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [f64]) -> T) -> T {
+    const STACK: usize = 8;
+    if len <= STACK {
+        f(&mut [0.0; STACK][..len])
+    } else {
+        f(&mut vec![0.0; len])
+    }
+}
+
 impl ExactSum {
     /// The empty (zero) sum.
     pub fn zero() -> Self {
         ExactSum::default()
+    }
+
+    /// Wrap an already canonical component list.
+    fn from_canonical(components: &[f64]) -> Self {
+        let repr = if components.len() <= INLINE {
+            let mut inline = [0.0; INLINE];
+            inline[..components.len()].copy_from_slice(components);
+            Repr::Inline {
+                len: components.len() as u8,
+                components: inline,
+            }
+        } else {
+            Repr::Spilled(components.into())
+        };
+        ExactSum { repr }
     }
 
     /// Exact sum of an iterator of weights.
@@ -173,81 +281,42 @@ impl ExactSum {
         s
     }
 
-    /// Add a raw `f64` exactly (GROW-EXPANSION, in place).
+    /// Add a raw `f64` exactly (GROW-EXPANSION followed by COMPRESS).
     ///
     /// This is the innermost loop of successor-key computation in the
-    /// enumerators, so the grow pass mutates the component buffer directly
-    /// instead of allocating a fresh one per addend: each residual
-    /// overwrites the component it came from (zeros included — `compress`
-    /// eliminates them while re-canonicalising), and only the final partial
-    /// sum is pushed. The buffer's capacity is reused across additions.
+    /// enumerators, so it never allocates unless the result itself has to
+    /// spill: sums of up to one component — every step of a two-weight
+    /// key — are a single TwoSum, longer ones grow and compress in a stack
+    /// scratch buffer.
     pub fn add(&mut self, x: f64) {
         if x == 0.0 {
             return;
         }
-        let mut q = x;
-        for e in self.components.iter_mut() {
-            let (s, err) = two_sum(q, *e);
-            *e = err;
-            q = s;
-        }
-        self.components.push(q);
-        self.compress();
-    }
-
-    /// Canonicalise to a **nonadjacent** expansion (Shewchuk's COMPRESS).
-    ///
-    /// GROW-EXPANSION keeps expansions nonoverlapping but not nonadjacent:
-    /// after cancellation (mixed-sign addends) the components below the top
-    /// one can be far larger than one ulp of the top — e.g. adding
-    /// `2^60, 1, -(2^60 - 1024)` leaves `[1.0, 1024.0]` for the value 1025.
-    /// The dominant-component shortcut in [`ExactSum::cmp_exact`] is only
-    /// sound for nonadjacent expansions (tail < 1 ulp of the top), so every
-    /// mutation re-canonicalises. Compression also collapses exactly
-    /// representable sums to a single component, which is the fast path for
-    /// both comparison and equality.
-    fn compress(&mut self) {
-        let e = &mut self.components;
-        let m = e.len();
-        if m < 2 {
-            // The in-place grow pass keeps zero residuals (and can push a
-            // zero total on full cancellation); canonical form has none.
-            if m == 1 && e[0] == 0.0 {
-                e.clear();
+        *self = match *self.components() {
+            [] => ExactSum::from_canonical(&[x]),
+            [c] => {
+                // `[err, s]` is what the general path below would produce:
+                // `s` is the rounded sum and `err` its roundoff, which
+                // COMPRESS leaves as they are.
+                let (s, err) = two_sum(x, c);
+                match (err != 0.0, s != 0.0) {
+                    (true, _) => ExactSum::from_canonical(&[err, s]),
+                    (false, true) => ExactSum::from_canonical(&[s]),
+                    (false, false) => ExactSum::zero(),
+                }
             }
-            return;
-        }
-        // Downward pass: sweep significant partial sums towards the top,
-        // storing them from the top end down.
-        let mut q = e[m - 1];
-        let mut bottom = m - 1;
-        for i in (0..m - 1).rev() {
-            let (big, small) = fast_two_sum(q, e[i]);
-            if small != 0.0 {
-                e[bottom] = big;
-                bottom -= 1;
-                q = small;
-            } else {
-                q = big;
-            }
-        }
-        e[bottom] = q;
-        // Upward pass: re-accumulate, emitting finalised low components.
-        let mut out = 0usize;
-        let mut q = e[bottom];
-        for i in bottom + 1..m {
-            let (big, small) = fast_two_sum(e[i], q);
-            if small != 0.0 {
-                e[out] = small;
-                out += 1;
-            }
-            q = big;
-        }
-        if q != 0.0 {
-            e[out] = q;
-            out += 1;
-        }
-        e.truncate(out);
+            ref longer => with_scratch(longer.len() + 1, |e| {
+                let mut q = x;
+                for (slot, &c) in e.iter_mut().zip(longer) {
+                    let (s, err) = two_sum(q, c);
+                    *slot = err;
+                    q = s;
+                }
+                e[longer.len()] = q;
+                let len = compress(e);
+                ExactSum::from_canonical(&e[..len])
+            }),
+        };
     }
 
     /// Add a weight exactly.
@@ -257,7 +326,7 @@ impl ExactSum {
 
     /// Add another exact sum exactly.
     pub fn add_sum(&mut self, other: &ExactSum) {
-        for &c in &other.components {
+        for &c in other.components() {
             self.add(c);
         }
     }
@@ -269,45 +338,98 @@ impl ExactSum {
     /// is independent of the multiplication order.
     #[must_use]
     pub fn scale(&self, b: f64) -> ExactSum {
-        if b == 0.0 || self.components.is_empty() {
+        let Some((&first, rest)) = self.components().split_first() else {
+            return ExactSum::zero();
+        };
+        if b == 0.0 {
             return ExactSum::zero();
         }
-        let mut h: Vec<f64> = Vec::with_capacity(self.components.len() * 2);
-        let (mut q, err) = two_product(self.components[0], b);
-        if err != 0.0 {
-            h.push(err);
-        }
-        for &e in &self.components[1..] {
-            let (t, t_err) = two_product(e, b);
-            let (q2, h1) = two_sum(q, t_err);
-            if h1 != 0.0 {
-                h.push(h1);
+        with_scratch(2 * self.components().len(), |h| {
+            let mut len = 0;
+            let mut emit = |c: f64| {
+                if c != 0.0 {
+                    h[len] = c;
+                    len += 1;
+                }
+            };
+            let (mut q, err) = two_product(first, b);
+            emit(err);
+            for &e in rest {
+                let (t, t_err) = two_product(e, b);
+                let (q2, h1) = two_sum(q, t_err);
+                emit(h1);
+                let (q3, h2) = fast_two_sum(t, q2);
+                emit(h2);
+                q = q3;
             }
-            let (q3, h2) = fast_two_sum(t, q2);
-            if h2 != 0.0 {
-                h.push(h2);
-            }
-            q = q3;
-        }
-        if q != 0.0 {
-            h.push(q);
-        }
-        let mut scaled = ExactSum { components: h };
-        scaled.compress();
-        scaled
+            emit(q);
+            let len = compress(&mut h[..len]);
+            ExactSum::from_canonical(&h[..len])
+        })
     }
 
     /// The canonical component list, in increasing magnitude order (empty
     /// means zero). Exposed for representation fingerprints and memory
     /// accounting; the represented value is the exact sum of the entries.
     pub fn components(&self) -> &[f64] {
-        &self.components
+        match &self.repr {
+            Repr::Inline { len, components } => &components[..usize::from(*len)],
+            Repr::Spilled(components) => components,
+        }
+    }
+
+    /// Heap bytes owned beyond `size_of::<ExactSum>()`: none until the
+    /// expansion spills.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Inline { .. } => 0,
+            Repr::Spilled(components) => std::mem::size_of_val(&**components),
+        }
     }
 
     /// The closest `f64` approximation of the exact sum.
     pub fn approx(&self) -> f64 {
         // Summing small-to-large; the final component dominates.
-        self.components.iter().sum()
+        self.components().iter().sum()
+    }
+
+    /// The exact sum rounded towards −∞ to an `f64`: the largest `f64`
+    /// not above the represented value.
+    ///
+    /// Unlike the dominant component — whose distance to the exact value
+    /// is bounded, but which nothing here proves monotone in it — this is
+    /// a monotone function of the exact value *by definition*, which is
+    /// what lets [`RankKey::prefix`](crate::RankKey::prefix) order keys by
+    /// it. A single component is its own floor. Otherwise the value is
+    /// `top + r` where `r` takes the sign of the next component and
+    /// `0 < |r| < 2·|next|` (components do not overlap): when that bound
+    /// keeps `r` inside the gap between `top` and its neighbouring `f64`
+    /// on that side — as it does for everything `compress` has been seen
+    /// to emit, `next` being the roundoff of `top` — the floor is `top` or
+    /// the `f64` just below it. That is checked, not assumed: when the
+    /// bound does not fit the gap, the floor is found by exact comparisons
+    /// (which rely on nothing beyond the tail band `cmp_exact` already
+    /// trusts).
+    pub fn floor(&self) -> f64 {
+        let (next, top) = match *self.components() {
+            [] => return 0.0,
+            [c] => return c,
+            [.., next, top] => (next, top),
+        };
+        if next > 0.0 && 2.0 * next <= top.next_up() - top {
+            return top;
+        }
+        if next < 0.0 && -2.0 * next <= top - top.next_down() {
+            return top.next_down() + 0.0;
+        }
+        let mut floor = top;
+        while floor.is_finite() && ExactSum::from_canonical(&[floor]) > *self {
+            floor = floor.next_down();
+        }
+        while floor.is_finite() && ExactSum::from_canonical(&[floor.next_up()]) <= *self {
+            floor = floor.next_up();
+        }
+        floor + 0.0
     }
 
     /// Exact sign comparison of `self - other`.
@@ -320,13 +442,14 @@ impl ExactSum {
     /// components alone. Only near-ties fall back to forming the exact
     /// difference.
     fn cmp_exact(&self, other: &ExactSum) -> Ordering {
-        let (x, y) = match (self.components.last(), other.components.last()) {
+        let (mine, theirs) = (self.components(), other.components());
+        let (x, y) = match (mine.last(), theirs.last()) {
             (None, None) => return Ordering::Equal,
             (None, Some(&y)) => return 0.0f64.total_cmp(&y),
             (Some(&x), None) => return x.total_cmp(&0.0),
             (Some(&x), Some(&y)) => (x, y),
         };
-        if self.components.len() == 1 && other.components.len() == 1 {
+        if mine.len() == 1 && theirs.len() == 1 {
             return x.total_cmp(&y);
         }
         // Expansions are kept **nonadjacent** by `compress`, so the
@@ -343,14 +466,14 @@ impl ExactSum {
             return Ordering::Greater;
         }
         // Near-tie: the sign of the exact difference decides.
-        if self.components == other.components {
+        if mine == theirs {
             return Ordering::Equal;
         }
         let mut diff = self.clone();
-        for &c in &other.components {
+        for &c in theirs {
             diff.add(-c);
         }
-        match diff.components.last() {
+        match diff.components().last() {
             None => Ordering::Equal,
             Some(&d) if d > 0.0 => Ordering::Greater,
             Some(_) => Ordering::Less,
@@ -548,14 +671,17 @@ mod tests {
             s.add(0.1 * (i % 7 + 1) as f64);
         }
         assert!(
-            s.components.len() <= 3,
+            s.components().len() <= 3,
             "canonical expansion stays short, got {}",
-            s.components.len()
+            s.components().len()
         );
         let total = s.clone();
         s.add_sum(&total.scale(-1.0));
         assert_eq!(s, ExactSum::zero());
-        assert!(s.components.is_empty(), "cancellation must re-canonicalise");
+        assert!(
+            s.components().is_empty(),
+            "cancellation must re-canonicalise"
+        );
         // Interleaved magnitudes still produce an order-independent result.
         let mut a = ExactSum::zero();
         let mut b = ExactSum::zero();
@@ -576,5 +702,78 @@ mod tests {
         assert!(a < b);
         let f = 1.0 / 3.0;
         assert!(a.scale(f) < b.scale(f), "exact scaling must preserve order");
+    }
+
+    #[test]
+    fn exact_sum_fits_three_words_and_stays_inline_up_to_two_components() {
+        assert!(std::mem::size_of::<ExactSum>() <= 24);
+        let (high, mid) = (2.0f64.powi(120), 2.0f64.powi(60));
+        let two = ExactSum::of([Weight::new(mid), Weight::new(0.5)]);
+        assert_eq!(two.components(), &[0.5, mid]);
+        assert_eq!(two.heap_bytes(), 0);
+        let three = ExactSum::of([high, mid, 0.5].map(Weight::new));
+        assert_eq!(three.components(), &[0.5, mid, high]);
+        assert_eq!(three.heap_bytes(), 24);
+        // Spilled and inline forms of one value are the same key.
+        let mut back = three.clone();
+        back.add(-high);
+        assert_eq!(back.components(), two.components());
+        assert_eq!(back, two);
+        assert_eq!(back.heap_bytes(), 0);
+        // The one-component fast path of `add` matches the general one:
+        // building [a, b] directly or through a longer detour agrees.
+        let direct = ExactSum::of([Weight::new(0.1), Weight::new(0.2)]);
+        let mut detour = ExactSum::of([0.1, 1e20, 0.2].map(Weight::new));
+        detour.add(-1e20);
+        assert_eq!(direct.components(), detour.components());
+    }
+
+    #[test]
+    fn floor_is_the_largest_float_not_above_the_exact_value() {
+        let single = |f: f64| ExactSum::of([Weight(f)]);
+        let tiny = f64::from_bits(1);
+        let cases: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![2.5],
+            vec![-2.5],
+            vec![1e16, 0.5],
+            vec![1e16, -0.5],
+            vec![-1e16, 0.5],
+            vec![-1e16, -0.5],
+            vec![1.0, tiny],
+            vec![1.0, -tiny],
+            vec![-1.0, tiny],
+            vec![-1.0, -tiny],
+            vec![f64::MIN_POSITIVE, -tiny],
+            vec![1e32, 1e16, 0.5],
+            vec![1e32, -1e16, -0.5],
+            vec![0.1, 0.2, 0.3],
+        ];
+        for addends in cases {
+            let s = ExactSum::of(addends.iter().map(|&w| Weight(w)));
+            let floor = s.floor();
+            assert!(single(floor) <= s, "{addends:?}: floor {floor:e} is above");
+            assert!(
+                s < single(floor.next_up()),
+                "{addends:?}: {floor:e} is not the largest"
+            );
+            if s.components().len() <= 1 {
+                assert_eq!(single(floor), s);
+            }
+        }
+        assert_eq!(
+            ExactSum::of([Weight(1.0), Weight(-tiny)]).floor(),
+            1.0f64.next_down()
+        );
+        assert_eq!(ExactSum::of([Weight(1.0), Weight(tiny)]).floor(), 1.0);
+        // A nonoverlapping expansion `compress` would never emit — its
+        // tail is three quarters of an ulp, inside `cmp_exact`'s band but
+        // past the gap to the neighbouring float: the exact search runs.
+        let wide = 0.75 * f64::EPSILON;
+        assert_eq!(ExactSum::from_canonical(&[wide, 1.0]).floor(), 1.0);
+        assert_eq!(
+            ExactSum::from_canonical(&[-wide, 1.0]).floor(),
+            1.0f64.next_down().next_down()
+        );
     }
 }

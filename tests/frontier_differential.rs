@@ -17,8 +17,12 @@
 //! and the accounted frontier footprint of the arena engine undercuts the
 //! reference engine's walked footprint.
 
+mod common;
+
+use common::reference_answers;
 use proptest::prelude::*;
 use rankedenum::prelude::*;
+use rankedenum::ranking::RankKey;
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::{DblpWorkload, ImdbWorkload, LdbcWorkload};
 
@@ -83,8 +87,15 @@ fn acyclic_workloads_match_the_reference_engine() {
 
 /// The bulk preprocessing build (flat key tables, queues sized and
 /// heapified once) must do the same *work* as the one-cell-at-a-time build
-/// it replaced: these are the `EnumStats` of commit b320aa1 on the same
-/// inputs, right after the build and after 500 answers.
+/// it replaced: the cell, push and pop counts are the `EnumStats` of commit
+/// b320aa1 on the same inputs, right after the build and after 500
+/// answers. The two byte columns are those of PR 15's commit, whose heap
+/// entries carry a key prefix and the first tie value (24 bytes, up from
+/// 8), whose cells drop their key id (16 bytes of metadata, down from
+/// 20), whose one- and two-component keys own no heap block, and whose
+/// built queues reserve exactly their length — so retained and live bytes
+/// coincide until a successor push grows a queue. The counts next to them
+/// did not move: a priority-queue operation got cheaper, not rarer.
 #[test]
 fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let dblp = DblpWorkload::generate(700, 11, WeightScheme::Random);
@@ -93,18 +104,18 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let cases: [(_, Counters, Counters); 3] = [
         (
             dblp.two_hop(),
-            (1400, 1400, 0, 100_200, 92_936),
-            (2106, 2106, 1063, 136_936, 126_816),
+            (1400, 1400, 0, 103_800, 103_800),
+            (2106, 2106, 1063, 136_296, 127_728),
         ),
         (
             dblp.three_hop(),
-            (2100, 2100, 0, 135_896, 125_016),
-            (4155, 4155, 2186, 237_608, 225_680),
+            (2100, 2100, 0, 143_760, 143_760),
+            (4155, 4155, 2186, 232_868, 229_724),
         ),
         (
             dblp.four_hop(),
-            (2800, 2800, 0, 163_752, 148_200),
-            (7327, 7327, 4767, 335_296, 317_824),
+            (2800, 2800, 0, 176_200, 176_200),
+            (7327, 7327, 4767, 327_268, 321_508),
         ),
     ];
     let counters = |s: &EnumStats| {
@@ -129,10 +140,10 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
     let (spec, plan) = dblp.cycle(3);
     let mut e = CyclicEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking(), &plan).unwrap();
-    let built = (15_262, 15_262, 0, 717_768, 708_792);
+    let built = (15_262, 15_262, 0, 884_672, 884_672);
     assert_eq!(counters(e.stats()), built, "6-cycle at build");
     assert_eq!(e.by_ref().take(300).count(), 300);
-    let after = (15_262, 15_262, 4043, 717_768, 708_792);
+    let after = (15_262, 15_262, 4043, 884_672, 884_672);
     assert_eq!(counters(e.stats()), after, "6-cycle after 300");
 }
 
@@ -224,6 +235,139 @@ fn star_enumerator_accounts_branch_frontiers() {
             "δ = {delta}: the tradeoff's memory side must be visible"
         );
     }
+}
+
+/// A ranking whose keys keep the default [`RankKey::prefix`]: every heap
+/// entry of every node carries the same prefix, so the entries' inline
+/// words say nothing about the rank order.
+#[derive(Clone)]
+struct NoPrefix<R>(R);
+
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Opaque<K>(K);
+
+impl<K: RankKey> RankKey for Opaque<K> {
+    fn fingerprint(&self) -> u64 {
+        self.0.fingerprint()
+    }
+}
+
+impl<R: Ranking> Ranking for NoPrefix<R> {
+    type Key = Opaque<R::Key>;
+    type Plan = R::Plan;
+
+    fn plan(&self, attrs: &[Attr]) -> Self::Plan {
+        self.0.plan(attrs)
+    }
+
+    fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
+        Opaque(self.0.key(plan, values))
+    }
+}
+
+/// `M(x, c) ⋈ M(y, c)` over `groups` groups of `members` members each,
+/// every member also in the next group so that outputs repeat across
+/// groups.
+fn overlapping_groups(groups: u64, members: u64) -> (Database, JoinProjectQuery) {
+    let mut rel = Relation::new("M", attrs(["e", "c"]));
+    for c in 0..groups {
+        for e in 0..members {
+            rel.push(&[c * (members - 1) + e + 1, c + 1]).unwrap();
+        }
+    }
+    let mut db = Database::new();
+    db.add_relation(rel).unwrap();
+    let query = QueryBuilder::new()
+        .atom("M1", "M", ["x", "c"])
+        .atom("M2", "M", ["y", "c"])
+        .project(["x", "y"])
+        .build()
+        .unwrap();
+    (db, query)
+}
+
+fn assert_matches_materialise_and_sort<R: Ranking + Clone>(
+    query: &JoinProjectQuery,
+    db: &Database,
+    ranking: R,
+    what: &str,
+) {
+    let expected = reference_answers(query, db, &ranking);
+    assert!(
+        expected.len() > 50,
+        "{what}: the instance must be non-trivial"
+    );
+    for root in 0..query.atoms().len() {
+        let tree = JoinTree::build_rooted(query, root).unwrap();
+        let got: Vec<Tuple> = AcyclicEnumerator::with_tree(query, db, ranking.clone(), tree)
+            .unwrap()
+            .collect();
+        assert_eq!(got, expected, "{what}, root {root}");
+    }
+}
+
+/// The ordering trap of inline tie values: an entry's `tie0` is the first
+/// output value, and it may break a tie only between keys that are *known*
+/// equal. On these instances every prefix is equal (the first lexicographic
+/// weight is constant; or the key type has no prefix at all) while the rank
+/// order runs *against* the output order, so a comparator that consulted
+/// `tie0` on equal prefixes would emit by ascending `x` instead of by rank.
+#[test]
+fn equal_prefixes_never_let_the_first_output_value_outrank_the_key() {
+    let (db, query) = overlapping_groups(6, 5);
+    let descending = |attr: &str| -> WeightAssignment {
+        let table = (0..64u64).map(|v| (v, Weight::new(-(v as f64)))).collect();
+        WeightAssignment::value_as_weight().with_table(attr, table)
+    };
+    // LEX on (x, y) where every x weighs the same and y runs backwards.
+    let flat_x = (0..64u64).map(|v| (v, Weight::new(1.0))).collect();
+    let lex = LexRanking::new(["x", "y"], descending("y").with_table("x", flat_x));
+    assert_matches_materialise_and_sort(&query, &db, lex.clone(), "lex");
+    assert_matches_materialise_and_sort(&query, &db, NoPrefix(lex), "lex, no prefix");
+    // MIN, MAX and SUM decided by x alone, larger x first. (y weighs the
+    // same everywhere: MIN and MAX are only weakly monotone, and where two
+    // attributes tie on the extreme the general algorithm promises rank
+    // order but not the tie order of a sort.)
+    let by_x =
+        |y: f64| descending("x").with_table("y", (0..64).map(|v| (v, Weight::new(y))).collect());
+    let min = MinRanking::new(by_x(1e3));
+    assert_matches_materialise_and_sort(&query, &db, min.clone(), "min");
+    assert_matches_materialise_and_sort(&query, &db, NoPrefix(min), "min, no prefix");
+    let max = MaxRanking::new(by_x(-1e3));
+    assert_matches_materialise_and_sort(&query, &db, NoPrefix(max), "max, no prefix");
+    let sum = SumRanking::new(by_x(0.0));
+    assert_matches_materialise_and_sort(&query, &db, NoPrefix(sum), "sum, no prefix");
+}
+
+/// Sums that share their dominant component: every `x` weighs `2^53`, where
+/// an ulp is 2, and every `y` a random fraction below 1, so all keys are
+/// two-component expansions `[fraction, 2^53]` with one prefix, distinct
+/// values and distinct key ids — and the fractions run against the output
+/// order half of the time. Only the interned keys can order them.
+#[test]
+fn sums_sharing_a_dominant_component_are_ordered_by_their_tails() {
+    let (db, query) = overlapping_groups(6, 5);
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let fractions = (0..64u64)
+        .map(|v| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (v, Weight::new((x >> 11) as f64 / (1u64 << 53) as f64))
+        })
+        .collect();
+    let top = (1u64 << 53) as f64;
+    let weights = WeightAssignment::value_as_weight()
+        .with_table("x", (0..64).map(|v| (v, Weight::new(top))).collect())
+        .with_table("y", fractions);
+    let ranking = SumRanking::new(weights);
+    let keys: Vec<_> = reference_answers(&query, &db, &ranking)
+        .iter()
+        .map(|t| ranking.key_of(query.projection(), t))
+        .collect();
+    assert!(keys.iter().all(|k| k.prefix() == keys[0].prefix()));
+    assert!(keys.windows(2).any(|w| w[0] < w[1]));
+    assert_matches_materialise_and_sort(&query, &db, ranking, "shared dominant component");
 }
 
 /// Build a relation from generated edges (shifted away from 0 and

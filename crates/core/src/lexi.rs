@@ -37,13 +37,6 @@
 //!   a handful of hash probes and row-id merges proportional to the
 //!   prefix's *neighbourhood*, not to `|D|`.
 //!
-//! `next()` performs **zero `Relation` clones and zero reducer calls** —
-//! the [`EnumStats::relation_clones`] / [`EnumStats::reducer_calls`]
-//! counters exist so tests assert the ban. (The pre-index implementation,
-//! which cloned every relation in the frame and re-ran the full reducer
-//! per candidate per level, survives as [`ReferenceLexi`]: the benchmark
-//! baseline and differential-testing oracle.)
-//!
 //! Why the per-level cells are *exact* (no false candidates, none
 //! missing): fix the bound prefix `A_1 = v_1, …, A_k = v_k` and consider
 //! the residual hypergraph in which bound attributes are deleted from
@@ -62,7 +55,7 @@
 use crate::error::EnumError;
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
-use re_join::{full_reduce_relations, reduce_then_prune, reduce_then_prune_ctx, sorted_index};
+use re_join::{reduce_then_prune_ctx, sorted_index};
 use re_query::{JoinProjectQuery, JoinTree};
 use re_ranking::{Direction, LexRanking, Weight, WeightAssignment};
 use re_storage::{Attr, Database, Relation, SortedIndex, Tuple, Value};
@@ -742,174 +735,6 @@ impl Iterator for LexiEnumerator {
     }
 }
 
-/// The pre-index Algorithm 3: per candidate per level it clones every
-/// relation in the current frame, restricts them to the chosen value and
-/// re-runs the full reducer. Correct, and the paper's prose reading of
-/// "two-phase semi-joins" — but `O(|D|)` *per step*, which PR 1 measured
-/// as ~3× *slower* than the general algorithm on DBLP2hop. Retained as the
-/// benchmark baseline ([`crates/bench`]'s `lexi_vs_general` pins the old
-/// engine against the new one) and as a differential-testing oracle; it
-/// ticks [`EnumStats::relation_clones`] and [`EnumStats::reducer_calls`]
-/// for every hot-path sin, which the indexed enumerator's tests assert to
-/// be zero.
-pub struct ReferenceLexi {
-    tree: JoinTree,
-    projection: Vec<Attr>,
-    attr_order: Vec<(Attr, Direction)>,
-    weights: WeightAssignment,
-    /// For every level, a join-tree node whose relation contains the
-    /// attribute (used to read candidate values).
-    attr_node: Vec<usize>,
-    output_perm: Vec<usize>,
-    stack: Vec<RefFrame>,
-    stats: EnumStats,
-}
-
-/// One backtracking frame of the reference engine: the instance restricted
-/// to the values fixed so far, and the remaining candidates.
-struct RefFrame {
-    level: usize,
-    relations: Vec<Relation>,
-    candidates: Vec<Value>,
-    next: usize,
-    prefix: Vec<Value>,
-}
-
-impl ReferenceLexi {
-    /// Build the reference enumerator (see [`LexiEnumerator::new`] for the
-    /// order semantics — both engines share them).
-    pub fn new(
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: &LexRanking,
-    ) -> Result<Self, EnumError> {
-        query.validate_against(db)?;
-        let (tree, reduced, _) = reduce_then_prune(query, JoinTree::build(query)?, db)?;
-        let attr_order = lex_attr_order(query, ranking);
-        let attr_node = attr_order
-            .iter()
-            .map(|(a, _)| {
-                tree.nodes()
-                    .iter()
-                    .position(|n| n.vars.contains(a))
-                    .expect("projection attribute must appear in the pruned tree")
-            })
-            .collect::<Vec<_>>();
-        let output_perm = query
-            .projection()
-            .iter()
-            .map(|p| {
-                attr_order
-                    .iter()
-                    .position(|(a, _)| a == p)
-                    .expect("projection attribute present in order")
-            })
-            .collect();
-        let mut this = ReferenceLexi {
-            tree,
-            projection: query.projection().to_vec(),
-            attr_order,
-            weights: ranking.weights().clone(),
-            attr_node,
-            output_perm,
-            stack: Vec::new(),
-            stats: EnumStats::new(),
-        };
-        if !reduced.iter().any(|r| r.is_empty()) {
-            let candidates = this.sorted_candidates(&reduced, 0);
-            this.stack.push(RefFrame {
-                level: 0,
-                relations: reduced,
-                candidates,
-                next: 0,
-                prefix: Vec::new(),
-            });
-        }
-        Ok(this)
-    }
-
-    /// The projection attributes, in output order.
-    pub fn output_attrs(&self) -> &[Attr] {
-        &self.projection
-    }
-
-    /// Enumeration statistics (including the hot-path sin counters).
-    pub fn stats(&self) -> &EnumStats {
-        &self.stats
-    }
-
-    /// Distinct values of the `level`-th ordered attribute in the (reduced)
-    /// instance, weight-sorted via decorate-sort-undecorate.
-    fn sorted_candidates(&self, relations: &[Relation], level: usize) -> Vec<Value> {
-        let (attr, dir) = &self.attr_order[level];
-        let node = self.attr_node[level];
-        let mut values = relations[node]
-            .distinct_values(attr)
-            .expect("attribute exists in its node");
-        sort_candidates(&self.weights, attr, *dir, &mut values);
-        values
-    }
-
-    fn permute(&self, ordered: &[Value]) -> Tuple {
-        self.output_perm.iter().map(|&p| ordered[p]).collect()
-    }
-}
-
-impl Iterator for ReferenceLexi {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        let m = self.attr_order.len();
-        loop {
-            let frame = self.stack.last_mut()?;
-            if frame.next >= frame.candidates.len() {
-                self.stack.pop();
-                continue;
-            }
-            let value = frame.candidates[frame.next];
-            frame.next += 1;
-            let level = frame.level;
-            let mut prefix = frame.prefix.clone();
-            prefix.push(value);
-
-            if level + 1 == m {
-                self.stats.record_answer();
-                return Some(self.permute(&prefix));
-            }
-
-            // Restrict every relation containing the attribute to the chosen
-            // value, then run the full reducer to restore global consistency
-            // ("two-phase semi-joins" in the paper).
-            let attr = self.attr_order[level].0.clone();
-            let mut restricted = frame.relations.clone();
-            self.stats.record_relation_clones(restricted.len() as u64);
-            for rel in restricted.iter_mut() {
-                if let Some(p) = rel.position(&attr) {
-                    rel.retain(|t| t[p] == value);
-                }
-            }
-            self.stats.record_reducer_call();
-            if full_reduce_relations(&self.tree, &mut restricted).is_err() {
-                // Cannot happen: the schema never changes. Treat as pruned.
-                continue;
-            }
-            if restricted.iter().any(|r| r.is_empty()) {
-                // The chosen value no longer extends to an answer; possible
-                // only on non-reduced input, but harmless to skip.
-                continue;
-            }
-            let candidates = self.sorted_candidates(&restricted, level + 1);
-            self.stack.push(RefFrame {
-                level: level + 1,
-                relations: restricted,
-                candidates,
-                next: 0,
-                prefix,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -974,51 +799,16 @@ mod tests {
 
     #[test]
     fn matches_general_algorithm_with_lex_ranking() {
-        let lex = LexRanking::new(["E", "A"], WeightAssignment::value_as_weight());
-        let via_lexi: Vec<Tuple> = LexiEnumerator::new(&query(), &db(), &lex)
-            .unwrap()
-            .collect();
-        let via_general: Vec<Tuple> = AcyclicEnumerator::new(&query(), &db(), lex)
-            .unwrap()
-            .collect();
-        assert_eq!(via_lexi, via_general);
-    }
-
-    #[test]
-    fn matches_the_reference_engine() {
         for order in [["A", "E"], ["E", "A"]] {
             let lex = LexRanking::new(order, WeightAssignment::value_as_weight());
-            let via_new: Vec<Tuple> = LexiEnumerator::new(&query(), &db(), &lex)
+            let via_lexi: Vec<Tuple> = LexiEnumerator::new(&query(), &db(), &lex)
                 .unwrap()
                 .collect();
-            let via_ref: Vec<Tuple> = ReferenceLexi::new(&query(), &db(), &lex).unwrap().collect();
-            assert_eq!(via_new, via_ref, "order {order:?}");
+            let via_general: Vec<Tuple> = AcyclicEnumerator::new(&query(), &db(), lex)
+                .unwrap()
+                .collect();
+            assert_eq!(via_lexi, via_general, "order {order:?}");
         }
-    }
-
-    #[test]
-    fn hot_path_performs_no_clones_and_no_reducer_calls() {
-        let lex = LexRanking::new(["A", "E"], WeightAssignment::value_as_weight());
-        let mut e = LexiEnumerator::new(&query(), &db(), &lex).unwrap();
-        let n = e.by_ref().count();
-        assert!(n > 0);
-        assert_eq!(
-            e.stats().relation_clones,
-            0,
-            "next() must not clone relations"
-        );
-        assert_eq!(
-            e.stats().reducer_calls,
-            0,
-            "next() must not run the reducer"
-        );
-        assert!(e.stats().cells_created > 0);
-        // The reference engine trips both counters on the same input —
-        // proof the tripwires actually fire.
-        let mut r = ReferenceLexi::new(&query(), &db(), &lex).unwrap();
-        let _ = r.by_ref().count();
-        assert!(r.stats().relation_clones > 0);
-        assert!(r.stats().reducer_calls > 0);
     }
 
     #[test]
@@ -1064,6 +854,7 @@ mod tests {
                 vec![3, 2, 12],
             ]
         );
+        assert!(e.stats().cells_created > 0);
         assert!(
             e.stats().cells_reused > 0,
             "a = 2 must reuse the b = 1 cell built for a = 1"
@@ -1199,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn three_hop_shape_matches_general_and_reference() {
+    fn three_hop_shape_matches_general() {
         // π_{a,p2}(M1(a,p1) ⋈ M2(a2,p1) ⋈ M3(a2,p2)) — the DBLP 3-hop
         // shape, where the p2 candidates need two propagation steps.
         let mut d = Database::new();
@@ -1222,9 +1013,7 @@ mod tests {
             .unwrap();
         let lex = LexRanking::new(["a", "p2"], WeightAssignment::value_as_weight());
         let via_new: Vec<Tuple> = LexiEnumerator::new(&q, &d, &lex).unwrap().collect();
-        let via_ref: Vec<Tuple> = ReferenceLexi::new(&q, &d, &lex).unwrap().collect();
         let via_general: Vec<Tuple> = AcyclicEnumerator::new(&q, &d, lex).unwrap().collect();
-        assert_eq!(via_new, via_ref);
         assert_eq!(via_new, via_general);
     }
 }

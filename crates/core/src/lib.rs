@@ -41,7 +41,7 @@ pub use cell::{Cell, CellId, HeapEntry, NextPtr};
 pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport};
 pub use error::EnumError;
 pub use frontier::{CellArena, FrontierEntry, FrontierHeap, KeyInterner};
-pub use lexi::{LexiEnumerator, ReferenceLexi};
+pub use lexi::LexiEnumerator;
 pub use reference::ReferenceAcyclic;
 // Re-exported so downstream layers (SQL cursors, the server) can accept an
 // execution context and size pools without depending on `re_exec` directly.

@@ -1,4 +1,4 @@
-//! The pre-arena general engine, retained as oracle and baseline.
+//! The pre-arena general engine, retained as a test oracle.
 //!
 //! [`ReferenceAcyclic`] is the Algorithm 1–2 implementation the arena-backed
 //! [`AcyclicEnumerator`](crate::AcyclicEnumerator) replaced: it
@@ -6,18 +6,14 @@
 //! into every heap entry, clones the rank key per entry, and keys its
 //! per-anchor queues on owned anchor `Tuple`s. Functionally correct and
 //! byte-identical in output to the kernel engine — which is exactly why it
-//! survives:
-//!
-//! * it is the **differential-testing oracle** the equivalence suites pit
-//!   the kernel engine against, and
-//! * it is the **benchmark baseline** (`crates/bench`'s `enum_frontier`
-//!   pins old-vs-new time-to-k and peak frontier bytes).
+//! survives: it is the **differential-testing oracle** that
+//! `tests/frontier_differential.rs` pits the kernel engine against.
 //!
 //! Its allocation habits are deliberately preserved — every hot-path tuple
 //! it builds ticks [`EnumStats::tuple_allocs`], proving that tripwire
 //! actually fires (the kernel engine's tests assert the counter stays
 //! zero), and [`ReferenceAcyclic::frontier_bytes`] walks the owned
-//! structures so the benchmark can compare real footprints.
+//! structures so the differential suite can compare real footprints.
 
 use crate::cell::{Cell, CellId, HeapEntry, NextPtr};
 use crate::error::EnumError;

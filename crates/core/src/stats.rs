@@ -28,20 +28,11 @@ pub struct EnumStats {
     /// Memoized cells served from the memo instead of being rebuilt (the
     /// lexicographic enumerator's prefix-binding reuse).
     pub cells_reused: u64,
-    /// `Relation` clones performed **while enumerating** (inside `next`).
-    /// The index-backed enumeration hot paths must keep this at zero; the
-    /// counter exists so tests can assert the ban instead of trusting it.
-    pub relation_clones: u64,
-    /// Full-reducer invocations performed **while enumerating** (inside
-    /// `next`). Same contract as [`EnumStats::relation_clones`]: the one
-    /// preprocessing-time reduction is not counted, enumeration-time
-    /// reductions must not happen.
-    pub reducer_calls: u64,
     /// `Tuple` allocations performed **while enumerating** (inside `next`)
     /// beyond the emitted answer itself. The arena-backed frontier kernel
     /// must keep this at zero in steady state — cells, keys and heap
     /// entries are all fixed-size handles — so the counter is a tripwire
-    /// in the style of [`EnumStats::relation_clones`]; the pre-arena
+    /// tests assert on instead of trusting the ban; the pre-arena
     /// reference engine ticks it on every hot-path tuple it builds.
     pub tuple_allocs: u64,
     /// Bytes **retained** by the frontier (cell arenas, key interners and
@@ -119,18 +110,6 @@ impl EnumStats {
         self.cells_reused += 1;
     }
 
-    /// Record `Relation` clones performed inside `next` (hot-path ban
-    /// tripwire; see [`EnumStats::relation_clones`]).
-    pub fn record_relation_clones(&mut self, n: u64) {
-        self.relation_clones += n;
-    }
-
-    /// Record a full-reducer invocation inside `next` (hot-path ban
-    /// tripwire; see [`EnumStats::reducer_calls`]).
-    pub fn record_reducer_call(&mut self) {
-        self.reducer_calls += 1;
-    }
-
     /// Record hot-path `Tuple` allocations beyond the emitted answer
     /// (tripwire; see [`EnumStats::tuple_allocs`]).
     pub fn record_tuple_allocs(&mut self, n: u64) {
@@ -201,8 +180,6 @@ impl EnumStats {
         // bytes add; the sum of the parts' peaks upper-bounds the
         // composite peak.
         snapshot_counters!(add);
-        self.relation_clones += other.relation_clones;
-        self.reducer_calls += other.reducer_calls;
         self.frontier_live_bytes += other.frontier_live_bytes;
         // answers / histogram are tracked by the composite itself
     }
@@ -392,15 +369,11 @@ mod tests {
         b.record_pop();
         b.record_cell();
         b.record_cell_reuse();
-        b.record_relation_clones(3);
-        b.record_reducer_call();
         a.merge(&b);
         assert_eq!(a.pq_pushes, 1);
         assert_eq!(a.pq_pops, 1);
         assert_eq!(a.cells_created, 1);
         assert_eq!(a.cells_reused, 1);
-        assert_eq!(a.relation_clones, 3);
-        assert_eq!(a.reducer_calls, 1);
     }
 
     #[test]

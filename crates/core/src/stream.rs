@@ -77,10 +77,9 @@ pub trait RankedStream: Iterator<Item = Tuple> + Send {
 ///
 /// The per-`next()` cost is two `Instant::now()` calls (the first doubles
 /// as the deadline check's clock), one local bucket increment and one
-/// relaxed `fetch_add` — allocation-free, preserving
-/// the enumeration tripwires. The instrumentation-overhead gate in
-/// `check_bench` holds the enum benches (which run through this wrapper)
-/// to the same ratio-drift guard as uninstrumented runs.
+/// relaxed `fetch_add` — allocation-free, preserving the enumeration
+/// tripwires. `BENCHMARK.json`'s `obs.instrument_overhead_ns` measures
+/// that cost per answer.
 pub struct InstrumentedStream {
     inner: Box<dyn RankedStream>,
     opened_at: Instant,

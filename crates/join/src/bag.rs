@@ -36,28 +36,6 @@ pub enum BagKernel {
     Cascade,
 }
 
-/// Materialise one GHD bag: `π_{bag.attrs}(⋈_{i ∈ bag.atoms} atom_i)`,
-/// de-duplicated, named `bag.name`. Serial entry point — see
-/// [`materialize_bag_ctx`] for the pooled variant.
-pub fn materialize_bag(
-    query: &JoinProjectQuery,
-    db: &Database,
-    bag: &Bag,
-) -> Result<Relation, JoinError> {
-    materialize_bag_ctx(query, db, bag, &ExecContext::serial())
-}
-
-/// Materialise one GHD bag under an execution context with the default
-/// (generic join) kernel.
-pub fn materialize_bag_ctx(
-    query: &JoinProjectQuery,
-    db: &Database,
-    bag: &Bag,
-    ctx: &ExecContext,
-) -> Result<Relation, JoinError> {
-    materialize_bag_kernel(query, db, bag, ctx, BagKernel::default())
-}
-
 /// Per-operator report of one bag materialisation: what EXPLAIN ANALYZE
 /// prints next to the bag's AGM estimate.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -76,24 +54,17 @@ pub struct BagBuildInfo {
     pub intersections: u64,
 }
 
-/// Materialise one GHD bag with an explicit kernel choice. The semi-join
-/// sweep and all inner kernels run through the context's (possibly pooled)
-/// primitives; output is canonical (sorted, distinct) either way.
+/// Materialise one GHD bag — `π_{bag.attrs}(⋈_{i ∈ bag.atoms} atom_i)`,
+/// de-duplicated, named `bag.name` — with an explicit kernel choice,
+/// returning the per-operator [`BagBuildInfo`] alongside the relation. The
+/// semi-join sweep and all inner kernels run through the context's
+/// (possibly pooled) primitives; output is canonical (sorted, distinct)
+/// either way.
 ///
 /// Only the bag's own atoms are bound — binding clones the base relation
 /// per atom, so binding the whole query per bag (as earlier revisions did)
 /// multiplied that copy cost by the bag count for nothing.
-pub fn materialize_bag_kernel(
-    query: &JoinProjectQuery,
-    db: &Database,
-    bag: &Bag,
-    ctx: &ExecContext,
-    kernel: BagKernel,
-) -> Result<Relation, JoinError> {
-    materialize_bag_reported(query, db, bag, ctx, kernel).map(|(rel, _)| rel)
-}
-
-/// [`materialize_bag_kernel`] returning the per-operator [`BagBuildInfo`].
+///
 /// When a request trace is installed on the calling thread the build is
 /// recorded as a `bag.materialize` span carrying the same counters and
 /// stamped with the pool worker lane that ran it — under the parallel
@@ -279,6 +250,13 @@ mod tests {
     use re_query::{GhdPlan, QueryBuilder};
     use re_storage::attr::attrs;
 
+    /// One bag, serially, relation only.
+    fn one_bag(q: &JoinProjectQuery, db: &Database, bag: &Bag, kernel: BagKernel) -> Relation {
+        materialize_bag_reported(q, db, bag, &ExecContext::serial(), kernel)
+            .unwrap()
+            .0
+    }
+
     /// A small directed graph stored as an edge relation.
     fn edge_db(edges: &[(u64, u64)]) -> Database {
         let mut db = Database::new();
@@ -308,13 +286,13 @@ mod tests {
             .unwrap();
         let plan = GhdPlan::for_cycle(&q).unwrap();
         assert_eq!(plan.len(), 2);
-        let bag0 = materialize_bag(&q, &db, &plan.bags()[0]).unwrap();
+        let bag0 = one_bag(&q, &db, &plan.bags()[0], BagKernel::default());
         // bag over {a1,a2,a3} covered by R1, R2 and R4: tuples (a1,a2,a3)
         // where a1->a2->a3 is a path and a1 has an incoming edge.
         assert_eq!(bag0.arity(), 3);
         assert!(!bag0.is_empty());
         // The residual join of both bags must produce exactly the square.
-        let bag1 = materialize_bag(&q, &db, &plan.bags()[1]).unwrap();
+        let bag1 = one_bag(&q, &db, &plan.bags()[1], BagKernel::default());
         let joined = hash_join(&bag0, &bag1, "res").unwrap();
         let out = project_distinct(&joined, &attrs(["a1", "a3"])).unwrap();
         let mut rows: Vec<Vec<u64>> = out.iter().map(|t| t.to_vec()).collect();
@@ -346,7 +324,7 @@ mod tests {
         let serial: Vec<Relation> = plan
             .bags()
             .iter()
-            .map(|b| materialize_bag(&q, &db, b).unwrap())
+            .map(|b| one_bag(&q, &db, b, BagKernel::default()))
             .collect();
         for threads in [1, 2, 4] {
             let ctx = ExecContext::with_threads(threads)
@@ -375,7 +353,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = GhdPlan::single_bag(&q);
-        let bag = materialize_bag(&q, &db, &plan.bags()[0]).unwrap();
+        let bag = one_bag(&q, &db, &plan.bags()[0], BagKernel::default());
         // The triangle 1->2->3->1 yields 3 (x,y,z) rotations.
         assert_eq!(bag.len(), 3);
         assert_eq!(bag.arity(), 3);
@@ -404,9 +382,8 @@ mod tests {
             .unwrap();
         for plan in [GhdPlan::for_cycle(&q).unwrap(), GhdPlan::single_bag(&q)] {
             for bag in plan.bags() {
-                let ctx = ExecContext::serial();
-                let wcoj = materialize_bag_kernel(&q, &db, bag, &ctx, BagKernel::Wcoj).unwrap();
-                let casc = materialize_bag_kernel(&q, &db, bag, &ctx, BagKernel::Cascade).unwrap();
+                let wcoj = one_bag(&q, &db, bag, BagKernel::Wcoj);
+                let casc = one_bag(&q, &db, bag, BagKernel::Cascade);
                 assert_eq!(wcoj.attrs(), casc.attrs(), "{}", bag.name);
                 let w: Vec<Vec<u64>> = wcoj.iter().map(|t| t.to_vec()).collect();
                 let c: Vec<Vec<u64>> = casc.iter().map(|t| t.to_vec()).collect();

@@ -1,16 +1,13 @@
 //! Hash joins and full-join materialisation.
 //!
-//! These operators exist for two reasons. First, the baselines of the
-//! paper's evaluation (MariaDB, PostgreSQL, Neo4j) all execute ranked
-//! join-project queries by *materialising* the full join with binary joins,
-//! then deduplicating and sorting — [`full_join`] + [`project_distinct`]
-//! reproduce that blocking plan. Second, the star-query preprocessing
-//! (Algorithm 4) and GHD bags (Theorem 3) materialise sub-joins with the
-//! Yannakakis algorithm, provided by [`yannakakis_join`].
+//! The baselines of the paper's evaluation (MariaDB, PostgreSQL, Neo4j)
+//! all execute ranked join-project queries by *materialising* the full
+//! join with binary joins, then deduplicating and sorting — [`full_join`] +
+//! [`project_distinct`] reproduce that blocking plan.
 
 use crate::error::JoinError;
-use crate::reducer::{full_reduce, shared_attrs};
-use re_query::{JoinProjectQuery, JoinTree};
+use crate::reducer::shared_attrs;
+use re_query::JoinProjectQuery;
 use re_storage::{project_key, Attr, Database, HashIndex, KeyTable, Relation, Value};
 
 /// Natural hash join of two relations on their shared attributes. The
@@ -70,30 +67,6 @@ pub fn full_join(query: &JoinProjectQuery, db: &Database) -> Result<Relation, Jo
     Ok(acc)
 }
 
-/// Materialise the full join of an *acyclic* query with the Yannakakis
-/// algorithm: full-reduce first, then join bottom-up along the join tree.
-/// Asymptotically `O(|D| + |output|)` per join step instead of the possibly
-/// much larger intermediate results of a left-deep plan.
-pub fn yannakakis_join(
-    query: &JoinProjectQuery,
-    tree: &JoinTree,
-    db: &Database,
-) -> Result<Relation, JoinError> {
-    let (reduced, _) = full_reduce(query, tree, db)?;
-    let mut materialised: Vec<Option<Relation>> = reduced.into_iter().map(Some).collect();
-    for u in tree.post_order() {
-        let children = tree.node(u).children.clone();
-        for c in children {
-            let child = materialised[c].take().expect("child joined once");
-            let parent = materialised[u].take().expect("parent present");
-            materialised[u] = Some(hash_join(&parent, &child, "join")?);
-        }
-    }
-    let mut result = materialised[tree.root()].take().expect("root present");
-    result.set_name("yannakakis_join");
-    Ok(result)
-}
-
 /// `SELECT DISTINCT` projection of a relation onto `attrs`.
 pub fn project_distinct(rel: &Relation, attrs: &[Attr]) -> Result<Relation, JoinError> {
     let pos = rel.positions(attrs)?;
@@ -150,36 +123,6 @@ mod tests {
         let b = Relation::with_tuples("B", attrs(["Y"]), vec![vec![7], vec![8], vec![9]]).unwrap();
         let out = hash_join(&a, &b, "AB").unwrap();
         assert_eq!(out.len(), 6);
-    }
-
-    #[test]
-    fn full_join_matches_yannakakis_join() {
-        let db = db();
-        let q = QueryBuilder::new()
-            .atom("R", "R", ["A", "B"])
-            .atom("S", "S", ["B", "C"])
-            .project(["A", "C"])
-            .build()
-            .unwrap();
-        let tree = JoinTree::build(&q).unwrap();
-        let fj = full_join(&q, &db).unwrap();
-        let yj = yannakakis_join(&q, &tree, &db).unwrap();
-        assert_eq!(fj.len(), yj.len());
-        // Compare as sets of projected tuples.
-        let proj_attrs = attrs(["A", "B", "C"]);
-        let mut a: Vec<Vec<u64>> = project_distinct(&fj, &proj_attrs)
-            .unwrap()
-            .iter()
-            .map(|t| t.to_vec())
-            .collect();
-        let mut b: Vec<Vec<u64>> = project_distinct(&yj, &proj_attrs)
-            .unwrap()
-            .iter()
-            .map(|t| t.to_vec())
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]

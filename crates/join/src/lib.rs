@@ -8,19 +8,19 @@
 //!   self-joins work without duplicating base tables in the database),
 //! * [`semi_join`] / [`full_reduce`] — the Yannakakis full reducer that
 //!   removes all dangling tuples before preprocessing,
-//! * [`hash_join`] / [`full_join`] / [`yannakakis_join`] — natural-join
-//!   materialisation used by the baselines, the star-query heavy output and
-//!   GHD bag materialisation,
+//! * [`hash_join`] / [`full_join`] — natural-join materialisation used by
+//!   the blocking baselines, the star-query heavy output and the retained
+//!   [`BagKernel::Cascade`],
 //! * [`project_distinct`] — `SELECT DISTINCT` projection,
-//! * [`materialize_bag`] — evaluation of one GHD bag (Theorem 3).
+//! * [`materialize_bags`] — evaluation of a plan's GHD bags (Theorem 3),
+//!   by the generic-join kernel of [`wcoj`] unless told otherwise.
 //!
 //! Each kernel also has a morsel-driven parallel entry point in
 //! [`parallel`] ([`par_hash_join`], [`par_semi_join`],
-//! [`par_project_distinct`], [`par_dedup`]) plus context-aware variants of
-//! the composite operators ([`materialize_bag_ctx`], [`materialize_bags`],
-//! [`full_reduce_ctx`], [`reduce_then_prune_ctx`]). All of them take a
-//! [`re_exec::ExecContext`] and are bit-for-bit identical to their serial
-//! counterparts at any thread count.
+//! [`par_project_distinct`]), and the composite operators
+//! ([`materialize_bags`], [`full_reduce_ctx`], [`reduce_then_prune_ctx`])
+//! take a [`re_exec::ExecContext`] — serial is a context. All of them are
+//! bit-for-bit identical to their serial counterparts at any thread count.
 
 pub mod bag;
 pub mod bind;
@@ -31,16 +31,14 @@ pub mod reducer;
 pub mod wcoj;
 
 pub use bag::{
-    materialize_bag, materialize_bag_ctx, materialize_bag_kernel, materialize_bags,
-    materialize_bags_reported, materialize_bags_with, BagBuildInfo, BagKernel,
+    materialize_bags, materialize_bags_reported, materialize_bags_with, BagBuildInfo, BagKernel,
 };
 pub use bind::{bind_atom, bind_atoms, bind_atoms_of};
 pub use error::JoinError;
-pub use hashjoin::{full_join, hash_join, project_distinct, yannakakis_join};
-pub use parallel::{par_dedup, par_hash_join, par_project_distinct, par_semi_join, sorted_index};
+pub use hashjoin::{full_join, hash_join, project_distinct};
+pub use parallel::{par_hash_join, par_project_distinct, par_semi_join, sorted_index};
 pub use reducer::{
-    full_reduce, full_reduce_ctx, full_reduce_relations, full_reduce_relations_ctx,
-    reduce_then_prune, reduce_then_prune_ctx, reduce_then_prune_relations_ctx, semi_join,
-    ReduceStats,
+    full_reduce, full_reduce_ctx, full_reduce_relations_ctx, reduce_then_prune_ctx,
+    reduce_then_prune_relations_ctx, semi_join, ReduceStats,
 };
 pub use wcoj::{wcoj_materialize, wcoj_materialize_reported, WcojReport};

@@ -167,20 +167,6 @@ pub fn par_project_distinct(
     Ok(out)
 }
 
-/// Parallel in-place removal of exact duplicate tuples (first occurrence
-/// kept). Output identical to [`re_storage::Relation::dedup_tuples`].
-pub fn par_dedup(ctx: &ExecContext, rel: &mut Relation) {
-    if !ctx.should_parallelise(rel.len()) || rel.arity() == 0 {
-        rel.dedup_tuples();
-        return;
-    }
-    let all: Vec<usize> = (0..rel.arity()).collect();
-    let keys = distinct_keys(ctx, rel, &all);
-    let mut out = Relation::new(rel.name(), rel.attrs().to_vec());
-    out.append_rows(keys.flat_keys());
-    *rel = out;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,25 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn par_dedup_matches_serial() {
-        let make = || {
-            Relation::with_tuples(
-                "D",
-                attrs(["A", "B"]),
-                (0..50u64).map(|i| vec![i % 5, i % 3]).collect::<Vec<_>>(),
-            )
-            .unwrap()
-        };
-        let mut serial = make();
-        serial.dedup_tuples();
-        for threads in [1, 2, 4] {
-            let mut par = make();
-            par_dedup(&tiny_parallel_ctx(threads), &mut par);
-            assert_identical(&par, &serial);
-        }
-    }
-
-    #[test]
     fn sorted_index_keeps_the_layout_contract_and_lands_in_the_trace() {
         let j = hash_join(&left_rel(), &right_rel(), "J").unwrap();
         let tctx = re_obs::TraceCtx::new("index");
@@ -349,9 +316,6 @@ mod tests {
         let mut semi = l.clone();
         semi_join(&mut semi, &r).unwrap();
         let proj = project_distinct(&join, &attrs(["C", "B"])).unwrap();
-        let mut dedup = join.project(&attrs(["B", "C"])).unwrap();
-        let dup_input = dedup.clone();
-        dedup.dedup_tuples();
         for threads in [1, 2, 4] {
             let ctx = tiny_parallel_ctx(threads).with_morsel_rows(37);
             assert_identical(&par_hash_join(&ctx, &l, &r, "J").unwrap(), &join);
@@ -360,9 +324,6 @@ mod tests {
             assert_identical(&s, &semi);
             let p = par_project_distinct(&ctx, &join, &attrs(["C", "B"])).unwrap();
             assert_identical(&p, &proj);
-            let mut d = dup_input.clone();
-            par_dedup(&ctx, &mut d);
-            assert_identical(&d, &dedup);
         }
     }
 

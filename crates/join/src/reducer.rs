@@ -50,18 +50,6 @@ impl ReduceStats {
     }
 }
 
-/// Run the full reducer over already-bound per-node relations.
-///
-/// `relations[i]` must be the relation of join-tree node `i` (attribute
-/// names are query variables). After the call every relation contains
-/// exactly its non-dangling tuples.
-pub fn full_reduce_relations(
-    tree: &JoinTree,
-    relations: &mut [Relation],
-) -> Result<ReduceStats, JoinError> {
-    full_reduce_relations_ctx(&ExecContext::serial(), tree, relations)
-}
-
 /// One instrumented semi-join pass: `left ⋉ right`, counted into `stats`
 /// and (when a request trace is installed) recorded as a `reduce.pass`
 /// trace span carrying the pair and the row movement.
@@ -95,9 +83,13 @@ fn reduce_pass(
     Ok(())
 }
 
-/// [`full_reduce_relations`] under an execution context: the semi-join
-/// sweeps follow the same tree order (they are data-dependent along the
-/// tree), but each individual semi-join probes its morsels in parallel on
+/// Run the full reducer over already-bound per-node relations.
+///
+/// `relations[i]` must be the relation of join-tree node `i` (attribute
+/// names are query variables). After the call every relation contains
+/// exactly its non-dangling tuples. The semi-join sweeps follow the tree
+/// order (they are data-dependent along the tree), but under a pooled
+/// `ctx` each individual semi-join probes its morsels in parallel on
 /// large relations. The reduced relations are identical to the serial
 /// reducer's at any thread count.
 pub fn full_reduce_relations_ctx(
@@ -166,16 +158,7 @@ pub fn full_reduce_ctx(
 /// as semi-join filters, so dropping them is only answer-preserving on a
 /// dangling-free instance. Every enumerator that wants a pruned tree must
 /// go through this (or repeat the same dance) — pruning first silently
-/// readmits dangling tuples.
-pub fn reduce_then_prune(
-    query: &JoinProjectQuery,
-    tree: JoinTree,
-    db: &Database,
-) -> Result<(JoinTree, Vec<Relation>, ReduceStats), JoinError> {
-    reduce_then_prune_ctx(&ExecContext::serial(), query, tree, db)
-}
-
-/// [`reduce_then_prune`] under an execution context (see
+/// readmits dangling tuples. The reducer runs under `ctx` (see
 /// [`full_reduce_relations_ctx`]).
 pub fn reduce_then_prune_ctx(
     ctx: &ExecContext,
@@ -455,7 +438,7 @@ mod tests {
         let db = path_db();
         let (reduced, _) = full_reduce(&q, &tree, &db).unwrap();
         let mut again = reduced.clone();
-        let stats = full_reduce_relations(&tree, &mut again).unwrap();
+        let stats = full_reduce_relations_ctx(&ExecContext::serial(), &tree, &mut again).unwrap();
         for (a, b) in reduced.iter().zip(&again) {
             assert_eq!(a.len(), b.len());
         }

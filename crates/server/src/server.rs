@@ -920,9 +920,9 @@ pub fn serve_reactor(
 /// pops one and serves it to completion. A worker therefore handles one
 /// connection at a time — the pool size bounds concurrent connections, and
 /// requests on *different* connections run truly in parallel while sharing
-/// the catalog, plan cache and session table. Kept as the comparison
-/// baseline for the reactor (see `crates/bench/src/bin/server_load.rs`)
-/// and as a fallback.
+/// the catalog, plan cache and session table. Kept as the second
+/// front-end `reactor_integration` runs every scenario against, and as a
+/// fallback.
 pub fn serve_threaded(
     server: Arc<RankedQueryServer>,
     bind_addr: &str,

@@ -34,18 +34,9 @@ impl QueryCursor {
     /// `db` must already contain the plan's derived relations (see
     /// [`SqlPlan::instantiate`]); the executors take care of that. The
     /// cursor does not borrow `db` — the enumerator copies what it needs
-    /// during the full-reducer pass.
-    pub fn open(
-        db: &Database,
-        weights: &WeightAssignment,
-        plan: &SqlPlan,
-    ) -> Result<Self, SqlError> {
-        Self::open_ctx(db, weights, plan, &ExecContext::serial())
-    }
-
-    /// [`QueryCursor::open`] with the enumerator's preprocessing pass
-    /// running under `ctx` — a pooled context parallelises the full
-    /// reducer and GHD bag materialisation without changing any output.
+    /// during the full-reducer pass. Its preprocessing runs under `ctx` —
+    /// a pooled context parallelises the full reducer and GHD bag
+    /// materialisation without changing any output.
     pub fn open_ctx(
         db: &Database,
         weights: &WeightAssignment,

@@ -102,12 +102,12 @@ pub mod prelude {
     pub use rankedenum_core::{
         lexi_serves, select, select_ranked, top_k, AcyclicEnumerator, Algorithm, CyclicEnumerator,
         EnumError, EnumStats, GhdReport, HistSnapshot, InstrumentedStream, LexiEnumerator,
-        LocalHistogram, RankedEnumerator, RankedStream, ReferenceAcyclic, ReferenceLexi,
-        SharedStats, StarEnumerator, StatsSnapshot, TimingBreakdown, UnionEnumerator,
+        LocalHistogram, RankedEnumerator, RankedStream, ReferenceAcyclic, SharedStats,
+        StarEnumerator, StatsSnapshot, TimingBreakdown, UnionEnumerator,
     };
     pub use re_baseline::{BfsSortEngine, FullAnyKEngine, MaterializeSortEngine};
     pub use re_exec::{ExecContext, PoolStats, WorkerPool};
-    pub use re_join::{materialize_bag_kernel, materialize_bags_with, BagKernel};
+    pub use re_join::{materialize_bags_with, BagKernel};
     pub use re_query::{
         Atom, GhdPlan, Hypergraph, JoinProjectQuery, JoinTree, PlanSelection, QueryBuilder,
         UnionQuery,

@@ -31,23 +31,13 @@ run env RE_TRANSPORT=binary cargo test -q -p re_server --test server_integration
 run env RE_TRANSPORT=json cargo test -q -p re_server --test reactor_integration
 run env RE_TRANSPORT=binary cargo test -q -p re_server --test reactor_integration
 run cargo test -q -p re_server --test transport_equivalence
-# Parallel preprocessing is contractually bit-for-bit deterministic; both
-# env-forced thread counts, so a scheduling-dependent merge cannot slip by.
-run env RE_EXEC_THREADS=1 cargo test -q -p rankedenum --test parallel_determinism
-run env RE_EXEC_THREADS=4 cargo test -q -p rankedenum --test parallel_determinism
-# The arena frontier kernel is byte-identical to `ReferenceAcyclic`.
-run env RE_EXEC_THREADS=1 cargo test -q -p rankedenum --test frontier_differential
-run env RE_EXEC_THREADS=4 cargo test -q -p rankedenum --test frontier_differential
-# The generic-join bag kernel is byte-identical to the hash-join cascade.
-run env RE_EXEC_THREADS=1 cargo test -q -p rankedenum --test wcoj_differential
-run env RE_EXEC_THREADS=4 cargo test -q -p rankedenum --test wcoj_differential
-# Fault injection against the live server. Serial and pooled preprocessing
-# unwind differently (caller stack vs pool tasks), and disconnect handling
-# runs in the reactor's per-connection state machines: both, both protocols.
-run env RE_EXEC_THREADS=1 RE_TRANSPORT=json cargo test -q -p re_server --test chaos
-run env RE_EXEC_THREADS=4 RE_TRANSPORT=json cargo test -q -p re_server --test chaos
-run env RE_EXEC_THREADS=1 RE_TRANSPORT=binary cargo test -q -p re_server --test chaos
-run env RE_EXEC_THREADS=4 RE_TRANSPORT=binary cargo test -q -p re_server --test chaos
+# Fault injection against the live server; disconnect handling runs in the
+# reactor's per-connection state machines: both protocols. (The suite builds
+# its own serial and pooled servers, as `parallel_determinism`,
+# `frontier_differential` and `wcoj_differential` build their own contexts:
+# the workspace test step above already ran every thread-count leg.)
+run env RE_TRANSPORT=json cargo test -q -p re_server --test chaos
+run env RE_TRANSPORT=binary cargo test -q -p re_server --test chaos
 # End to end at smoke scale; both examples exit non-zero on a failed check.
 run env RE_SCALE=0.05 cargo run -q --release --example server_quickstart
 run env RE_SCALE=0.05 cargo run -q --release --example explain_analyze

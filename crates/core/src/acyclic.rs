@@ -36,21 +36,20 @@
 //! queues are a plain `Vec<FrontierHeap>` and the enumeration hot path
 //! never builds, hashes or clones an anchor tuple. Steady-state `next()`
 //! performs **zero `Tuple` allocations beyond the emitted answer** — the
-//! [`EnumStats::tuple_allocs`] tripwire exists so tests assert the ban —
-//! and every byte the frontier retains is accounted in
+//! counting allocator of `tests/frontier_alloc_tripwire.rs` enforces the
+//! ban — and every byte the frontier retains is accounted in
 //! [`EnumStats::frontier_bytes`] / [`EnumStats::frontier_peak_bytes`].
 //!
 //! Guarantees (Lemmas 1–3): `O(|D|)` preprocessing (after the full-reducer
 //! pass), `O(|D| log |D|)` worst-case delay, answers emitted in
-//! non-decreasing rank order without duplicates, byte-identical to the
-//! retained pre-arena engine ([`crate::ReferenceAcyclic`]). For
-//! free-connex queries the same code achieves `O(log |D|)` delay
-//! (Appendix E).
+//! non-decreasing rank order without duplicates — the sequence of a
+//! materialise, de-duplicate and sort by `(key, tuple)`, which is what
+//! `tests/frontier_differential.rs` compares it with. For free-connex
+//! queries the same code achieves `O(log |D|)` delay (Appendix E).
 
-use crate::cell::CellId;
 use crate::error::EnumError;
 use crate::frontier::{
-    CellArena, FrontierEntry, FrontierHeap, KeyInterner, NEXT_EXHAUSTED, NEXT_NOT_COMPUTED,
+    CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, NEXT_EXHAUSTED, NEXT_NOT_COMPUTED,
 };
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
@@ -116,8 +115,7 @@ impl<R: Ranking> NodeState<R> {
 }
 
 /// Total order of a node's frontier entries: interned key, then the
-/// tie-permuted output read from the arena, then cell id — the same order
-/// the owned-tuple engine realised with cloned `(key, tie, cell)` entries.
+/// tie-permuted output read from the arena, then cell id.
 ///
 /// The first two steps take the answer from the entries where they carry
 /// it (see the module docs); [`FrontierHeap`] runs the same two steps
@@ -983,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn frontier_memory_is_accounted_and_hot_path_allocates_no_tuples() {
+    fn frontier_memory_is_accounted() {
         let db = paper_db();
         let q = paper_query();
         let mut e = AcyclicEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap();
@@ -998,11 +996,6 @@ mod tests {
         );
         assert!(e.stats().frontier_peak_bytes > 0);
         assert!(e.stats().frontier_peak_bytes <= e.stats().frontier_bytes);
-        assert_eq!(
-            e.stats().tuple_allocs,
-            0,
-            "steady-state next() must not allocate tuples beyond the answer"
-        );
     }
 
     #[test]

@@ -68,10 +68,12 @@
 //! `frontier_bytes` / `frontier_peak_bytes` and the server can enforce
 //! session memory budgets.
 
-use crate::cell::CellId;
 use re_ranking::RankKey;
 use re_storage::{mix_key, IdSlots, Value};
 use std::cmp::Ordering;
+
+/// Index of a cell inside a node's arena.
+pub type CellId = u32;
 
 /// Packed `next`-pointer sentinel: not computed yet (`⊥` in the paper).
 pub const NEXT_NOT_COMPUTED: u32 = u32::MAX;

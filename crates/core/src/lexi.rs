@@ -18,12 +18,14 @@
 //!   structures those schedules probe are **not** built here: each is
 //!   built lazily, on demand, once its level is actually touched — a
 //!   `LIMIT 10` client no longer pays for index builds that a deep
-//!   enumeration would need. The first [`LAZY_BUILD_TOUCHES`] probes of
-//!   an unbuilt index are answered by an `O(|rel|)` scan (cheaper than a
-//!   grouping build); the build happens only when the touch count shows
-//!   the index will amortise. Scan and index answers are set-identical
-//!   and every candidate list is totally re-sorted by `(weight, value)`,
-//!   so the emitted sequence is byte-identical either way.
+//!   enumeration would need. The first two probes (`LAZY_BUILD_TOUCHES`)
+//!   of an unbuilt index are answered by an `O(|rel|)` scan — a key
+//!   comparison per row, where the build hashes every row into a flat
+//!   `KeyTable` and then holds the index's bytes; the build happens only
+//!   when the touch count shows the index will amortise. Scan and index
+//!   answers are set-identical and every candidate list is totally
+//!   re-sorted by `(weight, value)`, so the emitted sequence is
+//!   byte-identical either way.
 //!
 //! * **Enumeration** — depth-first search over the attribute levels. A
 //!   frame holds a cursor into a weight-sorted *candidate list* (the
@@ -62,12 +64,15 @@ use re_storage::{Attr, Database, Relation, SortedIndex, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Probes an unbuilt [`LazyIndex`] answers by scanning before the build
-/// triggers. A scan is one `O(|rel|)` filter pass; a build is a grouping
-/// pass with an allocation per distinct key — several times costlier — so
-/// small-`k` enumerations that touch an index once or twice come out ahead
-/// never building it, while deep enumerations build on the third touch and
+/// triggers. A scan is one `O(|rel|)` filter pass, a key comparison per
+/// row. A build is one flat grouping pass as well — every row hashed into
+/// a [`re_storage::KeyTable`], no allocation per key, about 15 ns per row
+/// (`storage.sorted_index_ns_per_row` in `BENCHMARK.json`) — and the built
+/// index then counts against the session's frontier bytes. So small-`k`
+/// enumerations that touch an index once or twice come out ahead never
+/// building it, while deep enumerations build on the third touch and
 /// amortise from there.
-pub const LAZY_BUILD_TOUCHES: u32 = 2;
+const LAZY_BUILD_TOUCHES: u32 = 2;
 
 /// A grouped-adjacency index built on demand (see the module docs): the
 /// spec is derived at plan time, the build happens at the
@@ -695,7 +700,7 @@ impl LexiEnumerator {
 
     /// Indexes actually built so far. Lazy construction means a shallow
     /// (`LIMIT k` with small `k`) enumeration typically builds none — the
-    /// first [`LAZY_BUILD_TOUCHES`] probes per index are served by scans.
+    /// first two probes per index are served by scans.
     pub fn indexes_built(&self) -> usize {
         self.indexes.iter().filter(|i| i.built.is_some()).count()
     }

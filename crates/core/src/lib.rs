@@ -23,13 +23,11 @@
 
 pub mod acyclic;
 pub mod auto;
-pub mod cell;
 pub mod cyclic;
 pub mod error;
 pub mod frontier;
 pub mod lexi;
 pub mod merge;
-pub mod reference;
 pub mod star;
 pub mod stats;
 pub mod stream;
@@ -37,12 +35,10 @@ pub mod union;
 
 pub use acyclic::AcyclicEnumerator;
 pub use auto::{lexi_serves, select, select_ranked, top_k, Algorithm, RankedEnumerator};
-pub use cell::{Cell, CellId, HeapEntry, NextPtr};
 pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport};
 pub use error::EnumError;
-pub use frontier::{CellArena, FrontierEntry, FrontierHeap, KeyInterner};
+pub use frontier::{CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner};
 pub use lexi::LexiEnumerator;
-pub use reference::ReferenceAcyclic;
 // Re-exported so downstream layers (SQL cursors, the server) can accept an
 // execution context and size pools without depending on `re_exec` directly.
 pub use re_exec::{machine_threads, CancelKind, CancelToken, ExecContext, PoolStats, WorkerPool};

@@ -29,11 +29,9 @@ pub struct EnumStats {
     /// lexicographic enumerator's prefix-binding reuse).
     pub cells_reused: u64,
     /// `Tuple` allocations performed **while enumerating** (inside `next`)
-    /// beyond the emitted answer itself. The arena-backed frontier kernel
-    /// must keep this at zero in steady state — cells, keys and heap
-    /// entries are all fixed-size handles — so the counter is a tripwire
-    /// tests assert on instead of trusting the ban; the pre-arena
-    /// reference engine ticks it on every hot-path tuple it builds.
+    /// beyond the emitted answer itself. Always 0 since PR 20, kept for
+    /// wire and benchmark compatibility; the allocation ban is enforced by
+    /// the counting allocator in `tests/frontier_alloc_tripwire.rs`.
     pub tuple_allocs: u64,
     /// Bytes **retained** by the frontier (cell arenas, key interners and
     /// priority-queue capacity). Monotone: arenas and interners only grow,
@@ -108,12 +106,6 @@ impl EnumStats {
     /// Record a memoized cell served without rebuilding.
     pub fn record_cell_reuse(&mut self) {
         self.cells_reused += 1;
-    }
-
-    /// Record hot-path `Tuple` allocations beyond the emitted answer
-    /// (tripwire; see [`EnumStats::tuple_allocs`]).
-    pub fn record_tuple_allocs(&mut self, n: u64) {
-        self.tuple_allocs += n;
     }
 
     /// Record the preprocessing full reducer's per-operator totals:
@@ -485,7 +477,7 @@ mod tests {
         a.record_pop();
         a.record_cell();
         a.record_cell_reuse();
-        a.record_tuple_allocs(2);
+        a.tuple_allocs = 2;
         a.frontier_alloc(64, 48);
         a.record_reduce(3, 50, 40);
         a.ghd_bags = 2;

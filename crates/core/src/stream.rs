@@ -275,8 +275,7 @@ impl<R: Ranking + Clone + 'static> RankedStream for UnionEnumerator<R> {
     }
 
     /// Merge counters plus every branch enumerator's work (preprocessing
-    /// cells, branch priority queues); opaque `from_streams` sources
-    /// contribute zero.
+    /// cells, branch priority queues).
     fn stats_snapshot(&self) -> StatsSnapshot {
         UnionEnumerator::stats_snapshot(self)
     }

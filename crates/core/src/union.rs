@@ -19,37 +19,6 @@ use re_storage::{Attr, Database, Tuple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One merged input: either a full ranked enumerator (whose statistics
-/// stay observable) or an opaque sorted iterator supplied through
-/// [`UnionEnumerator::from_streams`].
-enum BranchStream {
-    /// A live enumerator; its counters contribute to
-    /// [`UnionEnumerator::stats_snapshot`].
-    Ranked(Box<dyn RankedStream>),
-    /// An arbitrary `(key, tuple)`-sorted source with no visible stats.
-    Plain(Box<dyn Iterator<Item = Tuple> + Send>),
-}
-
-impl BranchStream {
-    fn snapshot(&self) -> StatsSnapshot {
-        match self {
-            BranchStream::Ranked(s) => s.stats_snapshot(),
-            BranchStream::Plain(_) => StatsSnapshot::zero(),
-        }
-    }
-}
-
-impl Iterator for BranchStream {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        match self {
-            BranchStream::Ranked(s) => s.next(),
-            BranchStream::Plain(s) => s.next(),
-        }
-    }
-}
-
 /// Ranked enumerator for UCQs.
 pub struct UnionEnumerator<R: Ranking + Clone> {
     ranking: R,
@@ -57,7 +26,9 @@ pub struct UnionEnumerator<R: Ranking + Clone> {
     /// The ranking's plan over `projection`, built once: keying a merged
     /// answer resolves no attribute.
     plan: R::Plan,
-    branches: Vec<BranchStream>,
+    /// One live enumerator per branch; their counters contribute to
+    /// [`UnionEnumerator::stats_snapshot`].
+    branches: Vec<Box<dyn RankedStream>>,
     pq: BinaryHeap<Reverse<MergeEntry<R::Key>>>,
     last: Option<Tuple>,
     stats: EnumStats,
@@ -79,42 +50,25 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
         ranking: R,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
-        let mut branches: Vec<BranchStream> = Vec::with_capacity(union.len());
+        let mut branches: Vec<Box<dyn RankedStream>> = Vec::with_capacity(union.len());
         for q in union.branches() {
             if Hypergraph::of_query(q).is_acyclic() {
-                branches.push(BranchStream::Ranked(Box::new(AcyclicEnumerator::new_ctx(
+                branches.push(Box::new(AcyclicEnumerator::new_ctx(
                     q,
                     db,
                     ranking.clone(),
                     ctx,
-                )?)));
+                )?));
             } else {
-                branches.push(BranchStream::Ranked(Box::new(
-                    CyclicEnumerator::new_auto_ctx(q, db, ranking.clone(), ctx)?,
-                )));
+                branches.push(Box::new(CyclicEnumerator::new_auto_ctx(
+                    q,
+                    db,
+                    ranking.clone(),
+                    ctx,
+                )?));
             }
         }
-        Ok(Self::merge(union.projection().to_vec(), ranking, branches))
-    }
-
-    /// Build the enumerator from already-constructed sorted iterators.
-    /// Every stream must yield tuples over `projection` in non-decreasing
-    /// `(key, tuple)` order. Sources supplied this way are opaque: they
-    /// contribute answers but no statistics (see
-    /// [`UnionEnumerator::stats_snapshot`]).
-    pub fn from_streams(
-        projection: Vec<Attr>,
-        ranking: R,
-        branches: Vec<Box<dyn Iterator<Item = Tuple> + Send>>,
-    ) -> Self {
-        Self::merge(
-            projection,
-            ranking,
-            branches.into_iter().map(BranchStream::Plain).collect(),
-        )
-    }
-
-    fn merge(projection: Vec<Attr>, ranking: R, mut branches: Vec<BranchStream>) -> Self {
+        let projection = union.projection().to_vec();
         let plan = ranking.plan(&projection);
         let mut pq = BinaryHeap::new();
         for (i, b) in branches.iter_mut().enumerate() {
@@ -127,7 +81,7 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
                 }));
             }
         }
-        UnionEnumerator {
+        Ok(UnionEnumerator {
             ranking,
             projection,
             plan,
@@ -135,7 +89,7 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
             pq,
             last: None,
             stats: EnumStats::new(),
-        }
+        })
     }
 
     /// The projection attributes, in output order.
@@ -160,7 +114,7 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         self.stats
             .snapshot()
-            .with_parts(self.branches.iter().map(BranchStream::snapshot))
+            .with_parts(self.branches.iter().map(|b| b.stats_snapshot()))
     }
 }
 
@@ -353,17 +307,5 @@ mod tests {
         assert_eq!(built.answers, 0, "a branch answer is not a union answer");
         assert_eq!(e.by_ref().take(5).count(), 5);
         assert_eq!(e.stats_snapshot().answers, 5);
-    }
-
-    #[test]
-    fn from_streams_accepts_custom_sources() {
-        let ranking = SumRanking::value_sum();
-        let s1: Box<dyn Iterator<Item = Tuple> + Send> =
-            Box::new(vec![vec![1u64, 1], vec![5, 5]].into_iter());
-        let s2: Box<dyn Iterator<Item = Tuple> + Send> =
-            Box::new(vec![vec![2u64, 2], vec![5, 5]].into_iter());
-        let e = UnionEnumerator::from_streams(attrs(["a", "b"]), ranking, vec![s1, s2]);
-        let results: Vec<Tuple> = e.collect();
-        assert_eq!(results, vec![vec![1, 1], vec![2, 2], vec![5, 5]]);
     }
 }

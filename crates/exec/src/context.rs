@@ -10,7 +10,7 @@
 use crate::cancel::{CancelKind, CancelToken};
 use crate::pool::{current_worker, default_thread_count, PoolStats, WorkerPool, WorkerStat};
 use re_obs::trace;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default number of tuples per morsel. Large enough that per-task
 /// bookkeeping (one `Box`, one completion count decrement) is noise, small
@@ -20,10 +20,6 @@ pub const DEFAULT_MORSEL_ROWS: usize = 16_384;
 /// Default minimum input size (in rows) before a kernel leaves its serial
 /// path. Below this the serial kernel wins on every machine we care about.
 pub const DEFAULT_MIN_PAR_ROWS: usize = 4_096;
-
-/// Environment variable read by [`ExecContext::from_env`]: the number of
-/// pool threads (`0` or `1` mean serial execution).
-pub const THREADS_ENV: &str = "RE_EXEC_THREADS";
 
 /// A serial-or-pooled execution context handed down through preprocessing.
 #[derive(Clone)]
@@ -79,23 +75,6 @@ impl ExecContext {
             ExecContext::serial()
         } else {
             ExecContext::pooled(WorkerPool::new(threads))
-        }
-    }
-
-    /// Read [`THREADS_ENV`] and return a serial context (unset, `0`, `1`,
-    /// or unparsable) or a context over a process-wide shared pool. The
-    /// shared pool is created on first use and sized by the value seen
-    /// then.
-    pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            Some(n) if n > 1 => {
-                static SHARED: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-                ExecContext::pooled(Arc::clone(SHARED.get_or_init(|| WorkerPool::new(n))))
-            }
-            _ => ExecContext::serial(),
         }
     }
 
@@ -324,14 +303,5 @@ mod tests {
             .collect();
         indices.sort_unstable();
         assert_eq!(indices, (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn env_context_defaults_to_serial() {
-        // The test environment does not set RE_EXEC_THREADS, so this must
-        // not spin up threads.
-        if std::env::var(THREADS_ENV).is_err() {
-            assert!(!ExecContext::from_env().is_parallel());
-        }
     }
 }

@@ -26,7 +26,5 @@ pub mod context;
 pub mod pool;
 
 pub use cancel::{CancelKind, CancelToken};
-pub use context::{
-    machine_threads, ExecContext, DEFAULT_MIN_PAR_ROWS, DEFAULT_MORSEL_ROWS, THREADS_ENV,
-};
+pub use context::{machine_threads, ExecContext, DEFAULT_MIN_PAR_ROWS, DEFAULT_MORSEL_ROWS};
 pub use pool::{current_worker, default_thread_count, PoolStats, WorkerPool, WorkerStat};

@@ -189,16 +189,6 @@ fn connectivity_order(rels: &[Relation]) -> Vec<usize> {
     order
 }
 
-/// Materialise every bag of a GHD plan with the default kernel.
-pub fn materialize_bags(
-    query: &JoinProjectQuery,
-    db: &Database,
-    bags: &[Bag],
-    ctx: &ExecContext,
-) -> Result<Vec<Relation>, JoinError> {
-    materialize_bags_with(query, db, bags, ctx, BagKernel::default())
-}
-
 /// Materialise every bag of a GHD plan with an explicit kernel. Under a
 /// pooled context each bag is one pool task (they are independent
 /// sub-joins), and the intra-bag kernels fan out further on the same pool —
@@ -330,7 +320,8 @@ mod tests {
             let ctx = ExecContext::with_threads(threads)
                 .with_min_par_rows(1)
                 .with_morsel_rows(2);
-            let pooled = materialize_bags(&q, &db, plan.bags(), &ctx).unwrap();
+            let pooled =
+                materialize_bags_with(&q, &db, plan.bags(), &ctx, BagKernel::default()).unwrap();
             assert_eq!(pooled.len(), serial.len());
             for (p, s) in pooled.iter().zip(&serial) {
                 assert_eq!(p.name(), s.name());

@@ -12,13 +12,13 @@
 //!   the blocking baselines, the star-query heavy output and the retained
 //!   [`BagKernel::Cascade`],
 //! * [`project_distinct`] — `SELECT DISTINCT` projection,
-//! * [`materialize_bags`] — evaluation of a plan's GHD bags (Theorem 3),
+//! * [`materialize_bags_with`] — evaluation of a plan's GHD bags (Theorem 3),
 //!   by the generic-join kernel of [`wcoj`] unless told otherwise.
 //!
 //! Each kernel also has a morsel-driven parallel entry point in
 //! [`parallel`] ([`par_hash_join`], [`par_semi_join`],
 //! [`par_project_distinct`]), and the composite operators
-//! ([`materialize_bags`], [`full_reduce_ctx`], [`reduce_then_prune_ctx`])
+//! ([`materialize_bags_with`], [`full_reduce_ctx`], [`reduce_then_prune_ctx`])
 //! take a [`re_exec::ExecContext`] — serial is a context. All of them are
 //! bit-for-bit identical to their serial counterparts at any thread count.
 
@@ -30,9 +30,7 @@ pub mod parallel;
 pub mod reducer;
 pub mod wcoj;
 
-pub use bag::{
-    materialize_bags, materialize_bags_reported, materialize_bags_with, BagBuildInfo, BagKernel,
-};
+pub use bag::{materialize_bags_reported, materialize_bags_with, BagBuildInfo, BagKernel};
 pub use bind::{bind_atom, bind_atoms, bind_atoms_of};
 pub use error::JoinError;
 pub use hashjoin::{full_join, hash_join, project_distinct};

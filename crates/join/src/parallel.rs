@@ -11,7 +11,7 @@
 //! [`ExecContext`]'s pool, and the per-task results are merged *by task
 //! index*, never by completion order. Scheduling therefore never leaks
 //! into the output, and enumeration order downstream cannot depend on
-//! `RE_EXEC_THREADS`.
+//! the pool's size.
 //!
 //! Inputs below [`ExecContext::should_parallelise`]'s threshold take the
 //! serial kernel directly: the contract then holds trivially and small

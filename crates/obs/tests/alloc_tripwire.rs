@@ -1,9 +1,9 @@
 //! Allocation tripwire for the histogram record path.
 //!
-//! The enumeration tripwires (`tuple_allocs == 0` in the benches and
-//! differential tests) assert the hot loop never allocates; the
-//! observability layer must not break that contract by allocating on
-//! `record`. This test installs a counting global allocator and asserts
+//! The enumeration tripwire (the counting allocator of
+//! `tests/frontier_alloc_tripwire.rs`) asserts the hot loop never
+//! allocates; the observability layer must not break that contract by
+//! allocating on `record`. This test installs a counting global allocator and asserts
 //! that recording into an [`AtomicHistogram`] (shared, atomic) and a
 //! [`LocalHistogram`] (per-cursor) performs **zero** allocations once the
 //! instrument exists. Lock-freedom is by construction — the record path

@@ -79,6 +79,18 @@ fn chaos_server(config: ServerConfig) -> Arc<RankedQueryServer> {
     server
 }
 
+/// Both preprocessing regimes: with `exec_threads: 1` an OPEN preprocesses
+/// on the worker's own stack, with `4` its bags run as tasks of the shared
+/// pool — and a fault or a deadline unwinds through whichever it is.
+const EXEC_THREADS: [usize; 2] = [1, 4];
+
+fn chaos_server_at(exec_threads: usize) -> Arc<RankedQueryServer> {
+    chaos_server(ServerConfig {
+        exec_threads,
+        ..ServerConfig::default()
+    })
+}
+
 /// Drain a session to exhaustion (the server reaps it on the last page).
 fn drain(client: &mut impl Transport, session: u64, k: u64) -> Vec<Tuple> {
     let mut rows = Vec::new();
@@ -100,117 +112,128 @@ fn clean_run(client: &mut impl Transport) -> Vec<Tuple> {
 #[test]
 fn error_faults_at_every_site_recover_to_identical_answers() {
     let _g = locked();
-    let server = chaos_server(ServerConfig::default());
-    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-    let mut client = TcpClient::connect(handle.addr()).unwrap();
+    for exec_threads in EXEC_THREADS {
+        let server = chaos_server_at(exec_threads);
+        let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
+        let mut client = TcpClient::connect(handle.addr()).unwrap();
 
-    let reference = clean_run(&mut client);
-    assert!(!reference.is_empty());
-    let faults_before = client.stats().unwrap().enumeration.faults_injected;
+        let reference = clean_run(&mut client);
+        assert!(!reference.is_empty());
+        let faults_before = client.stats().unwrap().enumeration.faults_injected;
 
-    // Sites where an armed `error` action must surface as a typed error
-    // response on OPEN — never a hangup, never a partial success.
-    for site in [
-        "server.dispatch",
-        "reduce.pass",
-        "bags.materialize",
-        "session.park",
-    ] {
-        re_fault::configure(&format!("{site}=error")).unwrap();
-        let err = client.open("m", FOUR_CYCLE).unwrap_err();
-        assert!(
-            err.to_string().contains("injected fault"),
-            "{site}: expected the injected fault, got: {err}"
-        );
-        re_fault::clear();
-        assert_eq!(
-            clean_run(&mut client),
-            reference,
-            "{site}: recovery diverged"
-        );
-        assert_eq!(
-            client.stats().unwrap().sessions_open,
-            0,
-            "{site}: a failed OPEN must not leak a session"
-        );
-    }
-
-    // `fetch.next` fires mid-session: the cursor is suspect and dropped.
-    let opened = client.open("m", FOUR_CYCLE).unwrap();
-    re_fault::configure("fetch.next=error").unwrap();
-    let err = client.fetch(opened.session, 5).unwrap_err();
-    assert!(err.to_string().contains("injected fault"), "{err}");
-    re_fault::clear();
-    let err = client.fetch(opened.session, 5).unwrap_err();
-    assert!(
-        err.to_string().contains("session"),
-        "the faulted session must be gone, got: {err}"
-    );
-    assert_eq!(clean_run(&mut client), reference);
-    assert_eq!(client.stats().unwrap().sessions_open, 0);
-
-    // `pool.task.start` only exists when a pool is running
-    // (RE_EXEC_THREADS > 1); serial servers sail through untouched. Either
-    // way the server must recover to the identical answer sequence.
-    re_fault::configure("pool.task.start=error").unwrap();
-    match client.open("m", FOUR_CYCLE) {
-        Ok(opened) => {
-            client.close(opened.session).unwrap();
+        // Sites where an armed `error` action must surface as a typed error
+        // response on OPEN — never a hangup, never a partial success.
+        for site in [
+            "server.dispatch",
+            "reduce.pass",
+            "bags.materialize",
+            "session.park",
+        ] {
+            re_fault::configure(&format!("{site}=error")).unwrap();
+            let err = client.open("m", FOUR_CYCLE).unwrap_err();
+            assert!(
+                err.to_string().contains("injected fault"),
+                "{site}: expected the injected fault, got: {err}"
+            );
+            re_fault::clear();
+            assert_eq!(
+                clean_run(&mut client),
+                reference,
+                "{site}: recovery diverged"
+            );
+            assert_eq!(
+                client.stats().unwrap().sessions_open,
+                0,
+                "{site}: a failed OPEN must not leak a session"
+            );
         }
-        Err(err) => assert!(err.to_string().contains("error"), "{err}"),
-    }
-    re_fault::clear();
-    assert_eq!(clean_run(&mut client), reference);
-    assert_eq!(client.stats().unwrap().sessions_open, 0);
 
-    // Every injected fault is visible in the folded counter.
-    let faults_after = client.stats().unwrap().enumeration.faults_injected;
-    assert!(
-        faults_after >= faults_before + 5,
-        "expected at least 5 injected faults on the counter, got {faults_before} -> {faults_after}"
-    );
-    handle.shutdown();
+        // `fetch.next` fires mid-session: the cursor is suspect and dropped.
+        let opened = client.open("m", FOUR_CYCLE).unwrap();
+        re_fault::configure("fetch.next=error").unwrap();
+        let err = client.fetch(opened.session, 5).unwrap_err();
+        assert!(err.to_string().contains("injected fault"), "{err}");
+        re_fault::clear();
+        let err = client.fetch(opened.session, 5).unwrap_err();
+        assert!(
+            err.to_string().contains("session"),
+            "the faulted session must be gone, got: {err}"
+        );
+        assert_eq!(clean_run(&mut client), reference);
+        assert_eq!(client.stats().unwrap().sessions_open, 0);
+
+        // `pool.task.start` fires only where a pool runs the OPEN's bags: a
+        // task has no error channel, so the fault surfaces as the batch's
+        // panic. The serial server has no such site and sails through. Either
+        // way the server must recover to the identical answer sequence.
+        re_fault::configure("pool.task.start=error").unwrap();
+        match client.open("m", FOUR_CYCLE) {
+            Ok(opened) => {
+                assert_eq!(exec_threads, 1, "a pooled OPEN must hit the site");
+                client.close(opened.session).unwrap();
+            }
+            Err(err) => {
+                assert_eq!(exec_threads, 4, "a serial OPEN has no pool task");
+                assert!(err.to_string().contains("internal error"), "{err}");
+            }
+        }
+        re_fault::clear();
+        assert_eq!(clean_run(&mut client), reference);
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.sessions_open, 0);
+        assert_eq!(stats.enumeration.pool_tasks > 0, exec_threads > 1);
+
+        // Every injected fault is visible in the folded counter.
+        let faults_after = client.stats().unwrap().enumeration.faults_injected;
+        assert!(
+            faults_after >= faults_before + 5,
+            "expected at least 5 injected faults on the counter, got {faults_before} -> {faults_after}"
+        );
+        handle.shutdown();
+    }
 }
 
 #[test]
 fn panic_faults_are_contained_and_leak_nothing() {
     let _g = locked();
-    let server = chaos_server(ServerConfig::default());
-    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-    let mut client = TcpClient::connect(handle.addr()).unwrap();
-    let reference = clean_run(&mut client);
+    for exec_threads in EXEC_THREADS {
+        let server = chaos_server_at(exec_threads);
+        let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
+        let mut client = TcpClient::connect(handle.addr()).unwrap();
+        let reference = clean_run(&mut client);
 
-    // A panic mid-FETCH: the session is checked out when it fires, so the
-    // do_fetch catch_unwind must discard it — not strand the id in the
-    // checked-out set (which would wedge every later FETCH and CLOSE).
-    let opened = client.open("m", FOUR_CYCLE).unwrap();
-    re_fault::configure("fetch.next=panic").unwrap();
-    let err = client.fetch(opened.session, 5).unwrap_err();
-    assert!(err.to_string().contains("internal error"), "{err}");
-    re_fault::clear();
-    let err = client.fetch(opened.session, 5).unwrap_err();
-    assert!(
-        err.to_string().contains("session"),
-        "the panicked session must be discarded, not busy: {err}"
-    );
-    assert_eq!(client.stats().unwrap().sessions_open, 0);
-    assert_eq!(clean_run(&mut client), reference);
+        // A panic mid-FETCH: the session is checked out when it fires, so the
+        // do_fetch catch_unwind must discard it — not strand the id in the
+        // checked-out set (which would wedge every later FETCH and CLOSE).
+        let opened = client.open("m", FOUR_CYCLE).unwrap();
+        re_fault::configure("fetch.next=panic").unwrap();
+        let err = client.fetch(opened.session, 5).unwrap_err();
+        assert!(err.to_string().contains("internal error"), "{err}");
+        re_fault::clear();
+        let err = client.fetch(opened.session, 5).unwrap_err();
+        assert!(
+            err.to_string().contains("session"),
+            "the panicked session must be discarded, not busy: {err}"
+        );
+        assert_eq!(client.stats().unwrap().sessions_open, 0);
+        assert_eq!(clean_run(&mut client), reference);
 
-    // A panic inside preprocessing unwinds through the dispatch
-    // catch_unwind before any session exists.
-    re_fault::configure("bags.materialize=panic").unwrap();
-    let err = client.open("m", FOUR_CYCLE).unwrap_err();
-    assert!(err.to_string().contains("internal error"), "{err}");
-    re_fault::clear();
-    assert_eq!(client.stats().unwrap().sessions_open, 0);
-    assert_eq!(clean_run(&mut client), reference);
+        // A panic inside preprocessing unwinds through the dispatch
+        // catch_unwind before any session exists.
+        re_fault::configure("bags.materialize=panic").unwrap();
+        let err = client.open("m", FOUR_CYCLE).unwrap_err();
+        assert!(err.to_string().contains("internal error"), "{err}");
+        re_fault::clear();
+        assert_eq!(client.stats().unwrap().sessions_open, 0);
+        assert_eq!(clean_run(&mut client), reference);
 
-    // The observability plane survives the panics: stats and a
-    // well-formed exposition still serve (lock poisoning recovered).
-    let body = client.metrics().unwrap();
-    re_obs::validate_exposition(&body).expect("well-formed exposition after injected panics");
-    assert!(body.contains("re_fault_injected_total"));
-    handle.shutdown();
+        // The observability plane survives the panics: stats and a
+        // well-formed exposition still serve (lock poisoning recovered).
+        let body = client.metrics().unwrap();
+        re_obs::validate_exposition(&body).expect("well-formed exposition after injected panics");
+        assert!(body.contains("re_fault_injected_total"));
+        handle.shutdown();
+    }
 }
 
 #[test]
@@ -249,41 +272,43 @@ fn probabilistic_faults_replay_exactly_under_one_seed() {
 #[test]
 fn deadlines_abort_expensive_opens_promptly() {
     let _g = locked();
-    let server = chaos_server(ServerConfig::default());
-    let mut client = LocalClient::new(Arc::clone(&server));
-    let reference = clean_run(&mut client);
-    let before = client.stats().unwrap().enumeration.deadline_exceeded;
+    for exec_threads in EXEC_THREADS {
+        let server = chaos_server_at(exec_threads);
+        let mut client = LocalClient::new(Arc::clone(&server));
+        let reference = clean_run(&mut client);
+        let before = client.stats().unwrap().enumeration.deadline_exceeded;
 
-    // Make every reduce pass slow, then give the OPEN a deadline shorter
-    // than a single pass: the cancellation poll at the next pass/morsel
-    // boundary must abort the OPEN within a couple of sleeps — not after
-    // the whole (artificially long) preprocessing run.
-    re_fault::configure("reduce.pass=sleep(40)").unwrap();
-    let t0 = Instant::now();
-    let err = client
-        .open_with_deadline("m", FOUR_CYCLE, Some(15))
-        .unwrap_err();
-    let elapsed = t0.elapsed();
-    re_fault::clear();
+        // Make every reduce pass slow, then give the OPEN a deadline shorter
+        // than a single pass: the cancellation poll at the next pass/morsel
+        // boundary must abort the OPEN within a couple of sleeps — not after
+        // the whole (artificially long) preprocessing run.
+        re_fault::configure("reduce.pass=sleep(40)").unwrap();
+        let t0 = Instant::now();
+        let err = client
+            .open_with_deadline("m", FOUR_CYCLE, Some(15))
+            .unwrap_err();
+        let elapsed = t0.elapsed();
+        re_fault::clear();
 
-    match &err {
-        re_server::ClientError::Server { code, message, .. } => {
-            assert_eq!(code, "deadline_exceeded");
-            assert!(message.contains("deadline"), "{message}");
+        match &err {
+            re_server::ClientError::Server { code, message, .. } => {
+                assert_eq!(code, "deadline_exceeded");
+                assert!(message.contains("deadline"), "{message}");
+            }
+            other => panic!("expected a typed server error, got {other}"),
         }
-        other => panic!("expected a typed server error, got {other}"),
+        assert!(
+            elapsed < Duration::from_millis(1_500),
+            "a deadlined OPEN must unwind within a couple of pass budgets, took {elapsed:?}"
+        );
+        assert_eq!(client.stats().unwrap().sessions_open, 0);
+        assert!(client.stats().unwrap().enumeration.deadline_exceeded > before);
+        assert_eq!(
+            clean_run(&mut client),
+            reference,
+            "post-deadline recovery diverged"
+        );
     }
-    assert!(
-        elapsed < Duration::from_millis(1_500),
-        "a deadlined OPEN must unwind within a couple of pass budgets, took {elapsed:?}"
-    );
-    assert_eq!(client.stats().unwrap().sessions_open, 0);
-    assert!(client.stats().unwrap().enumeration.deadline_exceeded > before);
-    assert_eq!(
-        clean_run(&mut client),
-        reference,
-        "post-deadline recovery diverged"
-    );
 }
 
 #[test]

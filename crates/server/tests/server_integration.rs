@@ -306,10 +306,6 @@ fn memory_budget_evicts_the_heaviest_idle_session_first() {
     assert!(stats.session_bytes_parked <= stats.session_budget_bytes);
     assert!(stats.enumeration.frontier_bytes > 0);
     assert!(stats.enumeration.frontier_peak_bytes > 0);
-    assert_eq!(
-        stats.enumeration.tuple_allocs, 0,
-        "arena engines allocate no hot-path tuples server-wide"
-    );
 }
 
 #[test]

@@ -9,6 +9,7 @@ use crate::planner::{plan, SqlPlan};
 use rankedenum_core::ExecContext;
 use re_ranking::WeightAssignment;
 use re_storage::{Database, Tuple};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The result of a SQL query: column names and the rows in rank order.
@@ -48,6 +49,13 @@ pub enum SqlOutput {
 /// Executes SQL statements against a [`Database`] using the ranked
 /// enumeration engine (never by materialise–sort).
 ///
+/// `D` is whatever handle to the database the caller has: `&Database` for
+/// a borrowed, single-threaded use, `Arc<Database>` ([`OwnedSqlExecutor`])
+/// where the executor must be `Send + Sync + 'static`. Either way the
+/// cursors it opens own their inputs and borrow neither the executor nor
+/// the database. Preprocessing runs under the executor's [`ExecContext`],
+/// serial unless [`SqlExecutor::with_exec_context`] says otherwise.
+///
 /// ```
 /// use re_sql::SqlExecutor;
 /// use re_storage::{attr::attrs, Database, Relation};
@@ -62,99 +70,17 @@ pub enum SqlOutput {
 /// ).unwrap();
 /// assert_eq!(result.rows, vec![vec![1, 1], vec![1, 2], vec![2, 1]]);
 /// ```
-pub struct SqlExecutor<'a> {
-    db: &'a Database,
+#[derive(Clone)]
+pub struct SqlExecutor<D> {
+    db: D,
     weights: WeightAssignment,
+    exec: ExecContext,
 }
 
-impl<'a> SqlExecutor<'a> {
-    /// Executor whose `ORDER BY` weights are the attribute values themselves.
-    pub fn new(db: &'a Database) -> Self {
-        SqlExecutor {
-            db,
-            weights: WeightAssignment::value_as_weight(),
-        }
-    }
-
-    /// Executor with an explicit weight assignment (e.g. h-index weights for
-    /// author ids, as in Example 1 of the paper). The assignment is keyed by
-    /// the *output column names* of the query (`"A1.name"`, `"aid"`, ...).
-    pub fn with_weights(db: &'a Database, weights: WeightAssignment) -> Self {
-        SqlExecutor { db, weights }
-    }
-
-    /// Parse, plan and execute a statement.
-    pub fn run(&self, sql: &str) -> Result<QueryResult, SqlError> {
-        let statement = parse(sql)?;
-        let plan = plan(&statement, self.db)?;
-        self.run_plan(&plan)
-    }
-
-    /// Parse and plan a statement without executing it (useful for
-    /// inspecting the generated join-project query).
-    pub fn plan(&self, sql: &str) -> Result<SqlPlan, SqlError> {
-        let statement = parse(sql)?;
-        plan(&statement, self.db)
-    }
-
-    /// Execute an already-planned statement.
-    pub fn run_plan(&self, plan: &SqlPlan) -> Result<QueryResult, SqlError> {
-        run_plan_on(self.db, &self.weights, plan, &ExecContext::serial())
-    }
-
-    /// Open a *resumable cursor* on a statement: the enumerator is built
-    /// (preprocessing runs once) and successive [`QueryCursor::fetch`]
-    /// calls stream further pages in rank order. The cursor owns its data
-    /// and does not borrow the executor or the database.
-    pub fn open(&self, sql: &str) -> Result<QueryCursor, SqlError> {
-        let statement = parse(sql)?;
-        let plan = plan(&statement, self.db)?;
-        self.open_plan(&plan)
-    }
-
-    /// Open a cursor on an already-planned statement.
-    pub fn open_plan(&self, plan: &SqlPlan) -> Result<QueryCursor, SqlError> {
-        open_plan_on(self.db, &self.weights, plan, &ExecContext::serial())
-    }
-
-    /// Parse any top-level input and dispatch it: plain statements run to
-    /// completion, `EXPLAIN` renders the plan without executing,
-    /// `EXPLAIN ANALYZE` runs the statement and annotates the plan with
-    /// actual counters.
-    pub fn execute(&self, sql: &str) -> Result<SqlOutput, SqlError> {
-        let input = parse_input(sql)?;
-        let plan = plan(&input.statement, self.db)?;
-        match input.explain {
-            None => self.run_plan(&plan).map(SqlOutput::Rows),
-            Some(mode) => self.explain_plan(&plan, mode).map(SqlOutput::Explained),
-        }
-    }
-
-    /// Explain a statement. `sql` may be written with or without the
-    /// `EXPLAIN [ANALYZE]` prefix; a written prefix overrides `mode`.
-    pub fn explain(&self, sql: &str, mode: ExplainMode) -> Result<String, SqlError> {
-        let input = parse_input(sql)?;
-        let plan = plan(&input.statement, self.db)?;
-        self.explain_plan(&plan, input.explain.unwrap_or(mode))
-    }
-
-    /// Explain an already-planned statement.
-    pub fn explain_plan(&self, plan: &SqlPlan, mode: ExplainMode) -> Result<String, SqlError> {
-        match mode {
-            ExplainMode::Plan => explain_plan(self.db, plan),
-            ExplainMode::Analyze => {
-                explain_analyze(self.db, &self.weights, plan, &ExecContext::serial())
-            }
-        }
-    }
-}
-
-/// Executes SQL statements against a *shared* [`Database`] behind an
-/// [`Arc`] — the ownership-based sibling of [`SqlExecutor`] for concurrent
-/// settings: the executor is `Send + Sync`, can be cloned cheaply into
-/// worker threads, and the cursors it opens own their inputs, so sessions
-/// keep streaming even while other threads plan and run queries against
-/// the same database.
+/// [`SqlExecutor`] over a *shared* [`Database`] behind an [`Arc`], for
+/// concurrent settings: it is `Send + Sync`, can be cloned cheaply into
+/// worker threads, and sessions keep streaming from its cursors while
+/// other threads plan and run queries against the same database.
 ///
 /// ```
 /// use re_sql::OwnedSqlExecutor;
@@ -173,26 +99,19 @@ impl<'a> SqlExecutor<'a> {
 /// assert_eq!(cursor.fetch(2), vec![vec![1, 1], vec![1, 2]]);
 /// assert_eq!(cursor.fetch(1), vec![vec![2, 1]]);
 /// ```
-#[derive(Clone)]
-pub struct OwnedSqlExecutor {
-    db: Arc<Database>,
-    weights: WeightAssignment,
-    exec: ExecContext,
-}
+pub type OwnedSqlExecutor = SqlExecutor<Arc<Database>>;
 
-impl OwnedSqlExecutor {
-    /// Executor whose `ORDER BY` weights are the attribute values.
-    pub fn new(db: Arc<Database>) -> Self {
-        OwnedSqlExecutor {
-            db,
-            weights: WeightAssignment::value_as_weight(),
-            exec: ExecContext::serial(),
-        }
+impl<D: Deref<Target = Database>> SqlExecutor<D> {
+    /// Executor whose `ORDER BY` weights are the attribute values themselves.
+    pub fn new(db: D) -> Self {
+        Self::with_weights(db, WeightAssignment::value_as_weight())
     }
 
-    /// Executor with an explicit weight assignment.
-    pub fn with_weights(db: Arc<Database>, weights: WeightAssignment) -> Self {
-        OwnedSqlExecutor {
+    /// Executor with an explicit weight assignment (e.g. h-index weights for
+    /// author ids, as in Example 1 of the paper). The assignment is keyed by
+    /// the *output column names* of the query (`"A1.name"`, `"aid"`, ...).
+    pub fn with_weights(db: D, weights: WeightAssignment) -> Self {
+        SqlExecutor {
             db,
             weights,
             exec: ExecContext::serial(),
@@ -207,40 +126,34 @@ impl OwnedSqlExecutor {
         self
     }
 
-    /// The execution context cursors are opened under.
-    pub fn exec_context(&self) -> &ExecContext {
-        &self.exec
-    }
-
-    /// The shared database this executor runs against.
-    pub fn database(&self) -> &Arc<Database> {
-        &self.db
-    }
-
     /// Parse, plan and execute a statement.
     pub fn run(&self, sql: &str) -> Result<QueryResult, SqlError> {
-        let statement = parse(sql)?;
-        let plan = plan(&statement, &self.db)?;
-        self.run_plan(&plan)
+        self.run_plan(&self.plan(sql)?)
     }
 
-    /// Parse and plan a statement without executing it. The returned plan
-    /// is immutable and can be cached and shared across threads.
+    /// Parse and plan a statement without executing it (useful for
+    /// inspecting the generated join-project query). The returned plan is
+    /// immutable and can be cached and shared across threads.
     pub fn plan(&self, sql: &str) -> Result<SqlPlan, SqlError> {
-        let statement = parse(sql)?;
-        plan(&statement, &self.db)
+        plan(&parse(sql)?, &self.db)
     }
 
     /// Execute an already-planned statement.
     pub fn run_plan(&self, plan: &SqlPlan) -> Result<QueryResult, SqlError> {
-        run_plan_on(&self.db, &self.weights, plan, &self.exec)
+        let mut cursor = self.open_plan(plan)?;
+        let rows = cursor.fetch_all();
+        Ok(QueryResult {
+            columns: cursor.columns().to_vec(),
+            rows,
+        })
     }
 
-    /// Open a resumable cursor on a statement (see [`SqlExecutor::open`]).
+    /// Open a *resumable cursor* on a statement: the enumerator is built
+    /// (preprocessing runs once) and successive [`QueryCursor::fetch`]
+    /// calls stream further pages in rank order. The cursor owns its data
+    /// and does not borrow the executor or the database.
     pub fn open(&self, sql: &str) -> Result<QueryCursor, SqlError> {
-        let statement = parse(sql)?;
-        let plan = plan(&statement, &self.db)?;
-        self.open_plan(&plan)
+        self.open_plan(&self.plan(sql)?)
     }
 
     /// Open a cursor on an already-planned (possibly cached) statement.
@@ -248,10 +161,12 @@ impl OwnedSqlExecutor {
         open_plan_on(&self.db, &self.weights, plan, &self.exec)
     }
 
-    /// Parse any top-level input and dispatch it (see
-    /// [`SqlExecutor::execute`]). `EXPLAIN ANALYZE` runs under this
-    /// executor's execution context, so pooled preprocessing shows up in
-    /// the per-operator counters and the recorded trace.
+    /// Parse any top-level input and dispatch it: plain statements run to
+    /// completion, `EXPLAIN` renders the plan without executing,
+    /// `EXPLAIN ANALYZE` runs the statement and annotates the plan with
+    /// actual counters — under this executor's execution context, so
+    /// pooled preprocessing shows up in the per-operator counters and the
+    /// recorded trace.
     pub fn execute(&self, sql: &str) -> Result<SqlOutput, SqlError> {
         let input = parse_input(sql)?;
         let plan = plan(&input.statement, &self.db)?;
@@ -278,23 +193,8 @@ impl OwnedSqlExecutor {
     }
 }
 
-/// Shared execution path of both executors: instantiate derived relations,
-/// open a cursor, drain it.
-fn run_plan_on(
-    db: &Database,
-    weights: &WeightAssignment,
-    plan: &SqlPlan,
-    ctx: &ExecContext,
-) -> Result<QueryResult, SqlError> {
-    let mut cursor = open_plan_on(db, weights, plan, ctx)?;
-    let rows = cursor.fetch_all();
-    Ok(QueryResult {
-        columns: cursor.columns().to_vec(),
-        rows,
-    })
-}
-
-/// Shared cursor-opening path of both executors.
+/// Open a cursor on `plan`: the path [`SqlExecutor::open_plan`] and
+/// `EXPLAIN ANALYZE` share.
 ///
 /// The cursor's enumerator copies the relations it needs during the
 /// full-reducer pass, so the working database only has to *exist* for the

@@ -95,15 +95,15 @@ pub mod scale {
 /// pass copies the relations it needs out of the database — so enumerators
 /// built here can be boxed as [`rankedenum_core::RankedStream`]s, parked in
 /// session tables and resumed from other threads. [`re_sql::SqlExecutor`]
-/// keeps its borrow-based API for single-threaded use;
-/// [`re_sql::OwnedSqlExecutor`] is the `Arc<Database>`-based sibling for
-/// concurrent settings.
+/// is one executor over whatever handle to the database the caller has:
+/// `SqlExecutor::new(&db)` borrows it, and [`re_sql::OwnedSqlExecutor`] is
+/// the same type over an `Arc<Database>` for concurrent settings.
 pub mod prelude {
     pub use rankedenum_core::{
         lexi_serves, select, select_ranked, top_k, AcyclicEnumerator, Algorithm, CyclicEnumerator,
         EnumError, EnumStats, GhdReport, HistSnapshot, InstrumentedStream, LexiEnumerator,
-        LocalHistogram, RankedEnumerator, RankedStream, ReferenceAcyclic, SharedStats,
-        StarEnumerator, StatsSnapshot, TimingBreakdown, UnionEnumerator,
+        LocalHistogram, RankedEnumerator, RankedStream, SharedStats, StarEnumerator, StatsSnapshot,
+        TimingBreakdown, UnionEnumerator,
     };
     pub use re_baseline::{BfsSortEngine, FullAnyKEngine, MaterializeSortEngine};
     pub use re_exec::{ExecContext, PoolStats, WorkerPool};

@@ -7,6 +7,34 @@
 use rankedenum::join::{full_join, project_distinct};
 use rankedenum::prelude::*;
 
+/// A context over a fresh pool of `threads` workers that forces the
+/// parallel paths on tiny inputs. Always a *real* pool —
+/// `ExecContext::with_threads(1)` would degrade to a serial context, and
+/// the single-worker pooled path (pool scheduling, helping caller,
+/// index-ordered merge) is exactly what a size-1 leg exists to pin against
+/// the serial engine.
+pub fn ctx_at(threads: usize) -> ExecContext {
+    ExecContext::pooled(WorkerPool::new(threads))
+        .with_min_par_rows(1)
+        .with_morsel_rows(7)
+}
+
+/// The contexts the differential suites build under: serial, a one-worker
+/// pool and a four-worker pool.
+pub fn contexts() -> [ExecContext; 3] {
+    [ExecContext::serial(), ctx_at(1), ctx_at(4)]
+}
+
+/// Assert that a build under `ctx` ran tasks on its pool exactly if it has
+/// one — the pooled legs of a suite must not quietly take serial paths.
+pub fn assert_ran_on_its_pool(ctx: &ExecContext, what: &str) {
+    assert_eq!(
+        ctx.pool_stats().tasks_executed > 0,
+        ctx.is_parallel(),
+        "{what}: a pooled build must run on its pool"
+    );
+}
+
 /// Reference ("brute force") evaluation: materialise the full join with
 /// binary hash joins, project with de-duplication, sort by `(key, tuple)`.
 pub fn reference_answers<R: Ranking>(
@@ -22,6 +50,25 @@ pub fn reference_answers<R: Ranking>(
         .map(|t| (ranking.key(&plan, t), t.to_vec()))
         .collect();
     rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    rows.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Reference evaluation of a union: every branch's [`reference_answers`],
+/// an answer several branches produce kept once, sorted by `(key, tuple)`.
+pub fn reference_union_answers<R: Ranking>(
+    union: &UnionQuery,
+    db: &Database,
+    ranking: &R,
+) -> Vec<Tuple> {
+    let plan = ranking.plan(union.projection());
+    let mut rows: Vec<(R::Key, Tuple)> = union
+        .branches()
+        .iter()
+        .flat_map(|branch| reference_answers(branch, db, ranking))
+        .map(|t| (ranking.key(&plan, &t), t))
+        .collect();
+    rows.sort();
+    rows.dedup();
     rows.into_iter().map(|(_, t)| t).collect()
 }
 

@@ -42,7 +42,7 @@ fn threads_sharing_one_database_agree_with_the_single_threaded_run() {
 
     // Single-threaded references.
     let reference_topk = top_k(&query, &db, SumRanking::value_sum(), 40).unwrap();
-    let reference_sql = SqlExecutor::new(&db).run(SQL).unwrap().rows;
+    let reference_sql = SqlExecutor::new(&*db).run(SQL).unwrap().rows;
     assert!(
         reference_topk.len() == 40,
         "workload has at least 40 answers"
@@ -96,7 +96,7 @@ fn threads_sharing_one_database_agree_with_the_single_threaded_run() {
 fn cursors_opened_on_one_thread_resume_on_others() {
     let db = Arc::new(build_db());
     let exec = OwnedSqlExecutor::new(Arc::clone(&db));
-    let reference = SqlExecutor::new(&db).run(SQL).unwrap().rows;
+    let reference = SqlExecutor::new(&*db).run(SQL).unwrap().rows;
 
     // Open on the main thread, fetch the first page here...
     let mut cursor = exec.open(SQL).unwrap();

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{assert_valid_ranked_output, reference_answers};
+use common::{assert_valid_ranked_output, reference_answers, reference_union_answers};
 use rankedenum::prelude::*;
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::{DblpWorkload, ImdbWorkload, LdbcWorkload};
@@ -121,21 +121,8 @@ fn union_queries_match_reference_union() {
     let w = LdbcWorkload::generate(1, 61);
     for spec in [w.q3(), w.q10(), w.q11()] {
         let ranking = spec.sum_ranking();
-        // Reference: union of the branch reference answer sets, re-sorted.
-        let mut set = std::collections::HashSet::new();
-        for branch in spec.query.branches() {
-            for t in reference_answers(branch, w.db(), &ranking) {
-                set.insert(t);
-            }
-        }
-        let mut reference: Vec<Tuple> = set.into_iter().collect();
+        let reference = reference_union_answers(&spec.query, w.db(), &ranking);
         let plan = ranking.plan(spec.query.projection());
-        reference.sort_by(|a, b| {
-            ranking
-                .key(&plan, a)
-                .cmp(&ranking.key(&plan, b))
-                .then_with(|| a.cmp(b))
-        });
 
         let answers: Vec<Tuple> = UnionEnumerator::new(&spec.query, w.db(), ranking.clone())
             .unwrap()

@@ -1,12 +1,13 @@
 //! Allocation tripwire for steady-state `next()` of the general algorithm.
 //!
-//! [`EnumStats::tuple_allocs`] counts the tuples the enumerator *says* it
-//! allocates; this suite counts what the allocator sees. Once a 2-hop `SUM`
-//! enumeration is warm, an answer may cost exactly one allocation — the
-//! emitted tuple. Successor keys are computed, interned, compared and
-//! dropped without a heap block (an `ExactSum` of up to two components is
-//! inline, a `SumRanking` plan resolves no attribute name), and cells,
-//! interned keys and heap entries go into slabs that grow by doubling.
+//! The ban on hot-path allocations is enforced here, by counting what the
+//! allocator sees (nothing ticks [`EnumStats::tuple_allocs`] any more; the
+//! field survives for the wire format). Once a 2-hop `SUM` enumeration is
+//! warm, an answer may cost exactly one allocation — the emitted tuple.
+//! Successor keys are computed, interned, compared and dropped without a
+//! heap block (an `ExactSum` of up to two components is inline, a
+//! `SumRanking` plan resolves no attribute name), and cells, interned keys
+//! and heap entries go into slabs that grow by doubling.
 //!
 //! The count is per thread, as in `re_obs`'s tripwire: libtest runs the
 //! tests of a binary on parallel threads and allocates on its own.
@@ -87,7 +88,6 @@ fn assert_steady_state_allocates_only_answers<R: Ranking + Clone>(
         extra <= SLAB_GROWTH_BUDGET,
         "{what}: {extra} allocations beyond the {answers} emitted answers"
     );
-    assert_eq!(e.stats().tuple_allocs, 0);
 }
 
 #[test]

@@ -1,42 +1,37 @@
 //! Differential suite for the arena frontier kernel.
 //!
-//! Hard contract of the PR that introduced `re_core::frontier`: the
-//! arena-backed enumerators ([`AcyclicEnumerator`], [`CyclicEnumerator`]
+//! The arena-backed enumerators ([`AcyclicEnumerator`], [`CyclicEnumerator`]
 //! through its bag-wrapped acyclic core, [`StarEnumerator`],
-//! [`UnionEnumerator`]) emit answer sequences **byte-identical** to the
-//! pre-refactor owned-tuple engine, retained as [`ReferenceAcyclic`]. This
-//! suite pits the engines against each other on every `re_workloads` query
-//! and on proptest-random acyclic and cyclic instances — serial, under a
-//! pooled context, and under the env-sized context `ci.sh` forces to
-//! `RE_EXEC_THREADS=1` and `=4`.
+//! [`UnionEnumerator`]) must emit exactly the sequence of the one oracle
+//! that shares no code with them: materialise the join, project with
+//! de-duplication, sort by `(key, tuple)` ([`common::reference_answers`]).
+//! This suite holds them to it on every `re_workloads` query and on
+//! proptest-random acyclic and cyclic instances, built serially and under
+//! a one- and a four-worker pool ([`common::contexts`]).
 //!
-//! It also enforces the kernel's representation guarantees: steady-state
-//! `next()` performs zero `Tuple` allocations beyond the emitted answer
-//! ([`EnumStats::tuple_allocs`] stays 0 — while the reference engine,
-//! which allocates per cell and per queue entry, must trip the counter),
-//! and the accounted frontier footprint of the arena engine undercuts the
-//! reference engine's walked footprint.
+//! It also pins the kernel's representation: the cell, queue-operation and
+//! byte counters of the bulk build, and the comparator's behaviour where
+//! the inline words of a heap entry decide nothing.
 
 mod common;
 
-use common::reference_answers;
+use common::{assert_ran_on_its_pool, contexts, reference_answers, reference_union_answers};
 use proptest::prelude::*;
 use rankedenum::prelude::*;
 use rankedenum::ranking::RankKey;
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::{DblpWorkload, ImdbWorkload, LdbcWorkload};
 
-/// The env-sized context `ci.sh` pins to RE_EXEC_THREADS=1 and =4, with
-/// tiny morsels so small instances still split.
-fn env_ctx() -> ExecContext {
-    ExecContext::from_env()
-        .with_min_par_rows(1)
-        .with_morsel_rows(7)
-}
-
-/// Drain up to `k` answers and return them with the final stats.
-fn drain<E: Iterator<Item = Tuple>>(mut e: E, k: usize) -> Vec<Tuple> {
-    e.by_ref().take(k).collect()
+/// The first `k` answers of the materialise-and-sort oracle.
+fn oracle_prefix<R: Ranking>(
+    query: &JoinProjectQuery,
+    db: &Database,
+    ranking: &R,
+    k: usize,
+) -> Vec<Tuple> {
+    let mut answers = reference_answers(query, db, ranking);
+    answers.truncate(k);
+    answers
 }
 
 #[test]
@@ -52,36 +47,22 @@ fn acyclic_workloads_match_the_reference_engine() {
         (imdb.three_star(), imdb.db()),
     ];
     for (spec, db) in specs {
-        let mut reference = ReferenceAcyclic::new(&spec.query, db, spec.sum_ranking()).unwrap();
-        let expected: Vec<Tuple> = reference.by_ref().take(500).collect();
-        assert!(
-            reference.stats().tuple_allocs > 0,
-            "{}: the reference engine must trip the tuple-alloc tripwire",
-            spec.name
-        );
-
-        let mut arena = AcyclicEnumerator::new(&spec.query, db, spec.sum_ranking()).unwrap();
-        let got: Vec<Tuple> = arena.by_ref().take(500).collect();
-        assert_eq!(got, expected, "{}: arena engine diverged", spec.name);
-        assert_eq!(
-            arena.stats().tuple_allocs,
-            0,
-            "{}: arena next() allocated a tuple beyond the answer",
-            spec.name
-        );
-        assert!(
-            arena.frontier_bytes() < reference.frontier_bytes(),
-            "{}: arena frontier ({}) must undercut the owned-tuple frontier ({})",
-            spec.name,
-            arena.frontier_bytes(),
-            reference.frontier_bytes()
-        );
-
-        let via_env: Vec<Tuple> = drain(
-            AcyclicEnumerator::new_ctx(&spec.query, db, spec.sum_ranking(), &env_ctx()).unwrap(),
-            500,
-        );
-        assert_eq!(via_env, expected, "{}: env-ctx build diverged", spec.name);
+        let ranking = spec.sum_ranking();
+        let expected = oracle_prefix(&spec.query, db, &ranking, 500);
+        for ctx in contexts() {
+            let got: Vec<Tuple> =
+                AcyclicEnumerator::new_ctx(&spec.query, db, ranking.clone(), &ctx)
+                    .unwrap()
+                    .take(500)
+                    .collect();
+            let threads = ctx.threads();
+            assert_eq!(
+                got, expected,
+                "{}: diverged, {threads}-thread build",
+                spec.name
+            );
+            assert_ran_on_its_pool(&ctx, &spec.name);
+        }
     }
 }
 
@@ -128,7 +109,7 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
         )
     };
     for (spec, at_build, after_500) in cases {
-        for ctx in [ExecContext::serial(), env_ctx()] {
+        for ctx in contexts() {
             let mut e =
                 AcyclicEnumerator::new_ctx(&spec.query, dblp.db(), spec.sum_ranking(), &ctx)
                     .unwrap();
@@ -152,67 +133,38 @@ fn cyclic_workloads_match_the_reference_engine() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
     for k in [2usize, 3] {
         let (spec, plan) = dblp.cycle(k);
-        let expected: Vec<Tuple> = drain(
-            ReferenceAcyclic::for_cyclic(&spec.query, dblp.db(), spec.sum_ranking(), &plan)
-                .unwrap(),
-            300,
-        );
-        let mut arena =
-            CyclicEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking(), &plan).unwrap();
-        let got: Vec<Tuple> = arena.by_ref().take(300).collect();
-        assert_eq!(got, expected, "{}: cyclic arena diverged", spec.name);
-        assert_eq!(arena.stats().tuple_allocs, 0, "{}: tuple alloc", spec.name);
-        assert!(arena.stats().frontier_bytes > 0);
-
-        let via_env: Vec<Tuple> = drain(
-            CyclicEnumerator::new_ctx(
-                &spec.query,
-                dblp.db(),
-                spec.sum_ranking(),
-                &plan,
-                &env_ctx(),
-            )
-            .unwrap(),
-            300,
-        );
-        assert_eq!(via_env, expected, "{}: env-ctx cyclic diverged", spec.name);
+        let ranking = spec.sum_ranking();
+        let expected = oracle_prefix(&spec.query, dblp.db(), &ranking, 300);
+        for ctx in contexts() {
+            let mut arena =
+                CyclicEnumerator::new_ctx(&spec.query, dblp.db(), ranking.clone(), &plan, &ctx)
+                    .unwrap();
+            let got: Vec<Tuple> = arena.by_ref().take(300).collect();
+            let threads = ctx.threads();
+            assert_eq!(
+                got, expected,
+                "{}: diverged, {threads}-thread build",
+                spec.name
+            );
+            assert!(arena.stats().frontier_bytes > 0);
+        }
     }
 }
 
 #[test]
 fn union_workloads_match_reference_branch_merges() {
-    // The union engine merges whatever sorted branch streams it is given;
-    // feeding it reference-engine branches reproduces the pre-refactor
-    // output, which the arena-backed build must equal exactly.
+    // The union's answers are the branches' oracle sequences merged by
+    // `(key, tuple)`, an answer that several branches produce kept once.
     let ldbc = LdbcWorkload::generate(2, 31);
     for spec in [ldbc.q3(), ldbc.q10(), ldbc.q11()] {
         let ranking = spec.sum_ranking();
-        let branches: Vec<Box<dyn Iterator<Item = Tuple> + Send>> = spec
-            .query
-            .branches()
-            .iter()
-            .map(|q| -> Box<dyn Iterator<Item = Tuple> + Send> {
-                if Hypergraph::of_query(q).is_acyclic() {
-                    Box::new(ReferenceAcyclic::new(q, ldbc.db(), ranking.clone()).unwrap())
-                } else {
-                    let plan = GhdPlan::for_cycle(q).unwrap_or_else(|_| GhdPlan::single_bag(q));
-                    Box::new(
-                        ReferenceAcyclic::for_cyclic(q, ldbc.db(), ranking.clone(), &plan).unwrap(),
-                    )
-                }
-            })
+        let mut expected = reference_union_answers(&spec.query, ldbc.db(), &ranking);
+        expected.truncate(400);
+        let got: Vec<Tuple> = UnionEnumerator::new(&spec.query, ldbc.db(), ranking)
+            .unwrap()
+            .take(400)
             .collect();
-        let expected: Vec<Tuple> = drain(
-            UnionEnumerator::from_streams(
-                spec.query.projection().to_vec(),
-                ranking.clone(),
-                branches,
-            ),
-            400,
-        );
-        let arena = UnionEnumerator::new(&spec.query, ldbc.db(), ranking.clone()).unwrap();
-        let got: Vec<Tuple> = drain(arena, 400);
-        assert_eq!(got, expected, "{}: union arena diverged", spec.name);
+        assert_eq!(got, expected, "{}: union diverged", spec.name);
     }
 }
 
@@ -220,15 +172,12 @@ fn union_workloads_match_reference_branch_merges() {
 fn star_enumerator_accounts_branch_frontiers() {
     let dblp = DblpWorkload::generate(300, 51, WeightScheme::Random);
     let spec = dblp.three_star();
-    let reference: Vec<Tuple> = drain(
-        ReferenceAcyclic::new(&spec.query, dblp.db(), spec.sum_ranking()).unwrap(),
-        300,
-    );
+    let expected = oracle_prefix(&spec.query, dblp.db(), &spec.sum_ranking(), 300);
     for delta in [1usize, 8, 1000] {
         let mut star =
             StarEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking(), delta).unwrap();
         let got: Vec<Tuple> = star.by_ref().take(300).collect();
-        assert_eq!(got, reference, "δ = {delta}: star diverged");
+        assert_eq!(got, expected, "δ = {delta}: star diverged");
         let snapshot = star.stats_snapshot();
         assert!(
             snapshot.frontier_bytes > 0,
@@ -302,6 +251,7 @@ fn assert_matches_materialise_and_sort<R: Ranking + Clone>(
         let got: Vec<Tuple> = AcyclicEnumerator::with_tree(query, db, ranking.clone(), tree)
             .unwrap()
             .collect();
+        assert_eq!(got.len(), expected.len(), "{what}, root {root}: count");
         assert_eq!(got, expected, "{what}, root {root}");
     }
 }
@@ -337,6 +287,23 @@ fn equal_prefixes_never_let_the_first_output_value_outrank_the_key() {
     assert_matches_materialise_and_sort(&query, &db, NoPrefix(max), "max, no prefix");
     let sum = SumRanking::new(by_x(0.0));
     assert_matches_materialise_and_sort(&query, &db, NoPrefix(sum), "sum, no prefix");
+}
+
+/// ROADMAP item 1's instance. With `−value` on both attributes MIN and MAX
+/// tie between a cell and its successor (they are only weakly monotone), an
+/// equal output reached through a second anchor then pops later, and the
+/// last-answer check misses it: 150 answers for 145 distinct ones. Fixing
+/// item 1 means removing the `#[ignore]`.
+#[test]
+#[ignore = "ROADMAP item 1: weakly monotone rankings emit duplicates"]
+fn min_and_max_emit_each_projected_answer_once() {
+    let (db, query) = overlapping_groups(6, 5);
+    let negated = || (0..64u64).map(|v| (v, Weight::new(-(v as f64)))).collect();
+    let weights = WeightAssignment::value_as_weight()
+        .with_table("x", negated())
+        .with_table("y", negated());
+    assert_matches_materialise_and_sort(&query, &db, MinRanking::new(weights.clone()), "min");
+    assert_matches_materialise_and_sort(&query, &db, MaxRanking::new(weights), "max");
 }
 
 /// Sums that share their dominant component: every `x` weighs `2^53`, where
@@ -390,9 +357,8 @@ fn edges(max_node: u64, max_len: usize) -> impl Strategy<Value = Vec<(u64, u64)>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random acyclic instances: the arena engine equals the reference
-    /// engine under SUM — serial and under the env-sized context — and
-    /// keeps the zero-allocation contract.
+    /// Random acyclic instances: under SUM the arena engine emits the
+    /// oracle's sequence, whichever context built it.
     #[test]
     fn arena_matches_reference_on_random_acyclic_instances(
         r in edges(6, 60),
@@ -410,22 +376,18 @@ proptest! {
             .project(["a", "c", "d"])
             .build()
             .unwrap();
-        let expected: Vec<Tuple> = ReferenceAcyclic::new(&query, &db, SumRanking::value_sum())
-            .unwrap()
-            .collect();
-        let mut arena = AcyclicEnumerator::new(&query, &db, SumRanking::value_sum()).unwrap();
-        let got: Vec<Tuple> = arena.by_ref().collect();
-        prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(arena.stats().tuple_allocs, 0);
-        let via_env: Vec<Tuple> =
-            AcyclicEnumerator::new_ctx(&query, &db, SumRanking::value_sum(), &env_ctx())
-                .unwrap()
-                .collect();
-        prop_assert_eq!(&via_env, &expected);
+        let expected = reference_answers(&query, &db, &SumRanking::value_sum());
+        for ctx in contexts() {
+            let got: Vec<Tuple> =
+                AcyclicEnumerator::new_ctx(&query, &db, SumRanking::value_sum(), &ctx)
+                    .unwrap()
+                    .collect();
+            prop_assert_eq!(&got, &expected);
+        }
     }
 
-    /// Random 4-cycle instances: the GHD-backed cyclic engine equals the
-    /// reference engine run on the same plan's materialised bags.
+    /// Random 4-cycle instances: the GHD-backed cyclic engine emits the
+    /// oracle's sequence, whichever context materialised its bags.
     #[test]
     fn arena_matches_reference_on_random_cyclic_instances(
         e in edges(7, 70),
@@ -441,19 +403,13 @@ proptest! {
             .build()
             .unwrap();
         let plan = GhdPlan::for_cycle(&query).unwrap();
-        let expected: Vec<Tuple> =
-            ReferenceAcyclic::for_cyclic(&query, &db, SumRanking::value_sum(), &plan)
-                .unwrap()
-                .collect();
-        let got: Vec<Tuple> =
-            CyclicEnumerator::new(&query, &db, SumRanking::value_sum(), &plan)
-                .unwrap()
-                .collect();
-        prop_assert_eq!(&got, &expected);
-        let via_env: Vec<Tuple> =
-            CyclicEnumerator::new_ctx(&query, &db, SumRanking::value_sum(), &plan, &env_ctx())
-                .unwrap()
-                .collect();
-        prop_assert_eq!(&via_env, &expected);
+        let expected = reference_answers(&query, &db, &SumRanking::value_sum());
+        for ctx in contexts() {
+            let got: Vec<Tuple> =
+                CyclicEnumerator::new_ctx(&query, &db, SumRanking::value_sum(), &plan, &ctx)
+                    .unwrap()
+                    .collect();
+            prop_assert_eq!(&got, &expected);
+        }
     }
 }

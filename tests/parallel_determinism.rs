@@ -5,9 +5,8 @@
 //! order never depends on the thread count. This suite drives the contract
 //! end to end over the `re_workloads` queries — acyclic (full reducer),
 //! cyclic (GHD bag materialisation) and UCQ (per-branch preprocessing) —
-//! at pool sizes 1, 2 and "the machine", plus whatever `RE_EXEC_THREADS`
-//! asks for (`ci.sh` runs the suite at 1 and 4). Morsels are forced tiny
-//! so the small test instances still split into many parallel tasks.
+//! at pool sizes 1, 2, 4 and "the machine". Morsels are forced tiny so the
+//! small test instances still split into many parallel tasks.
 //!
 //! A property test over random edge relations additionally hammers the
 //! individual kernels (hash join, semi-join, distinct projection) against
@@ -15,6 +14,7 @@
 
 mod common;
 
+use common::ctx_at;
 use proptest::prelude::*;
 use rankedenum::join::{
     hash_join, par_hash_join, par_project_distinct, par_semi_join, project_distinct, semi_join,
@@ -23,30 +23,13 @@ use rankedenum::prelude::*;
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::{DblpWorkload, ImdbWorkload, LdbcWorkload};
 
-/// Pool sizes every workload is checked at: 1, 2, the machine, and the
-/// size `RE_EXEC_THREADS` names (deduplicated).
+/// Pool sizes every workload is checked at: 1, 2, 4 and the machine
+/// (deduplicated).
 fn pool_sizes() -> Vec<usize> {
-    let mut sizes = vec![1, 2, rankedenum::exec::machine_threads()];
-    if let Some(n) = std::env::var(rankedenum::exec::THREADS_ENV)
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        sizes.push(n.max(1));
-    }
+    let mut sizes = vec![1, 2, 4, rankedenum::exec::machine_threads()];
     sizes.sort_unstable();
     sizes.dedup();
     sizes
-}
-
-/// A context at `threads` that forces the parallel paths on tiny inputs.
-/// Always a *real* pool — `ExecContext::with_threads(1)` would degrade to
-/// a serial context, and the single-worker pooled path (pool scheduling,
-/// helping caller, index-ordered merge) is exactly what the size-1 leg of
-/// the suite exists to pin against the serial engine.
-fn ctx_at(threads: usize) -> ExecContext {
-    ExecContext::pooled(WorkerPool::new(threads))
-        .with_min_par_rows(1)
-        .with_morsel_rows(7)
 }
 
 fn assert_same_rows(name: &str, threads: usize, serial: &[Tuple], parallel: &[Tuple]) {
@@ -235,23 +218,26 @@ fn union_workloads_are_thread_count_invariant() {
 }
 
 #[test]
-fn env_sized_context_is_also_deterministic() {
-    // `ci.sh` runs this suite under RE_EXEC_THREADS=1 and =4; this test is
-    // the one that routes through the exact context a production caller
-    // gets from the environment.
-    let ctx = ExecContext::from_env()
-        .with_min_par_rows(1)
-        .with_morsel_rows(5);
+fn full_drain_is_thread_count_invariant() {
+    // The workload tests above compare prefixes; this one drains the 2-hop,
+    // through the contexts `ExecContext::with_threads` hands a caller (a
+    // serial one at 1, a fresh pool at 4).
     let dblp = DblpWorkload::generate(400, 41, WeightScheme::Random);
     let spec = dblp.two_hop();
     let serial: Vec<Tuple> = RankedEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking())
         .unwrap()
         .collect();
-    let parallel: Vec<Tuple> =
-        RankedEnumerator::new_ctx(&spec.query, dblp.db(), spec.sum_ranking(), &ctx)
-            .unwrap()
-            .collect();
-    assert_eq!(serial, parallel);
+    for threads in [1, 4] {
+        let ctx = ExecContext::with_threads(threads)
+            .with_min_par_rows(1)
+            .with_morsel_rows(5);
+        let parallel: Vec<Tuple> =
+            RankedEnumerator::new_ctx(&spec.query, dblp.db(), spec.sum_ranking(), &ctx)
+                .unwrap()
+                .collect();
+        assert_same_rows(&spec.name, threads, &serial, &parallel);
+        common::assert_ran_on_its_pool(&ctx, &spec.name);
+    }
 }
 
 /// Build a relation from generated edges (shifted away from 0 and
@@ -280,8 +266,7 @@ proptest! {
 
     /// The LexiEnumerator emits the identical sequence as the general
     /// RankedEnumerator under a lexicographic ranking on random acyclic
-    /// instances — serial, pooled, and under the env-sized context that
-    /// `ci.sh` forces to RE_EXEC_THREADS=1 and =4 — and both equal the
+    /// instances — serial and at every pool size — and both equal the
     /// materialise → distinct → sort oracle, which is neither engine
     /// (value-as-weight LEX over the whole projection is a total order, so
     /// the sorted sequence is unique). The last two legs run lexi under
@@ -312,15 +297,13 @@ proptest! {
             prop_assert_eq!(&via_lexi, &via_general);
             let oracle = common::reference_answers(&query, &db, &lex);
             prop_assert_eq!(&via_lexi, &oracle);
-            let env_ctx = ExecContext::from_env().with_min_par_rows(1).with_morsel_rows(5);
-            let via_env: Vec<Tuple> = LexiEnumerator::new_ctx(&query, &db, &lex, &env_ctx)
-                .unwrap()
-                .collect();
-            prop_assert_eq!(&via_lexi, &via_env);
-            let via_pooled: Vec<Tuple> = LexiEnumerator::new_ctx(&query, &db, &lex, &ctx_at(3))
-                .unwrap()
-                .collect();
-            prop_assert_eq!(&via_lexi, &via_pooled);
+            for threads in [3, 4] {
+                let via_pooled: Vec<Tuple> =
+                    LexiEnumerator::new_ctx(&query, &db, &lex, &ctx_at(threads))
+                        .unwrap()
+                        .collect();
+                prop_assert_eq!(&via_lexi, &via_pooled);
+            }
 
             // Tie-heavy: values 2k and 2k+1 share weight k. Tied on the
             // last level only, the per-level (weight, value) order lexi

@@ -7,21 +7,16 @@
 //! distinct rows — and therefore byte-identical enumeration sequences
 //! through [`CyclicEnumerator`]. This suite pits the kernels against each
 //! other on the paper's cyclic workloads (4-cycle, 6-cycle, bowtie) and on
-//! proptest-random cyclic instances, serial and under the env-sized
-//! context `ci.sh` pins to `RE_EXEC_THREADS=1` and `=4`.
+//! proptest-random cyclic instances, serial and under a one- and a
+//! four-worker pool ([`common::contexts`]).
 
+mod common;
+
+use common::{assert_ran_on_its_pool, contexts};
 use proptest::prelude::*;
 use rankedenum::prelude::*;
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::DblpWorkload;
-
-/// The env-sized context `ci.sh` pins to RE_EXEC_THREADS=1 and =4, with
-/// tiny thresholds so small instances still exercise the parallel paths.
-fn env_ctx() -> ExecContext {
-    ExecContext::from_env()
-        .with_min_par_rows(1)
-        .with_morsel_rows(7)
-}
 
 /// A relation's full content as comparable data: name, schema, rows.
 fn rows_of(rel: &Relation) -> (String, Vec<Attr>, Vec<Tuple>) {
@@ -84,7 +79,7 @@ fn cycle_workloads_agree_under_both_kernels() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
     for k in [2usize, 3] {
         let (spec, plan) = dblp.cycle(k);
-        for ctx in [ExecContext::serial(), env_ctx()] {
+        for ctx in contexts() {
             let sizes = assert_kernels_agree(&spec.query, dblp.db(), &plan, &ctx, &spec.name);
             assert!(
                 sizes.iter().any(|&s| s > 0),
@@ -100,6 +95,7 @@ fn cycle_workloads_agree_under_both_kernels() {
                 300,
                 &spec.name,
             );
+            assert_ran_on_its_pool(&ctx, &spec.name);
         }
     }
 }
@@ -108,7 +104,7 @@ fn cycle_workloads_agree_under_both_kernels() {
 fn bowtie_workload_agrees_under_both_kernels() {
     let dblp = DblpWorkload::generate(250, 33, WeightScheme::LogDegree);
     let (spec, plan) = dblp.bowtie();
-    for ctx in [ExecContext::serial(), env_ctx()] {
+    for ctx in contexts() {
         assert_kernels_agree(&spec.query, dblp.db(), &plan, &ctx, &spec.name);
         assert_enumerations_agree(
             &spec.query,
@@ -136,7 +132,7 @@ fn cost_based_plans_agree_under_both_kernels() {
             spec.name,
             sel.plan.shape()
         );
-        for ctx in [ExecContext::serial(), env_ctx()] {
+        for ctx in contexts() {
             assert_kernels_agree(&spec.query, dblp.db(), &sel.plan, &ctx, &spec.name);
             assert_enumerations_agree(
                 &spec.query,
@@ -173,7 +169,7 @@ proptest! {
 
     /// Random 4-cycle instances: identical bags and enumeration sequences
     /// under both kernels, on both the Figure-2 template and whatever plan
-    /// the cost model selects, serial and under the env-sized context.
+    /// the cost model selects, serial and pooled.
     #[test]
     fn kernels_agree_on_random_cyclic_instances(
         e in edges(7, 70),
@@ -193,7 +189,7 @@ proptest! {
         let figure2 = GhdPlan::for_cycle(&query).unwrap();
         let chosen = GhdPlan::cost_based(&query, &db).unwrap().plan;
         for plan in [&figure2, &chosen] {
-            for ctx in [ExecContext::serial(), env_ctx()] {
+            for ctx in contexts() {
                 let wcoj =
                     materialize_bags_with(&query, &db, plan.bags(), &ctx, BagKernel::Wcoj)
                         .unwrap();

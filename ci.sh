@@ -22,22 +22,13 @@ run cargo test -q --workspace
 # imports the crates by path: its smoke test makes a signature change it
 # depends on fail here rather than in the acceptance run.
 run cargo test -q --offline --manifest-path stackbench/Cargo.toml
-# RE_TRANSPORT selects the wire protocol every TcpClient negotiates on its
-# first frame: the server suites run under both, so JSON-lines and binary
-# framing stay byte-equivalent end to end.
-run env RE_TRANSPORT=json cargo test -q -p re_server --test server_integration
-run env RE_TRANSPORT=binary cargo test -q -p re_server --test server_integration
-# Both front-ends (reactor, thread-per-connection), every scenario.
-run env RE_TRANSPORT=json cargo test -q -p re_server --test reactor_integration
-run env RE_TRANSPORT=binary cargo test -q -p re_server --test reactor_integration
+# The workspace test step above already ran every protocol and thread-count
+# leg: `server_integration`, `reactor_integration` and `chaos` loop over
+# both wire protocols themselves, as `chaos`, `parallel_determinism`,
+# `frontier_differential` and `wcoj_differential` build their own serial
+# and pooled legs. What stays is the byte-level equivalence of the two
+# framings on its own line.
 run cargo test -q -p re_server --test transport_equivalence
-# Fault injection against the live server; disconnect handling runs in the
-# reactor's per-connection state machines: both protocols. (The suite builds
-# its own serial and pooled servers, as `parallel_determinism`,
-# `frontier_differential` and `wcoj_differential` build their own contexts:
-# the workspace test step above already ran every thread-count leg.)
-run env RE_TRANSPORT=json cargo test -q -p re_server --test chaos
-run env RE_TRANSPORT=binary cargo test -q -p re_server --test chaos
 # End to end at smoke scale; both examples exit non-zero on a failed check.
 run env RE_SCALE=0.05 cargo run -q --release --example server_quickstart
 run env RE_SCALE=0.05 cargo run -q --release --example explain_analyze

@@ -8,6 +8,10 @@
 //! rank ties, in nanoseconds per pair — the number to read before and
 //! after a change to the heap, its entries or their comparator, without an
 //! end-to-end run around it.
+//!
+//! `frontier_build` splits what an `OPEN` pays before its first answer, per
+//! cell built, into the reducer with its edge encoding, the cell fill and
+//! the heapify — the attribution to start the next `OPEN`-side change from.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rankedenum_core::{
@@ -18,8 +22,9 @@ use re_join::full_reduce;
 use re_query::JoinTree;
 use re_ranking::{ExactSum, RankKey, Ranking, SumRanking};
 use re_storage::attr::attrs;
+use re_storage::Database;
 use re_workloads::membership::WeightScheme;
-use re_workloads::DblpWorkload;
+use re_workloads::{DblpWorkload, QuerySpec};
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
@@ -117,6 +122,44 @@ fn frontier_pop_push(spread: u64) {
     );
 }
 
+/// Build the `SUM` enumerator of `spec` `ROUNDS` times under a request
+/// trace and print where the time went, in nanoseconds per cell built:
+/// `encode` is the full reducer with its edge encoding (the
+/// `preprocess.reduce` span), `fill` the one-cell-per-row pass of
+/// Algorithm 1 with its key construction and interning (`cells.fill`),
+/// `heapify` the per-anchor queues' heap order (`cells.heapify`). Binding
+/// the atoms, the remaining part of an `OPEN`, is a copy and is left out.
+fn frontier_build(spec: &QuerySpec, db: &Database) {
+    const ROUNDS: u64 = 20;
+    const PHASES: [&str; 3] = ["preprocess.reduce", "cells.fill", "cells.heapify"];
+    let mut micros = [0u64; 3];
+    let mut cells = 0;
+    for round in 0..=ROUNDS {
+        let trace = re_obs::TraceCtx::new("frontier_build");
+        {
+            let _installed = re_obs::trace::install(&trace, 0);
+            let built = AcyclicEnumerator::new(&spec.query, db, spec.sum_ranking()).unwrap();
+            cells = black_box(built).cell_count() as u64;
+        }
+        let trace = trace.finish();
+        // The first round warms the allocator and is not counted.
+        if round > 0 {
+            for (total, phase) in micros.iter_mut().zip(PHASES) {
+                *total += trace
+                    .spans_named(phase)
+                    .map(|s| s.duration_micros)
+                    .sum::<u64>();
+            }
+        }
+    }
+    let [encode, fill, heapify] = micros.map(|m| m as f64 * 1e3 / (ROUNDS * cells) as f64);
+    println!(
+        "micro_core/frontier_build/{}: encode {encode:.1} + fill {fill:.1} + heapify \
+         {heapify:.1} ns per cell ({cells} cells, mean of {ROUNDS} builds)",
+        spec.name
+    );
+}
+
 fn bench(c: &mut Criterion) {
     // About 20 % and 40 % rank ties.
     frontier_pop_push(82_000);
@@ -126,6 +169,9 @@ fn bench(c: &mut Criterion) {
     let dblp = DblpWorkload::generate(8_000 * factor, 42, WeightScheme::Random);
     let spec2 = dblp.two_hop();
     let spec4 = dblp.four_hop();
+    for spec in [&spec2, &dblp.three_hop(), &spec4] {
+        frontier_build(spec, dblp.db());
+    }
 
     let mut group = c.benchmark_group("micro_core");
     group

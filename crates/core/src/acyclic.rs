@@ -32,9 +32,12 @@
 //! with it every emitted sequence — is that of the two-`u32` entries this
 //! layout replaced.
 //!
-//! Anchor values get dense ids during preprocessing, so the per-anchor
-//! queues are a plain `Vec<FrontierHeap>` and the enumeration hot path
-//! never builds, hashes or clones an anchor tuple. Steady-state `next()`
+//! Anchor values arrive as dense ids: the full reducer encodes every tree
+//! edge once ([`re_join::Reduction::edges`]) and hands over each row's
+//! anchor id and, for each child, the id of the child queue the row joins
+//! with. The per-anchor queues are therefore a plain `Vec<FrontierHeap>`,
+//! and neither the cell build nor the enumeration hot path ever builds,
+//! hashes or clones an anchor tuple. Steady-state `next()`
 //! performs **zero `Tuple` allocations beyond the emitted answer** — the
 //! counting allocator of `tests/frontier_alloc_tripwire.rs` enforces the
 //! ban — and every byte the frontier retains is accounted in
@@ -53,25 +56,20 @@ use crate::frontier::{
 };
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
-use re_join::{reduce_then_prune_ctx, ReduceStats};
+use re_join::{EdgeIds, Reduction};
 use re_query::{JoinProjectQuery, JoinTree};
 use re_ranking::{RankKey, Ranking};
-use re_storage::{project_key, Attr, Database, KeyTable, Relation, Tuple, Value};
+use re_storage::{Attr, Database, Relation, Tuple, Value};
 use std::cmp::Ordering;
 
 /// Per-node state: the reduced relation, positional plans, and the node's
 /// slice of the frontier kernel (arena + interner + anchor queues).
 struct NodeState<R: Ranking> {
     relation: Relation,
-    /// Positions (in `relation`) of the node's anchor attributes.
-    anchor_pos: Vec<usize>,
     /// Positions (in `relation`) of the projection attributes owned by this node.
     own_proj_pos: Vec<usize>,
     /// Child node indices, in tree order.
     children: Vec<usize>,
-    /// For every child, the positions (in `relation`) of that child's anchor
-    /// attributes — used to locate the child queue a tuple joins with.
-    child_anchor_pos: Vec<Vec<usize>>,
     /// Permutation that reorders this node's subtree-order output by the
     /// *global* projection-attribute order (the user's projection order).
     /// Tie-breaking reads the permuted output out of the arena, so it is
@@ -240,35 +238,27 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
-        let reduction = reduce_then_prune_ctx(ctx, query, tree, db)?;
+        let reduction = Reduction::of_query(ctx, query, tree, db)?;
         Self::from_reduction(query.projection().to_vec(), ranking, reduction)
     }
 
-    /// [`AcyclicEnumerator::from_reduced`] over the output of
-    /// `reduce_then_prune*`, recording the reducer's counters.
+    /// Build the enumerator from a fully reduced, pruned instance and its
+    /// edge encoding — the one build path, for acyclic queries and (over
+    /// bag relations) for the GHD enumerator.
     pub(crate) fn from_reduction(
         projection: Vec<Attr>,
         ranking: R,
-        (tree, reduced, rstats): (JoinTree, Vec<Relation>, ReduceStats),
+        reduction: Reduction,
     ) -> Result<Self, EnumError> {
-        let mut built = Self::from_reduced(projection, ranking, tree, reduced)?;
-        built
-            .stats
-            .record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
-        Ok(built)
-    }
-
-    /// Build the enumerator from per-node relations that are already bound
-    /// to query variables and fully reduced. Used by the star-query and
-    /// GHD-based enumerators which prepare their own instances.
-    pub fn from_reduced(
-        projection: Vec<Attr>,
-        ranking: R,
-        tree: JoinTree,
-        reduced: Vec<Relation>,
-    ) -> Result<Self, EnumError> {
+        let Reduction {
+            tree,
+            relations: reduced,
+            stats: rstats,
+            mut edges,
+        } = reduction;
         assert_eq!(tree.len(), reduced.len());
         let mut stats = EnumStats::new();
+        stats.record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
         let empty_result = reduced.iter().any(|r| r.is_empty());
 
         // Global position of each projection attribute: its index in the
@@ -286,20 +276,12 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         let mut nodes: Vec<NodeState<R>> = Vec::with_capacity(tree.len());
         for (idx, rel) in reduced.into_iter().enumerate() {
             let node = tree.node(idx);
-            let anchor_pos = rel.positions(&node.anchor)?;
             let own_proj_pos = rel.positions(&node.own_proj)?;
-            let child_anchor_pos = node
-                .children
-                .iter()
-                .map(|&c| rel.positions(&tree.node(c).anchor))
-                .collect::<Result<Vec<_>, _>>()?;
             let mut tie_perm: Vec<usize> = (0..node.subtree_proj.len()).collect();
             tie_perm.sort_by_key(|&i| global_pos(&node.subtree_proj[i]));
             nodes.push(NodeState {
-                anchor_pos,
                 own_proj_pos,
                 children: node.children.clone(),
-                child_anchor_pos,
                 arena: CellArena::new(node.subtree_proj.len(), node.children.len()),
                 tie_perm,
                 plan: ranking.plan(&node.subtree_proj),
@@ -310,33 +292,23 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         }
 
         // Preprocessing (Algorithm 1): bottom-up cell construction, one
-        // bulk build per node. The anchor tables assign dense queue ids per
-        // distinct anchor value in first-occurrence order; they are
-        // build-time only — cells remember their anchor id, so the tables
-        // are dropped before enumeration. A node with an empty anchor (the
-        // root; a cartesian child) has the single queue 0 and no table.
+        // bulk build per node. The reducer's edge encoding says which queue
+        // every row belongs to (`child_ids`, dense per distinct anchor value
+        // in first-occurrence order) and which child queue it joins with
+        // (`parent_ids`); it is build-time only — cells remember their
+        // anchor id — so each vector is freed as soon as it has been read.
         if !empty_result {
             let _span = re_obs::Span::enter("preprocess.cells");
             let mut trace_span = re_obs::trace::child_span("preprocess.cells");
-            let mut anchor_ids: Vec<Option<KeyTable>> = (0..tree.len()).map(|_| None).collect();
             let mut out_buf: Tuple = Vec::new();
             let mut ptr_buf: Vec<CellId> = Vec::new();
-            let mut key_buf: Tuple = Vec::new();
             for &u in &tree.post_order() {
-                // Pass 1: every row's queue and every queue's size, so each
-                // queue is allocated once, filled, and heapified.
-                let rows = nodes[u].relation.len();
-                let mut queue_of: Vec<u32> = Vec::new();
-                let mut queue_len: Vec<usize> = vec![rows];
-                if !nodes[u].anchor_pos.is_empty() {
-                    let ns = &nodes[u];
-                    let (table, ids) = KeyTable::group_rows(ns.relation.iter(), &ns.anchor_pos);
-                    queue_len = vec![0; table.len()];
-                    for &aid in &ids {
-                        queue_len[aid as usize] += 1;
-                    }
-                    queue_of = ids;
-                    anchor_ids[u] = Some(table);
+                // Pass 1: every queue's size, so each queue is allocated
+                // once, filled, and heapified.
+                let queue_of = std::mem::take(&mut edges[u].child_ids);
+                let mut queue_len = vec![0usize; edges[u].keys];
+                for &aid in &queue_of {
+                    queue_len[aid as usize] += 1;
                 }
                 nodes[u].queues = queue_len
                     .iter()
@@ -344,28 +316,20 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                     .collect();
 
                 // Pass 2: one cell per row, on top of each child's best.
+                let fill_span = re_obs::trace::child_span("cells.fill");
                 let mut cells = 0u64;
                 let mut cell_bytes = 0usize;
-                'rows: for row in 0..rows {
+                'rows: for (row, &anchor) in queue_of.iter().enumerate() {
                     out_buf.clear();
                     ptr_buf.clear();
                     {
                         let ns = &nodes[u];
                         let t = ns.relation.tuple(row);
                         out_buf.extend(ns.own_proj_pos.iter().map(|&p| t[p]));
-                        for (ci, &child) in ns.children.iter().enumerate() {
+                        for &child in &ns.children {
                             let child_ns = &nodes[child];
-                            let aid = match &anchor_ids[child] {
-                                None => Some(0),
-                                Some(table) => table.get(project_key(
-                                    t,
-                                    &ns.child_anchor_pos[ci],
-                                    &mut key_buf,
-                                )),
-                            };
-                            let Some(top) =
-                                aid.and_then(|aid| child_ns.queues[aid as usize].peek())
-                            else {
+                            let aid = edges[child].parent_ids[row];
+                            let Some(top) = child_ns.queues[aid as usize].peek() else {
                                 // A dangling tuple; cannot happen on a fully
                                 // reduced instance but skipping it keeps the
                                 // enumerator correct regardless.
@@ -377,7 +341,6 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                         }
                     }
                     let key = ranking.key(&nodes[u].plan, &out_buf);
-                    let anchor = queue_of.get(row).copied().unwrap_or(0);
                     let ns = &mut nodes[u];
                     let (entry, key_bytes) =
                         ns.new_cell(key, row as u32, anchor, 0, &out_buf, &ptr_buf);
@@ -385,7 +348,12 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                     cells += 1;
                     cell_bytes += ns.arena.bytes_per_cell() + key_bytes;
                 }
+                for &child in &tree.node(u).children {
+                    edges[child] = EdgeIds::default();
+                }
+                drop(fill_span);
 
+                let _heapify_span = re_obs::trace::child_span("cells.heapify");
                 let NodeState {
                     arena,
                     keys,
@@ -616,7 +584,7 @@ impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
         let root = self.tree.root();
         // The root's anchor is the empty tuple, so all root cells share
         // queue 0.
-        debug_assert!(self.nodes[root].anchor_pos.is_empty());
+        debug_assert!(self.tree.node(root).anchor.is_empty());
         loop {
             if self.nodes[root].queues.is_empty() {
                 self.exhausted = true;

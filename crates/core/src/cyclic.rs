@@ -11,7 +11,7 @@ use crate::acyclic::AcyclicEnumerator;
 use crate::error::EnumError;
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
-use re_join::{materialize_bags_reported, reduce_then_prune_relations_ctx, BagKernel};
+use re_join::{materialize_bags_reported, BagKernel, Reduction};
 use re_query::{Atom, GhdPlan, JoinProjectQuery, JoinTree, QueryError};
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Tuple};
@@ -163,7 +163,7 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
             .iter()
             .map(|n| bag_rels[n.atom_index].take().expect("one node per bag"))
             .collect();
-        let reduction = reduce_then_prune_relations_ctx(ctx, tree, relations)?;
+        let reduction = Reduction::of_relations(ctx, tree, relations)?;
         let mut inner =
             AcyclicEnumerator::from_reduction(query.projection().to_vec(), ranking, reduction)?;
         let report = GhdReport {

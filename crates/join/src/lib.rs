@@ -6,8 +6,9 @@
 //! * [`bind_atoms`] — materialise the atoms of a query against a database,
 //!   renaming relation columns to query variables (this is what makes
 //!   self-joins work without duplicating base tables in the database),
-//! * [`semi_join`] / [`full_reduce`] — the Yannakakis full reducer that
-//!   removes all dangling tuples before preprocessing,
+//! * [`semi_join`] / [`full_reduce`] / [`Reduction`] — the Yannakakis full
+//!   reducer that removes all dangling tuples before preprocessing, and
+//!   the dense join-key ids it assigns along the way,
 //! * [`hash_join`] / [`full_join`] — natural-join materialisation used by
 //!   the blocking baselines, the star-query heavy output and the retained
 //!   [`BagKernel::Cascade`],
@@ -37,6 +38,6 @@ pub use hashjoin::{full_join, hash_join, project_distinct};
 pub use parallel::{par_hash_join, par_project_distinct, par_semi_join, sorted_index};
 pub use reducer::{
     full_reduce, full_reduce_ctx, full_reduce_relations_ctx, reduce_then_prune_ctx,
-    reduce_then_prune_relations_ctx, semi_join, ReduceStats,
+    reduce_then_prune_relations_ctx, semi_join, EdgeIds, ReduceStats, Reduction,
 };
 pub use wcoj::{wcoj_materialize, wcoj_materialize_reported, WcojReport};

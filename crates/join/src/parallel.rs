@@ -13,6 +13,15 @@
 //! into the output, and enumeration order downstream cannot depend on
 //! the pool's size.
 //!
+//! The full reducer ([`crate::reducer`]) is held to the same contract but
+//! does not call [`par_semi_join`]: per tree edge it builds one table over
+//! the child's anchor — once, on the calling thread, for both of the
+//! edge's passes and for Algorithm 1's queue assignment — and probes the
+//! parent's rows against it per morsel, concatenating the per-morsel ids
+//! in morsel order; its top-down passes read those ids and probe nothing.
+//! [`par_semi_join`] remains the standalone single-pass kernel, behind
+//! [`crate::semi_join`] and the cascade bag kernel.
+//!
 //! Inputs below [`ExecContext::should_parallelise`]'s threshold take the
 //! serial kernel directly: the contract then holds trivially and small
 //! relations skip the task bookkeeping.

@@ -5,6 +5,22 @@
 //! any join result. The classical Yannakakis full reducer removes them with
 //! two sweeps of semi-joins over a join tree: a bottom-up pass
 //! (`parent ⋉ child`) followed by a top-down pass (`child ⋉ parent`).
+//!
+//! Both passes of a tree edge compare the same thing — the child's anchor
+//! value against the same columns of the parent — and Algorithm 1 groups by
+//! it a third time when it assigns every child row its per-anchor queue.
+//! The reducer here therefore **encodes each edge once**: the bottom-up
+//! pass builds one [`KeyTable`] over the child's live rows (each child
+//! row's dense anchor id) and probes the parent's live rows against it
+//! (each parent row's id, or none — the pass's keep flag). The top-down
+//! pass of that edge never hashes: the ids of the parent's surviving rows
+//! mark which anchor ids are still present, and a child row lives iff its
+//! id is. Rows are only *flagged* during the sweeps; every relation is
+//! compacted once at the end, and the id vectors with it, renumbered so
+//! that they are exactly what [`KeyTable::group_rows`] over the reduced
+//! child would assign. They leave the reducer as [`Reduction::edges`] and
+//! are what the cell build of `rankedenum_core::acyclic` indexes its queues
+//! by. [`semi_join`] stays the standalone single-pass kernel.
 
 use crate::bind::bind_atoms_of;
 use crate::error::JoinError;
@@ -33,6 +49,10 @@ pub struct ReduceStats {
     pub input_rows: u64,
     /// Rows surviving each pass, summed.
     pub output_rows: u64,
+    /// Rows inserted into or probed against a key table: per tree edge, the
+    /// child's and the parent's live rows at the bottom-up pass. The
+    /// top-down passes add nothing — they read ids.
+    pub hashed_rows: u64,
 }
 
 impl ReduceStats {
@@ -47,27 +67,138 @@ impl ReduceStats {
         self.passes += other.passes;
         self.input_rows += other.input_rows;
         self.output_rows += other.output_rows;
+        self.hashed_rows += other.hashed_rows;
     }
 }
 
-/// One instrumented semi-join pass: `left ⋉ right`, counted into `stats`
-/// and (when a request trace is installed) recorded as a `reduce.pass`
-/// trace span carrying the pair and the row movement.
-fn reduce_pass(
-    ctx: &ExecContext,
-    left: &mut Relation,
-    right: &Relation,
-    direction: &str,
-    stats: &mut ReduceStats,
-) -> Result<(), JoinError> {
-    // Pass boundary: the cancellation poll point of the reducer sweeps,
-    // and the `reduce.pass` failpoint.
+/// The join-key encoding of one tree edge — a node and its parent — over
+/// the **reduced** relations. Ids are dense and in first-occurrence order
+/// of the node's rows, i.e. those of [`KeyTable::group_rows`] over the
+/// reduced node relation at its anchor positions. An empty anchor (the
+/// root's; a cartesian child's) is one key of arity zero: the single id 0.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EdgeIds {
+    /// Anchor id of every row of the node, in row order.
+    pub child_ids: Vec<u32>,
+    /// For every row of the node's *parent*, in row order, the anchor id it
+    /// joins with. Empty for the root.
+    pub parent_ids: Vec<u32>,
+    /// Number of distinct anchor ids.
+    pub keys: usize,
+}
+
+/// A fully reduced, pruned instance together with its join-key encoding.
+#[derive(Clone, Debug)]
+pub struct Reduction {
+    /// The join tree, non-projecting subtrees pruned.
+    pub tree: JoinTree,
+    /// `relations[i]`: the dangling-free relation of `tree` node `i`.
+    pub relations: Vec<Relation>,
+    /// Counters of the reducer run (over the unpruned tree).
+    pub stats: ReduceStats,
+    /// `edges[i]`: the encoding of the edge between node `i` and its parent.
+    pub edges: Vec<EdgeIds>,
+}
+
+impl Reduction {
+    /// Bind the atoms of an acyclic query, full-reduce over the
+    /// **unpruned** tree, then prune non-projecting subtrees.
+    ///
+    /// The order matters: subtrees that own no projection attribute still
+    /// act as semi-join filters, so dropping them is only answer-preserving
+    /// on a dangling-free instance. Every enumerator that wants a pruned
+    /// tree must go through this (or repeat the same dance) — pruning first
+    /// silently readmits dangling tuples. Each node's atom is bound — its
+    /// rows copied from the base table — exactly once, straight into node
+    /// order.
+    pub fn of_query(
+        ctx: &ExecContext,
+        query: &JoinProjectQuery,
+        tree: JoinTree,
+        db: &Database,
+    ) -> Result<Self, JoinError> {
+        let relations = bind_atoms_of(query, db, tree.nodes().iter().map(|n| n.atom_index))?;
+        Self::of_relations(ctx, tree, relations)
+    }
+
+    /// [`Reduction::of_query`] over relations the caller already owns:
+    /// `relations[i]` is the bound relation of node `i` of the unpruned
+    /// `tree` (the GHD enumerator hands its freshly materialised bags over
+    /// this way, with no detour through a database).
+    pub fn of_relations(
+        ctx: &ExecContext,
+        tree: JoinTree,
+        mut relations: Vec<Relation>,
+    ) -> Result<Self, JoinError> {
+        let (stats, edges) = reduce_encoded(ctx, &tree, &mut relations)?;
+        // Prune the non-projecting subtrees, keeping what belongs to the
+        // surviving nodes (node-aligned with the pruned tree).
+        let atom_slots = tree.nodes().iter().map(|n| n.atom_index + 1).max();
+        let mut by_atom: Vec<Option<(Relation, EdgeIds)>> = Vec::new();
+        by_atom.resize_with(atom_slots.unwrap_or(0), || None);
+        for (node, kept) in tree.nodes().iter().zip(relations.into_iter().zip(edges)) {
+            by_atom[node.atom_index] = Some(kept);
+        }
+        let tree = tree.prune_non_projecting();
+        let (relations, edges) = tree
+            .nodes()
+            .iter()
+            .map(|n| by_atom[n.atom_index].take().expect("kept node was reduced"))
+            .unzip();
+        Ok(Reduction {
+            tree,
+            relations,
+            stats,
+            edges,
+        })
+    }
+}
+
+/// Id of a row that is not live, or whose key the child does not hold —
+/// the value [`KeyTable`] reserves and never hands out.
+const NO_ID: u32 = u32::MAX;
+
+/// Which rows of each relation are still live, with the running counts the
+/// pass counters read. The sweeps only clear flags; the rows move once, in
+/// [`reduce_encoded`]'s final compaction.
+struct Liveness {
+    live: Vec<Vec<bool>>,
+    count: Vec<usize>,
+}
+
+impl Liveness {
+    fn of(relations: &[Relation]) -> Self {
+        Liveness {
+            live: relations.iter().map(|r| vec![true; r.len()]).collect(),
+            count: relations.iter().map(Relation::len).collect(),
+        }
+    }
+
+    fn kill(&mut self, node: usize, row: usize) {
+        self.live[node][row] = false;
+        self.count[node] -= 1;
+    }
+}
+
+/// The pass boundary every semi-join pass crosses, whichever way it
+/// filters: the cancellation poll point of the reducer sweeps, the
+/// `reduce.pass` failpoint, and (when a request trace is installed) the
+/// start of the pass's `reduce.pass` trace span.
+fn enter_pass(ctx: &ExecContext) -> Result<Option<re_obs::trace::SpanGuard>, JoinError> {
     ctx.check_cancelled()?;
     re_fault::fire("reduce.pass")?;
-    let input = left.len() as u64;
-    let mut span = re_obs::trace::child_span("reduce.pass");
-    par_semi_join(ctx, left, right)?;
-    let output = left.len() as u64;
+    Ok(re_obs::trace::child_span("reduce.pass"))
+}
+
+/// Count a finished pass `left ⋉ right` into `stats` and complete its trace
+/// span with the pair and the row movement.
+fn leave_pass(
+    mut span: Option<re_obs::trace::SpanGuard>,
+    (left, right, direction): (&Relation, &Relation, &str),
+    (input, output): (usize, usize),
+    stats: &mut ReduceStats,
+) {
+    let (input, output) = (input as u64, output as u64);
     stats.passes += 1;
     stats.input_rows += input;
     stats.output_rows += output;
@@ -80,7 +211,185 @@ fn reduce_pass(
         s.set_attr("output_rows", AttrValue::U64(output));
         s.set_attr("filtered_rows", AttrValue::U64(input - output));
     }
-    Ok(())
+}
+
+/// The bottom-up pass `parent ⋉ child` of one edge, which is also the
+/// edge's encoding: one table over the child's live rows at its anchor
+/// (built on the calling thread — first-occurrence ids are inherently
+/// sequential), then one probe per live parent row. Large parents are
+/// probed one morsel per task and the per-morsel ids concatenated in morsel
+/// order, so flags and ids are the serial ones at any thread count.
+/// Parent rows without a partner are cleared in `alive`; the returned
+/// vectors are indexed by *unreduced* row and hold [`NO_ID`] for rows that
+/// are not live. An empty anchor needs no special case: the one key of
+/// arity zero is present iff the child has a live row.
+fn encode_edge(
+    ctx: &ExecContext,
+    relations: &[Relation],
+    anchor: &[Attr],
+    (p, u): (usize, usize),
+    alive: &mut Liveness,
+    stats: &mut ReduceStats,
+) -> Result<EdgeIds, JoinError> {
+    let (parent, child) = (&relations[p], &relations[u]);
+    let child_pos = child.positions(anchor)?;
+    let parent_pos = parent.positions(anchor)?;
+    stats.hashed_rows += (alive.count[u] + alive.count[p]) as u64;
+
+    let mut table = KeyTable::new(anchor.len());
+    let mut key = Vec::new();
+    let child_ids: Vec<u32> = child
+        .iter()
+        .zip(&alive.live[u])
+        .map(|(t, &live)| {
+            if live {
+                table.insert(project_key(t, &child_pos, &mut key)).0
+            } else {
+                NO_ID
+            }
+        })
+        .collect();
+
+    let probe = |t: &[_], live: bool, key: &mut Vec<_>| {
+        if live {
+            table.get(project_key(t, &parent_pos, key)).unwrap_or(NO_ID)
+        } else {
+            NO_ID
+        }
+    };
+    let parent_live = &alive.live[p];
+    let parent_ids: Vec<u32> = if ctx.should_parallelise(alive.count[p]) {
+        let chunks = parent.chunks(ctx.morsel_rows());
+        let pieces: Vec<Vec<u32>> = ctx.map(chunks.len(), |c| {
+            let mut key = Vec::new();
+            chunks[c]
+                .global_rows()
+                .map(|(j, t)| probe(t, parent_live[j], &mut key))
+                .collect()
+        });
+        pieces.concat()
+    } else {
+        parent
+            .iter()
+            .zip(parent_live)
+            .map(|(t, &live)| probe(t, live, &mut key))
+            .collect()
+    };
+    for (j, &id) in parent_ids.iter().enumerate() {
+        if id == NO_ID && alive.live[p][j] {
+            alive.kill(p, j);
+        }
+    }
+    Ok(EdgeIds {
+        child_ids,
+        parent_ids,
+        keys: table.len(),
+    })
+}
+
+/// The top-down pass `child ⋉ parent` of an encoded edge — flag arithmetic
+/// over the ids, no table and no hashing — after which both sides of the
+/// edge are final, so the id vectors are compacted to the surviving rows
+/// and renumbered in the same sweep. An anchor value loses all of its
+/// child rows or none, so first occurrences keep their relative order and
+/// the new id of a surviving anchor is its rank among the survivors.
+fn settle_edge(edge: &mut EdgeIds, (p, u): (usize, usize), alive: &mut Liveness) {
+    // Mark the anchor ids the parent's surviving rows reference, then turn
+    // the marks into ranks.
+    let mut renumber = vec![NO_ID; edge.keys];
+    for (&id, &live) in edge.parent_ids.iter().zip(&alive.live[p]) {
+        if live {
+            renumber[id as usize] = 0;
+        }
+    }
+    edge.keys = 0;
+    for slot in renumber.iter_mut().filter(|slot| **slot != NO_ID) {
+        *slot = edge.keys as u32;
+        edge.keys += 1;
+    }
+    for (id, &live) in edge.parent_ids.iter_mut().zip(&alive.live[p]) {
+        *id = if live { renumber[*id as usize] } else { NO_ID };
+    }
+    edge.parent_ids.retain(|&id| id != NO_ID);
+    // A child row was live coming in iff the bottom-up pass gave it an id.
+    for (row, id) in edge.child_ids.iter_mut().enumerate() {
+        if *id != NO_ID {
+            *id = renumber[*id as usize];
+            if *id == NO_ID {
+                alive.kill(u, row);
+            }
+        }
+    }
+    edge.child_ids.retain(|&id| id != NO_ID);
+}
+
+/// The one full-reducer implementation: both sweeps over already-bound
+/// per-node relations, returning the counters and the per-node edge
+/// encoding (see the module docs), node-aligned with the unpruned `tree`.
+fn reduce_encoded(
+    ctx: &ExecContext,
+    tree: &JoinTree,
+    relations: &mut [Relation],
+) -> Result<(ReduceStats, Vec<EdgeIds>), JoinError> {
+    assert_eq!(tree.len(), relations.len());
+    let _span = re_obs::Span::enter("preprocess.reduce");
+    let mut trace_span = re_obs::trace::child_span("preprocess.reduce");
+    let mut stats = ReduceStats::default();
+    let mut alive = Liveness::of(relations);
+    let mut edges = vec![EdgeIds::default(); tree.len()];
+    let post = tree.post_order();
+    // Bottom-up: parent ⋉ child. In post-order a node has been filtered by
+    // all of its children before it filters its parent.
+    for &u in &post {
+        let node = tree.node(u);
+        let Some(p) = node.parent else { continue };
+        let span = enter_pass(ctx)?;
+        let input = alive.count[p];
+        edges[u] = encode_edge(ctx, relations, &node.anchor, (p, u), &mut alive, &mut stats)?;
+        leave_pass(
+            span,
+            (&relations[p], &relations[u], "bottom-up"),
+            (input, alive.count[p]),
+            &mut stats,
+        );
+    }
+    // Top-down: child ⋉ parent (reverse post-order visits parents first,
+    // so the parent's flags are final when its children read them).
+    for &p in post.iter().rev() {
+        for &u in &tree.node(p).children {
+            let span = enter_pass(ctx)?;
+            let input = alive.count[u];
+            settle_edge(&mut edges[u], (p, u), &mut alive);
+            leave_pass(
+                span,
+                (&relations[u], &relations[p], "top-down"),
+                (input, alive.count[u]),
+                &mut stats,
+            );
+        }
+    }
+    // Every row moves at most once.
+    for (u, rel) in relations.iter_mut().enumerate() {
+        if alive.count[u] < rel.len() {
+            let mut live = alive.live[u].iter();
+            rel.retain(|_| live.next().copied().unwrap_or(false));
+        }
+    }
+    // The root has no edge; its rows share the empty anchor.
+    let root_rows = alive.count[tree.root()];
+    edges[tree.root()] = EdgeIds {
+        child_ids: vec![0; root_rows],
+        parent_ids: Vec::new(),
+        keys: root_rows.min(1),
+    };
+    if let Some(s) = trace_span.as_mut() {
+        use re_obs::AttrValue;
+        s.set_attr("passes", AttrValue::U64(stats.passes));
+        s.set_attr("input_rows", AttrValue::U64(stats.input_rows));
+        s.set_attr("output_rows", AttrValue::U64(stats.output_rows));
+        s.set_attr("hashed_rows", AttrValue::U64(stats.hashed_rows));
+    }
+    Ok((stats, edges))
 }
 
 /// Run the full reducer over already-bound per-node relations.
@@ -89,40 +398,15 @@ fn reduce_pass(
 /// names are query variables). After the call every relation contains
 /// exactly its non-dangling tuples. The semi-join sweeps follow the tree
 /// order (they are data-dependent along the tree), but under a pooled
-/// `ctx` each individual semi-join probes its morsels in parallel on
-/// large relations. The reduced relations are identical to the serial
-/// reducer's at any thread count.
+/// `ctx` each bottom-up pass probes its morsels in parallel on large
+/// relations. The reduced relations are identical to the serial reducer's
+/// at any thread count.
 pub fn full_reduce_relations_ctx(
     ctx: &ExecContext,
     tree: &JoinTree,
     relations: &mut [Relation],
 ) -> Result<ReduceStats, JoinError> {
-    assert_eq!(tree.len(), relations.len());
-    let _span = re_obs::Span::enter("preprocess.reduce");
-    let mut trace_span = re_obs::trace::child_span("preprocess.reduce");
-    let mut stats = ReduceStats::default();
-    let post = tree.post_order();
-    // Bottom-up: parent ⋉ child.
-    for &u in &post {
-        if let Some(p) = tree.node(u).parent {
-            let (parent_rel, child_rel) = two_mut(relations, p, u);
-            reduce_pass(ctx, parent_rel, child_rel, "bottom-up", &mut stats)?;
-        }
-    }
-    // Top-down: child ⋉ parent (reverse post-order visits parents first).
-    for &u in post.iter().rev() {
-        for &c in &tree.node(u).children {
-            let (parent_rel, child_rel) = two_mut(relations, u, c);
-            reduce_pass(ctx, child_rel, parent_rel, "top-down", &mut stats)?;
-        }
-    }
-    if let Some(s) = trace_span.as_mut() {
-        use re_obs::AttrValue;
-        s.set_attr("passes", AttrValue::U64(stats.passes));
-        s.set_attr("input_rows", AttrValue::U64(stats.input_rows));
-        s.set_attr("output_rows", AttrValue::U64(stats.output_rows));
-    }
-    Ok(stats)
+    Ok(reduce_encoded(ctx, tree, relations)?.0)
 }
 
 /// Bind the atoms of an acyclic query and run the full reducer, returning
@@ -150,56 +434,26 @@ pub fn full_reduce_ctx(
     Ok((relations, stats))
 }
 
-/// Full-reduce over the **unpruned** tree, then prune non-projecting
-/// subtrees, returning the pruned tree together with its node-aligned
-/// reduced relations.
-///
-/// The order matters: subtrees that own no projection attribute still act
-/// as semi-join filters, so dropping them is only answer-preserving on a
-/// dangling-free instance. Every enumerator that wants a pruned tree must
-/// go through this (or repeat the same dance) — pruning first silently
-/// readmits dangling tuples. The reducer runs under `ctx` (see
-/// [`full_reduce_relations_ctx`]).
+/// [`Reduction::of_query`] without the edge encoding: the pruned tree
+/// together with its node-aligned reduced relations.
 pub fn reduce_then_prune_ctx(
     ctx: &ExecContext,
     query: &JoinProjectQuery,
     tree: JoinTree,
     db: &Database,
 ) -> Result<(JoinTree, Vec<Relation>, ReduceStats), JoinError> {
-    let (reduced, stats) = full_reduce_ctx(ctx, query, &tree, db)?;
-    let (pruned, reduced) = prune_reduced(tree, reduced);
-    Ok((pruned, reduced, stats))
+    let r = Reduction::of_query(ctx, query, tree, db)?;
+    Ok((r.tree, r.relations, r.stats))
 }
 
-/// [`reduce_then_prune_ctx`] over relations the caller already owns:
-/// `relations[i]` is the bound relation of node `i` of the unpruned `tree`
-/// (the GHD enumerator hands its freshly materialised bags over this way,
-/// with no detour through a database).
+/// [`Reduction::of_relations`] without the edge encoding.
 pub fn reduce_then_prune_relations_ctx(
     ctx: &ExecContext,
     tree: JoinTree,
-    mut relations: Vec<Relation>,
+    relations: Vec<Relation>,
 ) -> Result<(JoinTree, Vec<Relation>, ReduceStats), JoinError> {
-    let stats = full_reduce_relations_ctx(ctx, &tree, &mut relations)?;
-    let (pruned, reduced) = prune_reduced(tree, relations);
-    Ok((pruned, reduced, stats))
-}
-
-/// Prune the non-projecting subtrees of a fully reduced instance, keeping
-/// the relations of the surviving nodes (node-aligned with the result).
-fn prune_reduced(tree: JoinTree, reduced: Vec<Relation>) -> (JoinTree, Vec<Relation>) {
-    let atom_slots = tree.nodes().iter().map(|n| n.atom_index + 1).max();
-    let mut by_atom: Vec<Option<Relation>> = vec![None; atom_slots.unwrap_or(0)];
-    for (node, rel) in tree.nodes().iter().zip(reduced) {
-        by_atom[node.atom_index] = Some(rel);
-    }
-    let pruned = tree.prune_non_projecting();
-    let kept = pruned
-        .nodes()
-        .iter()
-        .map(|n| by_atom[n.atom_index].take().expect("kept node was reduced"))
-        .collect();
-    (pruned, kept)
+    let r = Reduction::of_relations(ctx, tree, relations)?;
+    Ok((r.tree, r.relations, r.stats))
 }
 
 /// Sanity check used by tests and debug assertions: a reduced instance is
@@ -236,17 +490,6 @@ fn semi_join_would_keep_all(left: &Relation, right: &Relation) -> Result<bool, J
     Ok(left
         .iter()
         .all(|t| keys.contains(project_key(t, &left_pos, &mut key))))
-}
-
-fn two_mut<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert_ne!(i, j);
-    if i < j {
-        let (a, b) = slice.split_at_mut(j);
-        (&mut a[i], &mut b[0])
-    } else {
-        let (a, b) = slice.split_at_mut(i);
-        (&mut b[0], &mut a[j])
-    }
 }
 
 /// The set of attributes shared by two relations (helper reused by joins).
@@ -380,6 +623,223 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Check one instance against the definitions the encoded reducer
+    /// replaces: the relations are those of two sweeps of the standalone
+    /// [`semi_join`] over the unpruned tree (rows and row order), the
+    /// counters those of that run, and every surviving edge's ids those of
+    /// [`KeyTable::group_rows`] over the reduced child with the parent's
+    /// rows looked up in it. Returns the reduction for further asserts.
+    fn assert_encoding_matches_definition(
+        ctx: &ExecContext,
+        q: &JoinProjectQuery,
+        tree: &JoinTree,
+        db: &Database,
+    ) -> Reduction {
+        let rows_of = |r: &Relation| r.iter().map(<[u64]>::to_vec).collect::<Vec<_>>();
+        let mut expected = bind_atoms_of(q, db, tree.nodes().iter().map(|n| n.atom_index)).unwrap();
+        let mut stats = ReduceStats::default();
+        let mut pass = |rels: &mut Vec<Relation>, left: usize, right: usize, hashes: bool| {
+            let filter = rels[right].clone();
+            let input = rels[left].len();
+            if hashes {
+                stats.hashed_rows += (input + filter.len()) as u64;
+            }
+            semi_join(&mut rels[left], &filter).unwrap();
+            stats.passes += 1;
+            stats.input_rows += input as u64;
+            stats.output_rows += rels[left].len() as u64;
+        };
+        let post = tree.post_order();
+        for &u in &post {
+            if let Some(p) = tree.node(u).parent {
+                pass(&mut expected, p, u, true);
+            }
+        }
+        for &p in post.iter().rev() {
+            for &u in &tree.node(p).children {
+                pass(&mut expected, u, p, false);
+            }
+        }
+
+        let got = Reduction::of_query(ctx, q, tree.clone(), db).unwrap();
+        assert_eq!(got.stats, stats);
+        assert_eq!(got.tree.len(), tree.prune_non_projecting().len());
+        assert!(is_fully_reduced(&got.tree, &got.relations).unwrap());
+        for (u, node) in got.tree.nodes().iter().enumerate() {
+            let (rel, edge) = (&got.relations[u], &got.edges[u]);
+            assert_eq!(rel.name(), node.atom_name);
+            assert_eq!(rows_of(rel), rows_of(&expected[node.atom_index]));
+            let anchor_pos = rel.positions(&node.anchor).unwrap();
+            let (table, ids) = KeyTable::group_rows(rel.iter(), &anchor_pos);
+            assert_eq!(edge.child_ids, ids, "child ids of {}", rel.name());
+            assert_eq!(edge.keys, table.len());
+            let Some(p) = node.parent else {
+                assert!(edge.parent_ids.is_empty());
+                continue;
+            };
+            let parent = &got.relations[p];
+            let parent_pos = parent.positions(&node.anchor).unwrap();
+            let mut key = Vec::new();
+            let looked_up: Vec<u32> = parent
+                .iter()
+                .map(|t| table.get(project_key(t, &parent_pos, &mut key)).unwrap())
+                .collect();
+            assert_eq!(edge.parent_ids, looked_up, "parent ids of {}", rel.name());
+        }
+        got
+    }
+
+    #[test]
+    fn encoded_reducer_equals_its_definition_on_generated_trees() {
+        let mut x: u64 = 0xD1B5_4A32_D192_ED03;
+        let mut draw = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let ctxs = [
+            ExecContext::serial(),
+            ExecContext::with_threads(2)
+                .with_min_par_rows(1)
+                .with_morsel_rows(5),
+        ];
+        for case in 0..60 {
+            // A random tree over 2–5 atoms: atom `i` owns `x{i}` and shares
+            // `e{i}` (every third edge also `f{i}`) with a random earlier
+            // atom, so the hypergraph is acyclic and only tree neighbours
+            // join. Rows are drawn from a domain small enough to join and
+            // large enough that every level has dangling rows.
+            let n = 2 + draw(4) as usize;
+            let mut schemas: Vec<Vec<String>> = (0..n).map(|i| vec![format!("x{i}")]).collect();
+            for i in 1..n {
+                let p = draw(i as u64) as usize;
+                for name in ["e", "f"].iter().take(1 + usize::from(i % 3 == 0)) {
+                    schemas[i].push(format!("{name}{i}"));
+                    schemas[p].insert(0, format!("{name}{i}"));
+                }
+            }
+            let domain = 4 + draw(12);
+            let mut db = Database::new();
+            let mut builder = QueryBuilder::new();
+            for (i, schema) in schemas.iter().enumerate() {
+                let rows = draw(60) as usize;
+                let tuples: Vec<Vec<u64>> = (0..rows)
+                    .map(|_| schema.iter().map(|_| draw(domain) << 33).collect())
+                    .collect();
+                let name = format!("R{i}");
+                let schema = attrs(schema.iter().map(String::as_str));
+                db.add_relation(Relation::with_tuples(&name, schema.clone(), tuples).unwrap())
+                    .unwrap();
+                builder = builder.atom(&name, &name, schema);
+            }
+            // Project a random non-empty subset of the owned attributes, so
+            // some cases prune subtrees that still filtered.
+            let mut projection: Vec<String> = (0..n)
+                .filter(|_| draw(2) == 0)
+                .map(|i| format!("x{i}"))
+                .collect();
+            if projection.is_empty() {
+                projection.push(format!("x{}", draw(n as u64)));
+            }
+            let q = builder.project(projection).build().unwrap();
+            let tree = JoinTree::build_rooted(&q, draw(n as u64) as usize).unwrap();
+            let serial = assert_encoding_matches_definition(&ctxs[0], &q, &tree, &db);
+            let pooled = assert_encoding_matches_definition(&ctxs[case % 2], &q, &tree, &db);
+            assert_eq!(serial.edges, pooled.edges);
+        }
+    }
+
+    #[test]
+    fn multi_attribute_anchors_are_encoded_in_the_childs_column_order() {
+        let mut db = Database::new();
+        db.add_relation(
+            Relation::with_tuples(
+                "R",
+                attrs(["a", "b", "c"]),
+                vec![vec![1, 7, 3], vec![2, 7, 4], vec![3, 8, 3], vec![4, 9, 9]],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        db.add_relation(
+            Relation::with_tuples(
+                "S",
+                attrs(["c", "d", "b"]),
+                vec![vec![3, 0, 8], vec![5, 0, 5], vec![3, 1, 7], vec![3, 2, 8]],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let q = QueryBuilder::new()
+            .atom("R", "R", ["a", "b", "c"])
+            .atom("S", "S", ["c", "d", "b"])
+            .project(["a", "d"])
+            .build()
+            .unwrap();
+        let tree = JoinTree::build_rooted(&q, 0).unwrap();
+        assert_eq!(tree.node(1).anchor, attrs(["c", "b"]));
+        let r = assert_encoding_matches_definition(&ExecContext::serial(), &q, &tree, &db);
+        // (3,8) is S's first surviving anchor, (3,7) its second; R's rows
+        // (1,7,3) and (3,8,3) survive and point at them.
+        assert_eq!(r.edges[1].child_ids, [0, 1, 0]);
+        assert_eq!(r.edges[1].parent_ids, [1, 0]);
+        assert_eq!(r.edges[1].keys, 2);
+        assert_eq!(r.stats.hashed_rows, 8);
+    }
+
+    #[test]
+    fn an_empty_anchor_is_the_single_id_zero_and_an_empty_side_empties_the_other() {
+        let q = QueryBuilder::new()
+            .atom("R", "R", ["a"])
+            .atom("S", "S", ["b"])
+            .project(["a", "b"])
+            .build()
+            .unwrap();
+        let tree = JoinTree::build_rooted(&q, 0).unwrap();
+        let r_rows = Relation::with_tuples("R", attrs(["a"]), vec![vec![1], vec![3], vec![5]]);
+        for s_rows in [vec![vec![2], vec![4]], vec![]] {
+            let mut db = Database::new();
+            db.add_relation(r_rows.clone().unwrap()).unwrap();
+            db.add_relation(Relation::with_tuples("S", attrs(["b"]), s_rows.clone()).unwrap())
+                .unwrap();
+            let r = assert_encoding_matches_definition(&ExecContext::serial(), &q, &tree, &db);
+            assert_eq!(r.stats.hashed_rows, (3 + s_rows.len()) as u64);
+            if s_rows.is_empty() {
+                assert!(r.relations.iter().all(Relation::is_empty));
+            } else {
+                assert_eq!(r.edges[1].child_ids, [0, 0]);
+                assert_eq!(r.edges[1].parent_ids, [0, 0, 0]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_pruned_subtree_still_filters_and_an_empty_result_empties_every_node() {
+        // Only A is projected: R2 and R3 are pruned after the reduction,
+        // but (3,9) and R2's (7,6) must be gone all the same.
+        let q = QueryBuilder::new()
+            .atom("R1", "R1", ["A", "B"])
+            .atom("R2", "R2", ["B", "C"])
+            .atom("R3", "R3", ["C", "D"])
+            .project(["A"])
+            .build()
+            .unwrap();
+        let tree = JoinTree::build_rooted(&q, 0).unwrap();
+        let mut db = path_db();
+        let r = assert_encoding_matches_definition(&ExecContext::serial(), &q, &tree, &db);
+        assert_eq!(r.tree.len(), 1);
+        assert_eq!(r.relations[0].len(), 2);
+        assert_eq!(r.stats.passes, 4);
+        assert_eq!(r.edges[0].child_ids, [0, 0]);
+
+        db.set_relation(Relation::with_tuples("R3", attrs(["C", "D"]), vec![vec![99, 2]]).unwrap());
+        let r =
+            assert_encoding_matches_definition(&ExecContext::serial(), &path_query(), &tree, &db);
+        assert!(r.relations.iter().all(Relation::is_empty));
+        assert!(r.edges.iter().all(|e| e.child_ids.is_empty()));
     }
 
     #[test]

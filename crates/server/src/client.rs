@@ -6,7 +6,7 @@
 //! in-process client skips serialisation entirely; the TCP client speaks
 //! either wire protocol over a [`TcpStream`] — JSON lines by default, or
 //! the length-prefixed binary protocol (see [`crate::wire`]) when built
-//! with [`TcpClient::connect_binary`] or `RE_TRANSPORT=binary`.
+//! with [`TcpClient::connect_binary`] or [`TcpClient::connect_with`].
 
 use crate::protocol::{Request, Response, StatsReport};
 use crate::server::RankedQueryServer;
@@ -347,22 +347,19 @@ pub struct TcpClient {
 }
 
 impl TcpClient {
-    /// Connect to a serving address. The wire protocol follows the
-    /// `RE_TRANSPORT` environment variable (`json` — the default — or
-    /// `binary`), so whole test suites flip protocol without code
-    /// changes; use [`TcpClient::connect_json`] /
-    /// [`TcpClient::connect_binary`] to pin one explicitly.
+    /// Connect to a serving address speaking JSON lines, the default
+    /// protocol; [`TcpClient::connect_binary`] and
+    /// [`TcpClient::connect_with`] choose the other.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::connect_with(addr, env_protocol())
+        Self::connect_with(addr, WireProtocol::Json)
     }
 
-    /// Connect speaking JSON lines, regardless of `RE_TRANSPORT`.
+    /// Connect speaking JSON lines ([`TcpClient::connect`], by its name).
     pub fn connect_json(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         Self::connect_with(addr, WireProtocol::Json)
     }
 
-    /// Connect speaking the binary protocol, regardless of
-    /// `RE_TRANSPORT`.
+    /// Connect speaking the binary protocol.
     pub fn connect_binary(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         Self::connect_with(addr, WireProtocol::Binary)
     }
@@ -391,16 +388,16 @@ impl TcpClient {
     /// Connect with retries under `policy` — the reconnect path after a
     /// dropped connection (the server keeps serving; the session table is
     /// shared across connections, so a re-OPEN or a fetch on a still-live
-    /// session id works from the new connection). The wire protocol
-    /// follows `RE_TRANSPORT`, like [`TcpClient::connect`].
+    /// session id works from the new connection), speaking `protocol`.
     pub fn connect_with_retry(
         addr: impl ToSocketAddrs + Clone,
+        protocol: WireProtocol,
         policy: &RetryPolicy,
     ) -> Result<Self, ClientError> {
         let mut last_err = None;
         for attempt in 0..policy.attempts.max(1) {
             std::thread::sleep(policy.delay_before(attempt));
-            match Self::connect(addr.clone()) {
+            match Self::connect_with(addr.clone(), protocol) {
                 Ok(client) => return Ok(client),
                 Err(e) => last_err = Some(e),
             }
@@ -477,15 +474,6 @@ impl TcpClient {
                 wire::decode_response(&payload).map_err(ClientError::Protocol)
             }
         }
-    }
-}
-
-/// The wire protocol selected by `RE_TRANSPORT` (`binary`, or anything
-/// else — including unset — for JSON lines).
-fn env_protocol() -> WireProtocol {
-    match std::env::var("RE_TRANSPORT").as_deref() {
-        Ok("binary") => WireProtocol::Binary,
-        _ => WireProtocol::Json,
     }
 }
 

@@ -14,7 +14,7 @@
 
 use re_server::{
     serve, LocalClient, RankedQueryServer, Response, RetryPolicy, ServerConfig, TcpClient,
-    Transport,
+    Transport, WireProtocol,
 };
 use re_storage::{attr::attrs, Database, Relation, Tuple};
 use std::io::{BufRead, BufReader, Write};
@@ -84,6 +84,17 @@ fn chaos_server(config: ServerConfig) -> Arc<RankedQueryServer> {
 /// pool — and a fault or a deadline unwinds through whichever it is.
 const EXEC_THREADS: [usize; 2] = [1, 4];
 
+/// Both wire protocols: disconnect handling and error delivery run in the
+/// reactor's per-connection state machines, which differ per protocol.
+const PROTOCOLS: [WireProtocol; 2] = [WireProtocol::Json, WireProtocol::Binary];
+
+/// Every executor size under every protocol.
+fn legs() -> impl Iterator<Item = (usize, WireProtocol)> {
+    EXEC_THREADS
+        .into_iter()
+        .flat_map(|threads| PROTOCOLS.map(|protocol| (threads, protocol)))
+}
+
 fn chaos_server_at(exec_threads: usize) -> Arc<RankedQueryServer> {
     chaos_server(ServerConfig {
         exec_threads,
@@ -112,10 +123,10 @@ fn clean_run(client: &mut impl Transport) -> Vec<Tuple> {
 #[test]
 fn error_faults_at_every_site_recover_to_identical_answers() {
     let _g = locked();
-    for exec_threads in EXEC_THREADS {
+    for (exec_threads, protocol) in legs() {
         let server = chaos_server_at(exec_threads);
         let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-        let mut client = TcpClient::connect(handle.addr()).unwrap();
+        let mut client = TcpClient::connect_with(handle.addr(), protocol).unwrap();
 
         let reference = clean_run(&mut client);
         assert!(!reference.is_empty());
@@ -196,10 +207,10 @@ fn error_faults_at_every_site_recover_to_identical_answers() {
 #[test]
 fn panic_faults_are_contained_and_leak_nothing() {
     let _g = locked();
-    for exec_threads in EXEC_THREADS {
+    for (exec_threads, protocol) in legs() {
         let server = chaos_server_at(exec_threads);
         let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-        let mut client = TcpClient::connect(handle.addr()).unwrap();
+        let mut client = TcpClient::connect_with(handle.addr(), protocol).unwrap();
         let reference = clean_run(&mut client);
 
         // A panic mid-FETCH: the session is checked out when it fires, so the
@@ -375,48 +386,50 @@ fn explicit_cancel_drops_the_session_and_attributes_later_fetches() {
 #[test]
 fn the_admission_gate_sheds_excess_requests_and_recovers() {
     let _g = locked();
-    let server = chaos_server(ServerConfig {
-        max_inflight: 1,
-        ..ServerConfig::default()
-    });
-    let config = ServerConfig {
-        workers: 4,
-        ..ServerConfig::default()
-    };
-    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
-    let addr = handle.addr();
+    for protocol in PROTOCOLS {
+        let server = chaos_server(ServerConfig {
+            max_inflight: 1,
+            ..ServerConfig::default()
+        });
+        let config = ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        };
+        let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
+        let addr = handle.addr();
 
-    let mut slow = TcpClient::connect(addr).unwrap();
-    let opened = slow.open("dblp", TWO_HOP).unwrap();
+        let mut slow = TcpClient::connect_with(addr, protocol).unwrap();
+        let opened = slow.open("dblp", TWO_HOP).unwrap();
 
-    // Park a FETCH inside the admission gate for 400 ms...
-    re_fault::configure("fetch.next=sleep(400)").unwrap();
-    let session = opened.session;
-    let holder = std::thread::spawn(move || slow.fetch(session, 5).unwrap());
-    std::thread::sleep(Duration::from_millis(100));
+        // Park a FETCH inside the admission gate for 400 ms...
+        re_fault::configure("fetch.next=sleep(400)").unwrap();
+        let session = opened.session;
+        let holder = std::thread::spawn(move || slow.fetch(session, 5).unwrap());
+        std::thread::sleep(Duration::from_millis(100));
 
-    // ...so a second connection's OPEN must be shed with the typed
-    // overloaded error and a back-off hint — while cheap requests
-    // (ping, stats, cancel) still pass.
-    let mut other = TcpClient::connect(addr).unwrap();
-    other.ping().unwrap();
-    let err = other.open("dblp", TWO_HOP).unwrap_err();
-    assert!(err.is_overloaded(), "{err}");
-    match &err {
-        re_server::ClientError::Server {
-            retry_after_millis, ..
-        } => assert!(retry_after_millis.is_some(), "shed without a retry hint"),
-        other => panic!("expected a typed server error, got {other}"),
+        // ...so a second connection's OPEN must be shed with the typed
+        // overloaded error and a back-off hint — while cheap requests
+        // (ping, stats, cancel) still pass.
+        let mut other = TcpClient::connect_with(addr, protocol).unwrap();
+        other.ping().unwrap();
+        let err = other.open("dblp", TWO_HOP).unwrap_err();
+        assert!(err.is_overloaded(), "{err}");
+        match &err {
+            re_server::ClientError::Server {
+                retry_after_millis, ..
+            } => assert!(retry_after_millis.is_some(), "shed without a retry hint"),
+            other => panic!("expected a typed server error, got {other}"),
+        }
+
+        holder.join().unwrap();
+        re_fault::clear();
+
+        // The slot is free again: the same OPEN now succeeds.
+        let opened = other.open("dblp", TWO_HOP).unwrap();
+        other.close(opened.session).unwrap();
+        assert!(other.stats().unwrap().enumeration.requests_shed >= 1);
+        handle.shutdown();
     }
-
-    holder.join().unwrap();
-    re_fault::clear();
-
-    // The slot is free again: the same OPEN now succeeds.
-    let opened = other.open("dblp", TWO_HOP).unwrap();
-    other.close(opened.session).unwrap();
-    assert!(other.stats().unwrap().enumeration.requests_shed >= 1);
-    handle.shutdown();
 }
 
 #[test]
@@ -503,39 +516,42 @@ fn a_partial_request_line_survives_a_read_timeout_stall() {
 #[test]
 fn a_dropped_connection_reconnects_with_backoff_and_resumes_its_session() {
     let _g = locked();
-    let server = chaos_server(ServerConfig::default());
-    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-    let addr = handle.addr();
+    for protocol in PROTOCOLS {
+        let server = chaos_server(ServerConfig::default());
+        let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
+        let addr = handle.addr();
 
-    let reference = LocalClient::new(Arc::clone(&server))
-        .query("dblp", TWO_HOP)
-        .unwrap()
-        .rows;
+        let reference = LocalClient::new(Arc::clone(&server))
+            .query("dblp", TWO_HOP)
+            .unwrap()
+            .rows;
 
-    // Fetch a prefix, then lose the connection mid-stream.
-    let mut first = TcpClient::connect(addr).unwrap();
-    let opened = first.open("dblp", TWO_HOP).unwrap();
-    let prefix = first.fetch(opened.session, 4).unwrap().rows;
-    drop(first);
+        // Fetch a prefix, then lose the connection mid-stream.
+        let mut first = TcpClient::connect_with(addr, protocol).unwrap();
+        let opened = first.open("dblp", TWO_HOP).unwrap();
+        let prefix = first.fetch(opened.session, 4).unwrap().rows;
+        drop(first);
 
-    // Sessions live in the server, not the connection: the reconnect
-    // policy's backed-off retry gets a fresh connection that resumes the
-    // same cursor exactly where it stopped.
-    let mut second = TcpClient::connect_with_retry(addr, &RetryPolicy::default()).unwrap();
-    let mut combined = prefix;
-    combined.extend(drain(&mut second, opened.session, 7));
-    assert_eq!(combined, reference);
-    assert_eq!(second.stats().unwrap().sessions_open, 0);
+        // Sessions live in the server, not the connection: the reconnect
+        // policy's backed-off retry gets a fresh connection that resumes the
+        // same cursor exactly where it stopped.
+        let mut second =
+            TcpClient::connect_with_retry(addr, protocol, &RetryPolicy::default()).unwrap();
+        let mut combined = prefix;
+        combined.extend(drain(&mut second, opened.session, 7));
+        assert_eq!(combined, reference);
+        assert_eq!(second.stats().unwrap().sessions_open, 0);
 
-    // Against a dead endpoint the policy gives up with the last error
-    // instead of hanging (port 1 refuses on loopback).
-    let policy = RetryPolicy {
-        attempts: 2,
-        base_delay: Duration::from_millis(1),
-        ..RetryPolicy::default()
-    };
-    assert!(TcpClient::connect_with_retry("127.0.0.1:1", &policy).is_err());
-    handle.shutdown();
+        // Against a dead endpoint the policy gives up with the last error
+        // instead of hanging (port 1 refuses on loopback).
+        let policy = RetryPolicy {
+            attempts: 2,
+            base_delay: Duration::from_millis(1),
+            ..RetryPolicy::default()
+        };
+        assert!(TcpClient::connect_with_retry("127.0.0.1:1", protocol, &policy).is_err());
+        handle.shutdown();
+    }
 }
 
 /// The sample value of `metric` in a Prometheus exposition.
@@ -587,55 +603,57 @@ fn robustness_counters_flow_through_stats_and_prometheus() {
 #[test]
 fn peer_disconnect_mid_fetch_cancels_the_checked_out_cursor() {
     let _g = locked();
-    let server = chaos_server(ServerConfig::default());
-    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-    let mut local = LocalClient::new(Arc::clone(&server));
-    let cancelled_before = local.stats().unwrap().enumeration.cancelled;
+    for protocol in PROTOCOLS {
+        let server = chaos_server(ServerConfig::default());
+        let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
+        let mut local = LocalClient::new(Arc::clone(&server));
+        let cancelled_before = local.stats().unwrap().enumeration.cancelled;
 
-    // The session lives on one connection, the doomed fetch on another:
-    // sessions are resumable across connections, so only the cursor's
-    // *checked-out* state at disconnect time decides its fate.
-    let mut owner = TcpClient::connect(handle.addr()).unwrap();
-    let opened = owner.open("dblp", TWO_HOP).unwrap();
+        // The session lives on one connection, the doomed fetch on another:
+        // sessions are resumable across connections, so only the cursor's
+        // *checked-out* state at disconnect time decides its fate.
+        let mut owner = TcpClient::connect_with(handle.addr(), protocol).unwrap();
+        let opened = owner.open("dblp", TWO_HOP).unwrap();
 
-    // Stall the fetch long enough to rip the connection out from under it
-    // while the cursor is checked out.
-    re_fault::configure("fetch.next=sleep(400)").unwrap();
-    {
-        let mut doomed = TcpStream::connect(handle.addr()).unwrap();
-        let line = re_server::Request::Fetch {
-            session: opened.session,
-            k: 3,
+        // Stall the fetch long enough to rip the connection out from under it
+        // while the cursor is checked out.
+        re_fault::configure("fetch.next=sleep(400)").unwrap();
+        {
+            let mut doomed = TcpStream::connect(handle.addr()).unwrap();
+            let line = re_server::Request::Fetch {
+                session: opened.session,
+                k: 3,
+            }
+            .encode()
+                + "\n";
+            doomed.write_all(line.as_bytes()).unwrap();
+            doomed.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(120));
+            // Dropping the stream sends FIN mid-fetch: the reactor tears the
+            // connection down and cancels the in-flight cursor.
         }
-        .encode()
-            + "\n";
-        doomed.write_all(line.as_bytes()).unwrap();
-        doomed.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(120));
-        // Dropping the stream sends FIN mid-fetch: the reactor tears the
-        // connection down and cancels the in-flight cursor.
-    }
-    std::thread::sleep(Duration::from_millis(600));
-    re_fault::clear();
+        std::thread::sleep(Duration::from_millis(600));
+        re_fault::clear();
 
-    let stats = local.stats().unwrap();
-    assert_eq!(
-        stats.sessions_open, 0,
-        "the disconnected fetch's cursor must be released"
-    );
-    assert_eq!(
-        stats.enumeration.cancelled,
-        cancelled_before + 1,
-        "exactly one cancel, attributed to the disconnect"
-    );
+        let stats = local.stats().unwrap();
+        assert_eq!(
+            stats.sessions_open, 0,
+            "the disconnected fetch's cursor must be released"
+        );
+        assert_eq!(
+            stats.enumeration.cancelled,
+            cancelled_before + 1,
+            "exactly one cancel, attributed to the disconnect"
+        );
 
-    // The owning connection is still healthy, and a later fetch on the id
-    // says *why* the session is gone — not "unknown id".
-    let err = owner.fetch(opened.session, 3).unwrap_err();
-    match &err {
-        re_server::ClientError::Server { code, .. } => assert_eq!(code, "cancelled"),
-        other => panic!("expected a typed server error, got {other}"),
+        // The owning connection is still healthy, and a later fetch on the id
+        // says *why* the session is gone — not "unknown id".
+        let err = owner.fetch(opened.session, 3).unwrap_err();
+        match &err {
+            re_server::ClientError::Server { code, .. } => assert_eq!(code, "cancelled"),
+            other => panic!("expected a typed server error, got {other}"),
+        }
+        assert_eq!(owner.stats().unwrap().sessions_open, 0);
+        handle.shutdown();
     }
-    assert_eq!(owner.stats().unwrap().sessions_open, 0);
-    handle.shutdown();
 }

@@ -66,13 +66,9 @@ fn wide_db() -> Database {
     db
 }
 
-/// The protocol `RE_TRANSPORT` selects, as `TcpClient::connect` reads it.
-fn env_protocol() -> WireProtocol {
-    match std::env::var("RE_TRANSPORT").as_deref() {
-        Ok("binary") => WireProtocol::Binary,
-        _ => WireProtocol::Json,
-    }
-}
+/// Both wire protocols: the scenarios that are not about one of them run
+/// once per protocol.
+const PROTOCOLS: [WireProtocol; 2] = [WireProtocol::Json, WireProtocol::Binary];
 
 /// A raw client socket: the tests below decide themselves what goes into
 /// which TCP segment and when (if ever) the responses are read.
@@ -247,7 +243,7 @@ fn idle_reactor_connection_causes_no_wakeups() {
 #[test]
 fn pipelined_mixed_requests_answer_in_order() {
     let (_server, handle) = reactor_server();
-    for protocol in [WireProtocol::Json, WireProtocol::Binary] {
+    for protocol in PROTOCOLS {
         let mut client = TcpClient::connect_with(handle.addr(), protocol).unwrap();
         let responses = client
             .pipeline(&[
@@ -281,7 +277,7 @@ fn thread_per_conn_front_end_serves_both_protocols() {
     server.catalog().register("dblp", coauthor_db());
     let handle = serve_threaded(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
 
-    for protocol in [WireProtocol::Json, WireProtocol::Binary] {
+    for protocol in PROTOCOLS {
         let mut client = TcpClient::connect_with(handle.addr(), protocol).unwrap();
         let opened = client.open("dblp", TWO_HOP).unwrap();
         let page = client.fetch(opened.session, 4).unwrap();
@@ -297,13 +293,13 @@ fn thread_per_conn_front_end_serves_both_protocols() {
     handle.shutdown();
 }
 
-/// The `RE_TRANSPORT` knob selects the client protocol end to end.
+/// The constructor selects the client protocol end to end; the plain one
+/// negotiates JSON lines.
 #[test]
-fn env_var_selects_the_client_protocol() {
-    // Avoid mutating the process environment (other tests run in
-    // parallel): only assert the default resolution plus the explicit
-    // constructors, and exercise an env-style binary client directly.
+fn constructors_select_the_client_protocol() {
     let (_server, handle) = reactor_server();
+    let plain = TcpClient::connect(handle.addr()).unwrap();
+    assert_eq!(plain.protocol(), WireProtocol::Json);
     let mut binary = TcpClient::connect_binary(handle.addr()).unwrap();
     assert_eq!(binary.protocol(), WireProtocol::Binary);
     assert_eq!(binary.request(Request::Ping).unwrap(), Response::Pong);
@@ -370,22 +366,24 @@ fn parked_sessions_survive_a_disconnect_and_resume_elsewhere() {
 #[test]
 fn sequential_requests_cost_one_poll_wait_each_and_no_wakeups() {
     let _g = faults_locked();
-    let (server, handle) = reactor_server();
-    let mut tcp = TcpClient::connect(handle.addr()).unwrap();
-    let opened = tcp.open("dblp", TWO_HOP).unwrap();
+    for protocol in PROTOCOLS {
+        let (server, handle) = reactor_server();
+        let mut tcp = TcpClient::connect_with(handle.addr(), protocol).unwrap();
+        let opened = tcp.open("dblp", TWO_HOP).unwrap();
 
-    let before = transport_stats(&server);
-    for i in 0..200 {
-        if i % 2 == 0 {
-            assert_eq!(tcp.request(Request::Ping).unwrap(), Response::Pong);
-        } else {
-            assert_eq!(tcp.fetch(opened.session, 1).unwrap().rows.len(), 1);
+        let before = transport_stats(&server);
+        for i in 0..200 {
+            if i % 2 == 0 {
+                assert_eq!(tcp.request(Request::Ping).unwrap(), Response::Pong);
+            } else {
+                assert_eq!(tcp.fetch(opened.session, 1).unwrap().rows.len(), 1);
+            }
         }
+        let after = transport_stats(&server);
+        assert_eq!(after.epoll_waits - before.epoll_waits, 200);
+        assert_eq!(after.wakeups - before.wakeups, 0);
+        handle.shutdown();
     }
-    let after = transport_stats(&server);
-    assert_eq!(after.epoll_waits - before.epoll_waits, 200);
-    assert_eq!(after.wakeups - before.wakeups, 0);
-    handle.shutdown();
 }
 
 /// Requests that arrive while a batch runs queue behind it, go out as the
@@ -394,47 +392,49 @@ fn sequential_requests_cost_one_poll_wait_each_and_no_wakeups() {
 #[test]
 fn requests_behind_a_running_batch_answer_in_order_after_one_poke() {
     let _g = faults_locked();
-    let (server, handle) = reactor_server();
-    let mut local = LocalClient::new(Arc::clone(&server));
-    let reference = local.open("dblp", TWO_HOP).unwrap().session;
-    let expected = [
-        local.fetch(reference, 2).unwrap().rows,
-        local.fetch(reference, 2).unwrap().rows,
-    ];
-    let session = local.open("dblp", TWO_HOP).unwrap().session;
-    let fetch = Request::Fetch { session, k: 2 };
+    for protocol in PROTOCOLS {
+        let (server, handle) = reactor_server();
+        let mut local = LocalClient::new(Arc::clone(&server));
+        let reference = local.open("dblp", TWO_HOP).unwrap().session;
+        let expected = [
+            local.fetch(reference, 2).unwrap().rows,
+            local.fetch(reference, 2).unwrap().rows,
+        ];
+        let session = local.open("dblp", TWO_HOP).unwrap().session;
+        let fetch = Request::Fetch { session, k: 2 };
 
-    re_fault::configure("fetch.next=sleep(500)").unwrap();
-    let mut conn = RawConn::connect(&handle, env_protocol());
-    send_and_wait_read(&mut conn, &server, std::slice::from_ref(&fetch));
-    let before = transport_stats(&server);
-    // The first batch is now held inside its FETCH; each of these is its
-    // own segment and its own read.
-    for request in [Request::Ping, fetch, Request::Ping] {
-        send_and_wait_read(&mut conn, &server, &[request]);
+        re_fault::configure("fetch.next=sleep(500)").unwrap();
+        let mut conn = RawConn::connect(&handle, protocol);
+        send_and_wait_read(&mut conn, &server, std::slice::from_ref(&fetch));
+        let before = transport_stats(&server);
+        // The first batch is now held inside its FETCH; each of these is its
+        // own segment and its own read.
+        for request in [Request::Ping, fetch, Request::Ping] {
+            send_and_wait_read(&mut conn, &server, &[request]);
+        }
+        re_fault::clear();
+
+        let responses = conn.read_responses(4);
+        let [first, second] = expected;
+        assert_eq!(
+            responses,
+            vec![
+                Response::Page {
+                    rows: first,
+                    exhausted: false
+                },
+                Response::Pong,
+                Response::Page {
+                    rows: second,
+                    exhausted: false
+                },
+                Response::Pong,
+            ]
+        );
+        let after = transport_stats(&server);
+        assert_eq!(after.wakeups - before.wakeups, 1, "one poke, one batch");
+        handle.shutdown();
     }
-    re_fault::clear();
-
-    let responses = conn.read_responses(4);
-    let [first, second] = expected;
-    assert_eq!(
-        responses,
-        vec![
-            Response::Page {
-                rows: first,
-                exhausted: false
-            },
-            Response::Pong,
-            Response::Page {
-                rows: second,
-                exhausted: false
-            },
-            Response::Pong,
-        ]
-    );
-    let after = transport_stats(&server);
-    assert_eq!(after.wakeups - before.wakeups, 1, "one poke, one batch");
-    handle.shutdown();
 }
 
 /// A client that pipelines pages without reading them gets, once it does
@@ -459,7 +459,7 @@ fn a_slow_reader_gets_the_sequential_bytes_on_both_protocols() {
         vec![Request::Fetch { session, k: 1024 }; n]
     };
 
-    for protocol in [WireProtocol::Json, WireProtocol::Binary] {
+    for protocol in PROTOCOLS {
         let mut sequential = Vec::new();
         let mut conn = RawConn::connect(&handle, protocol);
         for fetch in fetches(PAGES) {
@@ -498,54 +498,56 @@ fn a_slow_reader_gets_the_sequential_bytes_on_both_protocols() {
 #[test]
 fn a_batch_outliving_its_connection_is_dropped_quietly() {
     let _g = faults_locked();
-    // One worker: if delivering to the dead connection killed it, the
-    // request at the end would never be answered.
-    let config = ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    };
-    let server = RankedQueryServer::new(config.clone());
-    server.catalog().register("dblp", coauthor_db());
-    let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
-    let mut local = LocalClient::new(Arc::clone(&server));
-    let parked = local.open("dblp", TWO_HOP).unwrap().session;
-    let first_page = local.fetch(parked, 2).unwrap().rows;
-    let doomed = local.open("dblp", TWO_HOP).unwrap().session;
+    for protocol in PROTOCOLS {
+        // One worker: if delivering to the dead connection killed it, the
+        // request at the end would never be answered.
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = RankedQueryServer::new(config.clone());
+        server.catalog().register("dblp", coauthor_db());
+        let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
+        let mut local = LocalClient::new(Arc::clone(&server));
+        let parked = local.open("dblp", TWO_HOP).unwrap().session;
+        let first_page = local.fetch(parked, 2).unwrap().rows;
+        let doomed = local.open("dblp", TWO_HOP).unwrap().session;
 
-    re_fault::configure("fetch.next=sleep(300)").unwrap();
-    let mut conn = RawConn::connect(&handle, env_protocol());
-    let fetch = Request::Fetch {
-        session: doomed,
-        k: 2,
-    };
-    send_and_wait_read(&mut conn, &server, &[fetch]);
-    let before = transport_stats(&server);
-    drop(conn); // FIN while the worker sleeps inside the FETCH
-    wait_until("the reactor tore the connection down", || {
-        transport_stats(&server).disconnects > before.disconnects
-    });
-    // The cancelled cursor is discarded when the worker comes back.
-    wait_until("the worker finished the orphaned batch", || {
-        local.stats().unwrap().sessions_open == 1
-    });
-    re_fault::clear();
+        re_fault::configure("fetch.next=sleep(300)").unwrap();
+        let mut conn = RawConn::connect(&handle, protocol);
+        let fetch = Request::Fetch {
+            session: doomed,
+            k: 2,
+        };
+        send_and_wait_read(&mut conn, &server, &[fetch]);
+        let before = transport_stats(&server);
+        drop(conn); // FIN while the worker sleeps inside the FETCH
+        wait_until("the reactor tore the connection down", || {
+            transport_stats(&server).disconnects > before.disconnects
+        });
+        // The cancelled cursor is discarded when the worker comes back.
+        wait_until("the worker finished the orphaned batch", || {
+            local.stats().unwrap().sessions_open == 1
+        });
+        re_fault::clear();
 
-    let mut conn = RawConn::connect(&handle, env_protocol());
-    conn.send(&[Request::Fetch {
-        session: parked,
-        k: 2,
-    }]);
-    let [Response::Page { rows, .. }] = &conn.read_responses(1)[..] else {
-        panic!("the parked session must still be resumable");
-    };
-    assert_eq!(rows.len(), 2);
-    assert_ne!(rows, &first_page);
-    assert_eq!(
-        transport_stats(&server).disconnects,
-        before.disconnects + 1,
-        "exactly one disconnect"
-    );
-    handle.shutdown();
+        let mut conn = RawConn::connect(&handle, protocol);
+        conn.send(&[Request::Fetch {
+            session: parked,
+            k: 2,
+        }]);
+        let [Response::Page { rows, .. }] = &conn.read_responses(1)[..] else {
+            panic!("the parked session must still be resumable");
+        };
+        assert_eq!(rows.len(), 2);
+        assert_ne!(rows, &first_page);
+        assert_eq!(
+            transport_stats(&server).disconnects,
+            before.disconnects + 1,
+            "exactly one disconnect"
+        );
+        handle.shutdown();
+    }
 }
 
 /// `ServerHandle::shutdown` returns — every thread joined — while all the

@@ -9,10 +9,16 @@
 //!   correct, duplicate-free, rank-ordered answers;
 //! * the TCP front-end serves the same protocol through its worker pool.
 
-use re_server::{serve, LocalClient, RankedQueryServer, ServerConfig, TcpClient, Transport};
+use re_server::{
+    serve, LocalClient, RankedQueryServer, ServerConfig, TcpClient, Transport, WireProtocol,
+};
 use re_storage::{attr::attrs, Database, Relation};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Both wire protocols: every TCP leg below runs once per protocol, so
+/// JSON-lines and binary framing stay equivalent end to end.
+const PROTOCOLS: [WireProtocol; 2] = [WireProtocol::Json, WireProtocol::Binary];
 
 /// Co-authorship database: enough rows for multi-page enumerations.
 fn coauthor_db() -> Database {
@@ -181,11 +187,12 @@ fn tcp_front_end_serves_the_protocol_through_the_worker_pool() {
         .unwrap()
         .rows;
 
-    let threads: Vec<_> = (0..4)
-        .map(|_| {
+    // Four concurrent clients per protocol, on one server.
+    let threads: Vec<_> = (0..8)
+        .map(|i| {
             let reference = reference.clone();
             std::thread::spawn(move || {
-                let mut client = TcpClient::connect(addr).unwrap();
+                let mut client = TcpClient::connect_with(addr, PROTOCOLS[i % 2]).unwrap();
                 client.ping().unwrap();
                 assert_eq!(client.catalog().unwrap(), vec!["dblp".to_string()]);
                 let opened = client.open("dblp", TWO_HOP).unwrap();
@@ -203,13 +210,15 @@ fn tcp_front_end_serves_the_protocol_through_the_worker_pool() {
     }
 
     // Server-side errors arrive as typed error responses, not hangups.
-    let mut client = TcpClient::connect(addr).unwrap();
-    let err = client.open("nope", TWO_HOP).unwrap_err();
-    assert!(err.to_string().contains("unknown database"));
-    let err = client.fetch(999_999, 5).unwrap_err();
-    assert!(err.to_string().contains("session"));
-    let err = client.open("dblp", "SELECT broken FROM").unwrap_err();
-    assert!(matches!(err, re_server::ClientError::Server { .. }));
+    for protocol in PROTOCOLS {
+        let mut client = TcpClient::connect_with(addr, protocol).unwrap();
+        let err = client.open("nope", TWO_HOP).unwrap_err();
+        assert!(err.to_string().contains("unknown database"));
+        let err = client.fetch(999_999, 5).unwrap_err();
+        assert!(err.to_string().contains("session"));
+        let err = client.open("dblp", "SELECT broken FROM").unwrap_err();
+        assert!(matches!(err, re_server::ClientError::Server { .. }));
+    }
 
     handle.shutdown();
 }
@@ -557,12 +566,14 @@ fn metrics_exposition_covers_spans_latencies_and_ttfa() {
     assert!(sample(&after_fetch, "re_enum_answers") >= 1.0);
 
     // The same body arrives intact over TCP (multi-line text inside one
-    // JSON string).
+    // JSON string, or one binary frame).
     let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-    let mut tcp = TcpClient::connect(handle.addr()).unwrap();
-    let scraped = tcp.metrics().unwrap();
-    re_obs::validate_exposition(&scraped).expect("well-formed exposition over TCP");
-    assert!(scraped.contains("re_span_preprocess_bags_seconds_count"));
+    for protocol in PROTOCOLS {
+        let mut tcp = TcpClient::connect_with(handle.addr(), protocol).unwrap();
+        let scraped = tcp.metrics().unwrap();
+        re_obs::validate_exposition(&scraped).expect("well-formed exposition over TCP");
+        assert!(scraped.contains("re_span_preprocess_bags_seconds_count"));
+    }
     handle.shutdown();
 }
 
@@ -603,10 +614,12 @@ fn explain_and_explain_analyze_over_the_protocol() {
 
     // The same request works across the wire.
     let handle = serve(Arc::clone(&server), "127.0.0.1:0", &ServerConfig::default()).unwrap();
-    let mut tcp = TcpClient::connect(handle.addr()).unwrap();
-    let over_tcp = tcp.explain("dblp", TWO_HOP, true).unwrap();
-    assert!(over_tcp.starts_with("EXPLAIN ANALYZE\n"), "{over_tcp}");
-    assert!(over_tcp.contains("execution:"), "{over_tcp}");
+    for protocol in PROTOCOLS {
+        let mut tcp = TcpClient::connect_with(handle.addr(), protocol).unwrap();
+        let over_tcp = tcp.explain("dblp", TWO_HOP, true).unwrap();
+        assert!(over_tcp.starts_with("EXPLAIN ANALYZE\n"), "{over_tcp}");
+        assert!(over_tcp.contains("execution:"), "{over_tcp}");
+    }
     handle.shutdown();
 }
 

@@ -111,7 +111,7 @@ impl SqlPlan {
     ///
     /// This is a convenience for inspecting a plan's derived relations in
     /// context; execution does **not** use it — the executors call
-    /// [`SqlPlan::working_database`], which copies only what the plan
+    /// [`SqlPlan::working_database`], which holds only what the plan
     /// references.
     pub fn instantiate(&self, db: &Database) -> Result<Database, SqlError> {
         let mut out = db.clone();
@@ -125,8 +125,9 @@ impl SqlPlan {
     /// The minimal working set for executing this plan: `None` when the
     /// plan has no derived relations (execute directly against `db`, no
     /// copy at all); otherwise a database holding the materialised derived
-    /// relations plus the base relations the plan's atoms reference —
-    /// open cost scales with the queried relations, not with `db`.
+    /// relations plus the base relations the plan's atoms reference,
+    /// shared with `db` rather than copied — open cost scales with the
+    /// filtered relations, not with `db`.
     pub fn working_database(&self, db: &Database) -> Result<Option<Database>, SqlError> {
         if self.derived.is_empty() {
             return Ok(None);
@@ -146,7 +147,7 @@ impl SqlPlan {
         };
         for name in atom_relations {
             if !out.contains(name) {
-                out.set_relation(db.relation(name)?.clone());
+                out.share_relation(db.relation_arc(name)?);
             }
         }
         Ok(Some(out))
@@ -749,10 +750,16 @@ mod tests {
         .unwrap();
         let working = p.working_database(&db).unwrap().unwrap();
         assert!(working.contains(&p.derived[0].name));
-        assert!(working.contains("AuthorPapers"));
+        assert!(
+            std::sync::Arc::ptr_eq(
+                &working.relation_arc("AuthorPapers").unwrap(),
+                &db.relation_arc("AuthorPapers").unwrap()
+            ),
+            "a referenced base relation is shared, not copied"
+        );
         assert!(
             !working.contains("Paper"),
-            "the unreferenced base of a derived relation is not copied"
+            "the unreferenced base of a derived relation is not held"
         );
     }
 

@@ -140,6 +140,41 @@ fn preprocessing_is_linear_in_the_instance() {
 }
 
 #[test]
+fn preprocessing_hashes_each_join_key_once() {
+    // The 5 000-edge DBLP 2-hop has one tree edge with 5 000 live rows on
+    // either side: the reducer's bottom-up pass inserts the child's and
+    // probes the parent's, and nothing after it hashes a row again (three
+    // passes used to, 30 000 in all).
+    use rankedenum::join::Reduction;
+    use rankedenum::obs::{trace, AttrValue, TraceCtx};
+    let w = DblpWorkload::generate(5_000, 42, WeightScheme::Random);
+    let spec = w.two_hop();
+    let tree = JoinTree::build(&spec.query).unwrap();
+    let reduction = Reduction::of_query(&ExecContext::serial(), &spec.query, tree, w.db()).unwrap();
+    assert_eq!(reduction.stats.hashed_rows, 10_000);
+    assert_eq!(reduction.stats.passes, 2);
+
+    // The count an operator sees: on the `preprocess.reduce` span of a
+    // traced build, whose `preprocess.cells` span has the same parent.
+    let tctx = TraceCtx::new("open");
+    {
+        let _installed = trace::install(&tctx, 0);
+        AcyclicEnumerator::new(&spec.query, w.db(), spec.sum_ranking()).unwrap();
+    }
+    let traced = tctx.finish();
+    let reduce = traced.spans_named("preprocess.reduce").next().unwrap();
+    let hashed = reduce.attrs.iter().find(|(k, _)| k == "hashed_rows");
+    assert!(matches!(hashed, Some((_, AttrValue::U64(10_000)))));
+    assert_eq!(traced.spans_named("preprocess.cells").count(), 1);
+
+    // And the cell build cannot add to it: it has no key table to use.
+    let cell_build = include_str!("../crates/core/src/acyclic.rs");
+    for banned in ["KeyTable", "group_rows", "project_key"] {
+        assert!(!cell_build.contains(banned), "acyclic.rs mentions {banned}");
+    }
+}
+
+#[test]
 fn any_join_tree_root_gives_identical_results() {
     let w = DblpWorkload::generate(300, 23, WeightScheme::Random);
     let spec = w.four_hop();

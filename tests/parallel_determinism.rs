@@ -18,6 +18,7 @@ use common::ctx_at;
 use proptest::prelude::*;
 use rankedenum::join::{
     hash_join, par_hash_join, par_project_distinct, par_semi_join, project_distinct, semi_join,
+    Reduction,
 };
 use rankedenum::prelude::*;
 use rankedenum::workloads::membership::WeightScheme;
@@ -70,6 +71,41 @@ fn acyclic_workloads_are_thread_count_invariant() {
                     .take(500)
                     .collect();
             assert_same_rows(&spec.name, threads, &serial, &parallel);
+        }
+    }
+}
+
+#[test]
+fn the_encoded_reducer_is_thread_count_invariant() {
+    // The reducer's whole product — reduced relations (row order
+    // included), edge ids and counters — at a serial, a one-worker and a
+    // four-worker context, with morsels of three rows so every bottom-up
+    // probe of these instances splits into hundreds of tasks.
+    let dblp = DblpWorkload::generate(700, 11, WeightScheme::Random);
+    let imdb = ImdbWorkload::generate(500, 12, WeightScheme::LogDegree);
+    let specs = [
+        (dblp.two_hop(), dblp.db()),
+        (dblp.four_hop(), dblp.db()),
+        (dblp.three_star(), dblp.db()),
+        (imdb.three_star(), imdb.db()),
+    ];
+    for (spec, db) in &specs {
+        let reduce = |ctx: &ExecContext| {
+            let tree = JoinTree::build(&spec.query).unwrap();
+            let r = Reduction::of_query(ctx, &spec.query, tree, db).unwrap();
+            let rows: Vec<Vec<Tuple>> = r
+                .relations
+                .iter()
+                .map(|rel| rel.iter().map(<[Value]>::to_vec).collect())
+                .collect();
+            (rows, r.edges, r.stats)
+        };
+        let serial = reduce(&ExecContext::serial());
+        assert!(serial.2.hashed_rows > 0);
+        for threads in [1, 4] {
+            let ctx = ctx_at(threads).with_morsel_rows(3);
+            assert_eq!(reduce(&ctx), serial, "{} at {threads} workers", spec.name);
+            common::assert_ran_on_its_pool(&ctx, &spec.name);
         }
     }
 }

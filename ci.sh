@@ -16,6 +16,9 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Broken, ambiguous or private intra-doc links fail here, so deleting a
+# public item cannot leave a dangling link behind.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --workspace --release
 run cargo test -q --workspace
 # The acceptance benchmark (stackbench/, a package outside the workspace)

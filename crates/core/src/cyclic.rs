@@ -109,9 +109,11 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         ctx: &ExecContext,
         kernel: BagKernel,
     ) -> Result<Self, EnumError> {
+        query.validate_against(db)?;
         Self::build(query, db, ranking, plan, ctx, kernel, None, 0)
     }
 
+    /// The shared build path; callers have validated `query` against `db`.
     #[allow(clippy::too_many_arguments)]
     fn build(
         query: &JoinProjectQuery,
@@ -123,7 +125,6 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         fallback: Option<String>,
         candidates: usize,
     ) -> Result<Self, EnumError> {
-        query.validate_against(db)?;
         let mut atoms = Vec::with_capacity(plan.len());
         let mut bag_rels = Vec::with_capacity(plan.len());
         let mut bag_sizes = Vec::with_capacity(plan.len());
@@ -206,31 +207,21 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         ranking: R,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
+        // Selection reads relation sizes: reject a query `db` cannot
+        // serve before the cost model trips over it.
+        query.validate_against(db)?;
         let ghd_span = re_obs::Span::enter("preprocess.ghd_select");
-        let (plan, fallback, candidates) = match GhdPlan::cost_based(query, db) {
-            Ok(sel) => {
-                let fallback = if sel.plan.shape() == "single-bag" {
-                    Some(
-                        sel.cycle_error
-                            .unwrap_or_else(|| "no cycle decomposition applicable".to_string()),
-                    )
-                } else {
-                    None
-                };
-                (sel.plan, fallback, sel.considered)
-            }
-            Err(e) => (GhdPlan::single_bag(query), Some(e.to_string()), 0),
-        };
+        let sel = GhdPlan::cost_based(query, db)?;
         drop(ghd_span);
         Self::build(
             query,
             db,
             ranking,
-            &plan,
+            &sel.plan,
             ctx,
             BagKernel::default(),
-            fallback,
-            candidates,
+            sel.fallback().map(str::to_string),
+            sel.considered,
         )
     }
 

@@ -348,9 +348,20 @@ impl LexiEnumerator {
         ranking: &LexRanking,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
+        Self::with_tree_ctx(query, db, ranking, JoinTree::build(query)?, ctx)
+    }
+
+    /// [`LexiEnumerator::new_ctx`] over an explicit join tree of `query`
+    /// (any root is valid), for callers that already hold one.
+    pub fn with_tree_ctx(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: &LexRanking,
+        tree: JoinTree,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
-        let (tree, relations, rstats) =
-            reduce_then_prune_ctx(ctx, query, JoinTree::build(query)?, db)?;
+        let (tree, relations, rstats) = reduce_then_prune_ctx(ctx, query, tree, db)?;
         let attr_order = lex_attr_order(query, ranking);
         let output_perm = query
             .projection()

@@ -13,9 +13,9 @@
 //! freely between worker threads for as long as the session lives.
 
 use crate::acyclic::AcyclicEnumerator;
-use crate::auto::{Algorithm, RankedEnumerator};
 use crate::cyclic::{CyclicEnumerator, GhdReport};
 use crate::lexi::LexiEnumerator;
+use crate::plan::Algorithm;
 use crate::stats::StatsSnapshot;
 use crate::union::UnionEnumerator;
 use re_exec::{CancelKind, CancelToken};
@@ -237,34 +237,6 @@ impl<R: Ranking + Clone> RankedStream for CyclicEnumerator<R> {
     }
 }
 
-impl<R: Ranking + Clone> RankedStream for RankedEnumerator<R> {
-    fn output_attrs(&self) -> &[Attr] {
-        RankedEnumerator::output_attrs(self)
-    }
-
-    fn algorithm(&self) -> Algorithm {
-        RankedEnumerator::algorithm(self)
-    }
-
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats().snapshot()
-    }
-
-    fn plan_shape(&self) -> Option<String> {
-        match self {
-            RankedEnumerator::Acyclic(_) => None,
-            RankedEnumerator::Cyclic(c) => RankedStream::plan_shape(c),
-        }
-    }
-
-    fn ghd_report(&self) -> Option<GhdReport> {
-        match self {
-            RankedEnumerator::Acyclic(_) => None,
-            RankedEnumerator::Cyclic(c) => RankedStream::ghd_report(c),
-        }
-    }
-}
-
 impl<R: Ranking + Clone + 'static> RankedStream for UnionEnumerator<R> {
     fn output_attrs(&self) -> &[Attr] {
         UnionEnumerator::output_attrs(self)
@@ -278,6 +250,10 @@ impl<R: Ranking + Clone + 'static> RankedStream for UnionEnumerator<R> {
     /// cells, branch priority queues).
     fn stats_snapshot(&self) -> StatsSnapshot {
         UnionEnumerator::stats_snapshot(self)
+    }
+
+    fn plan_shape(&self) -> Option<String> {
+        UnionEnumerator::plan_shape(self)
     }
 }
 
@@ -323,7 +299,7 @@ mod tests {
             .project(["x", "z"])
             .build()
             .unwrap();
-        let e = RankedEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap();
+        let e = AcyclicEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap();
         assert_send(&e);
         let mut boxed: Box<dyn RankedStream> = Box::new(e);
         assert_eq!(boxed.algorithm(), Algorithm::Acyclic);
@@ -360,9 +336,9 @@ mod tests {
             .unwrap();
         let opened_at = std::time::Instant::now();
         let (raw, phases) = re_obs::capture_phases(|| {
-            RankedEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap()
+            AcyclicEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap()
         });
-        let expected: Vec<Tuple> = RankedEnumerator::new(&q, &db, SumRanking::value_sum())
+        let expected: Vec<Tuple> = AcyclicEnumerator::new(&q, &db, SumRanking::value_sum())
             .unwrap()
             .collect();
         let mut stream = InstrumentedStream::new(Box::new(raw), opened_at, phases);
@@ -410,7 +386,7 @@ mod tests {
             .project(["x", "z"])
             .build()
             .unwrap();
-        let raw = RankedEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap();
+        let raw = AcyclicEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap();
         let token = re_exec::CancelToken::unbounded();
         let mut stream = InstrumentedStream::new(Box::new(raw), std::time::Instant::now(), vec![])
             .with_cancel_token(token.clone());

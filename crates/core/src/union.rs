@@ -6,14 +6,13 @@
 //! stream is sorted by `(key, tuple)` — are suppressed with a last-answer
 //! check.
 
-use crate::acyclic::AcyclicEnumerator;
-use crate::cyclic::CyclicEnumerator;
 use crate::error::EnumError;
 use crate::merge::MergeEntry;
+use crate::plan::BranchPlan;
 use crate::stats::{EnumStats, StatsSnapshot};
 use crate::stream::RankedStream;
 use re_exec::ExecContext;
-use re_query::{Hypergraph, UnionQuery};
+use re_query::UnionQuery;
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Tuple};
 use std::cmp::Reverse;
@@ -36,38 +35,47 @@ pub struct UnionEnumerator<R: Ranking + Clone> {
 
 impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     /// Build the enumerator for a UCQ: each acyclic branch gets an
-    /// [`AcyclicEnumerator`], each cyclic branch a [`CyclicEnumerator`] with
-    /// an automatically chosen GHD plan.
+    /// [`AcyclicEnumerator`](crate::AcyclicEnumerator), each cyclic branch
+    /// a [`CyclicEnumerator`](crate::CyclicEnumerator) with an
+    /// automatically chosen GHD plan.
     pub fn new(union: &UnionQuery, db: &Database, ranking: R) -> Result<Self, EnumError> {
         Self::new_ctx(union, db, ranking, &ExecContext::serial())
     }
 
     /// [`UnionEnumerator::new`] with every branch's preprocessing running
-    /// under `ctx` (see [`AcyclicEnumerator::new_ctx`]).
+    /// under `ctx` (see [`BranchPlan::open`]).
     pub fn new_ctx(
         union: &UnionQuery,
         db: &Database,
         ranking: R,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
-        let mut branches: Vec<Box<dyn RankedStream>> = Vec::with_capacity(union.len());
-        for q in union.branches() {
-            if Hypergraph::of_query(q).is_acyclic() {
-                branches.push(Box::new(AcyclicEnumerator::new_ctx(
-                    q,
-                    db,
-                    ranking.clone(),
-                    ctx,
-                )?));
-            } else {
-                branches.push(Box::new(CyclicEnumerator::new_auto_ctx(
-                    q,
-                    db,
-                    ranking.clone(),
-                    ctx,
-                )?));
-            }
-        }
+        let plans = union
+            .branches()
+            .iter()
+            .map(|q| BranchPlan::of(q, None))
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::with_plans_ctx(union, &plans, db, ranking, ctx)
+    }
+
+    /// [`UnionEnumerator::new_ctx`] over branch plans made ahead of time:
+    /// `plans[i]` is [`BranchPlan::of`]`(branch i, None)` — the merge
+    /// compares general-algorithm keys, so no branch takes the
+    /// lexicographic fast path.
+    pub fn with_plans_ctx(
+        union: &UnionQuery,
+        plans: &[BranchPlan],
+        db: &Database,
+        ranking: R,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
+        assert_eq!(plans.len(), union.len(), "one plan per branch");
+        let mut branches = union
+            .branches()
+            .iter()
+            .zip(plans)
+            .map(|(q, plan)| plan.open(q, db, ranking.clone(), ctx))
+            .collect::<Result<Vec<_>, _>>()?;
         let projection = union.projection().to_vec();
         let plan = ranking.plan(&projection);
         let mut pq = BinaryHeap::new();
@@ -116,6 +124,20 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
             .snapshot()
             .with_parts(self.branches.iter().map(|b| b.stats_snapshot()))
     }
+
+    /// The GHD plan shapes of the cyclic branches (`branch 2:
+    /// cycle-figure2`, `; `-separated, each with its fallback annotation),
+    /// `None` when every branch is acyclic — so a decomposition inside a
+    /// union is as visible as one behind a single statement.
+    pub fn plan_shape(&self) -> Option<String> {
+        let shapes: Vec<String> = self
+            .branches
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| Some(format!("branch {}: {}", i + 1, b.plan_shape()?)))
+            .collect();
+        (!shapes.is_empty()).then(|| shapes.join("; "))
+    }
 }
 
 impl<R: Ranking + Clone + 'static> Iterator for UnionEnumerator<R> {
@@ -147,6 +169,7 @@ impl<R: Ranking + Clone + 'static> Iterator for UnionEnumerator<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acyclic::AcyclicEnumerator;
     use re_query::QueryBuilder;
     use re_ranking::{Ranking, SumRanking};
     use re_storage::attr::attrs;

@@ -16,7 +16,7 @@
 //! candidates are visited ascending, so rows come out lexicographically
 //! sorted and de-duplicated — the canonical bag representation both kernels
 //! in [`crate::bag`] agree on. Existential suffixes stop at the first
-//! witness ([`Walker::exists`]).
+//! witness (`Walker::exists`).
 //!
 //! Parallelism follows the morsel contract of the `re_exec` pool: the first
 //! attribute's candidate values are chunked, each chunk enumerated

@@ -71,6 +71,21 @@ pub struct PlanSelection {
     pub cycle_error: Option<String>,
 }
 
+impl PlanSelection {
+    /// Why selection degraded to full materialisation, when it did: the
+    /// single-bag plan wins only when no decomposition validates, and the
+    /// reason is why the cycle template was rejected. `None` for a real
+    /// decomposition. The one classification the enumerator's report, the
+    /// `ghd_fallbacks` counter and `EXPLAIN` all print.
+    pub fn fallback(&self) -> Option<&str> {
+        (self.plan.shape() == "single-bag").then(|| {
+            self.cycle_error
+                .as_deref()
+                .unwrap_or("no cycle decomposition applicable")
+        })
+    }
+}
+
 impl GhdPlan {
     /// Build and validate a plan from explicit bags.
     ///
@@ -680,6 +695,7 @@ mod tests {
         // One N² bag beats any split carrying an extra N term.
         assert_eq!(sel.plan.shape(), "cycle-figure2");
         assert_eq!(sel.plan.len(), 1);
+        assert_eq!(sel.fallback(), None, "one bag, but a real decomposition");
     }
 
     #[test]
@@ -697,6 +713,7 @@ mod tests {
         let sel = GhdPlan::cost_based(&q, &db).unwrap();
         assert!(sel.cycle_error.is_some());
         assert_eq!(sel.plan.shape(), "single-bag");
+        assert_eq!(sel.fallback(), sel.cycle_error.as_deref());
     }
 
     #[test]

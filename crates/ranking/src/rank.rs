@@ -44,6 +44,14 @@ pub trait Ranking: Send {
     fn key_of(&self, attrs: &[Attr], values: &[Value]) -> Self::Key {
         self.key(&self.plan(attrs), values)
     }
+
+    /// This ranking as a lexicographic order, when it is one. Code generic
+    /// over the ranking uses it to hand the concrete [`LexRanking`] to the
+    /// specialised lexicographic enumerator (Algorithm 3), which reads the
+    /// declared order and the weights instead of comparing keys.
+    fn as_lex(&self) -> Option<&LexRanking> {
+        None
+    }
 }
 
 /// `SUM` ranking: the key of a tuple is the sum of its attribute-value
@@ -173,6 +181,10 @@ pub struct LexPlan {
 impl Ranking for LexRanking {
     type Key = Vec<Weight>;
     type Plan = LexPlan;
+
+    fn as_lex(&self) -> Option<&LexRanking> {
+        Some(self)
+    }
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
         let mut order: Vec<usize> = (0..attrs.len()).collect();

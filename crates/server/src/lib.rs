@@ -11,9 +11,10 @@
 //!   pays preprocessing once, successive `FETCH k` calls stream further
 //!   pages with no re-planning and no re-preprocessing, `CLOSE` (or idle
 //!   eviction) releases the cursor ([`SessionTable`]);
-//! * an **LRU plan cache** keyed on the normalised statement text,
-//!   recording which enumeration strategy ([`rankedenum_core::Algorithm`])
-//!   the dispatcher selects for each plan ([`PlanCache`]);
+//! * an **LRU plan cache** keyed on the normalised statement text; a
+//!   cached plan carries each branch's algorithm and join tree
+//!   ([`rankedenum_core::BranchPlan`]), so a hit plans nothing again
+//!   ([`PlanCache`]);
 //! * a **JSON-lines TCP front-end** (`std::net`, no external
 //!   dependencies) served by a worker-thread pool, plus an in-process
 //!   client with the same typed API for tests and embedding
@@ -67,7 +68,7 @@ pub use client::{
     ClientError, LocalClient, OpenedSession, Page, QueryOutcome, RetryPolicy, TcpClient, Transport,
 };
 pub use json::Json;
-pub use plan_cache::{CachedPlan, PlanCache};
+pub use plan_cache::PlanCache;
 pub use protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
 pub use server::{
     serve, serve_reactor, serve_threaded, RankedQueryServer, ServerConfig, ServerHandle,

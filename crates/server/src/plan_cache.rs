@@ -1,36 +1,22 @@
 //! The LRU plan cache.
 //!
 //! Planning a statement (parse, resolve, unify variables, pick an order
-//! spec) is pure given the database schema, so plans are cached behind
-//! `Arc` and shared across sessions and worker threads. The key is the
-//! catalog name plus the **normalised** statement text
-//! ([`re_sql::normalize`]), so spelling variants of the same statement hit
-//! the same entry. Each entry records which enumeration strategy
-//! ([`Algorithm`]) the cursor layer will select for the plan — the
-//! structure-plus-order decision of `rankedenum_core::select_ranked`
-//! (lexicographic `ORDER BY` on an acyclic query routes to the
-//! index-backed Algorithm 3) — so clients and metrics can see the choice
-//! without building an enumerator.
+//! spec, decide each branch's algorithm and join tree) is pure given the
+//! database schema, so plans are cached behind `Arc` and shared across
+//! sessions and worker threads. The key is the catalog name plus the
+//! **normalised** statement text ([`re_sql::normalize()`]), so spelling
+//! variants of the same statement hit the same entry. The physical
+//! decision lives inside the plan ([`SqlPlan::branches`]), so a hit hands
+//! OPEN its join tree ready-made and the cache records nothing of its own.
 
-use rankedenum_core::{select_ranked, Algorithm};
-use re_sql::{parse, plan, OrderSpec, PlannedQuery, SqlError, SqlPlan};
-use re_storage::Attr;
+use re_sql::{parse, plan, SqlError, SqlPlan};
 use re_storage::Database;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A cached, immutable plan with its recorded strategy selection.
-#[derive(Clone, Debug)]
-pub struct CachedPlan {
-    /// The shared plan.
-    pub plan: Arc<SqlPlan>,
-    /// The enumeration strategy `RankedEnumerator::new` will pick for it.
-    pub algorithm: Algorithm,
-}
-
 struct Entry {
-    cached: CachedPlan,
+    plan: Arc<SqlPlan>,
     /// Logical timestamp of the last hit (for LRU eviction).
     last_used: u64,
 }
@@ -77,14 +63,14 @@ impl PlanCache {
 
     /// The plan for `sql` against `db` (registered under `db_name` with
     /// the given registration `generation`), from the cache when possible.
-    /// Returns the cached plan and whether this was a hit.
+    /// Returns the shared plan and whether this was a hit.
     pub fn get_or_plan(
         &self,
         db_name: &str,
         generation: u64,
         db: &Database,
         sql: &str,
-    ) -> Result<(CachedPlan, bool), SqlError> {
+    ) -> Result<(Arc<SqlPlan>, bool), SqlError> {
         let normalized = re_sql::normalize(sql)?;
         let key = Self::key(db_name, generation, &normalized);
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -93,30 +79,14 @@ impl PlanCache {
             if let Some(entry) = map.get_mut(&key) {
                 entry.last_used = now;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((entry.cached.clone(), true));
+                return Ok((Arc::clone(&entry.plan), true));
             }
         }
         // Plan outside the lock: planning touches only the schema, and a
         // duplicate concurrent miss just computes the same immutable plan.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let statement = parse(sql)?;
-        let planned = plan(&statement, db)?;
-        let algorithm = match &planned.query {
-            PlannedQuery::Single(q) => {
-                let lex_order: Option<Vec<Attr>> = match &planned.order {
-                    Some(OrderSpec::Lex(items)) => {
-                        Some(items.iter().map(|(a, _)| a.clone()).collect())
-                    }
-                    _ => None,
-                };
-                select_ranked(q, lex_order.as_deref())
-            }
-            PlannedQuery::Union(_) => Algorithm::UnionMerge,
-        };
-        let cached = CachedPlan {
-            plan: Arc::new(planned),
-            algorithm,
-        };
+        let planned = Arc::new(plan(&statement, db)?);
         let mut map = self.lock();
         // Re-stamp: hits recorded while this thread was planning must not
         // make the brand-new entry look like the least recently used one.
@@ -135,11 +105,11 @@ impl PlanCache {
         map.insert(
             key,
             Entry {
-                cached: cached.clone(),
+                plan: Arc::clone(&planned),
                 last_used: now,
             },
         );
-        Ok((cached, false))
+        Ok((planned, false))
     }
 
     /// Cache hits so far.
@@ -211,8 +181,8 @@ mod tests {
         let (second, hit) = cache.get_or_plan("d", 2, &swapped, sql).unwrap();
         assert!(!hit, "a new generation must re-plan");
         assert_ne!(
-            format!("{:?}", first.plan.derived),
-            format!("{:?}", second.plan.derived),
+            format!("{:?}", first.derived),
+            format!("{:?}", second.derived),
             "the filter must move to the column's new position"
         );
         // The old generation's entry is still intact.
@@ -232,7 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn recorded_algorithm_matches_query_structure() {
+    fn cached_plans_carry_the_physical_decision() {
+        use rankedenum_core::Algorithm;
         let cache = PlanCache::new(8);
         let mut db = Database::new();
         db.add_relation(
@@ -247,7 +218,8 @@ mod tests {
                 "SELECT DISTINCT E1.s, E2.t FROM E AS E1, E AS E2 WHERE E1.t = E2.s",
             )
             .unwrap();
-        assert_eq!(acyclic.algorithm, Algorithm::Acyclic);
+        assert_eq!(acyclic.algorithm(), Algorithm::Acyclic);
+        assert!(acyclic.branches[0].join_tree().is_some());
         let (cyclic, _) = cache
             .get_or_plan(
                 "d",
@@ -257,7 +229,7 @@ mod tests {
                  WHERE E1.t = E2.s AND E2.t = E3.s AND E3.t = E1.s",
             )
             .unwrap();
-        assert_eq!(cyclic.algorithm, Algorithm::CyclicGhd);
+        assert_eq!(cyclic.algorithm(), Algorithm::CyclicGhd);
         let (union, _) = cache
             .get_or_plan(
                 "d",
@@ -266,7 +238,8 @@ mod tests {
                 "SELECT DISTINCT E1.s FROM E AS E1 UNION SELECT DISTINCT E2.t FROM E AS E2",
             )
             .unwrap();
-        assert_eq!(union.algorithm, Algorithm::UnionMerge);
+        assert_eq!(union.algorithm(), Algorithm::UnionMerge);
+        assert_eq!(union.branches.len(), 2);
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //!
 //! ## Who may write a socket
 //!
-//! Each connection's output half ([`ConnShared`]: the stream plus one
+//! Each connection's output half (`ConnShared`: the stream plus one
 //! mutex over the outbound queue) is shared between the reactor and the
 //! worker running the connection's batch. Whoever holds that mutex may
 //! write, and everybody writes through the one routine
-//! [`Outbound::flush`]. A worker appends its encoded batch and flushes it
+//! `Outbound::flush`. A worker appends its encoded batch and flushes it
 //! itself; only when the socket would block does it leave the rest to the
 //! reactor (`reactor_flushes`), which arms WRITE interest and finishes the
 //! job on writable events. While the reactor owns the leftover, workers
@@ -40,7 +40,7 @@
 //! reactor drains the complete requests a read brought into a queue,
 //! dispatches the queue as one job, and dispatches the next job only once
 //! the connection is idle again. "Idle" is shared state
-//! ([`ConnShared::inflight`]), not a message. The worker publishes it
+//! (`ConnShared::inflight`), not a message. The worker publishes it
 //! after appending its buffer but *before* the flush syscall: the
 //! client's next request can arrive the instant the bytes land, and the
 //! reactor must find the connection idle then (published after the write,
@@ -64,7 +64,7 @@
 //! * its flush left bytes behind (or found the socket dead): the reactor
 //!   arms WRITE interest (or tears the connection down);
 //! * the reactor queued a request behind the running batch and asked to
-//!   be told when it ends ([`ConnShared::poke_when_done`]). No wake-up is
+//!   be told when it ends (`ConnShared::poke_when_done`). No wake-up is
 //!   lost: the reactor sets the flag and then re-checks `inflight`, the
 //!   worker clears `inflight` and then test-and-clears the flag, all
 //!   `SeqCst` — whichever of the two comes second sees the other's store;

@@ -707,7 +707,7 @@ impl RankedQueryServer {
             .catalog
             .get_versioned(db_name)
             .ok_or_else(|| Response::error(format!("unknown database `{db_name}`")))?;
-        let (cached, hit) = self
+        let (plan, hit) = self
             .plan_cache
             .get_or_plan(db_name, generation, &db, sql)
             .map_err(|e| Response::error(e.to_string()))?;
@@ -717,7 +717,7 @@ impl RankedQueryServer {
         };
         let executor = OwnedSqlExecutor::new(db).with_exec_context(exec);
         let cursor = executor
-            .open_plan(&cached.plan)
+            .open_plan(&plan)
             .map_err(|e| self.classify_sql_error(e))?;
         self.enumerators_built.fetch_add(1, Ordering::Relaxed);
         // Count the preprocessing pass towards the shared metrics right
@@ -730,7 +730,8 @@ impl RankedQueryServer {
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner()) = shape;
         }
-        Ok((cursor, cached.algorithm.label().to_string(), hit))
+        let algorithm = cursor.algorithm().label().to_string();
+        Ok((cursor, algorithm, hit))
     }
 
     /// Emit a slow-query log line when an OPEN's preprocessing exceeded
@@ -916,7 +917,7 @@ pub fn serve_reactor(
 /// Serve with the legacy thread-per-connection front-end: a pool of
 /// `config.workers` threads, each owning one connection until EOF.
 ///
-/// The acceptor thread pushes connections into a [`WorkQueue`]; each worker
+/// The acceptor thread pushes connections into a `WorkQueue`; each worker
 /// pops one and serves it to completion. A worker therefore handles one
 /// connection at a time — the pool size bounds concurrent connections, and
 /// requests on *different* connections run truly in parallel while sharing

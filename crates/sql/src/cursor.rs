@@ -2,8 +2,8 @@
 //!
 //! A [`QueryCursor`] is a *live* ranked enumeration of a SQL statement: the
 //! enumerator is built once (paying the preprocessing pass once) and then
-//! pages of rank-ordered distinct answers are pulled with [`fetch`]
-//! (`QueryCursor::fetch`) — the access pattern of a paginated top-k API.
+//! pages of rank-ordered distinct answers are pulled with
+//! [`QueryCursor::fetch`] — the access pattern of a paginated top-k API.
 //! Because every enumerator owns its inputs and is `Send`, a cursor can be
 //! parked in a session table and resumed from any worker thread; two
 //! successive `fetch(k)` calls return exactly what a single-shot
@@ -12,8 +12,8 @@
 use crate::error::SqlError;
 use crate::planner::{OrderSpec, PlannedQuery, SqlPlan};
 use rankedenum_core::{
-    lexi_serves, Algorithm, CancelKind, ExecContext, InstrumentedStream, LexiEnumerator,
-    RankedEnumerator, RankedStream, StatsSnapshot, TimingBreakdown, UnionEnumerator,
+    Algorithm, CancelKind, ExecContext, InstrumentedStream, RankedStream, StatsSnapshot,
+    TimingBreakdown, UnionEnumerator,
 };
 use re_ranking::{LexRanking, Ranking, SumRanking, WeightAssignment, WeightedSumRanking};
 use re_storage::{Attr, Database, Tuple};
@@ -32,60 +32,42 @@ impl QueryCursor {
     /// Build a cursor for an already-planned statement over `db`.
     ///
     /// `db` must already contain the plan's derived relations (see
-    /// [`SqlPlan::instantiate`]); the executors take care of that. The
-    /// cursor does not borrow `db` — the enumerator copies what it needs
-    /// during the full-reducer pass. Its preprocessing runs under `ctx` —
-    /// a pooled context parallelises the full reducer and GHD bag
-    /// materialisation without changing any output.
+    /// [`SqlPlan::working_database`]); the executors take care of that.
+    /// The cursor does not borrow `db` — the enumerator copies what it
+    /// needs during the full-reducer pass. Which enumerator that is was
+    /// decided when the statement was planned ([`SqlPlan::branches`]); its
+    /// preprocessing runs under `ctx` — a pooled context parallelises the
+    /// full reducer and GHD bag materialisation without changing any
+    /// output.
     pub fn open_ctx(
         db: &Database,
         weights: &WeightAssignment,
         plan: &SqlPlan,
         ctx: &ExecContext,
     ) -> Result<Self, SqlError> {
-        let projection: Vec<Attr> = match &plan.query {
-            PlannedQuery::Single(q) => q.projection().to_vec(),
-            PlannedQuery::Union(u) => u.projection().to_vec(),
-        };
+        let projection = plan.branch_queries()[0].projection();
         let columns: Vec<String> = projection.iter().map(|a| a.as_str().to_string()).collect();
         // Time the whole open and capture the preprocessing spans that
         // close on this thread, so the cursor can report an exact phase
         // breakdown (and the server a slow-query log line).
         let opened_at = std::time::Instant::now();
-        let (stream, phases) =
-            re_obs::capture_phases(|| -> Result<Box<dyn RankedStream>, SqlError> {
-                Ok(match &plan.order {
-                    None => open_stream(plan, db, SumRanking::new(weights.clone()), ctx)?,
-                    Some(OrderSpec::Sum(attrs)) => {
-                        let listed: BTreeSet<&Attr> = attrs.iter().collect();
-                        let all: BTreeSet<&Attr> = projection.iter().collect();
-                        if listed == all {
-                            open_stream(plan, db, SumRanking::new(weights.clone()), ctx)?
-                        } else {
-                            open_stream(
-                                plan,
-                                db,
-                                WeightedSumRanking::over_attrs(attrs.clone(), weights.clone()),
-                                ctx,
-                            )?
-                        }
-                    }
-                    Some(OrderSpec::Lex(items)) => {
-                        let lex = LexRanking::with_directions(items.clone(), weights.clone());
-                        let declared: Vec<Attr> = items.iter().map(|(a, _)| a.clone()).collect();
-                        match &plan.query {
-                            // Lexicographic orders on acyclic single queries take
-                            // the index-backed Algorithm 3 — the fast path since
-                            // its PR 4 rebuild (no priority queues, memoized
-                            // candidate cells, cursor-bump delay).
-                            PlannedQuery::Single(q) if lexi_serves(q, &declared) => {
-                                Box::new(LexiEnumerator::new_ctx(q, db, &lex, ctx)?)
-                            }
-                            _ => open_stream(plan, db, lex, ctx)?,
-                        }
-                    }
-                })
-            });
+        let (stream, phases) = re_obs::capture_phases(|| match &plan.order {
+            None => open_stream(plan, db, SumRanking::new(weights.clone()), ctx),
+            Some(OrderSpec::Sum(attrs)) => {
+                let listed: BTreeSet<&Attr> = attrs.iter().collect();
+                let all: BTreeSet<&Attr> = projection.iter().collect();
+                if listed == all {
+                    open_stream(plan, db, SumRanking::new(weights.clone()), ctx)
+                } else {
+                    let ranking = WeightedSumRanking::over_attrs(attrs.clone(), weights.clone());
+                    open_stream(plan, db, ranking, ctx)
+                }
+            }
+            Some(OrderSpec::Lex(items)) => {
+                let lex = LexRanking::with_directions(items.clone(), weights.clone());
+                open_stream(plan, db, lex, ctx)
+            }
+        });
         // Thread the context's cancel token (when present) into the
         // stream wrapper, so a deadline or explicit cancel also stops the
         // enumeration phase — preprocessing already checks it per morsel.
@@ -142,7 +124,7 @@ impl QueryCursor {
     /// preprocessing phases, time-to-first-answer, and the distribution
     /// of delays between consecutive answers. Present for every cursor —
     /// `open_ctx` wraps the stream in an
-    /// [`InstrumentedStream`](rankedenum_core::InstrumentedStream).
+    /// [`InstrumentedStream`].
     pub fn timing(&self) -> Option<TimingBreakdown> {
         self.stream.timing_breakdown()
     }
@@ -208,6 +190,7 @@ impl QueryCursor {
     }
 }
 
+/// Build the enumerator the plan decided on, under the statement's ranking.
 fn open_stream<R: Ranking + Clone + 'static>(
     plan: &SqlPlan,
     db: &Database,
@@ -215,8 +198,14 @@ fn open_stream<R: Ranking + Clone + 'static>(
     ctx: &ExecContext,
 ) -> Result<Box<dyn RankedStream>, SqlError> {
     Ok(match &plan.query {
-        PlannedQuery::Single(q) => Box::new(RankedEnumerator::new_ctx(q, db, ranking, ctx)?),
-        PlannedQuery::Union(u) => Box::new(UnionEnumerator::new_ctx(u, db, ranking, ctx)?),
+        PlannedQuery::Single(q) => plan.branches[0].open(q, db, ranking, ctx)?,
+        PlannedQuery::Union(u) => Box::new(UnionEnumerator::with_plans_ctx(
+            u,
+            &plan.branches,
+            db,
+            ranking,
+            ctx,
+        )?),
     })
 }
 

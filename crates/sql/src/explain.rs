@@ -22,7 +22,7 @@
 use crate::error::SqlError;
 use crate::exec::open_plan_on;
 use crate::planner::{OrderSpec, PlannedQuery, SqlPlan};
-use rankedenum_core::{lexi_serves, select, Algorithm, ExecContext, GhdReport};
+use rankedenum_core::{BranchPlan, ExecContext, GhdReport};
 use re_obs::trace::TraceCtx;
 use re_query::{GhdPlan, JoinProjectQuery, JoinTree};
 use re_ranking::{Direction, WeightAssignment};
@@ -53,9 +53,9 @@ pub fn explain_query(db: &Database, q: &JoinProjectQuery) -> Result<String, SqlE
         q.atoms().len(),
         projection.join(", ")
     );
-    let algorithm = select(q);
-    let _ = writeln!(out, "algorithm: {algorithm}");
-    render_branch_structure(&mut out, db, q, algorithm, "")?;
+    let branch = BranchPlan::of(q, None)?;
+    let _ = writeln!(out, "algorithm: {}", branch.algorithm());
+    render_branch_structure(&mut out, db, q, &branch, "")?;
     Ok(out)
 }
 
@@ -234,46 +234,28 @@ fn render_plan(out: &mut String, db: &Database, plan: &SqlPlan) -> Result<(), Sq
         }
     }
 
-    // Plan-time algorithm selection mirrors `QueryCursor::open_ctx`: the
-    // lexi fast path applies to acyclic single statements whose declared
-    // order it can serve; everything else dispatches on (a)cyclicity, and
-    // unions merge per-branch streams.
+    // The decisions below were made when the statement was planned; GHD
+    // selection alone runs here, as it does at OPEN, because it reads the
+    // sizes of the (filtered) relations.
     let working = plan.working_database(db)?;
     let db = working.as_ref().unwrap_or(db);
-    match &plan.query {
-        PlannedQuery::Single(q) => {
-            let algorithm = branch_algorithm(plan, q, false);
-            let _ = writeln!(out, "algorithm: {algorithm}");
-            render_branch_structure(out, db, q, algorithm, "")?;
+    let _ = writeln!(out, "algorithm: {}", plan.algorithm());
+    let in_union = matches!(plan.query, PlannedQuery::Union(_));
+    let branches = plan.branch_queries().iter().zip(&plan.branches);
+    for (i, (q, branch)) in branches.enumerate() {
+        if in_union {
+            let _ = writeln!(
+                out,
+                "branch {}: {} atoms, algorithm {}",
+                i + 1,
+                q.atoms().len(),
+                branch.algorithm()
+            );
         }
-        PlannedQuery::Union(u) => {
-            let _ = writeln!(out, "algorithm: {}", Algorithm::UnionMerge);
-            for (i, q) in u.branches().iter().enumerate() {
-                let algorithm = branch_algorithm(plan, q, true);
-                let _ = writeln!(
-                    out,
-                    "branch {}: {} atoms, algorithm {algorithm}",
-                    i + 1,
-                    q.atoms().len()
-                );
-                render_branch_structure(out, db, q, algorithm, "  ")?;
-            }
-        }
+        let indent = if in_union { "  " } else { "" };
+        render_branch_structure(out, db, q, branch, indent)?;
     }
     Ok(())
-}
-
-/// The algorithm the cursor would drive this branch with.
-fn branch_algorithm(plan: &SqlPlan, q: &JoinProjectQuery, in_union: bool) -> Algorithm {
-    if !in_union {
-        if let Some(OrderSpec::Lex(items)) = &plan.order {
-            let declared: Vec<_> = items.iter().map(|(a, _)| a.clone()).collect();
-            if lexi_serves(q, &declared) {
-                return Algorithm::Lexi;
-            }
-        }
-    }
-    select(q)
 }
 
 /// The structural section of one branch: the rooted join tree for acyclic
@@ -282,22 +264,17 @@ fn render_branch_structure(
     out: &mut String,
     db: &Database,
     q: &JoinProjectQuery,
-    algorithm: Algorithm,
+    branch: &BranchPlan,
     indent: &str,
 ) -> Result<(), SqlError> {
-    match algorithm {
-        Algorithm::Acyclic | Algorithm::Lexi => render_join_tree(out, q, indent)?,
-        Algorithm::CyclicGhd => render_ghd_selection(out, db, q, indent),
-        Algorithm::UnionMerge => {}
+    match branch.join_tree() {
+        Some(tree) => {
+            let _ = writeln!(out, "{indent}join tree (rooted, projection-pruned):");
+            let pruned = tree.prune_non_projecting();
+            render_tree_node(out, &pruned, pruned.root(), &format!("{indent}  "));
+        }
+        None => render_ghd_selection(out, db, q, indent)?,
     }
-    Ok(())
-}
-
-fn render_join_tree(out: &mut String, q: &JoinProjectQuery, indent: &str) -> Result<(), SqlError> {
-    let tree = JoinTree::build(q)?;
-    let _ = writeln!(out, "{indent}join tree (rooted, projection-pruned):");
-    let pruned = tree.prune_non_projecting();
-    render_tree_node(out, &pruned, pruned.root(), &format!("{indent}  "));
     Ok(())
 }
 
@@ -321,17 +298,24 @@ fn render_tree_node(out: &mut String, tree: &JoinTree, node: usize, indent: &str
     }
 }
 
-/// Re-run the cost-based GHD selection the cyclic enumerator would perform
+/// Run the cost-based GHD selection the cyclic enumerator performs at OPEN
 /// and render the winner with its per-bag AGM estimates. Selection is
 /// deterministic, so this is exactly the plan execution would use.
-fn render_ghd_selection(out: &mut String, db: &Database, q: &JoinProjectQuery, indent: &str) {
-    let (plan, candidates, cycle_error, fallback) = match GhdPlan::cost_based(q, db) {
-        Ok(sel) => (sel.plan, sel.considered, sel.cycle_error, None),
-        Err(e) => (GhdPlan::single_bag(q), 0, None, Some(e.to_string())),
-    };
+fn render_ghd_selection(
+    out: &mut String,
+    db: &Database,
+    q: &JoinProjectQuery,
+    indent: &str,
+) -> Result<(), SqlError> {
+    let selection = GhdPlan::cost_based(q, db)?;
+    let plan = &selection.plan;
     let _ = writeln!(out, "{indent}ghd plan:");
     let _ = writeln!(out, "{indent}  shape: {}", plan.shape());
-    let _ = writeln!(out, "{indent}  candidates compared: {candidates}");
+    let _ = writeln!(
+        out,
+        "{indent}  candidates compared: {}",
+        selection.considered
+    );
     if let Some(est) = plan.estimated_rows() {
         let _ = writeln!(
             out,
@@ -339,10 +323,11 @@ fn render_ghd_selection(out: &mut String, db: &Database, q: &JoinProjectQuery, i
             est.round() as u64
         );
     }
-    if let Some(reason) = &fallback {
+    // A single-bag winner is the fallback the enumerator reports and
+    // counts; its reason already says why the cycle template failed.
+    if let Some(reason) = selection.fallback() {
         let _ = writeln!(out, "{indent}  fallback: {reason}");
-    }
-    if let Some(err) = &cycle_error {
+    } else if let Some(err) = &selection.cycle_error {
         let _ = writeln!(out, "{indent}  figure-2 candidate rejected: {err}");
     }
     let estimates = plan.bag_estimates();
@@ -366,6 +351,7 @@ fn render_ghd_selection(out: &mut String, db: &Database, q: &JoinProjectQuery, i
         }
         out.push('\n');
     }
+    Ok(())
 }
 
 #[cfg(test)]

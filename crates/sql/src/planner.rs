@@ -8,6 +8,7 @@
 
 use crate::ast::{ColumnRef, OrderBy, Predicate, SelectStatement, Statement};
 use crate::error::SqlError;
+use rankedenum_core::{Algorithm, BranchPlan};
 use re_query::{Atom, JoinProjectQuery, UnionQuery};
 use re_ranking::Direction;
 use re_storage::{Attr, Database, Relation, Value};
@@ -95,6 +96,10 @@ pub enum PlannedQuery {
 pub struct SqlPlan {
     /// The logical query.
     pub query: PlannedQuery,
+    /// The physical decision per branch — algorithm and join tree —
+    /// aligned with [`SqlPlan::branch_queries`]. Made here, once; OPEN,
+    /// `EXPLAIN` and the reply label read it.
+    pub branches: Vec<BranchPlan>,
     /// Derived (filtered) relations that must exist before execution.
     pub derived: Vec<DerivedRelation>,
     /// The requested ordering, if any.
@@ -106,20 +111,22 @@ pub struct SqlPlan {
 }
 
 impl SqlPlan {
-    /// Build a working database containing *all* base relations plus every
-    /// derived relation of this plan.
-    ///
-    /// This is a convenience for inspecting a plan's derived relations in
-    /// context; execution does **not** use it — the executors call
-    /// [`SqlPlan::working_database`], which holds only what the plan
-    /// references.
-    pub fn instantiate(&self, db: &Database) -> Result<Database, SqlError> {
-        let mut out = db.clone();
-        for d in &self.derived {
-            let base = out.relation(&d.base)?.clone();
-            out.set_relation(d.materialise(&base));
+    /// The statement's join-project branches: the query itself for a
+    /// single statement, the union's branches otherwise.
+    pub fn branch_queries(&self) -> &[JoinProjectQuery] {
+        match &self.query {
+            PlannedQuery::Single(q) => std::slice::from_ref(q),
+            PlannedQuery::Union(u) => u.branches(),
         }
-        Ok(out)
+    }
+
+    /// The algorithm a cursor on this plan runs: the branch's own for a
+    /// single statement, the ranked merge for a union.
+    pub fn algorithm(&self) -> Algorithm {
+        match &self.query {
+            PlannedQuery::Single(_) => self.branches[0].algorithm(),
+            PlannedQuery::Union(_) => Algorithm::UnionMerge,
+        }
     }
 
     /// The minimal working set for executing this plan: `None` when the
@@ -137,45 +144,53 @@ impl SqlPlan {
             let base = db.relation(&d.base)?;
             out.set_relation(d.materialise(base));
         }
-        let atom_relations: Vec<&str> = match &self.query {
-            PlannedQuery::Single(q) => q.atoms().iter().map(|a| a.relation.as_str()).collect(),
-            PlannedQuery::Union(u) => u
-                .branches()
-                .iter()
-                .flat_map(|q| q.atoms().iter().map(|a| a.relation.as_str()))
-                .collect(),
-        };
-        for name in atom_relations {
-            if !out.contains(name) {
-                out.share_relation(db.relation_arc(name)?);
+        for atom in self.branch_queries().iter().flat_map(|q| q.atoms()) {
+            if !out.contains(&atom.relation) {
+                out.share_relation(db.relation_arc(&atom.relation)?);
             }
         }
         Ok(Some(out))
     }
 }
 
+/// One planned `SELECT` branch, before the statement-level steps (union
+/// assembly, the per-branch physical plans).
+struct PlannedSelect {
+    query: JoinProjectQuery,
+    derived: Vec<DerivedRelation>,
+    order: Option<OrderSpec>,
+    limit: Option<usize>,
+    output_columns: Vec<String>,
+}
+
 /// Plan a parsed statement against a database schema.
 pub fn plan(statement: &Statement, db: &Database) -> Result<SqlPlan, SqlError> {
     let first = plan_select(&statement.branches[0], db, None, 0)?;
     if statement.branches.len() == 1 {
-        return Ok(first);
+        // Only a single statement can take the lexicographic fast path.
+        let lex_order = match &first.order {
+            Some(OrderSpec::Lex(items)) => Some(items.as_slice()),
+            _ => None,
+        };
+        return Ok(SqlPlan {
+            branches: vec![BranchPlan::of(&first.query, lex_order)?],
+            query: PlannedQuery::Single(first.query),
+            derived: first.derived,
+            order: first.order,
+            limit: first.limit,
+            output_columns: first.output_columns,
+        });
     }
 
     // Union: later branches are forced to reuse the first branch's
     // projection attribute names so that the branch outputs are union
     // compatible at the attribute level.
-    let forced: Vec<Attr> = match &first.query {
-        PlannedQuery::Single(q) => q.projection().to_vec(),
-        PlannedQuery::Union(_) => unreachable!("plan_select never returns a union"),
-    };
-    let mut branches = Vec::with_capacity(statement.branches.len());
-    let mut derived = first.derived.clone();
-    let mut order = first.order.clone();
+    let forced: Vec<Attr> = first.query.projection().to_vec();
+    let mut queries = Vec::with_capacity(statement.branches.len());
+    let mut derived = first.derived;
+    let mut order = first.order;
     let mut limit = first.limit;
-    let PlannedQuery::Single(q0) = first.query else {
-        unreachable!()
-    };
-    branches.push(q0);
+    queries.push(first.query);
     for (i, select) in statement.branches.iter().enumerate().skip(1) {
         if select.select.len() != forced.len() {
             return Err(SqlError::Unsupported(format!(
@@ -186,10 +201,7 @@ pub fn plan(statement: &Statement, db: &Database) -> Result<SqlPlan, SqlError> {
             )));
         }
         let planned = plan_select(select, db, Some(&forced), i)?;
-        let PlannedQuery::Single(q) = planned.query else {
-            unreachable!()
-        };
-        branches.push(q);
+        queries.push(planned.query);
         derived.extend(planned.derived);
         // ORDER BY / LIMIT written on a later branch applies to the whole
         // union (the common SQL reading once the statement is normalised).
@@ -200,10 +212,14 @@ pub fn plan(statement: &Statement, db: &Database) -> Result<SqlPlan, SqlError> {
             limit = planned.limit;
         }
     }
-    let union = UnionQuery::new(branches)?;
+    let branches = queries
+        .iter()
+        .map(|q| BranchPlan::of(q, None))
+        .collect::<Result<_, _>>()?;
     Ok(SqlPlan {
         output_columns: first.output_columns,
-        query: PlannedQuery::Union(union),
+        query: PlannedQuery::Union(UnionQuery::new(queries)?),
+        branches,
         derived,
         order,
         limit,
@@ -349,7 +365,7 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    fn plan(&self, forced_projection: Option<&[Attr]>) -> Result<SqlPlan, SqlError> {
+    fn plan(&self, forced_projection: Option<&[Attr]>) -> Result<PlannedSelect, SqlError> {
         let select = self.select;
         if !select.distinct {
             return Err(SqlError::Unsupported(
@@ -501,8 +517,8 @@ impl<'a> Resolver<'a> {
             }
         };
 
-        Ok(SqlPlan {
-            query: PlannedQuery::Single(query),
+        Ok(PlannedSelect {
+            query,
             derived,
             order,
             limit: select.limit,
@@ -545,7 +561,7 @@ fn plan_select(
     db: &Database,
     forced_projection: Option<&[Attr]>,
     branch_tag: usize,
-) -> Result<SqlPlan, SqlError> {
+) -> Result<PlannedSelect, SqlError> {
     Resolver::new(select, db, branch_tag)?.plan(forced_projection)
 }
 
@@ -749,7 +765,11 @@ mod tests {
         )
         .unwrap();
         let working = p.working_database(&db).unwrap().unwrap();
-        assert!(working.contains(&p.derived[0].name));
+        assert_eq!(
+            working.relation(&p.derived[0].name).unwrap().len(),
+            1,
+            "the one research paper"
+        );
         assert!(
             std::sync::Arc::ptr_eq(
                 &working.relation_arc("AuthorPapers").unwrap(),
@@ -761,21 +781,5 @@ mod tests {
             !working.contains("Paper"),
             "the unreferenced base of a derived relation is not held"
         );
-    }
-
-    #[test]
-    fn instantiate_adds_derived_relations() {
-        let db = dblp_db();
-        let p = plan_sql(
-            "SELECT DISTINCT AP1.aid FROM AuthorPapers AS AP1, Paper AS P \
-             WHERE AP1.pid = P.pid AND P.is_research = TRUE",
-        )
-        .unwrap();
-        let working = p.instantiate(&db).unwrap();
-        assert!(working.contains(&p.derived[0].name));
-        assert_eq!(working.relation(&p.derived[0].name).unwrap().len(), 1);
-        // base relations are still present
-        assert!(working.contains("Paper"));
-        assert!(working.contains("AuthorPapers"));
     }
 }

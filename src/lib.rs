@@ -94,16 +94,18 @@ pub mod scale {
 /// ranking carries) is `Send` and **owns** its inputs — the full-reducer
 /// pass copies the relations it needs out of the database — so enumerators
 /// built here can be boxed as [`rankedenum_core::RankedStream`]s, parked in
-/// session tables and resumed from other threads. [`re_sql::SqlExecutor`]
+/// session tables and resumed from other threads.
+/// [`BranchPlan::of`](rankedenum_core::BranchPlan::of) decides which
+/// enumerator serves a query (the paper's case table, as a cacheable value)
+/// and `BranchPlan::open` builds it already boxed. [`re_sql::SqlExecutor`]
 /// is one executor over whatever handle to the database the caller has:
 /// `SqlExecutor::new(&db)` borrows it, and [`re_sql::OwnedSqlExecutor`] is
 /// the same type over an `Arc<Database>` for concurrent settings.
 pub mod prelude {
     pub use rankedenum_core::{
-        lexi_serves, select, select_ranked, top_k, AcyclicEnumerator, Algorithm, CyclicEnumerator,
-        EnumError, EnumStats, GhdReport, HistSnapshot, InstrumentedStream, LexiEnumerator,
-        LocalHistogram, RankedEnumerator, RankedStream, SharedStats, StarEnumerator, StatsSnapshot,
-        TimingBreakdown, UnionEnumerator,
+        top_k, AcyclicEnumerator, Algorithm, BranchPlan, CyclicEnumerator, EnumError, EnumStats,
+        GhdReport, HistSnapshot, InstrumentedStream, LexiEnumerator, LocalHistogram, RankedStream,
+        SharedStats, StarEnumerator, StatsSnapshot, TimingBreakdown, UnionEnumerator,
     };
     pub use re_baseline::{BfsSortEngine, FullAnyKEngine, MaterializeSortEngine};
     pub use re_exec::{ExecContext, PoolStats, WorkerPool};

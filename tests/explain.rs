@@ -8,7 +8,7 @@
 
 use rankedenum::datagen::BipartiteConfig;
 use rankedenum::exec::ExecContext;
-use rankedenum::sql::{explain_query, ExplainMode, OwnedSqlExecutor};
+use rankedenum::sql::{explain_query, ExplainMode, OwnedSqlExecutor, SqlExecutor};
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::{LdbcWorkload, MembershipWorkload};
 use std::sync::Arc;
@@ -355,5 +355,222 @@ fn six_cycle_explain_analyze_reports_ground_truth_counters() {
     assert!(
         json.contains(&format!("\"tid\":{}", laned.lane.unwrap() + 1)),
         "worker lane must become a Chrome tid"
+    );
+}
+
+/// A directed-edge graph with one triangle and one 4-cycle.
+fn edge_db() -> rankedenum::storage::Database {
+    use rankedenum::storage::{attr::attrs, Database, Relation};
+    let mut db = Database::new();
+    let edges = vec![vec![1, 2], vec![2, 3], vec![3, 1], vec![3, 4], vec![4, 1]];
+    db.add_relation(Relation::with_tuples("E", attrs(["s", "t"]), edges).unwrap())
+        .unwrap();
+    db
+}
+
+const TRIANGLE: &str = "SELECT DISTINCT E1.s, E2.s FROM E AS E1, E AS E2, E AS E3 \
+                        WHERE E1.t = E2.s AND E2.t = E3.s AND E3.t = E1.s";
+
+/// A 4-cycle whose `FROM` order is not the cycle's order: no declaration-
+/// order template applies, so GHD selection degrades to one bag.
+const CHORDED: &str = "SELECT DISTINCT E1.s, E2.s FROM E AS E1, E AS E2, E AS E3, E AS E4 \
+                       WHERE E1.t = E3.s AND E3.t = E2.s AND E2.t = E4.s AND E4.t = E1.s";
+
+/// One-bag plans, both ways: the triangle's single Figure-2 bag is a real
+/// decomposition, the chorded 4-cycle's is the fallback — and `EXPLAIN`
+/// says about it what the opened cursor reports and counts.
+#[test]
+fn one_bag_plans_explain_goldens() {
+    let db = edge_db();
+    let exec = SqlExecutor::new(&db);
+    let triangle = exec.explain(TRIANGLE, ExplainMode::Plan).unwrap();
+    let expected = "\
+EXPLAIN
+statement: join-project (3 atoms)
+output: (E1.s, E2.s)
+ranking: sum over all output columns (default)
+limit: none
+algorithm: cyclic-ghd
+ghd plan:
+  shape: cycle-figure2
+  candidates compared: 4
+  estimated rows (AGM): 11
+  bags:
+    - cycle_bag_1(E1.s, E2.s, E2.t) atoms=(E1, E2, E3) estimated_rows=11
+";
+    assert_eq!(triangle, expected, "triangle explain drifted:\n{triangle}");
+    let cursor = exec.open(TRIANGLE).unwrap();
+    assert_eq!(cursor.plan_shape().as_deref(), Some("cycle-figure2"));
+    assert_eq!(cursor.stats_snapshot().ghd_fallbacks, 0);
+
+    let chorded = exec.explain(CHORDED, ExplainMode::Plan).unwrap();
+    let reason = "invalid GHD: atoms 0 and 1 share no variable; not a cycle in declaration order";
+    let expected = format!(
+        "\
+EXPLAIN
+statement: join-project (4 atoms)
+output: (E1.s, E2.s)
+ranking: sum over all output columns (default)
+limit: none
+algorithm: cyclic-ghd
+ghd plan:
+  shape: single-bag
+  candidates compared: 1
+  fallback: {reason}
+  bags:
+    - bag0(E1.s, E1.t, E2.s, E2.t) atoms=(E1, E2, E3, E4)
+"
+    );
+    assert_eq!(chorded, expected, "chorded explain drifted:\n{chorded}");
+    let cursor = exec.open(CHORDED).unwrap();
+    assert_eq!(
+        cursor.plan_shape(),
+        Some(format!("single-bag [fallback: {reason}]"))
+    );
+    assert_eq!(cursor.stats_snapshot().ghd_fallbacks, 1);
+    let analyzed = exec.explain(CHORDED, ExplainMode::Analyze).unwrap();
+    assert!(
+        analyzed.contains(&format!("  fallback: {reason}\n")),
+        "{analyzed}"
+    );
+}
+
+/// The `algorithm:` label of an `EXPLAIN` text, and its per-branch labels.
+fn explained_algorithms(text: &str) -> (String, Vec<String>) {
+    let statement = text
+        .lines()
+        .find_map(|l| l.strip_prefix("algorithm: "))
+        .unwrap_or_else(|| panic!("no algorithm line in:\n{text}"));
+    let branches = text
+        .lines()
+        .filter(|l| l.starts_with("branch "))
+        .map(|l| {
+            l.rsplit_once("algorithm ")
+                .expect("branch label")
+                .1
+                .to_string()
+        })
+        .collect();
+    (statement.to_string(), branches)
+}
+
+/// The physical decision is made once, when a statement is planned; this
+/// holds every surface that reports it to that one value: the `algorithm:`
+/// line(s) of `EXPLAIN`, the plan's stored branch plans, the cursor that
+/// was actually built, and the label of the server's `opened` reply — over
+/// the workload suites and over the statement forms the server sees.
+#[test]
+fn every_surface_reports_the_planned_algorithm() {
+    use rankedenum::prelude::*;
+
+    // Library level: the membership and cyclic suites, the LDBC unions.
+    let w = workload();
+    let ctx = ExecContext::serial();
+    let suite = [
+        (w.two_hop(), "acyclic"),
+        (w.three_hop(), "acyclic"),
+        (w.four_hop(), "acyclic"),
+        (w.three_star(), "acyclic"),
+        (w.star_project_first(3), "acyclic"),
+        (w.cycle(2).0, "cyclic-ghd"),
+        (w.cycle(3).0, "cyclic-ghd"),
+        (w.bowtie().0, "cyclic-ghd"),
+    ];
+    for (spec, expected) in suite {
+        let plan = BranchPlan::of(&spec.query, None).unwrap();
+        let stream = plan
+            .open(&spec.query, w.db(), spec.sum_ranking(), &ctx)
+            .unwrap();
+        let (explained, _) = explained_algorithms(&explain_query(w.db(), &spec.query).unwrap());
+        assert_eq!(explained, expected, "{}", spec.name);
+        assert_eq!(plan.algorithm().label(), expected, "{}", spec.name);
+        assert_eq!(stream.algorithm().label(), expected, "{}", spec.name);
+        assert_eq!(
+            stream.plan_shape().is_some(),
+            plan.join_tree().is_none(),
+            "{}: exactly the tree-less plans run through a decomposition",
+            spec.name
+        );
+    }
+    let l = LdbcWorkload::generate(1, 9);
+    for spec in [l.q3(), l.q10(), l.q11()] {
+        let union = UnionEnumerator::new(&spec.query, l.db(), spec.sum_ranking()).unwrap();
+        assert_eq!(RankedStream::algorithm(&union), Algorithm::UnionMerge);
+        assert_eq!(union.plan_shape(), None, "{}: acyclic branches", spec.name);
+        for q in spec.query.branches() {
+            let (explained, _) = explained_algorithms(&explain_query(l.db(), q).unwrap());
+            let planned = BranchPlan::of(q, None).unwrap().algorithm();
+            assert_eq!(explained, planned.label(), "{}", spec.name);
+        }
+    }
+
+    // SQL level, through the executor and through the server.
+    let db = Arc::new(edge_db());
+    let exec = OwnedSqlExecutor::new(Arc::clone(&db));
+    let server = RankedQueryServer::new(ServerConfig::default());
+    server.catalog().register("graph", edge_db());
+    let mut client = LocalClient::new(server);
+    const TWO_HOP: &str = "SELECT DISTINCT E1.s, E2.t FROM E AS E1, E AS E2 WHERE E1.t = E2.s";
+    const WIDE: &str = "SELECT DISTINCT E1.s, E1.t, E2.t FROM E AS E1, E AS E2 WHERE E1.t = E2.s";
+    let statements: Vec<(String, &str, Vec<&str>)> = vec![
+        (format!("{TWO_HOP} ORDER BY E1.s + E2.t"), "acyclic", vec![]),
+        (
+            format!("{TWO_HOP} ORDER BY E1.s, E2.t DESC"),
+            "lexi",
+            vec![],
+        ),
+        (format!("{WIDE} ORDER BY E1.s, E2.t"), "lexi", vec![]),
+        (format!("{WIDE} ORDER BY E1.s"), "acyclic", vec![]),
+        (
+            format!("{TWO_HOP} AND E1.s = 3 ORDER BY E1.s + E2.t LIMIT 5"),
+            "acyclic",
+            vec![],
+        ),
+        (TRIANGLE.to_string(), "cyclic-ghd", vec![]),
+        (
+            // Own aliases: a union names later branches' outputs after the
+            // first branch's, which must not collide with their columns.
+            format!(
+                "SELECT DISTINCT A.s, B.t FROM E AS A, E AS B WHERE A.t = B.s \
+                 UNION {TRIANGLE} ORDER BY E1.s, E2.s"
+            ),
+            "union-merge",
+            vec!["acyclic", "cyclic-ghd"],
+        ),
+    ];
+    for (sql, expected, expected_branches) in &statements {
+        let plan = exec.plan(sql).unwrap();
+        let cursor = exec.open_plan(&plan).unwrap();
+        let text = exec.explain_plan(&plan, ExplainMode::Plan).unwrap();
+        let (explained, explained_branches) = explained_algorithms(&text);
+        let opened = client.open("graph", sql).unwrap();
+        assert_eq!(&explained, expected, "{sql}");
+        assert_eq!(plan.algorithm().label(), *expected, "{sql}");
+        assert_eq!(cursor.algorithm().label(), *expected, "{sql}");
+        assert_eq!(&opened.algorithm, expected, "{sql}");
+        assert_eq!(&explained_branches, expected_branches, "{sql}");
+        if !expected_branches.is_empty() {
+            let planned: Vec<&str> = plan
+                .branches
+                .iter()
+                .map(|b| b.algorithm().label())
+                .collect();
+            assert_eq!(&planned, expected_branches, "{sql}");
+        }
+        // The same plan from the cache reports the same label.
+        let again = client.open("graph", sql).unwrap();
+        assert!(again.plan_cached, "{sql}");
+        assert_eq!(again.algorithm, opened.algorithm, "{sql}");
+        let cyclic_part = *expected == "cyclic-ghd" || expected_branches.contains(&"cyclic-ghd");
+        assert_eq!(cursor.plan_shape().is_some(), cyclic_part, "{sql}");
+    }
+    // A decomposition inside a union is as visible as one behind a single
+    // statement: on the cursor and in the server's `stats`.
+    let (union_sql, _, _) = statements.last().unwrap();
+    let shape = exec.open(union_sql).unwrap().plan_shape();
+    assert_eq!(shape.as_deref(), Some("branch 2: cycle-figure2"));
+    assert_eq!(
+        client.stats().unwrap().ghd_last_plan,
+        "branch 2: cycle-figure2"
     );
 }

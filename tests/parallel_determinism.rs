@@ -60,13 +60,13 @@ fn acyclic_workloads_are_thread_count_invariant() {
         imdb.db(),
         imdb.db(),
     ]) {
-        let serial: Vec<Tuple> = RankedEnumerator::new(&spec.query, db, spec.sum_ranking())
+        let serial: Vec<Tuple> = AcyclicEnumerator::new(&spec.query, db, spec.sum_ranking())
             .unwrap()
             .take(500)
             .collect();
         for threads in pool_sizes() {
             let parallel: Vec<Tuple> =
-                RankedEnumerator::new_ctx(&spec.query, db, spec.sum_ranking(), &ctx_at(threads))
+                AcyclicEnumerator::new_ctx(&spec.query, db, spec.sum_ranking(), &ctx_at(threads))
                     .unwrap()
                     .take(500)
                     .collect();
@@ -260,17 +260,25 @@ fn full_drain_is_thread_count_invariant() {
     // serial one at 1, a fresh pool at 4).
     let dblp = DblpWorkload::generate(400, 41, WeightScheme::Random);
     let spec = dblp.two_hop();
-    let serial: Vec<Tuple> = RankedEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking())
+    // One plan, opened three times: the path a cached statement takes.
+    let plan = BranchPlan::of(&spec.query, None).unwrap();
+    let serial: Vec<Tuple> = plan
+        .open(
+            &spec.query,
+            dblp.db(),
+            spec.sum_ranking(),
+            &ExecContext::serial(),
+        )
         .unwrap()
         .collect();
     for threads in [1, 4] {
         let ctx = ExecContext::with_threads(threads)
             .with_min_par_rows(1)
             .with_morsel_rows(5);
-        let parallel: Vec<Tuple> =
-            RankedEnumerator::new_ctx(&spec.query, dblp.db(), spec.sum_ranking(), &ctx)
-                .unwrap()
-                .collect();
+        let parallel: Vec<Tuple> = plan
+            .open(&spec.query, dblp.db(), spec.sum_ranking(), &ctx)
+            .unwrap()
+            .collect();
         assert_same_rows(&spec.name, threads, &serial, &parallel);
         common::assert_ran_on_its_pool(&ctx, &spec.name);
     }
@@ -301,7 +309,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The LexiEnumerator emits the identical sequence as the general
-    /// RankedEnumerator under a lexicographic ranking on random acyclic
+    /// AcyclicEnumerator under a lexicographic ranking on random acyclic
     /// instances — serial and at every pool size — and both equal the
     /// materialise → distinct → sort oracle, which is neither engine
     /// (value-as-weight LEX over the whole projection is a total order, so
@@ -327,7 +335,7 @@ proptest! {
         for order in [["a", "c", "d"], ["d", "a", "c"], ["c", "d", "a"]] {
             let lex = LexRanking::new(order, WeightAssignment::value_as_weight());
             let via_lexi: Vec<Tuple> = LexiEnumerator::new(&query, &db, &lex).unwrap().collect();
-            let via_general: Vec<Tuple> = RankedEnumerator::new(&query, &db, lex.clone())
+            let via_general: Vec<Tuple> = AcyclicEnumerator::new(&query, &db, lex.clone())
                 .unwrap()
                 .collect();
             prop_assert_eq!(&via_lexi, &via_general);

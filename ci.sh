@@ -28,14 +28,20 @@ run cargo test -q --offline --manifest-path stackbench/Cargo.toml
 # The workspace test step above already ran every protocol and thread-count
 # leg: `server_integration`, `reactor_integration` and `chaos` loop over
 # both wire protocols themselves, as `chaos`, `parallel_determinism`,
-# `frontier_differential` and `wcoj_differential` build their own serial
-# and pooled legs. What stays is the byte-level equivalence of the two
-# framings on its own line.
+# `frontier_differential` and `wcoj_differential` (generic join against
+# the definition-level oracles) build their own serial and pooled legs.
+# What stays is the byte-level equivalence of the two framings on its own
+# line.
 run cargo test -q -p re_server --test transport_equivalence
 # End to end at smoke scale; both examples exit non-zero on a failed check.
 run env RE_SCALE=0.05 cargo run -q --release --example server_quickstart
 run env RE_SCALE=0.05 cargo run -q --release --example explain_analyze
 run cargo bench --workspace --no-run
+# Exactly one test is ignored (ROADMAP item 1's pin): a failing test
+# cannot be silenced in passing.
+run test "$(git grep -cE '^\s*#\[ignore' -- '*.rs' ':!vendor' | awk -F: '{n += $NF} END {print n + 0}')" = 1
+# Neither retired twin grows back before its frozen name is deleted.
+run test -z "$(git grep -nE 'Cascade|ThreadPerConn|serve_threaded|serve_connection|materialize_bags_with|new_ctx_with_kernel|connectivity_order' -- crates src tests examples)"
 # Nothing above may rewrite a tracked file.
 run git diff --exit-code
 

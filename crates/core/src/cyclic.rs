@@ -53,8 +53,7 @@ pub struct BagDetail {
     pub estimated_rows: Option<u64>,
     /// Rows actually materialised.
     pub actual_rows: u64,
-    /// Trie intersections the generic-join walker performed (0 for the
-    /// cascade kernel).
+    /// Trie intersections the generic-join walker performed.
     pub intersections: u64,
 }
 
@@ -77,12 +76,12 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
     }
 
     /// Build the enumerator from an explicit GHD plan under an execution
-    /// context with the default (generic join) bag kernel. On a pooled
-    /// context the bags are materialised as parallel pool tasks (they are
-    /// independent sub-joins) and the kernels inside each bag fan out
-    /// further over morsels of the same pool. The bags then go straight to
-    /// the residual reducer and Algorithm 1 — no copy, no database in
-    /// between — which cost about as much again as materialising them.
+    /// context. On a pooled context the bags are materialised as parallel
+    /// pool tasks (they are independent sub-joins) and the kernels inside
+    /// each bag fan out further over morsels of the same pool. The bags
+    /// then go straight to the residual reducer and Algorithm 1 — no copy,
+    /// no database in between — which cost about as much again as
+    /// materialising them.
     ///
     /// Determinism contract: the bag relations, `bag_sizes()` and the full
     /// enumeration order are identical to the serial build at any thread
@@ -94,34 +93,17 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         plan: &GhdPlan,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
-        Self::new_ctx_with_kernel(query, db, ranking, plan, ctx, BagKernel::default())
-    }
-
-    /// [`CyclicEnumerator::new_ctx`] with an explicit bag-materialisation
-    /// kernel. Both kernels produce canonical (sorted, distinct) bag
-    /// relations, so the enumeration sequence does not depend on the
-    /// kernel — the `wcoj_differential` suite holds this as a contract.
-    pub fn new_ctx_with_kernel(
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: R,
-        plan: &GhdPlan,
-        ctx: &ExecContext,
-        kernel: BagKernel,
-    ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
-        Self::build(query, db, ranking, plan, ctx, kernel, None, 0)
+        Self::build(query, db, ranking, plan, ctx, None, 0)
     }
 
     /// The shared build path; callers have validated `query` against `db`.
-    #[allow(clippy::too_many_arguments)]
     fn build(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
         plan: &GhdPlan,
         ctx: &ExecContext,
-        kernel: BagKernel,
         fallback: Option<String>,
         candidates: usize,
     ) -> Result<Self, EnumError> {
@@ -129,7 +111,7 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         let mut bag_rels = Vec::with_capacity(plan.len());
         let mut bag_sizes = Vec::with_capacity(plan.len());
         let mut bag_details = Vec::with_capacity(plan.len());
-        let built = materialize_bags_reported(query, db, plan.bags(), ctx, kernel)?;
+        let built = materialize_bags_reported(query, db, plan.bags(), ctx, BagKernel::default())?;
         for (i, (bag, (rel, info))) in plan.bags().iter().zip(built).enumerate() {
             debug_assert_eq!(rel.attrs(), &bag.attrs[..]);
             bag_sizes.push(rel.len());
@@ -219,7 +201,6 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
             ranking,
             &sel.plan,
             ctx,
-            BagKernel::default(),
             sel.fallback().map(str::to_string),
             sel.considered,
         )

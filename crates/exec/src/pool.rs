@@ -240,11 +240,6 @@ impl WorkerPool {
         Arc::new(WorkerPool { shared, workers })
     }
 
-    /// A pool sized to the machine (`available_parallelism`, min 1).
-    pub fn machine_sized() -> Arc<WorkerPool> {
-        WorkerPool::new(default_thread_count())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()

@@ -5,35 +5,30 @@
 //! de-duplication) onto the bag attributes. The resulting bag relations form
 //! an acyclic residual query which the acyclic enumerator then processes.
 //!
-//! Two kernels produce the bag, selected by [`BagKernel`]:
-//! * [`BagKernel::Wcoj`] (the default) runs the generic-join kernel of
-//!   [`crate::wcoj`], whose cost is bounded by the bag's AGM bound instead
-//!   of the largest pairwise intermediate;
-//! * [`BagKernel::Cascade`] is the retained left-deep hash-join cascade,
-//!   ordered by shared-attribute connectivity so a connected join order is
-//!   never passed over for an accidental cartesian product.
-//!
-//! Both kernels emit the *canonical* bag representation — rows
-//! lexicographically sorted and distinct over `bag.attrs` — so they are
-//! byte-interchangeable, which the `wcoj_differential` suite enforces.
+//! One kernel produces a bag: after a semi-join sweep over the bag's
+//! atoms, the generic-join kernel of [`crate::wcoj`], whose cost is bounded
+//! by the bag's AGM bound instead of the largest pairwise intermediate. It
+//! emits the *canonical* bag representation — rows lexicographically
+//! sorted and distinct over `bag.attrs` — which the `wcoj_differential`
+//! suite checks against the definition (hash-join the bag's atoms, project
+//! with de-duplication, sort).
 
 use crate::bind::bind_atoms_of;
 use crate::error::JoinError;
-use crate::parallel::{par_hash_join, par_project_distinct, par_semi_join};
-use crate::wcoj::{wcoj_materialize_reported, WcojReport};
+use crate::parallel::par_semi_join;
+use crate::wcoj::wcoj_materialize_reported;
 use re_exec::ExecContext;
 use re_query::{Bag, JoinProjectQuery};
 use re_storage::{Attr, Database, Relation};
 use std::collections::BTreeSet;
 
-/// Which kernel materialises a bag.
+/// Vestige of the retired kernel choice, kept because the frozen
+/// `stackbench/` names it; it goes with ROADMAP item 2.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BagKernel {
     /// Attribute-at-a-time generic join (worst-case optimal).
     #[default]
     Wcoj,
-    /// Left-deep hash-join cascade in shared-attribute connectivity order.
-    Cascade,
 }
 
 /// Per-operator report of one bag materialisation: what EXPLAIN ANALYZE
@@ -44,22 +39,19 @@ pub struct BagBuildInfo {
     pub name: String,
     /// Atoms joined into the bag.
     pub atoms: u64,
-    /// The attribute order the kernel bound (generic join's global order;
-    /// the cascade reports the bag's output attributes).
+    /// The attribute order the kernel bound (generic join's global order).
     pub attr_order: Vec<Attr>,
     /// Rows actually materialised (distinct rows over the bag attributes).
     pub rows: u64,
-    /// Trie intersection steps of the generic-join walk (zero for the
-    /// cascade kernel).
+    /// Trie intersection steps of the generic-join walk.
     pub intersections: u64,
 }
 
 /// Materialise one GHD bag — `π_{bag.attrs}(⋈_{i ∈ bag.atoms} atom_i)`,
-/// de-duplicated, named `bag.name` — with an explicit kernel choice,
-/// returning the per-operator [`BagBuildInfo`] alongside the relation. The
-/// semi-join sweep and all inner kernels run through the context's
-/// (possibly pooled) primitives; output is canonical (sorted, distinct)
-/// either way.
+/// de-duplicated, named `bag.name` — returning the per-operator
+/// [`BagBuildInfo`] alongside the relation. The semi-join sweep and the
+/// generic join run through the context's (possibly pooled) primitives;
+/// output is canonical (sorted, distinct) either way.
 ///
 /// Only the bag's own atoms are bound — binding clones the base relation
 /// per atom, so binding the whole query per bag (as earlier revisions did)
@@ -68,14 +60,13 @@ pub struct BagBuildInfo {
 /// When a request trace is installed on the calling thread the build is
 /// recorded as a `bag.materialize` span carrying the same counters and
 /// stamped with the pool worker lane that ran it — under the parallel
-/// per-bag fan-out of [`materialize_bags_with`] this is what makes the
+/// per-bag fan-out of [`materialize_bags_reported`] this is what makes the
 /// fan-out visible in the exported trace.
-pub fn materialize_bag_reported(
+fn materialize_bag_reported(
     query: &JoinProjectQuery,
     db: &Database,
     bag: &Bag,
     ctx: &ExecContext,
-    kernel: BagKernel,
 ) -> Result<(Relation, BagBuildInfo), JoinError> {
     // Bag boundary: the cancellation poll point of the per-bag fan-out,
     // and the `bags.materialize` failpoint.
@@ -86,39 +77,13 @@ pub fn materialize_bag_reported(
 
     semi_join_sweep(ctx, &mut rels)?;
 
-    let (out, wcoj_report) = match kernel {
-        BagKernel::Wcoj => {
-            let (out, report) = wcoj_materialize_reported(bag, &rels, ctx)?;
-            (out, report)
-        }
-        BagKernel::Cascade => {
-            let order = connectivity_order(&rels);
-            let mut iter = order.into_iter();
-            let mut acc = rels[iter.next().expect("bags join at least one atom")].clone();
-            for next in iter {
-                acc = par_hash_join(ctx, &acc, &rels[next], "bag_join")?;
-            }
-            let mut out = par_project_distinct(ctx, &acc, &bag.attrs)?;
-            // Canonical representation: lex-sort the distinct rows so the
-            // cascade is byte-interchangeable with the generic-join kernel.
-            let positions: Vec<usize> = (0..out.arity()).collect();
-            out.sort_by_positions(&positions);
-            out.set_name(bag.name.clone());
-            (
-                out,
-                WcojReport {
-                    attr_order: bag.attrs.clone(),
-                    intersections: 0,
-                },
-            )
-        }
-    };
+    let (out, report) = wcoj_materialize_reported(bag, &rels, ctx)?;
     let info = BagBuildInfo {
         name: bag.name.clone(),
         atoms: bag.atoms.len() as u64,
-        attr_order: wcoj_report.attr_order,
+        attr_order: report.attr_order,
         rows: out.len() as u64,
-        intersections: wcoj_report.intersections,
+        intersections: report.intersections,
     };
     if let Some(s) = span.as_mut() {
         use re_obs::AttrValue;
@@ -164,56 +129,18 @@ fn semi_join_sweep(ctx: &ExecContext, rels: &mut [Relation]) -> Result<(), JoinE
     Ok(())
 }
 
-/// A join order that follows shared attributes greedily: start from the
-/// first atom, repeatedly append the lowest-indexed unused atom sharing an
-/// attribute with what is already joined, and only fall back to a
-/// disconnected atom (a genuine cartesian step) when no connected one is
-/// left. Deterministic by construction.
-fn connectivity_order(rels: &[Relation]) -> Vec<usize> {
-    let n = rels.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut order = vec![0usize];
-    let mut used = vec![false; n];
-    used[0] = true;
-    let mut joined: BTreeSet<_> = rels[0].attrs().iter().cloned().collect();
-    while order.len() < n {
-        let next = (0..n)
-            .find(|&i| !used[i] && rels[i].attrs().iter().any(|a| joined.contains(a)))
-            .unwrap_or_else(|| (0..n).find(|&i| !used[i]).expect("some atom unused"));
-        used[next] = true;
-        joined.extend(rels[next].attrs().iter().cloned());
-        order.push(next);
-    }
-    order
-}
-
-/// Materialise every bag of a GHD plan with an explicit kernel. Under a
-/// pooled context each bag is one pool task (they are independent
+/// Materialise every bag of a GHD plan, each with its [`BagBuildInfo`].
+/// Under a pooled context each bag is one pool task (they are independent
 /// sub-joins), and the intra-bag kernels fan out further on the same pool —
 /// the two levels compose because the pool supports nested submission.
-/// Results come back in bag order regardless of scheduling.
-pub fn materialize_bags_with(
-    query: &JoinProjectQuery,
-    db: &Database,
-    bags: &[Bag],
-    ctx: &ExecContext,
-    kernel: BagKernel,
-) -> Result<Vec<Relation>, JoinError> {
-    materialize_bags_reported(query, db, bags, ctx, kernel)
-        .map(|pairs| pairs.into_iter().map(|(rel, _)| rel).collect())
-}
-
-/// [`materialize_bags_with`] returning each bag's [`BagBuildInfo`]
-/// alongside its relation. The fan-out behaviour (one pool task per bag
-/// under a parallel context) is identical.
+/// Results come back in bag order regardless of scheduling. The fifth
+/// parameter is ignored: a vestige that goes with ROADMAP item 2.
 pub fn materialize_bags_reported(
     query: &JoinProjectQuery,
     db: &Database,
     bags: &[Bag],
     ctx: &ExecContext,
-    kernel: BagKernel,
+    _kernel: BagKernel,
 ) -> Result<Vec<(Relation, BagBuildInfo)>, JoinError> {
     let _span = re_obs::Span::enter("preprocess.bags");
     let mut trace_span = re_obs::trace::child_span("preprocess.bags");
@@ -223,11 +150,11 @@ pub fn materialize_bags_reported(
     if !ctx.is_parallel() {
         return bags
             .iter()
-            .map(|bag| materialize_bag_reported(query, db, bag, ctx, kernel))
+            .map(|bag| materialize_bag_reported(query, db, bag, ctx))
             .collect();
     }
     ctx.map(bags.len(), |i| {
-        materialize_bag_reported(query, db, &bags[i], ctx, kernel)
+        materialize_bag_reported(query, db, &bags[i], ctx)
     })
     .into_iter()
     .collect()
@@ -241,8 +168,8 @@ mod tests {
     use re_storage::attr::attrs;
 
     /// One bag, serially, relation only.
-    fn one_bag(q: &JoinProjectQuery, db: &Database, bag: &Bag, kernel: BagKernel) -> Relation {
-        materialize_bag_reported(q, db, bag, &ExecContext::serial(), kernel)
+    fn one_bag(q: &JoinProjectQuery, db: &Database, bag: &Bag) -> Relation {
+        materialize_bag_reported(q, db, bag, &ExecContext::serial())
             .unwrap()
             .0
     }
@@ -276,13 +203,13 @@ mod tests {
             .unwrap();
         let plan = GhdPlan::for_cycle(&q).unwrap();
         assert_eq!(plan.len(), 2);
-        let bag0 = one_bag(&q, &db, &plan.bags()[0], BagKernel::default());
+        let bag0 = one_bag(&q, &db, &plan.bags()[0]);
         // bag over {a1,a2,a3} covered by R1, R2 and R4: tuples (a1,a2,a3)
         // where a1->a2->a3 is a path and a1 has an incoming edge.
         assert_eq!(bag0.arity(), 3);
         assert!(!bag0.is_empty());
         // The residual join of both bags must produce exactly the square.
-        let bag1 = one_bag(&q, &db, &plan.bags()[1], BagKernel::default());
+        let bag1 = one_bag(&q, &db, &plan.bags()[1]);
         let joined = hash_join(&bag0, &bag1, "res").unwrap();
         let out = project_distinct(&joined, &attrs(["a1", "a3"])).unwrap();
         let mut rows: Vec<Vec<u64>> = out.iter().map(|t| t.to_vec()).collect();
@@ -311,19 +238,16 @@ mod tests {
             .build()
             .unwrap();
         let plan = GhdPlan::for_cycle(&q).unwrap();
-        let serial: Vec<Relation> = plan
-            .bags()
-            .iter()
-            .map(|b| one_bag(&q, &db, b, BagKernel::default()))
-            .collect();
+        let serial: Vec<Relation> = plan.bags().iter().map(|b| one_bag(&q, &db, b)).collect();
         for threads in [1, 2, 4] {
             let ctx = ExecContext::with_threads(threads)
                 .with_min_par_rows(1)
                 .with_morsel_rows(2);
             let pooled =
-                materialize_bags_with(&q, &db, plan.bags(), &ctx, BagKernel::default()).unwrap();
+                materialize_bags_reported(&q, &db, plan.bags(), &ctx, BagKernel::default())
+                    .unwrap();
             assert_eq!(pooled.len(), serial.len());
-            for (p, s) in pooled.iter().zip(&serial) {
+            for ((p, _), s) in pooled.iter().zip(&serial) {
                 assert_eq!(p.name(), s.name());
                 assert_eq!(p.attrs(), s.attrs());
                 let pt: Vec<Vec<u64>> = p.iter().map(|t| t.to_vec()).collect();
@@ -344,14 +268,14 @@ mod tests {
             .build()
             .unwrap();
         let plan = GhdPlan::single_bag(&q);
-        let bag = one_bag(&q, &db, &plan.bags()[0], BagKernel::default());
+        let bag = one_bag(&q, &db, &plan.bags()[0]);
         // The triangle 1->2->3->1 yields 3 (x,y,z) rotations.
         assert_eq!(bag.len(), 3);
         assert_eq!(bag.arity(), 3);
     }
 
     #[test]
-    fn kernels_agree_byte_for_byte() {
+    fn bags_equal_their_definition_byte_for_byte() {
         let db = edge_db(&[
             (1, 2),
             (2, 3),
@@ -373,29 +297,22 @@ mod tests {
             .unwrap();
         for plan in [GhdPlan::for_cycle(&q).unwrap(), GhdPlan::single_bag(&q)] {
             for bag in plan.bags() {
-                let wcoj = one_bag(&q, &db, bag, BagKernel::Wcoj);
-                let casc = one_bag(&q, &db, bag, BagKernel::Cascade);
-                assert_eq!(wcoj.attrs(), casc.attrs(), "{}", bag.name);
-                let w: Vec<Vec<u64>> = wcoj.iter().map(|t| t.to_vec()).collect();
-                let c: Vec<Vec<u64>> = casc.iter().map(|t| t.to_vec()).collect();
-                assert_eq!(w, c, "bag {} kernels diverged", bag.name);
-                // Canonical form: sorted and distinct.
-                let mut sorted = w.clone();
-                sorted.sort();
-                sorted.dedup();
-                assert_eq!(w, sorted, "bag {} not canonical", bag.name);
+                let got = one_bag(&q, &db, bag);
+                // The definition: join the bag's atoms, project with
+                // de-duplication onto the bag attributes, sort.
+                let joined = bind_atoms_of(&q, &db, bag.atoms.iter().copied())
+                    .unwrap()
+                    .into_iter()
+                    .reduce(|acc, next| hash_join(&acc, &next, "join").unwrap())
+                    .unwrap();
+                let want = project_distinct(&joined, &bag.attrs).unwrap();
+                assert_eq!(got.attrs(), want.attrs(), "{}", bag.name);
+                let g: Vec<Vec<u64>> = got.iter().map(|t| t.to_vec()).collect();
+                let mut w: Vec<Vec<u64>> = want.iter().map(|t| t.to_vec()).collect();
+                w.sort();
+                assert_eq!(g, w, "bag {} differs from its definition", bag.name);
+                assert!(!g.is_empty(), "bag {} must not be vacuous", bag.name);
             }
         }
-    }
-
-    #[test]
-    fn connectivity_order_defers_disconnected_atoms() {
-        // Atoms listed so that 0 and 1 are attribute-disjoint: the old
-        // ascending order joined them first as a cartesian product.
-        let a = Relation::with_tuples("A", attrs(["x", "y"]), vec![vec![1u64, 2]]).unwrap();
-        let b = Relation::with_tuples("B", attrs(["z", "w"]), vec![vec![3u64, 4]]).unwrap();
-        let c = Relation::with_tuples("C", attrs(["y", "z"]), vec![vec![2u64, 3]]).unwrap();
-        let order = connectivity_order(&[a, b, c]);
-        assert_eq!(order, vec![0, 2, 1]);
     }
 }

@@ -446,16 +446,6 @@ pub fn reduce_then_prune_ctx(
     Ok((r.tree, r.relations, r.stats))
 }
 
-/// [`Reduction::of_relations`] without the edge encoding.
-pub fn reduce_then_prune_relations_ctx(
-    ctx: &ExecContext,
-    tree: JoinTree,
-    relations: Vec<Relation>,
-) -> Result<(JoinTree, Vec<Relation>, ReduceStats), JoinError> {
-    let r = Reduction::of_relations(ctx, tree, relations)?;
-    Ok((r.tree, r.relations, r.stats))
-}
-
 /// Sanity check used by tests and debug assertions: a reduced instance is
 /// *globally consistent* for a join tree if every parent/child pair agrees
 /// on the shared attributes in both directions.
@@ -851,11 +841,10 @@ mod tests {
         // Handing over already-bound relations gives the same reduction
         // (here nothing is pruned: A and D sit at the two ends).
         let bound = bind_atoms_of(&q, &db, tree.nodes().iter().map(|n| n.atom_index)).unwrap();
-        let (pruned, via_relations, stats2) =
-            reduce_then_prune_relations_ctx(&ExecContext::serial(), tree.clone(), bound).unwrap();
-        assert_eq!(pruned.len(), tree.len());
-        assert_eq!(stats, stats2);
-        for (a, b) in reduced.iter().zip(&via_relations) {
+        let r = Reduction::of_relations(&ExecContext::serial(), tree.clone(), bound).unwrap();
+        assert_eq!(r.tree.len(), tree.len());
+        assert_eq!(stats, r.stats);
+        for (a, b) in reduced.iter().zip(&r.relations) {
             assert_eq!(a.name(), b.name());
             assert_eq!(a.attrs(), b.attrs());
             assert!(a.iter().eq(b.iter()));

@@ -200,12 +200,6 @@ pub fn current() -> Option<(TraceCtx, u64)> {
     ACTIVE.with(|a| a.borrow().clone())
 }
 
-/// Whether a trace is installed on this thread (the cheap guard hot paths
-/// branch on before doing any attribute formatting).
-pub fn is_active() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
-}
-
 /// Restores the previously installed trace when dropped.
 pub struct InstallGuard {
     prev: Option<(TraceCtx, u64)>,

@@ -82,7 +82,11 @@ impl Json {
     /// Parse a JSON document (must consume the whole input).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -110,9 +114,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects a document may have. The
+/// protocol's own messages need four levels; the cap is what keeps a peer's
+/// line of `[[[[…` from recursing the parsing thread off its stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -157,12 +168,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'0'..=b'9') => self.number(),
             Some(b'-') => Err(self.err("negative numbers are not part of the protocol")),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -226,12 +250,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape verbatim:
+                    // one UTF-8 validation per run keeps a long string
+                    // linear.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -567,6 +597,32 @@ impl Source for JsonSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_beyond_the_cap_is_an_error_not_a_stack_overflow() {
+        // One level of recursion per `[` or `{` would let a line of a few
+        // hundred thousand of them overflow the reactor thread's stack.
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 64 levels");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        assert!(Json::parse(&format!("[{deepest}]")).is_err());
+    }
+
+    #[test]
+    fn a_long_string_is_scanned_once() {
+        // A statement of a few megabytes must cost one pass, not one
+        // re-validation of the rest of the input per character (minutes on
+        // the reactor thread); multi-byte runs between escapes come through
+        // unchanged.
+        let sql = "é∑ plain ".repeat(300_000);
+        let line = format!("{{\"sql\":\"{sql}\\n\\u00e9{sql}\"}}");
+        let parsed = Json::parse(&line).unwrap();
+        let got = parsed.get("sql").unwrap().as_str().unwrap();
+        assert_eq!(got, format!("{sql}\né{sql}"));
+    }
 
     #[test]
     fn roundtrips_nested_documents() {

@@ -15,9 +15,10 @@
 //!   cached plan carries each branch's algorithm and join tree
 //!   ([`rankedenum_core::BranchPlan`]), so a hit plans nothing again
 //!   ([`PlanCache`]);
-//! * a **JSON-lines TCP front-end** (`std::net`, no external
-//!   dependencies) served by a worker-thread pool, plus an in-process
-//!   client with the same typed API for tests and embedding
+//! * one **TCP front-end** ([`serve`]: the event-driven [`reactor`], no
+//!   external dependencies) speaking JSON lines or binary frames per
+//!   connection and dispatching to a worker-thread pool, plus an
+//!   in-process client with the same typed API for tests and embedding
 //!   ([`LocalClient`] / [`TcpClient`]);
 //! * a **stats endpoint** aggregating enumeration counters across all
 //!   workers through lock-free [`rankedenum_core::SharedStats`].
@@ -70,9 +71,7 @@ pub use client::{
 pub use json::Json;
 pub use plan_cache::PlanCache;
 pub use protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
-pub use server::{
-    serve, serve_reactor, serve_threaded, RankedQueryServer, ServerConfig, ServerHandle,
-    ServerTransport,
-};
+pub use reactor::serve;
+pub use server::{RankedQueryServer, ServerConfig, ServerHandle, ServerTransport};
 pub use session::{Session, SessionTable};
 pub use wire::WireProtocol;

@@ -286,10 +286,10 @@ counter_table! {
 counter_table! {
     /// Transport-level counters of the TCP front-end, as carried by the
     /// `stats` endpoint. All zero while only the in-process client is used;
-    /// populated by whichever front-end (reactor or thread-per-connection)
-    /// serves the instance. The reactor's defining property is visible here:
-    /// `epoll_waits` and `wakeups` stand still while every connection is
-    /// idle — parked sessions cost no periodic polling.
+    /// populated by the reactor once [`crate::serve`] runs. The reactor's
+    /// defining property is visible here: `epoll_waits` and `wakeups`
+    /// stand still while every connection is idle — parked sessions cost
+    /// no periodic polling.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct TransportCounters, key prefix "reactor_" {
         /// Each return carried at least one event or a wakeup.
@@ -830,6 +830,57 @@ pub(crate) mod tests {
                 .contains("\"retry_after_millis\":40"),
             "the back-off hint rides on overloaded errors"
         );
+    }
+
+    /// The pieces a hostile JSON line is made of: the grammar's structural
+    /// bytes, escapes, literals, and the protocol's own keys and kinds.
+    #[rustfmt::skip]
+    const JSON_SOUP: [&str; 32] = [
+        "{", "}", "[", "]", "\"", "\\", "u", ":", ",", "0", "7", "18446744073709551616", "-", ".",
+        "e", " ", "true", "false", "null", "\\u00", "d83d", "\\ud83d", "\\ude00", "é", "\u{1F600}",
+        "\"cmd\"", "\"type\"", "\"ok\"", "\"open\"", "\"fetch\"", "\"page\"", "\"rows\"",
+    ];
+
+    /// Outcome unspecified; returning at all — no panic, no hang — is the
+    /// property.
+    fn decode_all(line: &str) {
+        let _ = Json::parse(line);
+        let _ = Request::decode(line);
+        let _ = Response::decode(line);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn token_soup_never_panics_the_json_decoders(
+            picks in proptest::collection::vec(0usize..JSON_SOUP.len(), 0..48),
+        ) {
+            let line: String = picks.iter().map(|&i| JSON_SOUP[i]).collect();
+            decode_all(&line);
+        }
+
+        #[test]
+        fn damaged_protocol_lines_never_panic_the_json_decoders(
+            sample in 0usize..64,
+            damage in 0u8..3,
+            at in 0usize..4096,
+            byte in proptest::prelude::any::<u8>(),
+        ) {
+            let mut lines: Vec<String> = sample_requests().iter().map(Request::encode).collect();
+            lines.extend(sample_responses().iter().map(Response::encode));
+            let mut bytes = lines.swap_remove(sample % lines.len()).into_bytes();
+            let at = at % bytes.len();
+            match damage {
+                0 => bytes[at] = byte,
+                1 => drop(bytes.remove(at)),
+                _ => bytes.truncate(at),
+            }
+            // The front-end rejects a line that is not UTF-8 before the
+            // decoders see it; the lossy form keeps the case and puts a
+            // multi-byte character where the damage was.
+            decode_all(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

@@ -51,9 +51,8 @@
 //! on the same session can never race each other's cursor checkout, and
 //! different connections' jobs run truly in parallel across the pool.
 //!
-//! The per-connection pipeline cap is applied per read drain, exactly
-//! like the thread-per-connection front-end: requests beyond
-//! `max_pipeline` in one drain are answered — in order — with typed
+//! The per-connection pipeline cap is applied per read drain: requests
+//! beyond `max_pipeline` in one drain are answered — in order — with typed
 //! `overloaded` errors without ever being dispatched.
 //!
 //! ## When the wake pipe fires
@@ -286,8 +285,14 @@ struct Conn {
     interest: Interest,
 }
 
-/// Serve with the reactor front-end. See [`crate::serve_reactor`].
-pub(crate) fn serve_reactor(
+/// Serve the request protocol on `bind_addr` (e.g. `"127.0.0.1:0"`): one
+/// poll thread reads, parses and dispatches for every connection —
+/// JSON-lines or the binary protocol, negotiated per connection from its
+/// first bytes — and hands parsed requests to a `config.workers`-thread
+/// pool, whose workers write their responses to the socket themselves.
+/// Idle connections cost one buffer and zero wakeups, so tens of thousands
+/// of parked sessions can stay connected.
+pub fn serve(
     server: Arc<RankedQueryServer>,
     bind_addr: &str,
     config: &ServerConfig,
@@ -356,12 +361,7 @@ pub(crate) fn serve_reactor(
     };
     threads.push(reactor);
 
-    Ok(ServerHandle::from_parts(
-        addr,
-        shutdown,
-        Some(waker),
-        threads,
-    ))
+    Ok(ServerHandle::from_parts(addr, shutdown, waker, threads))
 }
 
 struct Reactor {

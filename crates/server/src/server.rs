@@ -1,10 +1,10 @@
-//! The ranked-query service: shared state, request dispatch, and the TCP
-//! front-end with its worker pool.
+//! The ranked-query service: shared state and request dispatch.
 //!
 //! [`RankedQueryServer`] is plain shared state (`catalog` + `plan cache` +
 //! `session table` + metrics) with one synchronous entry point,
 //! [`RankedQueryServer::handle`] — the in-process client calls it directly,
-//! and the TCP front-end calls it from a pool of worker threads. All
+//! and the TCP front-end ([`crate::reactor`], the only code that touches a
+//! client socket) calls it from a pool of worker threads. All
 //! concurrency lives in the data structures: the catalog is an `RwLock`
 //! map of `Arc<Database>`s, plans are cached behind `Arc`, sessions are
 //! checked out of a mutex-protected table for the duration of one fetch,
@@ -15,8 +15,6 @@ use crate::catalog::Catalog;
 use crate::plan_cache::PlanCache;
 use crate::protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
 use crate::session::SessionTable;
-use crate::wire::{self, InboundItem, Negotiation, WireProtocol};
-use crate::work_queue::WorkQueue;
 use rankedenum_core::{
     machine_threads, CancelKind, CancelToken, ExecContext, SharedStats, StatsSnapshot, WorkerPool,
 };
@@ -26,40 +24,31 @@ use re_obs::{
     ScalarMetric,
 };
 use re_sql::{ExplainMode, OwnedSqlExecutor};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which TCP front-end [`serve`] runs.
+/// Vestige of the retired front-end choice, kept because the frozen
+/// `stackbench/` names it; it goes with ROADMAP item 2.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServerTransport {
     /// The event-driven reactor: one epoll thread drives every
     /// connection's state machine and hands parsed requests to the
-    /// worker pool; idle connections cost one buffer and no thread. The
-    /// default.
+    /// worker pool; idle connections cost one buffer and no thread.
     #[default]
     Reactor,
-    /// The legacy thread-per-connection front-end: each pooled worker
-    /// owns one connection until EOF (bounding concurrent connections at
-    /// `workers`). Kept for comparison benchmarks and as a fallback.
-    ThreadPerConn,
 }
 
 /// Tunables for a server instance.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads of the TCP front-end. Under the
-    /// [`ServerTransport::Reactor`] front-end this sizes the dispatch
-    /// pool (concurrent *requests*, connections are unbounded); under
-    /// [`ServerTransport::ThreadPerConn`] it bounds concurrent
-    /// *connections*.
+    /// Worker threads of the TCP front-end's dispatch pool: the number of
+    /// *requests* that run concurrently (connections are unbounded).
     pub workers: usize,
-    /// Which TCP front-end [`serve`] runs (reactor by default). Both
-    /// speak JSON-lines and the binary protocol, negotiated per
-    /// connection from its first bytes.
+    /// Ignored — there is one front-end: a vestige that goes with ROADMAP
+    /// item 2.
     pub transport: ServerTransport,
     /// Idle time after which a session's cursor is reaped.
     pub session_ttl: Duration,
@@ -214,7 +203,7 @@ impl RankedQueryServer {
         })
     }
 
-    /// Add to the transport counters `set` touches (for the TCP front-ends;
+    /// Add to the transport counters `set` touches (for the TCP front-end;
     /// the untouched ones stay zero and are skipped).
     pub(crate) fn bump_transport(&self, set: impl FnOnce(&mut TransportCounters)) {
         let mut delta = TransportCounters::default();
@@ -225,12 +214,6 @@ impl RankedQueryServer {
     /// The database catalog (register databases here before serving).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The execution context OPENs preprocess under (pooled unless the
-    /// server was configured with `exec_threads: 1`).
-    pub fn exec_context(&self) -> &ExecContext {
-        &self.exec
     }
 
     /// Current server-wide counters. The pool counters are read straight
@@ -317,7 +300,7 @@ impl RankedQueryServer {
     }
 
     /// The typed response for a request shed by the per-connection
-    /// pipeline cap (counts and logs the shed; both front-ends answer the
+    /// pipeline cap (counts and logs the shed; the reactor answers the
     /// excess — in order — with exactly this).
     pub(crate) fn shed_pipeline_response(&self, max_pipeline: usize) -> Response {
         let retry = self.retry_after_hint();
@@ -832,10 +815,9 @@ impl Drop for InflightGuard<'_> {
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// The reactor's wake pipe (None for the thread-per-connection
-    /// front-end), poked on shutdown so an idle reactor leaves its
-    /// indefinite poll wait.
-    waker: Option<Arc<re_net::WakePipe>>,
+    /// The reactor's wake pipe, poked on shutdown so an idle reactor
+    /// leaves its indefinite poll wait.
+    waker: Arc<re_net::WakePipe>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -843,7 +825,7 @@ impl ServerHandle {
     pub(crate) fn from_parts(
         addr: SocketAddr,
         shutdown: Arc<AtomicBool>,
-        waker: Option<Arc<re_net::WakePipe>>,
+        waker: Arc<re_net::WakePipe>,
         threads: Vec<JoinHandle<()>>,
     ) -> Self {
         ServerHandle {
@@ -867,11 +849,7 @@ impl ServerHandle {
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        // Wake a blocking `accept` with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        self.waker.wake();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -884,198 +862,6 @@ impl Drop for ServerHandle {
             self.stop();
         }
     }
-}
-
-/// Serve the request protocol on `bind_addr` (e.g. `"127.0.0.1:0"`) with
-/// the front-end selected by `config.transport`: the event-driven reactor
-/// by default, or the legacy thread-per-connection pool. Both negotiate
-/// JSON-lines vs the binary protocol per connection from its first bytes.
-pub fn serve(
-    server: Arc<RankedQueryServer>,
-    bind_addr: &str,
-    config: &ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    match config.transport {
-        ServerTransport::Reactor => serve_reactor(server, bind_addr, config),
-        ServerTransport::ThreadPerConn => serve_threaded(server, bind_addr, config),
-    }
-}
-
-/// Serve with the event-driven reactor: one poll thread reads, parses and
-/// dispatches for every connection and hands parsed requests to a
-/// `config.workers`-thread pool, whose workers write their responses to
-/// the socket themselves. Idle connections cost one buffer and zero
-/// wakeups, so tens of thousands of parked sessions can stay connected.
-pub fn serve_reactor(
-    server: Arc<RankedQueryServer>,
-    bind_addr: &str,
-    config: &ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    crate::reactor::serve_reactor(server, bind_addr, config)
-}
-
-/// Serve with the legacy thread-per-connection front-end: a pool of
-/// `config.workers` threads, each owning one connection until EOF.
-///
-/// The acceptor thread pushes connections into a `WorkQueue`; each worker
-/// pops one and serves it to completion. A worker therefore handles one
-/// connection at a time — the pool size bounds concurrent connections, and
-/// requests on *different* connections run truly in parallel while sharing
-/// the catalog, plan cache and session table. Kept as the second
-/// front-end `reactor_integration` runs every scenario against, and as a
-/// fallback.
-pub fn serve_threaded(
-    server: Arc<RankedQueryServer>,
-    bind_addr: &str,
-    config: &ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(bind_addr)?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    let conns = WorkQueue::<TcpStream>::new();
-
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let conns = Arc::clone(&conns);
-            let server = Arc::clone(&server);
-            let shutdown = Arc::clone(&shutdown);
-            let max_pipeline = config.max_pipeline;
-            std::thread::spawn(move || {
-                // `None`: acceptor gone, queue drained.
-                while let Some(stream) = conns.pop() {
-                    serve_connection(&server, stream, &shutdown, max_pipeline);
-                }
-            })
-        })
-        .collect();
-
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        // Closed when this thread is done: the workers drain it and exit.
-        let conns = conns.close_on_drop();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break; // the wake-up connection is dropped unserved
-                }
-                if let Ok(stream) = stream {
-                    conns.push(stream);
-                }
-            }
-        })
-    };
-
-    let mut threads = workers;
-    threads.push(acceptor);
-    Ok(ServerHandle::from_parts(addr, shutdown, None, threads))
-}
-
-/// Serve one connection until EOF or server shutdown, in whichever
-/// protocol its first bytes negotiate (JSON-lines or binary frames).
-///
-/// Reads run with a short timeout so an idle connection re-checks the
-/// shutdown flag periodically — `ServerHandle::shutdown` therefore joins
-/// within one timeout interval even while clients stay connected.
-/// Requests are assembled from raw reads into a byte accumulator (never
-/// through `read_line`, whose guard *discards* the bytes it read when a
-/// timeout strikes mid-line), so a request split across TCP segments with
-/// a stall in between is reassembled intact.
-///
-/// Pipelining is capped per drain batch: a client that writes more than
-/// `max_pipeline` complete requests before reading any response gets the
-/// excess answered — still in order — with typed `overloaded` errors, so
-/// one greedy connection cannot queue unbounded work behind itself. All
-/// of a batch's responses are buffered and flushed with *one* write
-/// syscall (the connection runs with `TCP_NODELAY`, so the flush is not
-/// delayed waiting for an ACK either).
-fn serve_connection(
-    server: &RankedQueryServer,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    max_pipeline: usize,
-) {
-    server.bump_transport(|t| t.conns_accepted = 1);
-    let _ = stream.set_nodelay(true);
-    let Ok(mut reader) = stream.try_clone() else {
-        server.bump_transport(|t| t.disconnects = 1);
-        return;
-    };
-    let _ = reader.set_read_timeout(Some(Duration::from_millis(100)));
-    let max_pipeline = max_pipeline.max(1);
-    let mut writer = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut protocol: Option<WireProtocol> = None;
-    'conn: loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => break, // EOF
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                server.bump_transport(|t| t.bytes_in = n as u64);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => break, // broken pipe
-        }
-        if protocol.is_none() {
-            match wire::negotiate(&pending) {
-                Negotiation::NeedMore => continue,
-                Negotiation::Json => protocol = Some(WireProtocol::Json),
-                Negotiation::Binary => {
-                    pending.drain(..wire::BINARY_MAGIC.len());
-                    protocol = Some(WireProtocol::Binary);
-                }
-            }
-        }
-        let proto = protocol.expect("negotiated above");
-        // Drain every complete request buffered so far, answer them in
-        // order into one output buffer, then flush it with one write.
-        let mut served_in_batch = 0usize;
-        let mut out: Vec<u8> = Vec::new();
-        let mut framing_broken = false;
-        loop {
-            match wire::next_inbound(proto, &mut pending) {
-                Ok(None) => break,
-                Ok(Some(item)) => {
-                    let response = if served_in_batch >= max_pipeline {
-                        server.shed_pipeline_response(max_pipeline)
-                    } else {
-                        match item {
-                            InboundItem::Request(request) => server.handle_caught(request),
-                            InboundItem::Malformed(message) => Response::error(message),
-                        }
-                    };
-                    served_in_batch += 1;
-                    wire::append_response(proto, &response, &mut out);
-                }
-                Err(message) => {
-                    // Framing is unrecoverable (e.g. an oversized length
-                    // prefix): send a final error and tear down.
-                    wire::append_response(proto, &Response::error(message), &mut out);
-                    framing_broken = true;
-                    break;
-                }
-            }
-        }
-        if !out.is_empty() {
-            if writer.write_all(&out).and_then(|_| writer.flush()).is_err() {
-                break 'conn;
-            }
-            server.bump_transport(|t| t.bytes_out = out.len() as u64);
-        }
-        if framing_broken {
-            break;
-        }
-    }
-    server.bump_transport(|t| t.disconnects = 1);
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The hand-off queue both TCP front-ends feed their worker threads from.
+//! The hand-off queue the TCP front-end feeds its worker threads from.
 //!
 //! One mutex over a `VecDeque` plus one condition variable. A consumer
 //! with nothing to do parks on the condition variable *without* the lock,

@@ -1,11 +1,10 @@
 //! Reactor front-end integration: idle cost, the one-poll-wait request
 //! path, pipelining order, slow readers, disconnects under a running
-//! batch, both transports on both front-ends, and the reactor's own
-//! metrics.
+//! batch, both wire protocols, and the reactor's own metrics.
 
 use re_server::{
-    serve, serve_threaded, wire, LocalClient, RankedQueryServer, Request, Response, ServerConfig,
-    ServerTransport, TcpClient, Transport, TransportCounters, WireProtocol,
+    serve, wire, LocalClient, RankedQueryServer, Request, Response, ServerConfig, TcpClient,
+    Transport, TransportCounters, WireProtocol,
 };
 use re_storage::{attr::attrs, Database, Relation};
 use std::io::{Read, Write};
@@ -263,32 +262,6 @@ fn pipelined_mixed_requests_answer_in_order() {
         );
         assert_eq!(responses[2], Response::Closed { existed: false });
         assert_eq!(responses[3], Response::Pong);
-    }
-    handle.shutdown();
-}
-
-/// The thread-per-connection front-end stays available behind
-/// `ServerTransport::ThreadPerConn` and speaks both protocols too (it is
-/// the bench baseline and the fallback).
-#[test]
-fn thread_per_conn_front_end_serves_both_protocols() {
-    let config = ServerConfig::default();
-    let server = RankedQueryServer::new(config.clone());
-    server.catalog().register("dblp", coauthor_db());
-    let handle = serve_threaded(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
-
-    for protocol in PROTOCOLS {
-        let mut client = TcpClient::connect_with(handle.addr(), protocol).unwrap();
-        let opened = client.open("dblp", TWO_HOP).unwrap();
-        let page = client.fetch(opened.session, 4).unwrap();
-        assert_eq!(page.rows.len(), 4, "{protocol:?}");
-        assert!(client.close(opened.session).unwrap());
-        // Pipelining works on the blocking front-end as well: requests
-        // are drained per read and answered in order.
-        let responses = client
-            .pipeline(&[Request::Ping, Request::Ping, Request::Ping])
-            .unwrap();
-        assert_eq!(responses, vec![Response::Pong; 3], "{protocol:?}");
     }
     handle.shutdown();
 }
@@ -551,29 +524,24 @@ fn a_batch_outliving_its_connection_is_dropped_quietly() {
 }
 
 /// `ServerHandle::shutdown` returns — every thread joined — while all the
-/// workers are parked on the hand-off queue, on both front-ends.
+/// workers are parked on the hand-off queue.
 #[test]
 fn shutdown_joins_the_workers_parked_on_the_queue() {
-    for transport in [ServerTransport::Reactor, ServerTransport::ThreadPerConn] {
-        let config = ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        };
-        let server = RankedQueryServer::new(config.clone());
-        let handle = serve(server, "127.0.0.1:0", &config).unwrap();
-        // One request served and its connection closed: whichever worker
-        // took it is back in `pop()` with the rest.
-        let mut client = TcpClient::connect(handle.addr()).unwrap();
-        assert_eq!(client.request(Request::Ping).unwrap(), Response::Pong);
-        drop(client);
+    let config = ServerConfig::default();
+    let server = RankedQueryServer::new(config.clone());
+    let handle = serve(server, "127.0.0.1:0", &config).unwrap();
+    // One request served and its connection closed: whichever worker
+    // took it is back in `pop()` with the rest.
+    let mut client = TcpClient::connect(handle.addr()).unwrap();
+    assert_eq!(client.request(Request::Ping).unwrap(), Response::Pong);
+    drop(client);
 
-        let (joined_tx, joined_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            handle.shutdown();
-            joined_tx.send(()).unwrap();
-        });
-        joined_rx
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("{transport:?}: shutdown did not join its threads"));
-    }
+    let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        joined_tx.send(()).unwrap();
+    });
+    joined_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown did not join its threads");
 }

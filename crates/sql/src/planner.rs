@@ -467,14 +467,17 @@ impl<'a> Resolver<'a> {
             let mut vars = Vec::with_capacity(self.schemas[f].len());
             for p in 0..self.schemas[f].len() {
                 let class = uf_find(&mut uf, self.node(f, p));
-                let name = class_name.entry(class).or_insert_with(|| {
-                    Attr::new(format!(
-                        "{}.{}",
-                        self.aliases[f],
-                        self.schemas[f][p].as_str()
-                    ))
-                });
-                vars.push(name.clone());
+                if !class_name.contains_key(&class) {
+                    let mut name = format!("{}.{}", self.aliases[f], self.schemas[f][p].as_str());
+                    // A later UNION branch names its selected classes after
+                    // the first branch's projection, which may spell this
+                    // very `alias.col`; `#` cannot occur in an identifier.
+                    if class_name.values().any(|taken| taken.as_str() == name) {
+                        name = format!("{name}#{}", self.branch_tag);
+                    }
+                    class_name.insert(class, Attr::new(name));
+                }
+                vars.push(class_name[&class].clone());
             }
             // Two columns of one atom in the same class would repeat a
             // variable; that only happens when a same-alias equality was
@@ -738,6 +741,28 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert_eq!(u.branches()[0].projection(), u.branches()[1].projection());
         assert_eq!(p.limit, Some(7));
+    }
+
+    #[test]
+    fn union_branch_columns_may_spell_the_first_branchs_output_names() {
+        // The second branch selects its `pid` classes, which take the first
+        // branch's names `AP1.aid` / `AP2.aid`; its own unselected `aid`
+        // class must not be called `AP1.aid` as well.
+        let p = plan_sql(
+            "SELECT DISTINCT AP1.aid, AP2.aid FROM AuthorPapers AS AP1, AuthorPapers AS AP2 \
+             WHERE AP1.pid = AP2.pid \
+             UNION \
+             SELECT DISTINCT AP1.pid, AP2.pid FROM AuthorPapers AS AP1, AuthorPapers AS AP2 \
+             WHERE AP1.aid = AP2.aid",
+        )
+        .unwrap();
+        let PlannedQuery::Union(u) = &p.query else {
+            panic!("expected union plan")
+        };
+        let second = &u.branches()[1];
+        assert_eq!(second.projection(), u.branches()[0].projection());
+        assert_eq!(second.atoms()[0].vars, attrs(["AP1.aid#1", "AP1.aid"]));
+        assert_eq!(second.atoms()[1].vars, attrs(["AP1.aid#1", "AP2.aid"]));
     }
 
     #[test]

@@ -109,7 +109,6 @@ pub mod prelude {
     };
     pub use re_baseline::{BfsSortEngine, FullAnyKEngine, MaterializeSortEngine};
     pub use re_exec::{ExecContext, PoolStats, WorkerPool};
-    pub use re_join::{materialize_bags_with, BagKernel};
     pub use re_query::{
         Atom, GhdPlan, Hypergraph, JoinProjectQuery, JoinTree, PlanSelection, QueryBuilder,
         UnionQuery,

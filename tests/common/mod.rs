@@ -4,8 +4,9 @@
 // every suite uses every helper.
 #![allow(dead_code)]
 
-use rankedenum::join::{full_join, project_distinct};
+use rankedenum::join::{bind_atoms_of, full_join, hash_join, project_distinct};
 use rankedenum::prelude::*;
+use rankedenum::query::Bag;
 
 /// A context over a fresh pool of `threads` workers that forces the
 /// parallel paths on tiny inputs. Always a *real* pool —
@@ -51,6 +52,23 @@ pub fn reference_answers<R: Ranking>(
         .collect();
     rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     rows.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Reference evaluation of one GHD bag, by its definition: hash-join the
+/// bag's atoms in the order the bag lists them, project with
+/// de-duplication onto `bag.attrs`, sort the rows — named `bag.name`, as
+/// the engine's canonical bag relation is.
+pub fn reference_bag(query: &JoinProjectQuery, db: &Database, bag: &Bag) -> Relation {
+    let joined = bind_atoms_of(query, db, bag.atoms.iter().copied())
+        .expect("reference bind")
+        .into_iter()
+        .reduce(|acc, next| hash_join(&acc, &next, "join").expect("reference join"))
+        .expect("a bag joins at least one atom");
+    let mut out = project_distinct(&joined, &bag.attrs).expect("reference projection");
+    let all: Vec<usize> = (0..out.arity()).collect();
+    out.sort_by_positions(&all);
+    out.set_name(bag.name.clone());
+    out
 }
 
 /// Reference evaluation of a union: every branch's [`reference_answers`],

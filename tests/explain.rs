@@ -528,12 +528,7 @@ fn every_surface_reports_the_planned_algorithm() {
         ),
         (TRIANGLE.to_string(), "cyclic-ghd", vec![]),
         (
-            // Own aliases: a union names later branches' outputs after the
-            // first branch's, which must not collide with their columns.
-            format!(
-                "SELECT DISTINCT A.s, B.t FROM E AS A, E AS B WHERE A.t = B.s \
-                 UNION {TRIANGLE} ORDER BY E1.s, E2.s"
-            ),
+            format!("{TWO_HOP} UNION {TRIANGLE} ORDER BY E1.s, E2.s"),
             "union-merge",
             vec!["acyclic", "cyclic-ghd"],
         ),

@@ -5,7 +5,8 @@
 
 mod common;
 
-use common::{assert_valid_ranked_output, reference_answers};
+use common::{assert_valid_ranked_output, reference_answers, reference_union_answers};
+use proptest::prelude::*;
 use rankedenum::prelude::*;
 use rankedenum::sql::{PlannedQuery, SqlError};
 
@@ -178,6 +179,39 @@ fn sql_union_equals_manual_union_query() {
     assert_eq!(via_sql.rows, direct);
 }
 
+/// A later branch may reuse the first branch's aliases: its selected
+/// columns take the first branch's output names, and its own column that
+/// spells one of those names stays a separate variable.
+#[test]
+fn sql_union_branches_may_share_aliases() {
+    let db = dblp_db();
+    let via_sql = sql_query(
+        &db,
+        "SELECT DISTINCT AP1.aid, AP2.aid FROM AuthorPapers AS AP1, AuthorPapers AS AP2 \
+         WHERE AP1.pid = AP2.pid \
+         UNION \
+         SELECT DISTINCT AP1.pid, AP2.pid FROM AuthorPapers AS AP1, AuthorPapers AS AP2 \
+         WHERE AP1.aid = AP2.aid \
+         ORDER BY AP1.pid + AP2.pid",
+    )
+    .unwrap();
+
+    let branch = |first: [&str; 2], second: [&str; 2]| {
+        QueryBuilder::new()
+            .atom("B1", "AuthorPapers", first)
+            .atom("B2", "AuthorPapers", second)
+            .project(["x", "y"])
+            .build()
+            .unwrap()
+    };
+    let co_authors = branch(["x", "shared"], ["y", "shared"]);
+    let co_papers = branch(["shared", "x"], ["shared", "y"]);
+    let union = UnionQuery::new(vec![co_authors, co_papers]).unwrap();
+    let expected = reference_union_answers(&union, &db, &SumRanking::value_sum());
+    assert!(expected.iter().any(|t| t[0] >= 1000) && expected.iter().any(|t| t[0] < 1000));
+    assert_eq!(via_sql.rows, expected);
+}
+
 #[test]
 fn sql_error_paths_are_reported_not_panicked() {
     let db = dblp_db();
@@ -200,6 +234,79 @@ fn sql_error_paths_are_reported_not_panicked() {
             "resolution" => assert!(matches!(err, SqlError::Resolution(_)), "{sql}: {err}"),
             _ => assert!(matches!(err, SqlError::Unsupported(_)), "{sql}: {err}"),
         }
+    }
+}
+
+/// Statements of the shapes the workloads send: 2-hop SUM, filtered 3-atom
+/// LEX, point selection, UNION, `EXPLAIN ANALYZE`.
+const STATEMENTS: [&str; 5] = [
+    "SELECT DISTINCT AP1.aid, AP2.aid FROM AuthorPapers AS AP1, AuthorPapers AS AP2 \
+     WHERE AP1.pid = AP2.pid ORDER BY AP1.aid + AP2.aid LIMIT 10;",
+    "SELECT DISTINCT AP1.aid, AP2.aid FROM AuthorPapers AS AP1, AuthorPapers AS AP2, Paper P \
+     WHERE AP1.pid = AP2.pid AND AP1.pid = P.pid AND P.is_research = TRUE \
+     ORDER BY AP1.aid DESC, AP2.aid ASC",
+    "SELECT DISTINCT AP2.aid FROM AuthorPapers AS AP1, AuthorPapers AS AP2 \
+     WHERE AP1.pid = AP2.pid AND AP1.aid = 3 -- point\n ORDER BY AP2.aid",
+    "SELECT DISTINCT AP1.aid FROM AuthorPapers AS AP1 \
+     UNION SELECT DISTINCT P.pid FROM Paper AS P ORDER BY P.pid LIMIT 7",
+    "EXPLAIN ANALYZE SELECT DISTINCT aid FROM AuthorPapers ORDER BY aid",
+];
+
+/// The lexer's whole inventory plus what it rejects, and enough names to
+/// resolve against [`dblp_db`] now and then.
+#[rustfmt::skip]
+const SQL_SOUP: [&str; 40] = [
+    "SELECT", "DISTINCT", "FROM", "WHERE", "AND", "ORDER", "BY", "LIMIT", "AS", "UNION", "ASC",
+    "DESC", "TRUE", "FALSE", "EXPLAIN", "ANALYZE", "select", "AuthorPapers", "Paper", "AP1", "AP2",
+    "aid", "pid", "is_research", "_x", ",", ".", "+", "=", ";", "-", "--", "\n", "0", "7",
+    "18446744073709551616", "(", "'", "é", "\u{1F600}",
+];
+
+/// Outcome unspecified; returning at all — no panic, no hang — is the
+/// property, from the lexer to the planner.
+fn feed_the_front_end(db: &Database, sql: &str) {
+    let _ = rankedenum::sql::tokenize(sql);
+    let _ = rankedenum::sql::parse(sql);
+    let _ = rankedenum::sql::parse_input(sql);
+    let _ = SqlExecutor::new(db).plan(sql);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn sql_token_soup_never_panics_the_front_end(
+        picks in prop::collection::vec(0usize..SQL_SOUP.len(), 0..40),
+        glue in prop::collection::vec(any::<bool>(), 40..41),
+    ) {
+        let mut sql = String::new();
+        for (&i, &spaced) in picks.iter().zip(&glue) {
+            sql.push_str(SQL_SOUP[i]);
+            if spaced {
+                sql.push(' ');
+            }
+        }
+        feed_the_front_end(&dblp_db(), &sql);
+    }
+
+    #[test]
+    fn damaged_statements_never_panic_the_front_end(
+        statement in 0usize..STATEMENTS.len(),
+        damage in 0u8..3,
+        at in 0usize..4096,
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = STATEMENTS[statement].as_bytes().to_vec();
+        let at = at % bytes.len();
+        match damage {
+            0 => bytes[at] = byte,
+            1 => drop(bytes.remove(at)),
+            _ => bytes.truncate(at),
+        }
+        // A request that is not UTF-8 never reaches the SQL layer; the
+        // lossy form keeps the case, with a multi-byte character where the
+        // damage was.
+        feed_the_front_end(&dblp_db(), &String::from_utf8_lossy(&bytes));
     }
 }
 

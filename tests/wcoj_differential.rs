@@ -1,25 +1,30 @@
 //! Differential suite for the worst-case-optimal bag kernel.
 //!
-//! Hard contract of the PR that introduced `re_join::wcoj`: the
-//! generic-join kernel ([`BagKernel::Wcoj`]) and the retained pairwise
-//! hash-join cascade ([`BagKernel::Cascade`]) produce **byte-identical**
-//! canonical bag relations — same attribute schema, same lex-sorted
-//! distinct rows — and therefore byte-identical enumeration sequences
-//! through [`CyclicEnumerator`]. This suite pits the kernels against each
-//! other on the paper's cyclic workloads (4-cycle, 6-cycle, bowtie) and on
-//! proptest-random cyclic instances, serial and under a one- and a
-//! four-worker pool ([`common::contexts`]).
+//! `re_join`'s generic join is the only kernel that materialises GHD bags,
+//! so it is checked against the *definition* of what it computes, not
+//! against a second implementation: every bag must be byte-identical —
+//! name, attribute schema, lex-sorted distinct rows — to
+//! [`common::reference_bag`] (hash-join the bag's atoms, project with
+//! de-duplication, sort), and every [`CyclicEnumerator`] sequence built on
+//! those bags must equal [`common::reference_answers`] (materialise the
+//! whole query, project, sort by `(key, tuple)`). Workloads are the paper's
+//! cyclic ones (4-cycle, 6-cycle, bowtie) and proptest-random cyclic
+//! instances, serial and under a one- and a four-worker pool
+//! ([`common::contexts`]).
 
 mod common;
 
-use common::{assert_ran_on_its_pool, contexts};
+use common::{assert_ran_on_its_pool, contexts, reference_answers, reference_bag};
 use proptest::prelude::*;
+use rankedenum::join::{materialize_bags_reported, BagKernel};
 use rankedenum::prelude::*;
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::DblpWorkload;
 
 /// A relation's full content as comparable data: name, schema, rows.
-fn rows_of(rel: &Relation) -> (String, Vec<Attr>, Vec<Tuple>) {
+type Rows = (String, Vec<Attr>, Vec<Tuple>);
+
+fn rows_of(rel: &Relation) -> Rows {
     (
         rel.name().to_string(),
         rel.attrs().to_vec(),
@@ -27,100 +32,100 @@ fn rows_of(rel: &Relation) -> (String, Vec<Attr>, Vec<Tuple>) {
     )
 }
 
-/// Materialise the plan's bags under both kernels and assert the relations
-/// are byte-identical; returns the bag sizes for context assertions.
-fn assert_kernels_agree(
+/// The plan's bags as generic join materialises them under `ctx`.
+fn built_bags(
     query: &JoinProjectQuery,
     db: &Database,
     plan: &GhdPlan,
     ctx: &ExecContext,
-    what: &str,
-) -> Vec<usize> {
-    let wcoj = materialize_bags_with(query, db, plan.bags(), ctx, BagKernel::Wcoj).unwrap();
-    let cascade = materialize_bags_with(query, db, plan.bags(), ctx, BagKernel::Cascade).unwrap();
-    assert_eq!(wcoj.len(), cascade.len(), "{what}: bag count diverged");
-    for (w, c) in wcoj.iter().zip(&cascade) {
-        assert_eq!(rows_of(w), rows_of(c), "{what}: bag relation diverged");
-    }
-    wcoj.iter().map(Relation::len).collect()
+) -> Vec<Rows> {
+    materialize_bags_reported(query, db, plan.bags(), ctx, BagKernel::default())
+        .unwrap()
+        .iter()
+        .map(|(rel, _)| rows_of(rel))
+        .collect()
 }
 
-/// Enumerate through both kernels and assert identical answer sequences.
-fn assert_enumerations_agree(
+/// The plan's bags as their definition has them.
+fn oracle_bags(query: &JoinProjectQuery, db: &Database, plan: &GhdPlan) -> Vec<Rows> {
+    plan.bags()
+        .iter()
+        .map(|bag| rows_of(&reference_bag(query, db, bag)))
+        .collect()
+}
+
+/// Under every context: each bag equals its definition, the first `k`
+/// answers over the bags are the first `k` of materialise-and-sort, and a
+/// pooled build ran on its pool. Returns the bag sizes.
+fn assert_plan_matches_the_oracles(
     query: &JoinProjectQuery,
     db: &Database,
     ranking: SumRanking,
     plan: &GhdPlan,
-    ctx: &ExecContext,
     k: usize,
     what: &str,
-) {
-    let wcoj: Vec<Tuple> = CyclicEnumerator::new_ctx_with_kernel(
-        query,
-        db,
-        ranking.clone(),
-        plan,
-        ctx,
-        BagKernel::Wcoj,
-    )
-    .unwrap()
-    .take(k)
-    .collect();
-    let cascade: Vec<Tuple> =
-        CyclicEnumerator::new_ctx_with_kernel(query, db, ranking, plan, ctx, BagKernel::Cascade)
+) -> Vec<usize> {
+    let want_bags = oracle_bags(query, db, plan);
+    let mut want = reference_answers(query, db, &ranking);
+    want.truncate(k);
+    for ctx in contexts() {
+        let threads = ctx.threads();
+        assert_eq!(
+            built_bags(query, db, plan, &ctx),
+            want_bags,
+            "{what}: a bag differs from its definition, {threads}-thread build"
+        );
+        let got: Vec<Tuple> = CyclicEnumerator::new_ctx(query, db, ranking.clone(), plan, &ctx)
             .unwrap()
             .take(k)
             .collect();
-    assert_eq!(wcoj, cascade, "{what}: enumeration sequence diverged");
+        assert_eq!(
+            got, want,
+            "{what}: enumeration sequence diverged, {threads}-thread build"
+        );
+        assert_ran_on_its_pool(&ctx, what);
+    }
+    want_bags.iter().map(|(_, _, rows)| rows.len()).collect()
 }
 
 #[test]
-fn cycle_workloads_agree_under_both_kernels() {
+fn cycle_workloads_match_the_bag_and_answer_oracles() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
     for k in [2usize, 3] {
         let (spec, plan) = dblp.cycle(k);
-        for ctx in contexts() {
-            let sizes = assert_kernels_agree(&spec.query, dblp.db(), &plan, &ctx, &spec.name);
-            assert!(
-                sizes.iter().any(|&s| s > 0),
-                "{}: the instance must produce non-empty bags",
-                spec.name
-            );
-            assert_enumerations_agree(
-                &spec.query,
-                dblp.db(),
-                spec.sum_ranking(),
-                &plan,
-                &ctx,
-                300,
-                &spec.name,
-            );
-            assert_ran_on_its_pool(&ctx, &spec.name);
-        }
-    }
-}
-
-#[test]
-fn bowtie_workload_agrees_under_both_kernels() {
-    let dblp = DblpWorkload::generate(250, 33, WeightScheme::LogDegree);
-    let (spec, plan) = dblp.bowtie();
-    for ctx in contexts() {
-        assert_kernels_agree(&spec.query, dblp.db(), &plan, &ctx, &spec.name);
-        assert_enumerations_agree(
+        let sizes = assert_plan_matches_the_oracles(
             &spec.query,
             dblp.db(),
             spec.sum_ranking(),
             &plan,
-            &ctx,
             300,
             &spec.name,
+        );
+        assert!(
+            sizes.iter().any(|&s| s > 0),
+            "{}: the instance must produce non-empty bags",
+            spec.name
         );
     }
 }
 
 #[test]
-fn cost_based_plans_agree_under_both_kernels() {
-    // The kernels must also agree on whatever plan the cost model picks
+fn bowtie_workload_matches_the_bag_and_answer_oracles() {
+    let dblp = DblpWorkload::generate(250, 33, WeightScheme::LogDegree);
+    let (spec, plan) = dblp.bowtie();
+    assert_plan_matches_the_oracles(
+        &spec.query,
+        dblp.db(),
+        spec.sum_ranking(),
+        &plan,
+        300,
+        &spec.name,
+    );
+}
+
+#[test]
+fn cost_based_plans_match_the_bag_and_answer_oracles() {
+    // The oracles must also hold on whatever plan the cost model picks
     // (two-arc splits with shared-variable bags, not just Figure 2).
     let dblp = DblpWorkload::generate(300, 7, WeightScheme::Random);
     for k in [2usize, 3] {
@@ -132,18 +137,14 @@ fn cost_based_plans_agree_under_both_kernels() {
             spec.name,
             sel.plan.shape()
         );
-        for ctx in contexts() {
-            assert_kernels_agree(&spec.query, dblp.db(), &sel.plan, &ctx, &spec.name);
-            assert_enumerations_agree(
-                &spec.query,
-                dblp.db(),
-                spec.sum_ranking(),
-                &sel.plan,
-                &ctx,
-                300,
-                &spec.name,
-            );
-        }
+        assert_plan_matches_the_oracles(
+            &spec.query,
+            dblp.db(),
+            spec.sum_ranking(),
+            &sel.plan,
+            300,
+            &spec.name,
+        );
     }
 }
 
@@ -167,11 +168,11 @@ fn edges(max_node: u64, max_len: usize) -> impl Strategy<Value = Vec<(u64, u64)>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random 4-cycle instances: identical bags and enumeration sequences
-    /// under both kernels, on both the Figure-2 template and whatever plan
-    /// the cost model selects, serial and pooled.
+    /// Random 4-cycle instances: bags equal to their definition and the
+    /// full enumeration equal to materialise-and-sort, on both the Figure-2
+    /// template and whatever plan the cost model selects, serial and pooled.
     #[test]
-    fn kernels_agree_on_random_cyclic_instances(
+    fn random_cyclic_instances_match_the_bag_and_answer_oracles(
         e in edges(7, 70),
         f in edges(7, 70),
     ) {
@@ -188,25 +189,15 @@ proptest! {
             .unwrap();
         let figure2 = GhdPlan::for_cycle(&query).unwrap();
         let chosen = GhdPlan::cost_based(&query, &db).unwrap().plan;
+        let want = reference_answers(&query, &db, &SumRanking::value_sum());
         for plan in [&figure2, &chosen] {
+            let want_bags = oracle_bags(&query, &db, plan);
             for ctx in contexts() {
-                let wcoj =
-                    materialize_bags_with(&query, &db, plan.bags(), &ctx, BagKernel::Wcoj)
-                        .unwrap();
-                let cascade =
-                    materialize_bags_with(&query, &db, plan.bags(), &ctx, BagKernel::Cascade)
-                        .unwrap();
-                prop_assert_eq!(wcoj.len(), cascade.len());
-                for (w, c) in wcoj.iter().zip(&cascade) {
-                    prop_assert_eq!(rows_of(w), rows_of(c));
-                }
-                let a: Vec<Tuple> = CyclicEnumerator::new_ctx_with_kernel(
-                    &query, &db, SumRanking::value_sum(), plan, &ctx, BagKernel::Wcoj,
+                prop_assert_eq!(&built_bags(&query, &db, plan, &ctx), &want_bags);
+                let got: Vec<Tuple> = CyclicEnumerator::new_ctx(
+                    &query, &db, SumRanking::value_sum(), plan, &ctx,
                 ).unwrap().collect();
-                let b: Vec<Tuple> = CyclicEnumerator::new_ctx_with_kernel(
-                    &query, &db, SumRanking::value_sum(), plan, &ctx, BagKernel::Cascade,
-                ).unwrap().collect();
-                prop_assert_eq!(a, b);
+                prop_assert_eq!(&got, &want);
             }
         }
     }

@@ -4,10 +4,11 @@
 //! lexicographic one — the design choices DESIGN.md calls out.
 //!
 //! `frontier_pop_push` times the frontier kernel by itself: one pop and one
-//! push on a 20 000-entry [`FrontierHeap`] of `SUM` keys, at two shares of
-//! rank ties, in nanoseconds per pair — the number to read before and
-//! after a change to the heap, its entries or their comparator, without an
-//! end-to-end run around it.
+//! push on a 20 000-entry [`FrontierHeap`] of `SUM` keys under the
+//! enumerators' own comparator ([`entry_cmp`]), at two shares of rank ties,
+//! in nanoseconds per pair — the number to read before and after a change
+//! to the heap, its entries or their comparator, without an end-to-end run
+//! around it. It asserts the tie share it measured is the one it states.
 //!
 //! `frontier_build` splits what an `OPEN` pays before its first answer, per
 //! cell built, into the reducer with its edge encoding, the cell fill and
@@ -15,31 +16,21 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rankedenum_core::{
-    AcyclicEnumerator, CellArena, FrontierEntry, FrontierHeap, KeyInterner, LexiEnumerator,
+    entry_cmp, AcyclicEnumerator, CellArena, FrontierEntry, FrontierHeap, KeyInterner,
+    LexiEnumerator,
 };
 use re_bench::Scale;
 use re_join::full_reduce;
 use re_query::JoinTree;
-use re_ranking::{ExactSum, RankKey, Ranking, SumRanking};
+use re_ranking::{ExactSum, Ranking, SumRanking};
 use re_storage::attr::attrs;
 use re_storage::Database;
 use re_workloads::membership::WeightScheme;
 use re_workloads::{DblpWorkload, QuerySpec};
-use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
-/// The order of the bench's entries, as the enumerators define it: key,
-/// then output, then cell.
-fn order(
-    keys: &KeyInterner<ExactSum>,
-    arena: &CellArena,
-    a: FrontierEntry,
-    b: FrontierEntry,
-) -> Ordering {
-    keys.cmp(a.key, b.key)
-        .then_with(|| arena.output(a.cell).cmp(arena.output(b.cell)))
-        .then_with(|| a.cell.cmp(&b.cell))
-}
+/// The tie-break order of the bench's two-column cells: as stored.
+const TIE_PERM: [usize; 2] = [0, 1];
 
 /// One pop and one push, `PAIRS` times, on a heap of `ENTRIES` two-column
 /// cells keyed by `SUM`, the way a root queue sees them: the popped cell
@@ -50,8 +41,10 @@ fn order(
 /// entries it pushed; the timed runs replay them on a fresh heap, so the
 /// clock sees the heap and its comparator and nothing else. Prints
 /// nanoseconds per pair (best of five) and the share of pops that tied in
-/// rank with the pop before.
-fn frontier_pop_push(spread: u64) {
+/// rank with the pop before, which must lie within three points of
+/// `tie_percent`: a probe that no longer sees the ties it is named for
+/// fails instead of printing.
+fn frontier_pop_push(spread: u64, tie_percent: f64) {
     const ENTRIES: usize = 20_000;
     const PAIRS: usize = 200_000;
     let ranking = SumRanking::value_sum();
@@ -66,13 +59,9 @@ fn frontier_pop_push(spread: u64) {
         seed % m
     };
     let new_entry = |arena: &mut CellArena, keys: &mut KeyInterner<ExactSum>, out: [u64; 2]| {
-        let key = ranking.key(&plan, &out);
-        FrontierEntry {
-            prefix: key.prefix(),
-            tie0: out[0],
-            key: keys.intern(key).0,
-            cell: arena.push(0, 0, 0, &out, &[]),
-        }
+        let cell = arena.push(0, 0, 0, &out, &[]);
+        keys.entry(ranking.key(&plan, &out), out[TIE_PERM[0]], cell)
+            .0
     };
     let initial: Vec<FrontierEntry> = (0..ENTRIES)
         .map(|_| {
@@ -85,23 +74,24 @@ fn frontier_pop_push(spread: u64) {
         for &entry in &initial {
             heap.push_unordered(entry);
         }
-        heap.heapify(|a, b| order(keys, arena, a, b));
+        heap.heapify(|a, b| entry_cmp(keys, arena, &TIE_PERM, a, b));
         heap
     };
 
     let mut heap = build(&keys, &arena);
     let mut pushed = Vec::with_capacity(PAIRS);
-    let (mut ties, mut last_key) = (0usize, u32::MAX);
+    let (mut ties, mut last) = (0usize, None);
     for _ in 0..PAIRS {
         let top = heap
-            .pop(|a, b| order(&keys, &arena, a, b))
+            .pop(|a, b| entry_cmp(&keys, &arena, &TIE_PERM, a, b))
             .expect("the heap keeps its size");
-        ties += usize::from(top.key == last_key);
-        last_key = top.key;
+        // Equal prefixes under equal ids are equal keys, stored or not.
+        ties += usize::from(last == Some((top.prefix, top.key)));
+        last = Some((top.prefix, top.key));
         let out = arena.output(top.cell);
         let successor = [out[0] + draw(spread), out[1]];
         let entry = new_entry(&mut arena, &mut keys, successor);
-        heap.push(entry, |a, b| order(&keys, &arena, a, b));
+        heap.push(entry, |a, b| entry_cmp(&keys, &arena, &TIE_PERM, a, b));
         pushed.push(entry);
     }
 
@@ -110,15 +100,19 @@ fn frontier_pop_push(spread: u64) {
         let mut heap = build(&keys, &arena);
         let start = Instant::now();
         for &entry in &pushed {
-            black_box(heap.pop(|a, b| order(&keys, &arena, a, b)));
-            heap.push(entry, |a, b| order(&keys, &arena, a, b));
+            black_box(heap.pop(|a, b| entry_cmp(&keys, &arena, &TIE_PERM, a, b)));
+            heap.push(entry, |a, b| entry_cmp(&keys, &arena, &TIE_PERM, a, b));
         }
         best = best.min(start.elapsed().as_nanos() as f64 / PAIRS as f64);
     }
+    let tied = ties as f64 * 100.0 / PAIRS as f64;
     println!(
         "micro_core/frontier_pop_push/spread={spread}: {best:.1} ns per pop+push \
-         ({ENTRIES} entries, {:.0}% of pops tie in rank with the pop before)",
-        ties as f64 * 100.0 / PAIRS as f64
+         ({ENTRIES} entries, {tied:.0}% of pops tie in rank with the pop before)"
+    );
+    assert!(
+        (tied - tie_percent).abs() <= 3.0,
+        "spread={spread}: {tied:.1}% of pops tied in rank, not about {tie_percent}%"
     );
 }
 
@@ -161,9 +155,8 @@ fn frontier_build(spec: &QuerySpec, db: &Database) {
 }
 
 fn bench(c: &mut Criterion) {
-    // About 20 % and 40 % rank ties.
-    frontier_pop_push(82_000);
-    frontier_pop_push(35_000);
+    frontier_pop_push(82_000, 20.0);
+    frontier_pop_push(35_000, 40.0);
 
     let factor = Scale::from_env().factor();
     let dblp = DblpWorkload::generate(8_000 * factor, 42, WeightScheme::Random);

@@ -13,18 +13,25 @@
 //! output tuple).
 //!
 //! Representation ([`crate::frontier`]): cell outputs live in one
-//! fixed-stride slab per node ([`CellArena`]), rank keys are interned once
-//! per distinct value ([`KeyInterner`]) and heap entries are 24-byte
-//! [`FrontierEntry`]s ordered by `(key, tie-permuted output, cell id)`.
-//! That order is what `entry_cmp` computes, in three steps: the key
+//! fixed-stride slab per node ([`CellArena`]) and heap entries are 24-byte
+//! [`FrontierEntry`]s ordered by `(key, tie-permuted output, cell id)`. A
+//! rank key whose prefix is exact — every `SUM` over integer-valued
+//! weights, hence every `ORDER BY x + y` the SQL layer sends — lives in
+//! its entry's prefix and nowhere else; any other key is interned once per
+//! distinct value ([`KeyInterner`]). Which of the two it is, the key says
+//! itself ([`re_ranking::RankKey::prefix_is_exact`]) where its entry is
+//! made, so one queue may hold both kinds and nothing selects between
+//! them.
+//!
+//! The order is what [`entry_cmp`] computes, in three steps: the key
 //! prefixes stored in the entries, when they differ; the first tie-break
 //! value stored in the entries, when the keys are equal and it differs;
 //! and only then the outputs in the arena and the cell ids. The first two
 //! steps settle almost every comparison of a sift from the two entries
 //! alone (equal key *ids* stand in for equal keys; the interner is read
-//! only when equal prefixes meet distinct ids). The second must wait for
-//! *known* key equality, because equal prefixes do not imply it: a
-//! `LexRanking` key shares its prefix with every key that agrees on the
+//! only when equal prefixes meet two distinct stored ids). The second must
+//! wait for *known* key equality, because equal prefixes do not imply it:
+//! a `LexRanking` key shares its prefix with every key that agrees on the
 //! first attribute, a multi-component sum with the `f64` below it, a
 //! custom key that keeps the default prefix with every other key — and
 //! ordering those by output would break the rank order. Both shortcuts
@@ -52,15 +59,15 @@
 
 use crate::error::EnumError;
 use crate::frontier::{
-    CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, NEXT_EXHAUSTED, NEXT_NOT_COMPUTED,
+    entry_cmp, CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, NEXT_EXHAUSTED,
+    NEXT_NOT_COMPUTED,
 };
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
 use re_join::{EdgeIds, Reduction};
 use re_query::{JoinProjectQuery, JoinTree};
-use re_ranking::{RankKey, Ranking};
+use re_ranking::Ranking;
 use re_storage::{Attr, Database, Relation, Tuple, Value};
-use std::cmp::Ordering;
 
 /// Per-node state: the reduced relation, positional plans, and the node's
 /// slice of the frontier kernel (arena + interner + anchor queues).
@@ -81,16 +88,20 @@ struct NodeState<R: Ranking> {
     plan: <R as Ranking>::Plan,
     /// Cell slab (outputs, pointers, metadata — no per-cell allocations).
     arena: CellArena,
-    /// Interned rank keys; entries carry ids, comparisons go through here.
+    /// The rank keys an entry's prefix does not hold in full, interned;
+    /// those entries carry ids and compare through here.
     keys: KeyInterner<R::Key>,
     /// `PQ_i[u]`: one priority queue per anchor id.
     queues: Vec<FrontierHeap>,
 }
 
 impl<R: Ranking> NodeState<R> {
-    /// Intern `key`, store the cell it ranks and return the cell's heap
-    /// entry — with the two inline words [`entry_cmp`] reads first — plus
-    /// the bytes the interner newly retained.
+    /// Store the cell `key` ranks and return the cell's heap entry — with
+    /// the two inline words [`entry_cmp`] reads first — plus the bytes the
+    /// interner newly retained for the key: none when the key's prefix is
+    /// exact, because the entry then holds all of it
+    /// ([`KeyInterner::entry`]). Every cell, built at OPEN or pushed as a
+    /// successor, is made here.
     fn new_cell(
         &mut self,
         key: R::Key,
@@ -100,56 +111,10 @@ impl<R: Ranking> NodeState<R> {
         output: &[Value],
         ptrs: &[CellId],
     ) -> (FrontierEntry, usize) {
-        let prefix = key.prefix();
-        let (key_id, key_bytes) = self.keys.intern(key);
-        let entry = FrontierEntry {
-            prefix,
-            tie0: self.tie_perm.first().map_or(0, |&p| output[p]),
-            key: key_id,
-            cell: self.arena.push(row, anchor, advance_from, output, ptrs),
-        };
-        (entry, key_bytes)
+        let tie0 = self.tie_perm.first().map_or(0, |&p| output[p]);
+        let cell = self.arena.push(row, anchor, advance_from, output, ptrs);
+        self.keys.entry(key, tie0, cell)
     }
-}
-
-/// Total order of a node's frontier entries: interned key, then the
-/// tie-permuted output read from the arena, then cell id.
-///
-/// The first two steps take the answer from the entries where they carry
-/// it (see the module docs); [`FrontierHeap`] runs the same two steps
-/// itself and calls this only for the third.
-fn entry_cmp<K: RankKey>(
-    keys: &KeyInterner<K>,
-    arena: &CellArena,
-    tie_perm: &[usize],
-    a: FrontierEntry,
-    b: FrontierEntry,
-) -> Ordering {
-    if a.prefix != b.prefix {
-        debug_assert_eq!(a.prefix.cmp(&b.prefix), keys.cmp(a.key, b.key));
-        return a.prefix.cmp(&b.prefix);
-    }
-    let by_key = keys.cmp(a.key, b.key);
-    if by_key != Ordering::Equal {
-        return by_key;
-    }
-    if a.cell == b.cell {
-        return Ordering::Equal;
-    }
-    // The keys are known equal from here on, so the outputs decide, and
-    // the entries hold the first value the loop below would read.
-    if a.tie0 != b.tie0 {
-        return a.tie0.cmp(&b.tie0);
-    }
-    let oa = arena.output(a.cell);
-    let ob = arena.output(b.cell);
-    for &p in tie_perm {
-        match oa[p].cmp(&ob[p]) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    a.cell.cmp(&b.cell)
 }
 
 /// Bytes a live frontier heap entry occupies.
@@ -431,7 +396,9 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     }
 
     /// Distinct rank keys interned across all nodes (each stored once, no
-    /// matter how many cells or queue entries reference it).
+    /// matter how many cells or queue entries reference it) — zero when
+    /// every key's prefix is exact, as for `SUM` over integer-valued
+    /// weights.
     pub fn interned_keys(&self) -> usize {
         self.nodes.iter().map(|n| n.keys.len()).sum()
     }
@@ -633,8 +600,9 @@ impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
 mod tests {
     use super::*;
     use re_query::QueryBuilder;
-    use re_ranking::{LexRanking, SumRanking, WeightAssignment};
+    use re_ranking::{LexRanking, RankKey, SumRanking, Weight, WeightAssignment};
     use re_storage::attr::attrs;
+    use std::cmp::Ordering;
 
     /// The instance of Example 4 in the paper.
     fn paper_db() -> Database {
@@ -792,8 +760,11 @@ mod tests {
         let db = paper_db();
         let q = paper_query();
         let lex = LexRanking::new(["E", "A"], WeightAssignment::value_as_weight());
-        let e = AcyclicEnumerator::new(&q, &db, lex).unwrap();
-        let results: Vec<Tuple> = e.collect();
+        let mut e = AcyclicEnumerator::new(&q, &db, lex).unwrap();
+        let results: Vec<Tuple> = e.by_ref().collect();
+        // A vector key's prefix is its first weight only: every key is
+        // stored, as before there were keys that are not.
+        assert!(e.interned_keys() > 0);
         // Ordered by E first, then A.
         assert_eq!(
             results,
@@ -828,28 +799,42 @@ mod tests {
 
     #[test]
     fn bulk_build_reproduces_the_incremental_builds_ids_and_stats_on_example_4() {
-        // Anchor ids, queue and key counts and the cell / push / pop
-        // counters are those of the one-push-at-a-time build this bulk
-        // build replaced (commit b320aa1), default root and root R3. The
-        // four byte columns are this commit's (PR 15): a heap entry is 24
-        // bytes, not 8, a cell's metadata 16, not 20, a one- or
-        // two-component key owns no heap block, and a built queue reserves
-        // exactly its length — e.g. 9 cells (132 slab + 9·16), 7 keys
-        // (7·40) and 9 entries (9·24) make the first 772, retained and
-        // live alike.
+        // Anchor ids, queue counts and the cell / push / pop counters are
+        // those of the one-push-at-a-time build this bulk build replaced
+        // (commit b320aa1), default root and root R3. The byte columns are
+        // PR 15's — a heap entry is 24 bytes, a cell's metadata 16, a built
+        // queue reserves exactly its length: 9 cells (132 slab + 9·16), 7
+        // keys (7·40) and 9 entries (9·24) made the first 772 — less the
+        // keys, which every `value_sum` key now keeps in its entry's
+        // prefix (`[3, 1, 1, 2]` interned per node then, none now). At 40
+        // accounted bytes a stored key (24 + a fingerprint and a slot):
+        //
+        //   default root  retained at build   772 −  7·40 = 492
+        //                 peak at build       772 −  7·40 = 492
+        //                 retained at the end 1120 − 10·40 = 720
+        //                 peak               984 −  9·40 = 624  (after answer 1, 9 keys then)
+        //   root R3       retained at build   736 −  7·40 = 456
+        //                 peak at build       736 −  7·40 = 456
+        //                 retained at the end 1264 − 12·40 = 784
+        //                 peak               992 − 11·40 = 552  (after answer 3, 11 keys then)
+        //
+        // The last line is the one that is not "old peak less its keys":
+        // the old maximum of 1000 came after answer 5 with 12 keys stored
+        // (1000 − 12·40 = 520 live there now), so with keys no longer
+        // piling up the runner-up of 992 after answer 3 is the peak.
         type Case = (Option<usize>, [&'static [u32]; 4], [usize; 4], [u64; 4]);
         let cases: [Case; 2] = [
             (
                 None,
                 [&[0, 0, 0, 0], &[0, 1], &[0], &[0, 0]],
                 [1, 2, 1, 1],
-                [772, 772, 1120, 984],
+                [492, 492, 720, 624],
             ),
             (
                 Some(2),
                 [&[0, 0, 1, 1], &[0, 0], &[0], &[0, 0]],
                 [2, 1, 1, 1],
-                [736, 736, 1264, 1000],
+                [456, 456, 784, 552],
             ),
         ];
         let (db, q) = (paper_db(), paper_query());
@@ -863,7 +848,7 @@ mod tests {
             let (got_anchors, got_queues, got_keys) = build_shape(&e);
             assert_eq!(got_anchors, anchors.map(<[u32]>::to_vec), "root {root:?}");
             assert_eq!(got_queues, queues, "root {root:?}");
-            assert_eq!(got_keys, [3, 1, 1, 2], "root {root:?}");
+            assert_eq!(got_keys, [0, 0, 0, 0], "root {root:?}");
             let s = e.stats();
             assert_eq!((s.cells_created, s.pq_pushes, s.pq_pops), (9, 9, 0));
             assert_eq!((s.frontier_bytes, s.frontier_peak_bytes), (bytes, peak));
@@ -948,29 +933,48 @@ mod tests {
         assert!(e.stats().pq_pops > 0);
     }
 
+    /// `SUM` with `w(v) = 0.1 · v` on the two given attributes: most sums
+    /// of two tenths carry a roundoff (`0.1 + 0.2`), a few do not
+    /// (`0.1 + 0.1`), so one queue holds keys of both kinds.
+    fn tenths(on: [&str; 2]) -> SumRanking {
+        let table: std::collections::HashMap<Value, Weight> =
+            (0..10).map(|v| (v, Weight::new(0.1 * v as f64))).collect();
+        SumRanking::new(
+            WeightAssignment::value_as_weight()
+                .with_table(on[0], table.clone())
+                .with_table(on[1], table),
+        )
+    }
+
     #[test]
     fn frontier_memory_is_accounted() {
         let db = paper_db();
         let q = paper_query();
-        let mut e = AcyclicEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap();
-        let at_build = e.frontier_bytes();
-        assert!(at_build > 0, "preprocessing retains the initial frontier");
-        assert!(e.interned_keys() > 0);
-        let n = e.by_ref().count();
-        assert!(n > 0);
-        assert!(
-            e.frontier_bytes() >= at_build,
-            "retained bytes are monotone"
-        );
-        assert!(e.stats().frontier_peak_bytes > 0);
-        assert!(e.stats().frontier_peak_bytes <= e.stats().frontier_bytes);
+        for (ranking, stores_keys) in [(SumRanking::value_sum(), false), (tenths(["A", "E"]), true)]
+        {
+            let mut e = AcyclicEnumerator::new(&q, &db, ranking).unwrap();
+            let at_build = e.frontier_bytes();
+            assert!(at_build > 0, "preprocessing retains the initial frontier");
+            // A key that is one `f64` lives in its entry; only a sum that
+            // expands is stored.
+            assert_eq!(e.interned_keys() > 0, stores_keys);
+            let n = e.by_ref().count();
+            assert!(n > 0);
+            assert_eq!(e.interned_keys() > 0, stores_keys);
+            assert!(
+                e.frontier_bytes() >= at_build,
+                "retained bytes are monotone"
+            );
+            assert!(e.stats().frontier_peak_bytes > 0);
+            assert!(e.stats().frontier_peak_bytes <= e.stats().frontier_bytes);
+        }
     }
 
     #[test]
     fn equal_rank_keys_are_interned_once() {
         // Every co-author pair (a1, a2) and its mirror (a2, a1) share the
-        // rank key a1 + a2 — the interner must store each distinct sum
-        // once, not once per cell.
+        // rank key 0.1·a1 + 0.1·a2 — the interner must store each distinct
+        // sum that expands once, not once per cell, and no other key.
         let mut db = Database::new();
         db.add_relation(
             Relation::with_tuples(
@@ -987,15 +991,22 @@ mod tests {
             .project(["a1", "a2"])
             .build()
             .unwrap();
-        let mut e = AcyclicEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap();
-        let n = e.by_ref().count();
-        assert_eq!(n, 16);
-        let cells = e.cell_count();
-        let keys = e.interned_keys();
+        let mut e = AcyclicEnumerator::new(&q, &db, tenths(["a1", "a2"])).unwrap();
+        let answers: Vec<Tuple> = e.by_ref().collect();
+        assert_eq!(answers.len(), 16);
+        let mut expanding: Vec<_> = answers
+            .iter()
+            .map(|t| e.key_of_output(t))
+            .filter(|k| !k.prefix_is_exact())
+            .collect();
+        let cells_ranked_by_them = expanding.len();
+        expanding.sort();
+        expanding.dedup();
         assert!(
-            keys < cells,
-            "rank ties must share interned keys ({keys} keys for {cells} cells)"
+            !expanding.is_empty() && expanding.len() < cells_ranked_by_them,
+            "the instance must tie on sums that expand"
         );
+        assert_eq!(e.interned_keys(), expanding.len());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The shared frontier kernel: arena-backed cells, interned rank keys and
-//! priority queues whose comparisons are decided from the heap entry.
+//! The shared frontier kernel: arena-backed cells, rank keys that are
+//! either the heap entry's own prefix or interned once, and priority queues
+//! whose comparisons are decided from the heap entry.
 //!
 //! The paper's delay bounds treat cells and priority-queue entries as
 //! constant-size handles, but the first-cut general engine materialised an
@@ -16,10 +17,18 @@
 //!   `u32`s. No per-cell allocations, ever. A cell does not remember its
 //!   rank key: the key id lives in the cell's heap entry while the cell is
 //!   queued and nothing needs it after the pop.
-//! * [`KeyInterner`] — each distinct rank key is stored once; entries
-//!   carry a `u32` key id and compare by table lookup
-//!   ([`KeyInterner::cmp`]), never by cloning key expansions.
+//! * [`KeyInterner`] — each distinct rank key the entry cannot hold is
+//!   stored once; entries carry a `u32` key id and compare by table lookup
+//!   ([`KeyInterner::cmp`]), never by cloning key expansions. A key whose
+//!   [`RankKey::prefix_is_exact`] — an integer, a [`Weight`], an
+//!   [`ExactSum`] of one component: every `SUM` over integer-valued
+//!   weights — is **not** stored at all: the prefix in its entry is the
+//!   key, and the entry carries the reserved id [`EXACT_KEY`]
+//!   ([`KeyInterner::entry`] is the one place that decides, per key).
 //! * [`FrontierHeap`] — a binary min-heap of 24-byte [`FrontierEntry`]s.
+//!
+//! [`Weight`]: re_ranking::Weight
+//! [`ExactSum`]: re_ranking::ExactSum
 //!
 //! # Entry layout and the comparator
 //!
@@ -35,7 +44,7 @@
 //! prefix: u64   RankKey::prefix of the key — `<` on prefixes implies `<`
 //!               on keys, equal prefixes decide nothing
 //! tie0:   u64   the cell's output at the first tie-break position
-//! key:    u32   interned key id
+//! key:    u32   interned key id, or EXACT_KEY: the prefix is the key
 //! cell:   u32   cell id
 //! ```
 //!
@@ -44,8 +53,8 @@
 //! 1. the prefixes differ — they decide;
 //! 2. the key **ids** are equal, so the keys are, and `tie0` differs — it
 //!    decides (the first position of the output tie-break);
-//! 3. otherwise the caller's comparator: interned keys, then the whole
-//!    tie-permuted output, then the cell id.
+//! 3. otherwise [`entry_cmp`]: the keys, then the whole tie-permuted
+//!    output, then the cell id.
 //!
 //! Step 2 must wait for key equality to be *known*. Equal prefixes do not
 //! mean equal keys — every key type whose prefix is coarser than the key
@@ -54,7 +63,18 @@
 //! custom key with the default prefix shares it with everything) would be
 //! ordered by output instead of by rank if `tie0` were consulted on equal
 //! prefixes alone. Two distinct ids may still hold equal keys (see
-//! [`KeyInterner`]); that pair simply takes step 3.
+//! [`KeyInterner`]); that pair simply takes step 3. Two [`EXACT_KEY`]
+//! entries of equal prefix are the other way to know: both prefixes are
+//! exact, so the keys are equal, and the id test of step 2 already reads
+//! that case right — the reserved id equals itself.
+//!
+//! Step 3 orders the keys of a pair of equal prefixes from what the entries
+//! say about them. Both ids [`EXACT_KEY`]: equal. One of them: the exact
+//! key is the smaller — it is the least key of its prefix, by the contract
+//! of [`RankKey::prefix_is_exact`] (for a sum: the stored key is a
+//! canonical expansion whose floor is the exact key's value, and such an
+//! expansion is never itself an `f64`). Neither: the interner compares the
+//! stored keys by value, as it always did.
 //!
 //! Steps 1 and 2 are what the comparator of step 3 would have answered —
 //! the same total order `(key, tie output, cell id)` as before, computed
@@ -74,6 +94,12 @@ use std::cmp::Ordering;
 
 /// Index of a cell inside a node's arena.
 pub type CellId = u32;
+
+/// The key id of an entry whose [`FrontierEntry::prefix`] is its whole key
+/// ([`RankKey::prefix_is_exact`]): nothing is stored for it. Interned ids
+/// are dense from zero and there are never more of them than cells, whose
+/// ids stop short of the `next` sentinels below.
+pub const EXACT_KEY: u32 = u32::MAX;
 
 /// Packed `next`-pointer sentinel: not computed yet (`⊥` in the paper).
 pub const NEXT_NOT_COMPUTED: u32 = u32::MAX;
@@ -216,7 +242,9 @@ impl CellArena {
 /// fingerprint plus the id's nominal share of the slot array.
 const INTERN_BUCKET_BYTES: usize = 16;
 
-/// Stores each distinct rank key once and hands out dense `u32` ids.
+/// Stores each distinct rank key that does not fit its heap entry once and
+/// hands out dense `u32` ids ([`KeyInterner::entry`] keeps the keys whose
+/// prefix is exact out of it).
 ///
 /// Deduplication finds candidates by [`RankKey::fingerprint`] in one flat
 /// open-addressing table ([`IdSlots`], fingerprints stored per id — no
@@ -258,11 +286,32 @@ impl<K: RankKey> KeyInterner<K> {
         if !fresh {
             return (id, 0);
         }
+        debug_assert_ne!(id, EXACT_KEY, "interned ids stay below the reserved one");
         let bytes = std::mem::size_of::<K>() + key.heap_bytes() + INTERN_BUCKET_BYTES;
         self.key_heap_bytes += key.heap_bytes();
         self.keys.push(key);
         self.fingerprints.push(fp);
         (id, bytes)
+    }
+
+    /// The heap entry of `cell`, ranked by `key`, and the bytes newly
+    /// retained for it. A key whose prefix is exact is dropped here — the
+    /// entry's prefix is all of it — and costs nothing; any other key is
+    /// interned. This is the only place an entry gets its key id.
+    pub fn entry(&mut self, key: K, tie0: Value, cell: CellId) -> (FrontierEntry, usize) {
+        let prefix = key.prefix();
+        let (key, bytes) = if key.prefix_is_exact() {
+            (EXACT_KEY, 0)
+        } else {
+            self.intern(key)
+        };
+        let entry = FrontierEntry {
+            prefix,
+            tie0,
+            key,
+            cell,
+        };
+        (entry, bytes)
     }
 
     /// The key behind an id.
@@ -296,9 +345,9 @@ impl<K: RankKey> KeyInterner<K> {
     }
 }
 
-/// One pending frontier entry: the cell it ranks, its interned key id, and
-/// the two words that decide most comparisons without following either id
-/// (see the module docs).
+/// One pending frontier entry: the cell it ranks, its key id, and the two
+/// words that decide most comparisons without following either id (see the
+/// module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrontierEntry {
     /// [`RankKey::prefix`] of the entry's key.
@@ -306,7 +355,8 @@ pub struct FrontierEntry {
     /// The cell's output at the first tie-break position (0 for a node
     /// with no output attributes).
     pub tie0: Value,
-    /// Interned rank-key id (resolved against the node's [`KeyInterner`]).
+    /// Interned rank-key id (resolved against the node's [`KeyInterner`]),
+    /// or [`EXACT_KEY`] when `prefix` is the whole key.
     pub key: u32,
     /// The cell id (resolved against the node's [`CellArena`]).
     pub cell: CellId,
@@ -336,13 +386,67 @@ fn less(
     inline
 }
 
+/// Step 3 of the module docs, and the one definition of the frontier's
+/// total order `(key, tie-permuted output, cell id)`: the keys as the
+/// entries describe them, then the outputs read from `arena` in `tie_perm`
+/// order, then the cell ids.
+///
+/// It takes the answer from the entries where they carry it, so it is also
+/// right for a pair the heap would have settled in steps 1 and 2;
+/// [`FrontierHeap`] runs those itself and calls this for the rest.
+pub fn entry_cmp<K: RankKey>(
+    keys: &KeyInterner<K>,
+    arena: &CellArena,
+    tie_perm: &[usize],
+    a: FrontierEntry,
+    b: FrontierEntry,
+) -> Ordering {
+    if a.prefix != b.prefix {
+        debug_assert!(
+            a.key == EXACT_KEY
+                || b.key == EXACT_KEY
+                || a.prefix.cmp(&b.prefix) == keys.cmp(a.key, b.key)
+        );
+        return a.prefix.cmp(&b.prefix);
+    }
+    if a.key != b.key {
+        // An exact key is the least key of its prefix; two stored keys
+        // compare by value.
+        let by_key = match (a.key == EXACT_KEY, b.key == EXACT_KEY) {
+            (true, _) => Ordering::Less,
+            (_, true) => Ordering::Greater,
+            _ => keys.cmp(a.key, b.key),
+        };
+        if by_key != Ordering::Equal {
+            return by_key;
+        }
+    }
+    if a.cell == b.cell {
+        return Ordering::Equal;
+    }
+    // The keys are known equal from here on, so the outputs decide, and
+    // the entries hold the first value the loop below would read.
+    if a.tie0 != b.tie0 {
+        return a.tie0.cmp(&b.tie0);
+    }
+    let oa = arena.output(a.cell);
+    let ob = arena.output(b.cell);
+    for &p in tie_perm {
+        match oa[p].cmp(&ob[p]) {
+            Ordering::Equal => continue,
+            other => return other,
+        }
+    }
+    a.cell.cmp(&b.cell)
+}
+
 /// A binary min-heap of [`FrontierEntry`]s.
 ///
 /// Every operation takes the comparator `cmp`: a **total** order (the
-/// enumerators use `(key, tie output, cell id)`) that agrees with the
-/// entries' inline fields wherever those decide — the heap consults them
-/// first and `cmp` for the rest, and debug builds assert the agreement on
-/// every comparison. Totality makes the pop sequence independent of sift
+/// enumerators use [`entry_cmp`]: key, tie output, cell id) that agrees
+/// with the entries' inline fields wherever those decide — the heap
+/// consults them first and `cmp` for the rest, and debug builds assert the
+/// agreement on every comparison. Totality makes the pop sequence independent of sift
 /// implementation details — the property the byte-identical equivalence
 /// suites rely on.
 #[derive(Debug, Default)]
@@ -542,10 +646,18 @@ mod tests {
 
     #[test]
     fn interner_dedups_and_compares_by_value() {
+        // Sums that expand — `0.1 + 0.2` carries a roundoff — are the keys
+        // that still reach the interner; a one-component sum never does
+        // (`a_mixed_population_pops_in_key_output_cell_order` below).
+        let tenths = |a: u32, b: u32| {
+            let sum = ExactSum::of([a, b].map(|v| Weight::new(0.1 * f64::from(v))));
+            assert!(!sum.prefix_is_exact(), "0.{a} + 0.{b} must expand");
+            sum
+        };
         let mut i: KeyInterner<ExactSum> = KeyInterner::new();
-        let (a, a_bytes) = i.intern(ExactSum::of([Weight::new(1.0)]));
-        let (b, b_bytes) = i.intern(ExactSum::of([Weight::new(2.0)]));
-        let (a2, a2_bytes) = i.intern(ExactSum::of([Weight::new(1.0)]));
+        let (a, a_bytes) = i.intern(tenths(1, 2));
+        let (b, b_bytes) = i.intern(tenths(2, 5));
+        let (a2, a2_bytes) = i.intern(tenths(2, 1));
         assert_eq!(a, a2, "identical keys share one id");
         assert_ne!(a, b);
         assert!(a_bytes > 0 && b_bytes > 0);
@@ -751,5 +863,73 @@ mod tests {
             }
             assert!(ours.pop(total).is_none());
         }
+    }
+
+    /// One queue, every kind of key at once: keys that are one `f64` (never
+    /// stored), two-component sums whose floor *is* one of those — so an
+    /// exact and a stored key meet on equal prefixes — spilled sums on the
+    /// same floors, and plenty of rank ties among all of them, down to
+    /// equal outputs that only the cell id separates. The pop sequence is
+    /// the sort by `(key, tie-permuted output, cell)` whether the heap was
+    /// pushed or bulk-built, and the interner holds the keys that expand
+    /// and nothing else.
+    #[test]
+    fn a_mixed_population_pops_in_key_output_cell_order() {
+        let (nudge, dust) = (2.0f64.powi(-60), 2.0f64.powi(-120));
+        let bases = [1.0, 1.0f64.next_down(), 1.0f64.next_up(), 2.0, -1.0, 0.0];
+        let mut pool: Vec<ExactSum> = Vec::new();
+        for base in bases {
+            pool.push(ExactSum::of([Weight::new(base)]));
+            pool.push(ExactSum::of([base, nudge].map(Weight::new)));
+            pool.push(ExactSum::of([base, -nudge].map(Weight::new)));
+            pool.push(ExactSum::of([base, nudge, dust].map(Weight::new)));
+        }
+        assert!(pool.iter().any(|k| k.heap_bytes() > 0), "some sums spill");
+        let floors_shared = pool
+            .iter()
+            .filter(|k| !k.prefix_is_exact())
+            .filter(|k| {
+                pool.iter()
+                    .any(|e| e.prefix_is_exact() && e.prefix() == k.prefix())
+            })
+            .count();
+        assert!(floors_shared >= 12, "{floors_shared} sums share a floor");
+
+        let tie_perm = [1usize, 0];
+        let mut draw = lcg(0x5EED);
+        let mut arena = CellArena::new(2, 0);
+        let mut keys: KeyInterner<ExactSum> = KeyInterner::new();
+        let mut cells: Vec<(ExactSum, FrontierEntry)> = Vec::new();
+        for _ in 0..2_000 {
+            let key = pool[draw() as usize % pool.len()].clone();
+            let output = [draw() % 3, draw() % 3];
+            let cell = arena.push(0, 0, 0, &output, &[]);
+            let (entry, _) = keys.entry(key.clone(), output[tie_perm[0]], cell);
+            assert_eq!(entry.key == EXACT_KEY, key.prefix_is_exact());
+            cells.push((key, entry));
+        }
+        let mut stored: Vec<&ExactSum> = pool.iter().filter(|k| !k.prefix_is_exact()).collect();
+        stored.sort();
+        stored.dedup();
+        assert_eq!(keys.len(), stored.len());
+
+        let mut expected: Vec<&(ExactSum, FrontierEntry)> = cells.iter().collect();
+        expected.sort_by(|(ka, a), (kb, b)| {
+            let permuted = |e: &FrontierEntry| tie_perm.map(|p| arena.output(e.cell)[p]);
+            (ka, permuted(a), a.cell).cmp(&(kb, permuted(b), b.cell))
+        });
+        let cmp = |a, b| entry_cmp(&keys, &arena, &tie_perm, a, b);
+        let mut pushed = FrontierHeap::new();
+        let mut bulk = FrontierHeap::with_capacity(cells.len());
+        for &(_, entry) in &cells {
+            pushed.push(entry, cmp);
+            bulk.push_unordered(entry);
+        }
+        bulk.heapify(cmp);
+        for (_, entry) in expected {
+            assert_eq!(pushed.pop(cmp), Some(*entry));
+            assert_eq!(bulk.pop(cmp), Some(*entry));
+        }
+        assert!(pushed.is_empty() && bulk.is_empty());
     }
 }

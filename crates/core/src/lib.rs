@@ -41,7 +41,9 @@ pub mod union;
 pub use acyclic::AcyclicEnumerator;
 pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport};
 pub use error::EnumError;
-pub use frontier::{CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner};
+pub use frontier::{
+    entry_cmp, CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, EXACT_KEY,
+};
 pub use lexi::LexiEnumerator;
 pub use plan::{top_k, Algorithm, BranchPlan};
 // Re-exported so downstream layers (SQL cursors, the server) can accept an

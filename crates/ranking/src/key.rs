@@ -8,7 +8,9 @@
 //! things beyond the [`Ord`] bound every key already has: a cheap hash of
 //! the key's *representation* to bucket candidates, and a byte count for
 //! memory accounting. [`RankKey`] provides both, plus a 64-bit order hint
-//! that lets most heap comparisons skip the interner altogether.
+//! that lets most heap comparisons skip the interner altogether — and, for
+//! a key that hint describes completely, a way to say so, which lets the
+//! kernel skip *storing* the key as well.
 //!
 //! The fingerprint contract is deliberately one-sided:
 //!
@@ -38,6 +40,29 @@
 //! key type: it just never decides. A single-`f64` key's prefix is exact
 //! (it decides every comparison between unequal keys); a composite key
 //! projects onto something coarser that still never contradicts `Ord`.
+//!
+//! [`prefix_is_exact`](RankKey::prefix_is_exact) is the third one-sided
+//! contract. A key that answers `true` promises that its prefix *is* the
+//! key, for every comparison the kernel will make with it:
+//!
+//! * against another key that says so, `a.cmp(b)` MUST equal
+//!   `a.prefix().cmp(&b.prefix())` — equal prefixes now mean equal keys;
+//! * against a key of **equal prefix** that does *not* say so, it MUST be
+//!   the strictly smaller one — the prefix rounds down, so an exact key is
+//!   the least member of the class of keys that share its prefix, and the
+//!   only exact one; while
+//! * `false` — the default — promises nothing and is always correct.
+//!
+//! The kernel never interns a key that says `true`: the eight prefix bytes
+//! already in its heap entry are all of it, and an entry pair is ordered
+//! by the two rules above without reading a stored key. The answer belongs
+//! to the key, not to its type, because the interesting type needs both:
+//! an [`ExactSum`] of at most one component *is* an `f64` (every `ORDER BY
+//! x + y` over integer-valued weights), while a sum of `0.1`s is sometimes
+//! one component and sometimes an expansion — inside one queue. Deciding
+//! per key lets those two populations share a heap with no mode to select
+//! and none to get wrong; a type whose answer is constant (the integers,
+//! [`Weight`]: always; a `Vec` key: never) meets the second rule vacuously.
 
 use crate::weight::{order_bits, ExactSum, Weight};
 use std::fmt::Debug;
@@ -60,6 +85,15 @@ pub trait RankKey: Ord + Clone + Debug + Send {
     /// never decides, which is always correct.
     fn prefix(&self) -> u64 {
         0
+    }
+
+    /// Whether [`prefix`](RankKey::prefix) is the whole key: against every
+    /// other key that says so, `cmp` must equal the prefixes' `cmp`, and a
+    /// key of equal prefix that does not say so must be strictly greater
+    /// (see the module docs). Decided per key, not per type. The default
+    /// promises nothing, which is always correct.
+    fn prefix_is_exact(&self) -> bool {
+        false
     }
 
     /// Heap bytes owned by the key beyond `size_of::<Self>()`. Used for
@@ -91,6 +125,10 @@ impl RankKey for Weight {
     fn prefix(&self) -> u64 {
         order_bits(self.value())
     }
+
+    fn prefix_is_exact(&self) -> bool {
+        true
+    }
 }
 
 impl RankKey for ExactSum {
@@ -107,6 +145,17 @@ impl RankKey for ExactSum {
     /// and the interned keys settle that pair.
     fn prefix(&self) -> u64 {
         order_bits(self.floor())
+    }
+
+    /// A sum of at most one component is the `f64` its prefix encodes —
+    /// zero is always `+0.0`, canonical form keeps no zero component. A
+    /// longer canonical expansion lies strictly between its floor and the
+    /// next `f64` up (its top component is the rounded total and the tail
+    /// the non-zero roundoff), so it is strictly greater than the exact
+    /// key it shares a prefix with; the tests below check that over
+    /// `adversarial_sums()` instead of taking it on trust.
+    fn prefix_is_exact(&self) -> bool {
+        self.components().len() <= 1
     }
 
     fn heap_bytes(&self) -> usize {
@@ -141,6 +190,10 @@ macro_rules! int_rank_key {
             /// sort below non-negative ones.
             fn prefix(&self) -> u64 {
                 (*self as u64) ^ $sign_bit
+            }
+
+            fn prefix_is_exact(&self) -> bool {
+                true
             }
         })*
     };
@@ -222,6 +275,8 @@ mod tests {
             vec![-1e16, -0.5],
             vec![1e32, 1e16, 0.5],
             vec![1e32, -1e16, 0.5],
+            vec![2.0f64.powi(180), 2.0f64.powi(120), big, 0.5],
+            vec![-(2.0f64.powi(180)), 2.0f64.powi(120), -big, 0.5],
             vec![1e300, 1.0, -1e300, 1e-300, 3.5, -1.0],
             vec![tiny],
             vec![-tiny],
@@ -355,6 +410,89 @@ mod tests {
         assert!((-1i32).prefix() < 0i32.prefix() && 0i32.prefix() < 1i32.prefix());
     }
 
+    /// The `prefix_is_exact` contract over every ordered pair of `keys`:
+    /// two exact keys are ordered by their prefixes, and an exact key is
+    /// strictly below every other key it shares a prefix with — the two
+    /// answers the frontier comparator gives without reading a stored key.
+    fn assert_exact_prefix_contract<K: RankKey>(keys: &[K]) {
+        use std::cmp::Ordering;
+        for a in keys.iter().filter(|k| k.prefix_is_exact()) {
+            for b in keys {
+                if b.prefix_is_exact() {
+                    assert_eq!(a.cmp(b), a.prefix().cmp(&b.prefix()), "{a:?} {b:?}");
+                } else if a.prefix() == b.prefix() {
+                    assert_eq!(a.cmp(b), Ordering::Less, "exact {a:?}, stored {b:?}");
+                    assert_eq!(b.cmp(a), Ordering::Greater, "stored {b:?}, exact {a:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_exact_prefix_is_the_whole_key() {
+        let mut sums = adversarial_sums();
+        // Every floor in the pool also as a key of its own, so that each
+        // expansion meets the exact key it shares a prefix with.
+        let floors: Vec<ExactSum> = sums
+            .iter()
+            .map(|s| ExactSum::of([Weight(s.floor())]))
+            .collect();
+        sums.extend(floors);
+        for s in &sums {
+            assert_eq!(s.prefix_is_exact(), s.components().len() <= 1, "{s:?}");
+        }
+        let shared = sums
+            .iter()
+            .filter(|s| !s.prefix_is_exact())
+            .filter(|s| {
+                sums.iter()
+                    .any(|e| e.prefix_is_exact() && e.prefix() == s.prefix())
+            })
+            .count();
+        assert!(
+            shared > 400,
+            "{shared} expansions share a prefix with an exact key"
+        );
+        for n in 0..=4 {
+            assert!(sums.iter().any(|s| s.components().len() == n), "{n}");
+        }
+        assert_exact_prefix_contract(&sums);
+        // ±0: no sum keeps a zero component, so zero has one prefix.
+        let zeros = [vec![], vec![0.0], vec![-0.0], vec![0.1, -0.1]]
+            .map(|ws| ExactSum::of(ws.into_iter().map(Weight)));
+        for z in &zeros {
+            assert!(z.prefix_is_exact() && z.prefix() == zeros[0].prefix());
+        }
+
+        let weights = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1.0,
+            1e300,
+        ];
+        let weights = weights.map(Weight);
+        assert!(weights.iter().all(RankKey::prefix_is_exact));
+        assert_exact_prefix_contract(&weights);
+        assert_exact_prefix_contract(&[u8::MIN, 1, u8::MAX]);
+        assert_exact_prefix_contract(&[u16::MIN, 1, u16::MAX]);
+        assert_exact_prefix_contract(&[u32::MIN, 1, u32::MAX]);
+        assert_exact_prefix_contract(&[u64::MIN, 1, u64::MAX]);
+        assert_exact_prefix_contract(&[usize::MIN, 1, usize::MAX]);
+        assert_exact_prefix_contract(&[i8::MIN, -1, 0, 1, i8::MAX]);
+        assert_exact_prefix_contract(&[i16::MIN, -1, 0, 1, i16::MAX]);
+        assert_exact_prefix_contract(&[i32::MIN, -1, 0, 1, i32::MAX]);
+        assert_exact_prefix_contract(&[i64::MIN, -1, 0, 1, i64::MAX]);
+        assert_exact_prefix_contract(&[isize::MIN, -1, 0, 1, isize::MAX]);
+        assert!(7u8.prefix_is_exact() && (-7i64).prefix_is_exact());
+        // A vector's prefix covers its first element only: never exact,
+        // not even for one element — the default, which promises nothing.
+        assert!(!vec![Weight(1.0)].prefix_is_exact());
+        assert!(!Vec::<Weight>::new().prefix_is_exact());
+    }
+
     #[test]
     fn the_default_prefix_never_decides() {
         #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -365,6 +503,7 @@ mod tests {
             }
         }
         assert_eq!(Custom(1).prefix(), Custom(2).prefix());
+        assert!(!Custom(1).prefix_is_exact());
         assert_prefix_contract(&[Custom(1), Custom(2)]);
     }
 }

@@ -272,14 +272,18 @@ struct Conn {
     protocol: Option<WireProtocol>,
     /// Raw bytes read but not yet parsed into complete requests.
     inbuf: Vec<u8>,
+    /// Leading bytes of `inbuf` already searched for a line end
+    /// ([`wire::next_inbound_resuming`]).
+    inbuf_scanned: usize,
     /// Parsed items not yet dispatched (at most one job in flight).
     queued: VecDeque<WorkItem>,
     /// Session ids of the last dispatched job's FETCHes — the sessions to
     /// cancel if the peer disconnects before that job ends. Stale, and
     /// ignored, once `shared.inflight` is clear.
     inflight_fetches: Vec<u64>,
-    /// Framing broke (oversized length prefix): close once the final
-    /// error response has flushed.
+    /// Framing broke (oversized length prefix or request line): close
+    /// once the final error response has flushed; bytes still arriving
+    /// are read and dropped.
     framing_broken: bool,
     /// The interest currently registered with the poller.
     interest: Interest,
@@ -444,6 +448,7 @@ impl Reactor {
                         }),
                         protocol: None,
                         inbuf: Vec::new(),
+                        inbuf_scanned: 0,
                         queued: VecDeque::new(),
                         inflight_fetches: Vec::new(),
                         framing_broken: false,
@@ -496,7 +501,9 @@ impl Reactor {
                     break;
                 }
                 Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
+                    if !conn.framing_broken {
+                        conn.inbuf.extend_from_slice(&chunk[..n]);
+                    }
                     self.server.bump_transport(|t| t.bytes_in = n as u64);
                     if n < chunk.len() && !hangup {
                         break;
@@ -530,7 +537,9 @@ impl Reactor {
         if !conn.framing_broken {
             let mut drained = 0usize;
             loop {
-                match wire::next_inbound(protocol, &mut conn.inbuf) {
+                let next =
+                    wire::next_inbound_resuming(protocol, &mut conn.inbuf, &mut conn.inbuf_scanned);
+                match next {
                     Ok(None) => break,
                     Ok(Some(item)) => {
                         let item = if drained >= self.max_pipeline {
@@ -550,7 +559,9 @@ impl Reactor {
                         // close once it has flushed.
                         conn.queued.push_back(WorkItem::Malformed(message));
                         conn.framing_broken = true;
-                        conn.inbuf.clear();
+                        // Nothing parses this connection again: give the
+                        // buffer (up to the frame cap) back now.
+                        conn.inbuf = Vec::new();
                         break;
                     }
                 }

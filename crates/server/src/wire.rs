@@ -22,7 +22,10 @@
 //! response). Lengths above [`MAX_FRAME_LEN`] are rejected before any
 //! allocation — a corrupt or hostile length prefix cannot balloon
 //! memory, and since framing cannot resync after a bad prefix the
-//! connection is torn down with a final error frame.
+//! connection is torn down with a final error frame. JSON-lines framing
+//! is held to the same cap: a request line longer than [`MAX_FRAME_LEN`]
+//! ends the connection the same way, whether or not its newline ever
+//! comes, so a peer cannot make the server buffer without bound.
 //!
 //! Payload encoding is a `u8` tag plus the fields each message visits
 //! (`write` / `read` in `crate::protocol`), positionally: integers
@@ -371,32 +374,52 @@ pub enum InboundItem {
 }
 
 /// Extract the next complete inbound item from `pending`, or `Ok(None)`
-/// when more bytes are needed. `Err` means framing itself is broken
-/// (oversized binary length prefix): answer with a final error and close.
+/// when more bytes are needed. `Err` means framing itself is broken (a
+/// binary length prefix or a JSON line above [`MAX_FRAME_LEN`]): answer
+/// with a final error and close.
 pub fn next_inbound(
     protocol: WireProtocol,
     pending: &mut Vec<u8>,
 ) -> Result<Option<InboundItem>, String> {
+    next_inbound_resuming(protocol, pending, &mut 0)
+}
+
+/// [`next_inbound`] for a buffer that fills over many calls. `scanned`
+/// belongs to `pending` — start it at zero and pass the same one every
+/// time: it counts the leading bytes already known to hold no newline, so
+/// a JSON line that trickles in is searched once per byte, not once per
+/// call. Binary framing reads its length prefix and has nothing to resume.
+pub fn next_inbound_resuming(
+    protocol: WireProtocol,
+    pending: &mut Vec<u8>,
+    scanned: &mut usize,
+) -> Result<Option<InboundItem>, String> {
     match protocol {
         WireProtocol::Json => loop {
-            let Some(newline) = pending.iter().position(|&b| b == b'\n') else {
-                return Ok(None);
-            };
-            let line_bytes: Vec<u8> = pending.drain(..=newline).collect();
-            match std::str::from_utf8(&line_bytes) {
-                Ok(line) if line.trim().is_empty() => continue, // blank keep-alive line
-                Ok(line) => {
-                    return Ok(Some(match Request::decode(line.trim()) {
-                        Ok(request) => InboundItem::Request(request),
-                        Err(message) => InboundItem::Malformed(message),
-                    }))
-                }
-                Err(_) => {
-                    return Ok(Some(InboundItem::Malformed(
-                        "request line is not valid UTF-8".to_string(),
-                    )))
-                }
+            let newline = pending[*scanned..].iter().position(|&b| b == b'\n');
+            let line_len = newline.map_or(pending.len(), |at| *scanned + at);
+            if line_len > MAX_FRAME_LEN {
+                return Err(format!("request line exceeds the {MAX_FRAME_LEN}-byte cap"));
             }
+            if newline.is_none() {
+                *scanned = pending.len();
+                return Ok(None);
+            }
+            *scanned = 0;
+            let line_bytes: Vec<u8> = pending.drain(..=line_len).collect();
+            let Ok(line) = std::str::from_utf8(&line_bytes) else {
+                return Ok(Some(InboundItem::Malformed(
+                    "request line is not valid UTF-8".to_string(),
+                )));
+            };
+            let line = line.trim();
+            if line.is_empty() {
+                continue; // blank keep-alive line
+            }
+            return Ok(Some(match Request::decode(line) {
+                Ok(request) => InboundItem::Request(request),
+                Err(message) => InboundItem::Malformed(message),
+            }));
         },
         WireProtocol::Binary => match split_frame(pending)? {
             None => Ok(None),
@@ -559,6 +582,56 @@ mod tests {
             next_inbound(WireProtocol::Json, &mut pending).unwrap(),
             None
         );
+    }
+
+    #[test]
+    fn json_lines_are_capped_like_frames() {
+        // One byte past the cap with no newline in sight: framing is
+        // broken, as for an oversized length prefix.
+        let mut pending = vec![b' '; MAX_FRAME_LEN + 1];
+        assert!(next_inbound(WireProtocol::Json, &mut pending).is_err());
+        // The newline arriving with the excess does not redeem the line.
+        pending.push(b'\n');
+        assert!(next_inbound(WireProtocol::Json, &mut pending).is_err());
+        // A line of exactly the cap is a request like any other.
+        let ping = b"{\"cmd\":\"ping\"}";
+        let mut pending = vec![b' '; MAX_FRAME_LEN - ping.len()];
+        pending.extend_from_slice(ping);
+        assert_eq!(
+            next_inbound(WireProtocol::Json, &mut pending).unwrap(),
+            None
+        );
+        pending.extend_from_slice(b"\n{\"cmd\":\"ping\"}\n");
+        for _ in 0..2 {
+            assert_eq!(
+                next_inbound(WireProtocol::Json, &mut pending).unwrap(),
+                Some(InboundItem::Request(Request::Ping))
+            );
+        }
+        assert!(pending.is_empty());
+    }
+
+    #[test]
+    fn a_dripped_json_line_is_scanned_once() {
+        let wire = b"{\"cmd\":\"ping\"}\n{\"cmd\":\"ping\"}\n";
+        let (mut pending, mut scanned) = (Vec::new(), 0);
+        let mut decoded = 0;
+        for &byte in wire {
+            pending.push(byte);
+            let before = scanned;
+            match next_inbound_resuming(WireProtocol::Json, &mut pending, &mut scanned).unwrap() {
+                // Nothing behind `scanned` is looked at again: each call
+                // advances it by the one byte that arrived.
+                None => assert_eq!((before + 1, scanned), (pending.len(), pending.len())),
+                Some(item) => {
+                    assert_eq!(item, InboundItem::Request(Request::Ping));
+                    assert_eq!(byte, b'\n');
+                    assert!(pending.is_empty() && scanned == 0);
+                    decoded += 1;
+                }
+            }
+        }
+        assert_eq!(decoded, 2);
     }
 
     #[test]

@@ -525,6 +525,39 @@ fn a_batch_outliving_its_connection_is_dropped_quietly() {
 
 /// `ServerHandle::shutdown` returns — every thread joined — while all the
 /// workers are parked on the hand-off queue.
+/// A JSON peer that never ends its line is cut off at the frame cap: the
+/// answers owed before the line arrive, then one typed error, then the
+/// close — the text framing's version of the oversized length prefix.
+#[test]
+fn a_json_line_past_the_frame_cap_gets_a_final_error_and_the_close() {
+    let (server, handle) = reactor_server();
+    let mut conn = RawConn::connect(&handle, WireProtocol::Json);
+    conn.send(&[Request::Ping]);
+    assert_eq!(conn.read_responses(1), [Response::Pong]);
+    // One byte more than a line may hold, dripped in large segments; the
+    // reactor only ever searches the segment that just arrived.
+    let segment = vec![b'x'; 1 << 20];
+    let mut left = wire::MAX_FRAME_LEN + 1;
+    while left > 0 {
+        let n = left.min(segment.len());
+        conn.stream.write_all(&segment[..n]).unwrap();
+        left -= n;
+    }
+    match &conn.read_responses(1)[..] {
+        [Response::Error { message, .. }] => {
+            assert!(message.contains("request line exceeds"), "{message}")
+        }
+        other => panic!("expected the framing error, got {other:?}"),
+    }
+    assert_eq!(conn.stream.read(&mut [0u8; 16]).unwrap(), 0, "then EOF");
+    wait_until("the reactor closed the connection", || {
+        transport_stats(&server).disconnects >= 1
+    });
+    let transport = transport_stats(&server);
+    assert_eq!((transport.conns_accepted, transport.disconnects), (1, 1));
+    handle.shutdown();
+}
+
 #[test]
 fn shutdown_joins_the_workers_parked_on_the_queue() {
     let config = ServerConfig::default();

@@ -175,6 +175,39 @@ fn preprocessing_hashes_each_join_key_once() {
 }
 
 #[test]
+fn integer_valued_sums_intern_no_key() {
+    // `ORDER BY a1 + a2` over raw values — what the SQL layer sends — has
+    // keys of one `f64`, and such a key is its heap entry's prefix: the
+    // 5 000-edge DBLP 2-hop and 3-hop store none at the build (the count
+    // an operator sees is the `keys` attribute of `preprocess.cells`) and
+    // none while a thousand answers push their successors.
+    use rankedenum::obs::{trace, AttrValue, TraceCtx};
+    let w = DblpWorkload::generate(5_000, 42, WeightScheme::Random);
+    for spec in [w.two_hop(), w.three_hop()] {
+        let tctx = TraceCtx::new("open");
+        let mut e = {
+            let _installed = trace::install(&tctx, 0);
+            AcyclicEnumerator::new(&spec.query, w.db(), SumRanking::value_sum()).unwrap()
+        };
+        let traced = tctx.finish();
+        let cells = traced.spans_named("preprocess.cells").next().unwrap();
+        let keys = cells.attrs.iter().find(|(k, _)| k == "keys");
+        assert!(
+            matches!(keys, Some((_, AttrValue::U64(0)))),
+            "{}: {keys:?}",
+            spec.name
+        );
+        assert_eq!(e.interned_keys(), 0, "{} at build", spec.name);
+        assert_eq!(e.by_ref().take(1_000).count(), 1_000);
+        assert_eq!(e.interned_keys(), 0, "{} after 1 000", spec.name);
+        // The same statement under the workload's fractional weights
+        // expands some of its sums, and those are still stored.
+        let fractional = AcyclicEnumerator::new(&spec.query, w.db(), spec.sum_ranking()).unwrap();
+        assert!(fractional.interned_keys() > 0, "{}", spec.name);
+    }
+}
+
+#[test]
 fn any_join_tree_root_gives_identical_results() {
     let w = DblpWorkload::generate(300, 23, WeightScheme::Random);
     let spec = w.four_hop();

@@ -23,7 +23,7 @@ use crate::error::EnumError;
 use crate::merge::MergeEntry;
 use crate::stats::{EnumStats, StatsSnapshot};
 use re_exec::ExecContext;
-use re_join::{full_reduce_ctx, par_hash_join, par_project_distinct};
+use re_join::{full_reduce_ctx, hash_join, project_distinct};
 use re_query::{Atom, JoinProjectQuery, JoinTree, StarShape};
 use re_ranking::RankKey;
 use re_ranking::Ranking;
@@ -58,9 +58,9 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
         Self::new_ctx(query, db, ranking, threshold, &ExecContext::serial())
     }
 
-    /// [`StarEnumerator::new`] with the preprocessing — full reducer and
-    /// the all-heavy output materialisation (the `O_H` join + distinct of
-    /// Algorithm 4, the expensive part at small δ) — running under `ctx`.
+    /// [`StarEnumerator::new`] with the full reducer and the sub-query
+    /// enumerators' builds running under `ctx`. The all-heavy output (the
+    /// `O_H` join + distinct of Algorithm 4) is materialised serially.
     /// Identical output at any thread count.
     pub fn new_ctx(
         query: &JoinProjectQuery,
@@ -111,9 +111,9 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
         if !empty && heavy_rels.iter().all(|r| !r.is_empty()) {
             let mut acc = heavy_rels[0].clone();
             for rel in &heavy_rels[1..] {
-                acc = par_hash_join(ctx, &acc, rel, "heavy_join")?;
+                acc = hash_join(&acc, rel, "heavy_join")?;
             }
-            let distinct = par_project_distinct(ctx, &acc, &projection)?;
+            let distinct = project_distinct(&acc, &projection)?;
             heavy_output = distinct
                 .iter()
                 .map(|t| {

@@ -30,10 +30,9 @@ pub fn hash_join(left: &Relation, right: &Relation, out_name: &str) -> Result<Re
 
     // Output-order contract: build on `right`, probe `left` in storage
     // order, and emit each probe's matches in ascending right-row order
-    // (index groups ascend in storage order). The parallel kernel
-    // `re_join::par_hash_join` reproduces exactly this order, so changing
-    // the build/probe side choice here would break the byte-identity
-    // determinism contract (and the enumeration-order tests with it).
+    // (index groups ascend in storage order). Callers that read the rows
+    // unsorted (`full_join`, the star enumerator's all-heavy join) see
+    // exactly this order, so keep the build/probe side choice stable.
     let right_index = HashIndex::build(right, &shared)?;
     let left_shared_pos = left.positions(&shared)?;
     let right_extra_pos = right.positions(&right_extra)?;

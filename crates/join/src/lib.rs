@@ -11,14 +11,13 @@
 //!   the dense join-key ids it assigns along the way,
 //! * [`hash_join`] / [`full_join`] — natural-join materialisation used by
 //!   the blocking baselines, the star-query heavy output and the test
-//!   oracles,
-//! * [`project_distinct`] — `SELECT DISTINCT` projection,
+//!   oracles (serial only),
+//! * [`project_distinct`] — `SELECT DISTINCT` projection (serial only),
 //! * [`materialize_bags_reported`] — evaluation of a plan's GHD bags
 //!   (Theorem 3) by the generic-join kernel of [`wcoj`].
 //!
-//! Each kernel also has a morsel-driven parallel entry point in
-//! [`parallel`] ([`par_hash_join`], [`par_semi_join`],
-//! [`par_project_distinct`]), and the composite operators
+//! The semi-join has a morsel-driven parallel entry point,
+//! [`par_semi_join`] in [`parallel`], and the composite operators
 //! ([`materialize_bags_reported`], [`full_reduce_ctx`], [`reduce_then_prune_ctx`])
 //! take a [`re_exec::ExecContext`] — serial is a context. All of them are
 //! bit-for-bit identical to their serial counterparts at any thread count.
@@ -35,7 +34,7 @@ pub use bag::{materialize_bags_reported, BagBuildInfo, BagKernel};
 pub use bind::{bind_atom, bind_atoms, bind_atoms_of};
 pub use error::JoinError;
 pub use hashjoin::{full_join, hash_join, project_distinct};
-pub use parallel::{par_hash_join, par_project_distinct, par_semi_join, sorted_index};
+pub use parallel::{par_semi_join, sorted_index};
 pub use reducer::{
     full_reduce, full_reduce_ctx, full_reduce_relations_ctx, reduce_then_prune_ctx, semi_join,
     EdgeIds, ReduceStats, Reduction,

@@ -1,12 +1,11 @@
-//! Morsel-driven parallel counterparts of the join kernels.
+//! Morsel-driven parallel join kernels.
 //!
 //! Every kernel here obeys one hard contract: **its output is byte-identical
 //! to the serial kernel it shadows, at any thread count.** What a kernel
-//! *builds* — the key set a semi-join probes, the grouped index a hash join
-//! probes — is one flat [`KeyTable`]-based structure built once on the
-//! calling thread: a single hashing pass with no allocation per key, and
-//! first-occurrence ids are inherently sequential. What it *probes with*
-//! is split into contiguous morsels
+//! *builds* — the key set a semi-join probes — is one flat [`KeyTable`]
+//! built once on the calling thread: a single hashing pass with no
+//! allocation per key, and first-occurrence ids are inherently sequential.
+//! What it *probes with* is split into contiguous morsels
 //! ([`re_storage::Relation::chunks`]), one task per morsel on the
 //! [`ExecContext`]'s pool, and the per-task results are merged *by task
 //! index*, never by completion order. Scheduling therefore never leaks
@@ -20,17 +19,17 @@
 //! parent's rows against it per morsel, concatenating the per-morsel ids
 //! in morsel order; its top-down passes read those ids and probe nothing.
 //! [`par_semi_join`] remains the standalone single-pass kernel, behind
-//! [`crate::semi_join`] and the cascade bag kernel.
+//! [`crate::semi_join`] and the generic-join bag kernel's semi-join sweep
+//! ([`crate::bag`]).
 //!
 //! Inputs below [`ExecContext::should_parallelise`]'s threshold take the
-//! serial kernel directly: the contract then holds trivially and small
+//! serial path directly: the contract then holds trivially and small
 //! relations skip the task bookkeeping.
 
 use crate::error::JoinError;
-use crate::hashjoin::{hash_join, project_distinct};
 use crate::reducer::shared_attrs;
 use re_exec::ExecContext;
-use re_storage::{project_key, Attr, HashIndex, KeyTable, Relation, SortedIndex, Value};
+use re_storage::{project_key, Attr, KeyTable, Relation, SortedIndex};
 
 /// Build a [`SortedIndex`] over `relation` as a preprocessing phase: timed
 /// as `preprocess.sorted_index` and, under a request trace, recorded as an
@@ -47,55 +46,6 @@ pub fn sorted_index(relation: &Relation, key_attrs: &[Attr]) -> Result<SortedInd
         s.set_attr("bytes", AttrValue::U64(index.bytes() as u64));
     }
     Ok(index)
-}
-
-/// Parallel natural hash join: one grouped index over `right`,
-/// morsel-parallel probe over `left`, per-morsel outputs concatenated in
-/// morsel order. Output identical to [`hash_join`].
-pub fn par_hash_join(
-    ctx: &ExecContext,
-    left: &Relation,
-    right: &Relation,
-    out_name: &str,
-) -> Result<Relation, JoinError> {
-    if !ctx.should_parallelise(left.len().max(right.len())) {
-        return hash_join(left, right, out_name);
-    }
-    let shared = shared_attrs(left, right);
-    let right_extra: Vec<Attr> = right
-        .attrs()
-        .iter()
-        .filter(|a| !shared.contains(a))
-        .cloned()
-        .collect();
-    let mut out_attrs: Vec<Attr> = left.attrs().to_vec();
-    out_attrs.extend(right_extra.iter().cloned());
-
-    let index = HashIndex::build(right, &shared)?;
-    let left_shared_pos = left.positions(&shared)?;
-    let right_extra_pos = right.positions(&right_extra)?;
-
-    let chunks = left.chunks(ctx.morsel_rows());
-    let pieces: Vec<Vec<Value>> = ctx.map(chunks.len(), |c| {
-        let mut out: Vec<Value> = Vec::new();
-        let mut key = Vec::new();
-        for lt in chunks[c].iter() {
-            for &rid in index.rows(project_key(lt, &left_shared_pos, &mut key)) {
-                let rt = right.tuple(rid as usize);
-                out.extend_from_slice(lt);
-                out.extend(right_extra_pos.iter().map(|&p| rt[p]));
-            }
-        }
-        out
-    });
-
-    let mut out = Relation::new(out_name, out_attrs);
-    let total_values: usize = pieces.iter().map(Vec::len).sum();
-    out.reserve_rows(total_values / out.arity().max(1));
-    for piece in &pieces {
-        out.append_rows(piece);
-    }
-    Ok(out)
 }
 
 /// Semi-join `left ⋉ right` under an execution context: keep the tuples of
@@ -137,50 +87,13 @@ pub fn par_semi_join(
     Ok(())
 }
 
-/// The distinct keys of `rel` at `positions`, in first-occurrence order:
-/// one task per morsel collects the morsel's distinct keys, then the
-/// per-morsel tables are folded into the first *in morsel order* — a key's
-/// first morsel is the one holding its first row, and within a morsel the
-/// table already is in first-occurrence order. The fold touches each
-/// morsel's distinct keys, not its rows.
-fn distinct_keys(ctx: &ExecContext, rel: &Relation, positions: &[usize]) -> KeyTable {
-    let chunks = rel.chunks(ctx.morsel_rows());
-    let locals = ctx.map(chunks.len(), |c| {
-        KeyTable::of_rows(chunks[c].iter(), positions)
-    });
-    let mut locals = locals.into_iter();
-    let mut merged = locals
-        .next()
-        .unwrap_or_else(|| KeyTable::new(positions.len()));
-    for local in locals {
-        for id in 0..local.len() as u32 {
-            merged.insert(local.key(id));
-        }
-    }
-    merged
-}
-
-/// Parallel `SELECT DISTINCT` projection. Output identical to
-/// [`project_distinct`]: distinct keys in first-occurrence order.
-pub fn par_project_distinct(
-    ctx: &ExecContext,
-    rel: &Relation,
-    attrs: &[Attr],
-) -> Result<Relation, JoinError> {
-    if !ctx.should_parallelise(rel.len()) || attrs.is_empty() {
-        return project_distinct(rel, attrs);
-    }
-    let keys = distinct_keys(ctx, rel, &rel.positions(attrs)?);
-    let mut out = Relation::new(format!("πd({})", rel.name()), attrs.to_vec());
-    out.append_rows(keys.flat_keys());
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashjoin::hash_join;
     use crate::reducer::semi_join;
     use re_storage::attr::attrs;
+    use re_storage::Value;
 
     /// A context that forces every kernel onto its parallel path, even on
     /// tiny inputs, with morsels small enough to produce several tasks.
@@ -218,28 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn par_hash_join_matches_serial_at_several_thread_counts() {
-        let (l, r) = (left_rel(), right_rel());
-        let serial = hash_join(&l, &r, "out").unwrap();
-        for threads in [1, 2, 4] {
-            let ctx = tiny_parallel_ctx(threads);
-            let par = par_hash_join(&ctx, &l, &r, "out").unwrap();
-            assert_identical(&par, &serial);
-        }
-    }
-
-    #[test]
-    fn par_hash_join_cartesian_matches_serial() {
-        let a = Relation::with_tuples("A", attrs(["X"]), (0..9u64).map(|i| vec![i])).unwrap();
-        let b = Relation::with_tuples("B", attrs(["Y"]), (0..5u64).map(|i| vec![i])).unwrap();
-        let ctx = tiny_parallel_ctx(2);
-        assert_identical(
-            &par_hash_join(&ctx, &a, &b, "AB").unwrap(),
-            &hash_join(&a, &b, "AB").unwrap(),
-        );
-    }
-
-    #[test]
     fn par_semi_join_matches_serial() {
         let r = right_rel();
         for threads in [1, 2, 4] {
@@ -261,17 +152,6 @@ mod tests {
         let empty = Relation::new("E", attrs(["Z"]));
         par_semi_join(&ctx, &mut l, &empty).unwrap();
         assert!(l.is_empty());
-    }
-
-    #[test]
-    fn par_project_distinct_matches_serial_first_occurrence_order() {
-        let joined = hash_join(&left_rel(), &right_rel(), "J").unwrap();
-        let proj = attrs(["B", "C"]);
-        let serial = project_distinct(&joined, &proj).unwrap();
-        for threads in [1, 2, 4] {
-            let par = par_project_distinct(&tiny_parallel_ctx(threads), &joined, &proj).unwrap();
-            assert_identical(&par, &serial);
-        }
     }
 
     #[test]
@@ -306,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_kernels_equal_serial_ones_on_skewed_and_distinct_keys() {
+    fn pooled_semi_join_equals_serial_on_skewed_and_distinct_keys() {
         // One hot key plus a long tail of distinct ones, over enough rows
         // for several morsels per task.
         let l = Relation::with_tuples(
@@ -321,29 +201,26 @@ mod tests {
             (0..300u64).map(|i| vec![(i * 7) % 400, i % 5]),
         )
         .unwrap();
-        let join = hash_join(&l, &r, "J").unwrap();
         let mut semi = l.clone();
         semi_join(&mut semi, &r).unwrap();
-        let proj = project_distinct(&join, &attrs(["C", "B"])).unwrap();
         for threads in [1, 2, 4] {
             let ctx = tiny_parallel_ctx(threads).with_morsel_rows(37);
-            assert_identical(&par_hash_join(&ctx, &l, &r, "J").unwrap(), &join);
             let mut s = l.clone();
             par_semi_join(&ctx, &mut s, &r).unwrap();
             assert_identical(&s, &semi);
-            let p = par_project_distinct(&ctx, &join, &attrs(["C", "B"])).unwrap();
-            assert_identical(&p, &proj);
         }
     }
 
     #[test]
     fn below_threshold_falls_back_to_serial_without_pool_work() {
         let ctx = ExecContext::with_threads(2); // default 4096-row threshold
-        let l = left_rel();
         let r = right_rel();
         let before = ctx.pool_stats().tasks_executed;
-        let out = par_hash_join(&ctx, &l, &r, "out").unwrap();
+        let mut out = left_rel();
+        par_semi_join(&ctx, &mut out, &r).unwrap();
         assert_eq!(ctx.pool_stats().tasks_executed, before);
-        assert_identical(&out, &hash_join(&l, &r, "out").unwrap());
+        let mut serial = left_rel();
+        semi_join(&mut serial, &r).unwrap();
+        assert_identical(&out, &serial);
     }
 }

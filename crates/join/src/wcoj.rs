@@ -1,9 +1,9 @@
 //! Generic-join (worst-case-optimal) bag materialisation.
 //!
-//! The left-deep hash-join cascade materialises a GHD bag through pairwise
-//! intermediates, and on bags whose atoms meet only "around" the bag (the
-//! membership-cycle middle bags) the first pairwise step is a cartesian
-//! product far larger than the bag itself. Generic join sidesteps
+//! A pairwise join plan materialises a GHD bag through intermediates, and
+//! on bags whose atoms meet only "around" the bag (the membership-cycle
+//! middle bags) the first pairwise step is a cartesian product far larger
+//! than the bag itself. Generic join sidesteps
 //! intermediates entirely: it fixes one global attribute order per bag and
 //! binds attributes one at a time, intersecting — by binary search on
 //! [`re_storage::TrieIndex`] ranges — the candidate lists of every atom
@@ -14,9 +14,9 @@
 //! The global order is the bag's output attributes in declared order
 //! followed by the existential attributes in first appearance order, and
 //! candidates are visited ascending, so rows come out lexicographically
-//! sorted and de-duplicated — the canonical bag representation both kernels
-//! in [`crate::bag`] agree on. Existential suffixes stop at the first
-//! witness (`Walker::exists`).
+//! sorted and de-duplicated — the canonical bag representation
+//! [`crate::bag`] hands the cyclic enumerator. Existential suffixes stop at
+//! the first witness (`Walker::exists`).
 //!
 //! Parallelism follows the morsel contract of the `re_exec` pool: the first
 //! attribute's candidate values are chunked, each chunk enumerated

@@ -14,7 +14,7 @@
 use crate::catalog::Catalog;
 use crate::plan_cache::PlanCache;
 use crate::protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
-use crate::session::SessionTable;
+use crate::session::{Ended, Gone, SessionTable};
 use rankedenum_core::{
     machine_threads, CancelKind, CancelToken, ExecContext, SharedStats, StatsSnapshot, WorkerPool,
 };
@@ -182,7 +182,7 @@ impl RankedQueryServer {
         Arc::new(RankedQueryServer {
             catalog: Catalog::new(),
             plan_cache: PlanCache::new(config.plan_cache_capacity),
-            sessions: SessionTable::with_budget(config.session_ttl, config.session_budget_bytes),
+            sessions: SessionTable::new(config.session_ttl, config.session_budget_bytes),
             enum_stats: SharedStats::new(),
             enumerators_built: AtomicU64::new(0),
             ghd_last_plan: Mutex::new(String::new()),
@@ -473,7 +473,7 @@ impl RankedQueryServer {
                     // leaking nothing.
                     return Response::error_coded(fault.to_string(), "fault");
                 }
-                let session = self.sessions.insert(db_name, cursor, Some(token));
+                let session = self.sessions.insert(db_name, cursor, token);
                 Response::Opened {
                     session,
                     columns,
@@ -552,24 +552,26 @@ impl RankedQueryServer {
     }
 
     fn do_fetch(&self, id: u64, k: u64) -> Response {
-        let Some(mut session) = self.sessions.take(id) else {
-            // Cancelled and budget-evicted sessions get documented,
-            // distinguishable errors so clients can tell "re-OPEN and
-            // retry" from a typo'd id.
-            if let Some(kind) = self.sessions.was_cancelled(id) {
+        // Cancelled and budget-evicted sessions get documented,
+        // distinguishable errors so clients can tell "re-OPEN and retry"
+        // from a typo'd id.
+        let mut session = match self.sessions.take(id) {
+            Ok(session) => session,
+            Err(Gone::Ended(Ended::Cancelled(kind))) => {
                 return Response::error_coded(format!("session {id}: {kind}"), kind.code());
             }
-            let message = if self.sessions.was_budget_evicted(id) {
-                format!("session {id} was evicted to enforce the session memory budget")
-            } else {
-                format!("unknown, expired or busy session {id}")
-            };
-            return Response::error(message);
+            Err(Gone::Ended(Ended::BudgetEvicted)) => {
+                return Response::error(format!(
+                    "session {id} was evicted to enforce the session memory budget"
+                ));
+            }
+            Err(Gone::Unknown) => {
+                return Response::error(format!("unknown, expired or busy session {id}"));
+            }
         };
         // Catch panics *here*, not only at the `handle_caught` boundary:
-        // the session is checked out, and bailing without `discard` /
-        // `put_back` would leak its id in the table's checked-out set
-        // forever.
+        // the session is lent, and bailing without `end` / `put_back`
+        // would strand its slot in the table forever.
         type FetchOutcome = Result<(Vec<re_storage::Tuple>, bool), re_fault::FaultError>;
         let page = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> FetchOutcome {
             re_fault::fire("fetch.next")?;
@@ -585,12 +587,12 @@ impl RankedQueryServer {
             Ok(Err(fault)) => {
                 // An injected error is indistinguishable from a real mid-
                 // fetch failure by design: the cursor is suspect, drop it.
-                self.sessions.discard(session);
+                self.sessions.end(session, None);
                 return Response::error_coded(fault.to_string(), "fault");
             }
             Err(_) => {
                 // The cursor's internal state is suspect; drop the session.
-                self.sessions.discard(session);
+                self.sessions.end(session, None);
                 return Response::error(format!("internal error while fetching from session {id}"));
             }
         };
@@ -605,7 +607,7 @@ impl RankedQueryServer {
             if kind == CancelKind::Deadline {
                 self.bump(|d| d.deadline_exceeded = 1);
             }
-            self.sessions.discard_cancelled(session, kind);
+            self.sessions.end(session, Some(kind));
             let response = Response::error_coded(format!("session {id}: {kind}"), kind.code());
             self.log_cancelled_outcome(&response, "fetch", None);
             return response;
@@ -613,7 +615,7 @@ impl RankedQueryServer {
         if exhausted {
             // A finished cursor holds no future answers; release its memory
             // now instead of waiting for CLOSE or eviction.
-            self.sessions.discard(session);
+            self.sessions.end(session, None);
         } else {
             self.sessions.put_back(session);
         }

@@ -225,11 +225,15 @@ fn tcp_front_end_serves_the_protocol_through_the_worker_pool() {
 
 #[test]
 fn idle_sessions_are_evicted_and_reported() {
-    let server = server_with_db(Duration::from_millis(30));
+    // A TTL no OPEN → first FETCH gap comes near, even on a loaded core;
+    // the only timing-sensitive step is the sleep past it, which can only
+    // err long.
+    let ttl = Duration::from_millis(500);
+    let server = server_with_db(ttl);
     let mut client = LocalClient::new(Arc::clone(&server));
     let opened = client.open("dblp", TWO_HOP).unwrap();
     assert_eq!(client.fetch(opened.session, 3).unwrap().rows.len(), 3);
-    std::thread::sleep(Duration::from_millis(90));
+    std::thread::sleep(ttl + Duration::from_millis(60));
     let err = client.fetch(opened.session, 3).unwrap_err();
     assert!(
         err.to_string().contains("session"),

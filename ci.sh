@@ -55,17 +55,17 @@ run test "$(git grep -cE '^\s*#\[ignore' -- '*.rs' ':!vendor' | awk -F: '{n += $
 # Neither retired twin grows back before its frozen name is deleted, nor
 # do the parallel star kernels.
 run test -z "$(git grep -nE 'Cascade|ThreadPerConn|serve_threaded|serve_connection|materialize_bags_with|new_ctx_with_kernel|connectivity_order|par_hash_join|par_project_distinct' -- crates src tests examples)"
-# ROADMAP 8(d) ratchet: `.unwrap()` / `.expect(` lines above the first
-# `#[cfg(test)]` of each file the network reaches may only go down. Lower
-# the bound when one goes.
+# ROADMAP 8(d) ratchet: `.unwrap()` / `.expect(` code lines (comments and
+# doc examples excluded) above the first `#[cfg(test)]` of each file the
+# network reaches may only go down. Lower the bound when one goes.
 unwrap_ratchet() {
     local f n total=0
     for f in crates/server/src/*.rs crates/net/src/*.rs; do
-        n=$(awk '/^#\[cfg\(test\)\]/{exit} /\.unwrap\(\)|\.expect\(/{c++} END{print c+0}' "$f")
+        n=$(awk '/^#\[cfg\(test\)\]/{exit} /^[ \t]*\/\//{next} /\.unwrap\(\)|\.expect\(/{c++} END{print c+0}' "$f")
         total=$((total + n))
     done
-    echo "unwrap/expect lines outside tests: $total (bound 20)"
-    test "$total" -le 20
+    echo "unwrap/expect lines outside tests: $total (bound 6)"
+    test "$total" -le 6
 }
 run unwrap_ratchet
 # Nothing above may rewrite a tracked file.

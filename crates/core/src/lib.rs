@@ -52,5 +52,5 @@ pub use re_exec::{machine_threads, CancelKind, CancelToken, ExecContext, PoolSta
 pub use re_obs::{HistSnapshot, LocalHistogram, TimingBreakdown};
 pub use star::StarEnumerator;
 pub use stats::{EnumStats, SharedStats, StatsSnapshot};
-pub use stream::{InstrumentedStream, RankedStream};
+pub use stream::{InstrumentedStream, RankedStream, DELAY_SAMPLE_EVERY};
 pub use union::UnionEnumerator;

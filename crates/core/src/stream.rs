@@ -70,16 +70,28 @@ pub trait RankedStream: Iterator<Item = Tuple> + Send {
     }
 }
 
+/// One answer in this many has its delay timed: answers `0`, `64`, `128`,
+/// … (a systematic sample). Not a knob — a constant, like a bucket width.
+pub const DELAY_SAMPLE_EVERY: u64 = 64;
+
 /// A [`RankedStream`] wrapper that measures wall-clock behaviour: the
-/// delay between consecutive `next()` returns (recorded both in a
-/// per-stream histogram and the global `cursor.delay_ns` aggregate) and
+/// delay of one `next()` in every [`DELAY_SAMPLE_EVERY`] (recorded both in
+/// a per-stream histogram and the global `cursor.delay_ns` aggregate) and
 /// the time from `opened_at` to the first answer (`cursor.ttfa_ns`).
 ///
-/// The per-`next()` cost is two `Instant::now()` calls (the first doubles
-/// as the deadline check's clock), one local bucket increment and one
-/// relaxed `fetch_add` — allocation-free, preserving the enumeration
-/// tripwires. `BENCHMARK.json`'s `obs.instrument_overhead_ns` measures
-/// that cost per answer.
+/// Answer 0 is always timed, so the time to first answer is exact, and
+/// the answer count is exact; only the delay histograms are a 1-in-64
+/// sample. The exact per-answer delay proxy is the PQ-operation count in
+/// [`RankedStream::stats_snapshot`].
+///
+/// An untimed `next()` costs one relaxed load of the explicit-cancel flag,
+/// plus one `Instant::now()` only when the token has a deadline, so a
+/// deadline or cancel stops the stream at exactly the answer it would if
+/// every answer were timed. A timed one adds an `Instant::now()` pair, a
+/// local bucket increment and a relaxed `fetch_add` — allocation-free,
+/// preserving the enumeration tripwires.
+/// `BENCHMARK.json`'s `obs.instrument_overhead_ns` measures the amortised
+/// cost per answer.
 pub struct InstrumentedStream {
     inner: Box<dyn RankedStream>,
     opened_at: Instant,
@@ -137,23 +149,33 @@ impl Iterator for InstrumentedStream {
         if self.cancel_status.is_some() {
             return None;
         }
-        // One clock reading serves the deadline check and the delay.
-        let start = Instant::now();
+        // A timed answer's clock reading also serves the deadline check;
+        // an untimed one reads the clock only if the token has a deadline.
+        let start = self
+            .answers
+            .is_multiple_of(DELAY_SAMPLE_EVERY)
+            .then(Instant::now);
         if let Some(token) = &self.cancel {
-            if let Err(kind) = token.check_at(start) {
+            let checked = match start {
+                Some(now) => token.check_at(now),
+                None => token.check(),
+            };
+            if let Err(kind) = checked {
                 self.cancel_status = Some(kind);
                 return None;
             }
         }
         let item = self.inner.next();
         if item.is_some() {
-            let nanos = saturating_nanos(start.elapsed());
-            self.delay.record(nanos);
-            self.delay_global.record(nanos);
-            if self.answers == 0 {
-                let ttfa = saturating_nanos(self.opened_at.elapsed());
-                self.first_answer_nanos = Some(ttfa);
-                self.ttfa_global.record(ttfa);
+            if let Some(start) = start {
+                let nanos = saturating_nanos(start.elapsed());
+                self.delay.record(nanos);
+                self.delay_global.record(nanos);
+                if self.answers == 0 {
+                    let ttfa = saturating_nanos(self.opened_at.elapsed());
+                    self.first_answer_nanos = Some(ttfa);
+                    self.ttfa_global.record(ttfa);
+                }
             }
             self.answers += 1;
         }
@@ -278,6 +300,7 @@ mod tests {
     use re_ranking::SumRanking;
     use re_storage::attr::attrs;
     use re_storage::{Database, Relation};
+    use std::time::Duration;
 
     fn assert_send<T: Send>(_: &T) {}
 
@@ -356,7 +379,8 @@ mod tests {
 
         let t1 = stream.timing_breakdown().unwrap();
         assert_eq!(t1.answers, expected.len() as u64);
-        assert_eq!(t1.delay.count(), expected.len() as u64);
+        // A 1-in-64 sample: this short stream times its first answer only.
+        assert_eq!(t1.delay.count(), 1);
         let ttfa = t1.first_answer_nanos.unwrap();
         // TTFA includes the open, so it can never undercut it.
         assert!(ttfa >= t1.open_nanos);
@@ -399,5 +423,66 @@ mod tests {
         // The status is latched: further polls keep reporting it.
         assert!(stream.next().is_none());
         assert_eq!(stream.cancel_status(), Some(CancelKind::Explicit));
+    }
+
+    /// A 2-hop over the complete 16 × 16 digraph: 256 distinct `(x, z)`.
+    fn dense_two_hop() -> Box<dyn RankedStream> {
+        let edges: Vec<Tuple> = (0..16)
+            .flat_map(|s| (0..16).map(move |t| vec![s, t]))
+            .collect();
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("E", attrs(["s", "t"]), edges).unwrap())
+            .unwrap();
+        let q = QueryBuilder::new()
+            .atom("E1", "E", ["x", "y"])
+            .atom("E2", "E", ["y", "z"])
+            .project(["x", "z"])
+            .build()
+            .unwrap();
+        Box::new(AcyclicEnumerator::new(&q, &db, SumRanking::value_sum()).unwrap())
+    }
+
+    #[test]
+    fn delay_is_a_one_in_64_sample_while_answers_and_ttfa_stay_exact() {
+        let mut stream = InstrumentedStream::new(dense_two_hop(), Instant::now(), vec![]);
+        let mut answers = 0u64;
+        while stream.next().is_some() {
+            answers += 1;
+            let t = stream.timing_breakdown().unwrap();
+            assert_eq!(t.answers, answers);
+            assert_eq!(t.delay.count(), answers.div_ceil(DELAY_SAMPLE_EVERY));
+            assert!(t.first_answer_nanos.is_some(), "answer 0 is always timed");
+        }
+        assert_eq!(answers, 256);
+        assert_eq!(stream.timing_breakdown().unwrap().delay.count(), 4);
+    }
+
+    /// Pull answers `0..=64`, so the next one (index 65) is untimed.
+    fn past_a_timed_answer(stream: &mut InstrumentedStream) {
+        assert_eq!(stream.by_ref().take(65).count(), 65);
+        assert_ne!(stream.answers % DELAY_SAMPLE_EVERY, 0);
+    }
+
+    #[test]
+    fn explicit_cancel_stops_the_stream_on_an_untimed_answer() {
+        let token = CancelToken::unbounded();
+        let mut stream = InstrumentedStream::new(dense_two_hop(), Instant::now(), vec![])
+            .with_cancel_token(token.clone());
+        past_a_timed_answer(&mut stream);
+        token.cancel();
+        assert!(stream.next().is_none());
+        assert_eq!(stream.cancel_status(), Some(CancelKind::Explicit));
+        assert_eq!(stream.timing_breakdown().unwrap().answers, 65);
+    }
+
+    #[test]
+    fn passed_deadline_stops_the_stream_on_an_untimed_answer() {
+        let mut stream = InstrumentedStream::new(dense_two_hop(), Instant::now(), vec![]);
+        past_a_timed_answer(&mut stream);
+        // Attached mid-stream with a deadline of "now": already passed.
+        let mut stream = stream.with_cancel_token(CancelToken::with_deadline(Duration::ZERO));
+        assert!(stream.next().is_none());
+        assert_eq!(stream.cancel_status(), Some(CancelKind::Deadline));
+        assert_eq!(stream.timing_breakdown().unwrap().answers, 65);
     }
 }

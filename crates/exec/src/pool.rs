@@ -303,7 +303,9 @@ impl WorkerPool {
         // SAFETY: the only thing erased is the lifetime; the closure is
         // dropped (tasks are FnOnce boxes consumed on execution) and its
         // last use happens before `remaining` reaches 0, and we block on
-        // exactly that condition below before `f` goes out of scope.
+        // exactly that condition below before `f` goes out of scope —
+        // also when a task panicked. Pinned by the stress test
+        // `tests::run_indexed_never_outlives_its_borrow`.
         let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f_ref) };
         for i in 0..n {
             let job = Arc::clone(&job);
@@ -512,6 +514,45 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    /// Pins the `transmute` in `run_indexed`: the erased borrow is never
+    /// touched after the call returns. Every task bumps a stack-local
+    /// counter as its *last* touch of the borrow — from a drop guard, so a
+    /// panicking task bumps it while unwinding — and some tasks yield to
+    /// widen the window. Had `run_indexed` returned (or deferred its panic)
+    /// before a straggler's touch, the counter would read short at return,
+    /// or the late bump would land after the checks below.
+    #[test]
+    fn run_indexed_never_outlives_its_borrow() {
+        struct Touch<'a>(&'a AtomicU64);
+        impl Drop for Touch<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let pool = WorkerPool::new(4);
+        const N: usize = 24;
+        for batch in 0..300usize {
+            let counter = AtomicU64::new(0);
+            let panics = batch % 25 == 0;
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run_indexed(N, |i| {
+                    let _touch = Touch(&counter);
+                    if i % 3 == batch % 3 {
+                        std::thread::yield_now();
+                    }
+                    if panics && i % 7 == 0 {
+                        // `resume_unwind` skips the panic hook: no stderr noise.
+                        std::panic::resume_unwind(Box::new("task failure"));
+                    }
+                });
+            }));
+            assert_eq!(run.is_err(), panics, "batch {batch}");
+            assert_eq!(counter.load(Ordering::SeqCst), N as u64, "batch {batch}");
+            std::thread::yield_now();
+            assert_eq!(counter.into_inner(), N as u64, "batch {batch}: late touch");
+        }
     }
 
     #[test]

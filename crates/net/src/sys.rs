@@ -215,7 +215,7 @@ mod imp {
 #[cfg(all(unix, not(target_os = "linux")))]
 mod imp {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
@@ -268,9 +268,16 @@ mod imp {
             })
         }
 
+        /// The fd set, recovered from a poisoned lock: every critical
+        /// section below is one `push`, `retain`, assignment or `clone`,
+        /// none of which leaves the set half-updated if a holder panics.
+        fn fds(&self) -> MutexGuard<'_, Vec<(RawFd, u64, Interest)>> {
+            self.fds.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
         /// Watch `fd` for `interest`, reporting events with `token`.
         pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut fds = self.fds.lock().unwrap();
+            let mut fds = self.fds();
             if fds.iter().any(|(f, _, _)| *f == fd) {
                 return Err(io::Error::new(
                     io::ErrorKind::AlreadyExists,
@@ -283,7 +290,7 @@ mod imp {
 
         /// Change the interest or token of an already-registered `fd`.
         pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut fds = self.fds.lock().unwrap();
+            let mut fds = self.fds();
             for entry in fds.iter_mut() {
                 if entry.0 == fd {
                     *entry = (fd, token, interest);
@@ -295,7 +302,7 @@ mod imp {
 
         /// Stop watching `fd`.
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut fds = self.fds.lock().unwrap();
+            let mut fds = self.fds();
             let before = fds.len();
             fds.retain(|(f, _, _)| *f != fd);
             if fds.len() == before {
@@ -312,7 +319,7 @@ mod imp {
             timeout: Option<Duration>,
         ) -> io::Result<usize> {
             events.clear();
-            let registered: Vec<(RawFd, u64, Interest)> = self.fds.lock().unwrap().clone();
+            let registered: Vec<(RawFd, u64, Interest)> = self.fds().clone();
             let mut pollfds: Vec<PollFd> = registered
                 .iter()
                 .map(|(fd, _, interest)| PollFd {

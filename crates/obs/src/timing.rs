@@ -21,13 +21,16 @@ pub struct TimingBreakdown {
     /// `exec.pooled_run` inside `preprocess.bags`), so entries are a
     /// breakdown, not a partition.
     pub phases: Vec<(String, u64)>,
-    /// Answers produced so far.
+    /// Answers produced so far (exact: every answer is counted).
     pub answers: u64,
     /// Nanoseconds from the start of `open` to the first answer leaving
     /// the stream; `None` until a first answer (or if there is none).
+    /// Exact: the first answer is always timed.
     pub first_answer_nanos: Option<u64>,
-    /// Distribution of wall-clock delays between consecutive `next()`
-    /// returns (the paper's Figure 14 quantity, in nanoseconds).
+    /// Distribution of wall-clock `next()` delays (the paper's Figure 14
+    /// quantity, in nanoseconds) over a systematic 1-in-64 sample —
+    /// answers 0, 64, 128, … (`rankedenum_core::DELAY_SAMPLE_EVERY`) — so
+    /// it holds `answers.div_ceil(64)` observations.
     pub delay: HistSnapshot,
 }
 

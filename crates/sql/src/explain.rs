@@ -12,7 +12,8 @@
 //! reducer passes and row counts, frontier work, per-bag actual rows
 //! versus the AGM estimate, wcoj intersection counts, worker-pool
 //! activity — plus the wall-clock [`TimingBreakdown`](re_obs::TimingBreakdown)
-//! with time-to-first-answer, and the id of the recorded trace (kept in
+//! with time-to-first-answer and the sampled delay distribution (one
+//! answer in 64 is timed), and the id of the recorded trace (kept in
 //! the global registry's recent-trace ring for Chrome-trace export).
 //!
 //! The plan section is fully deterministic and golden-tested over the
@@ -22,7 +23,7 @@
 use crate::error::SqlError;
 use crate::exec::open_plan_on;
 use crate::planner::{OrderSpec, PlannedQuery, SqlPlan};
-use rankedenum_core::{BranchPlan, ExecContext, GhdReport};
+use rankedenum_core::{BranchPlan, ExecContext, GhdReport, DELAY_SAMPLE_EVERY};
 use re_obs::trace::TraceCtx;
 use re_query::{GhdPlan, JoinProjectQuery, JoinTree};
 use re_ranking::{Direction, WeightAssignment};
@@ -148,6 +149,16 @@ pub fn explain_analyze(
                 Some(ns) => format!("{}us", ns / 1_000),
                 None => "none".to_string(),
             }
+        );
+        let us = |ns: u64| ns as f64 / 1e3;
+        let _ = writeln!(
+            out,
+            "  delay: timed={} of {} (1 in {DELAY_SAMPLE_EVERY}) p50={:.3}us p99={:.3}us max≈{:.3}us",
+            t.delay.count(),
+            t.answers,
+            us(t.delay.quantile(0.5)),
+            us(t.delay.quantile(0.99)),
+            us(t.delay.max_estimate())
         );
         if !t.phases.is_empty() {
             out.push_str("  phases:\n");

@@ -95,7 +95,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                    WHERE M1.pid = M2.pid \
                    ORDER BY M1.aid + M2.aid LIMIT 20";
     println!("=== EXPLAIN ANALYZE: 2-hop ===");
-    print!("{}", exec.explain(two_hop, ExplainMode::Analyze)?);
+    let report = exec.explain(two_hop, ExplainMode::Analyze)?;
+    print!("{report}");
+    if !report.contains("\n  delay: timed=") {
+        return Err("the 2-hop ANALYZE report lacks its `delay:` line".into());
+    }
 
     let six_cycle = "SELECT DISTINCT M1.aid, M3.aid \
                      FROM AuthorPapers AS M1, AuthorPapers AS M2, AuthorPapers AS M3, \

@@ -435,6 +435,37 @@ ghd plan:
     );
 }
 
+/// EXPLAIN ANALYZE prints the cursor's delay histogram, and says it is a
+/// 1-in-64 sample: `timed` is `answers.div_ceil(64)` (answer 0 always).
+#[test]
+fn explain_analyze_prints_the_sampled_delay() {
+    let w = workload();
+    let exec = OwnedSqlExecutor::new(Arc::new(w.db().clone()));
+    let text = exec
+        .explain(
+            "SELECT DISTINCT M1.aid, M2.aid FROM AuthorPapers AS M1, AuthorPapers AS M2 \
+             WHERE M1.pid = M2.pid ORDER BY M1.aid + M2.aid",
+            ExplainMode::Analyze,
+        )
+        .unwrap();
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix("  delay: timed="))
+        .unwrap_or_else(|| panic!("no delay line in:\n{text}"));
+    let (timed, rest) = line.split_once(" of ").unwrap();
+    let (answers, rest) = rest.split_once(' ').unwrap();
+    let (timed, answers): (u64, u64) = (timed.parse().unwrap(), answers.parse().unwrap());
+    assert!(answers > 64, "the 2-hop spans several samples: {text}");
+    assert!(text.contains(&format!("answers: {answers}\n")), "{text}");
+    assert_eq!(timed, answers.div_ceil(64), "{text}");
+    assert!(rest.starts_with("(1 in 64) p50="), "{text}");
+    let timing = text.find("  timing: ").expect("timing line");
+    assert!(
+        timing < text.find("  delay: ").unwrap(),
+        "delay follows timing"
+    );
+}
+
 /// The `algorithm:` label of an `EXPLAIN` text, and its per-branch labels.
 fn explained_algorithms(text: &str) -> (String, Vec<String>) {
     let statement = text

@@ -53,8 +53,22 @@ run micro_core_probes
 # cannot be silenced in passing.
 run test "$(git grep -cE '^\s*#\[ignore' -- '*.rs' ':!vendor' | awk -F: '{n += $NF} END {print n + 0}')" = 1
 # Neither retired twin grows back before its frozen name is deleted, nor
-# do the parallel star kernels.
-run test -z "$(git grep -nE 'Cascade|ThreadPerConn|serve_threaded|serve_connection|materialize_bags_with|new_ctx_with_kernel|connectivity_order|par_hash_join|par_project_distinct' -- crates src tests examples)"
+# do the parallel star kernels, nor the root's second copy of the advance
+# or the star's hand-written merge cursor.
+run test -z "$(git grep -nE 'Cascade|ThreadPerConn|serve_threaded|serve_connection|materialize_bags_with|new_ctx_with_kernel|connectivity_order|par_hash_join|par_project_distinct|last_emitted|heavy_cursor' -- crates src tests examples)"
+# ROADMAP 8(c): every `unsafe` in `re_net` states what it relies on in a
+# `// SAFETY:` comment directly above it.
+net_unsafe_has_safety() {
+    awk '
+        /^[ \t]*\/\// { if ($0 ~ /SAFETY:/) safety = 1; next }
+        /(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)/ && !safety {
+            print FILENAME ":" FNR ": unsafe without a SAFETY comment"; bad = 1
+        }
+        { safety = 0 }
+        END { exit bad }
+    ' crates/net/src/*.rs
+}
+run net_unsafe_has_safety
 # ROADMAP 8(d) ratchet: `.unwrap()` / `.expect(` code lines (comments and
 # doc examples excluded) above the first `#[cfg(test)]` of each file the
 # network reaches may only go down. Lower the bound when one goes.

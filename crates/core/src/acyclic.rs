@@ -7,10 +7,12 @@
 //! attributes `Aπ_i`, keyed by the node's anchor value. The materialisation
 //! is driven by per-anchor priority queues whose elements are cells; the
 //! `next` chain of a cell records the ranked order so that every parent
-//! tuple reuses the same computation. Popping the root queue repeatedly
-//! yields the final answers in rank order; a last-answer check removes
-//! duplicates (equal outputs are adjacent because ties are broken by the
-//! output tuple).
+//! tuple reuses the same computation. The root is a node like any other:
+//! advancing its chain with the same `Topdown` step yields the final
+//! answers in rank order, and the chain of root cells *is* the ranked,
+//! deduplicated answer list. `Topdown` drops duplicates by popping every
+//! queued cell whose output equals the one it advanced past (equal outputs
+//! are adjacent because ties are broken by the output tuple).
 //!
 //! Representation ([`crate::frontier`]): cell outputs live in one
 //! fixed-stride slab per node ([`CellArena`]) and heap entries are 24-byte
@@ -147,17 +149,15 @@ pub struct AcyclicEnumerator<R: Ranking + Clone> {
     /// Projection attributes in the user-requested order (the order of the
     /// emitted tuples and of rank tie-breaking).
     projection: Vec<Attr>,
-    /// Root cell of the last emitted answer (cells are never freed, so the
-    /// id stays valid) — the deduplication check compares arena slices
-    /// instead of keeping an owned copy.
-    last_emitted: Option<CellId>,
+    /// The root cell the next answer is read from: the end of the root's
+    /// chain, `None` once it is exhausted.
+    next_root: Option<CellId>,
     /// Reusable output scratch buffer (cleared per successor, capacity
     /// kept — the reason steady-state expansion allocates nothing).
     out_buf: Tuple,
     /// Reusable child-pointer scratch buffer.
     ptr_buf: Vec<CellId>,
     stats: EnumStats,
-    exhausted: bool,
 }
 
 impl<R: Ranking + Clone> AcyclicEnumerator<R> {
@@ -349,16 +349,23 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             }
         }
 
+        // The root's anchor is the empty tuple, so all root cells share
+        // queue 0 (never built on an empty result).
+        debug_assert!(tree.node(tree.root()).anchor.is_empty());
+        let next_root = nodes[tree.root()]
+            .queues
+            .first()
+            .and_then(FrontierHeap::peek)
+            .map(|top| top.cell);
         Ok(AcyclicEnumerator {
             ranking,
             tree,
             nodes,
             projection,
-            last_emitted: None,
+            next_root,
             out_buf: Tuple::new(),
             ptr_buf: Vec::new(),
             stats,
-            exhausted: empty_result,
         })
     }
 
@@ -497,15 +504,16 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     /// The `Topdown` procedure of Algorithm 2: advance the ranked
     /// materialisation of `node`'s queue past the cell `cell`, returning the
     /// id of the next distinct partial answer (or `None` when exhausted).
-    /// Only called on non-root nodes — the root queue is driven directly by
-    /// [`Iterator::next`], which owns the popped entry instead of chaining.
+    /// The root is driven the same way, by [`Iterator::next`].
+    // Inlined one level into `next`, so the root's advance costs no extra
+    // call per answer.
+    #[inline]
     fn topdown(&mut self, cell: CellId, node: usize) -> Option<CellId> {
         match self.nodes[node].arena.next(cell) {
             NEXT_EXHAUSTED => return None,
             NEXT_NOT_COMPUTED => {}
             chained => return Some(chained),
         }
-        debug_assert_ne!(node, self.tree.root(), "topdown never drives the root");
         // The cell remembers its dense anchor id — no anchor tuple is ever
         // rebuilt or hashed here (the old engine allocated one per call).
         let anchor = self.nodes[node].arena.anchor(cell);
@@ -545,54 +553,18 @@ impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        if self.exhausted {
-            return None;
-        }
+        let cell = self.next_root?;
         let root = self.tree.root();
-        // The root's anchor is the empty tuple, so all root cells share
-        // queue 0.
-        debug_assert!(self.tree.node(root).anchor.is_empty());
-        loop {
-            if self.nodes[root].queues.is_empty() {
-                self.exhausted = true;
-                return None;
-            }
-            // Pop the best root entry and own it — the root never chains,
-            // so no peek is needed to keep the queue consistent.
-            let Some(top) = self.pop_queue(root, 0) else {
-                self.exhausted = true;
-                return None;
-            };
-            self.expand_successors(root, top.cell, 0);
-            // Keep popping while the new top duplicates the advanced-past
-            // output (lines 17–19 of Algorithm 2 at the root).
-            loop {
-                let dup = match self.nodes[root].queues[0].peek() {
-                    Some(e) if self.outputs_equal(root, e.cell, top.cell) => Some(e.cell),
-                    _ => None,
-                };
-                let Some(cell) = dup else { break };
-                self.pop_queue(root, 0);
-                self.expand_successors(root, cell, 0);
-            }
-            // Deduplicate against the previous answer by comparing arena
-            // slices — no owned copy is kept. The only allocation below is
-            // the emitted answer itself.
-            if self
-                .last_emitted
-                .is_none_or(|last| !self.outputs_equal(root, last, top.cell))
-            {
-                self.last_emitted = Some(top.cell);
-                self.stats.record_answer();
-                let ns = &self.nodes[root];
-                let out = ns.arena.output(top.cell);
-                // At the root the tie permutation maps the subtree layout
-                // to the user projection order.
-                return Some(ns.tie_perm.iter().map(|&p| out[p]).collect());
-            }
-            // Duplicate of the previous answer (possible only through rank
-            // ties introduced by later insertions); skip and continue.
-        }
+        // Advance the root's chain past `cell` — its duplicates included —
+        // before emitting it, so the answer's operations are counted with
+        // it. The only allocation is the emitted answer itself.
+        self.next_root = self.topdown(cell, root);
+        self.stats.record_answer();
+        let ns = &self.nodes[root];
+        let out = ns.arena.output(cell);
+        // At the root the tie permutation maps the subtree layout to the
+        // user projection order.
+        Some(ns.tie_perm.iter().map(|&p| out[p]).collect())
     }
 }
 
@@ -687,6 +659,30 @@ mod tests {
                     .unwrap()
                     .collect();
             assert_eq!(got, reference, "root {root} changed the output");
+        }
+    }
+
+    #[test]
+    fn the_root_chain_is_the_emitted_answer_list() {
+        // Every root choice of Example 4 reaches some (A, E) twice, so the
+        // chain skips duplicates at the root or below it.
+        let (db, q) = (paper_db(), paper_query());
+        for (root, k) in (0..4).flat_map(|r| (1..6).map(move |k| (r, k))) {
+            let tree = JoinTree::build_rooted(&q, root).unwrap();
+            let mut e =
+                AcyclicEnumerator::with_tree(&q, &db, SumRanking::value_sum(), tree).unwrap();
+            let first = e.next_root.expect("the instance has answers");
+            let answers: Vec<Tuple> = e.by_ref().take(k).collect();
+            let ns = &e.nodes[e.tree.root()];
+            let mut cell = first;
+            for answer in &answers {
+                let out = ns.arena.output(cell);
+                let permuted: Tuple = ns.tie_perm.iter().map(|&p| out[p]).collect();
+                assert_eq!(&permuted, answer, "root {root}, k = {k}");
+                cell = ns.arena.next(cell);
+            }
+            let top = ns.queues[0].peek().map(|top| top.cell);
+            assert_eq!(Some(cell), top, "root {root}, k = {k}: chain end");
         }
     }
 

@@ -13,38 +13,38 @@
 //!   unrestricted after), each handled by an [`AcyclicEnumerator`] rooted at
 //!   `R_i`, whose per-answer duplication — and hence delay — is bounded by
 //!   `δ`;
-//! * enumeration is an `(m+1)`-way ranked merge of `O_H` and the `Q_i`.
+//! * enumeration is an `(m+1)`-way `RankedMerge` of the `Q_i` (sources
+//!   `0..m`) and `O_H` (source `m`). The parts are disjoint, so the merge
+//!   never finds a duplicate to drop.
 //!
 //! Choosing `δ = |D|^{1-ε}` yields the tradeoff of Theorem 2: delay
 //! `O(|D|^{1-ε} log |D|)` with `O(|D|^{1+(m-1)ε})` preprocessing.
 
 use crate::acyclic::AcyclicEnumerator;
 use crate::error::EnumError;
-use crate::merge::MergeEntry;
+use crate::merge::RankedMerge;
 use crate::stats::{EnumStats, StatsSnapshot};
 use re_exec::ExecContext;
-use re_join::{full_reduce_ctx, hash_join, project_distinct};
-use re_query::{Atom, JoinProjectQuery, JoinTree, StarShape};
-use re_ranking::RankKey;
+use re_join::{full_reduce_ctx, hash_join, project_distinct, Reduction};
+use re_query::{JoinProjectQuery, JoinTree, StarShape};
 use re_ranking::Ranking;
 use re_storage::{project_key, Attr, Database, HashIndex, Relation, Tuple};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
+use std::vec;
 
 /// Ranked enumerator for star queries with a tunable degree threshold.
 pub struct StarEnumerator<R: Ranking + Clone> {
-    ranking: R,
     projection: Vec<Attr>,
-    /// The ranking's plan over `projection`, built once.
-    plan: R::Plan,
     threshold: usize,
-    /// All-heavy output, sorted by `(key, tuple)`.
-    heavy: Vec<(R::Key, Tuple)>,
-    heavy_cursor: usize,
+    /// `|O_H|`, the number of all-heavy answers materialised.
+    heavy_answers: usize,
+    /// The rest of the all-heavy output, sorted by `(key, tuple)`.
+    heavy: vec::IntoIter<Tuple>,
     /// One acyclic enumerator per sub-query `Q_i`.
     subs: Vec<AcyclicEnumerator<R>>,
-    pq: BinaryHeap<Reverse<MergeEntry<R::Key>>>,
-    stats: EnumStats,
+    /// The merge of the `Q_i` and `O_H`; it also holds the star's own
+    /// reducer pass and heavy-output bytes.
+    merge: RankedMerge<R>,
 }
 
 impl<R: Ranking + Clone> StarEnumerator<R> {
@@ -90,8 +90,8 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
             let leaf = &shape.leaves[i];
             let idx = HashIndex::build(rel, leaf)?;
             let leaf_pos = rel.positions(leaf)?;
-            let mut heavy = Relation::new(format!("{}_heavy", rel.name()), rel.attrs().to_vec());
-            let mut light = Relation::new(format!("{}_light", rel.name()), rel.attrs().to_vec());
+            let mut heavy = Relation::new(rel.name(), rel.attrs().to_vec());
+            let mut light = Relation::new(rel.name(), rel.attrs().to_vec());
             let mut key = Vec::new();
             for t in rel.iter() {
                 if idx.rows(project_key(t, &leaf_pos, &mut key)).len() >= threshold {
@@ -104,103 +104,72 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
             light_rels.push(light);
         }
 
-        let plan = ranking.plan(&projection);
-
-        // O_H: the all-heavy output, materialised and sorted.
-        let mut heavy_output: Vec<(R::Key, Tuple)> = Vec::new();
+        // O_H: the all-heavy output, materialised and sorted by
+        // `(key, tuple)`.
+        let mut heavy: Vec<Tuple> = Vec::new();
         if !empty && heavy_rels.iter().all(|r| !r.is_empty()) {
             let mut acc = heavy_rels[0].clone();
             for rel in &heavy_rels[1..] {
                 acc = hash_join(&acc, rel, "heavy_join")?;
             }
-            let distinct = project_distinct(&acc, &projection)?;
-            heavy_output = distinct
+            let plan = ranking.plan(&projection);
+            let mut keyed: Vec<(R::Key, Tuple)> = project_distinct(&acc, &projection)?
                 .iter()
-                .map(|t| {
-                    let tuple = t.to_vec();
-                    (ranking.key(&plan, &tuple), tuple)
-                })
+                .map(|t| (ranking.key(&plan, t), t.to_vec()))
                 .collect();
-            heavy_output.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            keyed.sort_unstable();
+            heavy = keyed.into_iter().map(|(_, t)| t).collect();
         }
 
         // Sub-queries Q_i: heavy before i, light at i, unrestricted after.
+        // Every part is a bound relation already, so each Q_i goes straight
+        // to the reducer and Algorithm 1 over T_i, the join tree rooted at
+        // R_i (node index == atom index: the tree is not pruned yet).
         let mut subs: Vec<AcyclicEnumerator<R>> = Vec::with_capacity(m);
         if !empty {
             for i in 0..m {
-                let mut sub_db = Database::new();
-                let mut atoms = Vec::with_capacity(m);
-                for (j, atom) in query.atoms().iter().enumerate() {
-                    let mut rel = if j < i {
-                        heavy_rels[j].clone()
-                    } else if j == i {
-                        light_rels[j].clone()
-                    } else {
-                        reduced[j].clone()
-                    };
-                    let rel_name = format!("q{i}_{}", atom.name);
-                    rel.set_name(rel_name.clone());
-                    sub_db.set_relation(rel);
-                    atoms.push(Atom::new(atom.name.clone(), rel_name, atom.vars.clone()));
-                }
-                let sub_query = JoinProjectQuery::new(atoms, projection.clone())?;
-                // Join tree T_i: R_i as root, all other relations as children.
-                let sub_tree = JoinTree::build_rooted(&sub_query, i)?;
-                subs.push(AcyclicEnumerator::with_tree_ctx(
-                    &sub_query,
-                    &sub_db,
+                let tree = JoinTree::build_rooted(query, i)?;
+                let relations = (0..m)
+                    .map(|j| match j.cmp(&i) {
+                        Ordering::Less => heavy_rels[j].clone(),
+                        Ordering::Equal => light_rels[j].clone(),
+                        Ordering::Greater => reduced[j].clone(),
+                    })
+                    .collect();
+                let reduction = Reduction::of_relations(ctx, tree, relations)?;
+                subs.push(AcyclicEnumerator::from_reduction(
+                    projection.clone(),
                     ranking.clone(),
-                    sub_tree,
-                    ctx,
+                    reduction,
                 )?);
             }
         }
 
-        // Seed the (m+1)-way merge.
-        let mut pq = BinaryHeap::new();
+        let mut merge = RankedMerge::new(ranking, &projection);
         for (i, sub) in subs.iter_mut().enumerate() {
-            if let Some(tuple) = sub.next() {
-                let key = ranking.key(&plan, &tuple);
-                pq.push(Reverse(MergeEntry {
-                    key,
-                    tuple,
-                    source: i,
-                }));
-            }
+            merge.seed(i, sub.next());
         }
-        if let Some((key, tuple)) = heavy_output.first().cloned() {
-            pq.push(Reverse(MergeEntry {
-                key,
-                tuple,
-                source: m,
-            }));
-        }
-
-        let mut stats = EnumStats::new();
-        stats.record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
+        let heavy_answers = heavy.len();
         // The materialised all-heavy output is part of this enumerator's
         // parked footprint, alongside the sub-enumerators' frontiers
         // (accounted in their own stats).
-        let heavy_bytes: u64 = heavy_output
+        let heavy_bytes: u64 = heavy
             .iter()
-            .map(|(k, t)| {
-                (std::mem::size_of::<(R::Key, Tuple)>()
-                    + k.heap_bytes()
-                    + t.len() * std::mem::size_of::<re_storage::Value>()) as u64
-            })
+            .map(|t| (std::mem::size_of::<Tuple>() + std::mem::size_of_val(&t[..])) as u64)
             .sum();
+        let mut heavy = heavy.into_iter();
+        merge.seed(m, heavy.next());
+        let stats = merge.stats_mut();
+        stats.record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
         stats.frontier_alloc(heavy_bytes, heavy_bytes);
 
         Ok(StarEnumerator {
-            ranking,
             projection,
-            plan,
             threshold,
-            heavy: heavy_output,
-            heavy_cursor: 0,
+            heavy_answers,
+            heavy,
             subs,
-            pq,
-            stats,
+            merge,
         })
     }
 
@@ -227,7 +196,7 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
     /// Number of all-heavy answers materialised during preprocessing — the
     /// space side of the tradeoff.
     pub fn heavy_output_size(&self) -> usize {
-        self.heavy.len()
+        self.heavy_answers
     }
 
     /// The projection attributes, in output order.
@@ -237,7 +206,7 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
 
     /// Merge-level statistics (per-branch statistics live in the branches).
     pub fn stats(&self) -> &EnumStats {
-        &self.stats
+        self.merge.stats()
     }
 
     /// Total cells allocated across the sub-enumerators (memory footprint
@@ -251,7 +220,8 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
     /// of every sub-enumerator (its own reducer pass included) except its
     /// `answers` — the tradeoff's memory side, end to end.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats
+        self.merge
+            .stats()
             .snapshot()
             .with_parts(self.subs.iter().map(|sub| sub.stats().snapshot()))
     }
@@ -261,31 +231,11 @@ impl<R: Ranking + Clone> Iterator for StarEnumerator<R> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        let Reverse(entry) = self.pq.pop()?;
-        self.stats.record_pop();
-        if entry.source < self.subs.len() {
-            if let Some(tuple) = self.subs[entry.source].next() {
-                let key = self.ranking.key(&self.plan, &tuple);
-                self.pq.push(Reverse(MergeEntry {
-                    key,
-                    tuple,
-                    source: entry.source,
-                }));
-                self.stats.record_push();
-            }
-        } else {
-            self.heavy_cursor += 1;
-            if let Some((key, tuple)) = self.heavy.get(self.heavy_cursor).cloned() {
-                self.pq.push(Reverse(MergeEntry {
-                    key,
-                    tuple,
-                    source: self.subs.len(),
-                }));
-                self.stats.record_push();
-            }
-        }
-        self.stats.record_answer();
-        Some(entry.tuple)
+        let (subs, heavy) = (&mut self.subs, &mut self.heavy);
+        self.merge.next(|i| match subs.get_mut(i) {
+            Some(sub) => sub.next(),
+            None => heavy.next(),
+        })
     }
 }
 

@@ -1,13 +1,13 @@
 //! Ranked enumeration for unions of join-project queries (Theorem 4).
 //!
 //! Each branch of the UCQ is enumerated by its own ranked enumerator
-//! (acyclic or GHD-based); the branch streams are merged by rank, and
-//! duplicates — which, across branches, are always adjacent because every
-//! stream is sorted by `(key, tuple)` — are suppressed with a last-answer
-//! check.
+//! (acyclic or GHD-based); the branch streams go through one
+//! `RankedMerge`, which drops an answer that several branches produce —
+//! across branches such copies are adjacent, because every stream is
+//! sorted by `(key, tuple)`.
 
 use crate::error::EnumError;
-use crate::merge::MergeEntry;
+use crate::merge::RankedMerge;
 use crate::plan::BranchPlan;
 use crate::stats::{EnumStats, StatsSnapshot};
 use crate::stream::RankedStream;
@@ -15,22 +15,15 @@ use re_exec::ExecContext;
 use re_query::UnionQuery;
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Tuple};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Ranked enumerator for UCQs.
 pub struct UnionEnumerator<R: Ranking + Clone> {
-    ranking: R,
     projection: Vec<Attr>,
-    /// The ranking's plan over `projection`, built once: keying a merged
-    /// answer resolves no attribute.
-    plan: R::Plan,
     /// One live enumerator per branch; their counters contribute to
     /// [`UnionEnumerator::stats_snapshot`].
     branches: Vec<Box<dyn RankedStream>>,
-    pq: BinaryHeap<Reverse<MergeEntry<R::Key>>>,
-    last: Option<Tuple>,
-    stats: EnumStats,
+    /// The merge of the branch streams; branch `i` is source `i`.
+    merge: RankedMerge<R>,
 }
 
 impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
@@ -77,26 +70,14 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
             .map(|(q, plan)| plan.open(q, db, ranking.clone(), ctx))
             .collect::<Result<Vec<_>, _>>()?;
         let projection = union.projection().to_vec();
-        let plan = ranking.plan(&projection);
-        let mut pq = BinaryHeap::new();
+        let mut merge = RankedMerge::new(ranking, &projection);
         for (i, b) in branches.iter_mut().enumerate() {
-            if let Some(tuple) = b.next() {
-                let key = ranking.key(&plan, &tuple);
-                pq.push(Reverse(MergeEntry {
-                    key,
-                    tuple,
-                    source: i,
-                }));
-            }
+            merge.seed(i, b.next());
         }
         Ok(UnionEnumerator {
-            ranking,
             projection,
-            plan,
             branches,
-            pq,
-            last: None,
-            stats: EnumStats::new(),
+            merge,
         })
     }
 
@@ -109,7 +90,7 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     /// counters are *not* folded in here — see
     /// [`UnionEnumerator::stats_snapshot`]).
     pub fn stats(&self) -> &EnumStats {
-        &self.stats
+        self.merge.stats()
     }
 
     /// Combined counters: the merge's own operations plus every counter
@@ -120,7 +101,8 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     /// answer until it survives deduplication, so `answers` counts only
     /// what the union emitted.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats
+        self.merge
+            .stats()
             .snapshot()
             .with_parts(self.branches.iter().map(|b| b.stats_snapshot()))
     }
@@ -144,25 +126,8 @@ impl<R: Ranking + Clone + 'static> Iterator for UnionEnumerator<R> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        loop {
-            let Reverse(entry) = self.pq.pop()?;
-            self.stats.record_pop();
-            if let Some(tuple) = self.branches[entry.source].next() {
-                let key = self.ranking.key(&self.plan, &tuple);
-                self.pq.push(Reverse(MergeEntry {
-                    key,
-                    tuple,
-                    source: entry.source,
-                }));
-                self.stats.record_push();
-            }
-            if self.last.as_ref() == Some(&entry.tuple) {
-                continue; // duplicate produced by another branch
-            }
-            self.last = Some(entry.tuple.clone());
-            self.stats.record_answer();
-            return Some(entry.tuple);
-        }
+        let branches = &mut self.branches;
+        self.merge.next(|i| branches[i].next())
     }
 }
 
@@ -321,11 +286,13 @@ mod tests {
         let reduced: u64 = branches.iter().map(|b| b.stats().reduce_input_rows).sum();
         assert!(reduced > 0);
         assert_eq!(built.reduce_input_rows, reduced, "both reducers' rows");
-        // Seeding the merge pulled one answer from each branch.
-        let expected = StatsSnapshot::zero().with_parts(branches.into_iter().map(|mut b| {
+        // Seeding the merge pulled one answer from each branch and pushed
+        // it into the merge's queue.
+        let mut expected = StatsSnapshot::zero().with_parts(branches.into_iter().map(|mut b| {
             b.next();
             b.stats().snapshot()
         }));
+        expected.pq_pushes += 2;
         assert_eq!(built, expected);
         assert_eq!(built.answers, 0, "a branch answer is not a union answer");
         assert_eq!(e.by_ref().take(5).count(), 5);

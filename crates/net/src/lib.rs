@@ -118,11 +118,6 @@ impl WakePipe {
     }
 }
 
-// The pipe is a pair of kernel descriptors; writing one byte from several
-// threads concurrently is exactly what pipes guarantee to be safe.
-unsafe impl Send for WakePipe {}
-unsafe impl Sync for WakePipe {}
-
 impl Drop for WakePipe {
     fn drop(&mut self) {
         sys::close_fd(self.read_fd);
@@ -151,6 +146,7 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::sync::{mpsc, Arc};
 
     #[test]
     fn wake_pipe_wakes_a_waiting_poller() {
@@ -170,6 +166,75 @@ mod tests {
         assert!(pipe.drain() >= 1, "the pending wakeup bytes drain");
         let n = wait_events(&poller, &mut events, Some(Duration::from_millis(10))).unwrap();
         assert_eq!(n, 0, "drained pipe is quiet again");
+    }
+
+    #[test]
+    fn drain_takes_at_most_its_buffer_and_leaves_the_rest_readable() {
+        let poller = Poller::new().unwrap();
+        let pipe = WakePipe::new().unwrap();
+        poller.register(pipe.read_fd(), 3, Interest::READ).unwrap();
+        for _ in 0..100 {
+            pipe.wake();
+        }
+        let first = sys::DRAIN_BYTES as u64;
+        assert_eq!(pipe.drain(), first);
+        let mut events = Vec::new();
+        let n = wait_events(&poller, &mut events, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(n, 1, "the bytes left keep the read end readable");
+        assert_eq!(pipe.drain(), 100 - first);
+        assert_eq!(pipe.drain(), 0, "an empty pipe drains nothing, at once");
+    }
+
+    #[test]
+    fn wait_reports_at_most_its_buffer_and_the_rest_on_the_next_call() {
+        const PIPES: usize = 200;
+        let poller = Poller::new().unwrap();
+        let pipes: Vec<WakePipe> = (0..PIPES).map(|_| WakePipe::new().unwrap()).collect();
+        for (token, pipe) in pipes.iter().enumerate() {
+            poller
+                .register(pipe.read_fd(), token as u64, Interest::READ)
+                .unwrap();
+            pipe.wake();
+        }
+        let mut seen = [false; PIPES];
+        let mut events = Vec::new();
+        for call in 0..2 {
+            let n = wait_events(&poller, &mut events, Some(Duration::from_secs(5))).unwrap();
+            #[cfg(target_os = "linux")]
+            assert!(n <= sys::WAIT_EVENTS, "call {call}: {n} events");
+            for ev in &events {
+                let token = ev.token as usize;
+                assert!(
+                    !seen[token],
+                    "call {call}: pipe {token} again after its drain"
+                );
+                assert_eq!(pipes[token].drain(), 1);
+                seen[token] = true;
+            }
+        }
+        let missed = seen.iter().filter(|&&s| !s).count();
+        assert_eq!(missed, 0, "pipes never reported in two calls");
+    }
+
+    #[test]
+    fn wake_on_a_full_pipe_returns_without_blocking() {
+        // Spawning the waker also checks that `WakePipe` is `Send + Sync`.
+        let pipe = Arc::new(WakePipe::new().unwrap());
+        let waker = Arc::clone(&pipe);
+        let (done, finished) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            // Far more than a pipe buffer holds: the writes past it fail
+            // with `EAGAIN` instead of waiting for a reader.
+            for _ in 0..100_000 {
+                waker.wake();
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("100 000 wakes on an undrained pipe blocked");
+        thread.join().unwrap();
+        assert_eq!(pipe.drain(), sys::DRAIN_BYTES as u64, "the wakeups wait");
     }
 
     #[test]

@@ -21,6 +21,8 @@ extern "C" {
 /// Close a descriptor, ignoring errors (double-close is a bug upstream;
 /// EINTR on close is unrecoverable anyway).
 pub(crate) fn close_fd(fd: RawFd) {
+    // SAFETY: `close` takes no pointer. Callers pass a descriptor they own
+    // and close it once, from `Drop`.
     unsafe {
         close(fd);
     }
@@ -30,6 +32,9 @@ pub(crate) fn close_fd(fd: RawFd) {
 /// already pending).
 pub(crate) fn write_byte(fd: RawFd) -> io::Result<()> {
     let byte = 1u8;
+    // SAFETY: the pointer is to a live local byte and the length is 1. The
+    // descriptor is non-blocking, so a full pipe returns `EAGAIN` instead
+    // of blocking the caller.
     let n = unsafe { write(fd, (&byte as *const u8).cast(), 1) };
     if n < 0 {
         Err(io::Error::last_os_error())
@@ -38,12 +43,22 @@ pub(crate) fn write_byte(fd: RawFd) -> io::Result<()> {
     }
 }
 
-/// Take what one `read` finds on a non-blocking descriptor (up to 64
-/// bytes); returns the bytes drained. No second `read` to see `EAGAIN`:
-/// anything left keeps the descriptor readable, and the level-triggered
-/// poller reports it again.
+/// The most bytes [`drain_fd`] takes per call.
+pub(crate) const DRAIN_BYTES: usize = 64;
+
+/// The most events one `Poller::wait` reports on Linux: the length of the
+/// buffer it hands `epoll_wait`.
+#[cfg(target_os = "linux")]
+pub(crate) const WAIT_EVENTS: usize = 128;
+
+/// Take what one `read` finds on a non-blocking descriptor (up to
+/// [`DRAIN_BYTES`]); returns the bytes drained. No second `read` to see
+/// `EAGAIN`: anything left keeps the descriptor readable, and the
+/// level-triggered poller reports it again.
 pub(crate) fn drain_fd(fd: RawFd) -> u64 {
-    let mut buf = [0u8; 64];
+    let mut buf = [0u8; DRAIN_BYTES];
+    // SAFETY: the length passed is that of `buf`, which outlives the call.
+    // The descriptor is non-blocking, so an empty pipe returns `EAGAIN`.
     let n = unsafe { read(fd, buf.as_mut_ptr().cast(), buf.len()) };
     // EAGAIN, EOF and a racing drain all count as nothing drained.
     n.max(0) as u64
@@ -106,6 +121,8 @@ mod imp {
 
     pub(crate) fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `pipe2` writes exactly two descriptors through the
+        // pointer, and `fds` has room for two.
         if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -133,6 +150,8 @@ mod imp {
     impl Poller {
         /// A fresh epoll instance (close-on-exec).
         pub fn new() -> io::Result<Poller> {
+            // SAFETY: `epoll_create1` takes no pointer; a negative result
+            // is checked below.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -153,6 +172,9 @@ mod imp {
         /// Stop watching `fd`.
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
+            // SAFETY: `self.epfd` is the live epoll descriptor this poller
+            // owns, and `ev` is a valid event the kernel may read (older
+            // kernels require one even for `EPOLL_CTL_DEL`).
             if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -164,6 +186,8 @@ mod imp {
                 events: mask_of(interest),
                 data: token,
             };
+            // SAFETY: `self.epfd` is the live epoll descriptor this poller
+            // owns, and `ev` is a valid event the kernel reads once.
             if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -178,7 +202,10 @@ mod imp {
             timeout: Option<Duration>,
         ) -> io::Result<usize> {
             events.clear();
-            let mut raw = [EpollEvent { events: 0, data: 0 }; 128];
+            let mut raw = [EpollEvent { events: 0, data: 0 }; WAIT_EVENTS];
+            // SAFETY: `self.epfd` is the live epoll descriptor this poller
+            // owns, and `maxevents` is the length of `raw`, so the kernel
+            // writes at most that many events into it.
             let n = unsafe {
                 epoll_wait(
                     self.epfd,
@@ -241,12 +268,20 @@ mod imp {
 
     pub(crate) fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `pipe` writes exactly two descriptors through the
+        // pointer, and `fds` has room for two.
         if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
             return Err(io::Error::last_os_error());
         }
         for fd in fds {
+            // SAFETY: `fd` is a descriptor `pipe` just returned, and
+            // `F_GETFL` takes no pointer.
             let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-            if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
+            if flags < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            // SAFETY: as above; `F_SETFL` takes an integer flag word.
+            if unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
                 return Err(io::Error::last_os_error());
             }
         }
@@ -329,6 +364,8 @@ mod imp {
                     revents: 0,
                 })
                 .collect();
+            // SAFETY: `nfds` is the length of `pollfds`, so the kernel
+            // reads and writes only those entries.
             let n = unsafe {
                 poll(
                     pollfds.as_mut_ptr(),

@@ -96,6 +96,91 @@ fn star_tradeoff_moves_work_from_enumeration_to_preprocessing() {
     }
 }
 
+/// Enumerate `e` to the end, checking after the build and after every
+/// answer that no counter set `stats` reads has popped more than it pushed.
+fn assert_pops_never_outrun_pushes<E: Iterator<Item = Tuple>>(
+    what: &str,
+    mut e: E,
+    stats: impl Fn(&E) -> Vec<StatsSnapshot>,
+) {
+    let mut answers = 0;
+    loop {
+        for s in stats(&e) {
+            assert!(
+                s.pq_pops <= s.pq_pushes,
+                "{what}, after {answers} answers: {} pops, {} pushes",
+                s.pq_pops,
+                s.pq_pushes
+            );
+        }
+        if e.next().is_none() {
+            break;
+        }
+        answers += 1;
+    }
+    assert!(answers > 0, "{what}: the instance has answers");
+}
+
+#[test]
+fn no_enumerator_pops_more_than_it_pushed() {
+    // A small random graph: 2-hop and 3-hop paths share many endpoints, and
+    // it has 4-cycles.
+    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+    let mut edges = Relation::new("E", attrs(["src", "dst"]));
+    for _ in 0..40 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        edges.push_unchecked(&[x % 12, (x >> 32) % 12]);
+    }
+    let mut db = Database::new();
+    db.set_relation(edges);
+    let path = |hops: usize| {
+        let mut vars: Vec<String> = (0..hops).map(|i| format!("v{i}")).collect();
+        vars.push("end".into());
+        let mut b = QueryBuilder::new();
+        for i in 0..hops {
+            b = b.atom(
+                format!("E{i}"),
+                "E",
+                [vars[i].as_str(), vars[i + 1].as_str()],
+            );
+        }
+        b.project(["v0", "end"]).build().unwrap()
+    };
+    let four_cycle = QueryBuilder::new()
+        .atom("E1", "E", ["a1", "a2"])
+        .atom("E2", "E", ["a2", "a3"])
+        .atom("E3", "E", ["a3", "a4"])
+        .atom("E4", "E", ["a4", "a1"])
+        .project(["a1", "a3"])
+        .build()
+        .unwrap();
+    let two_star = QueryBuilder::new()
+        .atom("E1", "E", ["a1", "p"])
+        .atom("E2", "E", ["a2", "p"])
+        .project(["a1", "a2"])
+        .build()
+        .unwrap();
+    let sum = SumRanking::value_sum;
+
+    let acyclic = AcyclicEnumerator::new(&path(2), &db, sum()).unwrap();
+    assert_pops_never_outrun_pushes("acyclic", acyclic, |e| vec![e.stats().snapshot()]);
+    let cyclic = CyclicEnumerator::new_auto(&four_cycle, &db, sum()).unwrap();
+    assert_pops_never_outrun_pushes("cyclic", cyclic, |e| vec![e.stats().snapshot()]);
+    let union = UnionQuery::new(vec![path(2), path(3)]).unwrap();
+    let union = UnionEnumerator::new(&union, &db, sum()).unwrap();
+    assert_pops_never_outrun_pushes("union", union, |e| {
+        vec![e.stats().snapshot(), e.stats_snapshot()]
+    });
+    for delta in [1, 2, 1_000] {
+        let star = StarEnumerator::new(&two_star, &db, sum(), delta).unwrap();
+        assert_pops_never_outrun_pushes(&format!("star, δ = {delta}"), star, |e| {
+            vec![e.stats().snapshot(), e.stats_snapshot()]
+        });
+    }
+}
+
 #[test]
 fn appendix_b_baseline_pays_the_blowup() {
     // Worst-case instance: n answers, n^2 full-join tuples for 2 arms... use

@@ -1,9 +1,11 @@
-//! Allocation tripwire for steady-state `next()` of the general algorithm.
+//! Allocation tripwire for steady-state `next()` of the general algorithm
+//! and of the union merge over it.
 //!
 //! The ban on hot-path allocations is enforced here, by counting what the
 //! allocator sees (nothing ticks [`EnumStats::tuple_allocs`] any more; the
-//! field survives for the wire format). Once a 2-hop `SUM` enumeration is
-//! warm, an answer may cost exactly one allocation — the emitted tuple.
+//! field survives for the wire format). Once a 2-hop `SUM` enumeration, or
+//! a `UNION` of two, is warm, an answer may cost exactly one allocation —
+//! the emitted tuple.
 //! Successor keys are computed, interned, compared and dropped without a
 //! heap block (an `ExactSum` of up to two components is inline, a
 //! `SumRanking` plan resolves no attribute name), and cells, interned keys
@@ -65,14 +67,8 @@ fn allocs() -> u64 {
 /// once or twice.
 const SLAB_GROWTH_BUDGET: u64 = 2 * (2 * 7 + 1);
 
-fn assert_steady_state_allocates_only_answers<R: Ranking + Clone>(
-    query: &JoinProjectQuery,
-    db: &Database,
-    ranking: R,
-    what: &str,
-) {
+fn assert_steady_state_allocates_only_answers(mut e: impl Iterator<Item = Tuple>, what: &str) {
     const WINDOW: usize = 10_000;
-    let mut e = AcyclicEnumerator::new(query, db, ranking).unwrap();
     assert_eq!(e.by_ref().take(WINDOW).count(), WINDOW, "{what}: warm-up");
     let before = allocs();
     let mut answers = 0u64;
@@ -95,17 +91,37 @@ fn steady_state_next_of_the_two_hop_sum_allocates_only_the_answers() {
     // Integer weights: one-component keys, as in the benchmark's scans.
     let dblp = DblpWorkload::generate(4_000, 42, WeightScheme::Random);
     let spec = dblp.two_hop();
-    assert_steady_state_allocates_only_answers(
-        &spec.query,
-        dblp.db(),
-        SumRanking::value_sum(),
-        "value sum",
-    );
+    let (query, db) = (&spec.query, dblp.db());
+    let e = AcyclicEnumerator::new(query, db, SumRanking::value_sum()).unwrap();
+    assert_steady_state_allocates_only_answers(e, "value sum");
     // Random real weights from a table: two-component keys.
-    assert_steady_state_allocates_only_answers(
-        &spec.query,
-        dblp.db(),
-        spec.sum_ranking(),
-        "random weights",
-    );
+    let e = AcyclicEnumerator::new(query, db, spec.sum_ranking()).unwrap();
+    assert_steady_state_allocates_only_answers(e, "random weights");
+}
+
+#[test]
+fn steady_state_next_of_a_union_allocates_only_the_answers() {
+    // The 2-hop over two relations whose values never meet: no answer is
+    // in both branches, so every branch answer is emitted, and the merge
+    // moves it out of its queue instead of keeping a copy.
+    let dblp = DblpWorkload::generate(4_000, 42, WeightScheme::Random);
+    let near = dblp.two_hop().query;
+    let base = dblp.db().relation(&near.atoms()[0].relation).unwrap();
+    let mut far = Relation::new("Far", base.attrs().to_vec());
+    for t in base.iter() {
+        let shifted: Vec<Value> = t.iter().map(|v| v + (1 << 40)).collect();
+        far.push_unchecked(&shifted);
+    }
+    let mut db = Database::new();
+    db.set_relation(base.clone());
+    db.set_relation(far);
+    let far = QueryBuilder::new()
+        .atom("F1", "Far", ["a1", "p"])
+        .atom("F2", "Far", ["a2", "p"])
+        .project(["a1", "a2"])
+        .build()
+        .unwrap();
+    let union = UnionQuery::new(vec![near, far]).unwrap();
+    let e = UnionEnumerator::new(&union, &db, SumRanking::value_sum()).unwrap();
+    assert_steady_state_allocates_only_answers(e, "union");
 }

@@ -37,15 +37,17 @@ run cargo test -q -p re_server --test transport_equivalence
 run env RE_SCALE=0.05 cargo run -q --release --example server_quickstart
 run env RE_SCALE=0.05 cargo run -q --release --example explain_analyze
 run cargo bench --workspace --no-run
-# `micro_core`'s two probes only print, so run them: `frontier_pop_push`
-# drives the heap with the enumerators' own comparator and asserts the tie
-# share it is named for, `frontier_build` reads the build's trace spans.
-# All five lines must come out (about half a minute).
+# `micro_core`'s probes only print, so run them: `frontier_pop_push` and
+# `frontier_replace_top` drive the heap with the enumerators' own
+# comparator and assert the tie share they are named for, `frontier_build`
+# reads the build's trace spans. All seven lines must come out (about half
+# a minute).
 micro_core_probes() {
     local out
     out=$(cargo bench -q -p re_bench --bench micro_core) || return 1
-    grep -E '^micro_core/frontier_(pop_push|build)/' <<<"$out"
+    grep -E '^micro_core/frontier_(pop_push|replace_top|build)/' <<<"$out"
     test "$(grep -c '^micro_core/frontier_pop_push/' <<<"$out")" = 2 &&
+        test "$(grep -c '^micro_core/frontier_replace_top/' <<<"$out")" = 2 &&
         test "$(grep -c '^micro_core/frontier_build/' <<<"$out")" = 3
 }
 run micro_core_probes

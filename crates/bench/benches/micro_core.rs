@@ -1,12 +1,15 @@
 //! Micro-benchmarks and ablations of the core enumeration machinery:
 //! preprocessing versus enumeration split, the cost of the full reducer, and
 //! the per-answer delay of the general algorithm versus the specialised
-//! lexicographic one — the design choices DESIGN.md calls out.
+//! lexicographic one — the design choices README's frontier section
+//! describes.
 //!
 //! `frontier_pop_push` times the frontier kernel by itself: one pop and one
 //! push on a 20 000-entry [`FrontierHeap`] of `SUM` keys under the
 //! enumerators' own comparator ([`entry_cmp`]), at two shares of rank ties,
-//! in nanoseconds per pair — the number to read before and after a change
+//! in nanoseconds per pair, and then the same entries through one
+//! [`FrontierHeap::replace_top`] each — the step `Topdown` takes — in
+//! nanoseconds per replace: the numbers to read before and after a change
 //! to the heap, its entries or their comparator, without an end-to-end run
 //! around it. It asserts the tie share it measured is the one it states.
 //!
@@ -43,7 +46,8 @@ const TIE_PERM: [usize; 2] = [0, 1];
 /// nanoseconds per pair (best of five) and the share of pops that tied in
 /// rank with the pop before, which must lie within three points of
 /// `tie_percent`: a probe that no longer sees the ties it is named for
-/// fails instead of printing.
+/// fails instead of printing. A second line times the same replay as one
+/// replace-top per entry, which yields the same pop sequence.
 fn frontier_pop_push(spread: u64, tie_percent: f64) {
     const ENTRIES: usize = 20_000;
     const PAIRS: usize = 200_000;
@@ -95,25 +99,47 @@ fn frontier_pop_push(spread: u64, tie_percent: f64) {
         pushed.push(entry);
     }
 
-    let mut best = f64::MAX;
-    for _ in 0..5 {
-        let mut heap = build(&keys, &arena);
-        let start = Instant::now();
-        for &entry in &pushed {
-            black_box(heap.pop(|a, b| entry_cmp(&keys, &arena, &TIE_PERM, a, b)));
-            heap.push(entry, |a, b| entry_cmp(&keys, &arena, &TIE_PERM, a, b));
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / PAIRS as f64);
-    }
+    let cmp = |a, b| entry_cmp(&keys, &arena, &TIE_PERM, a, b);
+    let fresh = || build(&keys, &arena);
+    let pop_push = replay(fresh, &pushed, |heap, entry| {
+        black_box(heap.pop(cmp));
+        heap.push(entry, cmp);
+    });
+    let replace_top = replay(fresh, &pushed, |heap, entry| {
+        black_box(heap.replace_top(entry, cmp));
+    });
     let tied = ties as f64 * 100.0 / PAIRS as f64;
     println!(
-        "micro_core/frontier_pop_push/spread={spread}: {best:.1} ns per pop+push \
+        "micro_core/frontier_pop_push/spread={spread}: {pop_push:.1} ns per pop+push \
          ({ENTRIES} entries, {tied:.0}% of pops tie in rank with the pop before)"
+    );
+    println!(
+        "micro_core/frontier_replace_top/spread={spread}: {replace_top:.1} ns per replace \
+         ({ENTRIES} entries, the same replay)"
     );
     assert!(
         (tied - tie_percent).abs() <= 3.0,
         "spread={spread}: {tied:.1}% of pops tied in rank, not about {tie_percent}%"
     );
+}
+
+/// Nanoseconds per `step` over `entries` on a heap from `fresh`, best of
+/// five runs.
+fn replay(
+    fresh: impl Fn() -> FrontierHeap,
+    entries: &[FrontierEntry],
+    mut step: impl FnMut(&mut FrontierHeap, FrontierEntry),
+) -> f64 {
+    let mut best = f64::MAX;
+    for _ in 0..5 {
+        let mut heap = fresh();
+        let start = Instant::now();
+        for &entry in entries {
+            step(&mut heap, entry);
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / entries.len() as f64);
+    }
+    best
 }
 
 /// Build the `SUM` enumerator of `spec` `ROUNDS` times under a request

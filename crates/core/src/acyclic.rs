@@ -10,9 +10,14 @@
 //! tuple reuses the same computation. The root is a node like any other:
 //! advancing its chain with the same `Topdown` step yields the final
 //! answers in rank order, and the chain of root cells *is* the ranked,
-//! deduplicated answer list. `Topdown` drops duplicates by popping every
-//! queued cell whose output equals the one it advanced past (equal outputs
-//! are adjacent because ties are broken by the output tuple).
+//! deduplicated answer list. `Topdown` advances past the cell on top of its
+//! queue by queueing the cell's successors in its place: the first one
+//! takes its slot with a single sift ([`FrontierHeap::replace_top`]), any
+//! further ones are pushed, and a cell without successors is popped — the
+//! counters still see one pop and one push per successor. It drops
+//! duplicates by advancing past every queued cell whose output equals the
+//! one it advanced past (equal outputs are adjacent because ties are
+//! broken by the output tuple).
 //!
 //! Representation ([`crate::frontier`]): cell outputs live in one
 //! fixed-stride slab per node ([`CellArena`]) and heap entries are 24-byte
@@ -70,6 +75,7 @@ use re_join::{EdgeIds, Reduction};
 use re_query::{JoinProjectQuery, JoinTree};
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Relation, Tuple, Value};
+use std::cmp::Ordering;
 
 /// Per-node state: the reduced relation, positional plans, and the node's
 /// slice of the frontier kernel (arena + interner + anchor queues).
@@ -116,6 +122,27 @@ impl<R: Ranking> NodeState<R> {
         let tie0 = self.tie_perm.first().map_or(0, |&p| output[p]);
         let cell = self.arena.push(row, anchor, advance_from, output, ptrs);
         self.keys.entry(key, tie0, cell)
+    }
+
+    /// The queue of `anchor`, with the node's comparator over its entries.
+    fn queue(
+        &mut self,
+        anchor: u32,
+    ) -> (
+        &mut FrontierHeap,
+        impl Fn(FrontierEntry, FrontierEntry) -> Ordering + '_,
+    ) {
+        let NodeState {
+            arena,
+            keys,
+            queues,
+            tie_perm,
+            ..
+        } = self;
+        let (arena, keys, tie_perm) = (&*arena, &*keys, &*tie_perm);
+        (&mut queues[anchor as usize], move |a, b| {
+            entry_cmp(keys, arena, tie_perm, a, b)
+        })
     }
 }
 
@@ -415,21 +442,6 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         self.ranking.key_of(&self.projection, tuple)
     }
 
-    /// Pop the minimum entry of `node`'s queue `anchor`, if any.
-    fn pop_queue(&mut self, node: usize, anchor: u32) -> Option<FrontierEntry> {
-        let NodeState {
-            arena,
-            keys,
-            queues,
-            tie_perm,
-            ..
-        } = &mut self.nodes[node];
-        let popped = queues[anchor as usize].pop(|a, b| entry_cmp(keys, arena, tie_perm, a, b))?;
-        self.stats.record_pop();
-        self.stats.frontier_release(ENTRY_BYTES);
-        Some(popped)
-    }
-
     /// Whether the outputs of two cells of `node` are equal (tie-permuted
     /// equality coincides with raw slab equality — the permutation is a
     /// bijection).
@@ -439,16 +451,16 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
 
     /// Create the successor cell of `cell` at `node` that advances child
     /// `ci` to `next_child`, filling the scratch buffers in place (no
-    /// allocations once their capacity has warmed up) and pushing the new
-    /// cell into the anchor queue.
-    fn push_successor(
+    /// allocations once their capacity has warmed up), and return its heap
+    /// entry; the caller queues it.
+    fn successor(
         &mut self,
         node: usize,
         cell: CellId,
         ci: usize,
         next_child: CellId,
         anchor: u32,
-    ) {
+    ) -> FrontierEntry {
         let mut out = std::mem::take(&mut self.out_buf);
         let mut ptrs = std::mem::take(&mut self.ptr_buf);
         out.clear();
@@ -467,37 +479,46 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         let key = self.ranking.key(&self.nodes[node].plan, &out);
         let ns = &mut self.nodes[node];
         let (entry, key_bytes) = ns.new_cell(key, row, anchor, ci as u32, &out, &ptrs);
-        let NodeState {
-            arena,
-            keys,
-            queues,
-            tie_perm,
-            ..
-        } = ns;
-        let grown =
-            queues[anchor as usize].push(entry, |a, b| entry_cmp(keys, arena, tie_perm, a, b));
+        let cell_bytes = (ns.arena.bytes_per_cell() + key_bytes) as u64;
         self.stats.record_cell();
-        self.stats.record_push();
-        self.stats.frontier_alloc(
-            (arena.bytes_per_cell() + key_bytes + grown) as u64,
-            arena.bytes_per_cell() as u64 + key_bytes as u64 + ENTRY_BYTES,
-        );
+        self.stats.frontier_alloc(cell_bytes, cell_bytes);
         self.out_buf = out;
         self.ptr_buf = ptrs;
+        entry
     }
 
-    /// Generate the successor cells of `cell` at `node`: advance one child
-    /// pointer at a time (lines 13–16 of Algorithm 2). Only children at or
-    /// after the cell's `advance_from` are advanced, so every pointer
-    /// combination is generated exactly once.
+    /// Generate the successor cells of `cell`, the top of `node`'s queue
+    /// `anchor`: advance one child pointer at a time (lines 13–16 of
+    /// Algorithm 2). Only children at or after the cell's `advance_from`
+    /// are advanced, so every pointer combination is generated exactly
+    /// once. The first successor takes `cell`'s place on top of the queue
+    /// with one sift ([`FrontierHeap::replace_top`]), the others are
+    /// pushed, and a cell with no successor is popped.
     fn expand_successors(&mut self, node: usize, cell: CellId, anchor: u32) {
+        let mut replaced = false;
         let advance_from = self.nodes[node].arena.advance_from(cell) as usize;
         for ci in advance_from..self.nodes[node].children.len() {
             let child = self.nodes[node].children[ci];
             let child_cell = self.nodes[node].arena.ptrs(cell)[ci];
-            if let Some(next_child) = self.topdown(child_cell, child) {
-                self.push_successor(node, cell, ci, next_child, anchor);
-            }
+            let Some(next_child) = self.topdown(child_cell, child) else {
+                continue;
+            };
+            let entry = self.successor(node, cell, ci, next_child, anchor);
+            let (queue, cmp) = self.nodes[node].queue(anchor);
+            let grown = if replaced {
+                queue.push(entry, cmp)
+            } else {
+                let top = queue.replace_top(entry, cmp);
+                debug_assert_eq!(top.cell, cell, "the expanded cell stays on top");
+                replaced = true;
+                0
+            };
+            self.stats.record_push();
+            self.stats.frontier_alloc(grown as u64, ENTRY_BYTES);
+        }
+        if !replaced {
+            let (queue, cmp) = self.nodes[node].queue(anchor);
+            queue.pop(cmp);
         }
     }
 
@@ -519,24 +540,28 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         let anchor = self.nodes[node].arena.anchor(cell);
         let mut first_iteration = true;
         loop {
-            let Some(popped) = self.pop_queue(node, anchor) else {
+            let Some(top) = self.nodes[node].queues[anchor as usize].peek() else {
                 self.nodes[node].arena.set_next(cell, NEXT_EXHAUSTED);
                 return None;
             };
             if first_iteration {
                 // When `next` is unset the cell is the current chain end and
                 // therefore the top of its queue.
-                debug_assert_eq!(popped.cell, cell, "expanded cell must be the queue top");
+                debug_assert_eq!(top.cell, cell, "expanded cell must be the queue top");
                 first_iteration = false;
             }
+            // The top is advanced past here, and counted as popped before
+            // its successors are counted as pushed; it leaves the queue
+            // while they are queued (`expand_successors`).
+            self.stats.record_pop();
+            self.stats.frontier_release(ENTRY_BYTES);
+            self.expand_successors(node, top.cell, anchor);
 
-            self.expand_successors(node, popped.cell, anchor);
-
-            // Chain to the new top; keep popping while it duplicates the
+            // Chain to the new top; keep advancing while it duplicates the
             // output we just advanced past (lines 17–19).
             let (next_ptr, duplicate) = match self.nodes[node].queues[anchor as usize].peek() {
                 None => (NEXT_EXHAUSTED, false),
-                Some(e) => (e.cell, self.outputs_equal(node, e.cell, popped.cell)),
+                Some(e) => (e.cell, self.outputs_equal(node, e.cell, top.cell)),
             };
             self.nodes[node].arena.set_next(cell, next_ptr);
             if !duplicate {

@@ -26,6 +26,12 @@
 //!   key, and the entry carries the reserved id [`EXACT_KEY`]
 //!   ([`KeyInterner::entry`] is the one place that decides, per key).
 //! * [`FrontierHeap`] — a binary min-heap of 24-byte [`FrontierEntry`]s.
+//!   `Topdown` advances past the top cell of a queue with
+//!   [`FrontierHeap::replace_top`] — the cell's first successor takes its
+//!   slot and sinks to where it belongs, one sift instead of a pop and a
+//!   push — and [`FrontierHeap::pop`]s only a cell that has no successor.
+//!   Further successors of a cell with several children are
+//!   [`FrontierHeap::push`]ed.
 //!
 //! [`Weight`]: re_ranking::Weight
 //! [`ExactSum`]: re_ranking::ExactSum
@@ -477,27 +483,36 @@ impl FrontierHeap {
 
     /// Establish heap order over the stored entries in linear time.
     pub fn heapify(&mut self, mut cmp: impl FnMut(FrontierEntry, FrontierEntry) -> Ordering) {
+        for start in (0..self.slots.len() / 2).rev() {
+            self.sift_down(start, self.slots[start], &mut cmp);
+        }
+    }
+
+    /// Move the hole at `hole` down past every smaller child that orders
+    /// before `entry`, then fill it with `entry`: two comparisons per
+    /// level, and it stops where `entry` belongs.
+    fn sift_down(
+        &mut self,
+        mut hole: usize,
+        entry: FrontierEntry,
+        cmp: &mut impl FnMut(FrontierEntry, FrontierEntry) -> Ordering,
+    ) {
         let slots = self.slots.as_mut_slice();
         let n = slots.len();
-        for start in (0..n / 2).rev() {
-            // Sift `moving` down until neither child orders before it.
-            let moving = slots[start];
-            let mut hole = start;
-            loop {
-                let left = 2 * hole + 1;
-                if left >= n {
-                    break;
-                }
-                let right_first = left + 1 < n && less(slots[left + 1], slots[left], &mut cmp);
-                let child = left + usize::from(right_first);
-                if !less(slots[child], moving, &mut cmp) {
-                    break;
-                }
-                slots[hole] = slots[child];
-                hole = child;
+        loop {
+            let left = 2 * hole + 1;
+            if left >= n {
+                break;
             }
-            slots[hole] = moving;
+            let right_first = left + 1 < n && less(slots[left + 1], slots[left], cmp);
+            let child = left + usize::from(right_first);
+            if !less(slots[child], entry, cmp) {
+                break;
+            }
+            slots[hole] = slots[child];
+            hole = child;
         }
+        slots[hole] = entry;
     }
 
     /// Number of pending entries.
@@ -557,7 +572,9 @@ impl FrontierHeap {
         slots[hole] = entry;
     }
 
-    /// Remove and return the minimum entry.
+    /// Remove and return the minimum entry. The enumerators pop only a cell
+    /// that has no successor to take its place; the others go through
+    /// [`FrontierHeap::replace_top`].
     ///
     /// The root leaves a hole that sinks to the bottom along the smaller
     /// child — one comparison per level, its outcome an index computed
@@ -594,6 +611,28 @@ impl FrontierHeap {
         }
         self.sift_up(hole, last, &mut cmp);
         Some(top)
+    }
+
+    /// Replace the minimum entry by `entry` and return the minimum: the
+    /// pop followed by the push of `entry`, in one top-down sift.
+    ///
+    /// This is the step of `Topdown` that advances past a cell and queues
+    /// its first successor. The successor ranks at or behind the cell it
+    /// replaces, usually just behind, so it settles near the root: about
+    /// two comparisons per level it sinks, where a pop sinks a hole through
+    /// every level and the push then climbs most of them back.
+    ///
+    /// # Panics
+    ///
+    /// If the heap is empty.
+    pub fn replace_top(
+        &mut self,
+        entry: FrontierEntry,
+        mut cmp: impl FnMut(FrontierEntry, FrontierEntry) -> Ordering,
+    ) -> FrontierEntry {
+        let top = self.slots[0];
+        self.sift_down(0, entry, &mut cmp);
+        top
     }
 
     /// Bytes of reserved entry storage (capacity-based: pops do not return
@@ -839,29 +878,102 @@ mod tests {
         }
     }
 
+    /// Pushes, pops and replace-tops, modelled against `std` with a
+    /// replace-top as a pop followed by a push. A cap on the length keeps
+    /// some runs at one, two and three entries, where the sift meets a
+    /// missing child at once; the uncapped run grows to hundreds.
     #[test]
     fn heap_matches_std_binary_heap_on_a_mixed_sequence() {
         use std::collections::BinaryHeap;
         for inline in [Inline::All, Inline::Some, Inline::Nothing] {
-            let mut ours = FrontierHeap::new();
-            let mut theirs: BinaryHeap<ByTotal> = BinaryHeap::new();
-            // Deterministic pseudo-random interleave of pushes and pops.
-            let mut draw = lcg(0x243F6A8885A308D3);
-            for step in 0..3_000u32 {
-                let x = draw();
-                if !x.is_multiple_of(3) || theirs.is_empty() {
+            for cap in [1usize, 2, 3, usize::MAX] {
+                let mut ours = FrontierHeap::new();
+                let mut theirs: BinaryHeap<ByTotal> = BinaryHeap::new();
+                // Deterministic pseudo-random interleave of the three steps.
+                let mut draw = lcg(0x243F6A8885A308D3);
+                let mut replaced = 0;
+                for step in 0..3_000u32 {
+                    let x = draw();
                     let e = entry(inline, (x >> 8) as u32 % 50, step);
-                    ours.push(e, total);
-                    theirs.push(ByTotal(e));
-                } else {
-                    assert_eq!(ours.pop(total), theirs.pop().map(|ByTotal(e)| e));
+                    // A quarter pops, a quarter replace-tops, half pushes.
+                    let op = x % 4;
+                    if theirs.is_empty() || (op >= 2 && theirs.len() < cap) {
+                        ours.push(e, total);
+                        theirs.push(ByTotal(e));
+                    } else if op == 0 {
+                        assert_eq!(ours.pop(total), theirs.pop().map(|ByTotal(e)| e));
+                    } else {
+                        let ByTotal(top) = theirs.pop().unwrap();
+                        theirs.push(ByTotal(e));
+                        assert_eq!(ours.replace_top(e, total), top, "{inline:?} cap {cap}");
+                        replaced += 1;
+                    }
+                    assert_eq!(ours.len(), theirs.len());
+                    assert_eq!(ours.peek(), theirs.peek().map(|ByTotal(e)| *e));
                 }
-                assert_eq!(ours.peek(), theirs.peek().map(|ByTotal(e)| *e));
+                assert!(
+                    replaced > 500,
+                    "{inline:?} cap {cap}: {replaced} replace-tops"
+                );
+                if cap == usize::MAX {
+                    assert!(ours.len() > 300, "the uncapped heap grows: {}", ours.len());
+                }
+                while let Some(ByTotal(e)) = theirs.pop() {
+                    assert_eq!(ours.pop(total), Some(e), "{inline:?} cap {cap}");
+                }
+                assert!(ours.pop(total).is_none());
             }
-            while let Some(ByTotal(e)) = theirs.pop() {
-                assert_eq!(ours.pop(total), Some(e), "{inline:?}");
+        }
+    }
+
+    /// Where every comparison reaches the comparator, a replace-top pays
+    /// for the depth its entry settles at — at most two calls per level,
+    /// counting the level where it stops — while a pop and a push pay for
+    /// the height of the heap whatever the entry.
+    #[test]
+    fn replace_top_compares_by_the_depth_its_entry_settles_at() {
+        const N: u32 = 1_023;
+        // Keys pushed in increasing order never move: slot `i` holds key
+        // `i`, the smaller child is always the left one, and the left
+        // spine holds keys `2^d - 1` at depth `d`.
+        let build = || {
+            let mut heap = FrontierHeap::new();
+            for key in 0..N {
+                heap.push(entry(Inline::Nothing, key, key), total);
             }
-            assert!(ours.pop(total).is_none());
+            heap
+        };
+        fn counted(calls: &mut usize) -> impl FnMut(FrontierEntry, FrontierEntry) -> Ordering + '_ {
+            move |a, b| {
+                *calls += 1;
+                total(a, b)
+            }
+        }
+        let height = (N as f64).log2() as usize;
+        for depth in 0..=height {
+            // Behind the spine's key at `depth` (past it when `depth > 0`),
+            // ahead of its left child's.
+            let key = (2u32 << depth) - 2;
+            let e = entry(Inline::Nothing, key, N + 1);
+            let mut replaced = build();
+            let mut calls = 0;
+            replaced.replace_top(e, counted(&mut calls));
+            let slot = (1usize << depth) - 1;
+            assert_eq!(replaced.entries()[slot], e, "depth {depth}");
+            assert!(calls <= 2 * (depth + 1), "depth {depth}: {calls} calls");
+
+            let mut popped = build();
+            let mut pop_push_calls = 0;
+            popped.pop(counted(&mut pop_push_calls));
+            popped.push(e, counted(&mut pop_push_calls));
+            assert!(
+                pop_push_calls >= height,
+                "depth {depth}: {pop_push_calls} calls"
+            );
+            while let Some(top) = replaced.pop(total) {
+                assert_eq!(popped.pop(total), Some(top));
+            }
+            assert!(popped.is_empty());
         }
     }
 

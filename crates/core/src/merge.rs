@@ -11,6 +11,7 @@ use crate::stats::EnumStats;
 use re_ranking::Ranking;
 use re_storage::{Attr, Tuple};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// One pending answer of a merged ranked stream. The derived order is
@@ -86,15 +87,22 @@ impl<R: Ranking> RankedMerge<R> {
         Some(best.tuple)
     }
 
-    /// Pop the best entry and refill its source.
+    /// Pop the best entry and refill its source: the source's next answer
+    /// takes the entry's place on top of the heap, one sift instead of a
+    /// pop and a push; a source that ran dry gives its slot up.
     fn pop(&mut self, pull: &mut impl FnMut(usize) -> Option<Tuple>) -> Option<MergeEntry<R::Key>> {
-        let Reverse(entry) = self.heap.pop()?;
+        let mut top = self.heap.peek_mut()?;
         self.stats.record_pop();
-        if let Some(tuple) = pull(entry.source) {
-            self.insert(entry.source, tuple);
-            self.stats.record_push();
-        }
-        Some(entry)
+        let source = top.0.source;
+        let Some(tuple) = pull(source) else {
+            return Some(PeekMut::pop(top).0);
+        };
+        let key = self.ranking.key(&self.plan, &tuple);
+        self.stats.record_push();
+        Some(std::mem::replace(
+            &mut top.0,
+            MergeEntry { key, tuple, source },
+        ))
     }
 
     fn insert(&mut self, source: usize, tuple: Tuple) {

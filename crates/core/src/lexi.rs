@@ -4,7 +4,10 @@
 //! Lexicographic orders have more structure than SUM: the global order is
 //! determined attribute by attribute, so the enumerator can *fix* the
 //! best remaining value of the first attribute, recurse on the next
-//! attribute, and backtrack — avoiding priority queues altogether.
+//! attribute, and backtrack — avoiding priority queues altogether. The
+//! attributes and the order within each level are [`LexRanking`]'s
+//! ([`LexRanking::levels`], [`re_ranking::LexLevel::key`]), so the emitted
+//! sequence is the general engine's under the same ranking, ties included.
 //!
 //! The work happens in two phases:
 //!
@@ -24,11 +27,11 @@
 //!   `KeyTable` and then holds the index's bytes; the build happens only
 //!   when the touch count shows the index will amortise. Scan and index
 //!   answers are set-identical and every candidate list is totally
-//!   re-sorted by `(weight, value)`, so the emitted sequence is
+//!   re-sorted by its level key, so the emitted sequence is
 //!   byte-identical either way.
 //!
 //! * **Enumeration** — depth-first search over the attribute levels. A
-//!   frame holds a cursor into a weight-sorted *candidate list* (the
+//!   frame holds a cursor into a key-sorted *candidate list* (the
 //!   paper's "cell"): the distinct values of the level's attribute that
 //!   extend the currently bound prefix to at least one answer. Cells are
 //!   memoized per *dependency sub-prefix* — the minimal subset of bound
@@ -59,7 +62,7 @@ use crate::stats::EnumStats;
 use re_exec::ExecContext;
 use re_join::{reduce_then_prune_ctx, sorted_index};
 use re_query::{JoinProjectQuery, JoinTree};
-use re_ranking::{Direction, LexRanking, Weight, WeightAssignment};
+use re_ranking::{LexLevel, LexRanking};
 use re_storage::{Attr, Database, Relation, SortedIndex, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -130,8 +133,7 @@ impl LazyIndex {
     /// groups (disjoint, hence duplicate-free). Scan path: one ascending
     /// filter pass. The row orders differ but the sets are equal, and
     /// every downstream consumer is order-insensitive (semi-join
-    /// membership, distinct-value collection, total `(weight, value)`
-    /// candidate sort).
+    /// membership, distinct-value collection, total candidate sort).
     fn union_rows(
         &mut self,
         rel: &Relation,
@@ -190,8 +192,6 @@ struct StepPlan {
 /// Everything needed to produce the candidate list of one level given a
 /// bound prefix. Derived once at construction.
 struct LevelPlan {
-    /// Sort direction of the level's attribute.
-    dir: Direction,
     /// Levels whose prefix values the candidate list depends on — the
     /// memo key. A strict subset of the prefix is what makes cells
     /// shareable between prefixes.
@@ -215,18 +215,17 @@ struct Frame {
 pub struct LexiEnumerator {
     /// Projection attributes in the user-requested (output) order.
     projection: Vec<Attr>,
-    /// Projection attributes in lexicographic priority order, with their
-    /// sort direction.
-    attr_order: Vec<(Attr, Direction)>,
-    /// Permutation from `attr_order` positions to the user projection order.
+    /// Projection attributes in enumeration order, each with its level
+    /// (`None`: undeclared, ordered by value), from [`LexRanking::levels`].
+    order: Vec<(Attr, Option<LexLevel>)>,
+    /// Permutation from `order` positions to the user projection order.
     output_perm: Vec<usize>,
     /// The reduced per-node relations — owned, and never cloned again.
     relations: Vec<Relation>,
     /// Lazily built grouped-adjacency indexes shared by all level plans.
     indexes: Vec<LazyIndex>,
     levels: Vec<LevelPlan>,
-    weights: WeightAssignment,
-    /// Cell arena: weight-sorted candidate lists.
+    /// Cell arena: key-sorted candidate lists.
     cells: Vec<Vec<Value>>,
     /// Per level: dependency sub-prefix → cell id.
     memo: Vec<HashMap<Tuple, u32>>,
@@ -236,49 +235,18 @@ pub struct LexiEnumerator {
     stats: EnumStats,
 }
 
-/// The lexicographic attribute order actually enumerated: the ranking's
-/// declared order restricted to the projection (first occurrence wins),
-/// with projection attributes missing from the declaration appended
-/// (ascending) in projection order.
-fn lex_attr_order(query: &JoinProjectQuery, ranking: &LexRanking) -> Vec<(Attr, Direction)> {
-    let mut order: Vec<(Attr, Direction)> = Vec::with_capacity(query.projection().len());
-    for (a, d) in ranking.order() {
-        if query.is_projected(a) && !order.iter().any(|(x, _)| x == a) {
-            order.push((a.clone(), *d));
-        }
-    }
-    for p in query.projection() {
-        if !order.iter().any(|(a, _)| a == p) {
-            order.push((p.clone(), Direction::Asc));
-        }
-    }
-    order
-}
-
-/// Decorate-sort-undecorate: order candidate values by weight under the
-/// level's direction, ties broken by value (ascending) for determinism.
-/// The bulk [`WeightAssignment::weights_of`] lookup resolves the attribute
-/// once — no attribute hash lookup per comparison, no value lookup beyond
-/// the decorate pass.
-fn sort_candidates(
-    weights: &WeightAssignment,
-    attr: &Attr,
-    dir: Direction,
-    values: &mut Vec<Value>,
-) {
-    let mut decorated: Vec<(Weight, Value)> = weights
-        .weights_of(attr, values)
-        .into_iter()
-        .zip(values.iter().copied())
-        .collect();
-    match dir {
-        Direction::Asc => decorated.sort_unstable(),
-        Direction::Desc => {
-            decorated.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)))
-        }
-    }
+/// Sort a cell's distinct candidate values into the level's order: by
+/// [`LexLevel::key`] for a declared level — one weight lookup per value,
+/// the attribute resolved once at construction — and by value otherwise.
+fn sort_candidates(level: Option<&LexLevel>, values: &mut Vec<Value>) {
+    let Some(level) = level else {
+        values.sort_unstable();
+        return;
+    };
+    let mut keyed: Vec<_> = values.iter().map(|&v| level.key(v)).collect();
+    keyed.sort_unstable();
     values.clear();
-    values.extend(decorated.into_iter().map(|(_, v)| v));
+    values.extend(keyed.into_iter().map(|(_, v)| v));
 }
 
 /// Distinct keys (projected onto `pos`) of an iterator of tuples: the
@@ -327,9 +295,7 @@ fn mark_keep(children: &[Vec<usize>], marked: &[bool], keep: &mut [bool], u: usi
 
 impl LexiEnumerator {
     /// Build the enumerator for an acyclic query under a lexicographic
-    /// ranking. Attributes of the ranking that are not projected are
-    /// ignored; projected attributes missing from the ranking order are
-    /// appended (ascending) after the declared ones.
+    /// ranking, in the order [`LexRanking`] defines.
     pub fn new(
         query: &JoinProjectQuery,
         db: &Database,
@@ -362,12 +328,12 @@ impl LexiEnumerator {
     ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
         let (tree, relations, rstats) = reduce_then_prune_ctx(ctx, query, tree, db)?;
-        let attr_order = lex_attr_order(query, ranking);
+        let order = ranking.levels(query.projection());
         let output_perm = query
             .projection()
             .iter()
             .map(|p| {
-                attr_order
+                order
                     .iter()
                     .position(|(a, _)| a == p)
                     .expect("projection attribute present in order")
@@ -376,12 +342,11 @@ impl LexiEnumerator {
 
         let mut this = LexiEnumerator {
             projection: query.projection().to_vec(),
-            attr_order,
+            order,
             output_perm,
             relations,
             indexes: Vec::new(),
             levels: Vec::new(),
-            weights: ranking.weights().clone(),
             cells: Vec::new(),
             memo: Vec::new(),
             prefix: Vec::new(),
@@ -394,7 +359,7 @@ impl LexiEnumerator {
             return Ok(this); // empty join: nothing to index, nothing to emit
         }
         this.build_plans(&tree)?;
-        this.memo = (0..this.attr_order.len()).map(|_| HashMap::new()).collect();
+        this.memo = (0..this.order.len()).map(|_| HashMap::new()).collect();
         let cell = this.cell_for(0);
         this.stack.push(Frame {
             level: 0,
@@ -426,9 +391,9 @@ impl LexiEnumerator {
             })
         };
 
-        let mut levels: Vec<LevelPlan> = Vec::with_capacity(self.attr_order.len());
-        for (k, (attr, dir)) in self.attr_order.iter().enumerate() {
-            let bound_set: BTreeSet<&Attr> = self.attr_order[..k].iter().map(|(a, _)| a).collect();
+        let mut levels: Vec<LevelPlan> = Vec::with_capacity(self.order.len());
+        for (k, (attr, _)) in self.order.iter().enumerate() {
+            let bound_set: BTreeSet<&Attr> = self.order[..k].iter().map(|(a, _)| a).collect();
             let root = (0..n)
                 .position(|i| self.relations[i].attrs().contains(attr))
                 .expect("projection attribute must appear in the pruned tree");
@@ -481,7 +446,7 @@ impl LexiEnumerator {
             for &u in &order {
                 let rel = &self.relations[u];
                 let bound_levels: Vec<usize> = (0..k)
-                    .filter(|&l| rel.attrs().contains(&self.attr_order[l].0))
+                    .filter(|&l| rel.attrs().contains(&self.order[l].0))
                     .collect();
                 let bound = if bound_levels.is_empty() {
                     None
@@ -493,7 +458,7 @@ impl LexiEnumerator {
                     }
                     let key: Vec<Attr> = bound_levels
                         .iter()
-                        .map(|&l| self.attr_order[l].0.clone())
+                        .map(|&l| self.order[l].0.clone())
                         .collect();
                     Some((intern(u, key), bound_levels))
                 };
@@ -527,7 +492,6 @@ impl LexiEnumerator {
                 .position(attr)
                 .expect("attribute exists in its node");
             levels.push(LevelPlan {
-                dir: *dir,
                 dep,
                 steps,
                 attr_pos,
@@ -580,7 +544,7 @@ impl LexiEnumerator {
     }
 
     /// Run the level's bottom-up schedule over row-id lists and return the
-    /// weight-sorted candidate values. Pure probes and list merges — no
+    /// key-sorted candidate values. Pure probes and list merges — no
     /// relation is copied, no reducer runs; unbuilt indexes answer by scan
     /// until their lazy build triggers (see [`LazyIndex`]).
     fn compute_candidates(&mut self, level: usize) -> Vec<Value> {
@@ -590,8 +554,7 @@ impl LexiEnumerator {
             levels,
             relations,
             indexes,
-            weights,
-            attr_order,
+            order,
             prefix,
             stats,
             ..
@@ -669,22 +632,16 @@ impl LexiEnumerator {
                 }
             }
         }
-        sort_candidates(weights, &attr_order[level].0, plan.dir, &mut values);
+        sort_candidates(order[level].1.as_ref(), &mut values);
         values
     }
 
     fn emit(&self, last: Value) -> Tuple {
-        let m = self.attr_order.len();
+        let m = self.order.len();
         self.output_perm
             .iter()
             .map(|&p| if p + 1 == m { last } else { self.prefix[p] })
             .collect()
-    }
-
-    /// The lexicographic attribute order actually used (projection
-    /// attributes only).
-    pub fn attr_order(&self) -> &[(Attr, Direction)] {
-        &self.attr_order
     }
 
     /// The projection attributes, in output order.
@@ -721,7 +678,7 @@ impl Iterator for LexiEnumerator {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        let m = self.attr_order.len();
+        let m = self.order.len();
         loop {
             let (level, cell, cursor) = match self.stack.last() {
                 None => return None,
@@ -756,6 +713,7 @@ mod tests {
     use super::*;
     use crate::acyclic::AcyclicEnumerator;
     use re_query::QueryBuilder;
+    use re_ranking::{Direction, WeightAssignment};
     use re_storage::attr::attrs;
 
     fn db() -> Database {

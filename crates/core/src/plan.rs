@@ -2,6 +2,8 @@
 //! algorithms enumerates it, over which join tree — decided once by
 //! [`BranchPlan::of`] and read by everything downstream (OPEN, UNION,
 //! `EXPLAIN`, the plan cache), plus the one-call [`top_k`] helper.
+//! Both engines emit the one order [`re_ranking::LexRanking`] defines, so
+//! every acyclic branch under a lexicographic ranking takes Algorithm 3.
 
 use crate::acyclic::AcyclicEnumerator;
 use crate::cyclic::CyclicEnumerator;
@@ -10,8 +12,8 @@ use crate::lexi::LexiEnumerator;
 use crate::stream::RankedStream;
 use re_exec::ExecContext;
 use re_query::{JoinProjectQuery, JoinTree, QueryError};
-use re_ranking::{Direction, Ranking};
-use re_storage::{Attr, Database, Tuple};
+use re_ranking::Ranking;
+use re_storage::{Database, Tuple};
 
 /// The enumeration strategy driving a stream: what [`BranchPlan::algorithm`]
 /// and [`RankedStream::algorithm`] report.
@@ -64,38 +66,19 @@ pub enum BranchPlan {
 }
 
 impl BranchPlan {
-    /// Plan `query`. `lex_order` is the declared order of a lexicographic
-    /// ranking (`None` for SUM-like rankings and for the branches of a
-    /// union, whose merge compares general-algorithm keys).
+    /// Plan `query`, to be ranked lexicographically or not.
     ///
     /// [`JoinTree::build`] failing with `NotAcyclic` *is* the acyclicity
     /// test. An acyclic query under a lexicographic order goes to the
     /// index-backed Algorithm 3 — a memoized hash probe and a cursor bump
-    /// per answer instead of priority-queue work — when at most one
-    /// projection attribute is missing from the declared order: both
-    /// engines append missing attributes as the implicit order suffix, but
-    /// they order two or more of them differently (lexi by projection
-    /// order, the general algorithm by the root node's subtree layout), so
-    /// the output sequences only agree when the suffix has at most one
-    /// attribute.
-    pub fn of(
-        query: &JoinProjectQuery,
-        lex_order: Option<&[(Attr, Direction)]>,
-    ) -> Result<Self, QueryError> {
+    /// per answer instead of priority-queue work.
+    pub fn of(query: &JoinProjectQuery, lexicographic: bool) -> Result<Self, QueryError> {
         let tree = match JoinTree::build(query) {
             Ok(tree) => tree,
             Err(QueryError::NotAcyclic) => return Ok(BranchPlan::Cyclic),
             Err(e) => return Err(e),
         };
-        let lexi_serves = lex_order.is_some_and(|declared| {
-            let undeclared = query
-                .projection()
-                .iter()
-                .filter(|p| !declared.iter().any(|(a, _)| a == *p))
-                .count();
-            undeclared <= 1
-        });
-        Ok(if lexi_serves {
+        Ok(if lexicographic {
             BranchPlan::Lexi(tree)
         } else {
             BranchPlan::Acyclic(tree)
@@ -160,7 +143,8 @@ pub fn top_k<R: Ranking + Clone + 'static>(
     ranking: R,
     k: usize,
 ) -> Result<Vec<Tuple>, EnumError> {
-    let stream = BranchPlan::of(query, None)?.open(query, db, ranking, &ExecContext::serial())?;
+    let plan = BranchPlan::of(query, ranking.as_lex().is_some())?;
+    let stream = plan.open(query, db, ranking, &ExecContext::serial())?;
     Ok(stream.take(k).collect())
 }
 
@@ -205,17 +189,10 @@ mod tests {
             .unwrap()
     }
 
-    fn asc(names: &[&str]) -> Vec<(Attr, Direction)> {
-        names
-            .iter()
-            .map(|n| (Attr::new(n), Direction::Asc))
-            .collect()
-    }
-
     #[test]
     fn opens_the_acyclic_algorithm_for_acyclic_queries() {
         let q = two_hop(&["x", "z"]);
-        let plan = BranchPlan::of(&q, None).unwrap();
+        let plan = BranchPlan::of(&q, false).unwrap();
         assert_eq!(plan.algorithm(), Algorithm::Acyclic);
         assert!(plan.join_tree().is_some());
         let e = plan
@@ -229,7 +206,7 @@ mod tests {
     #[test]
     fn opens_a_ghd_for_cyclic_queries() {
         let q = triangle();
-        let plan = BranchPlan::of(&q, None).unwrap();
+        let plan = BranchPlan::of(&q, false).unwrap();
         assert_eq!(plan.algorithm(), Algorithm::CyclicGhd);
         assert!(plan.join_tree().is_none());
         let e = plan
@@ -243,39 +220,26 @@ mod tests {
     }
 
     #[test]
-    fn lexicographic_orders_take_algorithm_3_when_it_serves_them() {
-        let algorithm = |q: &JoinProjectQuery, order: &[&str]| {
-            BranchPlan::of(q, Some(&asc(order))).unwrap().algorithm()
+    fn lexicographic_orders_take_algorithm_3_on_acyclic_queries() {
+        let algorithm = |q: &JoinProjectQuery, lexicographic: bool| {
+            BranchPlan::of(q, lexicographic).unwrap().algorithm()
         };
-        let acyclic = two_hop(&["x", "z"]);
-        // Fully declared lex order → lexi.
-        assert_eq!(algorithm(&acyclic, &["x", "z"]), Algorithm::Lexi);
-        // One undeclared projection attribute: the suffix is unambiguous.
-        assert_eq!(algorithm(&acyclic, &["x"]), Algorithm::Lexi);
-        // SUM ranking keeps the general algorithm.
-        assert_eq!(
-            BranchPlan::of(&acyclic, None).unwrap().algorithm(),
-            Algorithm::Acyclic
-        );
-        // Two undeclared attributes: the engines disagree on the implicit
-        // suffix order, so stay on the general algorithm.
-        assert_eq!(
-            algorithm(&two_hop(&["x", "y", "z"]), &["x"]),
-            Algorithm::Acyclic
-        );
+        assert_eq!(algorithm(&two_hop(&["x", "z"]), true), Algorithm::Lexi);
+        assert_eq!(algorithm(&two_hop(&["x", "y", "z"]), true), Algorithm::Lexi);
+        assert_eq!(algorithm(&two_hop(&["x", "z"]), false), Algorithm::Acyclic);
         // Cyclic queries never route to lexi.
-        assert_eq!(algorithm(&triangle(), &["x", "y"]), Algorithm::CyclicGhd);
+        assert_eq!(algorithm(&triangle(), true), Algorithm::CyclicGhd);
     }
 
     #[test]
     fn a_lexi_plan_opens_algorithm_3_only_under_a_lexicographic_ranking() {
         let q = two_hop(&["x", "z"]);
         let lex = LexRanking::new(["x", "z"], WeightAssignment::value_as_weight());
-        let plan = BranchPlan::of(&q, Some(lex.order())).unwrap();
+        let plan = BranchPlan::of(&q, true).unwrap();
         let ctx = ExecContext::serial();
         let lexi = plan.open(&q, &db(), lex.clone(), &ctx).unwrap();
         assert_eq!(lexi.algorithm(), Algorithm::Lexi);
-        let general = BranchPlan::of(&q, None)
+        let general = BranchPlan::of(&q, false)
             .unwrap()
             .open(&q, &db(), lex, &ctx)
             .unwrap();

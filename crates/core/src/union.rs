@@ -1,7 +1,8 @@
 //! Ranked enumeration for unions of join-project queries (Theorem 4).
 //!
 //! Each branch of the UCQ is enumerated by its own ranked enumerator
-//! (acyclic or GHD-based); the branch streams go through one
+//! (acyclic, lexicographic or GHD-based, as [`BranchPlan::of`] decides);
+//! the branch streams go through one
 //! `RankedMerge`, which drops an answer that several branches produce —
 //! across branches such copies are adjacent, because every stream is
 //! sorted by `(key, tuple)`.
@@ -28,9 +29,11 @@ pub struct UnionEnumerator<R: Ranking + Clone> {
 
 impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     /// Build the enumerator for a UCQ: each acyclic branch gets an
-    /// [`AcyclicEnumerator`](crate::AcyclicEnumerator), each cyclic branch
-    /// a [`CyclicEnumerator`](crate::CyclicEnumerator) with an
-    /// automatically chosen GHD plan.
+    /// [`AcyclicEnumerator`](crate::AcyclicEnumerator) — a
+    /// [`LexiEnumerator`](crate::LexiEnumerator) under a lexicographic
+    /// ranking — each cyclic branch a
+    /// [`CyclicEnumerator`](crate::CyclicEnumerator) with an automatically
+    /// chosen GHD plan.
     pub fn new(union: &UnionQuery, db: &Database, ranking: R) -> Result<Self, EnumError> {
         Self::new_ctx(union, db, ranking, &ExecContext::serial())
     }
@@ -46,15 +49,13 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
         let plans = union
             .branches()
             .iter()
-            .map(|q| BranchPlan::of(q, None))
+            .map(|q| BranchPlan::of(q, ranking.as_lex().is_some()))
             .collect::<Result<Vec<_>, _>>()?;
         Self::with_plans_ctx(union, &plans, db, ranking, ctx)
     }
 
-    /// [`UnionEnumerator::new_ctx`] over branch plans made ahead of time:
-    /// `plans[i]` is [`BranchPlan::of`]`(branch i, None)` — the merge
-    /// compares general-algorithm keys, so no branch takes the
-    /// lexicographic fast path.
+    /// [`UnionEnumerator::new_ctx`] over branch plans made ahead of time,
+    /// `plans[i]` for branch `i`.
     pub fn with_plans_ctx(
         union: &UnionQuery,
         plans: &[BranchPlan],

@@ -115,8 +115,8 @@ impl WeightAssignment {
     /// A per-attribute resolver: the attribute's table and effective
     /// default, resolved **once**. Looking a value up by attribute name
     /// hashes the name into two maps before it reaches the value; ranking
-    /// plans, sorts and bulk decorate passes resolve each attribute up
-    /// front so a value costs at most one lookup (none without a table).
+    /// plans and lexicographic levels resolve each attribute up front so a
+    /// value costs at most one lookup (none without a table).
     /// The resolver shares the table (`Arc`), so it outlives `self`.
     pub fn resolver(&self, attr: &Attr) -> AttrWeights {
         AttrWeights {
@@ -133,13 +133,6 @@ impl WeightAssignment {
     /// ranking plan.
     pub fn resolvers(&self, attrs: &[Attr]) -> Vec<AttrWeights> {
         attrs.iter().map(|a| self.resolver(a)).collect()
-    }
-
-    /// Bulk lookup: the weights of `values` under `attr`, in order — the
-    /// decorate step of decorate-sort-undecorate.
-    pub fn weights_of(&self, attr: &Attr, values: &[Value]) -> Vec<Weight> {
-        let r = self.resolver(attr);
-        values.iter().map(|&v| r.weight_of(v)).collect()
     }
 }
 
@@ -248,10 +241,6 @@ mod tests {
                 assert_eq!(r.weight_of(v), w.weight_of(&attr, v), "{attr} {v}");
             }
         }
-        assert_eq!(
-            w.weights_of(&Attr::new("a"), &[5, 6]),
-            vec![Weight::new(0.25), Weight::new(6.0)]
-        );
     }
 
     #[test]

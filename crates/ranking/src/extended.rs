@@ -163,15 +163,22 @@ impl WeightedSumRanking {
         }
     }
 
-    /// Sum of the listed attributes only (coefficient 1), ignoring all other
-    /// attributes (coefficient 0). This is the ranking a SQL
-    /// `ORDER BY a1 + a2` induces when the projection also contains other
-    /// attributes.
+    /// Sum of the listed attributes only, ignoring all other attributes
+    /// (coefficient 0). An attribute listed `n` times has coefficient `n`.
+    /// This is the ranking a SQL `ORDER BY a1 + a2` induces when it does
+    /// not sum every projected column exactly once.
     pub fn over_attrs(
         attrs: impl IntoIterator<Item = impl Into<Attr>>,
         weights: WeightAssignment,
     ) -> Self {
-        WeightedSumRanking::new(attrs.into_iter().map(|a| (a, 1.0)), 0.0, weights)
+        let mut coefficients: Vec<(Attr, f64)> = Vec::new();
+        for a in attrs.into_iter().map(Into::into) {
+            match coefficients.iter_mut().find(|(x, _)| *x == a) {
+                Some((_, c)) => *c += 1.0,
+                None => coefficients.push((a, 1.0)),
+            }
+        }
+        WeightedSumRanking::new(coefficients, 0.0, weights)
     }
 
     /// Default coefficient applied to unlisted attributes.
@@ -396,6 +403,13 @@ mod tests {
         let r = WeightedSumRanking::over_attrs(["a", "b"], WeightAssignment::value_as_weight());
         let key = r.key_of(&attrs(["a", "b", "noise"]), &[1, 2, 1000]);
         assert_eq!(key, Weight::new(3.0));
+    }
+
+    #[test]
+    fn weighted_sum_over_attrs_counts_a_repeated_attribute_each_time() {
+        let r =
+            WeightedSumRanking::over_attrs(["a", "b", "b"], WeightAssignment::value_as_weight());
+        assert_eq!(r.key_of(&attrs(["a", "b"]), &[1, 10]), Weight::new(21.0));
     }
 
     #[test]

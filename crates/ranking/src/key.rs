@@ -179,6 +179,20 @@ impl<K: RankKey> RankKey for Vec<K> {
     }
 }
 
+/// A lexicographic level key ([`LexLevel::key`](crate::LexLevel::key)):
+/// a weight, then a value.
+impl RankKey for (Weight, u64) {
+    fn fingerprint(&self) -> u64 {
+        fold_words([self.0.fingerprint(), self.1])
+    }
+
+    /// The weight's: unequal weights decide the pair, equal ones leave the
+    /// value to the stored key.
+    fn prefix(&self) -> u64 {
+        self.0.prefix()
+    }
+}
+
 macro_rules! int_rank_key {
     ($sign_bit:expr => $($t:ty),*) => {
         $(impl RankKey for $t {
@@ -402,6 +416,16 @@ mod tests {
             vectors.push(vec![w, Weight(7.0)]);
         }
         assert_prefix_contract(&vectors);
+        // Lexicographic level keys: a weight, then a value.
+        let mut levels: Vec<Vec<(Weight, u64)>> = vec![vec![]];
+        for &w in &weights {
+            for v in [0, 1, u64::MAX] {
+                levels.push(vec![(w, v)]);
+                levels.push(vec![(w, v), (Weight(-5.0), 2)]);
+            }
+        }
+        assert_prefix_contract(&levels);
+        assert!(!(Weight(1.0), 1u64).prefix_is_exact());
         assert_prefix_contract(&[i64::MIN, -2, -1, 0, 1, 2, i64::MAX]);
         assert_prefix_contract(&[i8::MIN, -1, 0, 1, i8::MAX]);
         assert_prefix_contract(&[0u64, 1, 2, u64::MAX]);

@@ -20,6 +20,7 @@
 //! The property the enumeration algorithms need (and that the property
 //! tests check) is **monotonicity**: replacing any sub-tuple's contribution
 //! by a contribution with a larger key never makes the combined key smaller.
+//! [`rank`] says which of the rankings hold it only weakly.
 
 pub mod assignment;
 pub mod extended;
@@ -30,5 +31,5 @@ pub mod weight;
 pub use assignment::{AttrWeights, DefaultWeight, WeightAssignment};
 pub use extended::{AvgRanking, ProductRanking, SumProductRanking, WeightedSumRanking};
 pub use key::RankKey;
-pub use rank::{Direction, LexRanking, MaxRanking, MinRanking, Ranking, SumRanking};
+pub use rank::{Direction, LexLevel, LexRanking, MaxRanking, MinRanking, Ranking, SumRanking};
 pub use weight::{ExactSum, Weight};

@@ -6,7 +6,14 @@
 //! join-tree subtree — so the key must be meaningful for any attribute
 //! subset, and it must be **monotone**: making one part of the tuple worse
 //! (a larger key for the sub-tuple) can never make the whole tuple better.
-//! SUM, LEXICOGRAPHIC, MIN and MAX all have this property.
+//!
+//! SUM and LEXICOGRAPHIC are strictly monotone in `(key, tuple)` order, which
+//! is what the enumerators' duplicate elimination relies on: equal outputs
+//! pop next to each other. MIN and MAX are only *weakly* monotone — a
+//! sub-tuple can get worse while the whole key stays put — so the general
+//! engine may emit one of their answers more than once. The ignored test
+//! `tests/frontier_differential.rs::min_and_max_emit_each_projected_answer_once`
+//! pins that (ROADMAP item 1(a)).
 
 use crate::assignment::{AttrWeights, WeightAssignment};
 use crate::key::RankKey;
@@ -107,9 +114,22 @@ pub enum Direction {
     Desc,
 }
 
-/// `LEXICOGRAPHIC` ranking: tuples are ordered by the weights of their
-/// attributes following a global attribute priority order, each attribute
-/// ascending or descending (`ORDER BY A1 ASC, A2 DESC, ...`).
+/// `LEXICOGRAPHIC` ranking (`ORDER BY A1 ASC, A2 DESC, ...`): the one
+/// definition of the order both the general engine and the lexicographic
+/// enumerator (Algorithm 3) emit. Over a projection, answers are ordered
+///
+/// 1. by the declared attributes that are projected, in priority order
+///    (an attribute declared twice counts once, with its first direction),
+///    each compared by its level key ([`LexLevel::key`]): the weight,
+///    negated under [`Direction::Desc`], then the value ascending;
+/// 2. then by the remaining projection attributes, by value ascending, in
+///    projection order.
+///
+/// The key ([`Ranking::Key`]) holds the declared levels only. The second
+/// part is the `(key, tuple)` tie-break every enumerator and oracle already
+/// applies, with the tuple in projection order. The value in each level key
+/// makes the order strict: two answers with equal keys agree on every
+/// declared attribute, so ties in weight cannot reorder them per engine.
 #[derive(Clone, Debug)]
 pub struct LexRanking {
     order: Vec<(Attr, Direction)>,
@@ -122,13 +142,7 @@ impl LexRanking {
         order: impl IntoIterator<Item = impl Into<Attr>>,
         weights: WeightAssignment,
     ) -> Self {
-        LexRanking {
-            order: order
-                .into_iter()
-                .map(|a| (a.into(), Direction::Asc))
-                .collect(),
-            weights,
-        }
+        LexRanking::with_directions(order.into_iter().map(|a| (a, Direction::Asc)), weights)
     }
 
     /// Lexicographic order with explicit per-attribute directions.
@@ -152,34 +166,69 @@ impl LexRanking {
         &self.weights
     }
 
-    /// The global priority position of an attribute (attributes outside the
-    /// declared order sort last, in declaration order of the node).
-    fn position(&self, attr: &Attr) -> usize {
-        self.order
-            .iter()
-            .position(|(a, _)| a == attr)
-            .unwrap_or(self.order.len())
+    /// The declared attributes among `attrs`, in priority order: each one's
+    /// position in `attrs` and its level, resolved once.
+    fn declared(&self, attrs: &[Attr]) -> Vec<(usize, LexLevel)> {
+        let mut out: Vec<(usize, LexLevel)> = Vec::new();
+        for (a, dir) in &self.order {
+            let Some(i) = attrs.iter().position(|x| x == a) else {
+                continue;
+            };
+            if !out.iter().any(|(j, _)| *j == i) {
+                let weights = self.weights.resolver(a);
+                out.push((i, LexLevel { weights, dir: *dir }));
+            }
+        }
+        out
     }
 
-    fn direction(&self, attr: &Attr) -> Direction {
-        self.order
-            .iter()
-            .find(|(a, _)| a == attr)
-            .map(|(_, d)| *d)
-            .unwrap_or(Direction::Asc)
+    /// The levels of the order over `projection`, in enumeration order:
+    /// the declared ones with their [`LexLevel`], then the undeclared ones
+    /// with `None` — ranked by value alone (see the type docs).
+    pub fn levels(&self, projection: &[Attr]) -> Vec<(Attr, Option<LexLevel>)> {
+        let declared = self.declared(projection).into_iter();
+        let mut levels: Vec<_> = declared
+            .map(|(i, level)| (projection[i].clone(), Some(level)))
+            .collect();
+        for a in projection {
+            if !levels.iter().any(|(x, _)| x == a) {
+                levels.push((a.clone(), None));
+            }
+        }
+        levels
     }
 }
 
-/// Key plan for [`LexRanking`]: for each key slot (in global priority
-/// order), which input position to read, that attribute's weights, and
+/// One declared attribute of a [`LexRanking`], resolved: its weights and
 /// its direction.
 #[derive(Clone, Debug)]
+pub struct LexLevel {
+    weights: AttrWeights,
+    dir: Direction,
+}
+
+impl LexLevel {
+    /// The level's sort key of `value`, the one place LEX compares a value:
+    /// the direction-adjusted weight, ties broken by the value ascending.
+    #[inline]
+    pub fn key(&self, value: Value) -> (Weight, Value) {
+        let w = self.weights.weight_of(value);
+        match self.dir {
+            Direction::Asc => (w, value),
+            Direction::Desc => (-w, value),
+        }
+    }
+}
+
+/// Key plan for [`LexRanking`]: for each declared level present (in
+/// priority order), which input position to read and the level itself.
+#[derive(Clone, Debug)]
 pub struct LexPlan {
-    slots: Vec<(usize, AttrWeights, Direction)>,
+    slots: Vec<(usize, LexLevel)>,
 }
 
 impl Ranking for LexRanking {
-    type Key = Vec<Weight>;
+    type Key = Vec<(Weight, Value)>;
     type Plan = LexPlan;
 
     fn as_lex(&self) -> Option<&LexRanking> {
@@ -187,33 +236,22 @@ impl Ranking for LexRanking {
     }
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        let mut order: Vec<usize> = (0..attrs.len()).collect();
-        order.sort_by_key(|&i| (self.position(&attrs[i]), i));
-        let slot = |i: usize| {
-            let a = &attrs[i];
-            (i, self.weights.resolver(a), self.direction(a))
-        };
         LexPlan {
-            slots: order.into_iter().map(slot).collect(),
+            slots: self.declared(attrs),
         }
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
         plan.slots
             .iter()
-            .map(|(i, weights, d)| {
-                let w = weights.weight_of(values[*i]);
-                match d {
-                    Direction::Asc => w,
-                    Direction::Desc => -w,
-                }
-            })
+            .map(|(i, level)| level.key(values[*i]))
             .collect()
     }
 }
 
 /// `MIN` ranking (extension): the key of a tuple is the minimum attribute
-/// weight. Monotone, hence compatible with the enumeration machinery.
+/// weight. Only weakly monotone: answers come out in non-decreasing key
+/// order, but possibly more than once (see the module docs).
 #[derive(Clone, Debug)]
 pub struct MinRanking {
     weights: WeightAssignment,
@@ -244,7 +282,7 @@ impl Ranking for MinRanking {
 }
 
 /// `MAX` ranking (extension): the key of a tuple is the maximum attribute
-/// weight.
+/// weight. Only weakly monotone, like [`MinRanking`].
 #[derive(Clone, Debug)]
 pub struct MaxRanking {
     weights: WeightAssignment,
@@ -322,6 +360,41 @@ mod tests {
         let r = LexRanking::new(["x", "y"], WeightAssignment::value_as_weight());
         let a = attrs(["x", "y"]);
         assert!(r.key_of(&a, &[1, 5]) < r.key_of(&a, &[1, 6]));
+    }
+
+    #[test]
+    fn lex_keys_break_weight_ties_by_value_and_hold_declared_levels_only() {
+        let flat = (0..10u64).map(|v| (v, Weight::new(1.0))).collect();
+        let r = LexRanking::with_directions(
+            [
+                ("x", Direction::Asc),
+                ("z", Direction::Desc),
+                ("x", Direction::Desc),
+            ],
+            WeightAssignment::value_as_weight().with_table("x", flat),
+        );
+        let a = attrs(["y", "x"]);
+        assert_eq!(r.key_of(&a, &[9, 3]), vec![(Weight::new(1.0), 3)]);
+        assert!(
+            r.key_of(&a, &[9, 2]) < r.key_of(&a, &[0, 3]),
+            "x ties: by value"
+        );
+        assert_eq!(
+            r.key_of(&a, &[0, 3]),
+            r.key_of(&a, &[9, 3]),
+            "y is undeclared"
+        );
+        let b = attrs(["z", "x"]);
+        assert_eq!(
+            r.key_of(&b, &[4, 3]),
+            vec![(Weight::new(1.0), 3), (Weight::new(-4.0), 4)],
+            "declared order, first direction of x, z negated"
+        );
+        let levels = r.levels(&attrs(["w", "z", "y", "x"]));
+        let names: Vec<&str> = levels.iter().map(|(a, _)| a.as_str()).collect();
+        assert_eq!(names, ["x", "z", "w", "y"]);
+        let declared: Vec<bool> = levels.iter().map(|(_, l)| l.is_some()).collect();
+        assert_eq!(declared, [true, true, false, false]);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use rankedenum_core::{
 };
 use re_ranking::{LexRanking, Ranking, SumRanking, WeightAssignment, WeightedSumRanking};
 use re_storage::{Attr, Database, Tuple};
-use std::collections::BTreeSet;
 
 /// A live, resumable ranked enumeration of a planned SQL statement.
 pub struct QueryCursor {
@@ -56,9 +55,10 @@ impl QueryCursor {
         let (stream, phases) = re_obs::capture_phases(|| match &plan.order {
             None => open_stream(plan, db, SumRanking::new(weights.clone()), ctx),
             Some(OrderSpec::Sum(attrs)) => {
-                let listed: BTreeSet<&Attr> = attrs.iter().collect();
-                let all: BTreeSet<&Attr> = projection.iter().collect();
-                if listed == all {
+                // Projected columns: every one summed exactly once?
+                let once =
+                    attrs.len() == projection.len() && projection.iter().all(|p| attrs.contains(p));
+                if once {
                     open_stream(plan, db, SumRanking::new(weights.clone()), ctx)
                 } else {
                     let ranking = WeightedSumRanking::over_attrs(attrs.clone(), weights.clone());

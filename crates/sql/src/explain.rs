@@ -41,8 +41,8 @@ pub fn explain_plan(db: &Database, plan: &SqlPlan) -> Result<String, SqlError> {
 }
 
 /// Render the structural EXPLAIN of a bare join-project query (no SQL
-/// statement): the chosen algorithm plus the rooted join tree or the GHD
-/// selection. This is the query-level core of [`explain_plan`], exposed so
+/// statement): the algorithm chosen for a non-lexicographic ranking plus
+/// the rooted join tree or the GHD selection. This is the query-level core of [`explain_plan`], exposed so
 /// programmatically built queries (the workload suite) can be explained
 /// and golden-tested without writing them as SQL first.
 pub fn explain_query(db: &Database, q: &JoinProjectQuery) -> Result<String, SqlError> {
@@ -54,7 +54,7 @@ pub fn explain_query(db: &Database, q: &JoinProjectQuery) -> Result<String, SqlE
         q.atoms().len(),
         projection.join(", ")
     );
-    let branch = BranchPlan::of(q, None)?;
+    let branch = BranchPlan::of(q, false)?;
     let _ = writeln!(out, "algorithm: {}", branch.algorithm());
     render_branch_structure(&mut out, db, q, &branch, "")?;
     Ok(out)

@@ -153,6 +153,11 @@ impl SqlPlan {
     }
 }
 
+/// Whether `order` ranks lexicographically.
+fn is_lex(order: &Option<OrderSpec>) -> bool {
+    matches!(order, Some(OrderSpec::Lex(_)))
+}
+
 /// One planned `SELECT` branch, before the statement-level steps (union
 /// assembly, the per-branch physical plans).
 struct PlannedSelect {
@@ -167,13 +172,8 @@ struct PlannedSelect {
 pub fn plan(statement: &Statement, db: &Database) -> Result<SqlPlan, SqlError> {
     let first = plan_select(&statement.branches[0], db, None, 0)?;
     if statement.branches.len() == 1 {
-        // Only a single statement can take the lexicographic fast path.
-        let lex_order = match &first.order {
-            Some(OrderSpec::Lex(items)) => Some(items.as_slice()),
-            _ => None,
-        };
         return Ok(SqlPlan {
-            branches: vec![BranchPlan::of(&first.query, lex_order)?],
+            branches: vec![BranchPlan::of(&first.query, is_lex(&first.order))?],
             query: PlannedQuery::Single(first.query),
             derived: first.derived,
             order: first.order,
@@ -214,7 +214,7 @@ pub fn plan(statement: &Statement, db: &Database) -> Result<SqlPlan, SqlError> {
     }
     let branches = queries
         .iter()
-        .map(|q| BranchPlan::of(q, None))
+        .map(|q| BranchPlan::of(q, is_lex(&order)))
         .collect::<Result<_, _>>()?;
     Ok(SqlPlan {
         output_columns: first.output_columns,

@@ -508,7 +508,7 @@ fn every_surface_reports_the_planned_algorithm() {
         (w.bowtie().0, "cyclic-ghd"),
     ];
     for (spec, expected) in suite {
-        let plan = BranchPlan::of(&spec.query, None).unwrap();
+        let plan = BranchPlan::of(&spec.query, false).unwrap();
         let stream = plan
             .open(&spec.query, w.db(), spec.sum_ranking(), &ctx)
             .unwrap();
@@ -530,7 +530,7 @@ fn every_surface_reports_the_planned_algorithm() {
         assert_eq!(union.plan_shape(), None, "{}: acyclic branches", spec.name);
         for q in spec.query.branches() {
             let (explained, _) = explained_algorithms(&explain_query(l.db(), q).unwrap());
-            let planned = BranchPlan::of(q, None).unwrap().algorithm();
+            let planned = BranchPlan::of(q, false).unwrap().algorithm();
             assert_eq!(explained, planned.label(), "{}", spec.name);
         }
     }
@@ -551,7 +551,7 @@ fn every_surface_reports_the_planned_algorithm() {
             vec![],
         ),
         (format!("{WIDE} ORDER BY E1.s, E2.t"), "lexi", vec![]),
-        (format!("{WIDE} ORDER BY E1.s"), "acyclic", vec![]),
+        (format!("{WIDE} ORDER BY E1.s"), "lexi", vec![]),
         (
             format!("{TWO_HOP} AND E1.s = 3 ORDER BY E1.s + E2.t LIMIT 5"),
             "acyclic",
@@ -561,7 +561,7 @@ fn every_surface_reports_the_planned_algorithm() {
         (
             format!("{TWO_HOP} UNION {TRIANGLE} ORDER BY E1.s, E2.s"),
             "union-merge",
-            vec!["acyclic", "cyclic-ghd"],
+            vec!["lexi", "cyclic-ghd"],
         ),
     ];
     for (sql, expected, expected_branches) in &statements {

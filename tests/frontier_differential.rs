@@ -286,9 +286,11 @@ fn equal_prefixes_never_let_the_first_output_value_outrank_the_key() {
         let table = (0..64u64).map(|v| (v, Weight::new(-(v as f64)))).collect();
         WeightAssignment::value_as_weight().with_table(attr, table)
     };
-    // LEX on (x, y) where every x weighs the same and y runs backwards.
-    let flat_x = (0..64u64).map(|v| (v, Weight::new(1.0))).collect();
-    let lex = LexRanking::new(["x", "y"], descending("y").with_table("x", flat_x));
+    // LEX on (y, x) where every y weighs the same and x runs backwards:
+    // the first level's weight (the prefix) is constant, the rank runs by
+    // the value of y, then by x descending — and `tie0` is x.
+    let flat_y = (0..64u64).map(|v| (v, Weight::new(1.0))).collect();
+    let lex = LexRanking::new(["y", "x"], descending("x").with_table("y", flat_y));
     assert_matches_materialise_and_sort(&query, &db, lex.clone(), "lex");
     assert_matches_materialise_and_sort(&query, &db, NoPrefix(lex), "lex, no prefix");
     // MIN, MAX and SUM decided by x alone, larger x first. (y weighs the
@@ -306,11 +308,13 @@ fn equal_prefixes_never_let_the_first_output_value_outrank_the_key() {
     assert_matches_materialise_and_sort(&query, &db, NoPrefix(sum), "sum, no prefix");
 }
 
-/// ROADMAP item 1's instance. With `−value` on both attributes MIN and MAX
-/// tie between a cell and its successor (they are only weakly monotone), an
-/// equal output reached through a second anchor then pops later, and the
-/// last-answer check misses it: 150 answers for 145 distinct ones. Fixing
-/// item 1 means removing the `#[ignore]`.
+/// ROADMAP item 1(a)'s instance. With `−value` on both attributes MIN and
+/// MAX tie between a cell and its successor (they are only weakly
+/// monotone), an equal output reached through a second anchor then pops
+/// later, and the two duplicate checks — `topdown`'s peek loop in
+/// `acyclic.rs` and `RankedMerge::next` in `merge.rs`, both of which only
+/// compare with the queue's next entry — miss it: 150 answers for 145
+/// distinct ones. Fixing item 1(a) means removing the `#[ignore]`.
 #[test]
 #[ignore = "ROADMAP item 1: weakly monotone rankings emit duplicates"]
 fn min_and_max_emit_each_projected_answer_once() {

@@ -111,13 +111,10 @@ fn lexi_index_builds_are_thread_count_invariant() {
     // The index-backed LexiEnumerator builds its grouped-adjacency indexes
     // through the execution context; at any pool size the enumeration must
     // be byte-identical to the serial build — and to the general algorithm
-    // under the same lexicographic ranking. Random weights keep the
-    // weights injective: on exact weight ties the two engines emit valid
-    // but *different* tie orders (lexi breaks ties per level by value, the
-    // general algorithm globally by output tuple), so LogDegree weights —
-    // which collide en masse — are out of scope for the equality leg.
-    let dblp = DblpWorkload::generate(700, 11, WeightScheme::Random);
-    let imdb = ImdbWorkload::generate(500, 12, WeightScheme::Random);
+    // under the same lexicographic ranking. LogDegree weights collide en
+    // masse, so the ties `LexRanking` breaks by value are everywhere.
+    let dblp = DblpWorkload::generate(700, 11, WeightScheme::LogDegree);
+    let imdb = ImdbWorkload::generate(500, 12, WeightScheme::LogDegree);
     let specs = [
         dblp.two_hop(),
         dblp.three_hop(),
@@ -257,7 +254,7 @@ fn full_drain_is_thread_count_invariant() {
     let dblp = DblpWorkload::generate(400, 41, WeightScheme::Random);
     let spec = dblp.two_hop();
     // One plan, opened three times: the path a cached statement takes.
-    let plan = BranchPlan::of(&spec.query, None).unwrap();
+    let plan = BranchPlan::of(&spec.query, false).unwrap();
     let serial: Vec<Tuple> = plan
         .open(
             &spec.query,
@@ -308,9 +305,9 @@ proptest! {
     /// AcyclicEnumerator under a lexicographic ranking on random acyclic
     /// instances — serial and at every pool size — and both equal the
     /// materialise → distinct → sort oracle, which is neither engine
-    /// (value-as-weight LEX over the whole projection is a total order, so
-    /// the sorted sequence is unique). The last two legs run lexi under
-    /// weights that several values share.
+    /// (LEX over the whole projection is a total order, so the sorted
+    /// sequence is unique). The last two legs run lexi under weights that
+    /// several values share.
     #[test]
     fn lexi_matches_general_on_random_acyclic_instances(
         r in edges(6, 60),
@@ -345,32 +342,32 @@ proptest! {
                 prop_assert_eq!(&via_lexi, &via_pooled);
             }
 
-            // Tie-heavy: values 2k and 2k+1 share weight k. Tied on the
-            // last level only, the per-level (weight, value) order lexi
-            // enumerates in is non-decreasing in the ranking's key.
+            // Tie-heavy: values 2k and 2k+1 share weight k, on the last
+            // level and then on every level. Each level orders by
+            // (weight, value), the `LexRanking` key, in both engines.
             let halved = |w: WeightAssignment, attr: &&str| {
                 w.with_table(*attr, (1..=6).map(|v| (v, Weight::new((v / 2) as f64))).collect())
             };
             let tied_last =
                 LexRanking::new(order, halved(WeightAssignment::value_as_weight(), &order[2]));
-            let via_tied: Vec<Tuple> =
-                LexiEnumerator::new(&query, &db, &tied_last).unwrap().collect();
-            common::assert_valid_ranked_output(&via_tied, &oracle, &query, &tied_last);
-            // Tied on every level, that order is *not* non-decreasing in
-            // `LexRanking::key` (a weight vector): (2, 5, _) precedes
-            // (3, 1, _) although [1, 2, _] > [1, 0, _] — ROADMAP item 1.
-            // What holds is each answer exactly once, ordered per level by
-            // (weight, value).
             let tied_all = LexRanking::new(
                 order,
                 order.iter().fold(WeightAssignment::value_as_weight(), halved),
             );
-            let via_tied: Vec<Tuple> =
-                LexiEnumerator::new(&query, &db, &tied_all).unwrap().collect();
             let projected = |a| query.projection().iter().position(|p| p.as_str() == a);
             let pos = order.map(|a| projected(a).unwrap());
             let mut expected = oracle.clone();
             expected.sort_by_key(|t| pos.map(|p| (t[p] / 2, t[p])));
+            for tied in [&tied_last, &tied_all] {
+                let via_tied: Vec<Tuple> =
+                    LexiEnumerator::new(&query, &db, tied).unwrap().collect();
+                let via_general: Vec<Tuple> =
+                    AcyclicEnumerator::new(&query, &db, tied.clone()).unwrap().collect();
+                prop_assert_eq!(&via_tied, &common::reference_answers(&query, &db, tied));
+                prop_assert_eq!(&via_tied, &via_general);
+            }
+            let via_tied: Vec<Tuple> =
+                LexiEnumerator::new(&query, &db, &tied_all).unwrap().collect();
             prop_assert_eq!(&via_tied, &expected);
         }
     }

@@ -7,43 +7,36 @@ mod common;
 
 use common::{assert_valid_ranked_output, reference_answers};
 use proptest::prelude::*;
+use rankedenum::datagen::log_degree_weights;
 use rankedenum::prelude::*;
 
-/// Build a database with a single binary membership relation from generated
-/// edges over small domains (small domains force heavy duplication, which is
-/// where deduplication bugs would hide).
-fn membership_db(edges: &[(u64, u64)]) -> Database {
-    let mut rel = Relation::new("M", attrs(["e", "c"]));
+/// A binary relation from generated edges, shifted away from 0 and
+/// de-duplicated.
+fn edge_relation(name: &str, cols: [&str; 2], edges: &[(u64, u64)]) -> Relation {
+    let mut rel = Relation::new(name, attrs(cols));
     let mut seen = std::collections::HashSet::new();
     for &(a, b) in edges {
         if seen.insert((a, b)) {
             rel.push_unchecked(&[a + 1, b + 1]);
         }
     }
+    rel
+}
+
+/// Build a database with a single binary membership relation from generated
+/// edges over small domains (small domains force heavy duplication, which is
+/// where deduplication bugs would hide).
+fn membership_db(edges: &[(u64, u64)]) -> Database {
     let mut db = Database::new();
-    db.set_relation(rel);
+    db.set_relation(edge_relation("M", ["e", "c"], edges));
     db
 }
 
 /// Build a database with two binary relations (for path-shaped queries).
 fn two_relation_db(r: &[(u64, u64)], s: &[(u64, u64)]) -> Database {
     let mut db = Database::new();
-    let mut rel_r = Relation::new("R", attrs(["a", "b"]));
-    let mut seen = std::collections::HashSet::new();
-    for &(x, y) in r {
-        if seen.insert((x, y)) {
-            rel_r.push_unchecked(&[x + 1, y + 1]);
-        }
-    }
-    let mut rel_s = Relation::new("S", attrs(["b", "c"]));
-    let mut seen = std::collections::HashSet::new();
-    for &(x, y) in s {
-        if seen.insert((x, y)) {
-            rel_s.push_unchecked(&[x + 1, y + 1]);
-        }
-    }
-    db.set_relation(rel_r);
-    db.set_relation(rel_s);
+    db.set_relation(edge_relation("R", ["a", "b"], r));
+    db.set_relation(edge_relation("S", ["b", "c"], s));
     db
 }
 
@@ -79,8 +72,101 @@ fn path_query() -> JoinProjectQuery {
         .unwrap()
 }
 
+/// A random acyclic instance for the LEX oracle: the path
+/// `R(a,b) ⋈ S(b,c) ⋈ T(c,d)` projected on all four attributes or on
+/// `(a, c, d)`, or the 3-star `M(x,c) ⋈ M(y,c) ⋈ M(z,c)` on `(x, y, z)`.
+fn lex_instance(
+    shape: u8,
+    r: &[(u64, u64)],
+    s: &[(u64, u64)],
+    t: &[(u64, u64)],
+) -> (Database, JoinProjectQuery) {
+    if shape == 2 {
+        return (membership_db(r), three_star_query());
+    }
+    let mut db = two_relation_db(r, s);
+    db.set_relation(edge_relation("T", ["c", "d"], t));
+    let projection: &[&str] = if shape == 0 {
+        &["a", "b", "c", "d"]
+    } else {
+        &["a", "c", "d"]
+    };
+    let query = QueryBuilder::new()
+        .atom("R", "R", ["a", "b"])
+        .atom("S", "S", ["b", "c"])
+        .atom("T", "T", ["c", "d"])
+        .project(projection.iter().copied())
+        .build()
+        .unwrap();
+    (db, query)
+}
+
+/// Two tie-heavy weight assignments over the projection of `query`: the
+/// halving table (values `2k` and `2k + 1` weigh `k`) on every attribute,
+/// and the log-degree weights of the first relation's first column on
+/// every attribute (`0` for a value it does not hold).
+fn tied_weights(db: &Database, query: &JoinProjectQuery) -> [WeightAssignment; 2] {
+    let atom = &query.atoms()[0];
+    let rel = db.relation(&atom.relation).unwrap();
+    let degrees = log_degree_weights(rel, &rel.attrs()[0]);
+    let mut halved = WeightAssignment::value_as_weight();
+    let mut by_degree = WeightAssignment::zero();
+    for a in query.projection() {
+        let halving = (0..16u64)
+            .map(|v| (v, Weight::new((v / 2) as f64)))
+            .collect();
+        halved = halved.with_table(a.clone(), halving);
+        by_degree = by_degree.with_table(a.clone(), degrees.clone());
+    }
+    [halved, by_degree]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one definition of LEX (`LexRanking`'s docs), checked by sequence
+    /// equality: Algorithm 3, the general engine and the materialise-and-sort
+    /// oracle agree under tied weights, with zero, one or two projection
+    /// attributes left out of the declared order, in either direction.
+    #[test]
+    fn lexi_general_and_oracle_emit_one_lex_order(
+        shape in 0u8..3,
+        r in edges(7, 30),
+        s in edges(7, 30),
+        t in edges(7, 30),
+        shuffle in any::<u64>(),
+        descending in any::<u64>(),
+    ) {
+        let (db, query) = lex_instance(shape, &r, &s, &t);
+        let mut order: Vec<(Attr, Direction)> = query
+            .projection()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let desc = descending >> i & 1 == 1;
+                (a.clone(), if desc { Direction::Desc } else { Direction::Asc })
+            })
+            .collect();
+        let n = order.len();
+        for i in (1..n).rev() {
+            order.swap(i, (shuffle >> (8 * i)) as usize % (i + 1));
+        }
+        for weights in tied_weights(&db, &query) {
+            for undeclared in 0..=2 {
+                let declared = &order[..n - undeclared];
+                let lex = LexRanking::with_directions(declared.iter().cloned(), weights.clone());
+                let via_lexi: Vec<Tuple> = LexiEnumerator::new(&query, &db, &lex).unwrap().collect();
+                let via_general: Vec<Tuple> =
+                    AcyclicEnumerator::new(&query, &db, lex.clone()).unwrap().collect();
+                let oracle = reference_answers(&query, &db, &lex);
+                prop_assert!(via_lexi == oracle, "lexi, {declared:?}: {via_lexi:?} != {oracle:?}");
+                prop_assert!(
+                    via_general == oracle,
+                    "general, {declared:?}: {via_general:?} != {oracle:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn two_hop_enumeration_is_correct(e in edges(8, 60)) {
@@ -161,18 +247,8 @@ proptest! {
 
     #[test]
     fn triangle_query_via_ghd_is_correct(e in edges(8, 40)) {
-        let db = {
-            let mut rel = Relation::new("E", attrs(["s", "t"]));
-            let mut seen = std::collections::HashSet::new();
-            for &(a, b) in &e {
-                if seen.insert((a, b)) {
-                    rel.push_unchecked(&[a + 1, b + 1]);
-                }
-            }
-            let mut db = Database::new();
-            db.set_relation(rel);
-            db
-        };
+        let mut db = Database::new();
+        db.set_relation(edge_relation("E", ["s", "t"], &e));
         let query = QueryBuilder::new()
             .atom("E1", "E", ["x", "y"])
             .atom("E2", "E", ["y", "z"])

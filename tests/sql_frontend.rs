@@ -58,6 +58,34 @@ fn sql_two_hop_matches_programmatic_query() {
 }
 
 #[test]
+fn a_column_repeated_in_an_order_by_sum_counts_each_time() {
+    // `AP1.aid + AP2.aid + AP2.aid` ranks by a1 + 2·a2, not by a1 + a2.
+    let db = dblp_db();
+    let exec = SqlExecutor::new(&db);
+    let sql = "SELECT DISTINCT AP1.aid, AP2.aid FROM AuthorPapers AS AP1, AuthorPapers AS AP2 \
+               WHERE AP1.pid = AP2.pid ORDER BY AP1.aid + AP2.aid + AP2.aid";
+    let plan = exec.plan(sql).unwrap();
+    let query = &plan.branch_queries()[0];
+    let [a1, a2] = query.projection() else {
+        panic!("two projected columns")
+    };
+    let doubled = WeightedSumRanking::new(
+        [(a1.clone(), 1.0), (a2.clone(), 2.0)],
+        0.0,
+        WeightAssignment::value_as_weight(),
+    );
+    let engine = MaterializeSortEngine::new();
+    let (expected, _) = engine.top_k(query, &db, &doubled, usize::MAX).unwrap();
+    let sum = SumRanking::value_sum();
+    let (plain, _) = engine.top_k(query, &db, &sum, usize::MAX).unwrap();
+    assert_ne!(
+        expected, plain,
+        "the instance must tell the two rankings apart"
+    );
+    assert_eq!(exec.run(sql).unwrap().rows, expected);
+}
+
+#[test]
 fn sql_filtered_three_hop_matches_reference() {
     let db = dblp_db();
     let via_sql = sql_query(

@@ -51,14 +51,14 @@ micro_core_probes() {
         test "$(grep -c '^micro_core/frontier_build/' <<<"$out")" = 3
 }
 run micro_core_probes
-# Exactly one test is ignored (ROADMAP item 1's pin): a failing test
-# cannot be silenced in passing.
-run test "$(git grep -cE '^\s*#\[ignore' -- '*.rs' ':!vendor' | awk -F: '{n += $NF} END {print n + 0}')" = 1
+# No test is ignored: a failing test cannot be silenced in passing.
+run test "$(git grep -cE '^\s*#\[ignore' -- '*.rs' ':!vendor' | awk -F: '{n += $NF} END {print n + 0}')" = 0
 # Neither retired twin grows back before its frozen name is deleted, nor
 # do the parallel star kernels, nor the root's second copy of the advance
 # or the star's hand-written merge cursor, nor lexi's own definition of the
-# LEX order and the planner rule that worked around it.
-run test -z "$(git grep -nE 'Cascade|ThreadPerConn|serve_threaded|serve_connection|materialize_bags_with|new_ctx_with_kernel|connectivity_order|par_hash_join|par_project_distinct|last_emitted|heavy_cursor|lexi_serves|lex_attr_order' -- crates src tests examples)"
+# LEX order and the planner rule that worked around it, nor the two
+# rankings that only restated SUM and PRODUCT.
+run test -z "$(git grep -nE 'Cascade|ThreadPerConn|serve_threaded|serve_connection|materialize_bags_with|new_ctx_with_kernel|connectivity_order|par_hash_join|par_project_distinct|last_emitted|heavy_cursor|lexi_serves|lex_attr_order|AvgRanking|SumProductRanking' -- crates src tests examples)"
 # ROADMAP 8(c): every `unsafe` in `re_net` states what it relies on in a
 # `// SAFETY:` comment directly above it.
 net_unsafe_has_safety() {

@@ -2,38 +2,32 @@
 //!
 //! Section 1.1 and Section 2.1 of the paper note that the enumeration
 //! machinery works for any *monotone decomposable* ranking function and
-//! explicitly mention products and "circuits that use sum and products" as
-//! straightforward extensions. This module provides those extensions:
+//! mention products as a straightforward extension. This module provides
+//! two, both under [`Ranking`]'s ordering contract (a strictly monotone
+//! key):
 //!
-//! * [`ProductRanking`] — the product of the attribute weights,
-//! * [`AvgRanking`] — the average attribute weight,
 //! * [`WeightedSumRanking`] — `Σ c_A · w(t[A])` with per-attribute
 //!   non-negative coefficients,
-//! * [`SumProductRanking`] — a two-level sum-of-products circuit
-//!   `Σ_g Π_{A ∈ g} w(t[A])` over disjoint attribute groups.
-//!
-//! All of them require **non-negative weights** to be monotone (replacing a
-//! sub-tuple with a higher-keyed one must never lower the combined key);
-//! this is asserted in debug builds and documented per type.
+//! * [`ProductRanking`] — the product of the attribute weights, which must
+//!   be **non-negative** (debug-asserted).
 
 use crate::assignment::{AttrWeights, WeightAssignment};
 use crate::rank::Ranking;
 use crate::weight::{ExactSum, Weight};
 use re_storage::{Attr, Value};
+use std::cmp::Reverse;
 
-fn debug_assert_non_negative(w: Weight, what: &str) {
-    debug_assert!(
-        w.value() >= 0.0,
-        "{what} requires non-negative weights to stay monotone, got {w}"
-    );
-}
-
-/// `PRODUCT` ranking: the key of a tuple is the product of its attribute
-/// weights.
+/// `PRODUCT` ranking: answers by the product of their attribute weights,
+/// which must be **non-negative** (checked with debug assertions).
 ///
-/// Monotone (and therefore usable with every enumerator in
-/// `rankedenum-core`) as long as all weights are **non-negative**; this is
-/// checked with debug assertions.
+/// The bare product is only weakly monotone: one zero factor pins it at 0,
+/// whatever the other factors do. So the key is `(zero factors, reversed;
+/// exact product of the non-zero factors)`. Every answer with a zero
+/// factor — product 0 — sorts before every answer without one, more zeros
+/// first, and the rest by their product: a PRODUCT order, and strict for
+/// every non-negative weight. The product is exact (an [`ExactSum`] built
+/// with [`ExactSum::scale`]), so it does not depend on the order of the
+/// factors, which differs between join-tree nodes.
 #[derive(Clone, Debug)]
 pub struct ProductRanking {
     weights: WeightAssignment,
@@ -57,11 +51,7 @@ impl ProductRanking {
 }
 
 impl Ranking for ProductRanking {
-    /// Keys are **exact** products ([`ExactSum`] expansions built with
-    /// [`ExactSum::scale`]): like exact sums, exact products are independent
-    /// of the factor order, which the enumerators' duplicate elimination and
-    /// priority-queue invariants require (per-node attribute orders differ).
-    type Key = ExactSum;
+    type Key = (Reverse<u32>, ExactSum);
     type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
@@ -70,65 +60,30 @@ impl Ranking for ProductRanking {
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
         debug_assert_eq!(plan.len(), values.len());
-        let mut prod = ExactSum::from(Weight::new(1.0));
+        let mut zeros = 0;
+        let mut product = ExactSum::from(Weight::new(1.0));
         for (weights, &v) in plan.iter().zip(values) {
-            let w = weights.weight_of(v);
-            debug_assert_non_negative(w, "ProductRanking");
-            prod = prod.scale(w.value());
+            let w = weights.weight_of(v).value();
+            debug_assert!(
+                w >= 0.0,
+                "ProductRanking requires non-negative weights, got {w}"
+            );
+            if w == 0.0 {
+                zeros += 1;
+            } else {
+                product = product.scale(w);
+            }
         }
-        prod
-    }
-}
-
-/// `AVG` ranking: the key of a tuple is the arithmetic mean of its attribute
-/// weights. Monotone for arbitrary (also negative) weights, because a
-/// sub-tuple spans a fixed set of positions: increasing its mean increases
-/// its sum and therefore the overall mean.
-#[derive(Clone, Debug)]
-pub struct AvgRanking {
-    weights: WeightAssignment,
-}
-
-impl AvgRanking {
-    /// Rank by the mean weight under the given assignment.
-    pub fn new(weights: WeightAssignment) -> Self {
-        AvgRanking { weights }
-    }
-
-    /// Rank by the mean of the raw attribute values.
-    pub fn value_avg() -> Self {
-        AvgRanking::new(WeightAssignment::value_as_weight())
-    }
-}
-
-impl Ranking for AvgRanking {
-    /// Keys are the exact weight sum scaled exactly by `1/n` (see
-    /// [`ExactSum`] for why exactness matters to the enumerators).
-    type Key = ExactSum;
-    type Plan = Vec<AttrWeights>;
-
-    fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        self.weights.resolvers(attrs)
-    }
-
-    fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
-        debug_assert_eq!(plan.len(), values.len());
-        if plan.is_empty() {
-            return ExactSum::zero();
-        }
-        // Sum the raw weights exactly, then scale exactly by 1/n: a single
-        // exact scaling per key preserves the raw-sum order at every tree
-        // level (dividing each term separately would round with a different
-        // divisor per node and lose cross-level consistency).
-        let sum = ExactSum::of(plan.iter().zip(values).map(|(w, &v)| w.weight_of(v)));
-        sum.scale(1.0 / plan.len() as f64)
+        (Reverse(zeros), product)
     }
 }
 
 /// Weighted-sum ranking: `Σ_A c_A · w(t[A])` with per-attribute
 /// coefficients. Attributes without an explicit coefficient use
-/// [`WeightedSumRanking::default_coefficient`]. Monotone as long as all
-/// coefficients are **non-negative** (checked at construction).
+/// [`WeightedSumRanking::default_coefficient`]. The coefficients must be
+/// **non-negative** (checked at construction); each term is computed the
+/// same way at every join-tree node and the terms are added exactly, so
+/// the key is strict like [`SumRanking`](crate::SumRanking)'s.
 #[derive(Clone, Debug)]
 pub struct WeightedSumRanking {
     coefficients: Vec<(Attr, f64)>,
@@ -228,107 +183,6 @@ impl Ranking for WeightedSumRanking {
     }
 }
 
-/// A two-level sum-of-products circuit:
-/// `rank(t) = Σ_g Π_{A ∈ g} w(t[A])`, where the groups `g` are disjoint
-/// attribute sets. Attributes not covered by any group contribute an
-/// additive `w(t[A])` term of their own (i.e. behave like singleton groups),
-/// so the key of a partial tuple is always defined.
-///
-/// Monotone for **non-negative** weights (debug-asserted). With singleton
-/// groups this degenerates to `SUM`; with a single group covering all
-/// attributes it degenerates to `PRODUCT`.
-#[derive(Clone, Debug)]
-pub struct SumProductRanking {
-    groups: Vec<Vec<Attr>>,
-    weights: WeightAssignment,
-}
-
-impl SumProductRanking {
-    /// Build from disjoint attribute groups.
-    ///
-    /// # Panics
-    /// Panics if the groups are not disjoint.
-    pub fn new(
-        groups: impl IntoIterator<Item = impl IntoIterator<Item = impl Into<Attr>>>,
-        weights: WeightAssignment,
-    ) -> Self {
-        let groups: Vec<Vec<Attr>> = groups
-            .into_iter()
-            .map(|g| g.into_iter().map(Into::into).collect())
-            .collect();
-        let mut seen = std::collections::BTreeSet::new();
-        for g in &groups {
-            for a in g {
-                assert!(
-                    seen.insert(a.clone()),
-                    "SumProductRanking groups must be disjoint; {a:?} repeated"
-                );
-            }
-        }
-        SumProductRanking { groups, weights }
-    }
-
-    /// Group index of an attribute, if covered.
-    fn group_of(&self, attr: &Attr) -> Option<usize> {
-        self.groups.iter().position(|g| g.contains(attr))
-    }
-}
-
-/// Key plan for [`SumProductRanking`]: for each position, its weights and
-/// the group index (`usize::MAX` = uncovered singleton).
-#[derive(Clone, Debug)]
-pub struct SumProductPlan {
-    slots: Vec<(AttrWeights, usize)>,
-    group_count: usize,
-}
-
-impl Ranking for SumProductRanking {
-    /// Keys are exact sums of exact group products (see [`ExactSum`] for
-    /// why exactness matters to the enumerators).
-    type Key = ExactSum;
-    type Plan = SumProductPlan;
-
-    fn plan(&self, attrs: &[Attr]) -> Self::Plan {
-        SumProductPlan {
-            slots: attrs
-                .iter()
-                .map(|a| {
-                    let group = self.group_of(a).unwrap_or(usize::MAX);
-                    (self.weights.resolver(a), group)
-                })
-                .collect(),
-            group_count: self.groups.len(),
-        }
-    }
-
-    fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
-        debug_assert_eq!(plan.slots.len(), values.len());
-        // Products are accumulated only over the group members that are
-        // present in this attribute list (partial tuples of a join-tree
-        // subtree may contain a strict subset of a group); absent members
-        // contribute a neutral factor of 1, which keeps the key monotone.
-        let mut products: Vec<Option<ExactSum>> = vec![None; plan.group_count];
-        let mut total = ExactSum::zero();
-        for ((weights, g), &v) in plan.slots.iter().zip(values) {
-            let w = weights.weight_of(v);
-            debug_assert_non_negative(w, "SumProductRanking");
-            if *g == usize::MAX {
-                total.add_weight(w);
-            } else {
-                let slot = &mut products[*g];
-                *slot = Some(match slot.take() {
-                    None => ExactSum::from(w),
-                    Some(p) => p.scale(w.value()),
-                });
-            }
-        }
-        for p in products.into_iter().flatten() {
-            total.add_sum(&p);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,51 +190,24 @@ mod tests {
     use re_storage::attr::attrs;
 
     #[test]
-    fn product_ranking_multiplies_weights() {
-        let r = ProductRanking::value_product();
-        assert_eq!(r.key_of(&attrs(["a", "b"]), &[3, 4]), Weight::new(12.0));
-        assert_eq!(r.key_of(&attrs(["a"]), &[5]), Weight::new(5.0));
-        assert_eq!(r.key_of(&attrs(["a", "b"]), &[0, 9]), Weight::ZERO);
-    }
-
-    #[test]
-    fn product_ranking_orders_pairs() {
+    fn product_keys_count_the_zero_factors_and_multiply_the_rest() {
         let r = ProductRanking::value_product();
         let a = attrs(["a", "b"]);
+        let key = |zeros, product: f64| (Reverse(zeros), ExactSum::from(Weight::new(product)));
+        assert_eq!(r.key_of(&a, &[3, 4]), key(0, 12.0));
+        assert_eq!(r.key_of(&attrs(["a"]), &[5]), key(0, 5.0));
+        assert_eq!(r.key_of(&a, &[0, 9]), key(1, 9.0));
+        assert_eq!(r.key_of(&a, &[0, 0]), key(2, 1.0));
+        assert!(
+            r.key_of(&a, &[0, 0]) < r.key_of(&a, &[0, 1]),
+            "more zeros first"
+        );
+        assert!(
+            r.key_of(&a, &[9, 0]) < r.key_of(&a, &[1, 1]),
+            "products of 0 first"
+        );
         assert!(r.key_of(&a, &[1, 6]) < r.key_of(&a, &[2, 4]));
         assert_eq!(r.key_of(&a, &[2, 6]), r.key_of(&a, &[3, 4]));
-    }
-
-    #[test]
-    fn product_monotone_under_subtuple_bump() {
-        let r = ProductRanking::value_product();
-        let a = attrs(["a", "b", "c"]);
-        let base = r.key_of(&a, &[2, 3, 4]);
-        let bumped = r.key_of(&a, &[2, 5, 4]);
-        assert!(bumped >= base);
-    }
-
-    #[test]
-    fn avg_ranking_is_mean_of_weights() {
-        let r = AvgRanking::value_avg();
-        assert_eq!(r.key_of(&attrs(["a", "b"]), &[3, 5]), Weight::new(4.0));
-        assert_eq!(r.key_of(&attrs(["a"]), &[7]), Weight::new(7.0));
-        assert_eq!(r.key_of(&[], &[]), Weight::ZERO);
-    }
-
-    #[test]
-    fn avg_and_sum_induce_the_same_order_on_equal_arity() {
-        let sum = SumRanking::value_sum();
-        let avg = AvgRanking::value_avg();
-        let a = attrs(["x", "y", "z"]);
-        let tuples = [[1u64, 2, 3], [9, 0, 0], [3, 3, 3], [0, 0, 1]];
-        for t1 in &tuples {
-            for t2 in &tuples {
-                let s = sum.key_of(&a, t1).cmp(&sum.key_of(&a, t2));
-                let m = avg.key_of(&a, t1).cmp(&avg.key_of(&a, t2));
-                assert_eq!(s, m, "sum and avg must agree on fixed arity");
-            }
-        }
     }
 
     #[test]
@@ -430,52 +257,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn weighted_sum_rejects_negative_coefficients() {
         let _ = WeightedSumRanking::new([("a", -1.0)], 0.0, WeightAssignment::value_as_weight());
-    }
-
-    #[test]
-    fn sum_product_circuit_combines_groups_and_singletons() {
-        // rank = w(a)·w(b) + w(c)
-        let r = SumProductRanking::new([["a", "b"]], WeightAssignment::value_as_weight());
-        assert_eq!(
-            r.key_of(&attrs(["a", "b", "c"]), &[3, 4, 5]),
-            Weight::new(17.0)
-        );
-    }
-
-    #[test]
-    fn sum_product_with_singleton_groups_matches_sum() {
-        let r = SumProductRanking::new([["a"], ["b"]], WeightAssignment::value_as_weight());
-        let sum = SumRanking::value_sum();
-        let a = attrs(["a", "b"]);
-        for t in [[1u64, 2], [9, 9], [0, 4]] {
-            assert_eq!(r.key_of(&a, &t), sum.key_of(&a, &t));
-        }
-    }
-
-    #[test]
-    fn sum_product_with_one_full_group_matches_product() {
-        let r = SumProductRanking::new([["a", "b", "c"]], WeightAssignment::value_as_weight());
-        let prod = ProductRanking::value_product();
-        let a = attrs(["a", "b", "c"]);
-        for t in [[1u64, 2, 3], [4, 5, 6], [0, 7, 9]] {
-            assert_eq!(r.key_of(&a, &t), prod.key_of(&a, &t));
-        }
-    }
-
-    #[test]
-    fn sum_product_partial_tuple_key_is_defined() {
-        // Only one member of the (a, b) group is present — the key must
-        // still be computable (partial tuples of subtrees do this).
-        let r = SumProductRanking::new([["a", "b"]], WeightAssignment::value_as_weight());
-        assert_eq!(r.key_of(&attrs(["a", "c"]), &[3, 5]), Weight::new(8.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn sum_product_rejects_overlapping_groups() {
-        let _ = SumProductRanking::new(
-            [["a", "b"], ["b", "c"]],
-            WeightAssignment::value_as_weight(),
-        );
     }
 }

@@ -65,6 +65,7 @@
 //! [`Weight`]: always; a `Vec` key: never) meets the second rule vacuously.
 
 use crate::weight::{order_bits, ExactSum, Weight};
+use std::cmp::Reverse;
 use std::fmt::Debug;
 
 /// A rank key that can be interned: totally ordered, cloneable, and able
@@ -190,6 +191,28 @@ impl RankKey for (Weight, u64) {
     /// value to the stored key.
     fn prefix(&self) -> u64 {
         self.0.prefix()
+    }
+}
+
+/// A [`ProductRanking`](crate::ProductRanking) key: the zero factors,
+/// reversed, then the exact product of the non-zero ones.
+impl RankKey for (Reverse<u32>, ExactSum) {
+    fn fingerprint(&self) -> u64 {
+        fold_words([u64::from(self.0 .0), self.1.fingerprint()])
+    }
+
+    /// The product's, for a key without a zero factor; 0, which decides
+    /// nothing among its own kind, for one with — they all sort first.
+    fn prefix(&self) -> u64 {
+        if self.0 .0 == 0 {
+            self.1.prefix()
+        } else {
+            0
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        RankKey::heap_bytes(&self.1)
     }
 }
 
@@ -426,6 +449,14 @@ mod tests {
         }
         assert_prefix_contract(&levels);
         assert!(!(Weight(1.0), 1u64).prefix_is_exact());
+        // Product keys: zero factors (reversed), then the non-zero product.
+        let mut products = Vec::new();
+        for zeros in [0, 1, 2] {
+            for &w in weights.iter().filter(|w| w.value() > 0.0) {
+                products.push((Reverse(zeros), ExactSum::from(w)));
+            }
+        }
+        assert_prefix_contract(&products);
         assert_prefix_contract(&[i64::MIN, -2, -1, 0, 1, 2, i64::MAX]);
         assert_prefix_contract(&[i8::MIN, -1, 0, 1, i8::MAX]);
         assert_prefix_contract(&[0u64, 1, 2, u64::MAX]);

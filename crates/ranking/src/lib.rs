@@ -14,13 +14,15 @@
 //!   and per-attribute-list "key plans" precomputed by the enumerators,
 //! * [`SumRanking`], [`LexRanking`], [`MinRanking`], [`MaxRanking`] —
 //!   concrete implementations,
-//! * [`extended`] — the "straightforward extensions" the paper mentions:
-//!   products, averages, weighted sums, and sum-of-products circuits.
+//! * [`extended`] — weighted sums and products, the "straightforward
+//!   extensions" the paper mentions.
 //!
 //! The property the enumeration algorithms need (and that the property
-//! tests check) is **monotonicity**: replacing any sub-tuple's contribution
-//! by a contribution with a larger key never makes the combined key smaller.
-//! [`rank`] says which of the rankings hold it only weakly.
+//! tests check for every ranking above) is **strict monotonicity**: a
+//! sub-tuple whose key strictly rises makes the whole key strictly rise,
+//! and equal sub-tuple keys give equal whole keys. [`Ranking`] states it
+//! once; every ranking here keeps it, MIN, MAX and PRODUCT by refining the
+//! bare minimum, maximum or product into a strict key.
 
 pub mod assignment;
 pub mod extended;
@@ -29,7 +31,7 @@ pub mod rank;
 pub mod weight;
 
 pub use assignment::{AttrWeights, DefaultWeight, WeightAssignment};
-pub use extended::{AvgRanking, ProductRanking, SumProductRanking, WeightedSumRanking};
+pub use extended::{ProductRanking, WeightedSumRanking};
 pub use key::RankKey;
 pub use rank::{Direction, LexLevel, LexRanking, MaxRanking, MinRanking, Ranking, SumRanking};
 pub use weight::{ExactSum, Weight};

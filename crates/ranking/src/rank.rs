@@ -4,16 +4,13 @@
 //! attribute list) to a totally ordered *key*. The enumeration algorithms
 //! compute keys for *partial* outputs — the projection attributes of a
 //! join-tree subtree — so the key must be meaningful for any attribute
-//! subset, and it must be **monotone**: making one part of the tuple worse
-//! (a larger key for the sub-tuple) can never make the whole tuple better.
+//! subset, and it must be **strictly monotone** in each sub-tuple: the one
+//! ordering contract, stated on [`Ranking`].
 //!
-//! SUM and LEXICOGRAPHIC are strictly monotone in `(key, tuple)` order, which
-//! is what the enumerators' duplicate elimination relies on: equal outputs
-//! pop next to each other. MIN and MAX are only *weakly* monotone — a
-//! sub-tuple can get worse while the whole key stays put — so the general
-//! engine may emit one of their answers more than once. The ignored test
-//! `tests/frontier_differential.rs::min_and_max_emit_each_projected_answer_once`
-//! pins that (ROADMAP item 1(a)).
+//! Every ranking shipped here keeps it: SUM by exact addition, LEX by the
+//! value in each level, and MIN and MAX by keying on every weight, sorted
+//! (the bare minimum or maximum is only weakly monotone). `extended` adds
+//! weighted sums and PRODUCT under the same contract.
 
 use crate::assignment::{AttrWeights, WeightAssignment};
 use crate::key::RankKey;
@@ -30,6 +27,20 @@ use std::fmt::Debug;
 /// server keep enumerators alive as resumable cursors served by a worker
 /// pool. Every ranking in this crate satisfies the bound (weight tables are
 /// shared behind `Arc`).
+///
+/// # The ordering contract
+///
+/// The key must be **strictly monotone** in each sub-tuple, like exact
+/// addition. Split an attribute list into two parts and fix the values of
+/// one: if the other part's key strictly rises, the whole key strictly
+/// rises, and equal part keys give equal whole keys. Every enumerator then
+/// emits exactly the `(key, tuple)` sequence — by key, equal keys by
+/// output tuple — and every projected answer once: a successor never
+/// sorts before the cell it was made from, so equal outputs pop next to
+/// each other, which is all the duplicate checks compare. A key that is
+/// only weakly monotone (the bare minimum of the weights: a part gets
+/// worse, the minimum stays put) breaks both; refine it into a strict key
+/// that still sorts first by the weak one, as [`MinRanking`] does.
 pub trait Ranking: Send {
     /// The key type; answers are enumerated in non-decreasing key order.
     /// The [`RankKey`] bound (a representation fingerprint plus a heap-byte
@@ -249,9 +260,14 @@ impl Ranking for LexRanking {
     }
 }
 
-/// `MIN` ranking (extension): the key of a tuple is the minimum attribute
-/// weight. Only weakly monotone: answers come out in non-decreasing key
-/// order, but possibly more than once (see the module docs).
+/// `MIN` ranking (extension): answers by their smallest attribute weight.
+///
+/// The key is every weight sorted ascending (*leximin*). Its first element
+/// is the minimum, so the order is a MIN order, with ties on the minimum
+/// broken by the next-smallest weight, and so on. Two keys over one
+/// attribute list are decided by the smallest weight whose multiplicity
+/// differs, and adding the same weights to both sides never changes that
+/// verdict — which makes the key strict, where the bare minimum is not.
 #[derive(Clone, Debug)]
 pub struct MinRanking {
     weights: WeightAssignment,
@@ -265,7 +281,7 @@ impl MinRanking {
 }
 
 impl Ranking for MinRanking {
-    type Key = Weight;
+    type Key = Vec<Weight>;
     type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
@@ -273,16 +289,16 @@ impl Ranking for MinRanking {
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
-        plan.iter()
-            .zip(values)
-            .map(|(w, &v)| w.weight_of(v))
-            .min()
-            .unwrap_or(Weight::ZERO)
+        let mut key = weights_of(plan, values);
+        key.sort_unstable();
+        key
     }
 }
 
-/// `MAX` ranking (extension): the key of a tuple is the maximum attribute
-/// weight. Only weakly monotone, like [`MinRanking`].
+/// `MAX` ranking (extension): answers by their largest attribute weight.
+/// The key is every weight sorted descending (*leximax*), strict for the
+/// reason [`MinRanking`]'s is, decided by the largest weight whose
+/// multiplicity differs.
 #[derive(Clone, Debug)]
 pub struct MaxRanking {
     weights: WeightAssignment,
@@ -296,7 +312,7 @@ impl MaxRanking {
 }
 
 impl Ranking for MaxRanking {
-    type Key = Weight;
+    type Key = Vec<Weight>;
     type Plan = Vec<AttrWeights>;
 
     fn plan(&self, attrs: &[Attr]) -> Self::Plan {
@@ -304,12 +320,19 @@ impl Ranking for MaxRanking {
     }
 
     fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
-        plan.iter()
-            .zip(values)
-            .map(|(w, &v)| w.weight_of(v))
-            .max()
-            .unwrap_or(Weight::ZERO)
+        let mut key = weights_of(plan, values);
+        key.sort_unstable_by(|a, b| b.cmp(a));
+        key
     }
+}
+
+/// The weight of each position of `values`.
+fn weights_of(plan: &[AttrWeights], values: &[Value]) -> Vec<Weight> {
+    debug_assert_eq!(plan.len(), values.len());
+    plan.iter()
+        .zip(values)
+        .map(|(w, &v)| w.weight_of(v))
+        .collect()
 }
 
 #[cfg(test)]
@@ -398,34 +421,14 @@ mod tests {
     }
 
     #[test]
-    fn min_max_rankings() {
+    fn min_and_max_keys_are_the_weights_sorted_from_the_extreme() {
         let w = WeightAssignment::value_as_weight();
         let a = attrs(["x", "y", "z"]);
-        assert_eq!(
-            MinRanking::new(w.clone()).key_of(&a, &[5, 2, 9]),
-            Weight::new(2.0)
-        );
-        assert_eq!(MaxRanking::new(w).key_of(&a, &[5, 2, 9]), Weight::new(9.0));
-    }
-
-    #[test]
-    fn sum_monotonicity_on_subtuple_replacement() {
-        // Replacing the sub-tuple contribution (position 1) with a larger
-        // weight never decreases the total key.
-        let r = SumRanking::value_sum();
-        let a = attrs(["p", "q"]);
-        let base = r.key_of(&a, &[3, 4]);
-        let bumped = r.key_of(&a, &[3, 6]);
-        assert!(bumped >= base);
-    }
-
-    #[test]
-    fn lex_monotonicity_on_subtuple_replacement() {
-        let r = LexRanking::new(["p", "q", "s"], WeightAssignment::value_as_weight());
-        let a = attrs(["p", "q", "s"]);
-        let base = r.key_of(&a, &[3, 4, 7]);
-        // make the (q, s) sub-tuple lexicographically larger while keeping p
-        let bumped = r.key_of(&a, &[3, 5, 0]);
-        assert!(bumped >= base);
+        let min = MinRanking::new(w.clone());
+        assert_eq!(min.key_of(&a, &[5, 2, 9]), [2.0, 5.0, 9.0].map(Weight::new));
+        assert!(min.key_of(&a, &[2, 9, 9]) > min.key_of(&a, &[2, 5, 9]));
+        let max = MaxRanking::new(w);
+        assert_eq!(max.key_of(&a, &[5, 2, 9]), [9.0, 5.0, 2.0].map(Weight::new));
+        assert!(max.key_of(&a, &[9, 0, 0]) < max.key_of(&a, &[9, 5, 0]));
     }
 }

@@ -3,8 +3,10 @@
 //!
 //! Two layers of evidence:
 //!
-//! * **Codec properties** (proptest): generated requests and responses
-//!   round-trip through the binary codec; frames reassemble from
+//! * **Codec properties** (proptest): generated requests and responses of
+//!   every variant — `Stats` with random counter tables, worker rows and
+//!   GHD plan text included — round-trip through the binary codec and
+//!   through JSON-lines; frames reassemble from
 //!   arbitrarily split reads; truncations and corrupt length prefixes
 //!   fail cleanly instead of panicking or ballooning memory; pipelined
 //!   request streams parse back in order under any read chunking.
@@ -14,12 +16,14 @@
 //!   byte-identical — pages, plans, catalogs, and typed errors alike.
 
 use proptest::prelude::*;
+use rankedenum_core::StatsSnapshot;
 use re_server::wire::{
     self, append_frame, decode_request, decode_response, encode_request, encode_response,
     next_inbound, split_frame, InboundItem, MAX_FRAME_LEN,
 };
 use re_server::{
-    serve, RankedQueryServer, Request, Response, ServerConfig, TcpClient, Transport, WireProtocol,
+    serve, RankedQueryServer, Request, Response, ServerConfig, StatsReport, TcpClient, Transport,
+    TransportCounters, WireProtocol, WorkerCounters,
 };
 use re_storage::{attr::attrs, Database, Relation};
 use std::sync::Arc;
@@ -71,10 +75,31 @@ fn mk_request(kind: u64, a: &[u8], b: &[u8], x: u64) -> Request {
     }
 }
 
+/// A stats report whose every counter table is filled from `x`, with
+/// `workers` per-worker rows and `ghd_last_plan` as the plan text.
+fn mk_stats(x: u64, ghd_last_plan: String, workers: usize) -> StatsReport {
+    let mut state = x;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state ^ (state >> 29)
+    };
+    StatsReport {
+        ghd_last_plan,
+        enumeration: StatsSnapshot::from_values(std::array::from_fn(|_| next())),
+        transport: TransportCounters::from_values(std::array::from_fn(|_| next())),
+        per_worker: (0..workers)
+            .map(|_| WorkerCounters::from_values(std::array::from_fn(|_| next())))
+            .collect(),
+        ..StatsReport::from_values(std::array::from_fn(|_| next()))
+    }
+}
+
 fn mk_response(kind: u64, a: &[u8], b: &[u8], rows: Vec<Vec<u64>>, x: u64) -> Response {
     let flag = x & 1 == 1;
     let (a, b) = (mk_string(a), mk_string(b));
-    match kind % 10 {
+    match kind % 11 {
         0 => Response::Opened {
             session: x,
             columns: vec![a.clone(), b],
@@ -99,6 +124,7 @@ fn mk_response(kind: u64, a: &[u8], b: &[u8], rows: Vec<Vec<u64>>, x: u64) -> Re
             databases: vec![a, b],
         },
         8 => Response::Pong,
+        9 => Response::Stats(Box::new(mk_stats(x, a, rows.len()))),
         _ => Response::Error {
             message: a,
             code: b,
@@ -111,7 +137,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn any_request_roundtrips_the_binary_codec(
+    fn any_request_roundtrips_both_codecs(
         kind in 0u64..10,
         a in prop::collection::vec(any::<u8>(), 0..40),
         b in prop::collection::vec(any::<u8>(), 0..40),
@@ -119,12 +145,13 @@ proptest! {
     ) {
         let request = mk_request(kind, &a, &b, x);
         let payload = encode_request(&request);
-        prop_assert_eq!(decode_request(&payload).unwrap(), request);
+        prop_assert_eq!(decode_request(&payload).unwrap(), request.clone());
+        prop_assert_eq!(Request::decode(&request.encode()).unwrap(), request);
     }
 
     #[test]
-    fn any_response_roundtrips_the_binary_codec(
-        kind in 0u64..10,
+    fn any_response_roundtrips_both_codecs(
+        kind in 0u64..11,
         a in prop::collection::vec(any::<u8>(), 0..40),
         b in prop::collection::vec(any::<u8>(), 0..40),
         rows in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..5), 0..8),
@@ -132,7 +159,8 @@ proptest! {
     ) {
         let response = mk_response(kind, &a, &b, rows, x);
         let payload = encode_response(&response);
-        prop_assert_eq!(decode_response(&payload).unwrap(), response);
+        prop_assert_eq!(decode_response(&payload).unwrap(), response.clone());
+        prop_assert_eq!(Response::decode(&response.encode()).unwrap(), response);
     }
 
     #[test]

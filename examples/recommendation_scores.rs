@@ -3,15 +3,14 @@
 //! The paper motivates join-project queries with recommendation systems:
 //! "users who interacted with the same item" is exactly a 2-hop
 //! join-project query, and the interesting pairs are the ones with the best
-//! combined relevance score. This example ranks candidate pairs three ways —
-//! weighted sum, product, and a sum-of-products circuit — using the same
-//! enumeration machinery (Section 1.1 / 2.1: the algorithms work for any
-//! monotone decomposable ranking function).
+//! combined relevance score. This example ranks candidate pairs two ways —
+//! weighted sum and product — using the same enumeration machinery
+//! (Section 1.1 / 2.1: the algorithms work for any monotone decomposable
+//! ranking function).
 //!
 //! Run with: `cargo run --release --example recommendation_scores`
 
 use rankedenum::prelude::*;
-use rankedenum::ranking::extended::{SumProductRanking, WeightedSumRanking};
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,47 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. Product: both users must be relevant for the pair to score.
-    let product = ProductRanking::new(weights.clone());
+    let product = ProductRanking::new(weights);
     println!("\nPairs by rel(u1)·rel(u2), least to most relevant:");
     for pair in top_k(&query, &db, product, 5)? {
         println!("  ({}, {})", pair[0], pair[1]);
-    }
-
-    // 3. Sum-of-products circuit: rank 3-hop chains u1 –item– u2 –item– u3 by
-    //    rel(u1)·rel(u2) + rel(u3): the first two users act as a unit.
-    let chain = QueryBuilder::new()
-        .atom("I1", "Interactions", ["u1", "i"])
-        .atom("I2", "Interactions", ["u2", "i"])
-        .atom("I3", "Interactions", ["u2", "j"])
-        .atom("I4", "Interactions", ["u3", "j"])
-        .project(["u1", "u2", "u3"])
-        .build()?;
-    let circuit_weights = WeightAssignment::zero()
-        .with_table(
-            "u1",
-            [(1u64, 0.9), (2, 0.4), (3, 0.8), (4, 0.2), (5, 0.7)]
-                .into_iter()
-                .map(|(u, s)| (u, Weight::new(s)))
-                .collect(),
-        )
-        .with_table(
-            "u2",
-            [(1u64, 0.9), (2, 0.4), (3, 0.8), (4, 0.2), (5, 0.7)]
-                .into_iter()
-                .map(|(u, s)| (u, Weight::new(s)))
-                .collect(),
-        )
-        .with_table(
-            "u3",
-            [(1u64, 0.9), (2, 0.4), (3, 0.8), (4, 0.2), (5, 0.7)]
-                .into_iter()
-                .map(|(u, s)| (u, Weight::new(s)))
-                .collect(),
-        );
-    let circuit = SumProductRanking::new([["u1", "u2"]], circuit_weights);
-    println!("\n3-chains by rel(u1)·rel(u2) + rel(u3), first 5:");
-    for t in top_k(&chain, &db, circuit, 5)? {
-        println!("  ({}, {}, {})", t[0], t[1], t[2]);
     }
 
     Ok(())

@@ -45,7 +45,7 @@
 //! |---|---|
 //! | [`storage`] | values, relations, databases, hash/degree indexes |
 //! | [`query`] | join-project queries, hypergraphs, join trees, GHDs, star detection, UCQs |
-//! | [`ranking`] | SUM / LEXICOGRAPHIC / MIN / MAX ranking functions and weight assignments |
+//! | [`ranking`] | SUM / weighted SUM / LEXICOGRAPHIC / MIN / MAX / PRODUCT ranking functions, each with a strictly monotone key, and weight assignments |
 //! | [`exec`] | morsel-driven parallel execution engine: work-stealing worker pool, execution contexts |
 //! | [`join`] | semi-joins, Yannakakis full reducer, hash joins, bag materialisation (serial + parallel kernels) |
 //! | [`core`] | the paper's enumerators (acyclic, lexicographic, star, cyclic, union) |
@@ -114,8 +114,8 @@ pub mod prelude {
         UnionQuery,
     };
     pub use re_ranking::{
-        AvgRanking, Direction, LexRanking, MaxRanking, MinRanking, ProductRanking, Ranking,
-        SumProductRanking, SumRanking, Weight, WeightAssignment, WeightedSumRanking,
+        Direction, LexRanking, MaxRanking, MinRanking, ProductRanking, Ranking, SumRanking, Weight,
+        WeightAssignment, WeightedSumRanking,
     };
     pub use re_server::{
         serve, Catalog, LocalClient, RankedQueryServer, ServerConfig, TcpClient, Transport,

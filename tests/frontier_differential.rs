@@ -293,10 +293,9 @@ fn equal_prefixes_never_let_the_first_output_value_outrank_the_key() {
     let lex = LexRanking::new(["y", "x"], descending("x").with_table("y", flat_y));
     assert_matches_materialise_and_sort(&query, &db, lex.clone(), "lex");
     assert_matches_materialise_and_sort(&query, &db, NoPrefix(lex), "lex, no prefix");
-    // MIN, MAX and SUM decided by x alone, larger x first. (y weighs the
-    // same everywhere: MIN and MAX are only weakly monotone, and where two
-    // attributes tie on the extreme the general algorithm promises rank
-    // order but not the tie order of a sort.)
+    // MIN, MAX and SUM decided by x alone, larger x first: y weighs the
+    // same everywhere, beyond x's reach, so x's weight is the first element
+    // of every MIN and MAX key and the only part of a SUM key that varies.
     let by_x =
         |y: f64| descending("x").with_table("y", (0..64).map(|v| (v, Weight::new(y))).collect());
     let min = MinRanking::new(by_x(1e3));
@@ -308,15 +307,16 @@ fn equal_prefixes_never_let_the_first_output_value_outrank_the_key() {
     assert_matches_materialise_and_sort(&query, &db, NoPrefix(sum), "sum, no prefix");
 }
 
-/// ROADMAP item 1(a)'s instance. With `−value` on both attributes MIN and
-/// MAX tie between a cell and its successor (they are only weakly
-/// monotone), an equal output reached through a second anchor then pops
-/// later, and the two duplicate checks — `topdown`'s peek loop in
-/// `acyclic.rs` and `RankedMerge::next` in `merge.rs`, both of which only
-/// compare with the queue's next entry — miss it: 150 answers for 145
-/// distinct ones. Fixing item 1(a) means removing the `#[ignore]`.
+/// Rankings whose bare key is only weakly monotone emit each projected
+/// answer once, in the reference order. With `−value` on both attributes
+/// the bare minimum and maximum tie between a cell and its successor, and
+/// with zero on alternating parities so does the bare product; an equal
+/// output reached through a second anchor then popped later, past both
+/// duplicate checks — `topdown`'s peek loop in `acyclic.rs` and
+/// `RankedMerge::next` in `merge.rs` compare only with the queue's next
+/// entry — and the engine emitted 150 answers for 145. The leximin,
+/// leximax and zero-counting keys make all three strict.
 #[test]
-#[ignore = "ROADMAP item 1: weakly monotone rankings emit duplicates"]
 fn min_and_max_emit_each_projected_answer_once() {
     let (db, query) = overlapping_groups(6, 5);
     let negated = || (0..64u64).map(|v| (v, Weight::new(-(v as f64)))).collect();
@@ -325,6 +325,14 @@ fn min_and_max_emit_each_projected_answer_once() {
         .with_table("y", negated());
     assert_matches_materialise_and_sort(&query, &db, MinRanking::new(weights.clone()), "min");
     assert_matches_materialise_and_sort(&query, &db, MaxRanking::new(weights), "max");
+    let zero_on = |parity: u64| {
+        let weight = |v: u64| if v % 2 == parity { 0.0 } else { v as f64 };
+        (0..64u64).map(|v| (v, Weight::new(weight(v)))).collect()
+    };
+    let weights = WeightAssignment::value_as_weight()
+        .with_table("x", zero_on(0))
+        .with_table("y", zero_on(1));
+    assert_matches_materialise_and_sort(&query, &db, ProductRanking::new(weights), "product");
 }
 
 /// Sums that share their dominant component: every `x` weighs `2^53`, where

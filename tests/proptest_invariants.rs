@@ -1,14 +1,19 @@
 //! Property-based tests: on randomly generated instances, every enumeration
 //! strategy must produce exactly the distinct projected answers, without
 //! duplicates, in non-decreasing rank order, and the theoretically
-//! equivalent strategies must agree with each other.
+//! equivalent strategies must agree with each other. The generated oracle
+//! holds every engine to the exact `(key, tuple)` sequence of the
+//! materialise-and-sort reference under every shipped ranking, and the
+//! ordering contract that makes that possible is checked at the key.
 
 mod common;
 
-use common::{assert_valid_ranked_output, reference_answers};
+use common::{assert_valid_ranked_output, reference_answers, reference_union_answers};
 use proptest::prelude::*;
 use rankedenum::datagen::log_degree_weights;
 use rankedenum::prelude::*;
+use std::any::type_name;
+use std::collections::HashMap;
 
 /// A binary relation from generated edges, shifted away from 0 and
 /// de-duplicated.
@@ -91,34 +96,201 @@ fn lex_instance(
     } else {
         &["a", "c", "d"]
     };
-    let query = QueryBuilder::new()
+    (db, three_path_query(projection))
+}
+
+/// The path `R(a,b) ⋈ S(b,c) ⋈ T(c,d)` projected on `projection`.
+fn three_path_query(projection: &[&str]) -> JoinProjectQuery {
+    QueryBuilder::new()
         .atom("R", "R", ["a", "b"])
         .atom("S", "S", ["b", "c"])
         .atom("T", "T", ["c", "d"])
         .project(projection.iter().copied())
         .build()
-        .unwrap();
-    (db, query)
+        .unwrap()
 }
 
-/// Two tie-heavy weight assignments over the projection of `query`: the
-/// halving table (values `2k` and `2k + 1` weigh `k`) on every attribute,
-/// and the log-degree weights of the first relation's first column on
-/// every attribute (`0` for a value it does not hold).
-fn tied_weights(db: &Database, query: &JoinProjectQuery) -> [WeightAssignment; 2] {
-    let atom = &query.atoms()[0];
-    let rel = db.relation(&atom.relation).unwrap();
-    let degrees = log_degree_weights(rel, &rel.attrs()[0]);
-    let mut halved = WeightAssignment::value_as_weight();
-    let mut by_degree = WeightAssignment::zero();
-    for a in query.projection() {
-        let halving = (0..16u64)
-            .map(|v| (v, Weight::new((v / 2) as f64)))
-            .collect();
-        halved = halved.with_table(a.clone(), halving);
-        by_degree = by_degree.with_table(a.clone(), degrees.clone());
+/// The tie-heavy weight schemes, each on every attribute of `attrs`: the
+/// halving table (values `2k` and `2k + 1` weigh `k`), the log-degree
+/// weights `degrees` (`0` for a value they do not hold), the negated values
+/// (at [`NEGATED`]), and zero on parity (the `i`-th attribute weighs 0 on
+/// values of `i`'s parity, its value otherwise).
+fn tie_heavy_weights(attrs: &[Attr], degrees: &HashMap<Value, Weight>) -> [WeightAssignment; 4] {
+    let table = |f: &dyn Fn(u64) -> f64| (0..16u64).map(|v| (v, Weight::new(f(v)))).collect();
+    let mut schemes = [
+        WeightAssignment::value_as_weight(),
+        WeightAssignment::zero(),
+        WeightAssignment::value_as_weight(),
+        WeightAssignment::value_as_weight(),
+    ];
+    for (i, a) in attrs.iter().enumerate() {
+        let [halved, by_degree, negated, parity] = schemes;
+        schemes = [
+            halved.with_table(a.clone(), table(&|v| (v / 2) as f64)),
+            by_degree.with_table(a.clone(), degrees.clone()),
+            negated.with_table(a.clone(), table(&|v| -(v as f64))),
+            parity.with_table(
+                a.clone(),
+                table(&|v| if v % 2 == i as u64 % 2 { 0.0 } else { v as f64 }),
+            ),
+        ];
     }
-    [halved, by_degree]
+    schemes
+}
+
+/// The index of the negated scheme in [`tie_heavy_weights`]: the one that
+/// `ProductRanking`, which requires non-negative weights, skips.
+const NEGATED: usize = 2;
+
+/// The log-degree weights of `rel`'s first column.
+fn first_column_degrees(rel: &Relation) -> HashMap<Value, Weight> {
+    log_degree_weights(rel, &rel.attrs()[0])
+}
+
+/// A shape of the generated oracle, with the engines that run it.
+enum Shape {
+    /// A star (2-hop, 3-star): the acyclic engine, and the star engine at
+    /// δ ∈ {1, 4, 1000}.
+    Star(JoinProjectQuery),
+    /// An acyclic non-star query: the acyclic engine.
+    Path(JoinProjectQuery),
+    /// A cyclic query: the GHD-backed engine.
+    Cyclic(JoinProjectQuery),
+    /// A union: the union engine.
+    Union(UnionQuery),
+}
+
+impl Shape {
+    fn projection(&self) -> &[Attr] {
+        match self {
+            Shape::Union(union) => union.projection(),
+            Shape::Star(q) | Shape::Path(q) | Shape::Cyclic(q) => q.projection(),
+        }
+    }
+}
+
+/// The shape `which` of the generated oracle over a database of `M(e, c)`
+/// and `E(s, t)` from `r`, and `R(a, b)`, `S(b, c)`, `T(c, d)`: the 2-hop
+/// and 3-star over `M`, the path `R ⋈ S ⋈ T` on `(a, c, d)`, the triangle
+/// over `E` on `(x, z)`, and the union of the 2-hop with `R ⋈ S` on
+/// `(x, y)`.
+fn oracle_shape(
+    which: u8,
+    r: &[(u64, u64)],
+    s: &[(u64, u64)],
+    t: &[(u64, u64)],
+) -> (Database, Shape) {
+    let mut db = two_relation_db(r, s);
+    db.set_relation(edge_relation("M", ["e", "c"], r));
+    db.set_relation(edge_relation("E", ["s", "t"], r));
+    db.set_relation(edge_relation("T", ["c", "d"], t));
+    let shape = match which {
+        0 => Shape::Star(two_hop_query()),
+        1 => Shape::Star(three_star_query()),
+        2 => Shape::Path(three_path_query(&["a", "c", "d"])),
+        3 => Shape::Cyclic(
+            QueryBuilder::new()
+                .atom("E1", "E", ["x", "y"])
+                .atom("E2", "E", ["y", "z"])
+                .atom("E3", "E", ["z", "x"])
+                .project(["x", "z"])
+                .build()
+                .unwrap(),
+        ),
+        _ => {
+            let path = QueryBuilder::new()
+                .atom("R", "R", ["x", "b"])
+                .atom("S", "S", ["b", "y"])
+                .project(["x", "y"])
+                .build()
+                .unwrap();
+            Shape::Union(UnionQuery::new(vec![two_hop_query(), path]).unwrap())
+        }
+    };
+    (db, shape)
+}
+
+/// Every engine of `shape` emits the reference sequence under `ranking`
+/// over weight scheme `scheme`.
+fn assert_engines_emit_the_oracle<R: Ranking + Clone + 'static>(
+    shape: &Shape,
+    db: &Database,
+    ranking: R,
+    scheme: usize,
+) -> Result<(), TestCaseError> {
+    let what = format!("{}, weight scheme {scheme}", type_name::<R>());
+    let (query, got): (_, Vec<Tuple>) = match shape {
+        Shape::Union(union) => {
+            let oracle = reference_union_answers(union, db, &ranking);
+            let got: Vec<Tuple> = UnionEnumerator::new(union, db, ranking).unwrap().collect();
+            prop_assert!(got == oracle, "union, {what}: {got:?} != {oracle:?}");
+            return Ok(());
+        }
+        Shape::Cyclic(q) => (
+            q,
+            CyclicEnumerator::new_auto(q, db, ranking.clone())
+                .unwrap()
+                .collect(),
+        ),
+        Shape::Star(q) | Shape::Path(q) => (
+            q,
+            AcyclicEnumerator::new(q, db, ranking.clone())
+                .unwrap()
+                .collect(),
+        ),
+    };
+    let oracle = reference_answers(query, db, &ranking);
+    prop_assert!(got == oracle, "{what}: {got:?} != {oracle:?}");
+    if let Shape::Star(_) = shape {
+        for delta in [1usize, 4, 1000] {
+            let got: Vec<Tuple> = StarEnumerator::new(query, db, ranking.clone(), delta)
+                .unwrap()
+                .collect();
+            prop_assert!(
+                got == oracle,
+                "star, δ = {delta}, {what}: {got:?} != {oracle:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The ordering contract at the key: over `all`, change the values of the
+/// part `mask` selects from `a`'s to `b`'s. The whole key must compare as
+/// the part's key does — strictly larger, equal or strictly smaller.
+fn assert_strictly_monotone<R: Ranking>(
+    ranking: &R,
+    scheme: usize,
+    all: &[Attr],
+    mask: u8,
+    a: &[Value],
+    b: &[Value],
+) -> Result<(), TestCaseError> {
+    let in_part = |i: &usize| mask >> i & 1 == 1;
+    let part: Vec<Attr> = (0..all.len())
+        .filter(in_part)
+        .map(|i| all[i].clone())
+        .collect();
+    let of_part = |t: &[Value]| {
+        (0..all.len())
+            .filter(in_part)
+            .map(|i| t[i])
+            .collect::<Vec<_>>()
+    };
+    let moved: Vec<Value> = (0..all.len())
+        .map(|i| if in_part(&i) { b[i] } else { a[i] })
+        .collect();
+    let by_part = ranking
+        .key_of(&part, &of_part(a))
+        .cmp(&ranking.key_of(&part, &of_part(b)));
+    let by_whole = ranking.key_of(all, a).cmp(&ranking.key_of(all, &moved));
+    prop_assert!(
+        by_part == by_whole,
+        "{}, weight scheme {scheme}: part {part:?} {a:?} → {b:?} compares {by_part:?}, \
+         the whole {by_whole:?}",
+        type_name::<R>()
+    );
+    Ok(())
 }
 
 proptest! {
@@ -126,8 +298,9 @@ proptest! {
 
     /// The one definition of LEX (`LexRanking`'s docs), checked by sequence
     /// equality: Algorithm 3, the general engine and the materialise-and-sort
-    /// oracle agree under tied weights, with zero, one or two projection
-    /// attributes left out of the declared order, in either direction.
+    /// oracle agree under every tie-heavy weight scheme, with zero, one or
+    /// two projection attributes left out of the declared order, in either
+    /// direction.
     #[test]
     fn lexi_general_and_oracle_emit_one_lex_order(
         shape in 0u8..3,
@@ -151,7 +324,8 @@ proptest! {
         for i in (1..n).rev() {
             order.swap(i, (shuffle >> (8 * i)) as usize % (i + 1));
         }
-        for weights in tied_weights(&db, &query) {
+        let degrees = first_column_degrees(db.relation(&query.atoms()[0].relation).unwrap());
+        for weights in tie_heavy_weights(query.projection(), &degrees) {
             for undeclared in 0..=2 {
                 let declared = &order[..n - undeclared];
                 let lex = LexRanking::with_directions(declared.iter().cloned(), weights.clone());
@@ -225,27 +399,6 @@ proptest! {
     }
 
     #[test]
-    fn min_and_max_rankings_enumerate_in_order(e in edges(8, 50)) {
-        let db = membership_db(&e);
-        let query = two_hop_query();
-        let w = WeightAssignment::value_as_weight();
-        // MIN ranking
-        let ranking = MinRanking::new(w.clone());
-        let answers: Vec<Tuple> = AcyclicEnumerator::new(&query, &db, ranking.clone())
-            .unwrap()
-            .collect();
-        let reference = reference_answers(&query, &db, &ranking);
-        assert_valid_ranked_output(&answers, &reference, &query, &ranking);
-        // MAX ranking
-        let ranking = MaxRanking::new(w);
-        let answers: Vec<Tuple> = AcyclicEnumerator::new(&query, &db, ranking.clone())
-            .unwrap()
-            .collect();
-        let reference = reference_answers(&query, &db, &ranking);
-        assert_valid_ranked_output(&answers, &reference, &query, &ranking);
-    }
-
-    #[test]
     fn triangle_query_via_ghd_is_correct(e in edges(8, 40)) {
         let mut db = Database::new();
         db.set_relation(edge_relation("E", ["s", "t"], &e));
@@ -279,30 +432,59 @@ proptest! {
         }
     }
 
+    /// `Ranking`'s ordering contract, at the key, for every shipped ranking
+    /// under every tie-heavy weight scheme (PRODUCT's weights non-negative).
     #[test]
-    fn sum_ranking_is_monotone_in_each_position(
-        x in 0u64..1000, y in 0u64..1000, bump in 0u64..1000
+    fn every_ranking_key_is_strictly_monotone_in_each_part(
+        e in edges(7, 20),
+        mask in 1u8..15,
+        a in prop::collection::vec(0u64..9, 4..5),
+        b in prop::collection::vec(0u64..9, 4..5),
+        c in 0u32..4,
     ) {
-        let ranking = SumRanking::value_sum();
-        let a = attrs(["p", "q"]);
-        let base = ranking.key_of(&a, &[x, y]);
-        let bumped = ranking.key_of(&a, &[x, y + bump]);
-        prop_assert!(bumped >= base);
+        let all = attrs(["p", "q", "r", "s"]);
+        let degrees = first_column_degrees(&edge_relation("M", ["e", "c"], &e));
+        for (i, w) in tie_heavy_weights(&all, &degrees).into_iter().enumerate() {
+            let weighted = WeightedSumRanking::new([("q", f64::from(c))], 1.0, w.clone());
+            let lex = LexRanking::new(["s", "p", "r", "q"], w.clone());
+            assert_strictly_monotone(&SumRanking::new(w.clone()), i, &all, mask, &a, &b)?;
+            assert_strictly_monotone(&weighted, i, &all, mask, &a, &b)?;
+            assert_strictly_monotone(&lex, i, &all, mask, &a, &b)?;
+            assert_strictly_monotone(&MinRanking::new(w.clone()), i, &all, mask, &a, &b)?;
+            assert_strictly_monotone(&MaxRanking::new(w.clone()), i, &all, mask, &a, &b)?;
+            if i != NEGATED {
+                assert_strictly_monotone(&ProductRanking::new(w), i, &all, mask, &a, &b)?;
+            }
+        }
     }
 
+    /// The generated oracle: on the 2-hop, the path, the 3-star, the
+    /// triangle and a 2-branch union, every engine that runs the shape
+    /// emits exactly the reference `(key, tuple)` sequence under every
+    /// shipped ranking and every tie-heavy weight scheme.
     #[test]
-    fn lex_ranking_is_monotone_on_suffix_replacement(
-        x in 0u64..50, y in 0u64..50, y2 in 0u64..50, z in 0u64..50, z2 in 0u64..50
+    fn every_engine_emits_the_oracle_sequence_under_every_ranking(
+        which in 0u8..5,
+        r in edges(7, 30),
+        s in edges(7, 30),
+        t in edges(7, 30),
+        c in 0u32..4,
     ) {
-        let ranking = LexRanking::new(["p", "q", "r"], WeightAssignment::value_as_weight());
-        let a = attrs(["p", "q", "r"]);
-        let base = ranking.key_of(&a, &[x, y, z]);
-        let other = ranking.key_of(&a, &[x, y2, z2]);
-        // monotone: if the (q, r) sub-tuple key grows, the full key grows
-        let sub = LexRanking::new(["q", "r"], WeightAssignment::value_as_weight());
-        let sub_a = attrs(["q", "r"]);
-        if sub.key_of(&sub_a, &[y2, z2]) >= sub.key_of(&sub_a, &[y, z]) {
-            prop_assert!(other >= base);
+        let (db, shape) = oracle_shape(which, &r, &s, &t);
+        let projection = shape.projection();
+        let degrees = first_column_degrees(db.relation("M").unwrap());
+        for (i, w) in tie_heavy_weights(projection, &degrees).into_iter().enumerate() {
+            let weighted =
+                WeightedSumRanking::new([(projection[0].clone(), f64::from(c))], 1.0, w.clone());
+            let lex = LexRanking::new(projection.iter().rev().cloned(), w.clone());
+            assert_engines_emit_the_oracle(&shape, &db, SumRanking::new(w.clone()), i)?;
+            assert_engines_emit_the_oracle(&shape, &db, weighted, i)?;
+            assert_engines_emit_the_oracle(&shape, &db, lex, i)?;
+            assert_engines_emit_the_oracle(&shape, &db, MinRanking::new(w.clone()), i)?;
+            assert_engines_emit_the_oracle(&shape, &db, MaxRanking::new(w.clone()), i)?;
+            if i != NEGATED {
+                assert_engines_emit_the_oracle(&shape, &db, ProductRanking::new(w), i)?;
+            }
         }
     }
 }

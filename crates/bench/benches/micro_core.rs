@@ -65,7 +65,6 @@ fn frontier_pop_push(spread: u64, tie_percent: f64) {
     let new_entry = |arena: &mut CellArena, keys: &mut KeyInterner<ExactSum>, out: [u64; 2]| {
         let cell = arena.push(0, 0, 0, &out, &[]);
         keys.entry(ranking.key(&plan, &out), out[TIE_PERM[0]], cell)
-            .0
     };
     let initial: Vec<FrontierEntry> = (0..ENTRIES)
         .map(|_| {

@@ -54,8 +54,10 @@
 //! hashes or clones an anchor tuple. Steady-state `next()`
 //! performs **zero `Tuple` allocations beyond the emitted answer** — the
 //! counting allocator of `tests/frontier_alloc_tripwire.rs` enforces the
-//! ban — and every byte the frontier retains is accounted in
-//! [`EnumStats::frontier_bytes`] / [`EnumStats::frontier_peak_bytes`].
+//! ban. Nothing on that path counts bytes either: the enumerator sums the
+//! capacities of what it holds — reduced relations, arenas, interners,
+//! queues — into [`EnumStats::frontier_bytes`] once per answer, and the
+//! same allocator checks the sum against the heap it sees.
 //!
 //! Guarantees (Lemmas 1–3): `O(|D|)` preprocessing (after the full-reducer
 //! pass), `O(|D| log |D|)` worst-case delay, answers emitted in
@@ -101,15 +103,15 @@ struct NodeState<R: Ranking> {
     keys: KeyInterner<R::Key>,
     /// `PQ_i[u]`: one priority queue per anchor id.
     queues: Vec<FrontierHeap>,
+    /// Heap bytes of every queue in `queues`: reserved at the build, grown
+    /// by what [`FrontierHeap::push`] reports.
+    queue_bytes: usize,
 }
 
 impl<R: Ranking> NodeState<R> {
-    /// Store the cell `key` ranks and return the cell's heap entry — with
-    /// the two inline words [`entry_cmp`] reads first — plus the bytes the
-    /// interner newly retained for the key: none when the key's prefix is
-    /// exact, because the entry then holds all of it
-    /// ([`KeyInterner::entry`]). Every cell, built at OPEN or pushed as a
-    /// successor, is made here.
+    /// Store the cell `key` ranks and return the cell's heap entry, with
+    /// the two inline words [`entry_cmp`] reads first. Every cell, built at
+    /// OPEN or pushed as a successor, is made here.
     fn new_cell(
         &mut self,
         key: R::Key,
@@ -118,7 +120,7 @@ impl<R: Ranking> NodeState<R> {
         advance_from: u32,
         output: &[Value],
         ptrs: &[CellId],
-    ) -> (FrontierEntry, usize) {
+    ) -> FrontierEntry {
         let tie0 = self.tie_perm.first().map_or(0, |&p| output[p]);
         let cell = self.arena.push(row, anchor, advance_from, output, ptrs);
         self.keys.entry(key, tie0, cell)
@@ -144,10 +146,23 @@ impl<R: Ranking> NodeState<R> {
             entry_cmp(keys, arena, tie_perm, a, b)
         })
     }
-}
 
-/// Bytes a live frontier heap entry occupies.
-const ENTRY_BYTES: u64 = std::mem::size_of::<FrontierEntry>() as u64;
+    /// Push `entry` onto the queue of `anchor`.
+    fn push(&mut self, anchor: u32, entry: FrontierEntry) {
+        let (queue, cmp) = self.queue(anchor);
+        let grown = queue.push(entry, cmp);
+        self.queue_bytes += grown;
+    }
+
+    /// Heap bytes of the node's relation, arena, interner and queues.
+    fn heap_bytes(&self) -> usize {
+        self.relation.heap_bytes()
+            + self.arena.heap_bytes()
+            + self.keys.heap_bytes()
+            + self.queues.capacity() * std::mem::size_of::<FrontierHeap>()
+            + self.queue_bytes
+    }
+}
 
 /// Ranked enumerator for acyclic join-project queries.
 ///
@@ -280,6 +295,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                 relation: rel,
                 keys: KeyInterner::new(),
                 queues: Vec::new(),
+                queue_bytes: 0,
             });
         }
 
@@ -306,11 +322,11 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                     .iter()
                     .map(|&n| FrontierHeap::with_capacity(n))
                     .collect();
+                nodes[u].queue_bytes = queue_of.len() * std::mem::size_of::<FrontierEntry>();
 
                 // Pass 2: one cell per row, on top of each child's best.
                 let fill_span = re_obs::trace::child_span("cells.fill");
                 let mut cells = 0u64;
-                let mut cell_bytes = 0usize;
                 'rows: for (row, &anchor) in queue_of.iter().enumerate() {
                     out_buf.clear();
                     ptr_buf.clear();
@@ -334,11 +350,9 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                     }
                     let key = ranking.key(&nodes[u].plan, &out_buf);
                     let ns = &mut nodes[u];
-                    let (entry, key_bytes) =
-                        ns.new_cell(key, row as u32, anchor, 0, &out_buf, &ptr_buf);
+                    let entry = ns.new_cell(key, row as u32, anchor, 0, &out_buf, &ptr_buf);
                     ns.queues[anchor as usize].push_unordered(entry);
                     cells += 1;
-                    cell_bytes += ns.arena.bytes_per_cell() + key_bytes;
                 }
                 for &child in &tree.node(u).children {
                     edges[child] = EdgeIds::default();
@@ -353,19 +367,13 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                     tie_perm,
                     ..
                 } = &mut nodes[u];
-                let mut queue_bytes = 0;
                 for queue in queues.iter_mut() {
                     queue.heapify(|a, b| entry_cmp(keys, arena, tie_perm, a, b));
-                    queue_bytes += queue.retained_bytes();
                 }
                 // Bump the raw counters, not `record_*`: preprocessing
                 // work must not leak into the per-answer delay histogram.
                 stats.cells_created += cells;
                 stats.pq_pushes += cells;
-                stats.frontier_alloc(
-                    (cell_bytes + queue_bytes) as u64,
-                    cell_bytes as u64 + cells * ENTRY_BYTES,
-                );
             }
             if let Some(s) = trace_span.as_mut() {
                 use re_obs::AttrValue;
@@ -384,7 +392,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             .first()
             .and_then(FrontierHeap::peek)
             .map(|top| top.cell);
-        Ok(AcyclicEnumerator {
+        let mut this = AcyclicEnumerator {
             ranking,
             tree,
             nodes,
@@ -393,17 +401,14 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             out_buf: Tuple::new(),
             ptr_buf: Vec::new(),
             stats,
-        })
+        };
+        this.stats.set_frontier_bytes(this.heap_bytes());
+        Ok(this)
     }
 
     /// The projection attributes, in output order.
     pub fn output_attrs(&self) -> &[Attr] {
         &self.projection
-    }
-
-    /// The ranking function used by this enumerator.
-    pub fn ranking(&self) -> &R {
-        &self.ranking
     }
 
     /// Enumeration statistics collected so far.
@@ -423,10 +428,11 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         self.nodes.iter().map(|n| n.arena.len()).sum()
     }
 
-    /// Bytes currently retained by the frontier (see
-    /// [`EnumStats::frontier_bytes`]).
-    pub fn frontier_bytes(&self) -> u64 {
-        self.stats.frontier_bytes
+    /// Heap bytes held: every node's and the operation log's.
+    fn heap_bytes(&self) -> u64 {
+        let nodes: usize = self.nodes.iter().map(NodeState::heap_bytes).sum();
+        let slots = self.nodes.capacity() * std::mem::size_of::<NodeState<R>>();
+        (nodes + slots + self.stats.heap_bytes()) as u64
     }
 
     /// Distinct rank keys interned across all nodes (each stored once, no
@@ -435,11 +441,6 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     /// weights.
     pub fn interned_keys(&self) -> usize {
         self.nodes.iter().map(|n| n.keys.len()).sum()
-    }
-
-    /// Rank key of an output tuple (in user projection order).
-    pub fn key_of_output(&self, tuple: &[Value]) -> R::Key {
-        self.ranking.key_of(&self.projection, tuple)
     }
 
     /// Whether the outputs of two cells of `node` are equal (tie-permuted
@@ -477,11 +478,8 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             }
         }
         let key = self.ranking.key(&self.nodes[node].plan, &out);
-        let ns = &mut self.nodes[node];
-        let (entry, key_bytes) = ns.new_cell(key, row, anchor, ci as u32, &out, &ptrs);
-        let cell_bytes = (ns.arena.bytes_per_cell() + key_bytes) as u64;
+        let entry = self.nodes[node].new_cell(key, row, anchor, ci as u32, &out, &ptrs);
         self.stats.record_cell();
-        self.stats.frontier_alloc(cell_bytes, cell_bytes);
         self.out_buf = out;
         self.ptr_buf = ptrs;
         entry
@@ -504,17 +502,15 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                 continue;
             };
             let entry = self.successor(node, cell, ci, next_child, anchor);
-            let (queue, cmp) = self.nodes[node].queue(anchor);
-            let grown = if replaced {
-                queue.push(entry, cmp)
+            if replaced {
+                self.nodes[node].push(anchor, entry);
             } else {
+                let (queue, cmp) = self.nodes[node].queue(anchor);
                 let top = queue.replace_top(entry, cmp);
                 debug_assert_eq!(top.cell, cell, "the expanded cell stays on top");
                 replaced = true;
-                0
-            };
+            }
             self.stats.record_push();
-            self.stats.frontier_alloc(grown as u64, ENTRY_BYTES);
         }
         if !replaced {
             let (queue, cmp) = self.nodes[node].queue(anchor);
@@ -554,7 +550,6 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             // its successors are counted as pushed; it leaves the queue
             // while they are queued (`expand_successors`).
             self.stats.record_pop();
-            self.stats.frontier_release(ENTRY_BYTES);
             self.expand_successors(node, top.cell, anchor);
 
             // Chain to the new top; keep advancing while it duplicates the
@@ -585,6 +580,7 @@ impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
         // it. The only allocation is the emitted answer itself.
         self.next_root = self.topdown(cell, root);
         self.stats.record_answer();
+        self.stats.set_frontier_bytes(self.heap_bytes());
         let ns = &self.nodes[root];
         let out = ns.arena.output(cell);
         // At the root the tie permutation maps the subtree layout to the
@@ -822,44 +818,28 @@ mod tests {
     fn bulk_build_reproduces_the_incremental_builds_ids_and_stats_on_example_4() {
         // Anchor ids, queue counts and the cell / push / pop counters are
         // those of the one-push-at-a-time build this bulk build replaced
-        // (commit b320aa1), default root and root R3. The byte columns are
-        // PR 15's — a heap entry is 24 bytes, a cell's metadata 16, a built
-        // queue reserves exactly its length: 9 cells (132 slab + 9·16), 7
-        // keys (7·40) and 9 entries (9·24) made the first 772 — less the
-        // keys, which every `value_sum` key now keeps in its entry's
-        // prefix (`[3, 1, 1, 2]` interned per node then, none now). At 40
-        // accounted bytes a stored key (24 + a fingerprint and a slot):
-        //
-        //   default root  retained at build   772 −  7·40 = 492
-        //                 peak at build       772 −  7·40 = 492
-        //                 retained at the end 1120 − 10·40 = 720
-        //                 peak               984 −  9·40 = 624  (after answer 1, 9 keys then)
-        //   root R3       retained at build   736 −  7·40 = 456
-        //                 peak at build       736 −  7·40 = 456
-        //                 retained at the end 1264 − 12·40 = 784
-        //                 peak               992 − 11·40 = 552  (after answer 3, 11 keys then)
-        //
-        // The last line is the one that is not "old peak less its keys":
-        // the old maximum of 1000 came after answer 5 with 12 keys stored
-        // (1000 − 12·40 = 520 live there now), so with keys no longer
-        // piling up the runner-up of 992 after answer 3 is the peak.
-        type Case = (Option<usize>, [&'static [u32]; 4], [usize; 4], [u64; 4]);
+        // (commit b320aa1), default root and root R3. The bytes are the
+        // capacities the enumerator holds — reduced relations, arena
+        // slabs, queues and the operation log — summed at the build and
+        // after the last answer; they never fall, so the peak is the last
+        // of them.
+        type Case = (Option<usize>, [&'static [u32]; 4], [usize; 4], [u64; 2]);
         let cases: [Case; 2] = [
             (
                 None,
                 [&[0, 0, 0, 0], &[0, 1], &[0], &[0, 0]],
                 [1, 2, 1, 1],
-                [492, 492, 720, 624],
+                [2_712, 2_920],
             ),
             (
                 Some(2),
                 [&[0, 0, 1, 1], &[0, 0], &[0], &[0, 0]],
                 [2, 1, 1, 1],
-                [456, 456, 784, 552],
+                [2_664, 3_008],
             ),
         ];
         let (db, q) = (paper_db(), paper_query());
-        for (root, anchors, queues, [bytes, peak, end_bytes, end_peak]) in cases {
+        for (root, anchors, queues, [bytes, end_bytes]) in cases {
             let tree = match root {
                 None => JoinTree::build(&q).unwrap(),
                 Some(r) => JoinTree::build_rooted(&q, r).unwrap(),
@@ -872,13 +852,13 @@ mod tests {
             assert_eq!(got_keys, [0, 0, 0, 0], "root {root:?}");
             let s = e.stats();
             assert_eq!((s.cells_created, s.pq_pushes, s.pq_pops), (9, 9, 0));
-            assert_eq!((s.frontier_bytes, s.frontier_peak_bytes), (bytes, peak));
+            assert_eq!((s.frontier_bytes, s.frontier_peak_bytes), (bytes, bytes));
             assert_eq!(e.by_ref().count(), 6);
             let s = e.stats();
             assert_eq!((s.cells_created, s.pq_pushes, s.pq_pops), (16, 16, 16));
             assert_eq!(
                 (s.frontier_bytes, s.frontier_peak_bytes),
-                (end_bytes, end_peak)
+                (end_bytes, end_bytes)
             );
         }
     }
@@ -974,7 +954,7 @@ mod tests {
         for (ranking, stores_keys) in [(SumRanking::value_sum(), false), (tenths(["A", "E"]), true)]
         {
             let mut e = AcyclicEnumerator::new(&q, &db, ranking).unwrap();
-            let at_build = e.frontier_bytes();
+            let at_build = e.stats().frontier_bytes;
             assert!(at_build > 0, "preprocessing retains the initial frontier");
             // A key that is one `f64` lives in its entry; only a sum that
             // expands is stored.
@@ -983,11 +963,11 @@ mod tests {
             assert!(n > 0);
             assert_eq!(e.interned_keys() > 0, stores_keys);
             assert!(
-                e.frontier_bytes() >= at_build,
+                e.stats().frontier_bytes >= at_build,
                 "retained bytes are monotone"
             );
-            assert!(e.stats().frontier_peak_bytes > 0);
-            assert!(e.stats().frontier_peak_bytes <= e.stats().frontier_bytes);
+            // The peak of a count that never falls is its last value.
+            assert_eq!(e.stats().frontier_peak_bytes, e.stats().frontier_bytes);
         }
     }
 
@@ -1017,7 +997,7 @@ mod tests {
         assert_eq!(answers.len(), 16);
         let mut expanding: Vec<_> = answers
             .iter()
-            .map(|t| e.key_of_output(t))
+            .map(|t| e.ranking.key_of(&e.projection, t))
             .filter(|k| !k.prefix_is_exact())
             .collect();
         let cells_ranked_by_them = expanding.len();

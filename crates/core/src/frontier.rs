@@ -89,10 +89,12 @@
 //! [`FrontierHeap`] runs steps 1 and 2 itself, as flag arithmetic on the
 //! two entries, and calls the comparator only for step 3.
 //!
-//! Everything here is byte-accounted: the arena, interner and heap all
-//! report their footprint so [`EnumStats`](crate::EnumStats) can expose
-//! `frontier_bytes` / `frontier_peak_bytes` and the server can enforce
-//! session memory budgets.
+//! Each structure here reports the heap it holds, `heap_bytes()`, from
+//! the capacities of its vectors: what the allocator handed out, doubling
+//! slack included. Nothing counts bytes as cells and entries come and go;
+//! an enumerator sums its structures when it refreshes
+//! [`EnumStats::frontier_bytes`](crate::EnumStats::frontier_bytes), the
+//! figure the server's session budget evicts by.
 
 use re_ranking::RankKey;
 use re_storage::{mix_key, IdSlots, Value};
@@ -230,23 +232,13 @@ impl CellArena {
         self.meta[cell as usize].next = next;
     }
 
-    /// Bytes one cell occupies (slab slices plus metadata).
-    pub fn bytes_per_cell(&self) -> usize {
-        self.out_stride * std::mem::size_of::<Value>()
-            + self.ptr_stride * std::mem::size_of::<CellId>()
-            + std::mem::size_of::<CellMeta>()
-    }
-
-    /// Bytes occupied by the stored cells (length-based, so deterministic
-    /// across runs).
-    pub fn bytes(&self) -> usize {
-        self.len() * self.bytes_per_cell()
+    /// Heap bytes of the three slabs (their capacities).
+    pub fn heap_bytes(&self) -> usize {
+        self.outputs.capacity() * std::mem::size_of::<Value>()
+            + self.ptrs.capacity() * std::mem::size_of::<CellId>()
+            + self.meta.capacity() * std::mem::size_of::<CellMeta>()
     }
 }
-
-/// Per-id overhead of the interner's fingerprint table: the stored `u64`
-/// fingerprint plus the id's nominal share of the slot array.
-const INTERN_BUCKET_BYTES: usize = 16;
 
 /// Stores each distinct rank key that does not fit its heap entry once and
 /// hands out dense `u32` ids ([`KeyInterner::entry`] keeps the keys whose
@@ -264,7 +256,8 @@ pub struct KeyInterner<K> {
     /// `fingerprints[id]` is `keys[id].fingerprint()`.
     fingerprints: Vec<u64>,
     slots: IdSlots,
-    /// Heap bytes owned by the stored keys (length-based estimate).
+    /// Heap bytes the stored keys own beyond their slots in `keys`, summed
+    /// as they are stored.
     key_heap_bytes: usize,
 }
 
@@ -279,9 +272,8 @@ impl<K: RankKey> KeyInterner<K> {
         }
     }
 
-    /// Intern `key`, returning its id and the bytes newly retained
-    /// (`0` when the key deduplicated against an existing entry).
-    pub fn intern(&mut self, key: K) -> (u32, usize) {
+    /// Intern `key`, returning its id.
+    pub fn intern(&mut self, key: K) -> u32 {
         let fp = key.fingerprint();
         let (keys, fingerprints) = (&self.keys, &self.fingerprints);
         let (id, fresh) = self.slots.find_or_insert(
@@ -289,40 +281,32 @@ impl<K: RankKey> KeyInterner<K> {
             |id| fingerprints[id as usize] == fp && keys[id as usize].cmp(&key) == Ordering::Equal,
             |id| mix_key(&[fingerprints[id as usize]]),
         );
-        if !fresh {
-            return (id, 0);
+        if fresh {
+            debug_assert_ne!(id, EXACT_KEY, "interned ids stay below the reserved one");
+            self.key_heap_bytes += key.heap_bytes();
+            self.keys.push(key);
+            self.fingerprints.push(fp);
         }
-        debug_assert_ne!(id, EXACT_KEY, "interned ids stay below the reserved one");
-        let bytes = std::mem::size_of::<K>() + key.heap_bytes() + INTERN_BUCKET_BYTES;
-        self.key_heap_bytes += key.heap_bytes();
-        self.keys.push(key);
-        self.fingerprints.push(fp);
-        (id, bytes)
+        id
     }
 
-    /// The heap entry of `cell`, ranked by `key`, and the bytes newly
-    /// retained for it. A key whose prefix is exact is dropped here — the
-    /// entry's prefix is all of it — and costs nothing; any other key is
-    /// interned. This is the only place an entry gets its key id.
-    pub fn entry(&mut self, key: K, tie0: Value, cell: CellId) -> (FrontierEntry, usize) {
+    /// The heap entry of `cell`, ranked by `key`. A key whose prefix is
+    /// exact is dropped here — the entry's prefix is all of it — and costs
+    /// nothing; any other key is interned. This is the only place an entry
+    /// gets its key id.
+    pub fn entry(&mut self, key: K, tie0: Value, cell: CellId) -> FrontierEntry {
         let prefix = key.prefix();
-        let (key, bytes) = if key.prefix_is_exact() {
-            (EXACT_KEY, 0)
+        let key = if key.prefix_is_exact() {
+            EXACT_KEY
         } else {
             self.intern(key)
         };
-        let entry = FrontierEntry {
+        FrontierEntry {
             prefix,
             tie0,
             key,
             cell,
-        };
-        (entry, bytes)
-    }
-
-    /// The key behind an id.
-    pub fn get(&self, id: u32) -> &K {
-        &self.keys[id as usize]
+        }
     }
 
     /// Compare two interned keys by value. Identical ids short-circuit —
@@ -345,9 +329,13 @@ impl<K: RankKey> KeyInterner<K> {
         self.keys.is_empty()
     }
 
-    /// Bytes retained by the interner (length-based estimate).
-    pub fn bytes(&self) -> usize {
-        self.keys.len() * (std::mem::size_of::<K>() + INTERN_BUCKET_BYTES) + self.key_heap_bytes
+    /// Heap bytes of the key and fingerprint vectors and the slot array
+    /// (their capacities), plus what the stored keys own themselves.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<K>()
+            + self.key_heap_bytes
+            + self.fingerprints.capacity() * std::mem::size_of::<u64>()
+            + self.slots.heap_bytes()
     }
 }
 
@@ -537,8 +525,8 @@ impl FrontierHeap {
     }
 
     /// Insert an entry; returns the bytes of freshly reserved capacity
-    /// (0 when a previously popped slot was reused), for retained-memory
-    /// accounting.
+    /// (0 when a previously popped slot was reused), so an owner of many
+    /// heaps can keep their total without visiting them.
     pub fn push(
         &mut self,
         entry: FrontierEntry,
@@ -635,15 +623,10 @@ impl FrontierHeap {
         top
     }
 
-    /// Bytes of reserved entry storage (capacity-based: pops do not return
+    /// Heap bytes of the entry storage (its capacity: pops do not return
     /// memory to the allocator).
-    pub fn retained_bytes(&self) -> usize {
+    pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<FrontierEntry>()
-    }
-
-    /// Bytes of live entries.
-    pub fn live_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<FrontierEntry>()
     }
 }
 
@@ -671,8 +654,9 @@ mod tests {
         assert_eq!(arena.next(a), 1);
         arena.set_next(a, NEXT_EXHAUSTED);
         assert_eq!(arena.next(a), NEXT_EXHAUSTED);
-        assert_eq!(arena.bytes(), 2 * arena.bytes_per_cell());
-        assert_eq!(arena.bytes_per_cell(), 2 * 8 + 3 * 4 + 4 * 4);
+        // A vector's first reservation is four elements; the pointer slab
+        // then needed six, and doubled.
+        assert_eq!(arena.heap_bytes(), 4 * 8 + 8 * 4 + 4 * 16);
     }
 
     #[test]
@@ -694,18 +678,17 @@ mod tests {
             sum
         };
         let mut i: KeyInterner<ExactSum> = KeyInterner::new();
-        let (a, a_bytes) = i.intern(tenths(1, 2));
-        let (b, b_bytes) = i.intern(tenths(2, 5));
-        let (a2, a2_bytes) = i.intern(tenths(2, 1));
+        let a = i.intern(tenths(1, 2));
+        let b = i.intern(tenths(2, 5));
+        let held = i.heap_bytes();
+        let a2 = i.intern(tenths(2, 1));
         assert_eq!(a, a2, "identical keys share one id");
         assert_ne!(a, b);
-        assert!(a_bytes > 0 && b_bytes > 0);
-        assert_eq!(a2_bytes, 0, "deduplicated keys retain nothing");
+        assert_eq!(i.heap_bytes(), held, "deduplicated keys retain nothing");
         assert_eq!(i.len(), 2);
         assert_eq!(i.cmp(a, b), Ordering::Less);
         assert_eq!(i.cmp(b, a), Ordering::Greater);
         assert_eq!(i.cmp(a, a2), Ordering::Equal);
-        assert!(i.bytes() > 0);
     }
 
     #[test]
@@ -714,12 +697,12 @@ mod tests {
         // interning keys whose fingerprints collide modulo the bucket map:
         // same bucket, different values must still get distinct ids.
         let mut i: KeyInterner<u64> = KeyInterner::new();
-        let (a, _) = i.intern(5);
-        let (b, _) = i.intern(5);
+        let a = i.intern(5);
+        let b = i.intern(5);
         assert_eq!(a, b);
-        let (c, _) = i.intern(6);
+        let c = i.intern(6);
         assert_ne!(a, c);
-        assert_eq!(*i.get(c), 6);
+        assert_eq!(i.keys[c as usize], 6);
     }
 
     #[test]
@@ -727,13 +710,17 @@ mod tests {
         let mut i: KeyInterner<u64> = KeyInterner::new();
         // Far past the slot array's initial size; fingerprints of u64 keys
         // are the identity, multiples of 2^32 agree in their low bits.
-        let ids: Vec<u32> = (0..5_000u64).map(|k| i.intern(k << 32).0).collect();
+        let ids: Vec<u32> = (0..5_000u64).map(|k| i.intern(k << 32)).collect();
         assert_eq!(ids, (0..5_000).collect::<Vec<u32>>());
+        let held = i.heap_bytes();
         for k in 0..5_000u64 {
-            assert_eq!(i.intern(k << 32), (k as u32, 0));
+            assert_eq!(i.intern(k << 32), k as u32);
         }
         assert_eq!(i.len(), 5_000);
-        assert_eq!(i.bytes(), 5_000 * (8 + INTERN_BUCKET_BYTES));
+        // Keys and fingerprints doubled to 8 192 of each, the slot array
+        // to 16 384 slots, the first power of two at most half full.
+        assert_eq!(held, 8_192 * (8 + 8) + 16_384 * 4);
+        assert_eq!(i.heap_bytes(), held);
     }
 
     #[test]
@@ -816,8 +803,7 @@ mod tests {
         }
         assert_eq!(popped, vec![(1, 0), (1, 1), (3, 2), (4, 4), (5, 0)]);
         assert!(h.is_empty());
-        assert!(h.retained_bytes() >= 5 * std::mem::size_of::<FrontierEntry>());
-        assert_eq!(h.live_bytes(), 0);
+        assert!(h.heap_bytes() >= 5 * std::mem::size_of::<FrontierEntry>());
     }
 
     #[test]
@@ -860,13 +846,13 @@ mod tests {
                 for &e in &entries {
                     grown += pushed.push(e, total);
                 }
-                assert_eq!(pushed.retained_bytes(), grown, "{inline:?} n = {n}");
+                assert_eq!(pushed.heap_bytes(), grown, "{inline:?} n = {n}");
                 let mut bulk = FrontierHeap::with_capacity(n);
                 for &e in &entries {
                     bulk.push_unordered(e);
                 }
                 bulk.heapify(total);
-                assert_eq!(bulk.retained_bytes(), n * 24, "{inline:?} n = {n}");
+                assert_eq!(bulk.heap_bytes(), n * 24, "{inline:?} n = {n}");
                 assert_eq!(bulk.peek(), pushed.peek());
                 let mut theirs: BinaryHeap<ByTotal> = entries.iter().map(|&e| ByTotal(e)).collect();
                 while let Some(ByTotal(e)) = theirs.pop() {
@@ -1016,7 +1002,7 @@ mod tests {
             let key = pool[draw() as usize % pool.len()].clone();
             let output = [draw() % 3, draw() % 3];
             let cell = arena.push(0, 0, 0, &output, &[]);
-            let (entry, _) = keys.entry(key.clone(), output[tie_perm[0]], cell);
+            let entry = keys.entry(key.clone(), output[tie_perm[0]], cell);
             assert_eq!(entry.key == EXACT_KEY, key.prefix_is_exact());
             cells.push((key, entry));
         }

@@ -95,17 +95,11 @@ impl LazyIndex {
     /// Count a probe; build once the scan warm-up is exhausted (one flat
     /// grouping pass, see [`SortedIndex`]). Returns the built index if
     /// available.
-    fn touch<'a>(
-        idx: &'a mut LazyIndex,
-        rel: &Relation,
-        stats: &mut EnumStats,
-    ) -> Option<&'a SortedIndex> {
+    fn touch<'a>(idx: &'a mut LazyIndex, rel: &Relation) -> Option<&'a SortedIndex> {
         idx.touches += 1;
         if idx.built.is_none() && idx.touches > LAZY_BUILD_TOUCHES {
             let built = sorted_index(rel, &idx.key_attrs)
                 .expect("index key attributes were validated at plan time");
-            let bytes = built.bytes() as u64;
-            stats.frontier_alloc(bytes, bytes);
             idx.built = Some(built);
         }
         idx.built.as_ref()
@@ -114,8 +108,8 @@ impl LazyIndex {
     /// Rows matching `key`, in ascending storage order — from the index
     /// when built, by scan otherwise (identical results: the index groups
     /// rows ascending per key).
-    fn rows_for(&mut self, rel: &Relation, key: &[Value], stats: &mut EnumStats) -> Vec<u32> {
-        if let Some(index) = Self::touch(self, rel, stats) {
+    fn rows_for(&mut self, rel: &Relation, key: &[Value]) -> Vec<u32> {
+        if let Some(index) = Self::touch(self, rel) {
             return index.rows(key).to_vec();
         }
         let pos = &self.key_pos;
@@ -139,9 +133,8 @@ impl LazyIndex {
         rel: &Relation,
         key_list: &[Tuple],
         key_set: &HashSet<Tuple>,
-        stats: &mut EnumStats,
     ) -> Vec<u32> {
-        if let Some(index) = Self::touch(self, rel, stats) {
+        if let Some(index) = Self::touch(self, rel) {
             let mut merged: Vec<u32> = Vec::new();
             for k in key_list {
                 merged.extend_from_slice(index.rows(k));
@@ -159,6 +152,13 @@ impl LazyIndex {
             }
         }
         out
+    }
+
+    /// Heap bytes of the key spec and, once built, the index.
+    fn heap_bytes(&self) -> usize {
+        self.key_attrs.capacity() * std::mem::size_of::<Attr>()
+            + self.key_pos.capacity() * std::mem::size_of::<usize>()
+            + self.built.as_ref().map_or(0, SortedIndex::heap_bytes)
     }
 }
 
@@ -227,8 +227,14 @@ pub struct LexiEnumerator {
     levels: Vec<LevelPlan>,
     /// Cell arena: key-sorted candidate lists.
     cells: Vec<Vec<Value>>,
+    /// Heap bytes of the candidate lists in `cells`, summed as they are
+    /// stored.
+    cell_bytes: usize,
     /// Per level: dependency sub-prefix → cell id.
     memo: Vec<HashMap<Tuple, u32>>,
+    /// Heap bytes of the sub-prefixes keying `memo`, summed as they are
+    /// stored.
+    memo_key_bytes: usize,
     /// Values chosen for levels `0..top_frame.level`.
     prefix: Vec<Value>,
     stack: Vec<Frame>,
@@ -348,24 +354,27 @@ impl LexiEnumerator {
             indexes: Vec::new(),
             levels: Vec::new(),
             cells: Vec::new(),
+            cell_bytes: 0,
             memo: Vec::new(),
+            memo_key_bytes: 0,
             prefix: Vec::new(),
             stack: Vec::new(),
             stats: EnumStats::new(),
         };
         this.stats
             .record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
-        if this.relations.iter().any(|r| r.is_empty()) {
-            return Ok(this); // empty join: nothing to index, nothing to emit
+        // An empty join has nothing to index and nothing to emit.
+        if !this.relations.iter().any(|r| r.is_empty()) {
+            this.build_plans(&tree)?;
+            this.memo = (0..this.order.len()).map(|_| HashMap::new()).collect();
+            let cell = this.cell_for(0);
+            this.stack.push(Frame {
+                level: 0,
+                cell,
+                next: 0,
+            });
         }
-        this.build_plans(&tree)?;
-        this.memo = (0..this.order.len()).map(|_| HashMap::new()).collect();
-        let cell = this.cell_for(0);
-        this.stack.push(Frame {
-            level: 0,
-            cell,
-            next: 0,
-        });
+        this.stats.set_frontier_bytes(this.heap_bytes());
         Ok(this)
     }
 
@@ -530,13 +539,8 @@ impl LexiEnumerator {
         }
         let list = self.compute_candidates(level);
         let id = self.cells.len() as u32;
-        // The memoized cell and its memo entry are retained for the
-        // enumerator's lifetime — account them like the general engine's
-        // frontier.
-        let bytes = ((list.len() + key.len()) * std::mem::size_of::<Value>()
-            + std::mem::size_of::<Vec<Value>>()
-            + std::mem::size_of::<u32>()) as u64;
-        self.stats.frontier_alloc(bytes, bytes);
+        self.cell_bytes += list.capacity() * std::mem::size_of::<Value>();
+        self.memo_key_bytes += key.capacity() * std::mem::size_of::<Value>();
         self.cells.push(list);
         self.memo[level].insert(key, id);
         self.stats.record_cell();
@@ -556,7 +560,6 @@ impl LexiEnumerator {
             indexes,
             order,
             prefix,
-            stats,
             ..
         } = self;
         let plan = &levels[level];
@@ -569,7 +572,7 @@ impl LexiEnumerator {
                 Some((idx, bound_levels)) => {
                     key.clear();
                     key.extend(bound_levels.iter().map(|&l| prefix[l]));
-                    Some(indexes[*idx].rows_for(rel, &key, stats))
+                    Some(indexes[*idx].rows_for(rel, &key))
                 }
                 None => None,
             };
@@ -588,8 +591,7 @@ impl LexiEnumerator {
                 );
                 match rows {
                     None => {
-                        rows =
-                            Some(indexes[link.index].union_rows(rel, &key_list, &key_set, stats));
+                        rows = Some(indexes[link.index].union_rows(rel, &key_list, &key_set));
                     }
                     Some(ref mut r) => {
                         let pos = &link.node_key_pos;
@@ -654,30 +656,22 @@ impl LexiEnumerator {
         &self.stats
     }
 
-    /// Number of memoized candidate cells currently held — the enumerator's
-    /// dominant memory cost beyond the reduced relations and indexes.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
+    /// Heap bytes held: the reduced relations, the indexes, the candidate
+    /// lists and their memo, and the operation log. The plans and the
+    /// search state, a few words per level, are not counted.
+    fn heap_bytes(&self) -> u64 {
+        let relations: usize = self.relations.iter().map(Relation::heap_bytes).sum();
+        let indexes: usize = self.indexes.iter().map(LazyIndex::heap_bytes).sum();
+        let cells = self.cells.capacity() * std::mem::size_of::<Vec<Value>>() + self.cell_bytes;
+        // A hash table holds a slot and a control byte per bucket, at
+        // most seven in eight buckets in use.
+        let slot = std::mem::size_of::<(Tuple, u32)>() + 1;
+        let memo: usize = self.memo.iter().map(|m| m.capacity() * slot * 8 / 7).sum();
+        (relations + indexes + cells + memo + self.memo_key_bytes + self.stats.heap_bytes()) as u64
     }
 
-    /// Grouped-adjacency indexes registered by the level plans (an upper
-    /// bound on what enumeration may ever build).
-    pub fn indexes_planned(&self) -> usize {
-        self.indexes.len()
-    }
-
-    /// Indexes actually built so far. Lazy construction means a shallow
-    /// (`LIMIT k` with small `k`) enumeration typically builds none — the
-    /// first two probes per index are served by scans.
-    pub fn indexes_built(&self) -> usize {
-        self.indexes.iter().filter(|i| i.built.is_some()).count()
-    }
-}
-
-impl Iterator for LexiEnumerator {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
+    /// The next answer of the depth-first search.
+    fn advance(&mut self) -> Option<Tuple> {
         let m = self.order.len();
         loop {
             let (level, cell, cursor) = match self.stack.last() {
@@ -705,6 +699,16 @@ impl Iterator for LexiEnumerator {
                 next: 0,
             });
         }
+    }
+}
+
+impl Iterator for LexiEnumerator {
+    type Item = Tuple;
+
+    fn next(&mut self) -> Option<Tuple> {
+        let answer = self.advance();
+        self.stats.set_frontier_bytes(self.heap_bytes());
+        answer
     }
 }
 
@@ -841,20 +845,21 @@ mod tests {
     #[test]
     fn indexes_build_lazily_on_sustained_touch() {
         let lex = LexRanking::new(["A", "E"], WeightAssignment::value_as_weight());
+        let built = |e: &LexiEnumerator| e.indexes.iter().filter(|i| i.built.is_some()).count();
         // A fresh enumerator has plans but no built indexes.
         let mut e = LexiEnumerator::new(&query(), &db(), &lex).unwrap();
-        assert!(e.indexes_planned() > 0, "the E level needs bound probes");
-        assert_eq!(e.indexes_built(), 0, "construction builds nothing");
+        assert!(!e.indexes.is_empty(), "the E level needs bound probes");
+        assert_eq!(built(&e), 0, "construction builds nothing");
         // One answer touches the E level once — still within the scan
         // warm-up, so nothing is built.
         assert_eq!(e.next(), Some(vec![1, 1]));
-        assert_eq!(e.indexes_built(), 0, "a single touch stays on scans");
+        assert_eq!(built(&e), 0, "a single touch stays on scans");
         // Draining the enumeration probes the E level once per A value
         // (3 > LAZY_BUILD_TOUCHES), which must trigger the builds — and
         // account their bytes.
         let rest = e.by_ref().count();
         assert_eq!(rest, 5);
-        assert!(e.indexes_built() > 0, "sustained touches build the index");
+        assert!(built(&e) > 0, "sustained touches build the index");
         assert!(e.stats().frontier_bytes > 0);
     }
 

@@ -33,6 +33,11 @@ pub(crate) struct RankedMerge<R: Ranking> {
     /// The ranking's plan over the output attributes, built once: keying
     /// an answer resolves no attribute.
     plan: R::Plan,
+    /// Values per answer.
+    arity: usize,
+    /// Heap bytes the owner holds besides the merge and the sources, fixed
+    /// after the build; counted with the merge's.
+    owner_bytes: usize,
     heap: BinaryHeap<Reverse<MergeEntry<R::Key>>>,
     stats: EnumStats,
 }
@@ -44,6 +49,8 @@ impl<R: Ranking> RankedMerge<R> {
         RankedMerge {
             ranking,
             plan,
+            arity: projection.len(),
+            owner_bytes: 0,
             heap: BinaryHeap::new(),
             stats: EnumStats::new(),
         }
@@ -70,6 +77,23 @@ impl<R: Ranking> RankedMerge<R> {
         &mut self.stats
     }
 
+    /// Count `owner_bytes` with the merge's own heap bytes from now on.
+    pub(crate) fn hold(&mut self, owner_bytes: usize) {
+        self.owner_bytes = owner_bytes;
+        self.refresh_bytes();
+    }
+
+    /// Write the owner's, the queue's and the operation log's heap bytes
+    /// into the counters. Every slot of the queue's capacity counts an
+    /// answer's values, so the figure does not fall when a source runs
+    /// dry; keys' own heap blocks are not counted.
+    fn refresh_bytes(&mut self) {
+        let slot = std::mem::size_of::<Reverse<MergeEntry<R::Key>>>()
+            + self.arity * std::mem::size_of::<re_storage::Value>();
+        let bytes = self.owner_bytes + self.heap.capacity() * slot + self.stats.heap_bytes();
+        self.stats.set_frontier_bytes(bytes as u64);
+    }
+
     /// Emit the best queued answer, once. Every popped entry's source is
     /// refilled through `pull(source)`; the entries equal to the best one
     /// are queued right behind it, so they are popped (and their sources
@@ -84,6 +108,7 @@ impl<R: Ranking> RankedMerge<R> {
             self.pop(&mut pull);
         }
         self.stats.record_answer();
+        self.refresh_bytes();
         Some(best.tuple)
     }
 

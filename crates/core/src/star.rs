@@ -28,22 +28,19 @@ use re_exec::ExecContext;
 use re_join::{full_reduce_ctx, hash_join, project_distinct, Reduction};
 use re_query::{JoinProjectQuery, JoinTree, StarShape};
 use re_ranking::Ranking;
-use re_storage::{project_key, Attr, Database, HashIndex, Relation, Tuple};
+use re_storage::{project_key, Attr, Database, HashIndex, Relation, Tuple, Value};
 use std::cmp::Ordering;
-use std::vec;
 
 /// Ranked enumerator for star queries with a tunable degree threshold.
 pub struct StarEnumerator<R: Ranking + Clone> {
     projection: Vec<Attr>,
     threshold: usize,
-    /// `|O_H|`, the number of all-heavy answers materialised.
-    heavy_answers: usize,
-    /// The rest of the all-heavy output, sorted by `(key, tuple)`.
-    heavy: vec::IntoIter<Tuple>,
+    /// The all-heavy output.
+    heavy: HeavyOutput,
     /// One acyclic enumerator per sub-query `Q_i`.
     subs: Vec<AcyclicEnumerator<R>>,
-    /// The merge of the `Q_i` and `O_H`; it also holds the star's own
-    /// reducer pass and heavy-output bytes.
+    /// The merge of the `Q_i` and `O_H`; its counters also hold the star's
+    /// own reducer pass and heap bytes.
     merge: RankedMerge<R>,
 }
 
@@ -106,7 +103,11 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
 
         // O_H: the all-heavy output, materialised and sorted by
         // `(key, tuple)`.
-        let mut heavy: Vec<Tuple> = Vec::new();
+        let mut heavy = HeavyOutput {
+            values: Vec::new(),
+            arity: projection.len(),
+            next: 0,
+        };
         if !empty && heavy_rels.iter().all(|r| !r.is_empty()) {
             let mut acc = heavy_rels[0].clone();
             for rel in &heavy_rels[1..] {
@@ -118,7 +119,10 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
                 .map(|t| (ranking.key(&plan, t), t.to_vec()))
                 .collect();
             keyed.sort_unstable();
-            heavy = keyed.into_iter().map(|(_, t)| t).collect();
+            heavy.values = Vec::with_capacity(keyed.len() * projection.len());
+            for (_, t) in keyed {
+                heavy.values.extend_from_slice(&t);
+            }
         }
 
         // Sub-queries Q_i: heavy before i, light at i, unrestricted after.
@@ -149,24 +153,17 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
         for (i, sub) in subs.iter_mut().enumerate() {
             merge.seed(i, sub.next());
         }
-        let heavy_answers = heavy.len();
-        // The materialised all-heavy output is part of this enumerator's
-        // parked footprint, alongside the sub-enumerators' frontiers
-        // (accounted in their own stats).
-        let heavy_bytes: u64 = heavy
-            .iter()
-            .map(|t| (std::mem::size_of::<Tuple>() + std::mem::size_of_val(&t[..])) as u64)
-            .sum();
-        let mut heavy = heavy.into_iter();
         merge.seed(m, heavy.next());
-        let stats = merge.stats_mut();
-        stats.record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
-        stats.frontier_alloc(heavy_bytes, heavy_bytes);
-
+        merge
+            .stats_mut()
+            .record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
+        // Each sub-enumerator counts its own frontier; the star adds `O_H`
+        // and their slots.
+        let subs_bytes = subs.capacity() * std::mem::size_of::<AcyclicEnumerator<R>>();
+        merge.hold(heavy.values.capacity() * std::mem::size_of::<Value>() + subs_bytes);
         Ok(StarEnumerator {
             projection,
             threshold,
-            heavy_answers,
             heavy,
             subs,
             merge,
@@ -196,7 +193,7 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
     /// Number of all-heavy answers materialised during preprocessing — the
     /// space side of the tradeoff.
     pub fn heavy_output_size(&self) -> usize {
-        self.heavy_answers
+        self.heavy.values.len() / self.heavy.arity.max(1)
     }
 
     /// The projection attributes, in output order.
@@ -207,12 +204,6 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
     /// Merge-level statistics (per-branch statistics live in the branches).
     pub fn stats(&self) -> &EnumStats {
         self.merge.stats()
-    }
-
-    /// Total cells allocated across the sub-enumerators (memory footprint
-    /// proxy, excludes the materialised heavy output).
-    pub fn cell_count(&self) -> usize {
-        self.subs.iter().map(|s| s.cell_count()).sum()
     }
 
     /// Combined counters: the merge's own operations, the star's reducer
@@ -236,6 +227,26 @@ impl<R: Ranking + Clone> Iterator for StarEnumerator<R> {
             Some(sub) => sub.next(),
             None => heavy.next(),
         })
+    }
+}
+
+/// `O_H`, sorted by `(key, tuple)` and row-major — answer `i` is
+/// `values[i * arity..][..arity]` — held whole until the enumerator drops.
+struct HeavyOutput {
+    values: Vec<Value>,
+    arity: usize,
+    /// The next answer to merge.
+    next: usize,
+}
+
+impl Iterator for HeavyOutput {
+    type Item = Tuple;
+
+    fn next(&mut self) -> Option<Tuple> {
+        let start = self.next * self.arity;
+        let answer = self.values.get(start..start + self.arity)?;
+        self.next += 1;
+        Some(answer.to_vec())
     }
 }
 

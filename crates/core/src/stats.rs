@@ -33,16 +33,18 @@ pub struct EnumStats {
     /// wire and benchmark compatibility; the allocation ban is enforced by
     /// the counting allocator in `tests/frontier_alloc_tripwire.rs`.
     pub tuple_allocs: u64,
-    /// Bytes **retained** by the frontier (cell arenas, key interners and
-    /// priority-queue capacity). Monotone: arenas and interners only grow,
-    /// and queue capacity is never returned to the allocator, so this is
-    /// the footprint a session parked between fetches actually holds.
+    /// Heap bytes the enumerator holds: the footprint a session parked
+    /// between fetches keeps. Computed, not tracked: the enumerator sums
+    /// the capacities of what it owns — the reduced relations, cell arenas,
+    /// key interners and priority queues, lexi's indexes, candidate lists
+    /// and memo, star's materialised all-heavy output, a merge's queue —
+    /// and this log of operations per answer, at the end of the build and
+    /// after every answer. Vectors never give capacity back, so it does not
+    /// fall. Transient build buffers, and bookkeeping a few words long
+    /// (join trees, ranking plans, GHD reports), are not counted.
     pub frontier_bytes: u64,
-    /// Peak bytes of **live** frontier state (retained minus vacant queue
-    /// slots). Monotone by construction (a running maximum).
+    /// The largest [`EnumStats::frontier_bytes`] refreshed so far.
     pub frontier_peak_bytes: u64,
-    /// Current live frontier bytes (retained minus vacant queue slots).
-    frontier_live_bytes: u64,
     /// Number of answers emitted so far.
     pub answers: u64,
     /// Bags of the GHD plan this enumerator was built from (zero for
@@ -70,8 +72,8 @@ pub struct EnumStats {
 }
 
 /// The additive counters an enumerator produces under the name its
-/// [`StatsSnapshot`] reports them by, listed once for [`EnumStats::merge`]
-/// and [`EnumStats::snapshot`]: expands to `$apply!(field field ...)`.
+/// [`StatsSnapshot`] reports them by, for [`EnumStats::snapshot`]: expands
+/// to `$apply!(field field ...)`.
 macro_rules! snapshot_counters {
     ($apply:ident) => {
         $apply!(pq_pushes pq_pops cells_created cells_reused tuple_allocs
@@ -116,26 +118,16 @@ impl EnumStats {
         self.reduce_output_rows += output_rows;
     }
 
-    /// Record frontier growth: `retained` freshly reserved bytes and
-    /// `live` newly occupied bytes (a cell push contributes to both; a
-    /// heap push into a vacant slot contributes live bytes only).
-    pub fn frontier_alloc(&mut self, retained: u64, live: u64) {
-        self.frontier_bytes += retained;
-        self.frontier_live_bytes += live;
-        if self.frontier_live_bytes > self.frontier_peak_bytes {
-            self.frontier_peak_bytes = self.frontier_live_bytes;
-        }
+    /// Refresh [`EnumStats::frontier_bytes`] to the heap bytes the
+    /// enumerator now holds, raising the peak with it.
+    pub fn set_frontier_bytes(&mut self, bytes: u64) {
+        self.frontier_bytes = bytes;
+        self.frontier_peak_bytes = self.frontier_peak_bytes.max(bytes);
     }
 
-    /// Record `live` frontier bytes vacated (a heap pop). Retained bytes
-    /// never shrink — the capacity stays reserved.
-    pub fn frontier_release(&mut self, live: u64) {
-        self.frontier_live_bytes = self.frontier_live_bytes.saturating_sub(live);
-    }
-
-    /// Current live frontier bytes.
-    pub fn frontier_live_bytes(&self) -> u64 {
-        self.frontier_live_bytes
+    /// Heap bytes of the operations-per-answer log (its capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.ops_per_answer.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Record that an answer was emitted, folding the per-answer operation
@@ -160,20 +152,6 @@ impl EnumStats {
         }
         let within = self.ops_per_answer.iter().filter(|&&o| o <= ops).count();
         within as f64 / self.ops_per_answer.len() as f64
-    }
-
-    /// Merge another statistics object into this one (used by composite
-    /// enumerators such as the star and union enumerators).
-    pub fn merge(&mut self, other: &EnumStats) {
-        macro_rules! add {
-            ($($field:ident)*) => { $(self.$field += other.$field;)* };
-        }
-        // A composite's frontier is the disjoint union of its parts, so
-        // bytes add; the sum of the parts' peaks upper-bounds the
-        // composite peak.
-        snapshot_counters!(add);
-        self.frontier_live_bytes += other.frontier_live_bytes;
-        // answers / histogram are tracked by the composite itself
     }
 
     /// Cheap `Copy` summary of the counters, without the per-answer delay
@@ -213,7 +191,7 @@ counter_table! {
         tuple_allocs: Counter "enum.tuple_allocs" = "Hot-path tuple allocations (tripwire).",
         /// See [`EnumStats::frontier_bytes`].
         frontier_bytes: Counter "enum.frontier_bytes" = "Frontier bytes retained (monotone).",
-        /// Each producer's peak of live frontier bytes is monotone (see
+        /// Each producer's peak is monotone (see
         /// [`EnumStats::frontier_peak_bytes`]); the producers' peaks need
         /// not coincide in time, so their sum bounds the combined peak.
         frontier_peak_bytes: Counter "enum.frontier_peak_bytes" = "Summed peak frontier bytes (upper bound).",
@@ -354,21 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters() {
-        let mut a = EnumStats::new();
-        a.record_push();
-        let mut b = EnumStats::new();
-        b.record_pop();
-        b.record_cell();
-        b.record_cell_reuse();
-        a.merge(&b);
-        assert_eq!(a.pq_pushes, 1);
-        assert_eq!(a.pq_pops, 1);
-        assert_eq!(a.cells_created, 1);
-        assert_eq!(a.cells_reused, 1);
-    }
-
-    #[test]
     fn cell_reuse_flows_into_snapshots_and_shared_stats() {
         let mut s = EnumStats::new();
         s.record_cell();
@@ -478,7 +441,7 @@ mod tests {
         a.record_cell();
         a.record_cell_reuse();
         a.tuple_allocs = 2;
-        a.frontier_alloc(64, 48);
+        a.set_frontier_bytes(64);
         a.record_reduce(3, 50, 40);
         a.ghd_bags = 2;
         a.ghd_estimated_rows = 90;
@@ -493,13 +456,11 @@ mod tests {
             .collect();
         assert_eq!(produced.len(), 14, "{produced:?}");
         // A composite adds its parts' counters but tracks answers itself.
-        let mut composite = EnumStats::new();
-        composite.merge(&a);
-        composite.merge(&a);
+        let composite = EnumStats::new().snapshot().with_parts([snap, snap]);
         let mut twice = snap;
         twice.merge(&snap);
         twice.answers = 0;
-        assert_eq!(composite.snapshot(), twice);
+        assert_eq!(composite, twice);
     }
 
     #[test]

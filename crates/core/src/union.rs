@@ -75,6 +75,9 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
         for (i, b) in branches.iter_mut().enumerate() {
             merge.seed(i, b.next());
         }
+        // Each branch counts its own frontier; the union adds their boxes.
+        let boxed: usize = branches.iter().map(|b| std::mem::size_of_val(&**b)).sum();
+        merge.hold(boxed + branches.capacity() * std::mem::size_of::<Box<dyn RankedStream>>());
         Ok(UnionEnumerator {
             projection,
             branches,
@@ -288,12 +291,16 @@ mod tests {
         assert!(reduced > 0);
         assert_eq!(built.reduce_input_rows, reduced, "both reducers' rows");
         // Seeding the merge pulled one answer from each branch and pushed
-        // it into the merge's queue.
-        let mut expected = StatsSnapshot::zero().with_parts(branches.into_iter().map(|mut b| {
-            b.next();
-            b.stats().snapshot()
-        }));
-        expected.pq_pushes += 2;
+        // it into the merge's queue, which holds the union's own bytes.
+        let merge = e.stats();
+        assert_eq!((merge.pq_pushes, merge.pq_pops), (2, 0));
+        assert!(merge.frontier_bytes > 0);
+        let expected = merge
+            .snapshot()
+            .with_parts(branches.into_iter().map(|mut b| {
+                b.next();
+                b.stats().snapshot()
+            }));
         assert_eq!(built, expected);
         assert_eq!(built.answers, 0, "a branch answer is not a union answer");
         assert_eq!(e.by_ref().take(5).count(), 5);

@@ -43,7 +43,7 @@ pub fn sorted_index(relation: &Relation, key_attrs: &[Attr]) -> Result<SortedInd
         s.set_attr("relation", AttrValue::Str(relation.name().to_string()));
         s.set_attr("keys", AttrValue::U64(index.distinct_keys() as u64));
         s.set_attr("rows", AttrValue::U64(index.len() as u64));
-        s.set_attr("bytes", AttrValue::U64(index.bytes() as u64));
+        s.set_attr("bytes", AttrValue::U64(index.heap_bytes() as u64));
     }
     Ok(index)
 }

@@ -1,10 +1,12 @@
-//! Raw syscall bindings and the per-OS [`Poller`] implementation.
+//! Raw syscall bindings and the `epoll` [`Poller`].
 //!
 //! Everything here is declared directly against the C library the binary
-//! already links — no `libc` crate, no build script. Linux gets the real
-//! `epoll` backend (O(ready) wakeups, the fd set lives in the kernel);
-//! other Unixes get a `poll(2)` fallback with the same level-triggered
-//! semantics so the crate builds and tests everywhere.
+//! already links — no `libc` crate, no build script. The crate is
+//! Linux-only: `epoll` keeps the fd set in the kernel, so a wakeup costs
+//! O(ready events), and the constants below are Linux's.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("re_net supports Linux only: it drives epoll directly");
 
 use super::{Event, Interest};
 use std::io;
@@ -16,6 +18,10 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
 }
 
 /// Close a descriptor, ignoring errors (double-close is a bug upstream;
@@ -46,9 +52,8 @@ pub(crate) fn write_byte(fd: RawFd) -> io::Result<()> {
 /// The most bytes [`drain_fd`] takes per call.
 pub(crate) const DRAIN_BYTES: usize = 64;
 
-/// The most events one `Poller::wait` reports on Linux: the length of the
-/// buffer it hands `epoll_wait`.
-#[cfg(target_os = "linux")]
+/// The most events one `Poller::wait` reports: the length of the buffer it
+/// hands `epoll_wait`.
 pub(crate) const WAIT_EVENTS: usize = 128;
 
 /// Take what one `read` finds on a non-blocking descriptor (up to
@@ -81,320 +86,139 @@ fn timeout_millis(timeout: Option<Duration>) -> c_int {
     }
 }
 
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::*;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+const O_NONBLOCK: c_int = 0o4000;
+const O_CLOEXEC: c_int = 0o2000000;
 
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const O_NONBLOCK: c_int = 0o4000;
-    const O_CLOEXEC: c_int = 0o2000000;
+// The kernel ABI struct: packed on x86-64 (12 bytes), naturally
+// aligned elsewhere.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    // The kernel ABI struct: packed on x86-64 (12 bytes), naturally
-    // aligned elsewhere.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+pub(crate) fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
+    let mut fds = [0 as c_int; 2];
+    // SAFETY: `pipe2` writes exactly two descriptors through the
+    // pointer, and `fds` has room for two.
+    if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
+        return Err(io::Error::last_os_error());
     }
+    Ok((fds[0], fds[1]))
+}
 
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
+fn mask_of(interest: Interest) -> u32 {
+    let mut mask = EPOLLRDHUP;
+    if interest.readable {
+        mask |= EPOLLIN;
     }
+    if interest.writable {
+        mask |= EPOLLOUT;
+    }
+    mask
+}
 
-    pub(crate) fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
-        let mut fds = [0 as c_int; 2];
-        // SAFETY: `pipe2` writes exactly two descriptors through the
-        // pointer, and `fds` has room for two.
-        if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
+/// Level-triggered epoll instance. The registered-fd set lives in the
+/// kernel, so `wait` costs O(ready events), not O(registered fds) —
+/// ten thousand parked connections cost nothing per wakeup.
+pub struct Poller {
+    epfd: RawFd,
+}
+
+impl Poller {
+    /// A fresh epoll instance (close-on-exec).
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointer; a negative result
+        // is checked below.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
-        Ok((fds[0], fds[1]))
+        Ok(Poller { epfd })
     }
 
-    fn mask_of(interest: Interest) -> u32 {
-        let mut mask = EPOLLRDHUP;
-        if interest.readable {
-            mask |= EPOLLIN;
-        }
-        if interest.writable {
-            mask |= EPOLLOUT;
-        }
-        mask
+    /// Watch `fd` for `interest`, reporting events with `token`.
+    pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    /// Level-triggered epoll instance. The registered-fd set lives in the
-    /// kernel, so `wait` costs O(ready events), not O(registered fds) —
-    /// ten thousand parked connections cost nothing per wakeup.
-    pub struct Poller {
-        epfd: RawFd,
+    /// Change the interest or token of an already-registered `fd`.
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    impl Poller {
-        /// A fresh epoll instance (close-on-exec).
-        pub fn new() -> io::Result<Poller> {
-            // SAFETY: `epoll_create1` takes no pointer; a negative result
-            // is checked below.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { epfd })
+    /// Stop watching `fd`.
+    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: `self.epfd` is the live epoll descriptor this poller
+        // owns, and `ev` is a valid event the kernel may read (older
+        // kernels require one even for `EPOLL_CTL_DEL`).
+        if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
         }
-
-        /// Watch `fd` for `interest`, reporting events with `token`.
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        /// Change the interest or token of an already-registered `fd`.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        /// Stop watching `fd`.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            // SAFETY: `self.epfd` is the live epoll descriptor this poller
-            // owns, and `ev` is a valid event the kernel may read (older
-            // kernels require one even for `EPOLL_CTL_DEL`).
-            if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask_of(interest),
-                data: token,
-            };
-            // SAFETY: `self.epfd` is the live epoll descriptor this poller
-            // owns, and `ev` is a valid event the kernel reads once.
-            if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Block until readiness or timeout; fills `events` (cleared
-        /// first) and returns how many fired. `None` blocks forever.
-        pub fn wait(
-            &self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            let mut raw = [EpollEvent { events: 0, data: 0 }; WAIT_EVENTS];
-            // SAFETY: `self.epfd` is the live epoll descriptor this poller
-            // owns, and `maxevents` is the length of `raw`, so the kernel
-            // writes at most that many events into it.
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    raw.as_mut_ptr(),
-                    raw.len() as c_int,
-                    timeout_millis(timeout),
-                )
-            };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for ev in raw.iter().take(n as usize) {
-                // Copy out of the (possibly packed) ABI struct before use.
-                let mask = ev.events;
-                let token = ev.data;
-                events.push(Event {
-                    token,
-                    readable: mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    writable: mask & EPOLLOUT != 0,
-                    hangup: mask & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(events.len())
-        }
+        Ok(())
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            close_fd(self.epfd);
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: mask_of(interest),
+            data: token,
+        };
+        // SAFETY: `self.epfd` is the live epoll descriptor this poller
+        // owns, and `ev` is a valid event the kernel reads once.
+        if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
+    }
+
+    /// Block until readiness or timeout; fills `events` (cleared
+    /// first) and returns how many fired. `None` blocks forever.
+    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+        events.clear();
+        let mut raw = [EpollEvent { events: 0, data: 0 }; WAIT_EVENTS];
+        // SAFETY: `self.epfd` is the live epoll descriptor this poller
+        // owns, and `maxevents` is the length of `raw`, so the kernel
+        // writes at most that many events into it.
+        let n = unsafe {
+            epoll_wait(
+                self.epfd,
+                raw.as_mut_ptr(),
+                raw.len() as c_int,
+                timeout_millis(timeout),
+            )
+        };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        for ev in raw.iter().take(n as usize) {
+            // Copy out of the (possibly packed) ABI struct before use.
+            let mask = ev.events;
+            let token = ev.data;
+            events.push(Event {
+                token,
+                readable: mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                writable: mask & EPOLLOUT != 0,
+                hangup: mask & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
+        }
+        Ok(events.len())
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const F_GETFL: c_int = 3;
-    const F_SETFL: c_int = 4;
-    // O_NONBLOCK on the BSD family (macOS included).
-    const O_NONBLOCK: c_int = 0x0004;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
-        fn pipe(fds: *mut c_int) -> c_int;
-        fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-    }
-
-    pub(crate) fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
-        let mut fds = [0 as c_int; 2];
-        // SAFETY: `pipe` writes exactly two descriptors through the
-        // pointer, and `fds` has room for two.
-        if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        for fd in fds {
-            // SAFETY: `fd` is a descriptor `pipe` just returned, and
-            // `F_GETFL` takes no pointer.
-            let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-            if flags < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: as above; `F_SETFL` takes an integer flag word.
-            if unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-        }
-        Ok((fds[0], fds[1]))
-    }
-
-    /// `poll(2)` fallback: the fd set lives in user space and each wait
-    /// is O(registered fds). Correctness-equivalent to the Linux epoll
-    /// backend; only the scaling constant differs.
-    pub struct Poller {
-        fds: Mutex<Vec<(RawFd, u64, Interest)>>,
-    }
-
-    impl Poller {
-        /// A fresh poller.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Mutex::new(Vec::new()),
-            })
-        }
-
-        /// The fd set, recovered from a poisoned lock: every critical
-        /// section below is one `push`, `retain`, assignment or `clone`,
-        /// none of which leaves the set half-updated if a holder panics.
-        fn fds(&self) -> MutexGuard<'_, Vec<(RawFd, u64, Interest)>> {
-            self.fds.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// Watch `fd` for `interest`, reporting events with `token`.
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut fds = self.fds();
-            if fds.iter().any(|(f, _, _)| *f == fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            fds.push((fd, token, interest));
-            Ok(())
-        }
-
-        /// Change the interest or token of an already-registered `fd`.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut fds = self.fds();
-            for entry in fds.iter_mut() {
-                if entry.0 == fd {
-                    *entry = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        /// Stop watching `fd`.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut fds = self.fds();
-            let before = fds.len();
-            fds.retain(|(f, _, _)| *f != fd);
-            if fds.len() == before {
-                return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-            }
-            Ok(())
-        }
-
-        /// Block until readiness or timeout; fills `events` (cleared
-        /// first) and returns how many fired. `None` blocks forever.
-        pub fn wait(
-            &self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            let registered: Vec<(RawFd, u64, Interest)> = self.fds().clone();
-            let mut pollfds: Vec<PollFd> = registered
-                .iter()
-                .map(|(fd, _, interest)| PollFd {
-                    fd: *fd,
-                    events: if interest.readable { POLLIN } else { 0 }
-                        | if interest.writable { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            // SAFETY: `nfds` is the length of `pollfds`, so the kernel
-            // reads and writes only those entries.
-            let n = unsafe {
-                poll(
-                    pollfds.as_mut_ptr(),
-                    pollfds.len() as u64,
-                    timeout_millis(timeout),
-                )
-            };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for (pollfd, (_, token, _)) in pollfds.iter().zip(registered.iter()) {
-                let re = pollfd.revents;
-                if re == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token: *token,
-                    readable: re & (POLLIN | POLLHUP) != 0,
-                    writable: re & POLLOUT != 0,
-                    hangup: re & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(events.len())
-        }
+impl Drop for Poller {
+    fn drop(&mut self) {
+        close_fd(self.epfd);
     }
 }
-
-#[cfg(not(unix))]
-compile_error!("re_net supports Unix targets only (epoll on Linux, poll(2) elsewhere)");
-
-pub(crate) use imp::nonblocking_pipe;
-pub use imp::Poller;

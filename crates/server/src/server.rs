@@ -57,8 +57,12 @@ pub struct ServerConfig {
     /// Threads of the shared preprocessing pool (`0`: size to the machine,
     /// `1`: serial preprocessing — no pool is spawned).
     pub exec_threads: usize,
-    /// Maximum total frontier bytes parked sessions may retain
-    /// (`0`: unlimited). When parking a cursor pushes the total over this
+    /// Maximum total heap bytes parked sessions may hold (`0`:
+    /// unlimited). A session's charge is its enumerator's
+    /// `frontier_bytes`, refreshed at every park: the heap it holds,
+    /// computed from the capacities of what it owns (reduced relations,
+    /// arenas, queues, indexes, materialised output), within 10 % of what
+    /// the allocator sees. When parking a cursor pushes the total over this
     /// budget, the heaviest idle sessions are evicted first (the
     /// just-parked session is never the victim); a later `FETCH` on an
     /// evicted id reports "evicted to enforce the session memory budget".

@@ -32,7 +32,7 @@
 //!   reaped lazily: every table operation that looks sessions up first
 //!   sweeps expired entries, so an abandoned cursor's memory is reclaimed
 //!   without a background reaper thread.
-//! * **Memory budget** — each parked cursor reports its frontier footprint
+//! * **Memory budget** — each parked cursor reports the heap it holds
 //!   (`frontier_bytes` from the enumeration stats, refreshed after every
 //!   page). When the sum over parked sessions exceeds the configured
 //!   budget, the **heaviest idle cursors are evicted first** (ties go to

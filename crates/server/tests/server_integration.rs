@@ -321,6 +321,92 @@ fn memory_budget_evicts_the_heaviest_idle_session_first() {
     assert!(stats.enumeration.frontier_peak_bytes > 0);
 }
 
+/// A membership relation `AP(aid, pid)`: `papers` papers of four authors
+/// each, drawn from `papers` authors by a fixed generator.
+fn membership_db(papers: u64) -> Database {
+    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+    let mut rows = Vec::new();
+    for pid in 0..papers {
+        for _ in 0..4 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            rows.push(vec![x % papers, 1_000_000 + pid]);
+        }
+    }
+    let mut db = Database::new();
+    db.add_relation(Relation::with_tuples("AP", attrs(["aid", "pid"]), rows).unwrap())
+        .unwrap();
+    db
+}
+
+#[test]
+fn memory_budget_evicts_the_session_that_holds_the_most_heap() {
+    // A LEX 2-hop over 4 000 memberships runs Algorithm 3 (lexi), whose
+    // heap is mostly its two reduced relations; a SUM 2-hop over 240 runs
+    // the general engine. On the allocator the lexi session holds more
+    // than twice the other, and `frontier_alloc_tripwire` holds every
+    // engine's reported bytes to within 10 % of the allocator's. A ledger
+    // that counted only lexi's candidate lists saw it the other way round,
+    // and evicted the SUM session.
+    const LEX: &str = "SELECT DISTINCT AP1.aid, AP2.aid FROM AP AS AP1, AP AS AP2 \
+                       WHERE AP1.pid = AP2.pid ORDER BY AP1.aid, AP2.aid";
+    let tiny_db = || {
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("T", attrs(["a"]), vec![vec![1], vec![2]]).unwrap())
+            .unwrap();
+        db
+    };
+    const TINY: &str = "SELECT DISTINCT T.a FROM T ORDER BY T.a";
+    let server_with = |budget: u64| {
+        let server = RankedQueryServer::new(ServerConfig {
+            session_budget_bytes: budget,
+            ..ServerConfig::default()
+        });
+        server.catalog().register("big", membership_db(1_000));
+        server.catalog().register("small", membership_db(60));
+        server.catalog().register("tiny", tiny_db());
+        server
+    };
+
+    // Probe pass: each session's parked bytes on an unlimited server.
+    let mut client = LocalClient::new(server_with(0));
+    let mut parked = |db: &str, sql: &str| {
+        let opened = client.open(db, sql).unwrap();
+        let bytes = client.stats().unwrap().session_bytes_parked;
+        client.close(opened.session).unwrap();
+        (opened.algorithm, bytes)
+    };
+    let (lex_algorithm, lex_bytes) = parked("big", LEX);
+    let (sum_algorithm, sum_bytes) = parked("small", TWO_HOP);
+    let (_, tiny_bytes) = parked("tiny", TINY);
+    assert_eq!(
+        (lex_algorithm.as_str(), sum_algorithm.as_str()),
+        ("lexi", "acyclic")
+    );
+
+    // Real pass: the two 2-hops and one tiny session overflow the budget
+    // by a byte, so parking the tiny one must evict one 2-hop — the one
+    // holding more.
+    let budget = lex_bytes + sum_bytes + tiny_bytes - 1;
+    let mut client = LocalClient::new(server_with(budget));
+    let lex = client.open("big", LEX).unwrap();
+    let sum = client.open("small", TWO_HOP).unwrap();
+    client.open("tiny", TINY).unwrap();
+    let err = client.fetch(lex.session, 1).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("evicted to enforce the session memory budget"),
+        "the lexi session holds the most heap and must go: {err}"
+    );
+    assert_eq!(client.fetch(sum.session, 1).unwrap().rows.len(), 1);
+    assert_eq!(client.stats().unwrap().sessions_evicted_budget, 1);
+    assert!(
+        lex_bytes > 2 * sum_bytes,
+        "lexi reports {lex_bytes} bytes, the SUM 2-hop {sum_bytes}"
+    );
+}
+
 #[test]
 fn union_and_cyclic_statements_report_their_algorithm() {
     let server = RankedQueryServer::new(ServerConfig::default());

@@ -124,11 +124,13 @@ impl SortedIndex {
         self.rows.is_empty()
     }
 
-    /// Approximate bytes retained by the index (length-based, so stable
-    /// across runs): the row buffer, one offset per group and the key
-    /// table. Used for enumeration memory accounting.
-    pub fn bytes(&self) -> usize {
-        (self.rows.len() + self.offsets.len()) * std::mem::size_of::<u32>() + self.keys.bytes()
+    /// Heap bytes of the index, from its buffers' capacities: the row
+    /// buffer, the offsets, the key table and the key spec.
+    pub fn heap_bytes(&self) -> usize {
+        (self.rows.capacity() + self.offsets.capacity()) * std::mem::size_of::<u32>()
+            + self.keys.heap_bytes()
+            + self.key_attrs.capacity() * std::mem::size_of::<Attr>()
+            + self.key_positions.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -460,8 +462,10 @@ mod tests {
                 assert!(idx.contains(k));
             }
             assert!(idx.rows(&vec![u64::MAX; key.len()]).is_empty());
-            let key_bytes = order.len() * (key.len() * 8 + 8);
-            assert_eq!(idx.bytes(), (r.len() + order.len() + 1) * 4 + key_bytes);
+            // Rows, offsets and the key spec are sized exactly; the key
+            // table holds at least its keys and two slots per key.
+            let exact = (r.len() + order.len() + 1) * 4 + key.len() * (16 + 8);
+            assert!(idx.heap_bytes() >= exact + order.len() * (key.len() * 8 + 8));
         }
     }
 

@@ -89,6 +89,11 @@ impl IdSlots {
         self.len == 0
     }
 
+    /// Heap bytes of the slot array (its capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Probe start of a hash: its top `log2(slots)` bits.
     #[inline]
     fn start(slots: &[u32], hash: u64) -> usize {
@@ -154,9 +159,6 @@ impl IdSlots {
         self.slots = slots;
     }
 }
-
-/// Nominal slot bytes per id: two `u32` slots at the ≤ ½ load factor.
-const SLOT_BYTES_PER_ID: usize = 2 * std::mem::size_of::<u32>();
 
 /// A dictionary from fixed-arity keys to dense ids in first-occurrence
 /// order (see the module docs).
@@ -253,10 +255,9 @@ impl KeyTable {
         self.get(key).is_some()
     }
 
-    /// Approximate bytes retained (length-based, so stable across runs):
-    /// the key slab plus the nominal slot share of each key.
-    pub fn bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<Value>() + self.len() * SLOT_BYTES_PER_ID
+    /// Heap bytes of the key slab and the slot array (their capacities).
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<Value>() + self.ids.heap_bytes()
     }
 }
 
@@ -305,7 +306,14 @@ mod tests {
         }
         let flat: Vec<u64> = order.concat();
         assert_eq!(table.flat_keys(), flat.as_slice());
-        assert_eq!(table.bytes(), flat.len() * 8 + order.len() * 8);
+        // The slab doubles from four values; the slot array from eight
+        // slots, staying at most half full.
+        let slab = match flat.len() {
+            0 => 0,
+            n => n.next_power_of_two().max(4),
+        };
+        let slots = (2 * order.len()).next_power_of_two().max(8);
+        assert_eq!(table.heap_bytes(), slab * 8 + slots * 4);
     }
 
     #[test]

@@ -71,6 +71,15 @@ impl Relation {
         self.attrs.len()
     }
 
+    /// Heap bytes the relation holds, from its buffers' capacities: the
+    /// tuple slab, the schema vector and the name. Attribute names are
+    /// shared `Arc`s and are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<Value>()
+            + self.attrs.capacity() * std::mem::size_of::<Attr>()
+            + self.name.capacity()
+    }
+
     /// Number of tuples.
     pub fn len(&self) -> usize {
         if self.attrs.is_empty() {

@@ -70,60 +70,37 @@ fn acyclic_workloads_match_the_reference_engine() {
 /// heapified once) must do the same *work* as the one-cell-at-a-time build
 /// it replaced: the cell, push and pop counts are the `EnumStats` of commit
 /// b320aa1 on the same inputs, right after the build and after 500
-/// answers. The two byte columns are those of PR 15's commit, whose heap
-/// entries carry a key prefix and the first tie value (24 bytes, up from
-/// 8), whose cells drop their key id (16 bytes of metadata, down from
-/// 20), whose one- and two-component keys own no heap block, and whose
-/// built queues reserve exactly their length — so retained and live bytes
-/// coincide until a successor push grows a queue — less, since PR 24, the
-/// keys that are no longer stored: a sum of one component lives in its
-/// heap entry's prefix, and only a sum that expands (these workloads'
-/// weights are fractions, so a few do) is interned, at 40 accounted bytes
-/// each. Parent's interned keys → this commit's, and the bytes that fall:
-///
-/// ```text
-/// 2-hop   at build   705 →  37   103 800 −   668·40 =  77 080 (retained and peak)
-///         after 500  882 →  37   136 296 −   845·40 = 102 496   127 728 − 845·40 =  93 928
-/// 3-hop   at build   794 →  13   143 760 −   781·40 = 112 520
-///         after 500 1342 →  13   232 868 − 1 329·40 = 179 708   229 724 − 1 329·40 = 176 564
-/// 4-hop   at build   695 →   5   176 200 −   690·40 = 148 600
-///         after 500  991 →   5   327 268 −   986·40 = 287 828   321 508 −   986·40 = 282 068
-/// 6-cycle at build   750 → 158   884 672 −   592·40 = 860 992 (no cell is added in 300 answers)
-/// ```
-///
-/// Every peak above was reached with the key count of its row, so it falls
-/// by the same product. The counts next to them did not move: a
-/// priority-queue operation got cheaper, not rarer.
+/// answers. The byte column is the heap the enumerator holds, summed from
+/// its structures' capacities: the reduced relations, arena slabs, key
+/// interners, queues and the operation log (which is why the 6-cycle's
+/// grows over 300 answers without a new cell). It never falls, so the
+/// peak equals it.
+/// `frontier_alloc_tripwire` checks such sums against the allocator.
 #[test]
 fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let dblp = DblpWorkload::generate(700, 11, WeightScheme::Random);
-    // (cells, pushes, pops, frontier_bytes, frontier_peak_bytes)
-    type Counters = (u64, u64, u64, u64, u64);
+    // (cells, pushes, pops, frontier_bytes)
+    type Counters = (u64, u64, u64, u64);
     let cases: [(_, Counters, Counters); 3] = [
         (
             dblp.two_hop(),
-            (1400, 1400, 0, 77_080, 77_080),
-            (2106, 2106, 1063, 102_496, 93_928),
+            (1400, 1400, 0, 127_236),
+            (2106, 2106, 1063, 168_196),
         ),
         (
             dblp.three_hop(),
-            (2100, 2100, 0, 112_520, 112_520),
-            (4155, 4155, 2186, 179_708, 176_564),
+            (2100, 2100, 0, 187_062),
+            (4155, 4155, 2186, 256_694),
         ),
         (
             dblp.four_hop(),
-            (2800, 2800, 0, 148_600, 148_600),
-            (7327, 7327, 4767, 287_828, 282_068),
+            (2800, 2800, 0, 250_216),
+            (7327, 7327, 4767, 479_592),
         ),
     ];
     let counters = |s: &EnumStats| {
-        (
-            s.cells_created,
-            s.pq_pushes,
-            s.pq_pops,
-            s.frontier_bytes,
-            s.frontier_peak_bytes,
-        )
+        assert_eq!(s.frontier_peak_bytes, s.frontier_bytes);
+        (s.cells_created, s.pq_pushes, s.pq_pops, s.frontier_bytes)
     };
     for (spec, at_build, after_500) in cases {
         for ctx in contexts() {
@@ -138,10 +115,10 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
     let (spec, plan) = dblp.cycle(3);
     let mut e = CyclicEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking(), &plan).unwrap();
-    let built = (15_262, 15_262, 0, 860_992, 860_992);
+    let built = (15_262, 15_262, 0, 1_389_675);
     assert_eq!(counters(e.stats()), built, "6-cycle at build");
     assert_eq!(e.by_ref().take(300).count(), 300);
-    let after = (15_262, 15_262, 4043, 860_992, 860_992);
+    let after = (15_262, 15_262, 4043, 1_393_771);
     assert_eq!(counters(e.stats()), after, "6-cycle after 300");
 }
 
@@ -182,6 +159,66 @@ fn union_workloads_match_reference_branch_merges() {
             .take(400)
             .collect();
         assert_eq!(got, expected, "{}: union diverged", spec.name);
+    }
+}
+
+/// The server publishes a page's counters as `after.diff(&before)` into a
+/// shared total, and `diff` saturates: bytes that fell between two pages
+/// would be lost there, and counted again when they rose. So every
+/// stream's byte counters only grow, page by page, to the end of the
+/// enumeration — the union's too, whose shorter branch runs dry first.
+#[test]
+fn frontier_bytes_never_fall_between_pages() {
+    let dblp = DblpWorkload::generate(500, 17, WeightScheme::Random);
+    let db = dblp.db();
+    let two_hop = dblp.two_hop();
+    let three_hop = QueryBuilder::new()
+        .atom("N1", dblp.relation(), ["a1", "p1"])
+        .atom("N2", dblp.relation(), ["b", "p1"])
+        .atom("N3", dblp.relation(), ["b", "a2"])
+        .project(["a1", "a2"])
+        .build()
+        .unwrap();
+    let union = UnionQuery::new(vec![two_hop.query.clone(), three_hop]).unwrap();
+    let (cycle, plan) = dblp.cycle(2);
+    let ranking = two_hop.sum_ranking();
+    let streams: [(&str, Box<dyn RankedStream>); 4] = [
+        (
+            "acyclic",
+            Box::new(AcyclicEnumerator::new(&two_hop.query, db, ranking.clone()).unwrap()),
+        ),
+        (
+            "lexi",
+            Box::new(LexiEnumerator::new(&two_hop.query, db, &two_hop.lex_ranking()).unwrap()),
+        ),
+        (
+            "union",
+            Box::new(UnionEnumerator::new(&union, db, ranking).unwrap()),
+        ),
+        (
+            "cyclic",
+            Box::new(CyclicEnumerator::new(&cycle.query, db, cycle.sum_ranking(), &plan).unwrap()),
+        ),
+    ];
+    for (what, mut stream) in streams {
+        let mut last = stream.stats_snapshot();
+        assert!(last.frontier_bytes > 0, "{what}: the build holds memory");
+        let mut pages = 0;
+        loop {
+            let rows = stream.by_ref().take(64).count();
+            let now = stream.stats_snapshot();
+            assert!(
+                now.frontier_bytes >= last.frontier_bytes
+                    && now.frontier_peak_bytes >= last.frontier_peak_bytes,
+                "{what}, page {pages}: {last:?} -> {now:?}"
+            );
+            last = now;
+            pages += 1;
+            if rows < 64 {
+                break;
+            }
+        }
+        assert!(pages > 4, "{what}: {pages} pages");
     }
 }
 

@@ -71,6 +71,8 @@ use crate::frontier::{
     entry_cmp, CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, NEXT_EXHAUSTED,
     NEXT_NOT_COMPUTED,
 };
+use crate::plan::Algorithm;
+use crate::shared::{ChainCursor, SharedFrontier};
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
 use re_join::{EdgeIds, Reduction};
@@ -191,6 +193,9 @@ pub struct AcyclicEnumerator<R: Ranking + Clone> {
     /// Projection attributes in the user-requested order (the order of the
     /// emitted tuples and of rank tie-breaking).
     projection: Vec<Attr>,
+    /// The root cell the first answer is read from: the start of the
+    /// root's chain, `None` on an empty result.
+    chain_start: Option<CellId>,
     /// The root cell the next answer is read from: the end of the root's
     /// chain, `None` once it is exhausted.
     next_root: Option<CellId>,
@@ -397,6 +402,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             tree,
             nodes,
             projection,
+            chain_start: next_root,
             next_root,
             out_buf: Tuple::new(),
             ptr_buf: Vec::new(),
@@ -521,9 +527,9 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     /// The `Topdown` procedure of Algorithm 2: advance the ranked
     /// materialisation of `node`'s queue past the cell `cell`, returning the
     /// id of the next distinct partial answer (or `None` when exhausted).
-    /// The root is driven the same way, by [`Iterator::next`].
-    // Inlined one level into `next`, so the root's advance costs no extra
-    // call per answer.
+    /// The root is driven the same way, by [`AcyclicEnumerator::advance`].
+    // Inlined one level into `advance`, so the root's advance costs no
+    // extra call per answer.
     #[inline]
     fn topdown(&mut self, cell: CellId, node: usize) -> Option<CellId> {
         match self.nodes[node].arena.next(cell) {
@@ -569,23 +575,57 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     }
 }
 
+impl<R: Ranking + Clone> AcyclicEnumerator<R> {
+    /// The one advance step: the answer at the root cell `at` and the root
+    /// cell after it (`None` past the last answer). The step is `Topdown`
+    /// on the root — past `at` and its duplicates — plus the tie-permuted
+    /// read of `at`'s output. When `at` is the end of the chain the step
+    /// extends it, and the answer and its operations are recorded in the
+    /// enumerator's statistics; a cell the chain already continues from
+    /// is a published answer, read without any work and recorded nowhere
+    /// (a [`ChainCursor`](crate::ChainCursor) replaying it counts it
+    /// itself). The only allocation is the answer itself.
+    #[inline]
+    pub(crate) fn advance(&mut self, at: CellId) -> (Tuple, Option<CellId>) {
+        let root = self.tree.root();
+        let extends = self.nodes[root].arena.next(at) == NEXT_NOT_COMPUTED;
+        let next = self.topdown(at, root);
+        if extends {
+            self.stats.record_answer();
+            self.stats.set_frontier_bytes(self.heap_bytes());
+        }
+        let ns = &self.nodes[root];
+        let out = ns.arena.output(at);
+        // At the root the tie permutation maps the subtree layout to the
+        // user projection order.
+        (ns.tie_perm.iter().map(|&p| out[p]).collect(), next)
+    }
+
+    /// The root cell the chain starts from (`None` on an empty result).
+    pub(crate) fn chain_start(&self) -> Option<CellId> {
+        self.chain_start
+    }
+}
+
+impl<R: Ranking + Clone + 'static> AcyclicEnumerator<R> {
+    /// Share this enumerator: put it behind a [`SharedFrontier`] and return
+    /// the first cursor on it, charged with the build. Further cursors
+    /// [attach](SharedFrontier::attach) at the start of the chain and
+    /// replay what it has published.
+    pub fn into_shared(self) -> ChainCursor {
+        SharedFrontier::share(self, Algorithm::Acyclic, None)
+    }
+}
+
 impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        let cell = self.next_root?;
-        let root = self.tree.root();
-        // Advance the root's chain past `cell` — its duplicates included —
-        // before emitting it, so the answer's operations are counted with
-        // it. The only allocation is the emitted answer itself.
-        self.next_root = self.topdown(cell, root);
-        self.stats.record_answer();
-        self.stats.set_frontier_bytes(self.heap_bytes());
-        let ns = &self.nodes[root];
-        let out = ns.arena.output(cell);
-        // At the root the tie permutation maps the subtree layout to the
-        // user projection order.
-        Some(ns.tie_perm.iter().map(|&p| out[p]).collect())
+        // The enumerator's own position is always the end of the chain, so
+        // every step extends it.
+        let (answer, next) = self.advance(self.next_root?);
+        self.next_root = next;
+        Some(answer)
     }
 }
 

@@ -9,6 +9,8 @@
 
 use crate::acyclic::AcyclicEnumerator;
 use crate::error::EnumError;
+use crate::plan::Algorithm;
+use crate::shared::{ChainCursor, SharedFrontier};
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
 use re_join::{materialize_bags_reported, BagKernel, Reduction};
@@ -36,6 +38,17 @@ pub struct GhdReport {
     pub candidates: usize,
     /// Per-bag build facts, in plan bag order.
     pub bag_details: Vec<BagDetail>,
+}
+
+impl GhdReport {
+    /// The plan shape, annotated with the fallback reason when selection
+    /// had to degrade to full materialisation.
+    pub(crate) fn annotated_shape(&self) -> String {
+        match &self.fallback {
+            Some(reason) => format!("{} [fallback: {reason}]", self.shape),
+            None => self.shape.clone(),
+        }
+    }
 }
 
 /// Per-bag materialisation facts: what EXPLAIN ANALYZE prints as the
@@ -225,6 +238,15 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
     /// Statistics of the residual acyclic enumeration.
     pub fn stats(&self) -> &EnumStats {
         self.inner.stats()
+    }
+}
+
+impl<R: Ranking + Clone + 'static> CyclicEnumerator<R> {
+    /// Share this enumerator the way [`AcyclicEnumerator::into_shared`]
+    /// does: the residual acyclic enumerator goes behind the lock, and
+    /// every cursor reports this plan's shape and GHD report.
+    pub fn into_shared(self) -> ChainCursor {
+        SharedFrontier::share(self.inner, Algorithm::CyclicGhd, Some(self.report))
     }
 }
 

@@ -22,6 +22,11 @@
 //! boxed [`RankedStream`], [`UnionEnumerator`] opens one per branch, and
 //! [`top_k`] is the one-call form.
 //!
+//! One Algorithm 1 enumerator can also serve many readers: a
+//! [`SharedFrontier`] puts it behind a lock, and each [`ChainCursor`] on it
+//! reads the ranked answer list from its own position, extending it only
+//! past its end — how a server's sessions of one statement share it.
+//!
 //! All enumerators are plain [`Iterator`]s over owned output tuples in the
 //! user's projection order; [`EnumStats`] exposes the priority-queue
 //! operation counts used for the paper's empirical-delay figure.
@@ -33,6 +38,7 @@ pub mod frontier;
 pub mod lexi;
 pub mod merge;
 pub mod plan;
+pub mod shared;
 pub mod star;
 pub mod stats;
 pub mod stream;
@@ -50,7 +56,8 @@ pub use plan::{top_k, Algorithm, BranchPlan};
 // execution context and size pools without depending on `re_exec` directly.
 pub use re_exec::{machine_threads, CancelKind, CancelToken, ExecContext, PoolStats, WorkerPool};
 pub use re_obs::{HistSnapshot, LocalHistogram, TimingBreakdown};
+pub use shared::{ChainCursor, SharedFrontier};
 pub use star::StarEnumerator;
 pub use stats::{EnumStats, SharedStats, StatsSnapshot};
-pub use stream::{InstrumentedStream, RankedStream, DELAY_SAMPLE_EVERY};
+pub use stream::{AnswerGate, InstrumentedStream, RankedStream, DELAY_SAMPLE_EVERY};
 pub use union::UnionEnumerator;

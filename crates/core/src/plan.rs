@@ -115,6 +115,34 @@ impl BranchPlan {
         ranking: R,
         ctx: &ExecContext,
     ) -> Result<Box<dyn RankedStream>, EnumError> {
+        self.build(query, db, ranking, ctx, false)
+    }
+
+    /// [`BranchPlan::open`] for a cursor that later cursors of the same
+    /// statement may join: an Algorithm 1 plan — acyclic, or cyclic over
+    /// its GHD — comes back as the first [`ChainCursor`](crate::ChainCursor)
+    /// on a new [`SharedFrontier`](crate::SharedFrontier). Algorithm 3
+    /// stays private: lexi walks sorted indexes with cursors of its own and
+    /// has no root chain to share. (The star enumerator is not on this
+    /// path at all: no plan chooses it.)
+    pub fn open_shared<R: Ranking + Clone + 'static>(
+        &self,
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        ctx: &ExecContext,
+    ) -> Result<Box<dyn RankedStream>, EnumError> {
+        self.build(query, db, ranking, ctx, true)
+    }
+
+    fn build<R: Ranking + Clone + 'static>(
+        &self,
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        ctx: &ExecContext,
+        share: bool,
+    ) -> Result<Box<dyn RankedStream>, EnumError> {
         Ok(match (self, ranking.as_lex()) {
             (BranchPlan::Lexi(tree), Some(lex)) => Box::new(LexiEnumerator::with_tree_ctx(
                 query,
@@ -123,11 +151,21 @@ impl BranchPlan {
                 tree.clone(),
                 ctx,
             )?),
-            (BranchPlan::Acyclic(tree) | BranchPlan::Lexi(tree), _) => Box::new(
-                AcyclicEnumerator::with_tree_ctx(query, db, ranking, tree.clone(), ctx)?,
-            ),
+            (BranchPlan::Acyclic(tree) | BranchPlan::Lexi(tree), _) => {
+                let e = AcyclicEnumerator::with_tree_ctx(query, db, ranking, tree.clone(), ctx)?;
+                if share {
+                    Box::new(e.into_shared())
+                } else {
+                    Box::new(e)
+                }
+            }
             (BranchPlan::Cyclic, _) => {
-                Box::new(CyclicEnumerator::new_auto_ctx(query, db, ranking, ctx)?)
+                let e = CyclicEnumerator::new_auto_ctx(query, db, ranking, ctx)?;
+                if share {
+                    Box::new(e.into_shared())
+                } else {
+                    Box::new(e)
+                }
             }
         })
     }
@@ -247,6 +285,33 @@ mod tests {
         assert_eq!(lexi.collect::<Vec<_>>(), general.collect::<Vec<_>>());
         let sum = plan.open(&q, &db(), SumRanking::value_sum(), &ctx).unwrap();
         assert_eq!(sum.algorithm(), Algorithm::Acyclic);
+    }
+
+    #[test]
+    fn open_shared_shares_algorithm_1_and_keeps_lexi_private() {
+        let q = two_hop(&["x", "z"]);
+        let ctx = ExecContext::serial();
+        let sum = SumRanking::value_sum();
+        let shared = BranchPlan::of(&q, false)
+            .unwrap()
+            .open_shared(&q, &db(), sum.clone(), &ctx)
+            .unwrap();
+        assert!(shared.shared_frontier().is_some());
+        let private = BranchPlan::of(&q, false)
+            .unwrap()
+            .open(&q, &db(), sum.clone(), &ctx)
+            .unwrap();
+        assert!(private.shared_frontier().is_none());
+        assert_eq!(shared.collect::<Vec<_>>(), private.collect::<Vec<_>>());
+        let cyclic = BranchPlan::Cyclic.open_shared(&triangle(), &db(), sum, &ctx);
+        assert!(cyclic.unwrap().shared_frontier().is_some());
+        let lex = LexRanking::new(["x", "z"], WeightAssignment::value_as_weight());
+        let lexi = BranchPlan::of(&q, true)
+            .unwrap()
+            .open_shared(&q, &db(), lex, &ctx)
+            .unwrap();
+        assert_eq!(lexi.algorithm(), Algorithm::Lexi);
+        assert!(lexi.shared_frontier().is_none());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::acyclic::AcyclicEnumerator;
 use crate::cyclic::{CyclicEnumerator, GhdReport};
 use crate::lexi::LexiEnumerator;
 use crate::plan::Algorithm;
+use crate::shared::SharedFrontier;
 use crate::stats::StatsSnapshot;
 use crate::union::UnionEnumerator;
 use re_exec::{CancelKind, CancelToken};
@@ -68,23 +69,68 @@ pub trait RankedStream: Iterator<Item = Tuple> + Send {
     fn cancel_status(&self) -> Option<CancelKind> {
         None
     }
+
+    /// Append up to `k` further answers to `page`, each admitted by `gate`
+    /// before it is produced and reported to it after: the page ends early
+    /// when the gate refuses an answer or the stream runs out. One call
+    /// per FETCH page, so a stream behind a lock ([`ChainCursor`](crate::ChainCursor)) takes
+    /// it once per page, not once per answer; the default loops over
+    /// [`Iterator::next`].
+    fn next_page(&mut self, k: usize, page: &mut Vec<Tuple>, gate: &mut AnswerGate) {
+        fill_page(k, page, gate, || self.next());
+    }
+
+    /// The Algorithm 1 state this stream reads its answers from when it
+    /// is shared with other cursors ([`ChainCursor`](crate::ChainCursor)); `None` for a
+    /// stream that owns its enumerator.
+    fn shared_frontier(&self) -> Option<&Arc<SharedFrontier>> {
+        None
+    }
+}
+
+/// The page loop of every [`RankedStream::next_page`]: up to `k` answers
+/// from `step`, each admitted by `gate` before it is produced and reported
+/// to it after. Admitting first means a token that trips is latched even
+/// when the stream has nothing left, so every stream ends a page the same
+/// way.
+pub(crate) fn fill_page(
+    k: usize,
+    page: &mut Vec<Tuple>,
+    gate: &mut AnswerGate,
+    mut step: impl FnMut() -> Option<Tuple>,
+) {
+    for _ in 0..k {
+        if !gate.admit() {
+            return;
+        }
+        match step() {
+            Some(answer) => {
+                page.push(answer);
+                gate.emitted();
+            }
+            None => return,
+        }
+    }
 }
 
 /// One answer in this many has its delay timed: answers `0`, `64`, `128`,
 /// … (a systematic sample). Not a knob — a constant, like a bucket width.
 pub const DELAY_SAMPLE_EVERY: u64 = 64;
 
-/// A [`RankedStream`] wrapper that measures wall-clock behaviour: the
-/// delay of one `next()` in every [`DELAY_SAMPLE_EVERY`] (recorded both in
-/// a per-stream histogram and the global `cursor.delay_ns` aggregate) and
-/// the time from `opened_at` to the first answer (`cursor.ttfa_ns`).
+/// The per-answer checks a page runs through: the explicit-cancel and
+/// deadline check before each answer, and the 1-in-[`DELAY_SAMPLE_EVERY`]
+/// delay sample after it (recorded both in a per-stream histogram and the
+/// global `cursor.delay_ns` aggregate), plus the time from `opened_at` to
+/// the first answer (`cursor.ttfa_ns`). [`InstrumentedStream`] owns one
+/// and passes it to [`RankedStream::next_page`], so a stream that takes a
+/// lock per page keeps the checks of every answer inside it.
 ///
 /// Answer 0 is always timed, so the time to first answer is exact, and
 /// the answer count is exact; only the delay histograms are a 1-in-64
 /// sample. The exact per-answer delay proxy is the PQ-operation count in
 /// [`RankedStream::stats_snapshot`].
 ///
-/// An untimed `next()` costs one relaxed load of the explicit-cancel flag,
+/// An untimed answer costs one relaxed load of the explicit-cancel flag,
 /// plus one `Instant::now()` only when the token has a deadline, so a
 /// deadline or cancel stops the stream at exactly the answer it would if
 /// every answer were timed. A timed one adds an `Instant::now()` pair, a
@@ -92,21 +138,91 @@ pub const DELAY_SAMPLE_EVERY: u64 = 64;
 /// preserving the enumeration tripwires.
 /// `BENCHMARK.json`'s `obs.instrument_overhead_ns` measures the amortised
 /// cost per answer.
-pub struct InstrumentedStream {
-    inner: Box<dyn RankedStream>,
+pub struct AnswerGate {
     opened_at: Instant,
-    open_nanos: u64,
-    phases: Vec<(String, u64)>,
     answers: u64,
     first_answer_nanos: Option<u64>,
     delay: LocalHistogram,
     delay_global: Arc<AtomicHistogram>,
     ttfa_global: Arc<AtomicHistogram>,
-    /// Cancellation token polled before each `next()`; `None` never trips.
+    /// Cancellation token polled before each answer; `None` never trips.
     cancel: Option<CancelToken>,
-    /// Latched once the token trips: the stream stays stopped (and keeps
+    /// Latched once the token trips: the gate stays shut (and keeps
     /// reporting the same kind) even if time or flags move on.
     cancel_status: Option<CancelKind>,
+    /// When the admitted answer began, if it is one of the timed ones.
+    started: Option<Instant>,
+}
+
+impl AnswerGate {
+    /// A gate for a stream whose opening began at `opened_at`.
+    pub fn new(opened_at: Instant) -> Self {
+        let registry = re_obs::global();
+        AnswerGate {
+            opened_at,
+            answers: 0,
+            first_answer_nanos: None,
+            delay: LocalHistogram::new(),
+            delay_global: registry.histogram("cursor.delay_ns"),
+            ttfa_global: registry.histogram("cursor.ttfa_ns"),
+            cancel: None,
+            cancel_status: None,
+            started: None,
+        }
+    }
+
+    /// Before an answer: whether it may be produced. `false` once the
+    /// token has tripped, and from then on.
+    #[inline]
+    pub fn admit(&mut self) -> bool {
+        if self.cancel_status.is_some() {
+            return false;
+        }
+        // A timed answer's clock reading also serves the deadline check;
+        // an untimed one reads the clock only if the token has a deadline.
+        self.started = self
+            .answers
+            .is_multiple_of(DELAY_SAMPLE_EVERY)
+            .then(Instant::now);
+        if let Some(token) = &self.cancel {
+            let checked = match self.started {
+                Some(now) => token.check_at(now),
+                None => token.check(),
+            };
+            if let Err(kind) = checked {
+                self.cancel_status = Some(kind);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// After an admitted answer was produced: count it, and time it if it
+    /// is one of the sampled ones. An admitted call that found the stream
+    /// exhausted calls nothing, and records nothing.
+    #[inline]
+    pub fn emitted(&mut self) {
+        if let Some(start) = self.started.take() {
+            let nanos = saturating_nanos(start.elapsed());
+            self.delay.record(nanos);
+            self.delay_global.record(nanos);
+            if self.answers == 0 {
+                let ttfa = saturating_nanos(self.opened_at.elapsed());
+                self.first_answer_nanos = Some(ttfa);
+                self.ttfa_global.record(ttfa);
+            }
+        }
+        self.answers += 1;
+    }
+}
+
+/// A [`RankedStream`] wrapper that measures wall-clock behaviour and stops
+/// on cancellation, through its [`AnswerGate`].
+pub struct InstrumentedStream {
+    inner: Box<dyn RankedStream>,
+    open_nanos: u64,
+    phases: Vec<(String, u64)>,
+    gate: AnswerGate,
 }
 
 impl InstrumentedStream {
@@ -118,27 +234,27 @@ impl InstrumentedStream {
         opened_at: Instant,
         phases: Vec<(String, u64)>,
     ) -> Self {
-        let registry = re_obs::global();
         InstrumentedStream {
             inner,
-            opened_at,
             open_nanos: saturating_nanos(opened_at.elapsed()),
             phases,
-            answers: 0,
-            first_answer_nanos: None,
-            delay: LocalHistogram::new(),
-            delay_global: registry.histogram("cursor.delay_ns"),
-            ttfa_global: registry.histogram("cursor.ttfa_ns"),
-            cancel: None,
-            cancel_status: None,
+            gate: AnswerGate::new(opened_at),
         }
     }
 
     /// Attach a cancellation token: once it trips, `next()` returns `None`
     /// and [`RankedStream::cancel_status`] reports why.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.gate.cancel = Some(token);
         self
+    }
+
+    /// Append up to `k` further answers to `page` in one call to the
+    /// inner stream ([`RankedStream::next_page`]), each through this
+    /// stream's gate. A page shorter than `k` means the stream is
+    /// exhausted or cancelled; [`RankedStream::cancel_status`] says which.
+    pub fn fill_page(&mut self, k: usize, page: &mut Vec<Tuple>) {
+        self.inner.next_page(k, page, &mut self.gate);
     }
 }
 
@@ -146,38 +262,12 @@ impl Iterator for InstrumentedStream {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        if self.cancel_status.is_some() {
+        if !self.gate.admit() {
             return None;
-        }
-        // A timed answer's clock reading also serves the deadline check;
-        // an untimed one reads the clock only if the token has a deadline.
-        let start = self
-            .answers
-            .is_multiple_of(DELAY_SAMPLE_EVERY)
-            .then(Instant::now);
-        if let Some(token) = &self.cancel {
-            let checked = match start {
-                Some(now) => token.check_at(now),
-                None => token.check(),
-            };
-            if let Err(kind) = checked {
-                self.cancel_status = Some(kind);
-                return None;
-            }
         }
         let item = self.inner.next();
         if item.is_some() {
-            if let Some(start) = start {
-                let nanos = saturating_nanos(start.elapsed());
-                self.delay.record(nanos);
-                self.delay_global.record(nanos);
-                if self.answers == 0 {
-                    let ttfa = saturating_nanos(self.opened_at.elapsed());
-                    self.first_answer_nanos = Some(ttfa);
-                    self.ttfa_global.record(ttfa);
-                }
-            }
-            self.answers += 1;
+            self.gate.emitted();
         }
         item
     }
@@ -208,14 +298,18 @@ impl RankedStream for InstrumentedStream {
         Some(TimingBreakdown {
             open_nanos: self.open_nanos,
             phases: self.phases.clone(),
-            answers: self.answers,
-            first_answer_nanos: self.first_answer_nanos,
-            delay: self.delay.snapshot(),
+            answers: self.gate.answers,
+            first_answer_nanos: self.gate.first_answer_nanos,
+            delay: self.gate.delay.snapshot(),
         })
     }
 
     fn cancel_status(&self) -> Option<CancelKind> {
-        self.cancel_status
+        self.gate.cancel_status
+    }
+
+    fn shared_frontier(&self) -> Option<&Arc<SharedFrontier>> {
+        self.inner.shared_frontier()
     }
 }
 
@@ -247,11 +341,7 @@ impl<R: Ranking + Clone> RankedStream for CyclicEnumerator<R> {
     }
 
     fn plan_shape(&self) -> Option<String> {
-        let report = self.plan_report();
-        Some(match &report.fallback {
-            Some(reason) => format!("{} [fallback: {reason}]", report.shape),
-            None => report.shape.clone(),
-        })
+        Some(self.plan_report().annotated_shape())
     }
 
     fn ghd_report(&self) -> Option<GhdReport> {
@@ -460,7 +550,7 @@ mod tests {
     /// Pull answers `0..=64`, so the next one (index 65) is untimed.
     fn past_a_timed_answer(stream: &mut InstrumentedStream) {
         assert_eq!(stream.by_ref().take(65).count(), 65);
-        assert_ne!(stream.answers % DELAY_SAMPLE_EVERY, 0);
+        assert_ne!(stream.gate.answers % DELAY_SAMPLE_EVERY, 0);
     }
 
     #[test]

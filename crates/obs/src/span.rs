@@ -9,7 +9,8 @@
 //! that closed on that thread during the closure, with its duration. The
 //! query server uses this to attach a preprocessing breakdown
 //! (`preprocess.bind`, `preprocess.reduce`, `preprocess.ghd_select`,
-//! `preprocess.bags`, `preprocess.cells`, `preprocess.sorted_index`, …)
+//! `preprocess.bags`, `preprocess.cells`, `preprocess.sorted_index`, …,
+//! or the one `preprocess.attach` of an OPEN that shared a frontier)
 //! to each cursor and to the slow-query
 //! log — the global histograms aggregate across operations, the capture
 //! stack attributes phases to *this* operation.

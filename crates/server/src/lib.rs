@@ -13,7 +13,10 @@
 //!   eviction) releases the cursor ([`SessionTable`]);
 //! * an **LRU plan cache** keyed on the normalised statement text; a
 //!   cached plan carries each branch's algorithm and join tree
-//!   ([`rankedenum_core::BranchPlan`]), so a hit plans nothing again
+//!   ([`rankedenum_core::BranchPlan`]), so a hit plans nothing again, and
+//!   the statement's live shared enumerator
+//!   ([`rankedenum_core::SharedFrontier`]), so an `OPEN` of a statement
+//!   another session holds attaches to it instead of preprocessing
 //!   ([`PlanCache`]);
 //! * one **TCP front-end** ([`serve`]: the event-driven [`reactor`], no
 //!   external dependencies) speaking JSON lines or binary frames per
@@ -69,7 +72,7 @@ pub use client::{
     ClientError, LocalClient, OpenedSession, Page, QueryOutcome, RetryPolicy, TcpClient, Transport,
 };
 pub use json::Json;
-pub use plan_cache::PlanCache;
+pub use plan_cache::{CachedPlan, PlanCache};
 pub use protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
 pub use reactor::serve;
 pub use server::{RankedQueryServer, ServerConfig, ServerHandle, ServerTransport};

@@ -7,18 +7,49 @@
 //! **normalised** statement text ([`re_sql::normalize()`]), so spelling
 //! variants of the same statement hit the same entry. The physical
 //! decision lives inside the plan ([`SqlPlan::branches`]), so a hit hands
-//! OPEN its join tree ready-made and the cache records nothing of its own.
+//! OPEN its join tree ready-made.
+//!
+//! An entry also records the statement's live [`SharedFrontier`], if it
+//! has one: the enumerator an OPEN built for sharing
+//! ([`PlanCache::share`]), held weakly. The key fixes what that enumerator
+//! computes — the catalog generation fixes the database, the normalised
+//! text the query and its ranking, under the server's one weight
+//! assignment — so a later OPEN of the statement attaches a cursor to it
+//! instead of building ([`CachedPlan::frontier`]). The cache owns no
+//! frontier: it lives exactly as long as some session holds it, and a
+//! statement opened by one session at a time keeps building its own.
 
+use rankedenum_core::SharedFrontier;
 use re_sql::{parse, plan, SqlError, SqlPlan};
 use re_storage::Database;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 struct Entry {
     plan: Arc<SqlPlan>,
     /// Logical timestamp of the last hit (for LRU eviction).
     last_used: u64,
+    /// The statement's shared frontier, while some session holds it.
+    frontier: Weak<SharedFrontier>,
+}
+
+/// A planned statement, from [`PlanCache::lookup`].
+pub struct CachedPlan {
+    /// The shared plan.
+    pub plan: Arc<SqlPlan>,
+    /// Whether the plan came from the cache.
+    pub hit: bool,
+    /// The statement's shared frontier, when a live session holds one
+    /// that is not poisoned: open a cursor on it instead of building.
+    pub frontier: Option<Arc<SharedFrontier>>,
+    key: String,
+}
+
+/// The frontier `slot` refers to, if a session still holds it and no
+/// panic poisoned it.
+fn live(slot: &Weak<SharedFrontier>) -> Option<Arc<SharedFrontier>> {
+    slot.upgrade().filter(|frontier| !frontier.is_poisoned())
 }
 
 /// LRU cache of planned statements, keyed on
@@ -49,8 +80,8 @@ impl PlanCache {
     }
 
     /// Lock the map, recovering from poisoning (entries are immutable
-    /// `Arc`s inserted/removed atomically, so inner state stays valid even
-    /// if a holder panicked).
+    /// `Arc`s and `Weak`s inserted, replaced and removed atomically, so
+    /// inner state stays valid even if a holder panicked).
     fn lock(&self) -> MutexGuard<'_, HashMap<String, Entry>> {
         self.inner
             .lock()
@@ -71,6 +102,20 @@ impl PlanCache {
         db: &Database,
         sql: &str,
     ) -> Result<(Arc<SqlPlan>, bool), SqlError> {
+        let cached = self.lookup(db_name, generation, db, sql)?;
+        Ok((cached.plan, cached.hit))
+    }
+
+    /// [`PlanCache::get_or_plan`], with the statement's live shared
+    /// frontier: a poisoned one is never handed out, so the OPEN that
+    /// finds one builds afresh and [shares](PlanCache::share) that.
+    pub fn lookup(
+        &self,
+        db_name: &str,
+        generation: u64,
+        db: &Database,
+        sql: &str,
+    ) -> Result<CachedPlan, SqlError> {
         let normalized = re_sql::normalize(sql)?;
         let key = Self::key(db_name, generation, &normalized);
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -79,7 +124,12 @@ impl PlanCache {
             if let Some(entry) = map.get_mut(&key) {
                 entry.last_used = now;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(&entry.plan), true));
+                return Ok(CachedPlan {
+                    plan: Arc::clone(&entry.plan),
+                    hit: true,
+                    frontier: live(&entry.frontier),
+                    key,
+                });
             }
         }
         // Plan outside the lock: planning touches only the schema, and a
@@ -103,13 +153,32 @@ impl PlanCache {
             }
         }
         map.insert(
-            key,
+            key.clone(),
             Entry {
                 plan: Arc::clone(&planned),
                 last_used: now,
+                frontier: Weak::new(),
             },
         );
-        Ok((planned, false))
+        Ok(CachedPlan {
+            plan: planned,
+            hit: false,
+            frontier: None,
+            key,
+        })
+    }
+
+    /// Record `frontier`, built for `cached`'s statement, as the one later
+    /// OPENs of it attach to. A live frontier already recorded stays: the
+    /// sessions of a concurrent second build keep theirs to themselves.
+    /// Nothing is recorded if the entry was evicted meanwhile.
+    pub fn share(&self, cached: &CachedPlan, frontier: &Arc<SharedFrontier>) {
+        let mut map = self.lock();
+        if let Some(entry) = map.get_mut(&cached.key) {
+            if live(&entry.frontier).is_none() {
+                entry.frontier = Arc::downgrade(frontier);
+            }
+        }
     }
 
     /// Cache hits so far.
@@ -258,6 +327,87 @@ mod tests {
         assert!(hit_q1, "recently used plan survives eviction");
         let (_, hit_q2) = cache.get_or_plan("d", 1, &db, q2).unwrap();
         assert!(!hit_q2, "least recently used plan was evicted");
+    }
+
+    /// A frontier whose enumerator panicked while it was extended.
+    fn poisoned_frontier() -> Arc<SharedFrontier> {
+        use rankedenum_core::AcyclicEnumerator;
+        use re_ranking::{Ranking, SumRanking};
+        use re_storage::{Attr, Value};
+        use std::sync::atomic::AtomicBool;
+
+        /// `SUM`, but every key panics once armed.
+        #[derive(Clone)]
+        struct PanicsOnceArmed(Arc<AtomicBool>);
+        impl Ranking for PanicsOnceArmed {
+            type Key = <SumRanking as Ranking>::Key;
+            type Plan = <SumRanking as Ranking>::Plan;
+            fn plan(&self, attrs: &[Attr]) -> Self::Plan {
+                SumRanking::value_sum().plan(attrs)
+            }
+            fn key(&self, plan: &Self::Plan, values: &[Value]) -> Self::Key {
+                assert!(!self.0.load(Ordering::Relaxed), "panics by design");
+                SumRanking::value_sum().key(plan, values)
+            }
+        }
+        let q = re_query::QueryBuilder::new()
+            .atom("T", "T", ["a", "b"])
+            .atom("U", "U", ["b", "c"])
+            .project(["a", "c"])
+            .build()
+            .unwrap();
+        let mut db = Database::new();
+        for (name, cols, rows) in [
+            ("T", ["a", "b"], vec![vec![1, 1], vec![2, 1]]),
+            ("U", ["b", "c"], vec![vec![1, 1], vec![1, 3]]),
+        ] {
+            db.add_relation(Relation::with_tuples(name, attrs(cols), rows).unwrap())
+                .unwrap();
+        }
+        let armed = Arc::new(AtomicBool::new(false));
+        let ranking = PanicsOnceArmed(Arc::clone(&armed));
+        let mut cursor = AcyclicEnumerator::new(&q, &db, ranking)
+            .unwrap()
+            .into_shared();
+        armed.store(true, Ordering::Relaxed);
+        let frontier = Arc::clone(cursor.frontier());
+        let extended =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cursor.by_ref().count()));
+        assert!(extended.is_err() && frontier.is_poisoned());
+        frontier
+    }
+
+    #[test]
+    fn a_live_frontier_is_handed_out_and_a_dead_or_poisoned_one_never() {
+        let cache = PlanCache::new(8);
+        let db = db();
+        let sql = "SELECT DISTINCT T.a FROM T";
+        let lookup = || cache.lookup("d", 1, &db, sql).unwrap();
+        let cached = lookup();
+        assert!(cached.frontier.is_none(), "nothing shared yet");
+        let cursor = re_sql::SqlExecutor::new(&db)
+            .open_plan(&cached.plan)
+            .unwrap();
+        let id = cursor.frontier().unwrap().id();
+        cache.share(&cached, cursor.frontier().unwrap());
+        let hit = lookup();
+        assert!(hit.hit);
+        assert_eq!(hit.frontier.map(|f| f.id()), Some(id));
+        // The cache holds no frontier of its own: the last cursor frees it.
+        drop(cursor);
+        assert!(lookup().frontier.is_none());
+        // A poisoned frontier is recorded, but never handed out; the OPEN
+        // that finds it builds a fresh one, which replaces it.
+        let poisoned = poisoned_frontier();
+        cache.share(&cached, &poisoned);
+        assert!(lookup().frontier.is_none());
+        let fresh = re_sql::SqlExecutor::new(&db)
+            .open_plan(&cached.plan)
+            .unwrap();
+        cache.share(&cached, fresh.frontier().unwrap());
+        let id = fresh.frontier().unwrap().id();
+        assert_eq!(lookup().frontier.map(|f| f.id()), Some(id));
+        drop(poisoned);
     }
 
     #[test]

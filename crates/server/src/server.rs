@@ -62,10 +62,13 @@ pub struct ServerConfig {
     /// `frontier_bytes`, refreshed at every park: the heap it holds,
     /// computed from the capacities of what it owns (reduced relations,
     /// arenas, queues, indexes, materialised output), within 10 % of what
-    /// the allocator sees. When parking a cursor pushes the total over this
-    /// budget, the heaviest idle sessions are evicted first (the
-    /// just-parked session is never the victim); a later `FETCH` on an
-    /// evicted id reports "evicted to enforce the session memory budget".
+    /// the allocator sees. Sessions of one statement that share an
+    /// enumerator are charged for it once. When parking a cursor pushes
+    /// the total over this budget, the heaviest idle charges are evicted
+    /// first — a shared enumerator with all its parked sessions (the
+    /// just-parked session's charge is never the victim); a later `FETCH`
+    /// on an evicted id reports "evicted to enforce the session memory
+    /// budget".
     pub session_budget_bytes: u64,
     /// OPENs whose preprocessing takes at least this many milliseconds
     /// are written to the slow-query log (a `warn`-level JSON line with
@@ -460,7 +463,7 @@ impl RankedQueryServer {
             None
         };
         let guard = trace_ctx.as_ref().map(|ctx| re_obs::trace::install(ctx, 0));
-        let outcome = self.open_cursor(&db_name, &sql, Some(&token));
+        let outcome = self.open_cursor(&db_name, &sql, Some(&token), true);
         drop(guard);
         let trace_id = trace_ctx.map(|ctx| {
             let trace = ctx.finish();
@@ -633,7 +636,10 @@ impl RankedQueryServer {
         let token = (self.default_deadline_millis > 0).then(|| {
             CancelToken::with_deadline(Duration::from_millis(self.default_deadline_millis))
         });
-        match self.open_cursor(&db_name, &sql, token.as_ref()) {
+        // Neither attached nor recorded: the drain below would extend a
+        // shared chain to its end, and the frontier would keep every answer
+        // for as long as any session of the statement lives.
+        match self.open_cursor(&db_name, &sql, token.as_ref(), false) {
             Ok((mut cursor, algorithm, plan_cached)) => {
                 let at_open = cursor.stats_snapshot();
                 let rows = cursor.fetch_all();
@@ -686,31 +692,54 @@ impl RankedQueryServer {
     /// enumerator construction (the one preprocessing pass, run under the
     /// cancel token when one is given). Failures come back as ready-made
     /// responses, typed for cooperative cancellations.
+    ///
+    /// With `share`, the cursor may attach to, and be recorded in, the plan
+    /// cache: a statement whose Algorithm 1 enumerator a live session
+    /// already built attaches a cursor to it instead of building, and one
+    /// that has none records the frontier it builds for the OPENs that
+    /// follow. Without, the cursor's frontier is its own.
     fn open_cursor(
         &self,
         db_name: &str,
         sql: &str,
         token: Option<&CancelToken>,
+        share: bool,
     ) -> Result<(re_sql::QueryCursor, String, bool), Response> {
         let (db, generation) = self
             .catalog
             .get_versioned(db_name)
             .ok_or_else(|| Response::error(format!("unknown database `{db_name}`")))?;
-        let (plan, hit) = self
+        let cached = self
             .plan_cache
-            .get_or_plan(db_name, generation, &db, sql)
+            .lookup(db_name, generation, &db, sql)
             .map_err(|e| Response::error(e.to_string()))?;
-        let exec = match token {
-            Some(token) => self.exec.clone().with_cancel_token(token.clone()),
-            None => self.exec.clone(),
+        let attached = match &cached.frontier {
+            Some(frontier) if share => {
+                re_sql::QueryCursor::attach(&cached.plan, frontier, token.cloned())
+            }
+            _ => None,
         };
-        let executor = OwnedSqlExecutor::new(db).with_exec_context(exec);
-        let cursor = executor
-            .open_plan(&plan)
-            .map_err(|e| self.classify_sql_error(e))?;
-        self.enumerators_built.fetch_add(1, Ordering::Relaxed);
-        // Count the preprocessing pass towards the shared metrics right
-        // away (fetch deltas continue from this snapshot).
+        let cursor = match attached {
+            Some(cursor) => cursor,
+            None => {
+                let exec = match token {
+                    Some(token) => self.exec.clone().with_cancel_token(token.clone()),
+                    None => self.exec.clone(),
+                };
+                let cursor = OwnedSqlExecutor::new(db)
+                    .with_exec_context(exec)
+                    .open_plan(&cached.plan)
+                    .map_err(|e| self.classify_sql_error(e))?;
+                if let Some(frontier) = cursor.frontier().filter(|_| share) {
+                    self.plan_cache.share(&cached, frontier);
+                }
+                self.enumerators_built.fetch_add(1, Ordering::Relaxed);
+                cursor
+            }
+        };
+        // Count the preprocessing pass (none, for an attached cursor)
+        // towards the shared metrics right away (fetch deltas continue
+        // from this snapshot).
         self.enum_stats.add(&cursor.stats_snapshot());
         if let Some(shape) = cursor.plan_shape() {
             // Poison recovery, not skip — see `stats_report`.
@@ -720,7 +749,7 @@ impl RankedQueryServer {
                 .unwrap_or_else(|poisoned| poisoned.into_inner()) = shape;
         }
         let algorithm = cursor.algorithm().label().to_string();
-        Ok((cursor, algorithm, hit))
+        Ok((cursor, algorithm, cached.hit))
     }
 
     /// Emit a slow-query log line when an OPEN's preprocessing exceeded

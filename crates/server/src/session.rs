@@ -33,12 +33,18 @@
 //!   sweeps expired entries, so an abandoned cursor's memory is reclaimed
 //!   without a background reaper thread.
 //! * **Memory budget** — each parked cursor reports the heap it holds
-//!   (`frontier_bytes` from the enumeration stats, refreshed after every
-//!   page). When the sum over parked sessions exceeds the configured
-//!   budget, the **heaviest idle cursors are evicted first** (ties go to
-//!   the oldest session id) until the table fits — except the session
-//!   that was just parked, so a fetch loop on one big cursor keeps
-//!   making progress even when that cursor alone exceeds the budget.
+//!   ([`QueryCursor::retained_bytes`], refreshed after every page).
+//!   Sessions of one statement that share a frontier
+//!   ([`QueryCursor::frontier`]) hold one heap between them, so the table
+//!   charges it once — at the largest of their reports, the latest — and
+//!   a *charge* is either a frontier or one private cursor. When the sum
+//!   over parked charges exceeds the configured budget, the **heaviest
+//!   idle charge is evicted first** (ties go to the oldest session id),
+//!   all its parked sessions together, until the table fits. Two charges
+//!   are never victims: the just-parked session's, so a fetch loop on one
+//!   big cursor keeps making progress even when that cursor alone exceeds
+//!   the budget, and a frontier a lent session holds, whose memory
+//!   evicting its parked sharers would not free.
 
 use rankedenum_core::{CancelKind, CancelToken, StatsSnapshot};
 use re_obs::FieldValue;
@@ -82,8 +88,26 @@ pub struct Session {
     pub reported: StatsSnapshot,
     /// Frontier bytes the parked cursor retains (refreshed at every park).
     pub frontier_bytes: u64,
+    /// The id of the shared frontier the cursor reads, if it shares one.
+    frontier: Option<u64>,
     token: CancelToken,
     last_used: Instant,
+}
+
+/// What the memory budget charges a parked session to: its own
+/// enumerator, or the frontier it shares with other sessions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Charge {
+    /// A private cursor, by session id.
+    Own(u64),
+    /// A shared frontier, by [`rankedenum_core::SharedFrontier::id`].
+    Frontier(u64),
+}
+
+impl Session {
+    fn charge(&self) -> Charge {
+        self.frontier.map_or(Charge::Own(self.id), Charge::Frontier)
+    }
 }
 
 /// What a lent session's fetch does when it hands the session back. Racing
@@ -103,6 +127,9 @@ enum Slot {
     Lent {
         token: CancelToken,
         after: AfterFetch,
+        /// The shared frontier the lent cursor reads, if any: the budget
+        /// leaves its parked sharers alone.
+        frontier: Option<u64>,
     },
 }
 
@@ -148,6 +175,23 @@ impl Inner {
         })
     }
 
+    /// Every parked charge: its bytes (the largest report of its sessions)
+    /// and its oldest session id.
+    fn charges(&self) -> HashMap<Charge, (u64, u64)> {
+        let mut charges: HashMap<Charge, (u64, u64)> = HashMap::new();
+        for session in self.parked() {
+            let (bytes, oldest) = charges.entry(session.charge()).or_insert((0, session.id));
+            *bytes = (*bytes).max(session.frontier_bytes);
+            *oldest = (*oldest).min(session.id);
+        }
+        charges
+    }
+
+    /// Total bytes parked sessions hold, a shared frontier counted once.
+    fn parked_bytes(&self) -> u64 {
+        self.charges().values().map(|&(bytes, _)| bytes).sum()
+    }
+
     /// Remove `id`'s session if it is parked; a lent slot stays.
     fn unpark(&mut self, id: u64) -> Option<Session> {
         match self.slots.remove(&id)? {
@@ -162,7 +206,7 @@ impl Inner {
     /// Raise what `id`'s fetch does next, if `id` is lent (a cancel also
     /// trips the token); returns whether it was.
     fn raise(&mut self, id: u64, to: AfterFetch) -> bool {
-        let Some(Slot::Lent { token, after }) = self.slots.get_mut(&id) else {
+        let Some(Slot::Lent { token, after, .. }) = self.slots.get_mut(&id) else {
             return false;
         };
         if to == AfterFetch::Cancel {
@@ -240,9 +284,11 @@ impl SessionTable {
     }
 
     /// Enforce the memory budget after parking `just_parked`: evict the
-    /// heaviest parked sessions (ties to the oldest id) until the total
-    /// fits, never evicting `just_parked` itself — the caller's cursor
-    /// must stay resumable even when it alone exceeds the budget.
+    /// heaviest parked charge (ties to the oldest id) — every parked
+    /// session of it — until the total fits, never evicting
+    /// `just_parked`'s charge — the caller's cursor must stay resumable
+    /// even when it alone exceeds the budget — nor a frontier a lent
+    /// session holds.
     ///
     /// Returns the evicted sessions instead of dropping them: a victim is,
     /// by policy, the *largest* parked enumerator, and releasing megabytes
@@ -255,22 +301,43 @@ impl SessionTable {
         if self.budget_bytes == 0 {
             return victims;
         }
-        let mut total: u64 = inner.parked().map(|s| s.frontier_bytes).sum();
-        while total > self.budget_bytes {
-            let victim = inner
-                .parked()
-                .filter(|s| s.id != just_parked)
-                .max_by_key(|s| (s.frontier_bytes, std::cmp::Reverse(s.id)))
-                .map(|s| s.id);
-            let Some(session) = victim.and_then(|id| inner.unpark(id)) else {
-                break; // only the just-parked session is left
+        let Some(Slot::Parked(parked)) = inner.slots.get(&just_parked) else {
+            return victims;
+        };
+        let mut spared: Vec<Charge> = vec![parked.charge()];
+        spared.extend(inner.slots.values().filter_map(|slot| match slot {
+            Slot::Lent {
+                frontier: Some(f), ..
+            } => Some(Charge::Frontier(*f)),
+            _ => None,
+        }));
+        loop {
+            let charges = inner.charges();
+            if charges.values().map(|&(bytes, _)| bytes).sum::<u64>() <= self.budget_bytes {
+                break;
+            }
+            let victim = charges
+                .into_iter()
+                .filter(|(charge, _)| !spared.contains(charge))
+                .max_by_key(|&(_, (bytes, oldest))| (bytes, std::cmp::Reverse(oldest)));
+            let Some((victim, _)) = victim else {
+                break; // only spared charges are left
             };
-            total = total.saturating_sub(session.frontier_bytes);
-            inner.remember(session.id, Ended::BudgetEvicted);
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            self.evicted_budget.fetch_add(1, Ordering::Relaxed);
-            log_eviction(&session, "memory-budget");
-            victims.push(session);
+            let ids: Vec<u64> = inner
+                .parked()
+                .filter(|s| s.charge() == victim)
+                .map(|s| s.id)
+                .collect();
+            for id in ids {
+                let Some(session) = inner.unpark(id) else {
+                    continue;
+                };
+                inner.remember(session.id, Ended::BudgetEvicted);
+                self.evicted.fetch_add(1, Ordering::Relaxed);
+                self.evicted_budget.fetch_add(1, Ordering::Relaxed);
+                log_eviction(&session, "memory-budget");
+                victims.push(session);
+            }
         }
         victims
     }
@@ -284,7 +351,8 @@ impl SessionTable {
         let session = Session {
             id,
             db,
-            frontier_bytes: reported.frontier_bytes,
+            frontier_bytes: cursor.retained_bytes(),
+            frontier: cursor.frontier().map(|f| f.id()),
             reported,
             cursor,
             token,
@@ -336,9 +404,12 @@ impl SessionTable {
         let mut inner = self.lock();
         self.sweep(&mut inner);
         if let Some(session) = inner.unpark(id) {
-            let token = session.token.clone();
-            let after = AfterFetch::Park;
-            inner.slots.insert(id, Slot::Lent { token, after });
+            let lent = Slot::Lent {
+                token: session.token.clone(),
+                after: AfterFetch::Park,
+                frontier: session.frontier,
+            };
+            inner.slots.insert(id, lent);
             return Ok(session);
         }
         Err(match inner.slots.get(&id) {
@@ -359,7 +430,7 @@ impl SessionTable {
     /// `CLOSE` or `CANCEL` raced the fetch — drop it.
     pub fn put_back(&self, mut session: Session) {
         session.last_used = Instant::now();
-        session.frontier_bytes = session.cursor.stats_snapshot().frontier_bytes;
+        session.frontier_bytes = session.cursor.retained_bytes();
         let id = session.id;
         let mut inner = self.lock();
         let lent = inner.slots.get(&id);
@@ -401,11 +472,12 @@ impl SessionTable {
         inner.slots.len() as u64
     }
 
-    /// Total frontier bytes retained by parked sessions.
+    /// Total frontier bytes retained by parked sessions, a frontier that
+    /// several of them share counted once.
     pub fn parked_bytes(&self) -> u64 {
         let mut inner = self.lock();
         self.sweep(&mut inner);
-        inner.parked().map(|s| s.frontier_bytes).sum()
+        inner.parked_bytes()
     }
 
     /// Sessions opened since construction.
@@ -437,11 +509,13 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rankedenum_core::SharedFrontier;
     use re_sql::SqlExecutor;
     use re_storage::attr::attrs;
     use re_storage::{Database, Relation};
     use std::cmp::Reverse;
     use std::collections::BTreeMap;
+    use std::sync::{Arc, Weak};
 
     /// Far longer than any test runs, so only `backdate` ages a session;
     /// short enough that backdating past it stays after the monotonic
@@ -470,6 +544,23 @@ mod tests {
 
     fn cursor() -> QueryCursor {
         open(&db(), false)
+    }
+
+    /// A statement of Algorithm 1 (no `ORDER BY`: `SUM`), so it shares.
+    const SHARED: &str = "SELECT DISTINCT U.a FROM U";
+
+    /// The first cursor on a new shared frontier of [`SHARED`].
+    fn open_shared(db: &Database) -> QueryCursor {
+        let exec = SqlExecutor::new(db);
+        let cursor = exec.open(SHARED).unwrap();
+        assert!(cursor.frontier().is_some(), "{SHARED} shares");
+        cursor
+    }
+
+    /// A further cursor on `frontier`, a frontier of [`SHARED`].
+    fn attach(db: &Database, frontier: &Arc<SharedFrontier>) -> QueryCursor {
+        let plan = SqlExecutor::new(db).plan(SHARED).unwrap();
+        QueryCursor::attach(&plan, frontier, None).expect("not poisoned")
     }
 
     fn park(table: &SessionTable) -> u64 {
@@ -625,6 +716,42 @@ mod tests {
     }
 
     #[test]
+    fn sharers_are_charged_once_and_evicted_together() {
+        let db = db();
+        let shared = open_shared(&db);
+        let frontier = Arc::clone(shared.frontier().unwrap());
+        let bytes = shared.retained_bytes();
+        let private_bytes = open(&db, false).retained_bytes();
+        // Room for the frontier and one private cursor, not two.
+        let table = SessionTable::new(TTL, bytes + private_bytes + private_bytes / 2);
+        let a = table.insert("d".into(), shared, CancelToken::unbounded());
+        let b = table.insert("d".into(), attach(&db, &frontier), CancelToken::unbounded());
+        assert_eq!(table.parked_bytes(), bytes, "one frontier, counted once");
+        let c = table.insert("d".into(), open(&db, false), CancelToken::unbounded());
+        assert_eq!(table.parked_bytes(), bytes + private_bytes);
+        // A sharer lent to a fetch spares its frontier: the second
+        // private session is the one evicted, though it is lighter.
+        let lent = table.take(b).unwrap();
+        let d = table.insert("d".into(), open(&db, false), CancelToken::unbounded());
+        assert_eq!(table.take(c).err(), Some(Gone::Ended(Ended::BudgetEvicted)));
+        table.put_back(lent);
+        // Parked again, the frontier is the heaviest charge: both of its
+        // sessions go, and with them the frontier itself.
+        let weak = Arc::downgrade(&frontier);
+        drop(frontier);
+        let e = table.insert("d".into(), open(&db, false), CancelToken::unbounded());
+        for id in [a, b] {
+            assert_eq!(
+                table.take(id).err(),
+                Some(Gone::Ended(Ended::BudgetEvicted))
+            );
+        }
+        assert!(weak.upgrade().is_none(), "eviction freed the statement");
+        assert!(table.take(d).is_ok() && table.take(e).is_ok());
+        assert_eq!(table.evicted_budget_total(), 3);
+    }
+
+    #[test]
     fn unlimited_budget_never_evicts() {
         let table = SessionTable::new(TTL, 0);
         let ids: Vec<u64> = (0..4).map(|_| park(&table)).collect();
@@ -707,46 +834,83 @@ mod tests {
         );
     }
 
-    /// The reference model: per live id its frontier bytes and, while
-    /// lent, what its fetch does next; the tombstones; the idle and budget
-    /// eviction counts.
+    /// The reference model: per live id its frontier bytes, the shared
+    /// frontier it reads (if any) and, while lent, what its fetch does
+    /// next; the tombstones; the idle and budget eviction counts.
     #[derive(Default)]
     struct Model {
-        slots: BTreeMap<u64, (u64, Option<AfterFetch>)>,
+        slots: BTreeMap<u64, (u64, Option<u64>, Option<AfterFetch>)>,
         ended: Vec<(u64, Ended)>,
         evicted: [u64; 2],
     }
 
     impl Model {
-        fn parked_bytes(&self) -> u64 {
-            self.slots
-                .values()
-                .filter(|s| s.1.is_none())
-                .map(|s| s.0)
-                .sum()
+        /// What a slot is charged to: its frontier, or itself.
+        fn charge(id: u64, frontier: Option<u64>) -> (bool, u64) {
+            frontier.map_or((false, id), |f| (true, f))
         }
 
-        fn park(&mut self, id: u64, bytes: u64, budget: u64) {
-            self.slots.insert(id, (bytes, None));
+        /// Per parked charge: its bytes (its sessions' largest) and its
+        /// oldest session id.
+        fn charges(&self) -> BTreeMap<(bool, u64), (u64, u64)> {
+            let mut charges = BTreeMap::new();
+            for (&id, &(bytes, frontier, _)) in self.slots.iter().filter(|s| s.1 .2.is_none()) {
+                let c = charges.entry(Self::charge(id, frontier)).or_insert((0, id));
+                c.0 = c.0.max(bytes);
+            }
+            charges
+        }
+
+        /// A frontier counts once, however many parked sessions share it.
+        fn parked_bytes(&self) -> u64 {
+            self.charges().values().map(|c| c.0).sum()
+        }
+
+        /// Whether some live session, parked or lent, reads `frontier`.
+        fn live(&self, frontier: u64) -> bool {
+            self.slots.values().any(|s| s.1 == Some(frontier))
+        }
+
+        /// Over budget, a *statement* goes: the heaviest charge's parked
+        /// sessions, all of them — never the just-parked session's, nor a
+        /// frontier a lent session reads.
+        fn park(&mut self, id: u64, bytes: u64, frontier: Option<u64>, budget: u64) {
+            self.slots.insert(id, (bytes, frontier, None));
+            let mut spared = vec![Self::charge(id, frontier)];
+            spared.extend(
+                self.slots
+                    .values()
+                    .filter(|s| s.2.is_some())
+                    .filter_map(|s| s.1.map(|f| (true, f))),
+            );
             while budget > 0 && self.parked_bytes() > budget {
-                let idle = self.slots.iter().filter(|(&v, s)| v != id && s.1.is_none());
-                let Some((&v, _)) = idle.max_by_key(|(&v, s)| (s.0, Reverse(v))) else {
+                let charges = self.charges();
+                let idle = charges.iter().filter(|(c, _)| !spared.contains(c));
+                let Some((&victim, _)) = idle.max_by_key(|(_, c)| (c.0, Reverse(c.1))) else {
                     break;
                 };
-                self.slots.remove(&v);
-                self.ended.push((v, Ended::BudgetEvicted));
-                self.evicted[1] += 1;
+                let ids: Vec<u64> = self
+                    .slots
+                    .iter()
+                    .filter(|(&v, s)| s.2.is_none() && Self::charge(v, s.1) == victim)
+                    .map(|(&v, _)| v)
+                    .collect();
+                for v in ids {
+                    self.slots.remove(&v);
+                    self.ended.push((v, Ended::BudgetEvicted));
+                    self.evicted[1] += 1;
+                }
             }
         }
 
         fn take(&mut self, id: u64) -> Result<(), Gone> {
             let tomb = self.ended.iter().rfind(|e| e.0 == id);
             match self.slots.get_mut(&id) {
-                Some((_, after @ None)) => {
+                Some((_, _, after @ None)) => {
                     *after = Some(AfterFetch::Park);
                     Ok(())
                 }
-                Some((_, Some(AfterFetch::Cancel))) => {
+                Some((_, _, Some(AfterFetch::Cancel))) => {
                     Err(Gone::Ended(Ended::Cancelled(CancelKind::Explicit)))
                 }
                 Some(_) => Err(Gone::Unknown),
@@ -755,7 +919,7 @@ mod tests {
         }
 
         fn end(&mut self, id: u64, kind: Option<CancelKind>) {
-            let raced = self.slots.remove(&id).unwrap().1 == Some(AfterFetch::Cancel);
+            let raced = self.slots.remove(&id).unwrap().2 == Some(AfterFetch::Cancel);
             if let Some(kind) = kind.or(raced.then_some(CancelKind::Explicit)) {
                 self.ended.push((id, Ended::Cancelled(kind)));
             }
@@ -763,7 +927,7 @@ mod tests {
 
         fn put_back(&mut self, id: u64, budget: u64) {
             match self.slots[&id] {
-                (bytes, Some(AfterFetch::Park)) => self.park(id, bytes, budget),
+                (bytes, frontier, Some(AfterFetch::Park)) => self.park(id, bytes, frontier, budget),
                 _ => self.end(id, None),
             }
         }
@@ -771,8 +935,8 @@ mod tests {
         /// CLOSE and CANCEL (`parked_too`), or the disconnect cancel.
         fn stop(&mut self, id: u64, to: AfterFetch, parked_too: bool) -> bool {
             match self.slots.get_mut(&id) {
-                Some((_, Some(after))) => *after = (*after).max(to),
-                Some((_, None)) if parked_too => {
+                Some((_, _, Some(after))) => *after = (*after).max(to),
+                Some((_, _, None)) if parked_too => {
                     self.slots.remove(&id);
                     if to == AfterFetch::Cancel {
                         self.ended
@@ -785,7 +949,7 @@ mod tests {
         }
 
         fn age(&mut self, id: u64) {
-            if self.slots.get(&id).is_some_and(|s| s.1.is_none()) {
+            if self.slots.get(&id).is_some_and(|s| s.2.is_none()) {
                 self.slots.remove(&id);
                 self.evicted[0] += 1;
             }
@@ -805,8 +969,15 @@ mod tests {
         }
     }
 
-    /// Everything observable about the table but `take`, against the model.
-    fn check(table: &SessionTable, model: &Model, lent: &BTreeMap<u64, Session>, at: &str) {
+    /// Everything observable about the table but `take`, against the model:
+    /// and every frontier is alive exactly while a session reads it.
+    fn check(
+        table: &SessionTable,
+        model: &Model,
+        lent: &BTreeMap<u64, Session>,
+        frontiers: &[Weak<SharedFrontier>],
+        at: &str,
+    ) {
         let [idle, budget] = model.evicted;
         assert_eq!(
             table.open_count(),
@@ -828,24 +999,45 @@ mod tests {
             "{at}: idle, budget and all evictions"
         );
         for (id, session) in lent {
-            let cancelled = model.slots[id].1 == Some(AfterFetch::Cancel);
+            let cancelled = model.slots[id].2 == Some(AfterFetch::Cancel);
             assert_eq!(
                 session.token.is_cancelled(),
                 cancelled,
                 "{at}: token of {id}"
             );
         }
+        // After the sweep above: the idle TTL reaps lazily.
+        for weak in frontiers {
+            let live = weak.upgrade().map(|f| f.id());
+            if let Some(id) = live {
+                assert!(model.live(id), "{at}: frontier {id} outlived its sessions");
+            }
+        }
+        for (id, (_, frontier, _)) in &model.slots {
+            let held = frontier.is_none_or(|f| {
+                frontiers
+                    .iter()
+                    .any(|w| w.upgrade().is_some_and(|live| live.id() == f))
+            });
+            assert!(held, "{at}: session {id}'s frontier was freed");
+        }
     }
 
-    /// Seeded sequences of every table operation on sessions of two
-    /// frontier sizes under three budgets (none, one byte, a few sessions'
+    /// Seeded sequences of every table operation on private sessions of
+    /// two frontier sizes and on sessions sharing frontiers, under three
+    /// budgets (none, one byte, a few sessions'
     /// worth), each step checked against [`Model`]; every sequence ends
     /// with all ids closed and the table empty.
     #[test]
     fn the_table_matches_its_reference_model() {
         let db = db();
-        let sizes = [false, true].map(|big| open(&db, big).stats_snapshot().frontier_bytes);
-        assert!(sizes[0] < sizes[1], "two frontier sizes: {sizes:?}");
+        let bytes = |cursor: QueryCursor| cursor.retained_bytes();
+        let sizes = [
+            bytes(open(&db, false)),
+            bytes(open(&db, true)),
+            bytes(open_shared(&db)),
+        ];
+        assert!(sizes[0] < sizes[1], "two private frontier sizes: {sizes:?}");
         let budgets = [0, 1, 2 * sizes[1] + sizes[0]];
         for seed in 0..1000u64 {
             let mut rng = Rng(seed);
@@ -854,6 +1046,7 @@ mod tests {
             let mut model = Model::default();
             let mut lent: BTreeMap<u64, Session> = BTreeMap::new();
             let mut issued: Vec<u64> = Vec::new();
+            let mut frontiers: Vec<Weak<SharedFrontier>> = Vec::new();
             for step in 0..1 + rng.below(40) {
                 let at = format!("seed {seed} step {step}");
                 // Any issued id, or 0, which never is.
@@ -865,12 +1058,25 @@ mod tests {
                 let lent_id = lent.keys().nth(nth_lent).copied();
                 match (rng.below(10), lent_id) {
                     (0 | 1, _) => {
-                        let big = rng.below(2) as usize;
-                        let cursor = open(&db, big == 1);
+                        // A small or big private cursor, a new frontier, or
+                        // a sharer of a known one — live or not.
+                        let kind = rng.below(4) as usize;
+                        let known = rng.below(frontiers.len().max(1) as u64) as usize;
+                        let sharer = frontiers.get(known).filter(|_| kind == 3);
+                        let cursor = match sharer.map(Weak::upgrade) {
+                            Some(Some(frontier)) => attach(&db, &frontier),
+                            _ if kind < 2 => open(&db, kind == 1),
+                            _ => {
+                                let cursor = open_shared(&db);
+                                frontiers.push(Arc::downgrade(cursor.frontier().unwrap()));
+                                cursor
+                            }
+                        };
+                        let frontier = cursor.frontier().map(|f| f.id());
                         let id = table.insert("d".into(), cursor, CancelToken::unbounded());
                         assert_eq!(id, issued.len() as u64 + 1, "{at}: ids count up");
                         issued.push(id);
-                        model.park(id, sizes[big], budget);
+                        model.park(id, sizes[kind.min(2)], frontier, budget);
                         assert_eq!(table.opened_total(), id, "{at}: opened_total");
                     }
                     (2 | 3, _) => match (table.take(id), model.take(id)) {
@@ -907,7 +1113,7 @@ mod tests {
                         model.age(id);
                     }
                 }
-                check(&table, &model, &lent, &at);
+                check(&table, &model, &lent, &frontiers, &at);
             }
             let at = format!("seed {seed} wind-down");
             while let Some((id, session)) = lent.pop_first() {
@@ -918,7 +1124,7 @@ mod tests {
                 let closed = model.stop(id, AfterFetch::Close, true);
                 assert_eq!(table.close(id), closed, "{at}: close({id})");
             }
-            check(&table, &model, &lent, &at);
+            check(&table, &model, &lent, &frontiers, &at);
             assert_eq!(table.open_count(), 0, "{at}: table empty");
         }
     }

@@ -144,9 +144,10 @@ impl BinarySink {
 
 impl Sink for BinarySink {
     fn kind(&mut self, kinds: &Kinds, name: &str) {
+        // Every variant is in its family's table; a name that were not
+        // would go out as tag 0, which every reader rejects as unknown.
         let position = kinds.names.iter().position(|&n| n == name);
-        let position = position.expect("every variant is in its family's table");
-        self.0.push(position as u8 + 1);
+        self.0.push(position.map_or(0, |p| p as u8 + 1));
     }
 
     fn u64(&mut self, _key: &str, value: u64) {
@@ -232,16 +233,23 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` little-endian words, bounds-checked once.
-    fn words(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a, String> {
-        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+    fn words(
+        &mut self,
+        n: usize,
+    ) -> Result<impl Iterator<Item = Result<u64, String>> + 'a, String> {
+        let word = |bytes: &[u8]| match <[u8; 8]>::try_from(bytes) {
+            Ok(bytes) => Ok(u64::from_le_bytes(bytes)),
+            Err(_) => Err("truncated payload".to_string()),
+        };
         Ok(self.take(8 * n)?.chunks_exact(8).map(word))
     }
 
     fn word_array<const N: usize>(&mut self) -> Result<[u64; N], String> {
-        let mut words = self.words(N)?;
-        Ok(std::array::from_fn(|_| {
-            words.next().expect("N words taken")
-        }))
+        let mut array = [0; N];
+        for (slot, word) in array.iter_mut().zip(self.words(N)?) {
+            *slot = word?;
+        }
+        Ok(array)
     }
 
     fn finish(self) -> Result<(), String> {
@@ -301,7 +309,12 @@ impl Source for Reader<'_> {
         let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
             let width = self.count(8)?;
-            rows.push(self.words(width)?.collect());
+            // Sized up front: a `Result` collect would not know the length.
+            let mut row = Vec::with_capacity(width);
+            for word in self.words(width)? {
+                row.push(word?);
+            }
+            rows.push(row);
         }
         Ok(rows)
     }

@@ -8,15 +8,27 @@
 //! parked in a session table and resumed from any worker thread; two
 //! successive `fetch(k)` calls return exactly what a single-shot
 //! `LIMIT 2k` execution would, without re-running preprocessing.
+//!
+//! A statement planned onto Algorithm 1 (acyclic, or cyclic over a GHD)
+//! is built once for all the cursors open on it at a time: every open
+//! builds its enumerator behind a [`SharedFrontier`]
+//! ([`QueryCursor::frontier`]), and [`QueryCursor::attach`] opens further
+//! cursors on it, each with its own position in the ranked answer list and
+//! its own `LIMIT` budget, cancel token and timing. A frontier no other
+//! cursor is attached to is private in effect, and its one cursor reports
+//! the whole run's work. A server keeps the frontier for as long as some
+//! cursor holds it. Lexicographic statements (Algorithm 3) and `UNION`s
+//! have no one root chain and keep their enumerators to themselves.
 
 use crate::error::SqlError;
 use crate::planner::{OrderSpec, PlannedQuery, SqlPlan};
 use rankedenum_core::{
-    Algorithm, CancelKind, ExecContext, InstrumentedStream, RankedStream, StatsSnapshot,
-    TimingBreakdown, UnionEnumerator,
+    Algorithm, CancelKind, CancelToken, ExecContext, InstrumentedStream, RankedStream,
+    SharedFrontier, StatsSnapshot, TimingBreakdown, UnionEnumerator,
 };
 use re_ranking::{LexRanking, Ranking, SumRanking, WeightAssignment, WeightedSumRanking};
 use re_storage::{Attr, Database, Tuple};
+use std::sync::Arc;
 
 /// A live, resumable ranked enumeration of a planned SQL statement.
 pub struct QueryCursor {
@@ -40,18 +52,21 @@ impl QueryCursor {
     /// preprocessing runs under `ctx` — a pooled context parallelises the
     /// full reducer and GHD bag materialisation without changing any
     /// output.
+    ///
+    /// A statement of one Algorithm 1 branch gets its enumerator behind a
+    /// [`SharedFrontier`] ([`QueryCursor::frontier`]) that later cursors of
+    /// the statement can [attach](QueryCursor::attach) to.
     pub fn open_ctx(
         db: &Database,
         weights: &WeightAssignment,
         plan: &SqlPlan,
         ctx: &ExecContext,
     ) -> Result<Self, SqlError> {
-        let projection = plan.branch_queries()[0].projection();
-        let columns: Vec<String> = projection.iter().map(|a| a.as_str().to_string()).collect();
         // Time the whole open and capture the preprocessing spans that
         // close on this thread, so the cursor can report an exact phase
         // breakdown (and the server a slow-query log line).
         let opened_at = std::time::Instant::now();
+        let projection = plan.branch_queries()[0].projection();
         let (stream, phases) = re_obs::capture_phases(|| match &plan.order {
             None => open_stream(plan, db, SumRanking::new(weights.clone()), ctx),
             Some(OrderSpec::Sum(attrs)) => {
@@ -73,16 +88,65 @@ impl QueryCursor {
         // Thread the context's cancel token (when present) into the
         // stream wrapper, so a deadline or explicit cancel also stops the
         // enumeration phase — preprocessing already checks it per morsel.
-        let mut stream = InstrumentedStream::new(stream?, opened_at, phases);
-        if let Some(token) = ctx.cancel_token() {
-            stream = stream.with_cancel_token(token.clone());
+        let stream = InstrumentedStream::new(stream?, opened_at, phases);
+        Ok(Self::wrap(plan, stream, ctx.cancel_token().cloned()))
+    }
+
+    /// Open a further cursor of `plan` on `frontier`, the shared enumerator
+    /// an earlier [`QueryCursor::open_ctx`] of the same statement
+    /// built: no preprocessing, only a lock to read how far the ranked
+    /// answer list already reaches. The cursor starts at the first answer.
+    /// Its open is one `preprocess.attach` phase, whose trace span carries
+    /// that length as `chain_len`. `None` when the frontier is poisoned.
+    pub fn attach(
+        plan: &SqlPlan,
+        frontier: &Arc<SharedFrontier>,
+        cancel: Option<CancelToken>,
+    ) -> Option<Self> {
+        let opened_at = std::time::Instant::now();
+        let (attached, phases) = re_obs::capture_phases(|| {
+            let _span = re_obs::Span::enter("preprocess.attach");
+            let mut trace_span = re_obs::trace::child_span("preprocess.attach");
+            let (cursor, chain_len) = frontier.attach()?;
+            if let Some(s) = trace_span.as_mut() {
+                s.set_attr("chain_len", re_obs::AttrValue::U64(chain_len));
+            }
+            Some(cursor)
+        });
+        let stream = InstrumentedStream::new(Box::new(attached?), opened_at, phases);
+        Some(Self::wrap(plan, stream, cancel))
+    }
+
+    fn wrap(plan: &SqlPlan, mut stream: InstrumentedStream, cancel: Option<CancelToken>) -> Self {
+        if let Some(token) = cancel {
+            stream = stream.with_cancel_token(token);
         }
-        Ok(QueryCursor {
-            columns,
+        let projection = plan.branch_queries()[0].projection();
+        QueryCursor {
+            columns: projection.iter().map(|a| a.as_str().to_string()).collect(),
             stream,
             remaining: plan.limit,
             exhausted: false,
-        })
+        }
+    }
+
+    /// The shared enumerator this cursor reads — every Algorithm 1
+    /// cursor's, built or attached; `None` for a lexicographic or `UNION`
+    /// cursor, which owns its enumerator.
+    pub fn frontier(&self) -> Option<&Arc<SharedFrontier>> {
+        self.stream.shared_frontier()
+    }
+
+    /// The heap this cursor's enumerator holds: a shared frontier's whole
+    /// ([`SharedFrontier::frontier_bytes`]), however many cursors read it.
+    /// [`QueryCursor::stats_snapshot`]'s `frontier_bytes` is instead this
+    /// cursor's part of it — the growth it caused — so that the snapshots
+    /// of a frontier's cursors sum to its bytes once.
+    pub fn retained_bytes(&self) -> u64 {
+        match self.frontier() {
+            Some(frontier) => frontier.frontier_bytes(),
+            None => self.stats_snapshot().frontier_bytes,
+        }
     }
 
     /// Output column names (canonical projection attribute names).
@@ -155,14 +219,11 @@ impl QueryCursor {
             None => k,
         };
         let mut page = Vec::with_capacity(take.min(1024));
-        for _ in 0..take {
-            match self.stream.next() {
-                Some(row) => page.push(row),
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-            }
+        // The whole page in one call: a shared enumerator is locked once
+        // per page, not once per answer.
+        self.stream.fill_page(take, &mut page);
+        if page.len() < take {
+            self.exhausted = true;
         }
         if let Some(rem) = &mut self.remaining {
             *rem -= page.len();
@@ -199,7 +260,9 @@ fn open_stream<R: Ranking + Clone + 'static>(
     ctx: &ExecContext,
 ) -> Result<Box<dyn RankedStream>, SqlError> {
     Ok(match &plan.query {
-        PlannedQuery::Single(q) => plan.branches[0].open(q, db, ranking, ctx)?,
+        PlannedQuery::Single(q) => plan.branches[0].open_shared(q, db, ranking, ctx)?,
+        // Never shared: the merge interleaves several branch streams and
+        // has no one root chain.
         PlannedQuery::Union(u) => Box::new(UnionEnumerator::with_plans_ctx(
             u,
             &plan.branches,
@@ -321,6 +384,35 @@ mod tests {
         // One answer in 64 is timed, answer 0 always.
         assert_eq!(after.delay.count(), 1);
         assert!(after.first_answer_nanos.unwrap() >= after.open_nanos);
+    }
+
+    #[test]
+    fn attached_cursors_replay_the_shared_chain_with_their_own_limit() {
+        let db = db();
+        let exec = SqlExecutor::new(&db);
+        let plan = exec.plan(&format!("{SQL} LIMIT 5")).unwrap();
+        let mut first = exec.open_plan(&plan).unwrap();
+        let frontier = Arc::clone(first.frontier().expect("an acyclic SUM shares"));
+        let p1 = first.fetch(3);
+        let mut second = QueryCursor::attach(&plan, &frontier, None).unwrap();
+        // The open was one attach, no build phase.
+        let timing = second.timing().unwrap();
+        let phases: Vec<&str> = timing.phases.iter().map(|p| p.0.as_str()).collect();
+        assert_eq!(phases, ["preprocess.attach"]);
+        assert_eq!(second.stats_snapshot().cells_created, 0);
+        assert_eq!(second.stats_snapshot().frontier_bytes, 0);
+        assert_eq!(second.retained_bytes(), first.retained_bytes());
+        assert!(second.retained_bytes() > 0);
+        assert_eq!(second.fetch(100), exec.run_plan(&plan).unwrap().rows);
+        assert!(second.is_exhausted(), "LIMIT 5 is the second cursor's too");
+        let mut rest = p1;
+        rest.extend(first.fetch(100));
+        assert_eq!(rest.len(), 5);
+        // A lexicographic statement keeps its enumerator to itself.
+        let lex = exec
+            .plan("SELECT DISTINCT AP.aid FROM AP ORDER BY AP.aid")
+            .unwrap();
+        assert!(exec.open_plan(&lex).unwrap().frontier().is_none());
     }
 
     #[test]

@@ -82,6 +82,8 @@ pub fn explain_analyze(
     let pool_before = ctx.pool_stats();
     let (rows_emitted, mut snapshot, timing, report) = {
         let _guard = re_obs::trace::install(&trace_ctx, 0);
+        // A frontier of its own, which no other cursor can attach to: the
+        // counters below are this run's whole work, build included.
         let mut cursor = open_plan_on(db, weights, plan, ctx)?;
         let rows = cursor.fetch_all();
         (

@@ -10,10 +10,13 @@ mod common;
 
 use common::{assert_valid_ranked_output, reference_answers, reference_union_answers};
 use proptest::prelude::*;
+use rankedenum::core::{AnswerGate, ChainCursor};
 use rankedenum::datagen::log_degree_weights;
 use rankedenum::prelude::*;
 use std::any::type_name;
 use std::collections::HashMap;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A binary relation from generated edges, shifted away from 0 and
 /// de-duplicated.
@@ -255,6 +258,86 @@ fn assert_engines_emit_the_oracle<R: Ranking + Clone + 'static>(
     Ok(())
 }
 
+/// A context with a 4-thread pool, shared by every case.
+fn pooled() -> &'static ExecContext {
+    static POOLED: OnceLock<ExecContext> = OnceLock::new();
+    POOLED.get_or_init(|| ExecContext::pooled(WorkerPool::new(4)))
+}
+
+/// SplitMix64 over `state`: a seeded draw from `0..n`.
+fn draw(state: &mut u64, n: usize) -> usize {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) % n as u64) as usize
+}
+
+/// Sessions of one statement share one enumerator: `cursors` cursors on
+/// one `SharedFrontier` of an acyclic or GHD shape, attached at seeded
+/// moments and paged by seeded sizes in a seeded interleaving, each read
+/// exactly the private enumerator's sequence, which is
+/// `MaterializeSortEngine`'s.
+fn assert_sharers_emit_the_oracle<R: Ranking + Clone + 'static>(
+    shape: &Shape,
+    db: &Database,
+    ranking: R,
+    ctx: &ExecContext,
+    cursors: usize,
+    mut seed: u64,
+) -> Result<(), TestCaseError> {
+    let what = format!(
+        "{}, {cursors} cursors, {} threads, seed {seed}",
+        type_name::<R>(),
+        ctx.threads()
+    );
+    let (query, private, first): (_, Vec<Tuple>, ChainCursor) = match shape {
+        Shape::Cyclic(q) => {
+            let open = || CyclicEnumerator::new_auto_ctx(q, db, ranking.clone(), ctx).unwrap();
+            (q, open().collect(), open().into_shared())
+        }
+        Shape::Star(q) | Shape::Path(q) => {
+            let open = || AcyclicEnumerator::new_ctx(q, db, ranking.clone(), ctx).unwrap();
+            (q, open().collect(), open().into_shared())
+        }
+        Shape::Union(_) => unreachable!("a union merges private branch streams"),
+    };
+    let (oracle, _) = MaterializeSortEngine::new()
+        .top_k(query, db, &ranking, usize::MAX)
+        .unwrap();
+    prop_assert!(
+        private == oracle,
+        "private, {what}: {private:?} != {oracle:?}"
+    );
+    // Each cursor with its gate, its pages so far, and whether a short
+    // page ended it.
+    let gate = || AnswerGate::new(Instant::now());
+    let mut live = vec![(first, gate(), Vec::new(), false)];
+    loop {
+        let open: Vec<usize> = (0..live.len()).filter(|&i| !live[i].3).collect();
+        let may_attach = live.len() < cursors;
+        if open.is_empty() && !may_attach {
+            break;
+        }
+        let pick = draw(&mut seed, open.len() + usize::from(may_attach));
+        let Some(&i) = open.get(pick) else {
+            let (cursor, published) = live[0].0.frontier().attach().unwrap();
+            prop_assert!(published as usize <= oracle.len(), "{what}");
+            live.push((cursor, gate(), Vec::new(), false));
+            continue;
+        };
+        let k = 1 + draw(&mut seed, 6);
+        let (cursor, gate, got, done) = &mut live[i];
+        let before = got.len();
+        cursor.next_page(k, got, gate);
+        *done = got.len() - before < k;
+    }
+    for (i, (_, _, got, _)) in live.iter().enumerate() {
+        prop_assert!(got == &oracle, "cursor {i}, {what}: {got:?} != {oracle:?}");
+    }
+    Ok(())
+}
+
 /// The ordering contract at the key: over `all`, change the values of the
 /// part `mask` selects from `a`'s to `b`'s. The whole key must compare as
 /// the part's key does — strictly larger, equal or strictly smaller.
@@ -484,6 +567,41 @@ proptest! {
             assert_engines_emit_the_oracle(&shape, &db, MaxRanking::new(w.clone()), i)?;
             if i != NEGATED {
                 assert_engines_emit_the_oracle(&shape, &db, ProductRanking::new(w), i)?;
+            }
+        }
+    }
+
+    /// Sharing is invisible in the answers: on the acyclic and GHD shapes
+    /// of the generated oracle, under every shipped ranking and weight
+    /// scheme, 2 or 4 cursors of one shared frontier, built serially or on
+    /// 4 threads, each emit the oracle sequence.
+    #[test]
+    fn sharers_of_one_frontier_each_emit_the_oracle_sequence(
+        which in 0u8..4,
+        r in edges(7, 30),
+        s in edges(7, 30),
+        t in edges(7, 30),
+        c in 0u32..4,
+        seed in any::<u64>(),
+    ) {
+        let (db, shape) = oracle_shape(which, &r, &s, &t);
+        let projection = shape.projection();
+        let degrees = first_column_degrees(db.relation("M").unwrap());
+        let serial = ExecContext::serial();
+        for (i, w) in tie_heavy_weights(projection, &degrees).into_iter().enumerate() {
+            let seed = seed.wrapping_add(i as u64);
+            let ctx = if seed & 1 == 0 { &serial } else { pooled() };
+            let n = if seed & 2 == 0 { 2 } else { 4 };
+            let weighted =
+                WeightedSumRanking::new([(projection[0].clone(), f64::from(c))], 1.0, w.clone());
+            let lex = LexRanking::new(projection.iter().rev().cloned(), w.clone());
+            assert_sharers_emit_the_oracle(&shape, &db, SumRanking::new(w.clone()), ctx, n, seed)?;
+            assert_sharers_emit_the_oracle(&shape, &db, weighted, ctx, n, seed)?;
+            assert_sharers_emit_the_oracle(&shape, &db, lex, ctx, n, seed)?;
+            assert_sharers_emit_the_oracle(&shape, &db, MinRanking::new(w.clone()), ctx, n, seed)?;
+            assert_sharers_emit_the_oracle(&shape, &db, MaxRanking::new(w.clone()), ctx, n, seed)?;
+            if i != NEGATED {
+                assert_sharers_emit_the_oracle(&shape, &db, ProductRanking::new(w), ctx, n, seed)?;
             }
         }
     }

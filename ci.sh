@@ -21,6 +21,23 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --workspace --release
 run cargo test -q --workspace
+# ROADMAP 16(c): the suites whose outcome depends on how the reactor, the
+# workers and the test's own threads interleave run five more times each
+# (about 7 s a round on two cores). Six runs instead of one: a race that
+# fails one run in ten fails CI about half the time, not one time in ten.
+scheduling_reruns() {
+    local t i out
+    for t in reactor_integration chaos shared_sessions server_integration; do
+        for i in 1 2 3 4 5; do
+            if ! out=$(cargo test -q -p re_server --test "$t" 2>&1); then
+                echo "$out"
+                echo "$t failed on rerun $i"
+                return 1
+            fi
+        done
+    done
+}
+run scheduling_reruns
 # The acceptance benchmark (stackbench/, a package outside the workspace)
 # imports the crates by path: its smoke test makes a signature change it
 # depends on fail here rather than in the acceptance run.
@@ -82,8 +99,8 @@ unwrap_ratchet() {
         n=$(awk '/^#\[cfg\(test\)\]/{exit} /^[ \t]*\/\//{next} /\.unwrap\(\)|\.expect\(/{c++} END{print c+0}' "$f")
         total=$((total + n))
     done
-    echo "unwrap/expect lines outside tests: $total (bound 3)"
-    test "$total" -le 3
+    echo "unwrap/expect lines outside tests: $total (bound 1)"
+    test "$total" -le 1
 }
 run unwrap_ratchet
 # Nothing above may rewrite a tracked file.

@@ -53,7 +53,7 @@ fn frontier_pop_push(spread: u64, tie_percent: f64) {
     const PAIRS: usize = 200_000;
     let ranking = SumRanking::value_sum();
     let plan = ranking.plan(&attrs(["x", "y"]));
-    let mut arena = CellArena::new(2, 0);
+    let mut arena = CellArena::new(2, 0, ENTRIES);
     let mut keys: KeyInterner<ExactSum> = KeyInterner::new();
     let mut seed: u64 = 0x2545_F491_4F6C_DD1D;
     let mut draw = |m: u64| {
@@ -63,7 +63,7 @@ fn frontier_pop_push(spread: u64, tie_percent: f64) {
         seed % m
     };
     let new_entry = |arena: &mut CellArena, keys: &mut KeyInterner<ExactSum>, out: [u64; 2]| {
-        let cell = arena.push(0, 0, 0, &out, &[]);
+        let cell = arena.push(0, 0, &out, &[]);
         keys.entry(ranking.key(&plan, &out), out[TIE_PERM[0]], cell)
     };
     let initial: Vec<FrontierEntry> = (0..ENTRIES)

@@ -19,13 +19,14 @@
 //! one it advanced past (equal outputs are adjacent because ties are
 //! broken by the output tuple).
 //!
-//! Representation ([`crate::frontier`]): cell outputs live in one
-//! fixed-stride slab per node ([`CellArena`]) and heap entries are 24-byte
-//! [`FrontierEntry`]s ordered by `(key, tie-permuted output, cell id)`. A
-//! rank key whose prefix is exact — every `SUM` over integer-valued
-//! weights, hence every `ORDER BY x + y` the SQL layer sends — lives in
-//! its entry's prefix and nowhere else; any other key is interned once per
-//! distinct value ([`KeyInterner`]). Which of the two it is, the key says
+//! Representation ([`crate::frontier`]): a node's cells live in its
+//! [`CellArena`] — the build's in one block reserved for one cell per
+//! reduced row, later ones in fixed-size segments that never move — and
+//! heap entries are 24-byte [`FrontierEntry`]s ordered by `(key,
+//! tie-permuted output, cell id)`. A rank key whose prefix is exact —
+//! every `SUM` over integer-valued weights, hence every `ORDER BY x + y`
+//! the SQL layer sends — lives in its entry's prefix and nowhere else; any
+//! other key is interned once per distinct value ([`KeyInterner`]). Which of the two it is, the key says
 //! itself ([`re_ranking::RankKey::prefix_is_exact`]) where its entry is
 //! made, so one queue may hold both kinds and nothing selects between
 //! them.
@@ -51,13 +52,17 @@
 //! anchor id and, for each child, the id of the child queue the row joins
 //! with. The per-anchor queues are therefore a plain `Vec<FrontierHeap>`,
 //! and neither the cell build nor the enumeration hot path ever builds,
-//! hashes or clones an anchor tuple. Steady-state `next()`
+//! hashes or clones an anchor tuple. A node keeps each row's anchor id
+//! (`row_anchor`), and of the reduced relation only its own projection
+//! columns, the one thing a successor reads of its row; a cell stores its
+//! row, and its anchor is its row's. Steady-state `next()`
 //! performs **zero `Tuple` allocations beyond the emitted answer** — the
 //! counting allocator of `tests/frontier_alloc_tripwire.rs` enforces the
 //! ban. Nothing on that path counts bytes either: the enumerator sums the
-//! capacities of what it holds — reduced relations, arenas, interners,
-//! queues — into [`EnumStats::frontier_bytes`] once per answer, and the
-//! same allocator checks the sum against the heap it sees.
+//! capacities of what it holds — projected columns, row anchors, arenas,
+//! interners, queues — into [`EnumStats::frontier_bytes`] once per
+//! answer, and the same allocator checks the sum against the heap it
+//! sees.
 //!
 //! Guarantees (Lemmas 1–3): `O(|D|)` preprocessing (after the full-reducer
 //! pass), `O(|D| log |D|)` worst-case delay, answers emitted in
@@ -81,12 +86,21 @@ use re_ranking::Ranking;
 use re_storage::{Attr, Database, Relation, Tuple, Value};
 use std::cmp::Ordering;
 
-/// Per-node state: the reduced relation, positional plans, and the node's
-/// slice of the frontier kernel (arena + interner + anchor queues).
+/// Per-node state: what the enumerator reads of the node's reduced rows,
+/// positional plans, and the node's slice of the frontier kernel (arena +
+/// interner + anchor queues).
 struct NodeState<R: Ranking> {
-    relation: Relation,
-    /// Positions (in `relation`) of the projection attributes owned by this node.
-    own_proj_pos: Vec<usize>,
+    /// The node's own projection attributes of every reduced row,
+    /// row-major: all that `successor` reads of a row. Empty for a node
+    /// that projects nothing of its own.
+    columns: Vec<Value>,
+    /// Values per row in `columns`.
+    own_width: usize,
+    /// The anchor-queue id of every reduced row (the reducer's dense ids:
+    /// `Topdown` never rebuilds or hashes an anchor tuple). A cell's anchor
+    /// is its row's — a successor keeps its parent's row — so the cell
+    /// does not store it.
+    row_anchor: Vec<u32>,
     /// Child node indices, in tree order.
     children: Vec<usize>,
     /// Permutation that reorders this node's subtree-order output by the
@@ -98,7 +112,9 @@ struct NodeState<R: Ranking> {
     tie_perm: Vec<usize>,
     /// Ranking plan over the node's subtree-order output attributes.
     plan: <R as Ranking>::Plan,
-    /// Cell slab (outputs, pointers, metadata — no per-cell allocations).
+    /// The node's cells: the build's in one exact block, later ones in
+    /// fixed-size segments (outputs; metadata and child pointers — no
+    /// per-cell allocations, and no cell ever moves).
     arena: CellArena,
     /// The rank keys an entry's prefix does not hold in full, interned;
     /// those entries carry ids and compare through here.
@@ -118,13 +134,12 @@ impl<R: Ranking> NodeState<R> {
         &mut self,
         key: R::Key,
         row: u32,
-        anchor: u32,
         advance_from: u32,
         output: &[Value],
         ptrs: &[CellId],
     ) -> FrontierEntry {
         let tie0 = self.tie_perm.first().map_or(0, |&p| output[p]);
-        let cell = self.arena.push(row, anchor, advance_from, output, ptrs);
+        let cell = self.arena.push(row, advance_from, output, ptrs);
         self.keys.entry(key, tie0, cell)
     }
 
@@ -156,13 +171,32 @@ impl<R: Ranking> NodeState<R> {
         self.queue_bytes += grown;
     }
 
-    /// Heap bytes of the node's relation, arena, interner and queues.
+    /// The node's own projection values of `row`.
+    fn own_values(&self, row: u32) -> &[Value] {
+        let start = row as usize * self.own_width;
+        &self.columns[start..start + self.own_width]
+    }
+
+    /// The anchor-queue id of `cell`: its row's.
+    fn anchor(&self, cell: CellId) -> u32 {
+        self.row_anchor[self.arena.row(cell) as usize]
+    }
+
+    /// Heap bytes of the node's per-row columns and anchors.
+    fn column_bytes(&self) -> usize {
+        self.columns.capacity() * std::mem::size_of::<Value>()
+            + self.row_anchor.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Heap bytes of the node's queues and their table.
+    fn queue_bytes(&self) -> usize {
+        self.queues.capacity() * std::mem::size_of::<FrontierHeap>() + self.queue_bytes
+    }
+
+    /// Heap bytes of the node's columns, row anchors, arena, interner and
+    /// queues.
     fn heap_bytes(&self) -> usize {
-        self.relation.heap_bytes()
-            + self.arena.heap_bytes()
-            + self.keys.heap_bytes()
-            + self.queues.capacity() * std::mem::size_of::<FrontierHeap>()
-            + self.queue_bytes
+        self.column_bytes() + self.arena.heap_bytes() + self.keys.heap_bytes() + self.queue_bytes()
     }
 }
 
@@ -284,32 +318,37 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                 .expect("projection attribute missing from join tree output")
         };
 
-        // Static per-node info.
+        // Static per-node info. A node keeps its reduced relation only
+        // until its cells are built, and then only its own projection
+        // columns of it.
         let mut nodes: Vec<NodeState<R>> = Vec::with_capacity(tree.len());
-        for (idx, rel) in reduced.into_iter().enumerate() {
+        let mut own_pos: Vec<Vec<usize>> = Vec::with_capacity(tree.len());
+        for (idx, rel) in reduced.iter().enumerate() {
             let node = tree.node(idx);
-            let own_proj_pos = rel.positions(&node.own_proj)?;
+            own_pos.push(rel.positions(&node.own_proj)?);
             let mut tie_perm: Vec<usize> = (0..node.subtree_proj.len()).collect();
             tie_perm.sort_by_key(|&i| global_pos(&node.subtree_proj[i]));
             nodes.push(NodeState {
-                own_proj_pos,
+                columns: Vec::new(),
+                own_width: node.own_proj.len(),
+                row_anchor: Vec::new(),
                 children: node.children.clone(),
-                arena: CellArena::new(node.subtree_proj.len(), node.children.len()),
+                arena: CellArena::new(node.subtree_proj.len(), node.children.len(), 0),
                 tie_perm,
                 plan: ranking.plan(&node.subtree_proj),
-                relation: rel,
                 keys: KeyInterner::new(),
                 queues: Vec::new(),
                 queue_bytes: 0,
             });
         }
+        let mut reduced: Vec<Option<Relation>> = reduced.into_iter().map(Some).collect();
 
         // Preprocessing (Algorithm 1): bottom-up cell construction, one
         // bulk build per node. The reducer's edge encoding says which queue
         // every row belongs to (`child_ids`, dense per distinct anchor value
-        // in first-occurrence order) and which child queue it joins with
-        // (`parent_ids`); it is build-time only — cells remember their
-        // anchor id — so each vector is freed as soon as it has been read.
+        // in first-occurrence order), which the node keeps as its row
+        // anchors, and which child queue it joins with (`parent_ids`),
+        // which is build-time only and freed as soon as it has been read.
         if !empty_result {
             let _span = re_obs::Span::enter("preprocess.cells");
             let mut trace_span = re_obs::trace::child_span("preprocess.cells");
@@ -317,28 +356,38 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             let mut ptr_buf: Vec<CellId> = Vec::new();
             for &u in &tree.post_order() {
                 // Pass 1: every queue's size, so each queue is allocated
-                // once, filled, and heapified.
-                let queue_of = std::mem::take(&mut edges[u].child_ids);
+                // once, filled, and heapified; the arena's build block and
+                // the columns are reserved for one cell and one row of
+                // values per row.
+                let mut row_anchor = std::mem::take(&mut edges[u].child_ids);
+                row_anchor.shrink_to_fit();
+                let rows = row_anchor.len();
                 let mut queue_len = vec![0usize; edges[u].keys];
-                for &aid in &queue_of {
+                for &aid in &row_anchor {
                     queue_len[aid as usize] += 1;
                 }
-                nodes[u].queues = queue_len
+                let ns = &mut nodes[u];
+                ns.queues = queue_len
                     .iter()
                     .map(|&n| FrontierHeap::with_capacity(n))
                     .collect();
-                nodes[u].queue_bytes = queue_of.len() * std::mem::size_of::<FrontierEntry>();
+                ns.queue_bytes = rows * std::mem::size_of::<FrontierEntry>();
+                ns.arena = CellArena::new(ns.arena.out_stride(), ns.children.len(), rows);
+                ns.columns = Vec::with_capacity(rows * ns.own_width);
+                ns.row_anchor = row_anchor;
 
                 // Pass 2: one cell per row, on top of each child's best.
                 let fill_span = re_obs::trace::child_span("cells.fill");
+                let relation = reduced[u].take().expect("each node is built once");
                 let mut cells = 0u64;
-                'rows: for (row, &anchor) in queue_of.iter().enumerate() {
+                'rows: for row in 0..rows {
                     out_buf.clear();
                     ptr_buf.clear();
+                    let t = relation.tuple(row);
+                    nodes[u].columns.extend(own_pos[u].iter().map(|&p| t[p]));
                     {
                         let ns = &nodes[u];
-                        let t = ns.relation.tuple(row);
-                        out_buf.extend(ns.own_proj_pos.iter().map(|&p| t[p]));
+                        out_buf.extend_from_slice(ns.own_values(row as u32));
                         for &child in &ns.children {
                             let child_ns = &nodes[child];
                             let aid = edges[child].parent_ids[row];
@@ -355,10 +404,11 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
                     }
                     let key = ranking.key(&nodes[u].plan, &out_buf);
                     let ns = &mut nodes[u];
-                    let entry = ns.new_cell(key, row as u32, anchor, 0, &out_buf, &ptr_buf);
-                    ns.queues[anchor as usize].push_unordered(entry);
+                    let entry = ns.new_cell(key, row as u32, 0, &out_buf, &ptr_buf);
+                    ns.queues[ns.row_anchor[row] as usize].push_unordered(entry);
                     cells += 1;
                 }
+                drop(relation);
                 for &child in &tree.node(u).children {
                     edges[child] = EdgeIds::default();
                 }
@@ -382,10 +432,15 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             }
             if let Some(s) = trace_span.as_mut() {
                 use re_obs::AttrValue;
-                let sum = |f: fn(&NodeState<R>) -> usize| nodes.iter().map(f).sum::<usize>() as u64;
-                s.set_attr("rows", AttrValue::U64(sum(|n| n.relation.len())));
-                s.set_attr("anchors", AttrValue::U64(sum(|n| n.queues.len())));
-                s.set_attr("keys", AttrValue::U64(sum(|n| n.keys.len())));
+                let sum = |f: fn(&NodeState<R>) -> usize| {
+                    AttrValue::U64(nodes.iter().map(f).sum::<usize>() as u64)
+                };
+                s.set_attr("rows", sum(|n| n.row_anchor.len()));
+                s.set_attr("anchors", sum(|n| n.queues.len()));
+                s.set_attr("keys", sum(|n| n.keys.len()));
+                s.set_attr("arena_bytes", sum(|n| n.arena.heap_bytes()));
+                s.set_attr("column_bytes", sum(NodeState::column_bytes));
+                s.set_attr("queue_bytes", sum(NodeState::queue_bytes));
             }
         }
 
@@ -466,7 +521,6 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         cell: CellId,
         ci: usize,
         next_child: CellId,
-        anchor: u32,
     ) -> FrontierEntry {
         let mut out = std::mem::take(&mut self.out_buf);
         let mut ptrs = std::mem::take(&mut self.ptr_buf);
@@ -475,8 +529,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         let row = self.nodes[node].arena.row(cell);
         {
             let ns = &self.nodes[node];
-            let t = ns.relation.tuple(row as usize);
-            out.extend(ns.own_proj_pos.iter().map(|&p| t[p]));
+            out.extend_from_slice(ns.own_values(row));
             ptrs.extend_from_slice(ns.arena.ptrs(cell));
             ptrs[ci] = next_child;
             for (cj, &child) in ns.children.iter().enumerate() {
@@ -484,7 +537,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             }
         }
         let key = self.ranking.key(&self.nodes[node].plan, &out);
-        let entry = self.nodes[node].new_cell(key, row, anchor, ci as u32, &out, &ptrs);
+        let entry = self.nodes[node].new_cell(key, row, ci as u32, &out, &ptrs);
         self.stats.record_cell();
         self.out_buf = out;
         self.ptr_buf = ptrs;
@@ -507,7 +560,7 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             let Some(next_child) = self.topdown(child_cell, child) else {
                 continue;
             };
-            let entry = self.successor(node, cell, ci, next_child, anchor);
+            let entry = self.successor(node, cell, ci, next_child);
             if replaced {
                 self.nodes[node].push(anchor, entry);
             } else {
@@ -537,9 +590,9 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
             NEXT_NOT_COMPUTED => {}
             chained => return Some(chained),
         }
-        // The cell remembers its dense anchor id — no anchor tuple is ever
+        // The cell's row has a dense anchor id — no anchor tuple is ever
         // rebuilt or hashed here (the old engine allocated one per call).
-        let anchor = self.nodes[node].arena.anchor(cell);
+        let anchor = self.nodes[node].anchor(cell);
         let mut first_iteration = true;
         loop {
             let Some(top) = self.nodes[node].queues[anchor as usize].peek() else {
@@ -843,11 +896,7 @@ mod tests {
         let anchors = e
             .nodes
             .iter()
-            .map(|n| {
-                (0..n.arena.len() as u32)
-                    .map(|c| n.arena.anchor(c))
-                    .collect()
-            })
+            .map(|n| (0..n.arena.len() as u32).map(|c| n.anchor(c)).collect())
             .collect();
         let queues = e.nodes.iter().map(|n| n.queues.len()).collect();
         let keys = e.nodes.iter().map(|n| n.keys.len()).collect();
@@ -859,23 +908,25 @@ mod tests {
         // Anchor ids, queue counts and the cell / push / pop counters are
         // those of the one-push-at-a-time build this bulk build replaced
         // (commit b320aa1), default root and root R3. The bytes are the
-        // capacities the enumerator holds — reduced relations, arena
-        // slabs, queues and the operation log — summed at the build and
-        // after the last answer; they never fall, so the peak is the last
-        // of them.
+        // capacities the enumerator holds — projected columns, row
+        // anchors, arena blocks and segments, queues and the operation
+        // log — summed at the build and after the last answer; they never
+        // fall, so the peak is the last of them. The first growth segment
+        // of a node is 16 cells and its segment table four slots, which
+        // on an instance this small outweighs the bytes the build saves.
         type Case = (Option<usize>, [&'static [u32]; 4], [usize; 4], [u64; 2]);
         let cases: [Case; 2] = [
             (
                 None,
                 [&[0, 0, 0, 0], &[0, 1], &[0], &[0, 0]],
                 [1, 2, 1, 1],
-                [2_712, 2_920],
+                [2_228, 4_148],
             ),
             (
                 Some(2),
                 [&[0, 0, 1, 1], &[0, 0], &[0], &[0, 0]],
                 [2, 1, 1, 1],
-                [2_664, 3_008],
+                [2_192, 3_672],
             ),
         ];
         let (db, q) = (paper_db(), paper_query());
@@ -1008,6 +1059,45 @@ mod tests {
             );
             // The peak of a count that never falls is its last value.
             assert_eq!(e.stats().frontier_peak_bytes, e.stats().frontier_bytes);
+        }
+    }
+
+    #[test]
+    fn the_cells_span_says_where_the_frontier_bytes_are() {
+        use re_obs::{trace, AttrValue, TraceCtx};
+        let (db, q) = (paper_db(), paper_query());
+        for ranking in [SumRanking::value_sum(), tenths(["A", "E"])] {
+            let tctx = TraceCtx::new("open");
+            let e = {
+                let _installed = trace::install(&tctx, 0);
+                AcyclicEnumerator::new(&q, &db, ranking).unwrap()
+            };
+            let traced = tctx.finish();
+            let cells = traced.spans_named("preprocess.cells").next().unwrap();
+            let attr = |name: &str| match cells.attrs.iter().find(|(k, _)| k == name) {
+                Some((_, AttrValue::U64(v))) => *v as usize,
+                other => panic!("{name}: {other:?}"),
+            };
+            let sum = |f: fn(&NodeState<SumRanking>) -> usize| e.nodes.iter().map(f).sum::<usize>();
+            assert_eq!(attr("arena_bytes"), sum(|n| n.arena.heap_bytes()));
+            assert_eq!(attr("column_bytes"), sum(NodeState::column_bytes));
+            assert_eq!(attr("queue_bytes"), sum(NodeState::queue_bytes));
+            // The three, the interned keys, the node table and the
+            // operation log are all the enumerator holds.
+            let rest = sum(|n| n.keys.heap_bytes())
+                + e.nodes.capacity() * std::mem::size_of::<NodeState<SumRanking>>()
+                + e.stats.heap_bytes();
+            let parts = attr("arena_bytes") + attr("column_bytes") + attr("queue_bytes");
+            assert_eq!((parts + rest) as u64, e.stats().frontier_bytes);
+            // Example 4 projects A at R1 and E at R4 only: two of the four
+            // nodes keep a column, one value per row.
+            let columns: Vec<usize> = e.nodes.iter().map(|n| n.columns.len()).collect();
+            let rows: Vec<usize> = e.nodes.iter().map(|n| n.row_anchor.len()).collect();
+            let own: Vec<usize> = e.nodes.iter().map(|n| n.own_width).collect();
+            for ((c, r), w) in columns.iter().zip(&rows).zip(&own) {
+                assert_eq!(*c, r * w);
+            }
+            assert_eq!(own.iter().filter(|&&w| w > 0).count(), 2);
         }
     }
 

@@ -9,14 +9,19 @@
 //! traffic grew with answer arity. This module is the fixed-size-handle
 //! representation the analysis assumes:
 //!
-//! * [`CellArena`] — one slab per join-tree node. A node's output arity
-//!   and child count are constants, so a cell's output lives at
-//!   `cell_id × out_stride` in one flat `Vec<Value>` and its child
-//!   pointers at `cell_id × ptr_stride` in one flat `Vec<CellId>`; the
-//!   per-cell metadata (`row`, `anchor`, `advance_from`, `next`) is four
-//!   `u32`s. No per-cell allocations, ever. A cell does not remember its
-//!   rank key: the key id lives in the cell's heap entry while the cell is
-//!   queued and nothing needs it after the pop.
+//! * [`CellArena`] — one node's cells, in segments that never move. A
+//!   node's output arity and child count are constants, so a cell is a
+//!   fixed-stride run of `Value`s (its output) and a fixed-stride run of
+//!   `u32` words: three of metadata (`row`, `advance_from`, `next`) and
+//!   one child pointer per child. The cells the build makes, one per
+//!   reduced row, fill one block reserved for exactly that many; the cells
+//!   made while enumerating fill segments of [`SEGMENT_CELLS`], after a
+//!   short doubling ramp, each allocated once at its final size. No slab
+//!   is ever reallocated or copied, so a cell's output keeps its address,
+//!   and a node's slack is less than one segment. A cell does not
+//!   remember its anchor — that is its row's, which the enumerator keeps
+//!   per row — nor its rank key: the key id lives in the cell's heap entry
+//!   while the cell is queued and nothing needs it after the pop.
 //! * [`KeyInterner`] — each distinct rank key the entry cannot hold is
 //!   stored once; entries carry a `u32` key id and compare by table lookup
 //!   ([`KeyInterner::cmp`]), never by cloning key expansions. A key whose
@@ -90,8 +95,10 @@
 //! two entries, and calls the comparator only for step 3.
 //!
 //! Each structure here reports the heap it holds, `heap_bytes()`, from
-//! the capacities of its vectors: what the allocator handed out, doubling
-//! slack included. Nothing counts bytes as cells and entries come and go;
+//! what it had the allocator hand out: the capacities of its vectors,
+//! doubling slack included, and for an arena the cells its block and
+//! segments were allocated for. Nothing counts bytes as cells and entries
+//! come and go;
 //! an enumerator sums its structures when it refreshes
 //! [`EnumStats::frontier_bytes`](crate::EnumStats::frontier_bytes), the
 //! figure the server's session budget evicts by.
@@ -114,56 +121,83 @@ pub const NEXT_NOT_COMPUTED: u32 = u32::MAX;
 /// Packed `next`-pointer sentinel: the ranked output is exhausted.
 pub const NEXT_EXHAUSTED: u32 = u32::MAX - 1;
 
-/// Per-cell metadata: four `u32`s, stored in one flat vector.
-#[derive(Clone, Copy, Debug)]
-struct CellMeta {
-    /// Row index of the node tuple inside the node's reduced relation.
-    row: u32,
-    /// Anchor-queue id the cell belongs to (see the enumerator: anchor
-    /// values get dense ids during preprocessing, so successor pushes and
-    /// `Topdown` never rebuild or hash an anchor tuple).
-    anchor: u32,
-    /// First child pointer successors of this cell may advance (the
-    /// duplicate-path breaker of Algorithm 2).
-    advance_from: u32,
-    /// Packed `next` chain pointer ([`NEXT_NOT_COMPUTED`] /
-    /// [`NEXT_EXHAUSTED`] / a cell id).
-    next: u32,
+/// Cells per segment once the ramp is over: the most slack a node holds
+/// beyond its cells. A power of two, so a cell id splits into segment and
+/// offset with a shift and a mask.
+pub const SEGMENT_CELLS: usize = 4096;
+/// Cells of the first segment made while enumerating; each later one
+/// doubles until it reaches [`SEGMENT_CELLS`]. A frontier that grows by a
+/// handful of cells reserves a handful, not a whole segment.
+const FIRST_SEGMENT_CELLS: usize = 16;
+/// Segments of the ramp, `FIRST_SEGMENT_CELLS` up to `SEGMENT_CELLS / 2`.
+const RAMP_SEGMENTS: usize = (SEGMENT_CELLS / FIRST_SEGMENT_CELLS).ilog2() as usize;
+
+/// A cell's words: its metadata, then one pointer per child.
+const META_WORDS: usize = 3;
+/// Row index of the cell's node tuple among the node's reduced rows.
+const ROW: usize = 0;
+/// First child pointer successors of the cell may advance (the
+/// duplicate-path breaker of Algorithm 2).
+const ADVANCE_FROM: usize = 1;
+/// Packed `next` chain pointer ([`NEXT_NOT_COMPUTED`] / [`NEXT_EXHAUSTED`]
+/// / a cell id).
+const NEXT: usize = 2;
+
+/// A run of consecutive cells, allocated at its final size: it is filled
+/// up to its capacity and never grows, so its cells never move.
+#[derive(Debug)]
+struct Segment {
+    /// Cell `i`'s output occupies `outputs[i * out_stride ..][..out_stride]`.
+    outputs: Vec<Value>,
+    /// Cell `i`'s metadata and child pointers occupy
+    /// `words[i * word_stride ..][..word_stride]`.
+    words: Vec<u32>,
 }
 
-/// Fixed-stride cell storage for one join-tree node.
+/// The cells of one join-tree node.
+///
+/// Cell ids are dense from zero. The first `build_cells` of them live in
+/// one block reserved for exactly that many (the enumerator builds one
+/// cell per reduced row); the rest in `growth` segments of
+/// `FIRST_SEGMENT_CELLS`, twice that, … up to [`SEGMENT_CELLS`], and
+/// [`SEGMENT_CELLS`] from then on. Where a cell lives is a function of its
+/// id alone, and a segment is allocated when its first cell is pushed.
 #[derive(Debug)]
 pub struct CellArena {
     out_stride: usize,
-    ptr_stride: usize,
-    /// Cell `i`'s output occupies `outputs[i * out_stride ..][..out_stride]`.
-    outputs: Vec<Value>,
-    /// Cell `i`'s child pointers occupy `ptrs[i * ptr_stride ..][..ptr_stride]`.
-    ptrs: Vec<CellId>,
-    meta: Vec<CellMeta>,
+    word_stride: usize,
+    build_cells: usize,
+    len: usize,
+    /// Cells the block and the growth segments were allocated for.
+    reserved: usize,
+    block: Segment,
+    growth: Vec<Segment>,
 }
 
 impl CellArena {
     /// An empty arena for a node with the given output arity and child
-    /// count.
-    pub fn new(out_stride: usize, ptr_stride: usize) -> Self {
+    /// count, whose first `build_cells` cells go into one exact block.
+    pub fn new(out_stride: usize, ptr_stride: usize, build_cells: usize) -> Self {
+        let word_stride = META_WORDS + ptr_stride;
         CellArena {
             out_stride,
-            ptr_stride,
-            outputs: Vec::new(),
-            ptrs: Vec::new(),
-            meta: Vec::new(),
+            word_stride,
+            build_cells,
+            len: 0,
+            reserved: build_cells,
+            block: Segment::with_cells(build_cells, out_stride, word_stride),
+            growth: Vec::new(),
         }
     }
 
     /// Number of cells stored.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.len
     }
 
     /// Whether the arena holds no cells.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.len == 0
     }
 
     /// The output arity of every cell.
@@ -171,72 +205,145 @@ impl CellArena {
         self.out_stride
     }
 
+    /// The segment `cell` lives in — `None` for the build block, else the
+    /// index into `growth` — and its offset there.
+    #[inline]
+    fn locate(&self, cell: usize) -> (Option<usize>, usize) {
+        if cell < self.build_cells {
+            return (None, cell);
+        }
+        // Counted from the start of a virtual ramp segment of
+        // `FIRST_SEGMENT_CELLS`, segment `k` of the ramp starts at the
+        // power of two `FIRST_SEGMENT_CELLS << k`.
+        let at = cell - self.build_cells + FIRST_SEGMENT_CELLS;
+        if at < SEGMENT_CELLS {
+            let top = at.ilog2() as usize;
+            (
+                Some(top - FIRST_SEGMENT_CELLS.ilog2() as usize),
+                at - (1 << top),
+            )
+        } else {
+            (
+                Some(RAMP_SEGMENTS + at / SEGMENT_CELLS - 1),
+                at % SEGMENT_CELLS,
+            )
+        }
+    }
+
+    /// The segment `cell` lives in and its offset there.
+    #[inline]
+    fn slot(&self, cell: CellId) -> (&Segment, usize) {
+        match self.locate(cell as usize) {
+            (None, at) => (&self.block, at),
+            (Some(segment), at) => (&self.growth[segment], at),
+        }
+    }
+
+    /// The cell's words: metadata, then child pointers.
+    #[inline]
+    fn words(&self, cell: CellId) -> &[u32] {
+        let (segment, at) = self.slot(cell);
+        let start = at * self.word_stride;
+        &segment.words[start..start + self.word_stride]
+    }
+
     /// Append a cell; `output` and `ptrs` must have exactly the arena's
     /// strides. Returns the new cell's id.
     pub fn push(
         &mut self,
         row: u32,
-        anchor: u32,
         advance_from: u32,
         output: &[Value],
         ptrs: &[CellId],
     ) -> CellId {
         debug_assert_eq!(output.len(), self.out_stride);
-        debug_assert_eq!(ptrs.len(), self.ptr_stride);
-        let id = self.meta.len() as CellId;
-        self.outputs.extend_from_slice(output);
-        self.ptrs.extend_from_slice(ptrs);
-        self.meta.push(CellMeta {
-            row,
-            anchor,
-            advance_from,
-            next: NEXT_NOT_COMPUTED,
-        });
-        id
+        debug_assert_eq!(ptrs.len() + META_WORDS, self.word_stride);
+        let id = self.len;
+        let segment = match self.locate(id) {
+            (None, _) => &mut self.block,
+            (Some(segment), _) => {
+                if segment == self.growth.len() {
+                    let cells = if segment < RAMP_SEGMENTS {
+                        FIRST_SEGMENT_CELLS << segment
+                    } else {
+                        SEGMENT_CELLS
+                    };
+                    self.reserved += cells;
+                    let fresh = Segment::with_cells(cells, self.out_stride, self.word_stride);
+                    self.growth.push(fresh);
+                }
+                &mut self.growth[segment]
+            }
+        };
+        debug_assert!(
+            segment.words.len() < segment.words.capacity(),
+            "a full segment"
+        );
+        segment.outputs.extend_from_slice(output);
+        segment
+            .words
+            .extend_from_slice(&[row, advance_from, NEXT_NOT_COMPUTED]);
+        segment.words.extend_from_slice(ptrs);
+        self.len += 1;
+        id as CellId
     }
 
     /// The cell's output over the node's subtree projection attributes.
+    #[inline]
     pub fn output(&self, cell: CellId) -> &[Value] {
-        let start = cell as usize * self.out_stride;
-        &self.outputs[start..start + self.out_stride]
+        let (segment, at) = self.slot(cell);
+        let start = at * self.out_stride;
+        &segment.outputs[start..start + self.out_stride]
     }
 
     /// The cell's child pointers, in child order.
     pub fn ptrs(&self, cell: CellId) -> &[CellId] {
-        let start = cell as usize * self.ptr_stride;
-        &self.ptrs[start..start + self.ptr_stride]
+        &self.words(cell)[META_WORDS..]
     }
 
-    /// The cell's relation row.
+    /// The cell's row among the node's reduced rows.
     pub fn row(&self, cell: CellId) -> u32 {
-        self.meta[cell as usize].row
-    }
-
-    /// The cell's anchor-queue id.
-    pub fn anchor(&self, cell: CellId) -> u32 {
-        self.meta[cell as usize].anchor
+        self.words(cell)[ROW]
     }
 
     /// The cell's `advance_from` child index.
     pub fn advance_from(&self, cell: CellId) -> u32 {
-        self.meta[cell as usize].advance_from
+        self.words(cell)[ADVANCE_FROM]
     }
 
     /// The packed `next` pointer.
     pub fn next(&self, cell: CellId) -> u32 {
-        self.meta[cell as usize].next
+        self.words(cell)[NEXT]
     }
 
     /// Overwrite the packed `next` pointer.
     pub fn set_next(&mut self, cell: CellId, next: u32) {
-        self.meta[cell as usize].next = next;
+        let word_stride = self.word_stride;
+        let (segment, at) = match self.locate(cell as usize) {
+            (None, at) => (&mut self.block, at),
+            (Some(segment), at) => (&mut self.growth[segment], at),
+        };
+        segment.words[at * word_stride + NEXT] = next;
     }
 
-    /// Heap bytes of the three slabs (their capacities).
+    /// Heap bytes of the block and the segments (what they were allocated
+    /// for: each is allocated once, at its final size) and of the segment
+    /// table.
     pub fn heap_bytes(&self) -> usize {
-        self.outputs.capacity() * std::mem::size_of::<Value>()
-            + self.ptrs.capacity() * std::mem::size_of::<CellId>()
-            + self.meta.capacity() * std::mem::size_of::<CellMeta>()
+        self.reserved
+            * (self.out_stride * std::mem::size_of::<Value>()
+                + self.word_stride * std::mem::size_of::<u32>())
+            + self.growth.capacity() * std::mem::size_of::<Segment>()
+    }
+}
+
+impl Segment {
+    /// A segment with room for exactly `cells` cells of the given strides.
+    fn with_cells(cells: usize, out_stride: usize, word_stride: usize) -> Self {
+        Segment {
+            outputs: Vec::with_capacity(cells * out_stride),
+            words: Vec::with_capacity(cells * word_stride),
+        }
     }
 }
 
@@ -637,9 +744,9 @@ mod tests {
 
     #[test]
     fn arena_stores_fixed_stride_cells() {
-        let mut arena = CellArena::new(2, 3);
-        let a = arena.push(7, 0, 1, &[10, 20], &[0, 1, 2]);
-        let b = arena.push(8, 2, 0, &[30, 40], &[3, 4, 5]);
+        let mut arena = CellArena::new(2, 3, 1);
+        let a = arena.push(7, 1, &[10, 20], &[0, 1, 2]);
+        let b = arena.push(8, 0, &[30, 40], &[3, 4, 5]);
         assert_eq!(a, 0);
         assert_eq!(b, 1);
         assert_eq!(arena.len(), 2);
@@ -647,24 +754,173 @@ mod tests {
         assert_eq!(arena.output(b), &[30, 40]);
         assert_eq!(arena.ptrs(b), &[3, 4, 5]);
         assert_eq!(arena.row(a), 7);
-        assert_eq!(arena.anchor(b), 2);
+        assert_eq!(arena.row(b), 8);
         assert_eq!(arena.advance_from(a), 1);
         assert_eq!(arena.next(a), NEXT_NOT_COMPUTED);
         arena.set_next(a, 1);
         assert_eq!(arena.next(a), 1);
         arena.set_next(a, NEXT_EXHAUSTED);
         assert_eq!(arena.next(a), NEXT_EXHAUSTED);
-        // A vector's first reservation is four elements; the pointer slab
-        // then needed six, and doubled.
-        assert_eq!(arena.heap_bytes(), 4 * 8 + 8 * 4 + 4 * 16);
+        assert_eq!(arena.next(b), NEXT_NOT_COMPUTED);
+        // A cell is two values and six words, 40 B. The build block holds
+        // the first cell exactly; the second opened the ramp's first
+        // segment of 16 cells, in a segment table of four 48-byte slots
+        // (a vector's first reservation).
+        assert_eq!(std::mem::size_of::<Segment>(), 48);
+        assert_eq!(arena.heap_bytes(), 40 + 16 * 40 + 4 * 48);
     }
 
     #[test]
     fn zero_stride_arena_for_leafless_projectionless_nodes() {
-        let mut arena = CellArena::new(0, 0);
-        let a = arena.push(0, 0, 0, &[], &[]);
+        let mut arena = CellArena::new(0, 0, 0);
+        let a = arena.push(0, 0, &[], &[]);
         assert_eq!(arena.output(a), &[] as &[Value]);
         assert_eq!(arena.ptrs(a), &[] as &[CellId]);
+        assert_eq!(arena.heap_bytes(), 16 * 12 + 4 * 48);
+    }
+
+    /// The bytes the block and the segments were allocated with, read off
+    /// the vectors themselves.
+    fn allocated_bytes(arena: &CellArena) -> usize {
+        std::iter::once(&arena.block)
+            .chain(&arena.growth)
+            .map(|s| s.outputs.capacity() * 8 + s.words.capacity() * 4)
+            .sum::<usize>()
+            + arena.growth.capacity() * std::mem::size_of::<Segment>()
+    }
+
+    /// Cell `i` of the arenas below: its row, `advance_from`, output and
+    /// pointers, all derived from `i`.
+    fn nth_cell(i: u32) -> (u32, u32, [Value; 2], [CellId; 1]) {
+        (i * 3, i % 2, [u64::from(i), u64::from(i) << 32], [i ^ 0x55])
+    }
+
+    #[test]
+    fn cells_read_back_across_the_block_end_and_every_segment_boundary() {
+        const BUILD: u32 = 100;
+        // Past the end of the ramp and three full segments after it.
+        let total = BUILD + (SEGMENT_CELLS * 4) as u32;
+        let mut arena = CellArena::new(2, 1, BUILD as usize);
+        for i in 0..total {
+            let (row, from, out, ptrs) = nth_cell(i);
+            assert_eq!(arena.push(row, from, &out, &ptrs), i);
+        }
+        let mut boundaries = vec![BUILD];
+        let mut start = BUILD as usize;
+        for k in 0..RAMP_SEGMENTS + 3 {
+            start += if k < RAMP_SEGMENTS {
+                FIRST_SEGMENT_CELLS << k
+            } else {
+                SEGMENT_CELLS
+            };
+            boundaries.push(start as u32);
+        }
+        for &edge in &boundaries {
+            for i in [edge - 1, edge, edge + 1]
+                .into_iter()
+                .filter(|&i| i < total)
+            {
+                let (row, from, out, ptrs) = nth_cell(i);
+                assert_eq!(arena.output(i), &out, "cell {i}");
+                assert_eq!(arena.ptrs(i), &ptrs, "cell {i}");
+                assert_eq!(
+                    (arena.row(i), arena.advance_from(i)),
+                    (row, from),
+                    "cell {i}"
+                );
+                assert_eq!(arena.next(i), NEXT_NOT_COMPUTED, "cell {i}");
+                arena.set_next(i, i + 1);
+                assert_eq!(arena.next(i), i + 1, "cell {i}");
+                assert_eq!(arena.output(i), &out, "set_next touches only next");
+            }
+        }
+        // Each segment is full before the next one opens.
+        let (_, full) = arena.growth.split_last().expect("the arena grew");
+        for (k, segment) in full.iter().enumerate() {
+            assert_eq!(segment.words.len(), segment.words.capacity(), "segment {k}");
+        }
+    }
+
+    #[test]
+    fn a_cells_output_keeps_its_address_while_the_arena_grows() {
+        let mut arena = CellArena::new(2, 1, 3);
+        let (row, from, out, ptrs) = nth_cell(0);
+        let built = arena.push(row, from, &out, &ptrs);
+        for i in 1..5 {
+            let (row, from, out, ptrs) = nth_cell(i);
+            arena.push(row, from, &out, &ptrs);
+        }
+        let grown = 4;
+        let pinned = [built, grown].map(|c| arena.output(c).as_ptr());
+        for i in 5..5 + 10 * SEGMENT_CELLS as u32 {
+            let (row, from, out, ptrs) = nth_cell(i);
+            arena.push(row, from, &out, &ptrs);
+        }
+        assert_eq!([built, grown].map(|c| arena.output(c).as_ptr()), pinned);
+        assert_eq!(arena.output(grown), &nth_cell(grown).2);
+    }
+
+    #[test]
+    fn the_build_block_is_exact_and_growth_leaves_less_than_a_segment_of_slack() {
+        const BUILD: usize = 1_000;
+        const CELL_BYTES: usize = 2 * 8 + (3 + 1) * 4;
+        let mut arena = CellArena::new(2, 1, BUILD);
+        for i in 0..BUILD as u32 {
+            let (row, from, out, ptrs) = nth_cell(i);
+            arena.push(row, from, &out, &ptrs);
+        }
+        assert_eq!(arena.heap_bytes(), BUILD * CELL_BYTES, "exact at build");
+        assert_eq!(arena.heap_bytes(), allocated_bytes(&arena));
+        for i in BUILD as u32..(BUILD + 5 * SEGMENT_CELLS + 17) as u32 {
+            let (row, from, out, ptrs) = nth_cell(i);
+            arena.push(row, from, &out, &ptrs);
+            assert_eq!(arena.heap_bytes(), allocated_bytes(&arena), "cell {i}");
+            let table = arena.growth.capacity() * std::mem::size_of::<Segment>();
+            let slack = arena.heap_bytes() - table - arena.len() * CELL_BYTES;
+            assert!(
+                slack < SEGMENT_CELLS * CELL_BYTES,
+                "cell {i}: {slack} B of slack"
+            );
+        }
+    }
+
+    /// Random pushes and `set_next`s over random strides, against a plain
+    /// vector of cells.
+    #[test]
+    fn arena_matches_a_vector_of_cells() {
+        type Cell = (u32, u32, Vec<Value>, Vec<CellId>, u32);
+        let mut draw = lcg(0xA2E4A);
+        for (out_stride, ptr_stride, build) in [(0, 0, 0), (1, 0, 7), (2, 1, 0), (3, 2, 300)] {
+            let mut arena = CellArena::new(out_stride, ptr_stride, build);
+            let mut model: Vec<Cell> = Vec::new();
+            for _ in 0..12_000 {
+                if model.is_empty() || !draw().is_multiple_of(3) {
+                    let out: Vec<Value> = (0..out_stride).map(|_| draw()).collect();
+                    let ptrs: Vec<CellId> = (0..ptr_stride).map(|_| draw() as u32).collect();
+                    let (row, from) = (draw() as u32, draw() as u32 % 4);
+                    let id = arena.push(row, from, &out, &ptrs);
+                    assert_eq!(id as usize, model.len());
+                    model.push((row, from, out, ptrs, NEXT_NOT_COMPUTED));
+                } else {
+                    let cell = draw() as usize % model.len();
+                    let next = draw() as u32;
+                    arena.set_next(cell as CellId, next);
+                    model[cell].4 = next;
+                }
+            }
+            assert_eq!(arena.len(), model.len());
+            for (id, (row, from, out, ptrs, next)) in model.iter().enumerate() {
+                let c = id as CellId;
+                assert_eq!(arena.output(c), &out[..], "cell {id}");
+                assert_eq!(arena.ptrs(c), &ptrs[..], "cell {id}");
+                assert_eq!(
+                    (arena.row(c), arena.advance_from(c), arena.next(c)),
+                    (*row, *from, *next),
+                    "cell {id}"
+                );
+            }
+            assert_eq!(arena.heap_bytes(), allocated_bytes(&arena));
+        }
     }
 
     #[test]
@@ -995,13 +1251,13 @@ mod tests {
 
         let tie_perm = [1usize, 0];
         let mut draw = lcg(0x5EED);
-        let mut arena = CellArena::new(2, 0);
+        let mut arena = CellArena::new(2, 0, 0);
         let mut keys: KeyInterner<ExactSum> = KeyInterner::new();
         let mut cells: Vec<(ExactSum, FrontierEntry)> = Vec::new();
         for _ in 0..2_000 {
             let key = pool[draw() as usize % pool.len()].clone();
             let output = [draw() % 3, draw() % 3];
-            let cell = arena.push(0, 0, 0, &output, &[]);
+            let cell = arena.push(0, 0, &output, &[]);
             let entry = keys.entry(key.clone(), output[tie_perm[0]], cell);
             assert_eq!(entry.key == EXACT_KEY, key.prefix_is_exact());
             cells.push((key, entry));

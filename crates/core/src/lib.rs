@@ -49,6 +49,7 @@ pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport};
 pub use error::EnumError;
 pub use frontier::{
     entry_cmp, CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, EXACT_KEY,
+    SEGMENT_CELLS,
 };
 pub use lexi::LexiEnumerator;
 pub use plan::{top_k, Algorithm, BranchPlan};

@@ -394,15 +394,16 @@ impl TcpClient {
         protocol: WireProtocol,
         policy: &RetryPolicy,
     ) -> Result<Self, ClientError> {
-        let mut last_err = None;
-        for attempt in 0..policy.attempts.max(1) {
+        let last = policy.attempts.max(1) - 1;
+        let mut attempt = 0;
+        loop {
             std::thread::sleep(policy.delay_before(attempt));
             match Self::connect_with(addr.clone(), protocol) {
                 Ok(client) => return Ok(client),
-                Err(e) => last_err = Some(e),
+                Err(e) if attempt == last => return Err(e),
+                Err(_) => attempt += 1,
             }
         }
-        Err(last_err.expect("at least one attempt ran"))
     }
 
     /// Send `requests` back-to-back in **one** write, then read their

@@ -197,10 +197,11 @@ impl<'a> Parser<'a> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(self.err("only unsigned integers are part of the protocol"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<u64>()
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|digits| digits.parse::<u64>().ok())
             .map(Json::UInt)
-            .map_err(|_| self.err("integer out of u64 range"))
+            .ok_or_else(|| self.err("integer out of u64 range"))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {

@@ -79,12 +79,17 @@
 //! socket) and shut down in both directions — a worker may still hold the
 //! stream through its job, so dropping the reactor's handle alone would
 //! close nothing — queued-but-undispatched requests are dropped, later
-//! deliveries are discarded, and any in-flight FETCH's session gets its
-//! cancel token tripped through
+//! deliveries are discarded, and no dispatched FETCH computes a page
+//! nobody will read. The reactor raises the connection's closed flag
+//! (`ConnShared::closed`) first, then trips the cancel token of every
+//! dispatched FETCH's session that is lent through
 //! [`SessionTable::cancel_if_checked_out`] — the enumerator stops at its
-//! next morsel boundary instead of computing a page nobody will read.
-//! Parked sessions are deliberately left alone: clients resume sessions
-//! across reconnects.
+//! next morsel boundary. A FETCH whose worker has not taken its session
+//! yet finds the flag raised once it has, and ends the session as
+//! cancelled the same way: the worker takes before it reads the flag, the
+//! reactor raises it before it cancels, so one of the two sees the other.
+//! Parked sessions without a dispatched FETCH are deliberately left alone:
+//! clients resume sessions across reconnects.
 //!
 //! [`SessionTable::cancel_if_checked_out`]: crate::session::SessionTable::cancel_if_checked_out
 
@@ -140,6 +145,11 @@ struct ConnShared {
     inflight: AtomicBool,
     /// The reactor wants a poke when the running batch ends.
     poke_when_done: AtomicBool,
+    /// Torn down: nobody will read what is delivered from now on, and a
+    /// dispatched FETCH that has not started its page must not start it.
+    /// Raised by the reactor, under `out`, before it cancels the
+    /// connection's lent sessions.
+    closed: AtomicBool,
 }
 
 /// A connection's outbound queue. Every buffer in `outq` is non-empty and
@@ -154,8 +164,6 @@ struct Outbound {
     /// and the reactor has been poked about it: until the reactor has
     /// drained `outq`, it alone flushes.
     reactor_flushes: bool,
-    /// Torn down: nobody will read what is delivered from now on.
-    closed: bool,
 }
 
 /// What [`Outbound::flush`] left behind.
@@ -241,7 +249,8 @@ impl ConnShared {
     /// reactor needs a poke (see the module docs for the three reasons).
     fn deliver(&self, server: &RankedQueryServer, buf: Vec<u8>) -> bool {
         let mut out = self.lock_out();
-        if !buf.is_empty() && !out.closed {
+        let closed = self.closed.load(Ordering::SeqCst);
+        if !buf.is_empty() && !closed {
             out.outq.push_back(buf);
         }
         // Idle goes out after the append — a later batch's responses queue
@@ -250,7 +259,7 @@ impl ConnShared {
         // connection idle.
         self.inflight.store(false, Ordering::SeqCst);
         let mut poke = self.poke_when_done.swap(false, Ordering::SeqCst);
-        if !out.closed && !out.reactor_flushes {
+        if !closed && !out.reactor_flushes {
             match out.flush(&self.stream, server) {
                 Flush::Drained => {}
                 // A dead socket goes the same way as a full one: the
@@ -325,7 +334,9 @@ pub fn serve(
                     let mut buf = Vec::new();
                     for item in job.items {
                         let response = match item {
-                            WorkItem::Request(request) => server.handle_caught(request),
+                            WorkItem::Request(request) => {
+                                server.handle_caught(request, &job.conn.closed)
+                            }
                             WorkItem::Malformed(message) => Response::error(message),
                             WorkItem::Shed => server.shed_pipeline_response(max_pipeline),
                         };
@@ -445,6 +456,7 @@ impl Reactor {
                             out: Mutex::default(),
                             inflight: AtomicBool::new(false),
                             poke_when_done: AtomicBool::new(false),
+                            closed: AtomicBool::new(false),
                         }),
                         protocol: None,
                         inbuf: Vec::new(),
@@ -689,8 +701,8 @@ impl Reactor {
     /// leave the level-triggered poller immediately), shut the socket down
     /// — the fd itself closes with the last `Arc`, which a worker may hold
     /// — drop queued-but-undispatched requests and unread responses, and
-    /// cancel any in-flight FETCH's session so its enumerator stops
-    /// working for a reader that is gone.
+    /// raise the closed flag, then cancel any in-flight FETCH's session, so
+    /// no enumerator works for a reader that is gone (see the module docs).
     fn teardown(&mut self, token: u64) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
@@ -700,7 +712,7 @@ impl Reactor {
         let _ = stream.shutdown(Shutdown::Both);
         {
             let mut out = conn.shared.lock_out();
-            out.closed = true;
+            conn.shared.closed.store(true, Ordering::SeqCst);
             out.outq.clear();
             out.outpos = 0;
         }

@@ -321,12 +321,17 @@ impl RankedQueryServer {
         )
     }
 
-    /// [`Self::handle`] behind a panic boundary: a bug inside dispatch
-    /// becomes an error response, never a dead worker thread (the shared
-    /// tables recover from lock poisoning — see [`SessionTable`]).
-    pub(crate) fn handle_caught(&self, request: Request) -> Response {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(request)))
-            .unwrap_or_else(|_| Response::error("internal error while serving the request"))
+    /// [`Self::handle`] of a request from a connection, behind a panic
+    /// boundary: a bug inside dispatch becomes an error response, never a
+    /// dead worker thread (the shared tables recover from lock poisoning —
+    /// see [`SessionTable`]). `peer_gone` is the connection's closed flag:
+    /// a FETCH that finds it raised once it holds its session ends the
+    /// session as cancelled instead of computing a page nobody will read.
+    pub(crate) fn handle_caught(&self, request: Request, peer_gone: &AtomicBool) -> Response {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.handle_from(request, Some(peer_gone))
+        }))
+        .unwrap_or_else(|_| Response::error("internal error while serving the request"))
     }
 
     /// Disconnect cleanup for a FETCH whose connection died while the
@@ -334,19 +339,26 @@ impl RankedQueryServer {
     /// cursor stops cooperatively, but only if that session's cursor is
     /// *currently checked out* — a parked session survives its client's
     /// disconnect by design (clients resume sessions across reconnects).
+    /// A FETCH that takes its session after this call finds its
+    /// connection's closed flag raised instead (see [`Self::do_fetch`]).
     pub(crate) fn cancel_disconnected_fetch(&self, session: u64) {
         if self.sessions.cancel_if_checked_out(session) {
-            self.bump(|d| d.cancelled = 1);
-            re_obs::log::warn(
-                "re_server",
-                "session cancelled",
-                &[
-                    ("session", FieldValue::U64(session)),
-                    ("reason", FieldValue::Str("peer-disconnect")),
-                    ("trace_id", FieldValue::Str("untraced")),
-                ],
-            );
+            self.note_disconnect_cancel(session);
         }
+    }
+
+    /// Count and log a session cancelled because its client went away.
+    fn note_disconnect_cancel(&self, session: u64) {
+        self.bump(|d| d.cancelled = 1);
+        re_obs::log::warn(
+            "re_server",
+            "session cancelled",
+            &[
+                ("session", FieldValue::U64(session)),
+                ("reason", FieldValue::Str("peer-disconnect")),
+                ("trace_id", FieldValue::Str("untraced")),
+            ],
+        );
     }
 
     /// Admission control for expensive requests. On success the returned
@@ -393,6 +405,12 @@ impl RankedQueryServer {
     /// including error outcomes) are recorded into the
     /// `server.{open,fetch,close}_ns` registry histograms.
     pub fn handle(&self, request: Request) -> Response {
+        self.handle_from(request, None)
+    }
+
+    /// [`Self::handle`], for a request from a connection whose closed flag
+    /// is `peer_gone` (`None`: an in-process caller, which cannot go away).
+    fn handle_from(&self, request: Request, peer_gone: Option<&AtomicBool>) -> Response {
         if let Err(fault) = re_fault::fire("server.dispatch") {
             return Response::error_coded(fault.to_string(), "fault");
         }
@@ -424,7 +442,7 @@ impl RankedQueryServer {
                 sql,
                 deadline_millis,
             } => self.do_open(db, sql, deadline_millis),
-            Request::Fetch { session, k } => self.do_fetch(session, k),
+            Request::Fetch { session, k } => self.do_fetch(session, k, peer_gone),
             Request::Close { session } => Response::Closed {
                 existed: self.sessions.close(session),
             },
@@ -558,7 +576,13 @@ impl RankedQueryServer {
         Response::Cancelled { existed }
     }
 
-    fn do_fetch(&self, id: u64, k: u64) -> Response {
+    /// Serve one page of session `id`. `peer_gone` is the requesting
+    /// connection's closed flag, read once the session is lent: the
+    /// reactor raises it before it cancels the lent sessions of the
+    /// connection's FETCHes, so a FETCH whose session was still parked
+    /// then — the cancel found nothing to trip — sees it here, and one
+    /// that took its session before has its token tripped.
+    fn do_fetch(&self, id: u64, k: u64, peer_gone: Option<&AtomicBool>) -> Response {
         // Cancelled and budget-evicted sessions get documented,
         // distinguishable errors so clients can tell "re-OPEN and retry"
         // from a typo'd id.
@@ -576,6 +600,13 @@ impl RankedQueryServer {
                 return Response::error(format!("unknown, expired or busy session {id}"));
             }
         };
+        if peer_gone.is_some_and(|gone| gone.load(Ordering::SeqCst)) {
+            // Ended as if the disconnect had cancelled it while lent.
+            let kind = CancelKind::Explicit;
+            self.sessions.end(session, Some(kind));
+            self.note_disconnect_cancel(id);
+            return Response::error_coded(format!("session {id}: {kind}"), kind.code());
+        }
         // Catch panics *here*, not only at the `handle_caught` boundary:
         // the session is lent, and bailing without `end` / `put_back`
         // would strand its slot in the table forever.

@@ -401,11 +401,20 @@ fn the_admission_gate_sheds_excess_requests_and_recovers() {
         let mut slow = TcpClient::connect_with(addr, protocol).unwrap();
         let opened = slow.open("dblp", TWO_HOP).unwrap();
 
-        // Park a FETCH inside the admission gate for 400 ms...
+        // Park a FETCH inside the admission gate for 400 ms — it holds its
+        // slot once its sleep has begun...
         re_fault::configure("fetch.next=sleep(400)").unwrap();
         let session = opened.session;
+        let injected = re_fault::injected_total();
         let holder = std::thread::spawn(move || slow.fetch(session, 5).unwrap());
-        std::thread::sleep(Duration::from_millis(100));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while re_fault::injected_total() == injected {
+            assert!(
+                Instant::now() < deadline,
+                "the FETCH never reached its sleep"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         // ...so a second connection's OPEN must be shed with the typed
         // overloaded error and a back-off hint — while cheap requests

@@ -523,6 +523,69 @@ fn a_batch_outliving_its_connection_is_dropped_quietly() {
     }
 }
 
+/// A FETCH that waits in the job queue behind the only worker while its
+/// connection closes: the disconnect finds its session parked, so it is
+/// the worker, once it holds the session, that finds the connection
+/// closed and ends the session as cancelled — counted once, like a FETCH
+/// the disconnect caught mid-page. The busy worker's own FETCH, from a
+/// live connection, is answered and its session stays resumable.
+#[test]
+fn a_fetch_queued_behind_a_busy_worker_is_cancelled_by_its_disconnect() {
+    let _g = faults_locked();
+    for protocol in PROTOCOLS {
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = RankedQueryServer::new(config.clone());
+        server.catalog().register("dblp", coauthor_db());
+        let handle = serve(Arc::clone(&server), "127.0.0.1:0", &config).unwrap();
+        let mut local = LocalClient::new(Arc::clone(&server));
+        let busy = local.open("dblp", TWO_HOP).unwrap().session;
+        let queued = local.open("dblp", TWO_HOP).unwrap().session;
+        let cancelled_before = local.stats().unwrap().enumeration.cancelled;
+
+        re_fault::configure("fetch.next=sleep(300)").unwrap();
+        let injected = re_fault::injected_total();
+        let mut holder = RawConn::connect(&handle, protocol);
+        holder.send(&[Request::Fetch {
+            session: busy,
+            k: 2,
+        }]);
+        wait_until("the only worker sleeps inside the first FETCH", || {
+            re_fault::injected_total() > injected
+        });
+        let mut doomed = RawConn::connect(&handle, protocol);
+        let fetch = Request::Fetch {
+            session: queued,
+            k: 2,
+        };
+        send_and_wait_read(&mut doomed, &server, &[fetch]);
+        let before = transport_stats(&server);
+        drop(doomed);
+        wait_until("the reactor tore the connection down", || {
+            transport_stats(&server).disconnects > before.disconnects
+        });
+        re_fault::clear();
+
+        let [Response::Page { rows, .. }] = &holder.read_responses(1)[..] else {
+            panic!("the live connection's FETCH is answered");
+        };
+        assert_eq!(rows.len(), 2);
+        wait_until("the queued FETCH ended its session", || {
+            local.stats().unwrap().sessions_open == 1
+        });
+        let stats = local.stats().unwrap();
+        assert_eq!(stats.enumeration.cancelled, cancelled_before + 1);
+        match local.fetch(queued, 2).unwrap_err() {
+            re_server::ClientError::Server { code, .. } => assert_eq!(code, "cancelled"),
+            other => panic!("expected a typed server error, got {other}"),
+        }
+        assert_eq!(local.fetch(busy, 2).unwrap().rows.len(), 2);
+        handle.shutdown();
+    }
+}
+
 /// `ServerHandle::shutdown` returns — every thread joined — while all the
 /// workers are parked on the hand-off queue.
 /// A JSON peer that never ends its line is cut off at the frame cap: the

@@ -9,8 +9,9 @@
 //! the emitted tuple.
 //! Successor keys are computed, interned, compared and dropped without a
 //! heap block (an `ExactSum` of up to two components is inline, a
-//! `SumRanking` plan resolves no attribute name), and cells, interned keys
-//! and heap entries go into slabs that grow by doubling.
+//! `SumRanking` plan resolves no attribute name), cells go into arena
+//! segments allocated once at their final size, and interned keys and
+//! heap entries into slabs that grow by doubling.
 //!
 //! The same allocator keeps each thread's live bytes, the oracle for the
 //! byte count the session budget evicts by: every engine's reported
@@ -83,11 +84,15 @@ fn live() -> i64 {
     LIVE.with(Cell::get)
 }
 
-/// Every structure that grows while enumerating does so by doubling: per
-/// join-tree node the arena's three slabs, the interner's key, fingerprint
-/// and slot arrays and the root queue, plus the per-answer operation log.
-/// Over a window as long as the warm-up before it each can double at most
-/// once or twice.
+/// What grows while enumerating: per join-tree node the arena, by whole
+/// segments of `SEGMENT_CELLS` (4 096) cells — two allocations each, the
+/// outputs and the metadata-and-pointer words, never a copy — and its
+/// segment table, the interner's key, fingerprint and slot arrays and the
+/// root queue, which double; plus the per-answer operation log, which
+/// doubles too. Over a window as long as the warm-up before it each
+/// doubling structure can double at most once or twice, and the 2-hop's
+/// 9 539 (value weights) or 10 423 (random weights) new cells per window
+/// open a handful of segments.
 const SLAB_GROWTH_BUDGET: u64 = 2 * (2 * 7 + 1);
 
 fn assert_steady_state_allocates_only_answers(mut e: impl Iterator<Item = Tuple>, what: &str) {

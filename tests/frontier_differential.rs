@@ -71,8 +71,9 @@ fn acyclic_workloads_match_the_reference_engine() {
 /// it replaced: the cell, push and pop counts are the `EnumStats` of commit
 /// b320aa1 on the same inputs, right after the build and after 500
 /// answers. The byte column is the heap the enumerator holds, summed from
-/// its structures' capacities: the reduced relations, arena slabs, key
-/// interners, queues and the operation log (which is why the 6-cycle's
+/// its structures' capacities: the projected columns and row anchors, the
+/// arena blocks and segments, key interners, queues and the operation log
+/// (which is why the 6-cycle's
 /// grows over 300 answers without a new cell). It never falls, so the
 /// peak equals it.
 /// `frontier_alloc_tripwire` checks such sums against the allocator.
@@ -84,18 +85,18 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let cases: [(_, Counters, Counters); 3] = [
         (
             dblp.two_hop(),
-            (1400, 1400, 0, 127_236),
-            (2106, 2106, 1063, 168_196),
+            (1400, 1400, 0, 96_496),
+            (2106, 2106, 1063, 133_232),
         ),
         (
             dblp.three_hop(),
-            (2100, 2100, 0, 187_062),
-            (4155, 4155, 2186, 256_694),
+            (2100, 2100, 0, 136_000),
+            (4155, 4155, 2186, 230_080),
         ),
         (
             dblp.four_hop(),
-            (2800, 2800, 0, 250_216),
-            (7327, 7327, 4767, 479_592),
+            (2800, 2800, 0, 178_832),
+            (7327, 7327, 4767, 371_216),
         ),
     ];
     let counters = |s: &EnumStats| {
@@ -115,10 +116,10 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
     let (spec, plan) = dblp.cycle(3);
     let mut e = CyclicEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking(), &plan).unwrap();
-    let built = (15_262, 15_262, 0, 1_389_675);
+    let built = (15_262, 15_262, 0, 1_109_488);
     assert_eq!(counters(e.stats()), built, "6-cycle at build");
     assert_eq!(e.by_ref().take(300).count(), 300);
-    let after = (15_262, 15_262, 4043, 1_393_771);
+    let after = (15_262, 15_262, 4043, 1_113_584);
     assert_eq!(counters(e.stats()), after, "6-cycle after 300");
 }
 

@@ -57,15 +57,18 @@ run cargo bench --workspace --no-run
 # `micro_core`'s probes only print, so run them: `frontier_pop_push` and
 # `frontier_replace_top` drive the heap with the enumerators' own
 # comparator and assert the tie share they are named for, `frontier_build`
-# reads the build's trace spans. All seven lines must come out (about half
+# reads the build's trace spans, `bag_build` times the 6-cycle's bags
+# narrowed to their interfaces against full width, so the cost of the
+# walk's de-duplication shows. All eight lines must come out (about half
 # a minute).
 micro_core_probes() {
     local out
     out=$(cargo bench -q -p re_bench --bench micro_core) || return 1
-    grep -E '^micro_core/frontier_(pop_push|replace_top|build)/' <<<"$out"
+    grep -E '^micro_core/(frontier_(pop_push|replace_top|build)|bag_build)/' <<<"$out"
     test "$(grep -c '^micro_core/frontier_pop_push/' <<<"$out")" = 2 &&
         test "$(grep -c '^micro_core/frontier_replace_top/' <<<"$out")" = 2 &&
-        test "$(grep -c '^micro_core/frontier_build/' <<<"$out")" = 3
+        test "$(grep -c '^micro_core/frontier_build/' <<<"$out")" = 3 &&
+        test "$(grep -c '^micro_core/bag_build/' <<<"$out")" = 1
 }
 run micro_core_probes
 # No test is ignored: a failing test cannot be silenced in passing.

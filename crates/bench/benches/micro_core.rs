@@ -16,15 +16,21 @@
 //! `frontier_build` splits what an `OPEN` pays before its first answer, per
 //! cell built, into the reducer with its edge encoding, the cell fill and
 //! the heapify — the attribution to start the next `OPEN`-side change from.
+//!
+//! `bag_build` times the generic-join kernel on the 6-cycle's GHD bags, in
+//! nanoseconds per walked row, once narrowed to each bag's interface and
+//! once at full width: the difference is what the walk's de-duplication
+//! costs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use rankedenum_core::ExecContext;
 use rankedenum_core::{
     entry_cmp, AcyclicEnumerator, CellArena, FrontierEntry, FrontierHeap, KeyInterner,
     LexiEnumerator,
 };
 use re_bench::Scale;
-use re_join::full_reduce;
-use re_query::JoinTree;
+use re_join::{bag_interface, bind_atoms_of, full_reduce, wcoj_materialize_reported};
+use re_query::{GhdPlan, JoinTree};
 use re_ranking::{ExactSum, Ranking, SumRanking};
 use re_storage::attr::attrs;
 use re_storage::Database;
@@ -179,6 +185,53 @@ fn frontier_build(spec: &QuerySpec, db: &Database) {
     );
 }
 
+/// Walk every bag of `spec`'s cost-based GHD plan serially, `ROUNDS`
+/// times, once onto its interface and once at full width, and print the
+/// rows the narrowed walk produced and kept, its nanoseconds per walked
+/// row, and both walks' milliseconds per build (best round each). The
+/// atoms are bound once, outside the clock.
+fn bag_build(spec: &QuerySpec, db: &Database) {
+    const ROUNDS: usize = 15;
+    let plan = GhdPlan::cost_based(&spec.query, db).unwrap().plan;
+    let serial = ExecContext::serial();
+    let bags: Vec<_> = plan
+        .bags()
+        .iter()
+        .enumerate()
+        .map(|(i, bag)| {
+            let rels = bind_atoms_of(&spec.query, db, bag.atoms.iter().copied()).unwrap();
+            (bag, bag_interface(&spec.query, plan.bags(), i), rels)
+        })
+        .collect();
+    // Per width (narrowed, full): best seconds, walked rows, kept rows.
+    let mut best = [(f64::MAX, 0, 0); 2];
+    for _ in 0..ROUNDS {
+        for (full, best) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            let (mut walked, mut kept) = (0, 0);
+            for (bag, interface, rels) in &bags {
+                let interface = if full == 1 { &bag.attrs } else { interface };
+                let (rel, report) =
+                    wcoj_materialize_reported(bag, interface, rels, &serial).unwrap();
+                kept += black_box(rel).len() as u64;
+                walked += report.walked_rows;
+            }
+            *best = (best.0.min(start.elapsed().as_secs_f64()), walked, kept);
+        }
+    }
+    let [(narrowed, walked, kept), (full, _, full_rows)] = best;
+    println!(
+        "micro_core/bag_build/{}: {walked} walked rows -> {kept} kept ({full_rows} at full \
+         width), {:.1} ns per walked row; {:.2} ms narrowed vs {:.2} ms at full width ({}, \
+         best of {ROUNDS})",
+        spec.name,
+        narrowed * 1e9 / walked as f64,
+        narrowed * 1e3,
+        full * 1e3,
+        plan.shape()
+    );
+}
+
 fn bench(c: &mut Criterion) {
     frontier_pop_push(82_000, 20.0);
     frontier_pop_push(35_000, 40.0);
@@ -190,6 +243,8 @@ fn bench(c: &mut Criterion) {
     for spec in [&spec2, &dblp.three_hop(), &spec4] {
         frontier_build(spec, dblp.db());
     }
+    let cyc = DblpWorkload::generate(1_200 * factor, 42, WeightScheme::Random);
+    bag_build(&cyc.cycle(3).0, cyc.db());
 
     let mut group = c.benchmark_group("micro_core");
     group

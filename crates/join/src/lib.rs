@@ -14,7 +14,8 @@
 //!   oracles (serial only),
 //! * [`project_distinct`] — `SELECT DISTINCT` projection (serial only),
 //! * [`materialize_bags_reported`] — evaluation of a plan's GHD bags
-//!   (Theorem 3) by the generic-join kernel of [`wcoj`].
+//!   (Theorem 3), each onto its [`bag_interface`], by the generic-join
+//!   kernel of [`wcoj`].
 //!
 //! The semi-join has a morsel-driven parallel entry point,
 //! [`par_semi_join`] in [`parallel`], and the composite operators
@@ -30,7 +31,7 @@ pub mod parallel;
 pub mod reducer;
 pub mod wcoj;
 
-pub use bag::{materialize_bags_reported, BagBuildInfo, BagKernel};
+pub use bag::{bag_interface, materialize_bags_reported, BagBuildInfo, BagKernel};
 pub use bind::{bind_atom, bind_atoms, bind_atoms_of};
 pub use error::JoinError;
 pub use hashjoin::{full_join, hash_join, project_distinct};

@@ -11,41 +11,75 @@
 //! fractional-edge-cover bound on the bag (Ngo–Porat–Ré–Rudra), i.e. by the
 //! worst-case bag *output*, never by an intermediate.
 //!
-//! The global order is the bag's output attributes in declared order
-//! followed by the existential attributes in first appearance order, and
-//! candidates are visited ascending, so rows come out lexicographically
-//! sorted and de-duplicated — the canonical bag representation
-//! [`crate::bag`] hands the cyclic enumerator. Existential suffixes stop at
-//! the first witness (`Walker::exists`).
+//! The global order is the bag's attributes in declared order followed by
+//! the existential attributes in first appearance order, and candidates
+//! are visited ascending, so full-width rows come out lexicographically
+//! sorted and de-duplicated. Existential suffixes stop at the first
+//! witness (`Walker::exists`).
+//!
+//! A bag only needs the attributes that leave it — its *interface*, the
+//! projection and what it shares with other bags ([`crate::bag`] derives
+//! it) — so the kernel emits the interface columns only. It still walks
+//! the full bag order, whose cost the AGM bound charges; bag attributes
+//! after the last interface attribute become existential. Dropping a
+//! column in the middle makes rows that differ only there collide, so the
+//! walk de-duplicates within each *group*, the rows sharing the walk prefix
+//! before the first dropped attribute: it collects the group's kept suffix
+//! columns in one reusable buffer, sorts and de-duplicates them when the
+//! group closes, and emits prefix + suffix. Most collisions never reach
+//! the buffer: inside a group, a value bound at a level whose subtree
+//! depends on nothing else the group varies is walked below only once
+//! (`GenericJoin::repeats`). On the membership cycles' arcs that leaves
+//! the sort no duplicate at all, and the walk visits fewer rows than the
+//! full bag holds. The output is the canonical bag representation —
+//! sorted and distinct over the interface — which [`crate::bag`] hands the
+//! cyclic enumerator. A bag whose interface is its full schema has no
+//! groups and runs the plain walk.
 //!
 //! Parallelism follows the morsel contract of the `re_exec` pool: the first
 //! attribute's candidate values are chunked, each chunk enumerated
 //! independently, and the per-chunk outputs concatenated in chunk order —
-//! byte-identical to the serial walk at any thread count.
+//! byte-identical to the serial walk at any thread count. A group never
+//! straddles two chunks as long as the first attribute is kept; a bag
+//! whose first attribute is dropped is one group and walks serially.
 
 use crate::error::JoinError;
 use re_exec::ExecContext;
 use re_query::{Bag, QueryError};
-use re_storage::{Attr, Relation, TrieIndex, Value};
-use std::collections::BTreeSet;
+use re_storage::{mix_key, Attr, Relation, TrieIndex, Value};
+use std::collections::{BTreeSet, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A compiled generic-join evaluation of one bag: per-atom tries over the
 /// global attribute order plus, for every order level, the `(atom, depth)`
-/// pairs whose attribute binds at that level.
+/// pairs whose attribute binds at that level, and the output layout.
 struct GenericJoin {
     tries: Vec<TrieIndex>,
     /// `levels[l]` lists the atoms participating at order level `l`, each
     /// with the trie depth its copy of the attribute sits at.
     levels: Vec<Vec<(usize, usize)>>,
-    out_arity: usize,
-    /// The global attribute order (output attributes then existentials) —
+    /// Levels the walk enumerates: the bag attributes up to the last
+    /// interface attribute. The levels after it only need a witness.
+    walk_arity: usize,
+    /// The first walked level whose attribute the output drops
+    /// (`walk_arity` when none is): rows sharing the levels before it form
+    /// one group.
+    first_drop: usize,
+    /// The kept levels after `first_drop`: the group's suffix columns.
+    suffix: Vec<usize>,
+    /// `repeats[l]` for the group's levels: whether what the walk emits
+    /// below a binding at `l` is fixed by the group prefix and that
+    /// binding's value alone, so a value seen before in the group is not
+    /// walked again.
+    repeats: Vec<bool>,
+    /// The global attribute order (bag attributes then existentials) —
     /// surfaced through [`WcojReport`] so EXPLAIN can print it.
     order: Vec<Attr>,
 }
 
 impl GenericJoin {
-    fn compile(bag: &Bag, rels: &[Relation]) -> Result<Self, JoinError> {
-        // Global order: output attributes first (declared order), then the
+    fn compile(bag: &Bag, keep: &[bool], rels: &[Relation]) -> Result<Self, JoinError> {
+        // Global order: bag attributes first (declared order), then the
         // existential attributes in first-appearance order across atoms.
         let mut order: Vec<Attr> = bag.attrs.clone();
         let mut seen: BTreeSet<Attr> = order.iter().cloned().collect();
@@ -75,10 +109,34 @@ impl GenericJoin {
                 ))));
             }
         }
+        let walk_arity = keep.iter().rposition(|&k| k).map_or(0, |l| l + 1);
+        let first_drop = keep[..walk_arity]
+            .iter()
+            .position(|&k| !k)
+            .unwrap_or(walk_arity);
+        let suffix = (first_drop..walk_arity).filter(|&l| keep[l]).collect();
+        // Below a binding at `l` the walk reads the ranges of the atoms of
+        // the later levels, and the group's rows carry the kept values.
+        // Both are fixed by the prefix and the value at `l` unless a level
+        // between `first_drop` and `l` is kept or narrows such an atom.
+        let repeats = (0..walk_arity)
+            .map(|l| {
+                let below: BTreeSet<usize> = levels[l + 1..]
+                    .iter()
+                    .flat_map(|parts| parts.iter().map(|&(k, _)| k))
+                    .collect();
+                l >= first_drop
+                    && (first_drop..l)
+                        .all(|j| !keep[j] && levels[j].iter().all(|(k, _)| !below.contains(k)))
+            })
+            .collect();
         Ok(GenericJoin {
             tries,
             levels,
-            out_arity: bag.attrs.len(),
+            walk_arity,
+            first_drop,
+            suffix,
+            repeats,
             order,
         })
     }
@@ -95,18 +153,26 @@ impl GenericJoin {
 }
 
 /// The backtracking state of one enumeration walk: current per-atom trie
-/// ranges, the bound prefix, a restore trail, and the output buffer.
+/// ranges, the bound prefix, a restore trail, the open group's suffix
+/// rows and the output buffer.
 struct Walker<'a> {
     gj: &'a GenericJoin,
     ranges: Vec<(usize, usize)>,
     bound: Vec<Value>,
     trail: Vec<(usize, (usize, usize))>,
+    /// The open group's kept suffix columns, row-major, in walk order.
+    group: Vec<Value>,
+    /// Per level, the values the open group has walked below already
+    /// (levels that [`GenericJoin::repeats`] allows).
+    seen: Vec<HashSet<Value, BuildHasherDefault<ValueHasher>>>,
     out: Vec<Value>,
     /// Trie range narrowings performed — one per participant per attempted
     /// binding, the unit the AGM bound actually charges. Deterministic at
     /// any thread count: the chunked parallel walk performs exactly the
     /// serial walk's bindings, just partitioned by level-0 candidate.
     intersections: u64,
+    /// Rows produced, before the group sort de-duplicates them.
+    walked: u64,
 }
 
 impl<'a> Walker<'a> {
@@ -116,8 +182,11 @@ impl<'a> Walker<'a> {
             ranges: gj.tries.iter().map(|t| t.full_range()).collect(),
             bound: Vec::with_capacity(gj.levels.len()),
             trail: Vec::new(),
+            group: Vec::new(),
+            seen: vec![HashSet::default(); gj.walk_arity],
             out: Vec::new(),
             intersections: 0,
+            walked: 0,
         }
     }
 
@@ -143,27 +212,74 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// Enumerate all bindings of the output levels from `level` on,
-    /// emitting each completed prefix that has an existential witness.
+    /// Enumerate all bindings of the walked levels from `level` on,
+    /// emitting each completed binding that has an existential witness.
     fn enumerate(&mut self, level: usize) {
-        if level == self.gj.out_arity {
+        if level == self.gj.walk_arity {
             if self.exists(level) {
-                self.out.extend_from_slice(&self.bound);
+                self.walked += 1;
+                self.emit();
             }
             return;
         }
         let (seed_k, seed_d) = self.gj.seed(level, &self.ranges);
         let (mut lo, hi) = self.ranges[seed_k];
         let mark = self.trail.len();
+        let repeats = self.gj.repeats[level];
         while let Some((value, end)) = self.gj.tries[seed_k].group_at(lo, hi, seed_d) {
             lo = end;
+            if repeats && self.seen[level].contains(&value) {
+                continue;
+            }
+            // Only a binding that holds is remembered: whether one holds
+            // also depends on this level's own atoms, which the group may
+            // vary.
             if self.bind(level, value) {
+                if repeats {
+                    self.seen[level].insert(value);
+                }
                 self.bound.push(value);
                 self.enumerate(level + 1);
                 self.bound.pop();
             }
             self.unwind(mark);
         }
+        if level == self.gj.first_drop {
+            self.close_group();
+        }
+    }
+
+    /// Emit the completed binding: whole when nothing before the last kept
+    /// level is dropped, else its suffix columns into the open group.
+    fn emit(&mut self) {
+        if self.gj.suffix.is_empty() {
+            self.out.extend_from_slice(&self.bound);
+        } else {
+            for &l in &self.gj.suffix {
+                self.group.push(self.bound[l]);
+            }
+        }
+    }
+
+    /// Sort and de-duplicate the open group's suffix rows and emit each
+    /// after the group's prefix.
+    fn close_group(&mut self) {
+        for seen in &mut self.seen[self.gj.first_drop..] {
+            seen.clear();
+        }
+        if self.group.is_empty() {
+            return;
+        }
+        let width = self.gj.suffix.len();
+        sort_dedup_rows(&mut self.group, width);
+        let prefix = &self.bound[..self.gj.first_drop];
+        self.out
+            .reserve((prefix.len() + width) * (self.group.len() / width));
+        for row in self.group.chunks_exact(width) {
+            self.out.extend_from_slice(prefix);
+            self.out.extend_from_slice(row);
+        }
+        self.group.clear();
     }
 
     /// First-witness check over the existential suffix: true as soon as one
@@ -200,43 +316,130 @@ impl<'a> Walker<'a> {
             self.unwind(mark);
         }
     }
+
+    /// The walk's rows, its intersections and walked bindings. A bag whose
+    /// first attribute is dropped is one group, closed here.
+    fn finish(mut self) -> (Vec<Value>, u64, u64) {
+        self.close_group();
+        (self.out, self.intersections, self.walked)
+    }
+}
+
+/// The hasher of the walk's seen-value sets: [`mix_key`], the one every
+/// preprocessing key table uses.
+#[derive(Default)]
+struct ValueHasher(u64);
+
+impl Hasher for ValueHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix_key(&[self.0 ^ v]);
+    }
+}
+
+/// Sort the row-major `rows` of `width` columns lexicographically and drop
+/// repeated rows, in place. A stable sort: a group arrives as sorted runs,
+/// one per binding of its dropped levels, which it merges.
+fn sort_dedup_rows(rows: &mut Vec<Value>, width: usize) {
+    fn fixed<const W: usize>(rows: &mut Vec<Value>) {
+        let (chunks, rest) = rows.as_chunks_mut::<W>();
+        debug_assert!(rest.is_empty());
+        chunks.sort();
+        let mut kept = 0;
+        for i in 0..chunks.len() {
+            if kept == 0 || chunks[i] != chunks[kept - 1] {
+                chunks[kept] = chunks[i];
+                kept += 1;
+            }
+        }
+        rows.truncate(kept * W);
+    }
+    match width {
+        1 => fixed::<1>(rows),
+        2 => fixed::<2>(rows),
+        3 => fixed::<3>(rows),
+        4 => fixed::<4>(rows),
+        _ => {
+            let mut sorted: Vec<&[Value]> = rows.chunks_exact(width).collect();
+            sorted.sort();
+            sorted.dedup();
+            *rows = sorted.concat();
+        }
+    }
 }
 
 /// Per-operator report of one generic-join bag materialisation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WcojReport {
-    /// The global attribute order the walk bound (output attributes first,
+    /// The global attribute order the walk bound (bag attributes first,
     /// then existentials in first-appearance order).
     pub attr_order: Vec<Attr>,
     /// Total trie range narrowings performed — the intersection work the
     /// AGM bound charges. Identical at any thread count.
     pub intersections: u64,
+    /// Rows the walk produced before the group sort de-duplicated them:
+    /// the bag's rows when the interface is its full schema, at most the
+    /// full bag's rows otherwise (a repeated subtree is walked once per
+    /// group, and dropped trailing attributes only need a witness).
+    pub walked_rows: u64,
 }
 
 /// Materialise one GHD bag by generic join over already-bound (and
-/// typically semi-join-reduced) atom relations. The output is the
-/// canonical bag representation: lexicographically sorted distinct rows
-/// over `bag.attrs`, independent of thread count.
+/// typically semi-join-reduced) atom relations, keeping the `interface`
+/// columns — a non-empty subset of `bag.attrs`, emitted in bag order. The
+/// output is the canonical bag representation: lexicographically sorted
+/// distinct rows over the interface, independent of thread count.
 pub fn wcoj_materialize(
     bag: &Bag,
+    interface: &[Attr],
     rels: &[Relation],
     ctx: &ExecContext,
 ) -> Result<Relation, JoinError> {
-    wcoj_materialize_reported(bag, rels, ctx).map(|(rel, _)| rel)
+    wcoj_materialize_reported(bag, interface, rels, ctx).map(|(rel, _)| rel)
 }
 
 /// [`wcoj_materialize`] returning the per-operator [`WcojReport`]
 /// alongside the bag relation.
 pub fn wcoj_materialize_reported(
     bag: &Bag,
+    interface: &[Attr],
     rels: &[Relation],
     ctx: &ExecContext,
 ) -> Result<(Relation, WcojReport), JoinError> {
-    let mut out = Relation::new(bag.name.clone(), bag.attrs.clone());
-    if bag.attrs.is_empty() || rels.iter().any(|r| r.is_empty()) {
-        return Ok((out, WcojReport::default()));
+    if let Some(a) = interface.iter().find(|a| !bag.attrs.contains(a)) {
+        return Err(JoinError::Query(QueryError::InvalidGhd(format!(
+            "bag '{}' has no attribute '{a}' to keep",
+            bag.name
+        ))));
     }
-    let gj = GenericJoin::compile(bag, rels)?;
+    // A zero-width relation is empty, so it could not say that the bag
+    // holds a row: an empty interface would drop every answer.
+    if interface.is_empty() {
+        return Err(JoinError::Query(QueryError::InvalidGhd(format!(
+            "bag '{}' keeps no attribute",
+            bag.name
+        ))));
+    }
+    let keep: Vec<bool> = bag.attrs.iter().map(|a| interface.contains(a)).collect();
+    let kept: Vec<Attr> = bag
+        .attrs
+        .iter()
+        .filter(|a| interface.contains(a))
+        .cloned()
+        .collect();
+    if rels.iter().any(|r| r.is_empty()) {
+        return Ok((Relation::new(bag.name.clone(), kept), WcojReport::default()));
+    }
+    let gj = GenericJoin::compile(bag, &keep, rels)?;
 
     // Level-0 candidates: the distinct values of the smallest participant.
     let (seed_k, seed_d) = gj.seed(
@@ -251,52 +454,59 @@ pub fn wcoj_materialize_reported(
     }
 
     let total_rows: usize = rels.iter().map(|r| r.len()).sum();
-    let (rows, intersections) =
-        if !ctx.is_parallel() || !ctx.should_parallelise(total_rows) || candidates.len() < 2 {
-            // The serial walk advances one candidate chunk at a time so a
-            // tripped cancel token aborts within one morsel of candidates;
-            // enumerating consecutive chunks is the very same walk as
-            // enumerating the full ascending candidate list.
-            let step = ctx.morsel_rows().max(1);
-            let mut walker = Walker::new(&gj);
-            for chunk in candidates.chunks(step) {
-                ctx.check_cancelled()?;
-                walker.enumerate_root(chunk);
-            }
-            (walker.out, walker.intersections)
-        } else {
-            // One chunk of first-attribute candidates per task, a few tasks per
-            // thread for balance; concatenating per-chunk outputs in chunk
-            // order reproduces the serial (ascending-candidate) walk exactly.
-            let chunk = (candidates.len()).div_ceil(ctx.threads().max(1) * 4).max(1);
-            let chunks: Vec<&[Value]> = candidates.chunks(chunk).collect();
-            let parts = ctx.map(chunks.len(), |i| {
-                // A tripped token turns the remaining chunks into no-ops;
-                // the post-map check below converts the partial output
-                // into the typed cancellation error.
-                if ctx.check_cancelled().is_err() {
-                    return (Vec::new(), 0);
-                }
-                let mut walker = Walker::new(&gj);
-                walker.enumerate_root(chunks[i]);
-                (walker.out, walker.intersections)
-            });
+    let (rows, intersections, walked_rows) = if !ctx.is_parallel()
+        || !ctx.should_parallelise(total_rows)
+        || candidates.len() < 2
+        || gj.first_drop == 0
+    {
+        // The serial walk advances one candidate chunk at a time so a
+        // tripped cancel token aborts within one morsel of candidates;
+        // enumerating consecutive chunks is the very same walk as
+        // enumerating the full ascending candidate list.
+        let step = ctx.morsel_rows().max(1);
+        let mut walker = Walker::new(&gj);
+        for chunk in candidates.chunks(step) {
             ctx.check_cancelled()?;
-            let mut rows = Vec::with_capacity(parts.iter().map(|(p, _)| p.len()).sum());
-            let mut intersections = 0u64;
-            for (p, n) in parts {
-                rows.extend_from_slice(&p);
-                intersections += n;
+            walker.enumerate_root(chunk);
+        }
+        let (mut rows, intersections, walked) = walker.finish();
+        // The bag relation keeps this vector: drop its doubling slack.
+        rows.shrink_to_fit();
+        (rows, intersections, walked)
+    } else {
+        // One chunk of first-attribute candidates per task, a few tasks per
+        // thread for balance; concatenating per-chunk outputs in chunk
+        // order reproduces the serial (ascending-candidate) walk exactly,
+        // because every group lies inside one level-0 candidate.
+        let chunk = (candidates.len()).div_ceil(ctx.threads().max(1) * 4).max(1);
+        let chunks: Vec<&[Value]> = candidates.chunks(chunk).collect();
+        let parts = ctx.map(chunks.len(), |i| {
+            // A tripped token turns the remaining chunks into no-ops;
+            // the post-map check below converts the partial output
+            // into the typed cancellation error.
+            if ctx.check_cancelled().is_err() {
+                return (Vec::new(), 0, 0);
             }
-            (rows, intersections)
-        };
-    out.reserve_rows(rows.len() / bag.attrs.len());
-    out.append_rows(&rows);
+            let mut walker = Walker::new(&gj);
+            walker.enumerate_root(chunks[i]);
+            walker.finish()
+        });
+        ctx.check_cancelled()?;
+        let mut rows = Vec::with_capacity(parts.iter().map(|(p, _, _)| p.len()).sum());
+        let (mut intersections, mut walked) = (0u64, 0u64);
+        for (p, n, w) in parts {
+            rows.extend_from_slice(&p);
+            intersections += n;
+            walked += w;
+        }
+        (rows, intersections, walked)
+    };
     Ok((
-        out,
+        Relation::from_flat(bag.name.clone(), kept, rows),
         WcojReport {
             attr_order: gj.order,
             intersections,
+            walked_rows,
         },
     ))
 }
@@ -325,7 +535,7 @@ mod tests {
         let s = rel("S", ["y", "z"], &edges);
         let t = rel("T", ["z", "x"], &edges);
         let b = bag("tri", &["x", "y", "z"], vec![0, 1, 2]);
-        let got = wcoj_materialize(&b, &[r, s, t], &ExecContext::serial()).unwrap();
+        let got = wcoj_materialize(&b, &b.attrs, &[r, s, t], &ExecContext::serial()).unwrap();
         let mut expected = Vec::new();
         for &(x, y) in &edges {
             for &(y2, z) in &edges {
@@ -348,7 +558,7 @@ mod tests {
         let r = rel("R", ["x", "y"], &[(1, 10), (1, 11), (2, 12), (3, 13)]);
         let s = rel("S", ["y", "w"], &[(11, 0), (12, 0), (12, 1)]);
         let b = bag("exist", &["x"], vec![0, 1]);
-        let got = wcoj_materialize(&b, &[r, s], &ExecContext::serial()).unwrap();
+        let got = wcoj_materialize(&b, &b.attrs, &[r, s], &ExecContext::serial()).unwrap();
         let rows: Vec<Vec<u64>> = got.iter().map(|t| t.to_vec()).collect();
         assert_eq!(rows, vec![vec![1], vec![2]]);
     }
@@ -366,6 +576,7 @@ mod tests {
         let b = bag("tri", &["a", "b", "c"], vec![0, 1, 2]);
         let (serial, serial_report) = wcoj_materialize_reported(
             &b,
+            &b.attrs,
             &[r.clone(), s.clone(), t.clone()],
             &ExecContext::serial(),
         )
@@ -377,7 +588,8 @@ mod tests {
                 .with_min_par_rows(1)
                 .with_morsel_rows(3);
             let (par, par_report) =
-                wcoj_materialize_reported(&b, &[r.clone(), s.clone(), t.clone()], &ctx).unwrap();
+                wcoj_materialize_reported(&b, &b.attrs, &[r.clone(), s.clone(), t.clone()], &ctx)
+                    .unwrap();
             let a: Vec<Vec<u64>> = serial.iter().map(|t| t.to_vec()).collect();
             let p: Vec<Vec<u64>> = par.iter().map(|t| t.to_vec()).collect();
             assert_eq!(a, p, "{threads} threads diverged");
@@ -393,8 +605,128 @@ mod tests {
         let r = rel("R", ["x", "y"], &[(1, 2)]);
         let s = Relation::new("S", attrs(["y", "z"]));
         let b = bag("e", &["x", "z"], vec![0, 1]);
-        let got = wcoj_materialize(&b, &[r, s], &ExecContext::serial()).unwrap();
+        let got = wcoj_materialize(&b, &b.attrs, &[r, s], &ExecContext::serial()).unwrap();
         assert!(got.is_empty());
         assert_eq!(got.arity(), 2);
+    }
+
+    /// A 4-path `a-b-c-d` over three edge atoms, walked in bag order.
+    fn path_rels(edges: &[(u64, u64)]) -> (Bag, Vec<Relation>) {
+        let rels = vec![
+            rel("R", ["a", "b"], edges),
+            rel("S", ["b", "c"], edges),
+            rel("T", ["c", "d"], edges),
+        ];
+        (bag("path", &["a", "b", "c", "d"], vec![0, 1, 2]), rels)
+    }
+
+    /// The definition: every walked row, projected onto `keep`, sorted,
+    /// de-duplicated.
+    fn narrowed_by_hand(full: &Relation, keep: &[&str]) -> Vec<Vec<u64>> {
+        let pos: Vec<usize> = keep
+            .iter()
+            .map(|k| full.position(&Attr::new(k)).unwrap())
+            .collect();
+        let mut rows: Vec<Vec<u64>> = full
+            .iter()
+            .map(|t| pos.iter().map(|&p| t[p]).collect())
+            .collect();
+        rows.sort();
+        rows.dedup();
+        rows
+    }
+
+    #[test]
+    fn narrowed_bags_keep_the_interface_sorted_and_distinct() {
+        let mut edges = Vec::new();
+        for i in 0..60u64 {
+            edges.push((i % 7, (i * 5) % 9));
+            edges.push(((i * 3) % 9, i % 7));
+        }
+        let (b, rels) = path_rels(&edges);
+        let (full, full_report) =
+            wcoj_materialize_reported(&b, &b.attrs, &rels, &ExecContext::serial()).unwrap();
+        assert_eq!(full_report.walked_rows, full.len() as u64);
+        // A dropped middle column (groups per `a`), a dropped first column
+        // (one group), a dropped last column (an existential suffix), and
+        // a width-1 suffix after two dropped levels.
+        let mut collided = 0;
+        for keep in [
+            &["a", "c", "d"][..],
+            &["b", "d"],
+            &["a", "b"],
+            &["a", "d"],
+            &["d"],
+        ] {
+            let interface: Vec<Attr> = keep.iter().map(Attr::new).collect();
+            let want = narrowed_by_hand(&full, keep);
+            let (serial, report) =
+                wcoj_materialize_reported(&b, &interface, &rels, &ExecContext::serial()).unwrap();
+            assert_eq!(serial.attrs(), &interface[..]);
+            let got: Vec<Vec<u64>> = serial.iter().map(|t| t.to_vec()).collect();
+            assert_eq!(got, want, "interface {keep:?}");
+            assert!(report.walked_rows >= serial.len() as u64);
+            assert!(report.walked_rows <= full.len() as u64);
+            collided += usize::from(report.walked_rows > serial.len() as u64);
+            for threads in [2usize, 4] {
+                let ctx = ExecContext::with_threads(threads)
+                    .with_min_par_rows(1)
+                    .with_morsel_rows(2);
+                let (pooled, pooled_report) =
+                    wcoj_materialize_reported(&b, &interface, &rels, &ctx).unwrap();
+                let p: Vec<Vec<u64>> = pooled.iter().map(|t| t.to_vec()).collect();
+                assert_eq!(p, want, "interface {keep:?}, {threads} threads");
+                assert_eq!(pooled_report, report, "{keep:?}, {threads} threads");
+            }
+        }
+        assert!(collided > 0, "the sort must have rows to de-duplicate");
+    }
+
+    #[test]
+    fn a_binding_that_failed_under_one_dropped_value_is_tried_under_the_next() {
+        // Group a = 1. Under b = 10, X offers c = 5 but Z refuses it; under
+        // b = 11 both take it. The value 5 must not count as walked below
+        // after the first, failed binding.
+        let r = rel("R", ["a", "b"], &[(1, 10), (1, 11)]);
+        let x = rel("X", ["b", "c"], &[(10, 5), (11, 5)]);
+        let z = rel("Z", ["b", "c"], &[(10, 6), (11, 5)]);
+        let y = rel("Y", ["c", "d"], &[(5, 7), (6, 8)]);
+        let b = bag("b", &["a", "b", "c", "d"], vec![0, 1, 2, 3]);
+        let got = wcoj_materialize(
+            &b,
+            &attrs(["a", "c", "d"]),
+            &[r, x, z, y],
+            &ExecContext::serial(),
+        )
+        .unwrap();
+        let rows: Vec<Vec<u64>> = got.iter().map(|t| t.to_vec()).collect();
+        assert_eq!(rows, vec![vec![1, 5, 7]]);
+    }
+
+    #[test]
+    fn wide_suffixes_sort_like_narrow_ones() {
+        let mut rows: Vec<u64> = [
+            [3, 1, 4, 1, 5],
+            [2, 7, 1, 8, 2],
+            [3, 1, 4, 1, 5],
+            [2, 7, 1, 8, 1],
+        ]
+        .concat();
+        sort_dedup_rows(&mut rows, 5);
+        assert_eq!(
+            rows,
+            [[2, 7, 1, 8, 1], [2, 7, 1, 8, 2], [3, 1, 4, 1, 5]].concat()
+        );
+        let mut pairs = vec![5, 1, 2, 9, 5, 1, 2, 3];
+        sort_dedup_rows(&mut pairs, 2);
+        assert_eq!(pairs, [2, 3, 2, 9, 5, 1]);
+    }
+
+    #[test]
+    fn an_interface_outside_the_bag_or_empty_is_refused() {
+        let (b, rels) = path_rels(&[(1, 2), (2, 3), (3, 4)]);
+        let serial = ExecContext::serial();
+        assert!(wcoj_materialize(&b, &attrs(["a", "z"]), &rels, &serial).is_err());
+        assert!(wcoj_materialize(&b, &[], &rels, &serial).is_err());
     }
 }

@@ -225,18 +225,8 @@ impl GhdPlan {
                 )));
             }
         }
-        let first_var = |i: usize| -> Attr {
-            // the variable shared with the previous atom
-            let prev = (i + n - 1) % n;
-            let prev_vars = query.atoms()[prev].var_set();
-            query.atoms()[i]
-                .vars
-                .iter()
-                .find(|v| prev_vars.contains(*v))
-                .cloned()
-                .expect("checked above")
-        };
-        let a1 = first_var(0);
+        // the variable atom 0 shares with the last atom
+        let a1 = shared_var(query, 0, n - 1);
         let mut bags = Vec::new();
         for i in 1..n - 1 {
             // bag over {A_1, A_i, A_{i+1}} = {a1} ∪ vars(atom i)
@@ -263,8 +253,9 @@ impl GhdPlan {
 
     /// Cut a declaration-order cycle into two contiguous arcs at atom
     /// indices `s < t`: one bag joins atoms `s..t`, the other `t..n` plus
-    /// `0..s`. Each bag's attributes are the union of its atoms' variables
-    /// in first-appearance order, so every atom is contained in its bag and
+    /// `0..s`. Each bag's attributes are the union of its atoms' variables,
+    /// listed along the arc from one of the two cut vertices it shares with
+    /// the other arc, so every atom is contained in its bag and
     /// the two-bag residual is trivially acyclic. Requires the same
     /// consecutive-sharing property as [`GhdPlan::for_cycle`].
     pub fn for_cycle_split(
@@ -297,9 +288,26 @@ impl GhdPlan {
             }
         }
         let arc_bag = |name: String, atoms: Vec<usize>| -> Bag {
-            let mut seen = BTreeSet::new();
-            let mut attrs = Vec::new();
-            for &ai in &atoms {
+            // The arc is listed from one of its two cut vertices — the
+            // variables it shares with the other arc — along its atoms, so
+            // a walk in bag order starts at an attribute the bag keeps and
+            // binds every later one next to one already bound. It starts
+            // at the projected cut vertex when only the far one is: on the
+            // membership cycles the projected vertices are the entities,
+            // and entity → container → entity keeps the walk's middle
+            // level at the containers' small fan-out.
+            let (first, last) = (atoms[0], atoms[atoms.len() - 1]);
+            let start = shared_var(query, first, (first + n - 1) % n);
+            let end = shared_var(query, last, (last + 1) % n);
+            let projected = |v: &Attr| query.projection().contains(v);
+            let (cut, walk): (Attr, Vec<usize>) = if !projected(&start) && projected(&end) {
+                (end, atoms.iter().rev().copied().collect())
+            } else {
+                (start, atoms.clone())
+            };
+            let mut seen = BTreeSet::from([cut.clone()]);
+            let mut attrs = vec![cut];
+            for ai in walk {
                 for v in &query.atoms()[ai].vars {
                     if seen.insert(v.clone()) {
                         attrs.push(v.clone());
@@ -442,6 +450,18 @@ impl GhdPlan {
     pub fn max_bag_atoms(&self) -> usize {
         self.bags.iter().map(|b| b.atoms.len()).max().unwrap_or(0)
     }
+}
+
+/// The first variable of atom `i` that atom `j` also has. The cycle
+/// constructors call it on consecutive atoms, which they checked share one.
+fn shared_var(query: &JoinProjectQuery, i: usize, j: usize) -> Attr {
+    let other = query.atoms()[j].var_set();
+    query.atoms()[i]
+        .vars
+        .iter()
+        .find(|v| other.contains(*v))
+        .cloned()
+        .expect("consecutive atoms share a variable")
 }
 
 /// The AGM bound on one bag: `exp(Σ x_i · ln |R_i|)` for a minimum
@@ -653,6 +673,14 @@ mod tests {
         let b: BTreeSet<_> = plan.bags()[1].attrs.iter().cloned().collect();
         let shared: Vec<_> = a.intersection(&b).collect();
         assert_eq!(shared, [&Attr::new("a1"), &Attr::new("p2")]);
+        // Each arc is listed from a cut vertex along its atoms: from the
+        // start (a1), from the end when only the end is projected (a1,
+        // walking M6, M5, M4), from the start when neither is (p1).
+        let names = |bag: &Bag| bag.attrs.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(names(&plan.bags()[0]), ["a1", "p1", "a2", "p2"]);
+        assert_eq!(names(&plan.bags()[1]), ["a1", "p3", "a3", "p2"]);
+        let other = GhdPlan::for_cycle_split(&q, 1, 4).unwrap();
+        assert_eq!(names(&other.bags()[0]), ["p1", "a2", "p2", "a3"]);
         assert!(GhdPlan::for_cycle_split(&q, 0, 6).is_err());
         assert!(GhdPlan::for_cycle_split(&q, 3, 3).is_err());
     }

@@ -183,13 +183,15 @@ fn render_ghd_actuals(out: &mut String, report: &GhdReport) {
     for d in &report.bag_details {
         let _ = writeln!(
             out,
-            "    {}: atoms={} order=({}) estimated_rows={} actual_rows={} intersections={}",
+            "    {}: atoms={} order=({}) interface=({}) estimated_rows={} walked_rows={} actual_rows={} intersections={}",
             d.name,
             d.atoms,
             d.attr_order.join(", "),
+            d.interface.join(", "),
             d.estimated_rows
                 .map(|e| e.to_string())
                 .unwrap_or_else(|| "none".to_string()),
+            d.walked_rows,
             d.actual_rows,
             d.intersections
         );

@@ -29,6 +29,20 @@ impl Relation {
         }
     }
 
+    /// Take ownership of row-major `data` as the relation's tuples, without
+    /// a copy: `data.len()` must be a multiple of the arity. Used by kernels
+    /// that build their output in one vector.
+    pub fn from_flat(
+        name: impl Into<String>,
+        attrs: impl IntoIterator<Item = impl Into<Attr>>,
+        data: Vec<Value>,
+    ) -> Self {
+        let mut rel = Relation::new(name, attrs);
+        debug_assert!(rel.arity() > 0 && data.len().is_multiple_of(rel.arity()));
+        rel.data = data;
+        rel
+    }
+
     /// Create a relation and bulk-load tuples.
     pub fn with_tuples(
         name: impl Into<String>,
@@ -448,6 +462,16 @@ mod tests {
         r.append_rows(&[7, 70, 8, 80]);
         assert_eq!(r.len(), 6);
         assert_eq!(r.tuple(5), &[8, 80]);
+    }
+
+    #[test]
+    fn from_flat_keeps_the_vector_it_is_given() {
+        let data = vec![1, 10, 2, 20];
+        let ptr = data.as_ptr();
+        let r = Relation::from_flat("R", attrs(["A", "B"]), data);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.tuple(1), &[2, 20]);
+        assert_eq!(r.iter().next().unwrap().as_ptr(), ptr, "moved, not copied");
     }
 
     #[test]

@@ -54,17 +54,42 @@ pub fn reference_answers<R: Ranking>(
     rows.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Reference evaluation of one GHD bag, by its definition: hash-join the
-/// bag's atoms in the order the bag lists them, project with
-/// de-duplication onto `bag.attrs`, sort the rows — named `bag.name`, as
-/// the engine's canonical bag relation is.
-pub fn reference_bag(query: &JoinProjectQuery, db: &Database, bag: &Bag) -> Relation {
+/// A bag's interface by its definition: the attributes of `bags[i]`, in
+/// bag order, that the query projects or another bag holds — all of them
+/// when that leaves none.
+pub fn reference_interface(query: &JoinProjectQuery, bags: &[Bag], i: usize) -> Vec<Attr> {
+    let others: Vec<&Attr> = bags
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != i)
+        .flat_map(|(_, b)| &b.attrs)
+        .collect();
+    let kept: Vec<Attr> = bags[i]
+        .attrs
+        .iter()
+        .filter(|a| query.projection().contains(a) || others.contains(a))
+        .cloned()
+        .collect();
+    if kept.is_empty() {
+        bags[i].attrs.clone()
+    } else {
+        kept
+    }
+}
+
+/// Reference evaluation of bag `i` of `bags`, by its definition: hash-join
+/// the bag's atoms in the order the bag lists them, project with
+/// de-duplication onto [`reference_interface`], sort the rows — named
+/// after the bag, as the engine's canonical bag relation is.
+pub fn reference_bag(query: &JoinProjectQuery, db: &Database, bags: &[Bag], i: usize) -> Relation {
+    let bag = &bags[i];
     let joined = bind_atoms_of(query, db, bag.atoms.iter().copied())
         .expect("reference bind")
         .into_iter()
         .reduce(|acc, next| hash_join(&acc, &next, "join").expect("reference join"))
         .expect("a bag joins at least one atom");
-    let mut out = project_distinct(&joined, &bag.attrs).expect("reference projection");
+    let interface = reference_interface(query, bags, i);
+    let mut out = project_distinct(&joined, &interface).expect("reference projection");
     let all: Vec<usize> = (0..out.arity()).collect();
     out.sort_by_positions(&all);
     out.set_name(bag.name.clone());

@@ -76,7 +76,7 @@ fn membership_explain_goldens() {
              \x20 estimated rows (AGM): 90300\n\
              \x20 bags:\n\
              \x20   - arc_bag_0_1(a1, p1) atoms=(M1) estimated_rows=300\n\
-             \x20   - arc_bag_1_0(a2, p1, p2, a1) atoms=(M2, M3, M4) estimated_rows=90000\n",
+             \x20   - arc_bag_1_0(a1, p2, a2, p1) atoms=(M2, M3, M4) estimated_rows=90000\n",
         ),
         (
             "six_cycle",
@@ -89,7 +89,7 @@ fn membership_explain_goldens() {
              \x20 estimated rows (AGM): 180000\n\
              \x20 bags:\n\
              \x20   - arc_bag_0_3(a1, p1, a2, p2) atoms=(M1, M2, M3) estimated_rows=90000\n\
-             \x20   - arc_bag_3_0(a3, p2, p3, a1) atoms=(M4, M5, M6) estimated_rows=90000\n",
+             \x20   - arc_bag_3_0(a1, p3, a3, p2) atoms=(M4, M5, M6) estimated_rows=90000\n",
         ),
         (
             "bowtie",
@@ -313,13 +313,15 @@ fn six_cycle_explain_analyze_reports_ground_truth_counters() {
     );
     for d in &report.bag_details {
         let line = format!(
-            "    {}: atoms={} order=({}) estimated_rows={} actual_rows={} intersections={}",
+            "    {}: atoms={} order=({}) interface=({}) estimated_rows={} walked_rows={} actual_rows={} intersections={}",
             d.name,
             d.atoms,
             d.attr_order.join(", "),
+            d.interface.join(", "),
             d.estimated_rows
                 .map(|e| e.to_string())
                 .unwrap_or_else(|| "none".to_string()),
+            d.walked_rows,
             d.actual_rows,
             d.intersections
         );

@@ -17,6 +17,7 @@ mod common;
 
 use common::{assert_ran_on_its_pool, contexts, reference_answers, reference_union_answers};
 use proptest::prelude::*;
+use rankedenum::join::{bind_atoms_of, hash_join, project_distinct};
 use rankedenum::prelude::*;
 use rankedenum::ranking::RankKey;
 use rankedenum::workloads::membership::WeightScheme;
@@ -116,11 +117,89 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
     let (spec, plan) = dblp.cycle(3);
     let mut e = CyclicEnumerator::new(&spec.query, dblp.db(), spec.sum_ranking(), &plan).unwrap();
-    let built = (15_262, 15_262, 0, 1_109_488);
+    // Bags narrowed to their interfaces: 15 262 cells and 1 109 488 bytes
+    // at build, 4 043 pops and 1 113 584 bytes after 300 at full width.
+    let built = (9_456, 9_456, 0, 691_456);
     assert_eq!(counters(e.stats()), built, "6-cycle at build");
     assert_eq!(e.by_ref().take(300).count(), 300);
-    let after = (15_262, 15_262, 4043, 1_113_584);
+    let after = (9_456, 9_456, 2_118, 695_552);
     assert_eq!(counters(e.stats()), after, "6-cycle after 300");
+}
+
+/// Each GHD bag of the 4- and 6-cycle keeps only its interface, so it
+/// holds fewer rows than at full width (counted here by the definition:
+/// join the bag's atoms, project onto all bag attributes). The walk skips
+/// a subtree it already walked inside a group, so it visits no more than
+/// the kept rows on these arc plans. Algorithm 1 then never ranks two rows
+/// that differ only in a dropped value: 729 queue operations for the worst
+/// of the first 300 answers at full width, 27 narrowed.
+#[test]
+fn narrowed_bags_keep_fewer_rows_and_bound_the_queue_work_per_answer() {
+    let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
+    // Per bag: (name, full-width rows, walked rows, kept rows); then the
+    // pq operations of the costliest of the first 300 answers.
+    type Bags = [(&'static str, usize, usize, usize); 2];
+    let cases: [(usize, Bags, u64); 2] = [
+        (
+            2,
+            [
+                ("arc_bag_0_1", 350, 350, 350),
+                ("arc_bag_1_0", 15_262, 9_456, 9_456),
+            ],
+            27,
+        ),
+        (
+            3,
+            [
+                ("arc_bag_0_3", 15_262, 9_456, 9_456),
+                ("arc_bag_3_0", 15_262, 5_638, 5_638),
+            ],
+            27,
+        ),
+    ];
+    for (k, bags, max_ops) in cases {
+        let (spec, plan) = dblp.cycle(k);
+        for (bag, &(name, full, _, kept)) in plan.bags().iter().zip(&bags) {
+            assert_eq!(bag.name, name);
+            let joined = bind_atoms_of(&spec.query, dblp.db(), bag.atoms.iter().copied())
+                .unwrap()
+                .into_iter()
+                .reduce(|acc, next| hash_join(&acc, &next, "join").unwrap())
+                .unwrap();
+            let at_full_width = project_distinct(&joined, &bag.attrs).unwrap();
+            assert_eq!(at_full_width.len(), full, "{}: {name}", spec.name);
+            assert!(kept <= full, "{}: {name}", spec.name);
+        }
+        assert!(
+            bags.iter().any(|&(_, full, _, kept)| kept < full),
+            "{}: some bag must narrow",
+            spec.name
+        );
+        for ctx in contexts() {
+            let mut e =
+                CyclicEnumerator::new_ctx(&spec.query, dblp.db(), spec.sum_ranking(), &plan, &ctx)
+                    .unwrap();
+            let got: Vec<(&str, usize, usize)> = e
+                .plan_report()
+                .bag_details
+                .iter()
+                .map(|d| {
+                    (
+                        d.name.as_str(),
+                        d.walked_rows as usize,
+                        d.actual_rows as usize,
+                    )
+                })
+                .collect();
+            let want: Vec<(&str, usize, usize)> = bags
+                .iter()
+                .map(|&(name, _, walked, kept)| (name, walked, kept))
+                .collect();
+            assert_eq!(got, want, "{}", spec.name);
+            assert_eq!(e.by_ref().take(300).count(), 300);
+            assert_eq!(e.stats().max_ops_per_answer(), max_ops, "{}", spec.name);
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! against a second implementation: every bag must be byte-identical —
 //! name, attribute schema, lex-sorted distinct rows — to
 //! [`common::reference_bag`] (hash-join the bag's atoms, project with
-//! de-duplication, sort), and every [`CyclicEnumerator`] sequence built on
+//! de-duplication onto the bag's interface, sort), and every [`CyclicEnumerator`] sequence built on
 //! those bags must equal [`common::reference_answers`] (materialise the
 //! whole query, project, sort by `(key, tuple)`). Workloads are the paper's
 //! cyclic ones (4-cycle, 6-cycle, bowtie) and proptest-random cyclic
@@ -14,7 +14,9 @@
 
 mod common;
 
-use common::{assert_ran_on_its_pool, contexts, reference_answers, reference_bag};
+use common::{
+    assert_ran_on_its_pool, contexts, ctx_at, reference_answers, reference_bag, reference_interface,
+};
 use proptest::prelude::*;
 use rankedenum::join::{materialize_bags_reported, BagKernel};
 use rankedenum::prelude::*;
@@ -48,9 +50,8 @@ fn built_bags(
 
 /// The plan's bags as their definition has them.
 fn oracle_bags(query: &JoinProjectQuery, db: &Database, plan: &GhdPlan) -> Vec<Rows> {
-    plan.bags()
-        .iter()
-        .map(|bag| rows_of(&reference_bag(query, db, bag)))
+    (0..plan.len())
+        .map(|i| rows_of(&reference_bag(query, db, plan.bags(), i)))
         .collect()
 }
 
@@ -145,6 +146,56 @@ fn cost_based_plans_match_the_bag_and_answer_oracles() {
             300,
             &spec.name,
         );
+    }
+}
+
+/// Narrowed bags against their definition on every plan shape that builds
+/// bags — the cost model's choice on generated 4-, 6- and 8-cycles, the
+/// Figure-2 template, and the single-bag fallback, whose interface is the
+/// projection — serial and on a two- and a four-worker pool, which must
+/// agree byte for byte. Every plan here drops an attribute somewhere, so
+/// the walk's de-duplication runs on each.
+#[test]
+fn narrowed_bags_match_their_definition_on_every_plan_shape() {
+    let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
+    let mut plans = Vec::new();
+    for k in [2usize, 3, 4] {
+        let (spec, plan) = dblp.cycle(k);
+        plans.push((spec.name.clone(), spec.query.clone(), plan));
+    }
+    for k in [2usize, 3] {
+        let (spec, _) = dblp.cycle(k);
+        let figure2 = GhdPlan::for_cycle(&spec.query).unwrap();
+        plans.push((format!("{} figure-2", spec.name), spec.query, figure2));
+    }
+    let small = DblpWorkload::generate(120, 5, WeightScheme::Random);
+    let (spec, _) = small.cycle(2);
+    let single = GhdPlan::single_bag(&spec.query);
+    plans.push((format!("{} single-bag", spec.name), spec.query, single));
+
+    for (what, query, plan) in &plans {
+        let db = if what.contains("single-bag") {
+            small.db()
+        } else {
+            dblp.db()
+        };
+        let want = oracle_bags(query, db, plan);
+        let dropped = (0..plan.len())
+            .filter(|&i| reference_interface(query, plan.bags(), i) != plan.bags()[i].attrs)
+            .count();
+        assert!(dropped > 0, "{what}: some bag must narrow");
+        if what.contains("single-bag") {
+            assert_eq!(want[0].1, query.projection(), "{what}");
+        }
+        for ctx in [ExecContext::serial(), ctx_at(2), ctx_at(4)] {
+            let threads = ctx.threads();
+            assert_eq!(
+                built_bags(query, db, plan, &ctx),
+                want,
+                "{what}: a narrowed bag differs from its definition, {threads}-thread build"
+            );
+            assert_ran_on_its_pool(&ctx, what);
+        }
     }
 }
 

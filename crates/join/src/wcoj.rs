@@ -15,7 +15,8 @@
 //! the existential attributes in first appearance order, and candidates
 //! are visited ascending, so full-width rows come out lexicographically
 //! sorted and de-duplicated. Existential suffixes stop at the first
-//! witness (`Walker::exists`).
+//! witness (`Walker::exists`). A narrowed bag whose first attribute is
+//! dropped moves its first kept attribute to the front of the order.
 //!
 //! A bag only needs the attributes that leave it — its *interface*, the
 //! projection and what it shares with other bags ([`crate::bag`] derives
@@ -39,16 +40,14 @@
 //! Parallelism follows the morsel contract of the `re_exec` pool: the first
 //! attribute's candidate values are chunked, each chunk enumerated
 //! independently, and the per-chunk outputs concatenated in chunk order —
-//! byte-identical to the serial walk at any thread count. A group never
-//! straddles two chunks as long as the first attribute is kept; a bag
-//! whose first attribute is dropped is one group and walks serially.
+//! byte-identical to the serial walk at any thread count. The walk leads
+//! with a kept attribute, so a group never straddles two chunks.
 
 use crate::error::JoinError;
 use re_exec::ExecContext;
 use re_query::{Bag, QueryError};
-use re_storage::{mix_key, Attr, Relation, TrieIndex, Value};
-use std::collections::{BTreeSet, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use re_storage::{Attr, KeyTable, Relation, TrieIndex, Value};
+use std::collections::BTreeSet;
 
 /// A compiled generic-join evaluation of one bag: per-atom tries over the
 /// global attribute order plus, for every order level, the `(atom, depth)`
@@ -72,16 +71,24 @@ struct GenericJoin {
     /// binding's value alone, so a value seen before in the group is not
     /// walked again.
     repeats: Vec<bool>,
-    /// The global attribute order (bag attributes then existentials) —
-    /// surfaced through [`WcojReport`] so EXPLAIN can print it.
+    /// The global attribute order (bag attributes, led by a kept one, then
+    /// existentials) — surfaced through [`WcojReport`] so EXPLAIN can print
+    /// it.
     order: Vec<Attr>,
 }
 
 impl GenericJoin {
     fn compile(bag: &Bag, keep: &[bool], rels: &[Relation]) -> Result<Self, JoinError> {
-        // Global order: bag attributes first (declared order), then the
-        // existential attributes in first-appearance order across atoms.
+        // Global order: the bag's first kept attribute, its other
+        // attributes in declared order, then the existential attributes in
+        // first-appearance order across atoms. Leading with a kept attribute
+        // puts every group under one level-0 value; the kept attributes keep
+        // their bag order, so the output stays sorted over the interface.
+        let lead = keep.iter().position(|&k| k).expect("a non-empty interface");
         let mut order: Vec<Attr> = bag.attrs.clone();
+        order[..=lead].rotate_right(1);
+        let mut keep = keep.to_vec();
+        keep[..=lead].rotate_right(1);
         let mut seen: BTreeSet<Attr> = order.iter().cloned().collect();
         for rel in rels {
             for a in rel.attrs() {
@@ -164,7 +171,7 @@ struct Walker<'a> {
     group: Vec<Value>,
     /// Per level, the values the open group has walked below already
     /// (levels that [`GenericJoin::repeats`] allows).
-    seen: Vec<HashSet<Value, BuildHasherDefault<ValueHasher>>>,
+    seen: Vec<KeyTable>,
     out: Vec<Value>,
     /// Trie range narrowings performed — one per participant per attempted
     /// binding, the unit the AGM bound actually charges. Deterministic at
@@ -183,7 +190,7 @@ impl<'a> Walker<'a> {
             bound: Vec::with_capacity(gj.levels.len()),
             trail: Vec::new(),
             group: Vec::new(),
-            seen: vec![HashSet::default(); gj.walk_arity],
+            seen: (0..gj.walk_arity).map(|_| KeyTable::new(1)).collect(),
             out: Vec::new(),
             intersections: 0,
             walked: 0,
@@ -228,7 +235,7 @@ impl<'a> Walker<'a> {
         let repeats = self.gj.repeats[level];
         while let Some((value, end)) = self.gj.tries[seed_k].group_at(lo, hi, seed_d) {
             lo = end;
-            if repeats && self.seen[level].contains(&value) {
+            if repeats && self.seen[level].contains(&[value]) {
                 continue;
             }
             // Only a binding that holds is remembered: whether one holds
@@ -236,7 +243,7 @@ impl<'a> Walker<'a> {
             // vary.
             if self.bind(level, value) {
                 if repeats {
-                    self.seen[level].insert(value);
+                    self.seen[level].insert(&[value]);
                 }
                 self.bound.push(value);
                 self.enumerate(level + 1);
@@ -317,32 +324,9 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// The walk's rows, its intersections and walked bindings. A bag whose
-    /// first attribute is dropped is one group, closed here.
-    fn finish(mut self) -> (Vec<Value>, u64, u64) {
-        self.close_group();
+    /// The walk's rows, its intersections and walked bindings.
+    fn finish(self) -> (Vec<Value>, u64, u64) {
         (self.out, self.intersections, self.walked)
-    }
-}
-
-/// The hasher of the walk's seen-value sets: [`mix_key`], the one every
-/// preprocessing key table uses.
-#[derive(Default)]
-struct ValueHasher(u64);
-
-impl Hasher for ValueHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = mix_key(&[self.0 ^ v]);
     }
 }
 
@@ -363,11 +347,11 @@ fn sort_dedup_rows(rows: &mut Vec<Value>, width: usize) {
         }
         rows.truncate(kept * W);
     }
+    // The membership arcs' suffixes are one and two columns wide; sorting
+    // them as fixed-size arrays takes about a sixth off their bags' walks.
     match width {
         1 => fixed::<1>(rows),
         2 => fixed::<2>(rows),
-        3 => fixed::<3>(rows),
-        4 => fixed::<4>(rows),
         _ => {
             let mut sorted: Vec<&[Value]> = rows.chunks_exact(width).collect();
             sorted.sort();
@@ -380,8 +364,9 @@ fn sort_dedup_rows(rows: &mut Vec<Value>, width: usize) {
 /// Per-operator report of one generic-join bag materialisation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WcojReport {
-    /// The global attribute order the walk bound (bag attributes first,
-    /// then existentials in first-appearance order).
+    /// The global attribute order the walk bound: the bag's first kept
+    /// attribute, its other attributes in bag order, then existentials in
+    /// first-appearance order.
     pub attr_order: Vec<Attr>,
     /// Total trie range narrowings performed — the intersection work the
     /// AGM bound charges. Identical at any thread count.
@@ -454,53 +439,51 @@ pub fn wcoj_materialize_reported(
     }
 
     let total_rows: usize = rels.iter().map(|r| r.len()).sum();
-    let (rows, intersections, walked_rows) = if !ctx.is_parallel()
-        || !ctx.should_parallelise(total_rows)
-        || candidates.len() < 2
-        || gj.first_drop == 0
-    {
-        // The serial walk advances one candidate chunk at a time so a
-        // tripped cancel token aborts within one morsel of candidates;
-        // enumerating consecutive chunks is the very same walk as
-        // enumerating the full ascending candidate list.
-        let step = ctx.morsel_rows().max(1);
-        let mut walker = Walker::new(&gj);
-        for chunk in candidates.chunks(step) {
-            ctx.check_cancelled()?;
-            walker.enumerate_root(chunk);
-        }
-        let (mut rows, intersections, walked) = walker.finish();
-        // The bag relation keeps this vector: drop its doubling slack.
-        rows.shrink_to_fit();
-        (rows, intersections, walked)
-    } else {
-        // One chunk of first-attribute candidates per task, a few tasks per
-        // thread for balance; concatenating per-chunk outputs in chunk
-        // order reproduces the serial (ascending-candidate) walk exactly,
-        // because every group lies inside one level-0 candidate.
-        let chunk = (candidates.len()).div_ceil(ctx.threads().max(1) * 4).max(1);
-        let chunks: Vec<&[Value]> = candidates.chunks(chunk).collect();
-        let parts = ctx.map(chunks.len(), |i| {
-            // A tripped token turns the remaining chunks into no-ops;
-            // the post-map check below converts the partial output
-            // into the typed cancellation error.
-            if ctx.check_cancelled().is_err() {
-                return (Vec::new(), 0, 0);
-            }
+    let (rows, intersections, walked_rows) =
+        if !ctx.is_parallel() || !ctx.should_parallelise(total_rows) || candidates.len() < 2 {
+            // The serial walk advances one candidate chunk at a time so a
+            // tripped cancel token aborts within one morsel of candidates;
+            // enumerating consecutive chunks is the very same walk as
+            // enumerating the full ascending candidate list.
+            let step = ctx.morsel_rows().max(1);
             let mut walker = Walker::new(&gj);
-            walker.enumerate_root(chunks[i]);
-            walker.finish()
-        });
-        ctx.check_cancelled()?;
-        let mut rows = Vec::with_capacity(parts.iter().map(|(p, _, _)| p.len()).sum());
-        let (mut intersections, mut walked) = (0u64, 0u64);
-        for (p, n, w) in parts {
-            rows.extend_from_slice(&p);
-            intersections += n;
-            walked += w;
-        }
-        (rows, intersections, walked)
-    };
+            for chunk in candidates.chunks(step) {
+                ctx.check_cancelled()?;
+                walker.enumerate_root(chunk);
+            }
+            let (mut rows, intersections, walked) = walker.finish();
+            // The bag relation keeps this vector: drop its doubling slack.
+            rows.shrink_to_fit();
+            (rows, intersections, walked)
+        } else {
+            // One chunk of first-attribute candidates per task, a few tasks per
+            // thread for balance; concatenating per-chunk outputs in chunk
+            // order reproduces the serial (ascending-candidate) walk exactly,
+            // because the walk leads with a kept attribute, so every group lies
+            // inside one level-0 candidate.
+            let chunk = (candidates.len()).div_ceil(ctx.threads().max(1) * 4).max(1);
+            let chunks: Vec<&[Value]> = candidates.chunks(chunk).collect();
+            let parts = ctx.map(chunks.len(), |i| {
+                // A tripped token turns the remaining chunks into no-ops;
+                // the post-map check below converts the partial output
+                // into the typed cancellation error.
+                if ctx.check_cancelled().is_err() {
+                    return (Vec::new(), 0, 0);
+                }
+                let mut walker = Walker::new(&gj);
+                walker.enumerate_root(chunks[i]);
+                walker.finish()
+            });
+            ctx.check_cancelled()?;
+            let mut rows = Vec::with_capacity(parts.iter().map(|(p, _, _)| p.len()).sum());
+            let (mut intersections, mut walked) = (0u64, 0u64);
+            for (p, n, w) in parts {
+                rows.extend_from_slice(&p);
+                intersections += n;
+                walked += w;
+            }
+            (rows, intersections, walked)
+        };
     Ok((
         Relation::from_flat(bag.name.clone(), kept, rows),
         WcojReport {
@@ -610,14 +593,16 @@ mod tests {
         assert_eq!(got.arity(), 2);
     }
 
-    /// A 4-path `a-b-c-d` over three edge atoms, walked in bag order.
+    /// A 4-path `a-b-c-d` over three edge atoms plus the chord `b-d`, so a
+    /// dropped `b` decides what a kept `d` may be.
     fn path_rels(edges: &[(u64, u64)]) -> (Bag, Vec<Relation>) {
         let rels = vec![
             rel("R", ["a", "b"], edges),
             rel("S", ["b", "c"], edges),
             rel("T", ["c", "d"], edges),
+            rel("U", ["b", "d"], edges),
         ];
-        (bag("path", &["a", "b", "c", "d"], vec![0, 1, 2]), rels)
+        (bag("path", &["a", "b", "c", "d"], vec![0, 1, 2, 3]), rels)
     }
 
     /// The definition: every walked row, projected onto `keep`, sorted,
@@ -648,8 +633,9 @@ mod tests {
             wcoj_materialize_reported(&b, &b.attrs, &rels, &ExecContext::serial()).unwrap();
         assert_eq!(full_report.walked_rows, full.len() as u64);
         // A dropped middle column (groups per `a`), a dropped first column
-        // (one group), a dropped last column (an existential suffix), and
-        // a width-1 suffix after two dropped levels.
+        // (the walk leads with `b`, or with `d`), a dropped last column (an
+        // existential suffix), and a width-1 suffix after two dropped
+        // levels.
         let mut collided = 0;
         for keep in [
             &["a", "c", "d"][..],
@@ -677,6 +663,10 @@ mod tests {
                 let p: Vec<Vec<u64>> = pooled.iter().map(|t| t.to_vec()).collect();
                 assert_eq!(p, want, "interface {keep:?}, {threads} threads");
                 assert_eq!(pooled_report, report, "{keep:?}, {threads} threads");
+                assert!(
+                    ctx.pool_stats().tasks_executed > 1,
+                    "{keep:?}: the walk must split over the pool"
+                );
             }
         }
         assert!(collided > 0, "the sort must have rows to de-duplicate");
@@ -704,22 +694,21 @@ mod tests {
     }
 
     #[test]
-    fn wide_suffixes_sort_like_narrow_ones() {
-        let mut rows: Vec<u64> = [
-            [3, 1, 4, 1, 5],
-            [2, 7, 1, 8, 2],
-            [3, 1, 4, 1, 5],
-            [2, 7, 1, 8, 1],
-        ]
-        .concat();
-        sort_dedup_rows(&mut rows, 5);
-        assert_eq!(
-            rows,
-            [[2, 7, 1, 8, 1], [2, 7, 1, 8, 2], [3, 1, 4, 1, 5]].concat()
-        );
-        let mut pairs = vec![5, 1, 2, 9, 5, 1, 2, 3];
-        sort_dedup_rows(&mut pairs, 2);
-        assert_eq!(pairs, [2, 3, 2, 9, 5, 1]);
+    fn suffix_rows_sort_and_dedup_at_every_width() {
+        // Widths 1 and 2 take the fixed-width arms, 3 the general path.
+        let values: Vec<u64> = (0..120u64).map(|i| (i * 7 + i / 5) % 4).collect();
+        for width in 1..=3 {
+            let mut want: Vec<Vec<u64>> = values.chunks_exact(width).map(<[u64]>::to_vec).collect();
+            want.sort();
+            want.dedup();
+            let mut rows = values.clone();
+            sort_dedup_rows(&mut rows, width);
+            assert_eq!(rows, want.concat(), "width {width}");
+            assert!(
+                want.len() < values.len() / width,
+                "width {width} has duplicates"
+            );
+        }
     }
 
     #[test]

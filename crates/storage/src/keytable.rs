@@ -94,6 +94,14 @@ impl IdSlots {
         self.slots.capacity() * std::mem::size_of::<u32>()
     }
 
+    /// Forget every id, keeping the slot array.
+    pub fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.fill(EMPTY);
+            self.len = 0;
+        }
+    }
+
     /// Probe start of a hash: its top `log2(slots)` bits.
     #[inline]
     fn start(slots: &[u32], hash: u64) -> usize {
@@ -258,6 +266,12 @@ impl KeyTable {
     /// Heap bytes of the key slab and the slot array (their capacities).
     pub fn heap_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<Value>() + self.ids.heap_bytes()
+    }
+
+    /// Forget every key, keeping the slab and the slot array for reuse.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.ids.clear();
     }
 }
 

@@ -152,9 +152,11 @@ fn cost_based_plans_match_the_bag_and_answer_oracles() {
 /// Narrowed bags against their definition on every plan shape that builds
 /// bags — the cost model's choice on generated 4-, 6- and 8-cycles, the
 /// Figure-2 template, and the single-bag fallback, whose interface is the
-/// projection — serial and on a two- and a four-worker pool, which must
-/// agree byte for byte. Every plan here drops an attribute somewhere, so
-/// the walk's de-duplication runs on each.
+/// projection, also listed from a dropped attribute (the kernel then leads
+/// its walk with the first kept one, so it still splits over the pool) —
+/// serial and on a two- and a four-worker pool, which must agree byte for
+/// byte. Every plan here drops an attribute somewhere, so the walk's
+/// de-duplication runs on each.
 #[test]
 fn narrowed_bags_match_their_definition_on_every_plan_shape() {
     let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
@@ -171,7 +173,24 @@ fn narrowed_bags_match_their_definition_on_every_plan_shape() {
     let small = DblpWorkload::generate(120, 5, WeightScheme::Random);
     let (spec, _) = small.cycle(2);
     let single = GhdPlan::single_bag(&spec.query);
-    plans.push((format!("{} single-bag", spec.name), spec.query, single));
+    let mut led = single.bags()[0].clone();
+    let dropped = led
+        .attrs
+        .iter()
+        .position(|a| !spec.query.projection().contains(a))
+        .expect("the cycle projects fewer attributes than it binds");
+    led.attrs[..=dropped].rotate_right(1);
+    let led = GhdPlan::new(&spec.query, vec![led]).unwrap();
+    plans.push((
+        format!("{} single-bag", spec.name),
+        spec.query.clone(),
+        single,
+    ));
+    plans.push((
+        format!("{} single-bag led by a dropped attribute", spec.name),
+        spec.query,
+        led,
+    ));
 
     for (what, query, plan) in &plans {
         let db = if what.contains("single-bag") {

@@ -665,7 +665,7 @@ impl<R: Ranking + Clone + 'static> AcyclicEnumerator<R> {
     /// the first cursor on it, charged with the build. Further cursors
     /// [attach](SharedFrontier::attach) at the start of the chain and
     /// replay what it has published.
-    pub fn into_shared(self) -> ChainCursor {
+    pub(crate) fn into_shared(self) -> ChainCursor {
         SharedFrontier::share(self, Algorithm::Acyclic, None)
     }
 }

@@ -264,7 +264,7 @@ impl<R: Ranking + Clone + 'static> CyclicEnumerator<R> {
     /// Share this enumerator the way [`AcyclicEnumerator::into_shared`]
     /// does: the residual acyclic enumerator goes behind the lock, and
     /// every cursor reports this plan's shape and GHD report.
-    pub fn into_shared(self) -> ChainCursor {
+    pub(crate) fn into_shared(self) -> ChainCursor {
         SharedFrontier::share(self.inner, Algorithm::CyclicGhd, Some(self.report))
     }
 }

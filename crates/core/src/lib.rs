@@ -22,10 +22,11 @@
 //! boxed [`RankedStream`], [`UnionEnumerator`] opens one per branch, and
 //! [`top_k`] is the one-call form.
 //!
-//! One Algorithm 1 enumerator can also serve many readers: a
-//! [`SharedFrontier`] puts it behind a lock, and each [`ChainCursor`] on it
-//! reads the ranked answer list from its own position, extending it only
-//! past its end — how a server's sessions of one statement share it.
+//! One Algorithm 1 enumerator can also serve many readers:
+//! [`BranchPlan::open`] puts every one behind a [`SharedFrontier`], and
+//! each [`ChainCursor`] on it reads the ranked answer list from its own
+//! position, extending it only past its end — how a server's sessions of
+//! one statement share it.
 //!
 //! All enumerators are plain [`Iterator`]s over owned output tuples in the
 //! user's projection order; [`EnumStats`] exposes the priority-queue

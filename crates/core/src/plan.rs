@@ -4,6 +4,11 @@
 //! `EXPLAIN`, the plan cache), plus the one-call [`top_k`] helper.
 //! Both engines emit the one order [`re_ranking::LexRanking`] defines, so
 //! every acyclic branch under a lexicographic ranking takes Algorithm 3.
+//! There is one way to open a plan: every Algorithm 1 enumerator — a
+//! single statement's, a UNION branch's, [`top_k`]'s — is read through a
+//! [`ChainCursor`](crate::ChainCursor) on a
+//! [`SharedFrontier`](crate::SharedFrontier), and Algorithm 3 is the one
+//! engine that owns its state.
 
 use crate::acyclic::AcyclicEnumerator;
 use crate::cyclic::CyclicEnumerator;
@@ -108,40 +113,20 @@ impl BranchPlan {
     /// GHD bags without changing a single output byte). A `Lexi` plan
     /// opened with a ranking that is not lexicographic runs the general
     /// algorithm over the same tree.
+    ///
+    /// An Algorithm 1 plan — acyclic, or cyclic over its GHD — comes back
+    /// as the first [`ChainCursor`](crate::ChainCursor) on a new
+    /// [`SharedFrontier`](crate::SharedFrontier), which later cursors of
+    /// the same statement may join; a frontier nobody joins is private in
+    /// effect. Algorithm 3 owns its state: lexi walks sorted indexes with
+    /// cursors of its own and has no root chain to share. (The star
+    /// enumerator is not on this path at all: no plan chooses it.)
     pub fn open<R: Ranking + Clone + 'static>(
         &self,
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
         ctx: &ExecContext,
-    ) -> Result<Box<dyn RankedStream>, EnumError> {
-        self.build(query, db, ranking, ctx, false)
-    }
-
-    /// [`BranchPlan::open`] for a cursor that later cursors of the same
-    /// statement may join: an Algorithm 1 plan — acyclic, or cyclic over
-    /// its GHD — comes back as the first [`ChainCursor`](crate::ChainCursor)
-    /// on a new [`SharedFrontier`](crate::SharedFrontier). Algorithm 3
-    /// stays private: lexi walks sorted indexes with cursors of its own and
-    /// has no root chain to share. (The star enumerator is not on this
-    /// path at all: no plan chooses it.)
-    pub fn open_shared<R: Ranking + Clone + 'static>(
-        &self,
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: R,
-        ctx: &ExecContext,
-    ) -> Result<Box<dyn RankedStream>, EnumError> {
-        self.build(query, db, ranking, ctx, true)
-    }
-
-    fn build<R: Ranking + Clone + 'static>(
-        &self,
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: R,
-        ctx: &ExecContext,
-        share: bool,
     ) -> Result<Box<dyn RankedStream>, EnumError> {
         Ok(match (self, ranking.as_lex()) {
             (BranchPlan::Lexi(tree), Some(lex)) => Box::new(LexiEnumerator::with_tree_ctx(
@@ -151,21 +136,12 @@ impl BranchPlan {
                 tree.clone(),
                 ctx,
             )?),
-            (BranchPlan::Acyclic(tree) | BranchPlan::Lexi(tree), _) => {
-                let e = AcyclicEnumerator::with_tree_ctx(query, db, ranking, tree.clone(), ctx)?;
-                if share {
-                    Box::new(e.into_shared())
-                } else {
-                    Box::new(e)
-                }
-            }
+            (BranchPlan::Acyclic(tree) | BranchPlan::Lexi(tree), _) => Box::new(
+                AcyclicEnumerator::with_tree_ctx(query, db, ranking, tree.clone(), ctx)?
+                    .into_shared(),
+            ),
             (BranchPlan::Cyclic, _) => {
-                let e = CyclicEnumerator::new_auto_ctx(query, db, ranking, ctx)?;
-                if share {
-                    Box::new(e.into_shared())
-                } else {
-                    Box::new(e)
-                }
+                Box::new(CyclicEnumerator::new_auto_ctx(query, db, ranking, ctx)?.into_shared())
             }
         })
     }
@@ -238,6 +214,10 @@ mod tests {
             .unwrap();
         assert_eq!(e.algorithm(), Algorithm::Acyclic);
         assert_eq!(e.plan_shape(), None);
+        assert!(
+            e.shared_frontier().is_some(),
+            "Algorithm 1 is a chain cursor"
+        );
         assert_eq!(e.count(), 4); // distinct (x, z) pairs
     }
 
@@ -252,6 +232,10 @@ mod tests {
             .unwrap();
         assert_eq!(e.algorithm(), Algorithm::CyclicGhd);
         assert!(e.plan_shape().is_some());
+        assert!(
+            e.shared_frontier().is_some(),
+            "the GHD's residual is shared"
+        );
         // Triangle rotations projected to (x, y), ranked by x + y.
         let results: Vec<Tuple> = e.collect();
         assert_eq!(results, vec![vec![1, 2], vec![3, 1], vec![2, 3]]);
@@ -277,41 +261,17 @@ mod tests {
         let ctx = ExecContext::serial();
         let lexi = plan.open(&q, &db(), lex.clone(), &ctx).unwrap();
         assert_eq!(lexi.algorithm(), Algorithm::Lexi);
+        assert!(lexi.shared_frontier().is_none(), "lexi owns its state");
         let general = BranchPlan::of(&q, false)
             .unwrap()
             .open(&q, &db(), lex, &ctx)
             .unwrap();
         assert_eq!(general.algorithm(), Algorithm::Acyclic);
+        assert!(general.shared_frontier().is_some());
         assert_eq!(lexi.collect::<Vec<_>>(), general.collect::<Vec<_>>());
         let sum = plan.open(&q, &db(), SumRanking::value_sum(), &ctx).unwrap();
         assert_eq!(sum.algorithm(), Algorithm::Acyclic);
-    }
-
-    #[test]
-    fn open_shared_shares_algorithm_1_and_keeps_lexi_private() {
-        let q = two_hop(&["x", "z"]);
-        let ctx = ExecContext::serial();
-        let sum = SumRanking::value_sum();
-        let shared = BranchPlan::of(&q, false)
-            .unwrap()
-            .open_shared(&q, &db(), sum.clone(), &ctx)
-            .unwrap();
-        assert!(shared.shared_frontier().is_some());
-        let private = BranchPlan::of(&q, false)
-            .unwrap()
-            .open(&q, &db(), sum.clone(), &ctx)
-            .unwrap();
-        assert!(private.shared_frontier().is_none());
-        assert_eq!(shared.collect::<Vec<_>>(), private.collect::<Vec<_>>());
-        let cyclic = BranchPlan::Cyclic.open_shared(&triangle(), &db(), sum, &ctx);
-        assert!(cyclic.unwrap().shared_frontier().is_some());
-        let lex = LexRanking::new(["x", "z"], WeightAssignment::value_as_weight());
-        let lexi = BranchPlan::of(&q, true)
-            .unwrap()
-            .open_shared(&q, &db(), lex, &ctx)
-            .unwrap();
-        assert_eq!(lexi.algorithm(), Algorithm::Lexi);
-        assert!(lexi.shared_frontier().is_none());
+        assert!(sum.shared_frontier().is_some());
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! any-k's ranked-suffix reuse (anyK-rec, arXiv 1911.05582) applied across
 //! clients instead of across parent tuples. The GHD enumerator shares the
 //! same way: its residual acyclic enumerator is what goes behind the lock.
+//! [`BranchPlan::open`](crate::BranchPlan::open) opens every Algorithm 1
+//! plan this way — a single statement's, a UNION branch's — so a frontier
+//! that no second cursor joins is simply private.
 //!
 //! A page longer than [`LOCK_CHUNK`] answers releases the lock between
 //! chunks and lets a cursor that waits for it in first, so one huge page
@@ -220,7 +223,7 @@ impl SharedFrontier {
 /// A cursor on a [`SharedFrontier`]: the shared enumerator plus this
 /// cursor's own position in its root chain. One lock per page of up to
 /// [`LOCK_CHUNK`] answers ([`RankedStream::next_page`]); `Iterator::next`
-/// locks per answer, for library callers and tests.
+/// locks per answer.
 pub struct ChainCursor {
     frontier: Arc<SharedFrontier>,
     /// The root cell this cursor's next answer is read from; `None` once
@@ -254,6 +257,12 @@ impl ChainCursor {
     }
 }
 
+/// One answer under one lock: how a UNION's merge pulls each Algorithm 1
+/// branch, and how library callers such as `top_k` read. The lock is
+/// uncontended there (no cursor attaches to a union's branch), and its
+/// cost is negligible: a 2-hop ∪ 3-hop merge measured the same per-answer
+/// delay and page latency as over the bare enumerators, within run-to-run
+/// spread.
 impl Iterator for ChainCursor {
     type Item = Tuple;
 

@@ -1,8 +1,11 @@
 //! Ranked enumeration for unions of join-project queries (Theorem 4).
 //!
 //! Each branch of the UCQ is enumerated by its own ranked enumerator
-//! (acyclic, lexicographic or GHD-based, as [`BranchPlan::of`] decides);
-//! the branch streams go through one
+//! (acyclic, lexicographic or GHD-based, as [`BranchPlan::of`] decides),
+//! opened the one way every plan is, [`BranchPlan::open`]: an Algorithm 1
+//! branch is a [`ChainCursor`](crate::ChainCursor) on a frontier of its
+//! own, which no other cursor attaches to and no plan cache records, and
+//! a lexi branch owns its state. The branch streams go through one
 //! `RankedMerge`, which drops an answer that several branches produce —
 //! across branches such copies are adjacent, because every stream is
 //! sorted by `(key, tuple)`.
@@ -33,7 +36,8 @@ impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     /// [`LexiEnumerator`](crate::LexiEnumerator) under a lexicographic
     /// ranking — each cyclic branch a
     /// [`CyclicEnumerator`](crate::CyclicEnumerator) with an automatically
-    /// chosen GHD plan.
+    /// chosen GHD plan, each Algorithm 1 branch read through its own
+    /// frontier (see the [module docs](self)).
     pub fn new(union: &UnionQuery, db: &Database, ranking: R) -> Result<Self, EnumError> {
         Self::new_ctx(union, db, ranking, &ExecContext::serial())
     }
@@ -139,10 +143,12 @@ impl<R: Ranking + Clone + 'static> Iterator for UnionEnumerator<R> {
 mod tests {
     use super::*;
     use crate::acyclic::AcyclicEnumerator;
+    use crate::plan::Algorithm;
     use re_query::QueryBuilder;
-    use re_ranking::{Ranking, SumRanking};
+    use re_ranking::{LexRanking, Ranking, SumRanking, WeightAssignment};
     use re_storage::attr::attrs;
     use re_storage::Relation;
+    use std::sync::Arc;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -305,5 +311,53 @@ mod tests {
         assert_eq!(built.answers, 0, "a branch answer is not a union answer");
         assert_eq!(e.by_ref().take(5).count(), 5);
         assert_eq!(e.stats_snapshot().answers, 5);
+    }
+
+    #[test]
+    fn every_algorithm_1_branch_reads_a_frontier_of_its_own() {
+        let pair = |relation: &str| {
+            QueryBuilder::new()
+                .atom("P", relation, ["x", "y"])
+                .project(["x", "y"])
+                .build()
+                .unwrap()
+        };
+        let triangle = QueryBuilder::new()
+            .atom("A", "Knows", ["x", "y"])
+            .atom("B", "Knows", ["y", "z"])
+            .atom("C", "Likes", ["z", "x"])
+            .project(["x", "y"])
+            .build()
+            .unwrap();
+        let union = UnionQuery::new(vec![pair("Knows"), pair("Likes"), triangle]).unwrap();
+        fn check<R: Ranking + Clone + 'static>(e: UnionEnumerator<R>, algorithms: [Algorithm; 3]) {
+            for (i, (b, algorithm)) in e.branches.iter().zip(algorithms).enumerate() {
+                assert_eq!(b.algorithm(), algorithm, "branch {i}");
+                let frontier = b.shared_frontier();
+                assert_eq!(
+                    frontier.is_some(),
+                    algorithm != Algorithm::Lexi,
+                    "branch {i}"
+                );
+                // Nothing but the branch holds it: no cursor attaches to a
+                // union's branch and no cache records it.
+                assert!(
+                    frontier.is_none_or(|f| Arc::strong_count(f) == 1),
+                    "branch {i}"
+                );
+            }
+            assert!(e.shared_frontier().is_none(), "a union has no one chain");
+        }
+        let sum = UnionEnumerator::new(&union, &db(), SumRanking::value_sum()).unwrap();
+        check(
+            sum,
+            [Algorithm::Acyclic, Algorithm::Acyclic, Algorithm::CyclicGhd],
+        );
+        let lex = LexRanking::new(["x", "y"], WeightAssignment::value_as_weight());
+        let lex = UnionEnumerator::new(&union, &db(), lex).unwrap();
+        check(
+            lex,
+            [Algorithm::Lexi, Algorithm::Lexi, Algorithm::CyclicGhd],
+        );
     }
 }

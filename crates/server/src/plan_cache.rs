@@ -331,7 +331,7 @@ mod tests {
 
     /// A frontier whose enumerator panicked while it was extended.
     fn poisoned_frontier() -> Arc<SharedFrontier> {
-        use rankedenum_core::AcyclicEnumerator;
+        use rankedenum_core::{BranchPlan, ExecContext};
         use re_ranking::{Ranking, SumRanking};
         use re_storage::{Attr, Value};
         use std::sync::atomic::AtomicBool;
@@ -366,11 +366,12 @@ mod tests {
         }
         let armed = Arc::new(AtomicBool::new(false));
         let ranking = PanicsOnceArmed(Arc::clone(&armed));
-        let mut cursor = AcyclicEnumerator::new(&q, &db, ranking)
+        let mut cursor = BranchPlan::of(&q, false)
             .unwrap()
-            .into_shared();
+            .open(&q, &db, ranking, &ExecContext::serial())
+            .unwrap();
         armed.store(true, Ordering::Relaxed);
-        let frontier = Arc::clone(cursor.frontier());
+        let frontier = Arc::clone(cursor.shared_frontier().unwrap());
         let extended =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cursor.by_ref().count()));
         assert!(extended.is_err() && frontier.is_poisoned());

@@ -655,7 +655,9 @@ impl Reactor {
             return;
         };
         let shared = &conn.shared;
-        if !conn.queued.is_empty() {
+        // Only a negotiated connection parses items, so an unnegotiated
+        // one has nothing queued to dispatch.
+        if let (Some(protocol), false) = (conn.protocol, conn.queued.is_empty()) {
             let mut idle = !shared.inflight.load(Ordering::SeqCst);
             if !idle {
                 // Flag first, then look again: a worker that cleared
@@ -682,8 +684,7 @@ impl Reactor {
                 self.jobs.push(Job {
                     token,
                     conn: Arc::clone(shared),
-                    // Only a negotiated connection parses items.
-                    protocol: conn.protocol.expect("items imply negotiation"),
+                    protocol,
                     items,
                 });
             }

@@ -17,8 +17,10 @@
 //! its own `LIMIT` budget, cancel token and timing. A frontier no other
 //! cursor is attached to is private in effect, and its one cursor reports
 //! the whole run's work. A server keeps the frontier for as long as some
-//! cursor holds it. Lexicographic statements (Algorithm 3) and `UNION`s
-//! have no one root chain and keep their enumerators to themselves.
+//! cursor holds it. Lexicographic statements (Algorithm 3) own their
+//! enumerator. A `UNION` has no one root chain to attach to: its merge
+//! reads each Algorithm 1 branch through a frontier of its own, which
+//! nothing else ever sees.
 
 use crate::error::SqlError;
 use crate::planner::{OrderSpec, PlannedQuery, SqlPlan};
@@ -131,8 +133,9 @@ impl QueryCursor {
     }
 
     /// The shared enumerator this cursor reads — every Algorithm 1
-    /// cursor's, built or attached; `None` for a lexicographic or `UNION`
-    /// cursor, which owns its enumerator.
+    /// cursor's, built or attached; `None` for a lexicographic cursor,
+    /// which owns its enumerator, and for a `UNION`, whose branch
+    /// frontiers only its merge reads.
     pub fn frontier(&self) -> Option<&Arc<SharedFrontier>> {
         self.stream.shared_frontier()
     }
@@ -260,9 +263,9 @@ fn open_stream<R: Ranking + Clone + 'static>(
     ctx: &ExecContext,
 ) -> Result<Box<dyn RankedStream>, SqlError> {
     Ok(match &plan.query {
-        PlannedQuery::Single(q) => plan.branches[0].open_shared(q, db, ranking, ctx)?,
-        // Never shared: the merge interleaves several branch streams and
-        // has no one root chain.
+        PlannedQuery::Single(q) => plan.branches[0].open(q, db, ranking, ctx)?,
+        // Never attached to: the merge interleaves several branch streams
+        // and has no one root chain, so its branches' frontiers stay its own.
         PlannedQuery::Union(u) => Box::new(UnionEnumerator::with_plans_ctx(
             u,
             &plan.branches,

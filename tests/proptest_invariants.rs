@@ -10,7 +10,7 @@ mod common;
 
 use common::{assert_valid_ranked_output, reference_answers, reference_union_answers};
 use proptest::prelude::*;
-use rankedenum::core::{AnswerGate, ChainCursor};
+use rankedenum::core::AnswerGate;
 use rankedenum::datagen::log_degree_weights;
 use rankedenum::prelude::*;
 use std::any::type_name;
@@ -291,17 +291,23 @@ fn assert_sharers_emit_the_oracle<R: Ranking + Clone + 'static>(
         type_name::<R>(),
         ctx.threads()
     );
-    let (query, private, first): (_, Vec<Tuple>, ChainCursor) = match shape {
+    let (query, private): (_, Vec<Tuple>) = match shape {
         Shape::Cyclic(q) => {
-            let open = || CyclicEnumerator::new_auto_ctx(q, db, ranking.clone(), ctx).unwrap();
-            (q, open().collect(), open().into_shared())
+            let e = CyclicEnumerator::new_auto_ctx(q, db, ranking.clone(), ctx).unwrap();
+            (q, e.collect())
         }
         Shape::Star(q) | Shape::Path(q) => {
-            let open = || AcyclicEnumerator::new_ctx(q, db, ranking.clone(), ctx).unwrap();
-            (q, open().collect(), open().into_shared())
+            let e = AcyclicEnumerator::new_ctx(q, db, ranking.clone(), ctx).unwrap();
+            (q, e.collect())
         }
-        Shape::Union(_) => unreachable!("a union merges private branch streams"),
+        Shape::Union(_) => unreachable!("no cursor attaches to a union's branches"),
     };
+    // Algorithm 1 even under LEX: the plan is made as for a non-lexicographic
+    // order, so `open` puts the general enumerator behind a frontier.
+    let first = BranchPlan::of(query, false)
+        .unwrap()
+        .open(query, db, ranking.clone(), ctx)
+        .unwrap();
     let (oracle, _) = MaterializeSortEngine::new()
         .top_k(query, db, &ranking, usize::MAX)
         .unwrap();
@@ -321,9 +327,10 @@ fn assert_sharers_emit_the_oracle<R: Ranking + Clone + 'static>(
         }
         let pick = draw(&mut seed, open.len() + usize::from(may_attach));
         let Some(&i) = open.get(pick) else {
-            let (cursor, published) = live[0].0.frontier().attach().unwrap();
+            let frontier = live[0].0.shared_frontier().unwrap();
+            let (cursor, published) = frontier.attach().unwrap();
             prop_assert!(published as usize <= oracle.len(), "{what}");
-            live.push((cursor, gate(), Vec::new(), false));
+            live.push((Box::new(cursor), gate(), Vec::new(), false));
             continue;
         };
         let k = 1 + draw(&mut seed, 6);

@@ -59,16 +59,18 @@ run cargo bench --workspace --no-run
 # comparator and assert the tie share they are named for, `frontier_build`
 # reads the build's trace spans, `bag_build` times the 6-cycle's bags
 # narrowed to their interfaces against full width, so the cost of the
-# walk's de-duplication shows. All eight lines must come out (about half
-# a minute).
+# walk's de-duplication shows, and `ghd_race` builds the 6-cycle as a
+# cyclic OPEN does, its decomposition racing the single bag, and names
+# the winner. All nine lines must come out (about half a minute).
 micro_core_probes() {
     local out
     out=$(cargo bench -q -p re_bench --bench micro_core) || return 1
-    grep -E '^micro_core/(frontier_(pop_push|replace_top|build)|bag_build)/' <<<"$out"
+    grep -E '^micro_core/(frontier_(pop_push|replace_top|build)|bag_build|ghd_race)/' <<<"$out"
     test "$(grep -c '^micro_core/frontier_pop_push/' <<<"$out")" = 2 &&
         test "$(grep -c '^micro_core/frontier_replace_top/' <<<"$out")" = 2 &&
         test "$(grep -c '^micro_core/frontier_build/' <<<"$out")" = 3 &&
-        test "$(grep -c '^micro_core/bag_build/' <<<"$out")" = 1
+        test "$(grep -c '^micro_core/bag_build/' <<<"$out")" = 1 &&
+        test "$(grep -c '^micro_core/ghd_race/DBLP6cycle:' <<<"$out")" = 1
 }
 run micro_core_probes
 # No test is ignored: a failing test cannot be silenced in passing.

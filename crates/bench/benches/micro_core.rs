@@ -21,12 +21,16 @@
 //! nanoseconds per walked row, once narrowed to each bag's interface and
 //! once at full width: the difference is what the walk's de-duplication
 //! costs.
+//!
+//! `ghd_race` builds the same 6-cycle the way a cyclic `OPEN` does, its
+//! decomposition racing the single bag, and prints which won, what each
+//! walked, and the build's milliseconds.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rankedenum_core::ExecContext;
 use rankedenum_core::{
-    entry_cmp, AcyclicEnumerator, CellArena, FrontierEntry, FrontierHeap, KeyInterner,
-    LexiEnumerator,
+    entry_cmp, AcyclicEnumerator, CellArena, CyclicEnumerator, FrontierEntry, FrontierHeap,
+    KeyInterner, LexiEnumerator,
 };
 use re_bench::Scale;
 use re_join::{bag_interface, bind_atoms_of, full_reduce, wcoj_materialize_reported};
@@ -232,6 +236,38 @@ fn bag_build(spec: &QuerySpec, db: &Database) {
     );
 }
 
+/// Open `spec` through the bag race (`CyclicEnumerator::new_auto`: its
+/// cost-based decomposition built in lockstep with the single bag),
+/// serially, `ROUNDS` times, and print the winner, both contenders'
+/// intersections and the build's milliseconds (best round). The
+/// intersections are deterministic; the winner is too.
+fn ghd_race(spec: &QuerySpec, db: &Database) {
+    const ROUNDS: usize = 15;
+    let mut best = f64::MAX;
+    let mut report = None;
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        let e = CyclicEnumerator::new_auto(&spec.query, db, SumRanking::value_sum()).unwrap();
+        best = best.min(start.elapsed().as_secs_f64());
+        report = Some(e.plan_report().clone());
+    }
+    let report = report.expect("ROUNDS > 0");
+    let loser = report
+        .race_loser
+        .as_ref()
+        .expect("a decomposition of two bags races the single bag");
+    println!(
+        "micro_core/ghd_race/{}: winner {} ({} intersections) over {} ({} intersections \
+         wasted); {:.2} ms build (best of {ROUNDS})",
+        spec.name,
+        report.shape,
+        report.intersections(),
+        loser.shape,
+        loser.wasted_intersections,
+        best * 1e3
+    );
+}
+
 fn bench(c: &mut Criterion) {
     frontier_pop_push(82_000, 20.0);
     frontier_pop_push(35_000, 40.0);
@@ -245,6 +281,7 @@ fn bench(c: &mut Criterion) {
     }
     let cyc = DblpWorkload::generate(1_200 * factor, 42, WeightScheme::Random);
     bag_build(&cyc.cycle(3).0, cyc.db());
+    ghd_race(&cyc.cycle(3).0, cyc.db());
 
     let mut group = c.benchmark_group("micro_core");
     group

@@ -15,18 +15,18 @@ use crate::plan::Algorithm;
 use crate::shared::{ChainCursor, SharedFrontier};
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
-use re_join::{materialize_bags_reported, BagKernel, Reduction};
+use re_join::{materialize_bags_reported, race_bags, BagBuildInfo, BagKernel, Reduction};
 use re_query::{Atom, GhdPlan, JoinProjectQuery, JoinTree, QueryError};
 use re_ranking::Ranking;
-use re_storage::{Attr, Database, Tuple};
+use re_storage::{Attr, Database, Relation, Tuple};
 
 /// How the GHD plan behind a [`CyclicEnumerator`] was chosen — surfaced all
 /// the way to the server `stats` endpoint so a silent degradation to full
 /// materialisation is visible, not swallowed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GhdReport {
     /// The plan shape (`"cycle-figure2"`, `"cycle-split(s,t)"`,
-    /// `"single-bag"`, `"explicit"`).
+    /// `"single-bag"`, `"explicit"`): the race's winner when one ran.
     pub shape: String,
     /// Number of bags in the plan.
     pub bags: usize,
@@ -40,22 +40,48 @@ pub struct GhdReport {
     pub candidates: usize,
     /// Per-bag build facts, in plan bag order.
     pub bag_details: Vec<BagDetail>,
+    /// The contender the build raced and abandoned, when the selected
+    /// decomposition raced the single bag.
+    pub race_loser: Option<RaceLoser>,
 }
 
 impl GhdReport {
     /// The plan shape, annotated with the fallback reason when selection
-    /// had to degrade to full materialisation.
+    /// had to degrade to full materialisation, or with the plan it beat
+    /// when a race ran.
     pub(crate) fn annotated_shape(&self) -> String {
-        match &self.fallback {
-            Some(reason) => format!("{} [fallback: {reason}]", self.shape),
-            None => self.shape.clone(),
+        match (&self.fallback, &self.race_loser) {
+            (Some(reason), _) => format!("{} [fallback: {reason}]", self.shape),
+            (None, Some(loser)) => format!("{} [raced {}]", self.shape, loser.shape),
+            (None, None) => self.shape.clone(),
         }
     }
+
+    /// Intersections the winning plan's bag walks took.
+    pub fn intersections(&self) -> u64 {
+        self.bag_details.iter().map(|d| d.intersections).sum()
+    }
+}
+
+/// The losing side of a bag race: what [`CyclicEnumerator::new_auto_ctx`]
+/// walked and dropped.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RaceLoser {
+    /// The abandoned plan's shape.
+    pub shape: String,
+    /// Its bag count.
+    pub bags: usize,
+    /// Intersections it walked before it was abandoned: the race's waste.
+    pub wasted_intersections: u64,
+    /// Intersections of its last step. It took that step while it had
+    /// spent no more than the winner, so the waste is at most the
+    /// winner's intersections plus this.
+    pub last_step_intersections: u64,
 }
 
 /// Per-bag materialisation facts: what EXPLAIN ANALYZE prints as the
 /// estimate-vs-actual line for each bag of the GHD.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BagDetail {
     /// Bag (and bag relation) name.
     pub name: String,
@@ -64,7 +90,7 @@ pub struct BagDetail {
     /// Attribute order the bag kernel bound, as strings.
     pub attr_order: Vec<String>,
     /// The columns the bag keeps (its interface: projected or shared with
-    /// another bag), as strings, in bag order.
+    /// another bag), as strings, in walk order.
     pub interface: Vec<String>,
     /// Rows the walk produced before de-duplicating them on the interface
     /// (at most the full-width bag's rows).
@@ -94,6 +120,21 @@ pub struct CyclicEnumerator<R: Ranking + Clone> {
     report: GhdReport,
 }
 
+impl GhdReport {
+    /// The report of `plan` before its bags are built.
+    fn of_plan(plan: &GhdPlan, fallback: Option<String>, candidates: usize) -> Self {
+        GhdReport {
+            shape: plan.shape().to_string(),
+            bags: plan.len(),
+            estimated_rows: plan.estimated_rows().map(|e| e.round() as u64),
+            fallback,
+            candidates,
+            bag_details: Vec::with_capacity(plan.len()),
+            race_loser: None,
+        }
+    }
+}
+
 impl<R: Ranking + Clone> CyclicEnumerator<R> {
     /// Build the enumerator from an explicit GHD plan.
     pub fn new(
@@ -106,9 +147,9 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
     }
 
     /// Build the enumerator from an explicit GHD plan under an execution
-    /// context. On a pooled context the bags are materialised as parallel
-    /// pool tasks (they are independent sub-joins) and the kernels inside
-    /// each bag fan out further over morsels of the same pool. The bags
+    /// context. On a pooled context the bags are prepared (bound, swept,
+    /// compiled) as parallel pool tasks (they are independent sub-joins)
+    /// and each bag's walk fans out over morsels of the same pool. The bags
     /// then go straight to the residual reducer and Algorithm 1 — no copy,
     /// no database in between — which cost about as much again as
     /// materialising them.
@@ -124,27 +165,28 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
-        Self::build(query, db, ranking, plan, ctx, None, 0)
+        let built = materialize_bags_reported(query, db, plan.bags(), ctx, BagKernel::default())?;
+        let report = GhdReport::of_plan(plan, None, 0);
+        Self::build(query, ranking, plan, built, report, ctx)
     }
 
-    /// The shared build path; callers have validated `query` against `db`.
+    /// The shared build path: the bags of `plan`, built, go to the
+    /// residual reducer and Algorithm 1. `report` lacks the bag details,
+    /// which come from `built`.
     fn build(
         query: &JoinProjectQuery,
-        db: &Database,
         ranking: R,
         plan: &GhdPlan,
+        built: Vec<(Relation, BagBuildInfo)>,
+        mut report: GhdReport,
         ctx: &ExecContext,
-        fallback: Option<String>,
-        candidates: usize,
     ) -> Result<Self, EnumError> {
         let mut atoms = Vec::with_capacity(plan.len());
         let mut bag_rels = Vec::with_capacity(plan.len());
         let mut bag_sizes = Vec::with_capacity(plan.len());
-        let mut bag_details = Vec::with_capacity(plan.len());
-        let built = materialize_bags_reported(query, db, plan.bags(), ctx, BagKernel::default())?;
         for (i, (bag, (rel, info))) in plan.bags().iter().zip(built).enumerate() {
             bag_sizes.push(rel.len());
-            bag_details.push(BagDetail {
+            report.bag_details.push(BagDetail {
                 name: info.name,
                 atoms: info.atoms,
                 attr_order: info.attr_order.iter().map(|a| a.to_string()).collect(),
@@ -180,14 +222,6 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         let reduction = Reduction::of_relations(ctx, tree, relations)?;
         let mut inner =
             AcyclicEnumerator::from_reduction(query.projection().to_vec(), ranking, reduction)?;
-        let report = GhdReport {
-            shape: plan.shape().to_string(),
-            bags: plan.len(),
-            estimated_rows: plan.estimated_rows().map(|e| e.round() as u64),
-            fallback,
-            candidates,
-            bag_details,
-        };
         let stats = inner.stats_mut();
         stats.ghd_bags = report.bags as u64;
         stats.ghd_estimated_rows = report.estimated_rows.unwrap_or(0);
@@ -199,12 +233,23 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         })
     }
 
-    /// Build the enumerator choosing a plan automatically by cost-based
-    /// GHD selection ([`GhdPlan::cost_based`]): the candidate decomposition
-    /// with the smallest AGM bag-size estimate wins; only when no
-    /// decomposition applies does the single-bag (full materialisation)
-    /// fallback run — and then the reason is recorded in
+    /// Build the enumerator choosing a plan automatically.
+    ///
+    /// Cost-based GHD selection ([`GhdPlan::cost_based`]) picks the
+    /// candidate decomposition with the smallest AGM bag-size estimate;
+    /// only when no decomposition applies does the single-bag fallback
+    /// run, and then the reason is recorded in
     /// [`CyclicEnumerator::plan_report`] instead of being swallowed.
+    ///
+    /// A selected decomposition of two or more bags then races the single
+    /// bag ([`race_bags`]): both are walked in lockstep, the one that has
+    /// spent fewer intersections taking the next step, and whichever walks
+    /// all of its bags first is kept. Onto the projection the single bag
+    /// leaves a one-relation residual and often builds several times
+    /// faster, but it has no bound below the full query's; the race keeps
+    /// the decomposition's Theorem 3 bound within a factor of two plus one
+    /// step. The report names the winner and the loser's wasted work
+    /// ([`GhdReport::race_loser`]).
     pub fn new_auto(
         query: &JoinProjectQuery,
         db: &Database,
@@ -213,7 +258,10 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         Self::new_auto_ctx(query, db, ranking, &ExecContext::serial())
     }
 
-    /// [`CyclicEnumerator::new_auto`] under an execution context.
+    /// [`CyclicEnumerator::new_auto`] under an execution context. The
+    /// race's winner depends on per-step intersection counts only, which
+    /// are the same at any thread count, so the plan, the report and the
+    /// enumeration are too.
     pub fn new_auto_ctx(
         query: &JoinProjectQuery,
         db: &Database,
@@ -226,15 +274,40 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         let ghd_span = re_obs::Span::enter("preprocess.ghd_select");
         let sel = GhdPlan::cost_based(query, db)?;
         drop(ghd_span);
-        Self::build(
-            query,
-            db,
-            ranking,
+        let report = GhdReport::of_plan(
             &sel.plan,
-            ctx,
             sel.fallback().map(str::to_string),
             sel.considered,
-        )
+        );
+        if sel.plan.len() < 2 {
+            let built =
+                materialize_bags_reported(query, db, sel.plan.bags(), ctx, BagKernel::default())?;
+            return Self::build(query, ranking, &sel.plan, built, report, ctx);
+        }
+        // The single bag goes first: ties go to it.
+        let contenders = [GhdPlan::single_bag(query), sel.plan];
+        let race = race_bags(
+            query,
+            db,
+            &[contenders[0].bags(), contenders[1].bags()],
+            ctx,
+        )?;
+        let (winner, loser) = (race.winner, 1 - race.winner);
+        let mut report = if winner == 1 {
+            report
+        } else {
+            GhdReport {
+                candidates: report.candidates,
+                ..GhdReport::of_plan(&contenders[0], None, 0)
+            }
+        };
+        report.race_loser = Some(RaceLoser {
+            shape: contenders[loser].shape().to_string(),
+            bags: contenders[loser].len(),
+            wasted_intersections: race.intersections[loser],
+            last_step_intersections: race.last_step[loser],
+        });
+        Self::build(query, ranking, &contenders[winner], race.bags, report, ctx)
     }
 
     /// Sizes of the materialised bag relations, narrowed to their
@@ -391,7 +464,8 @@ mod tests {
     fn bag_sizes_are_reported() {
         let db = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 1)]);
         let q = four_cycle_query();
-        let e = CyclicEnumerator::new_auto(&q, &db, SumRanking::value_sum()).unwrap();
+        let plan = GhdPlan::cost_based(&q, &db).unwrap().plan;
+        let e = CyclicEnumerator::new(&q, &db, SumRanking::value_sum(), &plan).unwrap();
         assert_eq!(e.bag_sizes().len(), 2);
         assert!(e.bag_sizes().iter().all(|&s| s > 0));
     }
@@ -408,26 +482,56 @@ mod tests {
     fn auto_plans_are_reported_and_fallbacks_carry_a_reason() {
         let db = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 1)]);
         let q = four_cycle_query();
+        // Selection picks a two-bag split, which races the single bag. On
+        // a square each walk fits in one step, and ties go to the single
+        // bag: it finishes before the split takes a step.
+        let selected = GhdPlan::cost_based(&q, &db).unwrap().plan;
+        assert!(
+            selected.shape().starts_with("cycle-"),
+            "{}",
+            selected.shape()
+        );
+        assert_eq!(selected.len(), 2);
         let e = CyclicEnumerator::new_auto(&q, &db, SumRanking::value_sum()).unwrap();
         let report = e.plan_report();
-        assert!(report.shape.starts_with("cycle-"), "{}", report.shape);
-        assert_eq!(report.bags, 2);
-        assert!(report.estimated_rows.is_some());
-        assert!(report.fallback.is_none());
+        assert_eq!(report.shape, "single-bag");
+        assert_eq!(report.bags, 1);
+        assert_eq!(report.estimated_rows, None);
+        assert!(report.fallback.is_none(), "a race winner is no fallback");
         assert!(report.candidates > 1, "cost-based selection compared plans");
-        assert_eq!(report.bag_details.len(), 2);
+        assert_eq!(report.bag_details.len(), 1);
+        let loser = report.race_loser.as_ref().expect("the split raced");
+        assert_eq!(loser.shape, selected.shape());
+        assert_eq!(loser.bags, 2);
+        assert_eq!(loser.wasted_intersections, 0);
+        assert!(report.intersections() > 0);
+        assert_eq!(
+            e.plan_report().annotated_shape(),
+            format!("single-bag [raced {}]", selected.shape())
+        );
         for (detail, &size) in report.bag_details.iter().zip(e.bag_sizes()) {
             assert_eq!(detail.actual_rows, size as u64);
-            assert!(detail.estimated_rows.is_some());
             assert!(detail.atoms > 0);
             assert!(!detail.attr_order.is_empty());
         }
-        assert_eq!(e.stats().ghd_bags, 2);
+        assert_eq!(e.stats().ghd_bags, 1);
         assert_eq!(e.stats().ghd_fallbacks, 0);
+        assert_eq!(e.stats().ghd_estimated_rows, 0);
+
+        // The selected split, built on its own, reports its estimates.
+        let e = CyclicEnumerator::new(&q, &db, SumRanking::value_sum(), &selected).unwrap();
+        let report = e.plan_report();
+        assert_eq!((report.bags, report.bag_details.len()), (2, 2));
+        assert!(report.estimated_rows.is_some());
+        assert!(report.race_loser.is_none());
+        for (detail, &size) in report.bag_details.iter().zip(e.bag_sizes()) {
+            assert_eq!(detail.actual_rows, size as u64);
+            assert!(detail.estimated_rows.is_some());
+        }
         assert!(e.stats().ghd_estimated_rows > 0);
 
         // A chorded declaration order is not a cycle: selection must fall
-        // back to full materialisation and say why.
+        // back to full materialisation and say why. Nothing races it.
         let chorded = QueryBuilder::new()
             .atom("R1", "E", ["a", "b"])
             .atom("R2", "E", ["c", "d"])
@@ -444,6 +548,7 @@ mod tests {
             .as_deref()
             .expect("fallback reason recorded");
         assert!(reason.contains("share no variable"), "{reason}");
+        assert!(report.race_loser.is_none());
         assert_eq!(e.stats().ghd_fallbacks, 1);
     }
 }

@@ -46,7 +46,7 @@ pub mod stream;
 pub mod union;
 
 pub use acyclic::AcyclicEnumerator;
-pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport};
+pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport, RaceLoser};
 pub use error::EnumError;
 pub use frontier::{
     entry_cmp, CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, EXACT_KEY,

@@ -64,9 +64,11 @@ pub enum BranchPlan {
     Acyclic(JoinTree),
     /// Algorithm 3 over this join tree.
     Lexi(JoinTree),
-    /// GHD-based evaluation. The decomposition is chosen at OPEN, by the
-    /// sizes of the relations it is opened on
-    /// ([`CyclicEnumerator::new_auto_ctx`]).
+    /// GHD-based evaluation, planned at OPEN
+    /// ([`CyclicEnumerator::new_auto_ctx`]): cost-based selection picks a
+    /// decomposition by the AGM bounds of its bags over the relations it is
+    /// opened on, and one of two or more bags is built in a race against
+    /// the single bag, the plan that finishes its bag walk first serving.
     Cyclic,
 }
 

@@ -17,15 +17,22 @@
 //! lexicographically sorted and distinct over the interface — which the
 //! `wcoj_differential` suite checks against the definition (hash-join the
 //! bag's atoms, project with de-duplication onto the interface, sort).
+//!
+//! The kernel's walk is resumable, so the bags of several decompositions
+//! can be built in lockstep: [`race_bags`] keeps whichever decomposition
+//! finishes its bags first, at no more than twice its work plus one step.
+//! Building one decomposition's bags is the race with one contender.
 
 use crate::bind::bind_atoms_of;
 use crate::error::JoinError;
 use crate::parallel::par_semi_join;
-use crate::wcoj::wcoj_materialize_reported;
+use crate::wcoj::BagWalk;
 use re_exec::ExecContext;
+use re_obs::trace::{self, SpanGuard};
+use re_obs::AttrValue;
 use re_query::{Bag, JoinProjectQuery};
 use re_storage::{Attr, Database, Relation};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Vestige of the retired kernel choice, kept because the frozen
 /// `stackbench/` names it; it goes with ROADMAP item 2.
@@ -79,61 +86,258 @@ pub fn bag_interface(query: &JoinProjectQuery, bags: &[Bag], i: usize) -> Vec<At
     }
 }
 
-/// Materialise one GHD bag — `π_{interface}(⋈_{i ∈ bag.atoms} atom_i)`,
-/// de-duplicated, named `bag.name` — returning the per-operator
-/// [`BagBuildInfo`] alongside the relation. The semi-join sweep and the
-/// generic join run through the context's (possibly pooled) primitives;
-/// output is canonical (sorted, distinct) either way.
-///
-/// Only the bag's own atoms are bound — binding clones the base relation
-/// per atom, so binding the whole query per bag (as earlier revisions did)
-/// multiplied that copy cost by the bag count for nothing.
-///
-/// When a request trace is installed on the calling thread the build is
-/// recorded as a `bag.materialize` span carrying the same counters and
-/// stamped with the pool worker lane that ran it — under the parallel
-/// per-bag fan-out of [`materialize_bags_reported`] this is what makes the
-/// fan-out visible in the exported trace.
-fn materialize_bag_reported(
-    query: &JoinProjectQuery,
-    db: &Database,
-    bag: &Bag,
-    interface: &[Attr],
-    ctx: &ExecContext,
-) -> Result<(Relation, BagBuildInfo), JoinError> {
-    // Bag boundary: the cancellation poll point of the per-bag fan-out,
-    // and the `bags.materialize` failpoint.
-    ctx.check_cancelled()?;
-    re_fault::fire("bags.materialize")?;
-    let mut span = re_obs::trace::child_span("bag.materialize");
-    let mut rels = bind_atoms_of(query, db, bag.atoms.iter().copied())?;
+/// One bag of a contender, ready to walk or part-way through its walk:
+/// the kernel's resumable walk and the bag's `bag.materialize` trace
+/// span, which is detached so that the contenders' spans can interleave.
+struct BagInProgress {
+    walk: BagWalk,
+    atoms: u64,
+    span: Option<SpanGuard>,
+}
 
-    semi_join_sweep(ctx, &mut rels)?;
+impl BagInProgress {
+    /// Bind bag `i`'s atoms (only the bag's own: binding clones the base
+    /// relation per atom), sweep them by semi-joins, and compile its walk;
+    /// with `walk_now`, also walk it to the end. The bag boundary is a
+    /// cancellation poll point and the `bags.materialize` failpoint.
+    fn prepare(
+        query: &JoinProjectQuery,
+        db: &Database,
+        bags: &[Bag],
+        i: usize,
+        walk_now: bool,
+        ctx: &ExecContext,
+    ) -> Result<Self, JoinError> {
+        ctx.check_cancelled()?;
+        re_fault::fire("bags.materialize")?;
+        let bag = &bags[i];
+        let span = trace::detached_span("bag.materialize");
+        let _parent = span.as_ref().map(SpanGuard::resume);
+        let mut rels = bind_atoms_of(query, db, bag.atoms.iter().copied())?;
+        semi_join_sweep(ctx, &mut rels)?;
+        let mut walk = BagWalk::new(bag, &bag_interface(query, bags, i), &rels)?;
+        drop(rels);
+        if walk_now {
+            walk.walk_rest(ctx)?;
+        }
+        drop(_parent);
+        Ok(BagInProgress {
+            walk,
+            atoms: bag.atoms.len() as u64,
+            span,
+        })
+    }
+}
 
-    let (out, report) = wcoj_materialize_reported(bag, interface, &rels, ctx)?;
-    let info = BagBuildInfo {
-        name: bag.name.clone(),
-        atoms: bag.atoms.len() as u64,
-        attr_order: report.attr_order,
-        interface: out.attrs().to_vec(),
-        walked_rows: report.walked_rows,
-        rows: out.len() as u64,
-        intersections: report.intersections,
-    };
-    if let Some(s) = span.as_mut() {
-        use re_obs::AttrValue;
-        s.set_attr("bag", AttrValue::Str(info.name.clone()));
-        s.set_attr("atoms", AttrValue::U64(info.atoms));
-        let interface: Vec<&str> = info.interface.iter().map(Attr::as_str).collect();
-        s.set_attr("interface", AttrValue::Str(interface.join(",")));
-        s.set_attr("walked_rows", AttrValue::U64(info.walked_rows));
-        s.set_attr("rows", AttrValue::U64(info.rows));
-        s.set_attr("intersections", AttrValue::U64(info.intersections));
-        if let Some(worker) = re_exec::current_worker() {
-            s.set_lane(worker as u32);
+/// One contender of a race: a GHD's bags, walked one after another, one
+/// step at a time.
+struct Contender<'b> {
+    bags: &'b [Bag],
+    /// The prepared bags not yet walked to the end, in bag order, the
+    /// first maybe part-walked. A bag the race has not reached is prepared
+    /// when the contender first steps into it.
+    pending: VecDeque<BagInProgress>,
+    /// The bags walked to the end, each with its span (stopped, and kept
+    /// open for the race's verdict).
+    built: Vec<(Relation, BagBuildInfo, Option<SpanGuard>)>,
+    spent: u64,
+    last_step: u64,
+}
+
+impl<'b> Contender<'b> {
+    fn new(bags: &'b [Bag]) -> Self {
+        Contender {
+            bags,
+            pending: VecDeque::new(),
+            built: Vec::with_capacity(bags.len()),
+            spent: 0,
+            last_step: 0,
         }
     }
-    Ok((out, info))
+
+    fn is_done(&self) -> bool {
+        self.built.len() == self.bags.len()
+    }
+
+    /// Walk one step of the current bag, preparing it first if the race
+    /// has just reached it, and close the bag when its walk is done.
+    fn step(
+        &mut self,
+        query: &JoinProjectQuery,
+        db: &Database,
+        ctx: &ExecContext,
+    ) -> Result<(), JoinError> {
+        if self.pending.is_empty() {
+            let i = self.built.len();
+            let bag = BagInProgress::prepare(query, db, self.bags, i, false, ctx)?;
+            self.pending.push_back(bag);
+        }
+        let bag = self.pending.front_mut().expect("just ensured");
+        let _parent = bag.span.as_ref().map(SpanGuard::resume);
+        self.last_step = bag.walk.advance(ctx)?;
+        self.spent += self.last_step;
+        drop(_parent);
+        if !bag.walk.is_done() {
+            return Ok(());
+        }
+        let bag = self.pending.pop_front().expect("just walked");
+        let (rel, report) = bag.walk.finish();
+        let info = BagBuildInfo {
+            name: rel.name().to_string(),
+            atoms: bag.atoms,
+            attr_order: report.attr_order,
+            interface: rel.attrs().to_vec(),
+            walked_rows: report.walked_rows,
+            rows: rel.len() as u64,
+            intersections: report.intersections,
+        };
+        let mut span = bag.span;
+        if let Some(s) = span.as_mut() {
+            s.stop();
+            record_bag(s, &info);
+        }
+        self.built.push((rel, info, span));
+        Ok(())
+    }
+
+    /// Mark every span of a contender that lost the race: its bags,
+    /// walked or part-walked, are dropped.
+    fn abandon(&mut self) {
+        let built = self.built.iter_mut().map(|(_, _, s)| s);
+        let pending = self.pending.iter_mut().map(|bag| {
+            if let Some(s) = bag.span.as_mut() {
+                s.set_attr("intersections", AttrValue::U64(bag.walk.intersections()));
+            }
+            &mut bag.span
+        });
+        for s in built.chain(pending).flatten() {
+            s.set_attr("abandoned", AttrValue::Bool(true));
+        }
+    }
+}
+
+/// The counters of a built bag on its `bag.materialize` span.
+fn record_bag(s: &mut SpanGuard, info: &BagBuildInfo) {
+    s.set_attr("bag", AttrValue::Str(info.name.clone()));
+    s.set_attr("atoms", AttrValue::U64(info.atoms));
+    let interface: Vec<&str> = info.interface.iter().map(Attr::as_str).collect();
+    s.set_attr("interface", AttrValue::Str(interface.join(",")));
+    s.set_attr("walked_rows", AttrValue::U64(info.walked_rows));
+    s.set_attr("rows", AttrValue::U64(info.rows));
+    s.set_attr("intersections", AttrValue::U64(info.intersections));
+}
+
+/// The outcome of [`race_bags`]: the bags of the contender that walked
+/// all of its bags first, and what every contender spent.
+#[derive(Debug)]
+pub struct BagRace {
+    /// Index of the winning contender.
+    pub winner: usize,
+    /// The winner's bags, in its bag order.
+    pub bags: Vec<(Relation, BagBuildInfo)>,
+    /// Intersections each contender walked, in contender order: the
+    /// winner's whole build, the others' wasted work.
+    pub intersections: Vec<u64>,
+    /// Intersections of each contender's last step.
+    pub last_step: Vec<u64>,
+}
+
+/// Race the bag builds of several decompositions of `query` and keep the
+/// one that finishes first.
+///
+/// Each contender walks its bags in bag order, one [`BagWalk::advance`]
+/// step ([`WALK_STEP`](crate::wcoj::WALK_STEP) intersections) at a time.
+/// At every turn the contender that has spent the fewest intersections so
+/// far takes the next step; ties go to the earlier contender. As soon as
+/// one contender has walked all of its bags it wins, and the others'
+/// partial rows are dropped. A bag is bound, swept by semi-joins and
+/// compiled when its contender first reaches it; each contender's first
+/// bag before the race starts, as one pool task each under a pooled
+/// context, since that work reads nothing a walk writes.
+///
+/// Guarantee: every contender took its last step when it had spent no
+/// more than any other had by then. So a loser spent at most the winner's
+/// intersections plus its own last step, and the winner at most any
+/// loser's whole walk plus its own last step. A race of two therefore
+/// walks at most twice the intersections of the contender that needs
+/// fewer, plus one step — with no estimate and no budget to tune. Racing steps run on the calling thread
+/// (a step pauses mid-candidate, which a fan-out over candidates cannot),
+/// so the counts, and with them the winner, are the same under every
+/// context.
+///
+/// With one contender this is plain materialisation
+/// ([`materialize_bags_reported`]): each bag is walked in one go in its
+/// preparation task, its candidates fanned out further over a pooled
+/// context, and the race only collects the bags. When a request trace is
+/// installed, each bag started is a `bag.materialize` span carrying its
+/// counters; a loser's spans also carry `abandoned=true`.
+pub fn race_bags(
+    query: &JoinProjectQuery,
+    db: &Database,
+    contenders: &[&[Bag]],
+    ctx: &ExecContext,
+) -> Result<BagRace, JoinError> {
+    let _span = re_obs::Span::enter("preprocess.bags");
+    let mut trace_span = trace::child_span("preprocess.bags");
+    // Preparing a bag reads only the database, so the bags the contenders
+    // start with are prepared up front, as one pool task each under a
+    // pooled context. A contender racing nobody has nothing to pause for:
+    // all of its bags are prepared and walked to the end in those tasks,
+    // each walk fanned out further.
+    let alone = contenders.len() == 1;
+    let jobs: Vec<(usize, usize)> = if alone {
+        (0..contenders[0].len()).map(|i| (0, i)).collect()
+    } else {
+        (0..contenders.len())
+            .filter(|&c| !contenders[c].is_empty())
+            .map(|c| (c, 0))
+            .collect()
+    };
+    let prepared = ctx.map(jobs.len(), |j| {
+        let (c, i) = jobs[j];
+        BagInProgress::prepare(query, db, contenders[c], i, alone, ctx)
+    });
+    let mut racers: Vec<Contender> = contenders.iter().map(|bags| Contender::new(bags)).collect();
+    for (&(c, _), bag) in jobs.iter().zip(prepared) {
+        let bag = bag?;
+        racers[c].spent += bag.walk.intersections();
+        racers[c].pending.push_back(bag);
+    }
+    let winner = loop {
+        if let Some(done) = racers.iter().position(Contender::is_done) {
+            break done;
+        }
+        let next = (0..racers.len())
+            .min_by_key(|&i| racers[i].spent)
+            .expect("a race has a contender");
+        racers[next].step(query, db, ctx)?;
+    };
+    for (i, racer) in racers.iter_mut().enumerate() {
+        if i != winner {
+            racer.abandon();
+        }
+    }
+    if let Some(s) = trace_span.as_mut() {
+        s.set_attr("bags", AttrValue::U64(contenders[winner].len() as u64));
+        if contenders.len() > 1 {
+            s.set_attr("contenders", AttrValue::U64(contenders.len() as u64));
+            s.set_attr("winner", AttrValue::U64(winner as u64));
+        }
+    }
+    let intersections = racers.iter().map(|r| r.spent).collect();
+    let last_step = racers.iter().map(|r| r.last_step).collect();
+    let bags = racers
+        .swap_remove(winner)
+        .built
+        .into_iter()
+        .map(|(rel, info, _)| (rel, info))
+        .collect();
+    Ok(BagRace {
+        winner,
+        bags,
+        intersections,
+        last_step,
+    })
 }
 
 /// Reduce every atom against *all* attribute-sharing partners (forward then
@@ -168,12 +372,13 @@ fn semi_join_sweep(ctx: &ExecContext, rels: &mut [Relation]) -> Result<(), JoinE
 }
 
 /// Materialise every bag of a GHD plan onto its [`bag_interface`], each
-/// with its [`BagBuildInfo`]. Under a pooled context each bag is one pool
-/// task (they are independent sub-joins), and the intra-bag kernels fan
-/// out further on the same pool — the two levels compose because the pool
-/// supports nested submission.
-/// Results come back in bag order regardless of scheduling. The fifth
-/// parameter is ignored: a vestige that goes with ROADMAP item 2.
+/// with its [`BagBuildInfo`], in bag order: a [`race_bags`] of one
+/// contender. Under a pooled context each bag is one pool task (they are
+/// independent sub-joins), and its walk fans its level-0 candidates out
+/// further over the pool; the bags are byte-identical at any thread
+/// count.
+/// The fifth parameter is ignored: a vestige that goes with ROADMAP
+/// item 2.
 pub fn materialize_bags_reported(
     query: &JoinProjectQuery,
     db: &Database,
@@ -181,19 +386,7 @@ pub fn materialize_bags_reported(
     ctx: &ExecContext,
     _kernel: BagKernel,
 ) -> Result<Vec<(Relation, BagBuildInfo)>, JoinError> {
-    let _span = re_obs::Span::enter("preprocess.bags");
-    let mut trace_span = re_obs::trace::child_span("preprocess.bags");
-    if let Some(s) = trace_span.as_mut() {
-        s.set_attr("bags", re_obs::AttrValue::U64(bags.len() as u64));
-    }
-    let build = |i: usize| {
-        let interface = bag_interface(query, bags, i);
-        materialize_bag_reported(query, db, &bags[i], &interface, ctx)
-    };
-    if !ctx.is_parallel() {
-        return (0..bags.len()).map(build).collect();
-    }
-    ctx.map(bags.len(), build).into_iter().collect()
+    race_bags(query, db, &[bags], ctx).map(|race| race.bags)
 }
 
 #[cfg(test)]
@@ -205,9 +398,10 @@ mod tests {
 
     /// Bag `i` of `plan`, serially, on its interface, relation only.
     fn one_bag(q: &JoinProjectQuery, db: &Database, plan: &GhdPlan, i: usize) -> Relation {
-        let interface = bag_interface(q, plan.bags(), i);
-        materialize_bag_reported(q, db, &plan.bags()[i], &interface, &ExecContext::serial())
+        let serial = ExecContext::serial();
+        materialize_bags_reported(q, db, plan.bags(), &serial, BagKernel::Wcoj)
             .unwrap()
+            .swap_remove(i)
             .0
     }
 
@@ -294,6 +488,55 @@ mod tests {
                 let st: Vec<Vec<u64>> = s.iter().map(|t| t.to_vec()).collect();
                 assert_eq!(pt, st, "bag {} diverged at {threads} threads", p.name());
             }
+        }
+    }
+
+    #[test]
+    fn a_race_keeps_the_first_finisher_and_bounds_the_loser() {
+        let mut edges = Vec::new();
+        for i in 0..300u64 {
+            edges.push((i % 37, (i * 11) % 41));
+        }
+        let db = edge_db(&edges);
+        let q = QueryBuilder::new()
+            .atom("R1", "E", ["a1", "a2"])
+            .atom("R2", "E", ["a2", "a3"])
+            .atom("R3", "E", ["a3", "a4"])
+            .atom("R4", "E", ["a4", "a1"])
+            .project(["a1", "a3"])
+            .build()
+            .unwrap();
+        let (single, figure2) = (GhdPlan::single_bag(&q), GhdPlan::for_cycle(&q).unwrap());
+        let serial = ExecContext::serial();
+        let alone: Vec<u64> = [&single, &figure2]
+            .iter()
+            .map(|plan| {
+                let race = race_bags(&q, &db, &[plan.bags()], &serial).unwrap();
+                assert_eq!(race.winner, 0);
+                race.intersections[0]
+            })
+            .collect();
+        let race = race_bags(&q, &db, &[single.bags(), figure2.bags()], &serial).unwrap();
+        let (w, l) = (race.winner, 1 - race.winner);
+        assert_eq!(
+            race.intersections[w], alone[w],
+            "the winner walked all of it"
+        );
+        // Each took its last step while it had spent no more than the
+        // other.
+        assert!(race.intersections[l] <= race.intersections[w] + race.last_step[l]);
+        assert!(race.intersections[w] <= race.intersections[l] + race.last_step[w]);
+        assert!(
+            race.intersections[l] < alone[l],
+            "the loser stopped part-way"
+        );
+        let plan = [&single, &figure2][w];
+        let want: Vec<Relation> = (0..plan.len()).map(|i| one_bag(&q, &db, plan, i)).collect();
+        let got: Vec<Relation> = race.bags.into_iter().map(|(rel, _)| rel).collect();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.attrs(), w.attrs());
+            assert!(g.iter().eq(w.iter()), "bag {}", g.name());
         }
     }
 

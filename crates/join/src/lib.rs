@@ -15,7 +15,8 @@
 //! * [`project_distinct`] — `SELECT DISTINCT` projection (serial only),
 //! * [`materialize_bags_reported`] — evaluation of a plan's GHD bags
 //!   (Theorem 3), each onto its [`bag_interface`], by the generic-join
-//!   kernel of [`wcoj`].
+//!   kernel of [`wcoj`]; [`race_bags`] builds several plans' bags in
+//!   lockstep and keeps the one that finishes first.
 //!
 //! The semi-join has a morsel-driven parallel entry point,
 //! [`par_semi_join`] in [`parallel`], and the composite operators
@@ -31,7 +32,9 @@ pub mod parallel;
 pub mod reducer;
 pub mod wcoj;
 
-pub use bag::{bag_interface, materialize_bags_reported, BagBuildInfo, BagKernel};
+pub use bag::{
+    bag_interface, materialize_bags_reported, race_bags, BagBuildInfo, BagKernel, BagRace,
+};
 pub use bind::{bind_atom, bind_atoms, bind_atoms_of};
 pub use error::JoinError;
 pub use hashjoin::{full_join, hash_join, project_distinct};
@@ -40,4 +43,4 @@ pub use reducer::{
     full_reduce, full_reduce_ctx, full_reduce_relations_ctx, reduce_then_prune_ctx, semi_join,
     EdgeIds, ReduceStats, Reduction,
 };
-pub use wcoj::{wcoj_materialize, wcoj_materialize_reported, WcojReport};
+pub use wcoj::{wcoj_materialize, wcoj_materialize_reported, BagWalk, WcojReport, WALK_STEP};

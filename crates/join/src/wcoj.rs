@@ -11,12 +11,12 @@
 //! fractional-edge-cover bound on the bag (Ngo–Porat–Ré–Rudra), i.e. by the
 //! worst-case bag *output*, never by an intermediate.
 //!
-//! The global order is the bag's attributes in declared order followed by
-//! the existential attributes in first appearance order, and candidates
-//! are visited ascending, so full-width rows come out lexicographically
-//! sorted and de-duplicated. Existential suffixes stop at the first
-//! witness (`Walker::exists`). A narrowed bag whose first attribute is
-//! dropped moves its first kept attribute to the front of the order.
+//! The global order starts at the bag's first kept attribute; every later
+//! attribute shares an atom with one bound before it where any does, ties
+//! going to bag order, and the existential attributes follow the bag's
+//! (`walk_order`). Candidates are visited ascending, so rows come out
+//! lexicographically sorted and de-duplicated in walk order. Existential
+//! suffixes stop at the first witness (`Walker::exists`).
 //!
 //! A bag only needs the attributes that leave it — its *interface*, the
 //! projection and what it shares with other bags ([`crate::bag`] derives
@@ -37,17 +37,22 @@
 //! cyclic enumerator. A bag whose interface is its full schema has no
 //! groups and runs the plain walk.
 //!
-//! Parallelism follows the morsel contract of the `re_exec` pool: the first
-//! attribute's candidate values are chunked, each chunk enumerated
-//! independently, and the per-chunk outputs concatenated in chunk order —
-//! byte-identical to the serial walk at any thread count. The walk leads
-//! with a kept attribute, so a group never straddles two chunks.
+//! The walk is resumable ([`BagWalk`]): it advances [`WALK_STEP`]
+//! intersections at a time and can pause between any two bindings, so a
+//! caller can interleave the walks of several bags and stop one part-way.
+//! A walk run to the end follows the morsel contract of the `re_exec`
+//! pool: the first attribute's candidate values are chunked, each chunk
+//! enumerated independently, and the per-chunk outputs concatenated in
+//! chunk order — byte-identical to the serial walk at any thread count.
+//! The walk leads with a kept attribute, so a group never straddles two
+//! chunks.
 
 use crate::error::JoinError;
 use re_exec::ExecContext;
 use re_query::{Bag, QueryError};
 use re_storage::{Attr, KeyTable, Relation, TrieIndex, Value};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A compiled generic-join evaluation of one bag: per-atom tries over the
 /// global attribute order plus, for every order level, the `(atom, depth)`
@@ -71,32 +76,55 @@ struct GenericJoin {
     /// binding's value alone, so a value seen before in the group is not
     /// walked again.
     repeats: Vec<bool>,
-    /// The global attribute order (bag attributes, led by a kept one, then
-    /// existentials) — surfaced through [`WcojReport`] so EXPLAIN can print
-    /// it.
+    /// The global attribute order ([`walk_order`]) — surfaced through
+    /// [`WcojReport`] so EXPLAIN can print it.
     order: Vec<Attr>,
 }
 
-impl GenericJoin {
-    fn compile(bag: &Bag, keep: &[bool], rels: &[Relation]) -> Result<Self, JoinError> {
-        // Global order: the bag's first kept attribute, its other
-        // attributes in declared order, then the existential attributes in
-        // first-appearance order across atoms. Leading with a kept attribute
-        // puts every group under one level-0 value; the kept attributes keep
-        // their bag order, so the output stays sorted over the interface.
-        let lead = keep.iter().position(|&k| k).expect("a non-empty interface");
-        let mut order: Vec<Attr> = bag.attrs.clone();
-        order[..=lead].rotate_right(1);
-        let mut keep = keep.to_vec();
-        keep[..=lead].rotate_right(1);
-        let mut seen: BTreeSet<Attr> = order.iter().cloned().collect();
-        for rel in rels {
-            for a in rel.attrs() {
-                if seen.insert(a.clone()) {
-                    order.push(a.clone());
-                }
-            }
+/// The walk's global attribute order, the one rule every bag walk follows:
+/// it starts at the bag's first kept attribute, and after that each
+/// attribute shares an atom with one already bound, ties going to bag
+/// order. Only where no attribute left is connected (a bag that is a
+/// product of its atoms) does the next one in bag order come. The bag's
+/// attributes are all placed before its atoms' existential attributes,
+/// which follow the same rule in first-appearance order.
+///
+/// Leading with a kept attribute puts every group under one level-0
+/// value. Binding next to a bound attribute keeps each level narrowed by
+/// an atom already walked into, so the walk of a bag does not depend on
+/// the order its atoms or attributes were listed in, beyond ties.
+fn walk_order(bag: &Bag, interface: &[Attr], rels: &[Relation]) -> Vec<Attr> {
+    let lead = bag
+        .attrs
+        .iter()
+        .find(|a| interface.contains(a))
+        .expect("a non-empty interface");
+    let mut seen: BTreeSet<&Attr> = bag.attrs.iter().collect();
+    let existential: Vec<Attr> = rels
+        .iter()
+        .flat_map(|r| r.attrs())
+        .filter(|a| seen.insert(*a))
+        .cloned()
+        .collect();
+    let rest: Vec<Attr> = bag.attrs.iter().filter(|a| *a != lead).cloned().collect();
+    let mut order = vec![lead.clone()];
+    for mut left in [rest, existential] {
+        while !left.is_empty() {
+            let connected = |a: &Attr| {
+                rels.iter()
+                    .any(|r| r.attrs().contains(a) && r.attrs().iter().any(|b| order.contains(b)))
+            };
+            let next = left.iter().position(connected).unwrap_or(0);
+            order.push(left.remove(next));
         }
+    }
+    order
+}
+
+impl GenericJoin {
+    fn compile(bag: &Bag, interface: &[Attr], rels: &[Relation]) -> Result<Self, JoinError> {
+        let order = walk_order(bag, interface, rels);
+        let keep: Vec<bool> = order.iter().map(|a| interface.contains(a)).collect();
         let level_of = |a: &Attr| order.iter().position(|o| o == a);
         let mut tries = Vec::with_capacity(rels.len());
         let mut levels: Vec<Vec<(usize, usize)>> = vec![Vec::new(); order.len()];
@@ -161,9 +189,9 @@ impl GenericJoin {
 
 /// The backtracking state of one enumeration walk: current per-atom trie
 /// ranges, the bound prefix, a restore trail, the open group's suffix
-/// rows and the output buffer.
-struct Walker<'a> {
-    gj: &'a GenericJoin,
+/// rows, the output buffer, and where a paused walk picks up.
+struct Walker {
+    gj: Arc<GenericJoin>,
     ranges: Vec<(usize, usize)>,
     bound: Vec<Value>,
     trail: Vec<(usize, (usize, usize))>,
@@ -176,16 +204,27 @@ struct Walker<'a> {
     /// Trie range narrowings performed — one per participant per attempted
     /// binding, the unit the AGM bound actually charges. Deterministic at
     /// any thread count: the chunked parallel walk performs exactly the
-    /// serial walk's bindings, just partitioned by level-0 candidate.
+    /// serial walk's bindings, just partitioned by level-0 candidate, and
+    /// re-binding a paused walk's path is not counted.
     intersections: u64,
     /// Rows produced, before the group sort de-duplicates them.
     walked: u64,
+    /// The walk pauses at the first binding it is about to try once
+    /// `intersections` has reached this.
+    budget: u64,
+    /// A paused walk's path: `resume[l]` for the levels `1..resume_len` is
+    /// the seed position of the value the walk was inside at level `l`,
+    /// except at the deepest level, where it is the value to try next.
+    /// `resume_len` is 0 when the walk is not paused inside a candidate.
+    resume: Vec<usize>,
+    resume_len: usize,
+    /// Whether the descent in progress still follows `resume`.
+    resuming: bool,
 }
 
-impl<'a> Walker<'a> {
-    fn new(gj: &'a GenericJoin) -> Self {
+impl Walker {
+    fn new(gj: Arc<GenericJoin>) -> Self {
         Walker {
-            gj,
             ranges: gj.tries.iter().map(|t| t.full_range()).collect(),
             bound: Vec::with_capacity(gj.levels.len()),
             trail: Vec::new(),
@@ -194,6 +233,11 @@ impl<'a> Walker<'a> {
             out: Vec::new(),
             intersections: 0,
             walked: 0,
+            budget: u64::MAX,
+            resume: vec![0; gj.walk_arity],
+            resume_len: 0,
+            resuming: false,
+            gj,
         }
     }
 
@@ -212,6 +256,15 @@ impl<'a> Walker<'a> {
         true
     }
 
+    /// Bind again a value a paused walk was inside: it held then, and the
+    /// intersections it took are counted already.
+    fn rebind(&mut self, level: usize, value: Value) {
+        let counted = self.intersections;
+        let held = self.bind(level, value);
+        debug_assert!(held, "a resumed path binds as it did");
+        self.intersections = counted;
+    }
+
     fn unwind(&mut self, mark: usize) {
         while self.trail.len() > mark {
             let (k, r) = self.trail.pop().expect("len checked");
@@ -221,39 +274,67 @@ impl<'a> Walker<'a> {
 
     /// Enumerate all bindings of the walked levels from `level` on,
     /// emitting each completed binding that has an existential witness.
-    fn enumerate(&mut self, level: usize) {
+    /// Returns false when the walk paused: the budget ran out, and
+    /// `resume` holds the path back to where it stopped.
+    fn enumerate(&mut self, level: usize) -> bool {
         if level == self.gj.walk_arity {
             if self.exists(level) {
                 self.walked += 1;
                 self.emit();
             }
-            return;
+            return true;
         }
         let (seed_k, seed_d) = self.gj.seed(level, &self.ranges);
         let (mut lo, hi) = self.ranges[seed_k];
+        // On a resumed path, a level above the deepest re-enters the value
+        // it was inside; the deepest goes on from its next value.
+        let mut reenter = false;
+        if self.resuming {
+            lo = self.resume[level];
+            reenter = level + 1 < self.resume_len;
+            self.resuming = reenter;
+        }
         let mark = self.trail.len();
         let repeats = self.gj.repeats[level];
         while let Some((value, end)) = self.gj.tries[seed_k].group_at(lo, hi, seed_d) {
+            let at = lo;
             lo = end;
-            if repeats && self.seen[level].contains(&[value]) {
-                continue;
-            }
-            // Only a binding that holds is remembered: whether one holds
-            // also depends on this level's own atoms, which the group may
-            // vary.
-            if self.bind(level, value) {
+            if reenter {
+                reenter = false;
+                self.rebind(level, value);
+            } else {
+                if self.intersections >= self.budget {
+                    self.resume[level] = at;
+                    self.resume_len = level + 1;
+                    return false;
+                }
+                if repeats && self.seen[level].contains(&[value]) {
+                    continue;
+                }
+                // Only a binding that holds is remembered: whether one
+                // holds also depends on this level's own atoms, which the
+                // group may vary.
+                if !self.bind(level, value) {
+                    self.unwind(mark);
+                    continue;
+                }
                 if repeats {
                     self.seen[level].insert(&[value]);
                 }
-                self.bound.push(value);
-                self.enumerate(level + 1);
-                self.bound.pop();
             }
+            self.bound.push(value);
+            let finished = self.enumerate(level + 1);
+            self.bound.pop();
             self.unwind(mark);
+            if !finished {
+                self.resume[level] = at;
+                return false;
+            }
         }
         if level == self.gj.first_drop {
             self.close_group();
         }
+        true
     }
 
     /// Emit the completed binding: whole when nothing before the last kept
@@ -290,7 +371,8 @@ impl<'a> Walker<'a> {
     }
 
     /// First-witness check over the existential suffix: true as soon as one
-    /// complete consistent extension exists.
+    /// complete consistent extension exists. A witness search is not
+    /// paused.
     fn exists(&mut self, level: usize) -> bool {
         if level == self.gj.levels.len() {
             return true;
@@ -309,19 +391,28 @@ impl<'a> Walker<'a> {
         false
     }
 
-    /// Enumerate with the first level restricted to `values` — the unit of
-    /// level-0 parallel fan-out. `values` must be ascending for the output
-    /// to stay in canonical order.
-    fn enumerate_root(&mut self, values: &[Value]) {
+    /// Enumerate below the level-0 candidate `value`, resuming a walk that
+    /// paused inside it. Returns false when the walk paused again.
+    fn enumerate_root(&mut self, value: Value) -> bool {
         let mark = self.trail.len();
-        for &value in values {
-            if self.bind(0, value) {
-                self.bound.push(value);
-                self.enumerate(1);
-                self.bound.pop();
-            }
-            self.unwind(mark);
+        let held = if self.resume_len > 0 {
+            self.resuming = true;
+            self.rebind(0, value);
+            true
+        } else {
+            self.bind(0, value)
+        };
+        let mut finished = true;
+        if held {
+            self.bound.push(value);
+            finished = self.enumerate(1);
+            self.bound.pop();
         }
+        self.unwind(mark);
+        if finished {
+            self.resume_len = 0;
+        }
+        finished
     }
 
     /// The walk's rows, its intersections and walked bindings.
@@ -364,9 +455,9 @@ fn sort_dedup_rows(rows: &mut Vec<Value>, width: usize) {
 /// Per-operator report of one generic-join bag materialisation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WcojReport {
-    /// The global attribute order the walk bound: the bag's first kept
-    /// attribute, its other attributes in bag order, then existentials in
-    /// first-appearance order.
+    /// The global attribute order the walk bound (see the module docs):
+    /// the bag's first kept attribute, the bag's other attributes each
+    /// next to one already bound, then the existentials.
     pub attr_order: Vec<Attr>,
     /// Total trie range narrowings performed — the intersection work the
     /// AGM bound charges. Identical at any thread count.
@@ -378,11 +469,196 @@ pub struct WcojReport {
     pub walked_rows: u64,
 }
 
+/// Intersections one [`BagWalk::advance`] spends before it pauses: the
+/// unit in which a bag race (`crate::bag::race_bags`) hands out work, and
+/// the stretch between two polls of the cancel token. A step pauses at the
+/// first binding it is about to try once it has spent this many, so it
+/// overshoots by at most one binding and that binding's witness search.
+/// Small against a membership-cycle bag's walk (tens of thousands of
+/// intersections at 1 200 edges), large against the few re-bindings a
+/// resumed walk repeats. Fixed: the race's guarantee is stated in steps,
+/// not in a tuned budget.
+pub const WALK_STEP: u64 = 1024;
+
+/// A generic-join walk of one bag that can pause between any two
+/// bindings: the bag's tries are compiled once, and each
+/// [`BagWalk::advance`] walks on for [`WALK_STEP`] intersections, resuming
+/// where the last step paused — inside a level-0 candidate if need be, by
+/// re-binding the path there. The steps together are the very same walk,
+/// with the same rows and the same count, as one uninterrupted walk.
+/// [`BagWalk::finish`] hands over the relation: the canonical bag, sorted
+/// and distinct over the interface.
+pub struct BagWalk {
+    name: String,
+    /// The output columns: the interface, in walk order.
+    kept: Vec<Attr>,
+    /// `None` when an atom is empty, and so is the bag.
+    walker: Option<Walker>,
+    candidates: Vec<Value>,
+    /// Candidates walked to the end so far.
+    next: usize,
+    /// Rows of the bound atoms: the pooled fan-out's threshold.
+    input_rows: usize,
+}
+
+impl BagWalk {
+    /// Compile the walk of `bag` over its already-bound (and typically
+    /// semi-join-reduced) atom relations, keeping the `interface` columns —
+    /// a non-empty subset of `bag.attrs`. Nothing is walked yet.
+    pub fn new(bag: &Bag, interface: &[Attr], rels: &[Relation]) -> Result<Self, JoinError> {
+        if let Some(a) = interface.iter().find(|a| !bag.attrs.contains(a)) {
+            return Err(JoinError::Query(QueryError::InvalidGhd(format!(
+                "bag '{}' has no attribute '{a}' to keep",
+                bag.name
+            ))));
+        }
+        // A zero-width relation is empty, so it could not say that the bag
+        // holds a row: an empty interface would drop every answer.
+        if interface.is_empty() {
+            return Err(JoinError::Query(QueryError::InvalidGhd(format!(
+                "bag '{}' keeps no attribute",
+                bag.name
+            ))));
+        }
+        let mut walk = BagWalk {
+            name: bag.name.clone(),
+            kept: bag
+                .attrs
+                .iter()
+                .filter(|a| interface.contains(a))
+                .cloned()
+                .collect(),
+            walker: None,
+            candidates: Vec::new(),
+            next: 0,
+            input_rows: rels.iter().map(Relation::len).sum(),
+        };
+        if rels.iter().any(|r| r.is_empty()) {
+            return Ok(walk);
+        }
+        let gj = GenericJoin::compile(bag, interface, rels)?;
+        walk.kept = gj
+            .order
+            .iter()
+            .filter(|a| interface.contains(a))
+            .cloned()
+            .collect();
+        // Level-0 candidates: the distinct values of the smallest participant.
+        let full: Vec<_> = gj.tries.iter().map(|t| t.full_range()).collect();
+        let (seed_k, seed_d) = gj.seed(0, &full);
+        let (mut lo, hi) = full[seed_k];
+        while let Some((value, end)) = gj.tries[seed_k].group_at(lo, hi, seed_d) {
+            lo = end;
+            walk.candidates.push(value);
+        }
+        walk.walker = Some(Walker::new(Arc::new(gj)));
+        Ok(walk)
+    }
+
+    /// Whether every candidate has been walked.
+    pub fn is_done(&self) -> bool {
+        self.next == self.candidates.len()
+    }
+
+    /// Intersections walked so far.
+    pub fn intersections(&self) -> u64 {
+        self.walker.as_ref().map_or(0, |w| w.intersections)
+    }
+
+    /// Walk on for one step of [`WALK_STEP`] intersections (or to the end
+    /// of the walk) on the calling thread, and return the intersections
+    /// the step took.
+    pub fn advance(&mut self, ctx: &ExecContext) -> Result<u64, JoinError> {
+        ctx.check_cancelled()?;
+        let Some(walker) = self.walker.as_mut() else {
+            return Ok(0);
+        };
+        let before = walker.intersections;
+        walker.budget = before + WALK_STEP;
+        while self.next < self.candidates.len() {
+            if walker.resume_len == 0 && walker.intersections >= walker.budget {
+                break;
+            }
+            if !walker.enumerate_root(self.candidates[self.next]) {
+                break;
+            }
+            self.next += 1;
+        }
+        Ok(walker.intersections - before)
+    }
+
+    /// Walk everything left. A pooled context whose threshold the bag's
+    /// input rows reach fans the remaining candidates out over its
+    /// workers, a few chunks per thread, and concatenates their rows in
+    /// candidate order — byte-identical to the serial walk, counts
+    /// included. Otherwise the walk advances step by step, polling the
+    /// cancel token between steps.
+    pub fn walk_rest(&mut self, ctx: &ExecContext) -> Result<(), JoinError> {
+        let Some(walker) = self.walker.as_mut() else {
+            return Ok(());
+        };
+        let rest = &self.candidates[self.next..];
+        if walker.resume_len > 0 || !ctx.should_parallelise(self.input_rows) || rest.len() < 2 {
+            while !self.is_done() {
+                self.advance(ctx)?;
+            }
+            return Ok(());
+        }
+        let chunk = rest.len().div_ceil(ctx.threads().max(1) * 4);
+        let chunks: Vec<&[Value]> = rest.chunks(chunk).collect();
+        let gj = &walker.gj;
+        let parts = ctx.map(chunks.len(), |i| {
+            // A tripped token turns the remaining chunks into no-ops; the
+            // check after the map turns the partial output into the typed
+            // cancellation error.
+            if ctx.check_cancelled().is_err() {
+                return (Vec::new(), 0, 0);
+            }
+            let mut part = Walker::new(Arc::clone(gj));
+            for &value in chunks[i] {
+                part.enumerate_root(value);
+            }
+            part.finish()
+        });
+        ctx.check_cancelled()?;
+        for (rows, n, w) in parts {
+            walker.out.extend_from_slice(&rows);
+            walker.intersections += n;
+            walker.walked += w;
+        }
+        self.next = self.candidates.len();
+        Ok(())
+    }
+
+    /// The bag relation and its report. Call once [`BagWalk::is_done`].
+    pub fn finish(self) -> (Relation, WcojReport) {
+        debug_assert!(self.is_done(), "bag '{}' finished mid-walk", self.name);
+        let (order, mut rows, intersections, walked_rows) = match self.walker {
+            Some(walker) => {
+                let order = walker.gj.order.clone();
+                let (rows, n, w) = walker.finish();
+                (order, rows, n, w)
+            }
+            None => Default::default(),
+        };
+        // The bag relation keeps this vector: drop its doubling slack.
+        rows.shrink_to_fit();
+        let report = WcojReport {
+            attr_order: order,
+            intersections,
+            walked_rows,
+        };
+        (Relation::from_flat(self.name, self.kept, rows), report)
+    }
+}
+
 /// Materialise one GHD bag by generic join over already-bound (and
 /// typically semi-join-reduced) atom relations, keeping the `interface`
-/// columns — a non-empty subset of `bag.attrs`, emitted in bag order. The
-/// output is the canonical bag representation: lexicographically sorted
-/// distinct rows over the interface, independent of thread count.
+/// columns — a non-empty subset of `bag.attrs`, emitted in walk order
+/// (which keeps bag order unless the walk has to bind a later kept
+/// attribute first to stay connected). The output is the canonical bag
+/// representation: lexicographically sorted distinct rows over the
+/// interface, independent of thread count.
 pub fn wcoj_materialize(
     bag: &Bag,
     interface: &[Attr],
@@ -393,105 +669,16 @@ pub fn wcoj_materialize(
 }
 
 /// [`wcoj_materialize`] returning the per-operator [`WcojReport`]
-/// alongside the bag relation.
+/// alongside the bag relation: a [`BagWalk`] walked to the end.
 pub fn wcoj_materialize_reported(
     bag: &Bag,
     interface: &[Attr],
     rels: &[Relation],
     ctx: &ExecContext,
 ) -> Result<(Relation, WcojReport), JoinError> {
-    if let Some(a) = interface.iter().find(|a| !bag.attrs.contains(a)) {
-        return Err(JoinError::Query(QueryError::InvalidGhd(format!(
-            "bag '{}' has no attribute '{a}' to keep",
-            bag.name
-        ))));
-    }
-    // A zero-width relation is empty, so it could not say that the bag
-    // holds a row: an empty interface would drop every answer.
-    if interface.is_empty() {
-        return Err(JoinError::Query(QueryError::InvalidGhd(format!(
-            "bag '{}' keeps no attribute",
-            bag.name
-        ))));
-    }
-    let keep: Vec<bool> = bag.attrs.iter().map(|a| interface.contains(a)).collect();
-    let kept: Vec<Attr> = bag
-        .attrs
-        .iter()
-        .filter(|a| interface.contains(a))
-        .cloned()
-        .collect();
-    if rels.iter().any(|r| r.is_empty()) {
-        return Ok((Relation::new(bag.name.clone(), kept), WcojReport::default()));
-    }
-    let gj = GenericJoin::compile(bag, &keep, rels)?;
-
-    // Level-0 candidates: the distinct values of the smallest participant.
-    let (seed_k, seed_d) = gj.seed(
-        0,
-        &gj.tries.iter().map(|t| t.full_range()).collect::<Vec<_>>(),
-    );
-    let (mut lo, hi) = gj.tries[seed_k].full_range();
-    let mut candidates = Vec::new();
-    while let Some((value, end)) = gj.tries[seed_k].group_at(lo, hi, seed_d) {
-        lo = end;
-        candidates.push(value);
-    }
-
-    let total_rows: usize = rels.iter().map(|r| r.len()).sum();
-    let (rows, intersections, walked_rows) =
-        if !ctx.is_parallel() || !ctx.should_parallelise(total_rows) || candidates.len() < 2 {
-            // The serial walk advances one candidate chunk at a time so a
-            // tripped cancel token aborts within one morsel of candidates;
-            // enumerating consecutive chunks is the very same walk as
-            // enumerating the full ascending candidate list.
-            let step = ctx.morsel_rows().max(1);
-            let mut walker = Walker::new(&gj);
-            for chunk in candidates.chunks(step) {
-                ctx.check_cancelled()?;
-                walker.enumerate_root(chunk);
-            }
-            let (mut rows, intersections, walked) = walker.finish();
-            // The bag relation keeps this vector: drop its doubling slack.
-            rows.shrink_to_fit();
-            (rows, intersections, walked)
-        } else {
-            // One chunk of first-attribute candidates per task, a few tasks per
-            // thread for balance; concatenating per-chunk outputs in chunk
-            // order reproduces the serial (ascending-candidate) walk exactly,
-            // because the walk leads with a kept attribute, so every group lies
-            // inside one level-0 candidate.
-            let chunk = (candidates.len()).div_ceil(ctx.threads().max(1) * 4).max(1);
-            let chunks: Vec<&[Value]> = candidates.chunks(chunk).collect();
-            let parts = ctx.map(chunks.len(), |i| {
-                // A tripped token turns the remaining chunks into no-ops;
-                // the post-map check below converts the partial output
-                // into the typed cancellation error.
-                if ctx.check_cancelled().is_err() {
-                    return (Vec::new(), 0, 0);
-                }
-                let mut walker = Walker::new(&gj);
-                walker.enumerate_root(chunks[i]);
-                walker.finish()
-            });
-            ctx.check_cancelled()?;
-            let mut rows = Vec::with_capacity(parts.iter().map(|(p, _, _)| p.len()).sum());
-            let (mut intersections, mut walked) = (0u64, 0u64);
-            for (p, n, w) in parts {
-                rows.extend_from_slice(&p);
-                intersections += n;
-                walked += w;
-            }
-            (rows, intersections, walked)
-        };
-    Ok((
-        Relation::from_flat(bag.name.clone(), kept, rows),
-        WcojReport {
-            attr_order: gj.order,
-            intersections,
-            walked_rows,
-        },
-    ))
+    let mut walk = BagWalk::new(bag, interface, rels)?;
+    walk.walk_rest(ctx)?;
+    Ok(walk.finish())
 }
 
 #[cfg(test)]
@@ -691,6 +878,55 @@ mod tests {
         .unwrap();
         let rows: Vec<Vec<u64>> = got.iter().map(|t| t.to_vec()).collect();
         assert_eq!(rows, vec![vec![1, 5, 7]]);
+    }
+
+    #[test]
+    fn a_walk_paused_every_step_is_the_uninterrupted_walk() {
+        let mut edges = Vec::new();
+        for i in 0..400u64 {
+            edges.push((i % 23, (i * 7 + i / 23) % 29));
+        }
+        let (b, rels) = path_rels(&edges);
+        // A dropped middle column, so pauses fall inside open groups.
+        let interface = attrs(["a", "c", "d"]);
+        let pooled = ExecContext::with_threads(2)
+            .with_min_par_rows(1)
+            .with_morsel_rows(2);
+        let (whole, whole_report) =
+            wcoj_materialize_reported(&b, &interface, &rels, &pooled).unwrap();
+        let mut walk = BagWalk::new(&b, &interface, &rels).unwrap();
+        let serial = ExecContext::serial();
+        let mut steps = 0;
+        while !walk.is_done() {
+            let spent = walk.advance(&serial).unwrap();
+            assert!(spent > 0, "a step makes progress");
+            steps += 1;
+        }
+        assert!(steps > 3, "{steps} steps: the walk must pause mid-way");
+        assert_eq!(walk.advance(&serial).unwrap(), 0, "a done walk stays done");
+        let (stepped, stepped_report) = walk.finish();
+        assert_eq!(stepped_report, whole_report, "same bindings, same count");
+        assert!(stepped.iter().eq(whole.iter()));
+        assert_eq!(stepped.attrs(), whole.attrs());
+    }
+
+    #[test]
+    fn every_walk_binds_next_to_a_bound_attribute() {
+        // `a` and `c` share no atom; `b` joins them. Declared `a, c, b`,
+        // the walk binds `b` before `c`. `e` is existential and joins `d`,
+        // which comes after `c`.
+        let r = rel("R", ["a", "b"], &[(1, 2), (1, 3), (4, 2)]);
+        let s = rel("S", ["b", "c"], &[(2, 5), (3, 6)]);
+        let t = rel("T", ["c", "d"], &[(5, 7), (6, 8)]);
+        let u = rel("U", ["d", "e"], &[(7, 9), (8, 9)]);
+        let b = bag("gap", &["a", "c", "b", "d"], vec![0, 1, 2, 3]);
+        let interface = attrs(["a", "c", "d"]);
+        let (got, report) =
+            wcoj_materialize_reported(&b, &interface, &[r, s, t, u], &ExecContext::serial())
+                .unwrap();
+        assert_eq!(report.attr_order, attrs(["a", "b", "c", "d", "e"]));
+        let rows: Vec<Vec<u64>> = got.iter().map(|t| t.to_vec()).collect();
+        assert_eq!(rows, vec![vec![1, 5, 7], vec![1, 6, 8], vec![4, 5, 7]]);
     }
 
     #[test]

@@ -226,12 +226,27 @@ pub fn child_span(name: &str) -> Option<SpanGuard> {
             parent: *parent,
             name: name.to_string(),
             start_micros: micros_since(ctx.inner.epoch),
+            end_micros: None,
             lane: None,
             attrs: Vec::new(),
         };
         *parent = id;
         Some(guard)
     })
+}
+
+/// Open a child span of the current parent that does *not* become the
+/// parent of later spans: for work that interleaves with its siblings on
+/// one thread, such as the contenders of a bag race. Spans opened while
+/// the guard of [`SpanGuard::resume`] lives nest under it.
+pub fn detached_span(name: &str) -> Option<SpanGuard> {
+    let span = child_span(name)?;
+    ACTIVE.with(|a| {
+        if let Some((_, parent)) = a.borrow_mut().as_mut() {
+            *parent = span.parent;
+        }
+    });
+    Some(span)
 }
 
 /// An open span; completes (and records itself into the trace) on drop.
@@ -241,11 +256,26 @@ pub struct SpanGuard {
     parent: u64,
     name: String,
     start_micros: u64,
+    /// Set by [`SpanGuard::stop`]: the span ended there, not at drop.
+    end_micros: Option<u64>,
     lane: Option<u32>,
     attrs: Vec<(String, AttrValue)>,
 }
 
 impl SpanGuard {
+    /// Make this span the current parent on the calling thread until the
+    /// returned guard drops (a [`detached_span`] resumed for one stretch
+    /// of its work).
+    pub fn resume(&self) -> InstallGuard {
+        install(&self.ctx, self.id)
+    }
+
+    /// End the span now, although the guard lives on to take attributes
+    /// known only later; it is recorded when the guard drops.
+    pub fn stop(&mut self) {
+        self.end_micros = Some(micros_since(self.ctx.inner.epoch));
+    }
+
     /// Attach a typed attribute.
     pub fn set_attr(&mut self, key: &str, value: AttrValue) {
         self.attrs.push((key.to_string(), value));
@@ -260,7 +290,9 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let end = micros_since(self.ctx.inner.epoch);
+        let end = self
+            .end_micros
+            .unwrap_or_else(|| micros_since(self.ctx.inner.epoch));
         let span = TraceSpan {
             id: self.id,
             parent: self.parent,
@@ -452,6 +484,38 @@ mod tests {
             assert_eq!(pass.parent, reduce.id, "passes nest under the reduce");
         }
         assert_eq!(trace.spans_named("enumerate").next().unwrap().parent, 0);
+    }
+
+    #[test]
+    fn detached_spans_interleave_as_siblings() {
+        let ctx = TraceCtx::new("race");
+        {
+            let _g = install(&ctx, 0);
+            let race = child_span("preprocess.bags").unwrap();
+            let mut a = detached_span("bag.materialize").unwrap();
+            let b = detached_span("bag.materialize").unwrap();
+            {
+                let _in_a = a.resume();
+                let _ = child_span("preprocess.bind").unwrap();
+            }
+            a.stop();
+            let after = child_span("preprocess.reduce").unwrap();
+            a.set_attr("abandoned", AttrValue::Bool(true));
+            drop((a, b, after, race));
+        }
+        let trace = ctx.finish();
+        let race = trace.spans_named("preprocess.bags").next().unwrap();
+        let bags: Vec<_> = trace.spans_named("bag.materialize").collect();
+        assert!(bags.iter().all(|b| b.parent == race.id), "siblings");
+        let bind = trace.spans_named("preprocess.bind").next().unwrap();
+        assert!(
+            bags.iter().any(|b| b.id == bind.parent),
+            "nests when resumed"
+        );
+        let reduce = trace.spans_named("preprocess.reduce").next().unwrap();
+        assert_eq!(reduce.parent, race.id, "a detached span is no parent");
+        let stopped = bags.iter().find(|b| !b.attrs.is_empty()).unwrap();
+        assert!(stopped.start_micros + stopped.duration_micros <= reduce.start_micros + 1);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   Figure 2 of the paper (bags `{A_1, A_i, A_{i+1}}`),
 //! * [`GhdPlan::for_cycle_split`] — the two-bag decomposition that cuts a
 //!   declaration-order cycle into two contiguous arcs,
-//! * [`GhdPlan::cost_based`] — selection among all of the above by the
-//!   AGM / fractional-edge-cover bound over the instance's relation
-//!   cardinalities, picking the plan with the smallest total bag estimate,
+//! * [`GhdPlan::cost_based`] — selection among the decompositions above by
+//!   the AGM / fractional-edge-cover bound over the instance's relation
+//!   cardinalities, picking the plan with the smallest total bag estimate
+//!   (the single bag only when none validates),
 //! * [`GhdPlan::new`] — explicit construction for hand-crafted plans such as
 //!   the bowtie query, with validation of the GHD properties that matter
 //!   for correctness (every atom covered by some bag it is contained in).
@@ -332,12 +333,16 @@ impl GhdPlan {
     /// two-arc split of the declaration-order cycle; candidates whose
     /// construction or validation fails are dropped (and the Figure-2
     /// failure reason is reported, not swallowed). The single-bag plan is
-    /// deliberately *not* a candidate — its AGM bound equals the output
-    /// bound and would degenerately win on short cycles while forcing full
-    /// materialisation — it is only the fallback when no decomposition
-    /// validates. Ties break towards fewer bags, then towards the earlier
-    /// candidate, so the selection is deterministic. The winner carries its
-    /// estimate in [`GhdPlan::estimated_rows`].
+    /// *not* a candidate: its full-width AGM bound equals the output bound
+    /// and would win on short cycles although it has no decomposition's
+    /// guarantee. Selection returns it only as the fallback when no
+    /// decomposition validates. The single bag is admitted as a serving
+    /// plan elsewhere, by the bag race at OPEN (the cyclic enumerator's
+    /// `new_auto_ctx`), which builds it in lockstep with the selected
+    /// decomposition and keeps whichever finishes first. Ties break towards
+    /// fewer bags, then towards the earlier candidate, so the selection is
+    /// deterministic. The winner carries its estimate in
+    /// [`GhdPlan::estimated_rows`].
     pub fn cost_based(
         query: &JoinProjectQuery,
         db: &Database,
@@ -691,7 +696,7 @@ mod tests {
         let db = db_with("M", ["e", "c"], 100);
         let sel = GhdPlan::cost_based(&q, &db).unwrap();
         assert!(sel.cycle_error.is_none());
-        assert!(sel.considered > 10, "figure-2 + splits + single-bag");
+        assert!(sel.considered > 10, "figure-2 + the two-arc splits");
         assert_eq!(sel.plan.len(), 2, "{}", sel.plan.shape());
         assert!(
             sel.plan.shape().starts_with("cycle-split"),

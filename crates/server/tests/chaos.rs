@@ -62,13 +62,16 @@ fn coauthor_db() -> Database {
     db
 }
 
-/// Cyclic 4-cycle: routes through GHD bag materialisation and the full
-/// reducer, i.e. past the `bags.materialize` / `reduce.pass` failpoints.
+/// Cyclic 4-cycle: routes through GHD bag materialisation, i.e. past the
+/// `bags.materialize` failpoint. Its decomposition races the single bag,
+/// which wins on `m_db`, so the residual is one relation and no reducer
+/// pass runs.
 const FOUR_CYCLE: &str = "SELECT DISTINCT M1.e, M3.e FROM M AS M1, M AS M2, M AS M3, M AS M4 \
                           WHERE M1.c = M2.c AND M2.e = M3.e AND M3.c = M4.c AND M4.e = M1.e \
                           ORDER BY M1.e + M3.e LIMIT 200";
 
-/// Acyclic 2-hop: fast preprocessing, used where OPEN must succeed quickly.
+/// Acyclic 2-hop: fast preprocessing, used where OPEN must succeed quickly,
+/// and the statement whose OPEN runs full-reducer passes (`reduce.pass`).
 const TWO_HOP: &str = "SELECT DISTINCT AP1.aid, AP2.aid FROM AP AS AP1, AP AS AP2 \
                        WHERE AP1.pid = AP2.pid ORDER BY AP1.aid + AP2.aid";
 
@@ -133,15 +136,16 @@ fn error_faults_at_every_site_recover_to_identical_answers() {
         let faults_before = client.stats().unwrap().enumeration.faults_injected;
 
         // Sites where an armed `error` action must surface as a typed error
-        // response on OPEN — never a hangup, never a partial success.
-        for site in [
-            "server.dispatch",
-            "reduce.pass",
-            "bags.materialize",
-            "session.park",
+        // response on OPEN — never a hangup, never a partial success — each
+        // with a statement whose OPEN passes it.
+        for (site, db, sql) in [
+            ("server.dispatch", "m", FOUR_CYCLE),
+            ("reduce.pass", "dblp", TWO_HOP),
+            ("bags.materialize", "m", FOUR_CYCLE),
+            ("session.park", "m", FOUR_CYCLE),
         ] {
             re_fault::configure(&format!("{site}=error")).unwrap();
-            let err = client.open("m", FOUR_CYCLE).unwrap_err();
+            let err = client.open(db, sql).unwrap_err();
             assert!(
                 err.to_string().contains("injected fault"),
                 "{site}: expected the injected fault, got: {err}"
@@ -289,11 +293,11 @@ fn deadlines_abort_expensive_opens_promptly() {
         let reference = clean_run(&mut client);
         let before = client.stats().unwrap().enumeration.deadline_exceeded;
 
-        // Make every reduce pass slow, then give the OPEN a deadline shorter
-        // than a single pass: the cancellation poll at the next pass/morsel
+        // Make every bag's preparation slow, then give the OPEN a deadline
+        // shorter than one: the cancellation poll at the next bag/sweep
         // boundary must abort the OPEN within a couple of sleeps — not after
         // the whole (artificially long) preprocessing run.
-        re_fault::configure("reduce.pass=sleep(40)").unwrap();
+        re_fault::configure("bags.materialize=sleep(40)").unwrap();
         let t0 = Instant::now();
         let err = client
             .open_with_deadline("m", FOUR_CYCLE, Some(15))

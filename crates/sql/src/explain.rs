@@ -5,12 +5,14 @@
 //! output columns, the resolved ranking, the pushed-down selections, the
 //! chosen algorithm, the rooted join tree (acyclic statements) or the
 //! cost-based GHD selection (cyclic statements: shape, candidates
-//! compared, per-bag AGM estimates, fallback reason).
+//! compared, per-bag AGM estimates, fallback reason, and the single bag
+//! the selected decomposition races at OPEN).
 //!
 //! `EXPLAIN ANALYZE` additionally runs the statement to completion under
 //! an always-on trace and appends the actual per-operator counters — full
 //! reducer passes and row counts, frontier work, per-bag actual rows
-//! versus the AGM estimate, wcoj intersection counts, worker-pool
+//! versus the AGM estimate, wcoj intersection counts, the bag race's
+//! winner and wasted intersections, worker-pool
 //! activity — plus the wall-clock [`TimingBreakdown`](re_obs::TimingBreakdown)
 //! with time-to-first-answer and the sampled delay distribution (one
 //! answer in 64 is timed), and the id of the recorded trace (kept in
@@ -196,6 +198,16 @@ fn render_ghd_actuals(out: &mut String, report: &GhdReport) {
             d.intersections
         );
     }
+    if let Some(loser) = &report.race_loser {
+        let _ = writeln!(
+            out,
+            "  ghd race: winner={} intersections={} loser={} wasted_intersections={}",
+            report.shape,
+            report.intersections(),
+            loser.shape,
+            loser.wasted_intersections
+        );
+    }
 }
 
 fn render_plan(out: &mut String, db: &Database, plan: &SqlPlan) -> Result<(), SqlError> {
@@ -314,8 +326,10 @@ fn render_tree_node(out: &mut String, tree: &JoinTree, node: usize, indent: &str
 }
 
 /// Run the cost-based GHD selection the cyclic enumerator performs at OPEN
-/// and render the winner with its per-bag AGM estimates. Selection is
-/// deterministic, so this is exactly the plan execution would use.
+/// and render the winner with its per-bag AGM estimates, and the single
+/// bag it races when it has two or more bags. Selection is deterministic,
+/// so these are exactly the contenders execution would build; which one
+/// wins the race only execution tells (`EXPLAIN ANALYZE`).
 fn render_ghd_selection(
     out: &mut String,
     db: &Database,
@@ -345,8 +359,21 @@ fn render_ghd_selection(
     } else if let Some(err) = &selection.cycle_error {
         let _ = writeln!(out, "{indent}  figure-2 candidate rejected: {err}");
     }
-    let estimates = plan.bag_estimates();
     let _ = writeln!(out, "{indent}  bags:");
+    render_bags(out, q, plan, indent);
+    // A decomposition of two or more bags races the single bag at OPEN
+    // (`CyclicEnumerator::new_auto_ctx`): both contenders are listed.
+    if plan.len() > 1 {
+        let single = GhdPlan::single_bag(q);
+        let _ = writeln!(out, "{indent}  raced against: {}", single.shape());
+        render_bags(out, q, &single, indent);
+    }
+    Ok(())
+}
+
+/// One line per bag of `plan`: its attributes, atoms and AGM estimate.
+fn render_bags(out: &mut String, q: &JoinProjectQuery, plan: &GhdPlan, indent: &str) {
+    let estimates = plan.bag_estimates();
     for (i, bag) in plan.bags().iter().enumerate() {
         let attrs: Vec<&str> = bag.attrs.iter().map(|a| a.as_str()).collect();
         let atoms: Vec<&str> = bag
@@ -366,7 +393,6 @@ fn render_ghd_selection(
         }
         out.push('\n');
     }
-    Ok(())
 }
 
 #[cfg(test)]

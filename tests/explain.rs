@@ -76,7 +76,9 @@ fn membership_explain_goldens() {
              \x20 estimated rows (AGM): 90300\n\
              \x20 bags:\n\
              \x20   - arc_bag_0_1(a1, p1) atoms=(M1) estimated_rows=300\n\
-             \x20   - arc_bag_1_0(a1, p2, a2, p1) atoms=(M2, M3, M4) estimated_rows=90000\n",
+             \x20   - arc_bag_1_0(a1, p2, a2, p1) atoms=(M2, M3, M4) estimated_rows=90000\n\
+             \x20 raced against: single-bag\n\
+             \x20   - bag0(a1, p1, a2, p2) atoms=(M1, M2, M3, M4)\n",
         ),
         (
             "six_cycle",
@@ -89,7 +91,9 @@ fn membership_explain_goldens() {
              \x20 estimated rows (AGM): 180000\n\
              \x20 bags:\n\
              \x20   - arc_bag_0_3(a1, p1, a2, p2) atoms=(M1, M2, M3) estimated_rows=90000\n\
-             \x20   - arc_bag_3_0(a1, p3, a3, p2) atoms=(M4, M5, M6) estimated_rows=90000\n",
+             \x20   - arc_bag_3_0(a1, p3, a3, p2) atoms=(M4, M5, M6) estimated_rows=90000\n\
+             \x20 raced against: single-bag\n\
+             \x20   - bag0(a1, p1, a2, p2, a3, p3) atoms=(M1, M2, M3, M4, M5, M6)\n",
         ),
         (
             "bowtie",
@@ -102,7 +106,9 @@ fn membership_explain_goldens() {
              \x20 estimated rows (AGM): 180000\n\
              \x20 bags:\n\
              \x20   - arc_bag_0_4(a1, p1, a2, p2) atoms=(L1, L2, L3, L4) estimated_rows=90000\n\
-             \x20   - arc_bag_4_0(a1, p3, a3, p4) atoms=(R1, R2, R3, R4) estimated_rows=90000\n",
+             \x20   - arc_bag_4_0(a1, p3, a3, p4) atoms=(R1, R2, R3, R4) estimated_rows=90000\n\
+             \x20 raced against: single-bag\n\
+             \x20   - bag0(a1, p1, a2, p2, p3, a3, p4) atoms=(L1, L2, L3, L4, R1, R2, R3, R4)\n",
         ),
         (
             "star_project_first",
@@ -304,13 +310,28 @@ fn six_cycle_explain_analyze_reports_ground_truth_counters() {
     let report = cursor.ghd_report().expect("cyclic plans carry a report");
     assert!(text.contains("ghd bags (actual):"), "{text}");
     assert!(!report.bag_details.is_empty());
-    assert!(
+    // The cost-based split raced the single bag; a decomposition that wins
+    // keeps its AGM estimates, the single bag has none.
+    let loser = report
+        .race_loser
+        .as_ref()
+        .expect("the 6-cycle's split races the single bag");
+    assert_eq!(
         report
             .bag_details
             .iter()
             .any(|d| d.estimated_rows.is_some()),
-        "cost-based plans keep their AGM estimates"
+        report.shape != "single-bag",
+        "{report:?}"
     );
+    let race = format!(
+        "  ghd race: winner={} intersections={} loser={} wasted_intersections={}",
+        report.shape,
+        report.intersections(),
+        loser.shape,
+        loser.wasted_intersections
+    );
+    assert!(text.contains(&race), "missing {race:?} in:\n{text}");
     for d in &report.bag_details {
         let line = format!(
             "    {}: atoms={} order=({}) interface=({}) estimated_rows={} walked_rows={} actual_rows={} intersections={}",
@@ -340,9 +361,20 @@ fn six_cycle_explain_analyze_reports_ground_truth_counters() {
         .rev()
         .find(|t| t.trace_id.to_string() == id)
         .expect("analyze trace pushed into the ring");
-    assert!(
-        trace.spans_named("bag.materialize").count() >= 2,
-        "one span per GHD bag"
+    // One span per bag either contender started; the loser's say so.
+    let abandoned = trace
+        .spans_named("bag.materialize")
+        .filter(|sp| {
+            sp.attrs
+                .iter()
+                .any(|(k, v)| k == "abandoned" && *v == rankedenum::obs::AttrValue::Bool(true))
+        })
+        .count();
+    assert!((1..=loser.bags).contains(&abandoned), "{abandoned}");
+    assert_eq!(
+        trace.spans_named("bag.materialize").count(),
+        report.bags + abandoned,
+        "one span per bag started"
     );
     let laned = trace
         .spans

@@ -124,6 +124,14 @@ fn bulk_build_keeps_the_incremental_builds_counters_on_dblp() {
     assert_eq!(e.by_ref().take(300).count(), 300);
     let after = (9_456, 9_456, 2_118, 695_552);
     assert_eq!(counters(e.stats()), after, "6-cycle after 300");
+    // The OPEN's own build races that split against the single bag, which
+    // wins here: one bag of the 1 406 answers, one pop per answer.
+    let mut e = CyclicEnumerator::new_auto(&spec.query, dblp.db(), spec.sum_ranking()).unwrap();
+    assert_eq!(e.plan_report().shape, "single-bag");
+    assert_eq!(counters(e.stats()), (1_406, 1_406, 0, 111_856), "raced");
+    assert_eq!(e.by_ref().take(300).count(), 300);
+    let after = (1_406, 1_406, 300, 115_952);
+    assert_eq!(counters(e.stats()), after, "raced 6-cycle after 300");
 }
 
 /// Each GHD bag of the 4- and 6-cycle keeps only its interface, so it

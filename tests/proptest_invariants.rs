@@ -505,6 +505,20 @@ proptest! {
             .unwrap()
             .collect();
         assert_valid_ranked_output(&answers, &reference, &query, &ranking);
+        // The 4-cycle: its two-bag decomposition races the single bag.
+        let four = QueryBuilder::new()
+            .atom("E1", "E", ["a", "b"])
+            .atom("E2", "E", ["b", "c"])
+            .atom("E3", "E", ["c", "d"])
+            .atom("E4", "E", ["d", "a"])
+            .project(["a", "c"])
+            .build()
+            .unwrap();
+        let reference = reference_answers(&four, &db, &ranking);
+        let e = CyclicEnumerator::new_auto(&four, &db, ranking.clone()).unwrap();
+        prop_assert!(e.plan_report().race_loser.is_some());
+        let answers: Vec<Tuple> = e.collect();
+        assert_valid_ranked_output(&answers, &reference, &four, &ranking);
     }
 
     #[test]

@@ -60,8 +60,10 @@ run cargo bench --workspace --no-run
 # reads the build's trace spans, `bag_build` times the 6-cycle's bags
 # narrowed to their interfaces against full width, so the cost of the
 # walk's de-duplication shows, and `ghd_race` builds the 6-cycle as a
-# cyclic OPEN does, its decomposition racing the single bag, and names
-# the winner. All nine lines must come out (about half a minute).
+# cyclic OPEN does, its decomposition racing the single bag, names the
+# winner, and times the same plan's warm OPEN, which builds the recorded
+# winner alone. All nine lines must come out, the race's with its warm
+# OPEN field (about half a minute).
 micro_core_probes() {
     local out
     out=$(cargo bench -q -p re_bench --bench micro_core) || return 1
@@ -70,7 +72,7 @@ micro_core_probes() {
         test "$(grep -c '^micro_core/frontier_replace_top/' <<<"$out")" = 2 &&
         test "$(grep -c '^micro_core/frontier_build/' <<<"$out")" = 3 &&
         test "$(grep -c '^micro_core/bag_build/' <<<"$out")" = 1 &&
-        test "$(grep -c '^micro_core/ghd_race/DBLP6cycle:' <<<"$out")" = 1
+        test "$(grep -c '^micro_core/ghd_race/DBLP6cycle:.*; warm OPEN [0-9.]* ms ([0-9]* intersections' <<<"$out")" = 1
 }
 run micro_core_probes
 # No test is ignored: a failing test cannot be silenced in passing.

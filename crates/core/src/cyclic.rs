@@ -19,6 +19,7 @@ use re_join::{materialize_bags_reported, race_bags, BagBuildInfo, BagKernel, Red
 use re_query::{Atom, GhdPlan, JoinProjectQuery, JoinTree, QueryError};
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Relation, Tuple};
+use std::sync::OnceLock;
 
 /// How the GHD plan behind a [`CyclicEnumerator`] was chosen — surfaced all
 /// the way to the server `stats` endpoint so a silent degradation to full
@@ -41,18 +42,31 @@ pub struct GhdReport {
     /// Per-bag build facts, in plan bag order.
     pub bag_details: Vec<BagDetail>,
     /// The contender the build raced and abandoned, when the selected
-    /// decomposition raced the single bag.
+    /// decomposition raced the single bag. A recorded plan keeps the loser
+    /// of the race that decided it.
     pub race_loser: Option<RaceLoser>,
+    /// Whether the plan came from a [`CyclicVerdict`] an earlier OPEN of
+    /// the same plan recorded: then neither selection nor the race ran
+    /// for this build, and `shape`, `estimated_rows`, `fallback`,
+    /// `candidates` and `race_loser` are the deciding OPEN's.
+    pub recorded: bool,
 }
 
 impl GhdReport {
     /// The plan shape, annotated with the fallback reason when selection
     /// had to degrade to full materialisation, or with the plan it beat
-    /// when a race ran.
+    /// when a race ran, and with whether this build decided that or read
+    /// it from a recorded verdict: `single-bag [raced cycle-split(0,3)]`
+    /// against `single-bag [recorded over cycle-split(0,3)]`.
     pub(crate) fn annotated_shape(&self) -> String {
+        let recorded = if self.recorded { "recorded " } else { "" };
         match (&self.fallback, &self.race_loser) {
-            (Some(reason), _) => format!("{} [fallback: {reason}]", self.shape),
+            (Some(reason), _) => format!("{} [{recorded}fallback: {reason}]", self.shape),
+            (None, Some(loser)) if self.recorded => {
+                format!("{} [recorded over {}]", self.shape, loser.shape)
+            }
             (None, Some(loser)) => format!("{} [raced {}]", self.shape, loser.shape),
+            (None, None) if self.recorded => format!("{} [recorded]", self.shape),
             (None, None) => self.shape.clone(),
         }
     }
@@ -131,7 +145,43 @@ impl GhdReport {
             candidates,
             bag_details: Vec::with_capacity(plan.len()),
             race_loser: None,
+            recorded: false,
         }
+    }
+}
+
+/// The decision a cyclic plan's first successful OPEN made — the GHD that
+/// served it, chosen by selection and, for a decomposition of two or more
+/// bags, by the race against the single bag — written once and read by
+/// every later OPEN of the same plan (`BranchPlan::Cyclic` holds one).
+///
+/// The verdict depends on the query and the database only: the race is
+/// decided by intersection counts, which are the same at any thread count.
+/// So a plan that is opened on the database it was planned for, such as
+/// one in the server's plan cache (keyed by the catalog generation),
+/// decides once and serves every later OPEN from the recorded plan alone.
+/// Any valid decomposition yields the same answers, so a verdict can cost
+/// speed on other data, never change an answer. An OPEN that fails, is
+/// cancelled or panics records nothing; two first OPENs that run at once
+/// both decide, and the second record is dropped.
+#[derive(Clone, Debug, Default)]
+pub struct CyclicVerdict {
+    slot: OnceLock<Box<Verdict>>,
+}
+
+/// The recorded plan, and the report every build from it starts from.
+#[derive(Clone, Debug)]
+struct Verdict {
+    plan: GhdPlan,
+    /// The deciding build's report without its bag details.
+    report: GhdReport,
+}
+
+impl CyclicVerdict {
+    /// The report of the build that decided, without its bag details, once
+    /// an OPEN has recorded a verdict.
+    pub fn recorded(&self) -> Option<&GhdReport> {
+        self.slot.get().map(|v| &v.report)
     }
 }
 
@@ -164,9 +214,21 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         plan: &GhdPlan,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
+        let report = GhdReport::of_plan(plan, None, 0);
+        Self::build_alone(query, db, ranking, plan, report, ctx)
+    }
+
+    /// Build `plan`, and no other, reporting it as `report`.
+    fn build_alone(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        plan: &GhdPlan,
+        report: GhdReport,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
         query.validate_against(db)?;
         let built = materialize_bags_reported(query, db, plan.bags(), ctx, BagKernel::default())?;
-        let report = GhdReport::of_plan(plan, None, 0);
         Self::build(query, ranking, plan, built, report, ctx)
     }
 
@@ -225,7 +287,12 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         let stats = inner.stats_mut();
         stats.ghd_bags = report.bags as u64;
         stats.ghd_estimated_rows = report.estimated_rows.unwrap_or(0);
-        stats.ghd_fallbacks = u64::from(report.fallback.is_some());
+        // Selection and the race are counted where they ran; a build from
+        // a recorded verdict counts as a hit instead.
+        let decided = !report.recorded;
+        stats.ghd_fallbacks = u64::from(decided && report.fallback.is_some());
+        stats.ghd_races = u64::from(decided && report.race_loser.is_some());
+        stats.ghd_verdict_hits = u64::from(report.recorded);
         Ok(CyclicEnumerator {
             inner,
             bag_sizes,
@@ -268,6 +335,50 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         ranking: R,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
+        Self::decide(query, db, ranking, ctx).map(|(e, _)| e)
+    }
+
+    /// Build the enumerator through `verdict`: the recorded plan alone
+    /// when an earlier OPEN recorded one (the [`CyclicEnumerator::new_ctx`]
+    /// path, no selection and no race), otherwise selection and the race
+    /// as [`CyclicEnumerator::new_auto_ctx`] runs them, recording the plan
+    /// that served once the build has succeeded. The first build therefore
+    /// walks at most twice the better plan's intersections plus one step,
+    /// and every later one exactly the recorded plan's.
+    pub(crate) fn with_verdict_ctx(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        verdict: &CyclicVerdict,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
+        if let Some(v) = verdict.slot.get() {
+            let report = GhdReport {
+                recorded: true,
+                bag_details: Vec::with_capacity(v.plan.len()),
+                ..v.report.clone()
+            };
+            return Self::build_alone(query, db, ranking, &v.plan, report, ctx);
+        }
+        let (e, plan) = Self::decide(query, db, ranking, ctx)?;
+        let report = GhdReport {
+            bag_details: Vec::new(),
+            ..e.report.clone()
+        };
+        // A concurrent first OPEN may have recorded first; its verdict is
+        // the same, so this one is dropped.
+        let _ = verdict.slot.set(Box::new(Verdict { plan, report }));
+        Ok(e)
+    }
+
+    /// Selection, then the race when selection picked two or more bags:
+    /// the enumerator over the plan that served, and that plan.
+    fn decide(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        ctx: &ExecContext,
+    ) -> Result<(Self, GhdPlan), EnumError> {
         // Selection reads relation sizes: reject a query `db` cannot
         // serve before the cost model trips over it.
         query.validate_against(db)?;
@@ -282,7 +393,8 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
         if sel.plan.len() < 2 {
             let built =
                 materialize_bags_reported(query, db, sel.plan.bags(), ctx, BagKernel::default())?;
-            return Self::build(query, ranking, &sel.plan, built, report, ctx);
+            let e = Self::build(query, ranking, &sel.plan, built, report, ctx)?;
+            return Ok((e, sel.plan));
         }
         // The single bag goes first: ties go to it.
         let contenders = [GhdPlan::single_bag(query), sel.plan];
@@ -292,22 +404,25 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
             &[contenders[0].bags(), contenders[1].bags()],
             ctx,
         )?;
-        let (winner, loser) = (race.winner, 1 - race.winner);
-        let mut report = if winner == 1 {
-            report
+        let [single, selected] = contenders;
+        let (mut report, plan, loser) = if race.winner == 1 {
+            (report, selected, single)
         } else {
-            GhdReport {
+            let report = GhdReport {
                 candidates: report.candidates,
-                ..GhdReport::of_plan(&contenders[0], None, 0)
-            }
+                ..GhdReport::of_plan(&single, None, 0)
+            };
+            (report, single, selected)
         };
+        let lost = 1 - race.winner;
         report.race_loser = Some(RaceLoser {
-            shape: contenders[loser].shape().to_string(),
-            bags: contenders[loser].len(),
-            wasted_intersections: race.intersections[loser],
-            last_step_intersections: race.last_step[loser],
+            shape: loser.shape().to_string(),
+            bags: loser.len(),
+            wasted_intersections: race.intersections[lost],
+            last_step_intersections: race.last_step[lost],
         });
-        Self::build(query, ranking, &contenders[winner], race.bags, report, ctx)
+        let e = Self::build(query, ranking, &plan, race.bags, report, ctx)?;
+        Ok((e, plan))
     }
 
     /// Sizes of the materialised bag relations, narrowed to their

@@ -20,7 +20,9 @@
 //! paper's case table as a value (algorithm + join tree) that a planner can
 //! store and cache; [`BranchPlan::open`] builds the chosen enumerator as a
 //! boxed [`RankedStream`], [`UnionEnumerator`] opens one per branch, and
-//! [`top_k`] is the one-call form.
+//! [`top_k`] is the one-call form. A cyclic plan's GHD reads the data, so
+//! the plan's first successful open decides it and records the winner
+//! ([`CyclicVerdict`]) for every later open.
 //!
 //! One Algorithm 1 enumerator can also serve many readers:
 //! [`BranchPlan::open`] puts every one behind a [`SharedFrontier`], and
@@ -46,7 +48,7 @@ pub mod stream;
 pub mod union;
 
 pub use acyclic::AcyclicEnumerator;
-pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport, RaceLoser};
+pub use cyclic::{BagDetail, CyclicEnumerator, CyclicVerdict, GhdReport, RaceLoser};
 pub use error::EnumError;
 pub use frontier::{
     entry_cmp, CellArena, CellId, FrontierEntry, FrontierHeap, KeyInterner, EXACT_KEY,

@@ -11,7 +11,7 @@
 //! engine that owns its state.
 
 use crate::acyclic::AcyclicEnumerator;
-use crate::cyclic::CyclicEnumerator;
+use crate::cyclic::{CyclicEnumerator, CyclicVerdict};
 use crate::error::EnumError;
 use crate::lexi::LexiEnumerator;
 use crate::stream::RankedStream;
@@ -56,20 +56,26 @@ impl std::fmt::Display for Algorithm {
 /// The physical decision for one join-project branch: the paper's case
 /// table (acyclic → Theorem 1, acyclic + lexicographic → Lemma 4, cyclic →
 /// Theorem 3) evaluated once, with the join tree the chosen algorithm runs
-/// over. A plan depends on the query and the declared order only — no data
-/// access — so it can be cached and opened any number of times.
+/// over. [`BranchPlan::of`] reads the query and the declared order only —
+/// no data — so a plan can be cached and opened any number of times. The
+/// one decision that reads data, a cyclic branch's GHD, is made by the
+/// plan's first successful [`open`](BranchPlan::open) and recorded in the
+/// plan ([`CyclicVerdict`]) for every later one: open a cached plan on the
+/// database it was planned for.
 #[derive(Clone, Debug)]
 pub enum BranchPlan {
     /// Algorithms 1–2 over this join tree.
     Acyclic(JoinTree),
     /// Algorithm 3 over this join tree.
     Lexi(JoinTree),
-    /// GHD-based evaluation, planned at OPEN
-    /// ([`CyclicEnumerator::new_auto_ctx`]): cost-based selection picks a
-    /// decomposition by the AGM bounds of its bags over the relations it is
-    /// opened on, and one of two or more bags is built in a race against
-    /// the single bag, the plan that finishes its bag walk first serving.
-    Cyclic,
+    /// GHD-based evaluation, its plan decided by the first OPEN that
+    /// succeeds: cost-based selection picks a decomposition by the AGM
+    /// bounds of its bags over the relations it is opened on, and one of
+    /// two or more bags is built in a race against the single bag, the plan
+    /// that finishes its bag walk first serving
+    /// ([`CyclicEnumerator::new_auto_ctx`]). The verdict records the plan
+    /// that served, and every later OPEN builds that plan alone.
+    Cyclic(CyclicVerdict),
 }
 
 impl BranchPlan {
@@ -82,7 +88,7 @@ impl BranchPlan {
     pub fn of(query: &JoinProjectQuery, lexicographic: bool) -> Result<Self, QueryError> {
         let tree = match JoinTree::build(query) {
             Ok(tree) => tree,
-            Err(QueryError::NotAcyclic) => return Ok(BranchPlan::Cyclic),
+            Err(QueryError::NotAcyclic) => return Ok(BranchPlan::Cyclic(CyclicVerdict::default())),
             Err(e) => return Err(e),
         };
         Ok(if lexicographic {
@@ -97,7 +103,7 @@ impl BranchPlan {
         match self {
             BranchPlan::Acyclic(_) => Algorithm::Acyclic,
             BranchPlan::Lexi(_) => Algorithm::Lexi,
-            BranchPlan::Cyclic => Algorithm::CyclicGhd,
+            BranchPlan::Cyclic(_) => Algorithm::CyclicGhd,
         }
     }
 
@@ -105,7 +111,7 @@ impl BranchPlan {
     pub fn join_tree(&self) -> Option<&JoinTree> {
         match self {
             BranchPlan::Acyclic(tree) | BranchPlan::Lexi(tree) => Some(tree),
-            BranchPlan::Cyclic => None,
+            BranchPlan::Cyclic(_) => None,
         }
     }
 
@@ -123,6 +129,13 @@ impl BranchPlan {
     /// effect. Algorithm 3 owns its state: lexi walks sorted indexes with
     /// cursors of its own and has no root chain to share. (The star
     /// enumerator is not on this path at all: no plan chooses it.)
+    ///
+    /// A cyclic plan's first successful open selects a GHD and races it
+    /// against the single bag, walking at most twice the better plan's
+    /// intersections plus one step, and records the plan that served;
+    /// every later open builds the recorded plan alone, walking exactly
+    /// its intersections ([`CyclicVerdict`]). A caller that plans afresh
+    /// per call, as [`top_k`] does, races every time.
     pub fn open<R: Ranking + Clone + 'static>(
         &self,
         query: &JoinProjectQuery,
@@ -142,9 +155,9 @@ impl BranchPlan {
                 AcyclicEnumerator::with_tree_ctx(query, db, ranking, tree.clone(), ctx)?
                     .into_shared(),
             ),
-            (BranchPlan::Cyclic, _) => {
-                Box::new(CyclicEnumerator::new_auto_ctx(query, db, ranking, ctx)?.into_shared())
-            }
+            (BranchPlan::Cyclic(verdict), _) => Box::new(
+                CyclicEnumerator::with_verdict_ctx(query, db, ranking, verdict, ctx)?.into_shared(),
+            ),
         })
     }
 }

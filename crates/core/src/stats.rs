@@ -56,6 +56,12 @@ pub struct EnumStats {
     /// Times GHD selection fell back to single-bag full materialisation
     /// because no decomposition applied (the reason travels separately).
     pub ghd_fallbacks: u64,
+    /// Bag races run: a selected decomposition of two or more bags built
+    /// in lockstep with the single bag.
+    pub ghd_races: u64,
+    /// Builds that served a plan's recorded verdict instead of selecting
+    /// and racing again (`CyclicVerdict`).
+    pub ghd_verdict_hits: u64,
     /// Semi-join passes executed by the preprocessing full reducer.
     pub reduce_passes: u64,
     /// Rows entering full-reducer passes, summed over passes.
@@ -78,7 +84,7 @@ macro_rules! snapshot_counters {
     ($apply:ident) => {
         $apply!(pq_pushes pq_pops cells_created cells_reused tuple_allocs
             frontier_bytes frontier_peak_bytes ghd_bags ghd_estimated_rows ghd_fallbacks
-            reduce_passes reduce_input_rows reduce_output_rows)
+            ghd_races ghd_verdict_hits reduce_passes reduce_input_rows reduce_output_rows)
     };
 }
 
@@ -201,6 +207,8 @@ counter_table! {
         ghd_estimated_rows: Counter "enum.ghd_estimated_rows" = "Summed AGM bag-size estimates.",
         /// The bag is then a full materialisation.
         ghd_fallbacks: Counter "enum.ghd_fallbacks" = "GHD selections that fell back to a single bag.",
+        ghd_races: Counter "enum.ghd_races" = "Bag races between a selected GHD and the single bag.",
+        ghd_verdict_hits: Counter "enum.ghd_verdict_hits" = "Cyclic builds that served a recorded GHD verdict.",
         /// Passes of the preprocessing full reducer.
         reduce_passes: Counter "enum.reduce_passes" = "Semi-join reducer passes.",
         /// Summed over passes.
@@ -446,6 +454,8 @@ mod tests {
         a.ghd_bags = 2;
         a.ghd_estimated_rows = 90;
         a.ghd_fallbacks = 1;
+        a.ghd_races = 1;
+        a.ghd_verdict_hits = 1;
         a.record_answer();
         let snap = a.snapshot();
         let produced: Vec<_> = StatsSnapshot::FIELDS
@@ -454,7 +464,7 @@ mod tests {
             .filter(|(_, v)| *v != 0)
             .map(|(f, _)| f.key)
             .collect();
-        assert_eq!(produced.len(), 14, "{produced:?}");
+        assert_eq!(produced.len(), 16, "{produced:?}");
         // A composite adds its parts' counters but tracks answers itself.
         let composite = EnumStats::new().snapshot().with_parts([snap, snap]);
         let mut twice = snap;

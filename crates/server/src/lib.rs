@@ -13,7 +13,9 @@
 //!   eviction) releases the cursor ([`SessionTable`]);
 //! * an **LRU plan cache** keyed on the normalised statement text; a
 //!   cached plan carries each branch's algorithm and join tree
-//!   ([`rankedenum_core::BranchPlan`]), so a hit plans nothing again, and
+//!   ([`rankedenum_core::BranchPlan`]), so a hit plans nothing again — a
+//!   cyclic branch's GHD included, which its first `OPEN` decided and
+//!   recorded in the plan ([`rankedenum_core::CyclicVerdict`]) — and
 //!   the statement's live shared enumerator
 //!   ([`rankedenum_core::SharedFrontier`]), so an `OPEN` of a statement
 //!   another session holds attaches to it instead of preprocessing

@@ -3,11 +3,19 @@
 //! Planning a statement (parse, resolve, unify variables, pick an order
 //! spec, decide each branch's algorithm and join tree) is pure given the
 //! database schema, so plans are cached behind `Arc` and shared across
-//! sessions and worker threads. The key is the catalog name plus the
-//! **normalised** statement text ([`re_sql::normalize()`]), so spelling
-//! variants of the same statement hit the same entry. The physical
-//! decision lives inside the plan ([`SqlPlan::branches`]), so a hit hands
-//! OPEN its join tree ready-made.
+//! sessions and worker threads. The key is the catalog name and
+//! registration generation plus the **normalised** statement text
+//! ([`re_sql::normalize()`]), so spelling variants of the same statement
+//! hit the same entry. The physical decision lives inside the plan
+//! ([`SqlPlan::branches`]), so a hit hands OPEN its join tree ready-made.
+//!
+//! One decision reads the data, not the schema: a cyclic branch's GHD.
+//! The plan's first OPEN that succeeds makes it (cost-based selection,
+//! then the bag race) and records the plan that served inside the
+//! branch ([`rankedenum_core::CyclicVerdict`]), so every later OPEN of the
+//! cached plan builds that plan alone. The key fixes the data the verdict
+//! was decided on: re-registering a database makes a new generation, a
+//! new plan and an empty verdict, so the new data is raced again.
 //!
 //! An entry also records the statement's live [`SharedFrontier`], if it
 //! has one: the enumerator an OPEN built for sharing

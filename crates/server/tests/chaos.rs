@@ -181,6 +181,11 @@ fn error_faults_at_every_site_recover_to_identical_answers() {
         // task has no error channel, so the fault surfaces as the batch's
         // panic. The serial server has no such site and sails through. Either
         // way the server must recover to the identical answer sequence.
+        // On `m_db` only a deciding OPEN hands bags to the pool (each
+        // contender's first bag is one task); a plan that recorded its
+        // verdict builds the single bag alone, inline. Re-registering `m`
+        // starts a new plan, so the faulted OPEN decides again.
+        server.catalog().register("m", m_db());
         re_fault::configure("pool.task.start=error").unwrap();
         match client.open("m", FOUR_CYCLE) {
             Ok(opened) => {

@@ -4,6 +4,11 @@
 //! protocols, at 1 and 4 preprocessing threads — and every session still
 //! reads exactly the private enumerator's sequence, with the work counted
 //! once.
+//!
+//! A cyclic statement decides its GHD once per catalog generation: the
+//! first OPEN races selection's choice against the single bag and records
+//! the winner in the cached plan, later OPENs build the winner alone, and
+//! re-registering the database starts a new plan that races again.
 
 use re_obs::AttrValue;
 use re_server::{
@@ -11,6 +16,8 @@ use re_server::{
 };
 use re_sql::SqlExecutor;
 use re_storage::{attr::attrs, Database, Relation, Tuple};
+use re_workloads::membership::WeightScheme;
+use re_workloads::DblpWorkload;
 use std::sync::Arc;
 
 /// Co-authorship memberships: 40 papers of four authors out of 60.
@@ -187,4 +194,133 @@ fn an_attaching_open_is_traced_as_one_attach_span() {
     );
     client.close(a.session).unwrap();
     client.close(b.session).unwrap();
+}
+
+/// The membership 4-cycle over the co-authorship relation: cyclic, so its
+/// OPEN plans a GHD.
+const FOUR_CYCLE: &str = "SELECT DISTINCT AP1.aid, AP3.aid \
+                          FROM AP AS AP1, AP AS AP2, AP AS AP3, AP AS AP4 \
+                          WHERE AP1.pid = AP2.pid AND AP2.aid = AP3.aid \
+                          AND AP3.pid = AP4.pid AND AP4.aid = AP1.aid \
+                          ORDER BY AP1.aid + AP3.aid";
+
+/// OPEN `sql` on `db`, read one page of `k`, CLOSE (an exhausted session
+/// has ended already): the page, and the server's `ghd_last_plan` after
+/// the OPEN.
+fn open_page_close(
+    server: &RankedQueryServer,
+    client: &mut LocalClient,
+    db: &str,
+    sql: &str,
+    k: u64,
+) -> (Vec<Tuple>, String) {
+    let opened = client.open(db, sql).unwrap();
+    let plan = server.stats_report().ghd_last_plan;
+    let mut rows = Vec::new();
+    if !page(client, opened.session, k, &mut rows) {
+        assert!(client.close(opened.session).unwrap());
+    }
+    (rows, plan)
+}
+
+#[test]
+fn a_cyclic_statement_races_once_per_catalog_generation() {
+    let expected = SqlExecutor::new(&coauthor_db())
+        .open(FOUR_CYCLE)
+        .unwrap()
+        .fetch(20);
+    assert_eq!(expected.len(), 20);
+    for threads in [1, 4] {
+        let server = server(threads, 0);
+        let mut client = LocalClient::new(Arc::clone(&server));
+        let counts = || {
+            let report = server.stats_report();
+            let e = report.enumeration;
+            (report.enumerators_built, e.ghd_races, e.ghd_verdict_hits)
+        };
+        for open in 1..=3 {
+            let (rows, plan) = open_page_close(&server, &mut client, "dblp", FOUR_CYCLE, 20);
+            assert_eq!(rows, expected, "open {open}, {threads} threads");
+            let marker = if open == 1 {
+                "[raced "
+            } else {
+                "[recorded over "
+            };
+            assert!(plan.contains(marker), "open {open}: {plan}");
+        }
+        assert_eq!(counts(), (3, 1, 2), "{threads} threads: one race, two hits");
+
+        // Re-registering makes a new generation, so a new plan: it races.
+        server.catalog().register("dblp", coauthor_db());
+        let (rows, plan) = open_page_close(&server, &mut client, "dblp", FOUR_CYCLE, 20);
+        assert_eq!(rows, expected);
+        assert!(plan.contains("[raced "), "{plan}");
+        assert_eq!(counts(), (4, 2, 2), "{threads} threads");
+    }
+}
+
+/// The bowtie of `relation(aid, pid)` as SQL: two membership squares that
+/// share `L1.aid`, projecting one outer author of each.
+fn bowtie_sql(relation: &str) -> String {
+    let from: Vec<String> = ["L1", "L2", "L3", "L4", "R1", "R2", "R3", "R4"]
+        .iter()
+        .map(|alias| format!("{relation} AS {alias}"))
+        .collect();
+    format!(
+        "SELECT DISTINCT L2.aid, R2.aid FROM {} \
+         WHERE L1.pid = L2.pid AND L2.aid = L3.aid AND L3.pid = L4.pid AND L4.aid = L1.aid \
+         AND L1.aid = R1.aid AND R1.pid = R2.pid AND R2.aid = R3.aid AND R3.pid = R4.pid \
+         AND R4.aid = L1.aid ORDER BY L2.aid + R2.aid",
+        from.join(", ")
+    )
+}
+
+#[test]
+fn each_generation_records_its_own_winner() {
+    let dblp = DblpWorkload::generate(350, 21, WeightScheme::Random);
+    let relation = dblp.relation();
+    let sql = bowtie_sql(relation);
+    // Three authors on four papers: both contenders' walks fit in one
+    // step, and the single bag takes the tie. On DBLP-350 the split wins.
+    let mut tiny = Database::new();
+    let rows = [
+        (1, 10),
+        (2, 10),
+        (1, 11),
+        (2, 11),
+        (1, 12),
+        (3, 12),
+        (1, 13),
+        (3, 13),
+    ];
+    tiny.add_relation(
+        Relation::with_tuples(
+            relation,
+            attrs(["aid", "pid"]),
+            rows.iter().map(|&(a, p)| vec![a, p]),
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let split = "cycle-split(0,4)";
+    let generations = [
+        (&tiny, "single-bag", split),
+        (dblp.db(), split, "single-bag"),
+        (&tiny, "single-bag", split),
+    ];
+    let server = server(2, 0);
+    let mut client = LocalClient::new(Arc::clone(&server));
+    for (i, (db, winner, loser)) in generations.into_iter().enumerate() {
+        server.catalog().register("bowtie", db.clone());
+        let expected = SqlExecutor::new(db).open(&sql).unwrap().fetch(30);
+        assert!(!expected.is_empty(), "generation {i}");
+        let (rows, plan) = open_page_close(&server, &mut client, "bowtie", &sql, 30);
+        assert_eq!(rows, expected, "generation {i}, racing OPEN");
+        assert_eq!(plan, format!("{winner} [raced {loser}]"), "generation {i}");
+        let (rows, plan) = open_page_close(&server, &mut client, "bowtie", &sql, 30);
+        assert_eq!(rows, expected, "generation {i}, recorded OPEN");
+        assert_eq!(plan, format!("{winner} [recorded over {loser}]"));
+    }
+    let e = server.stats_report().enumeration;
+    assert_eq!((e.ghd_races, e.ghd_verdict_hits), (3, 3));
 }

@@ -93,8 +93,8 @@ const RESPONSES: [(&str, &str); 15] = [
         "06370000004558504c41494e0a73746174656d656e743a20226a6f696e2d70726f6a656374222028322061746f6d7329095c200120c3bc6ec3af0d0a",
     ),
     (
-        r##"{"ok":true,"type":"stats","sessions_open":1,"sessions_opened":2,"sessions_evicted":3,"sessions_evicted_budget":4,"sessions_evicted_idle":5,"session_budget_bytes":6,"session_bytes_parked":7,"enumerators_built":8,"plan_cache_hits":9,"plan_cache_misses":10,"plan_cache_size":11,"exec_pool_threads":12,"ghd_last_plan":"cycle-split(0,3) over 6 atoms","pq_pushes":13,"pq_pops":14,"cells_created":15,"cells_reused":16,"answers":17,"tuple_allocs":18,"frontier_bytes":19,"frontier_peak_bytes":20,"ghd_bags":21,"ghd_estimated_rows":22,"ghd_fallbacks":23,"reduce_passes":24,"reduce_input_rows":25,"reduce_output_rows":26,"pool_tasks":27,"pool_steals":28,"pool_busy_micros":29,"requests_shed":30,"deadline_exceeded":31,"cancelled":32,"faults_injected":33,"reactor_epoll_waits":34,"reactor_wakeups":35,"reactor_bytes_in":36,"reactor_bytes_out":37,"reactor_conns_accepted":38,"reactor_disconnects":39,"per_worker":[[40,41,42],[43,44,45]]}"##,
-        "070100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000001d0000006379636c652d73706c697428302c3329206f76657220362061746f6d730d000000000000000e000000000000000f0000000000000010000000000000001100000000000000120000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c000000000000001d000000000000001e000000000000001f000000000000002000000000000000210000000000000022000000000000002300000000000000240000000000000025000000000000002600000000000000270000000000000002000000280000000000000029000000000000002a000000000000002b000000000000002c000000000000002d00000000000000",
+        r##"{"ok":true,"type":"stats","sessions_open":1,"sessions_opened":2,"sessions_evicted":3,"sessions_evicted_budget":4,"sessions_evicted_idle":5,"session_budget_bytes":6,"session_bytes_parked":7,"enumerators_built":8,"plan_cache_hits":9,"plan_cache_misses":10,"plan_cache_size":11,"exec_pool_threads":12,"ghd_last_plan":"cycle-split(0,3) over 6 atoms","pq_pushes":13,"pq_pops":14,"cells_created":15,"cells_reused":16,"answers":17,"tuple_allocs":18,"frontier_bytes":19,"frontier_peak_bytes":20,"ghd_bags":21,"ghd_estimated_rows":22,"ghd_fallbacks":23,"ghd_races":24,"ghd_verdict_hits":25,"reduce_passes":26,"reduce_input_rows":27,"reduce_output_rows":28,"pool_tasks":29,"pool_steals":30,"pool_busy_micros":31,"requests_shed":32,"deadline_exceeded":33,"cancelled":34,"faults_injected":35,"reactor_epoll_waits":36,"reactor_wakeups":37,"reactor_bytes_in":38,"reactor_bytes_out":39,"reactor_conns_accepted":40,"reactor_disconnects":41,"per_worker":[[42,43,44],[45,46,47]]}"##,
+        "070100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000001d0000006379636c652d73706c697428302c3329206f76657220362061746f6d730d000000000000000e000000000000000f0000000000000010000000000000001100000000000000120000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c000000000000001d000000000000001e000000000000001f000000000000002000000000000000210000000000000022000000000000002300000000000000240000000000000025000000000000002600000000000000270000000000000028000000000000002900000000000000020000002a000000000000002b000000000000002c000000000000002d000000000000002e000000000000002f00000000000000",
     ),
     (
         r##"{"ok":true,"type":"metrics","body":"# TYPE re_sessions_open gauge\nre_sessions_open 1\n"}"##,
@@ -197,6 +197,12 @@ re_enum_ghd_estimated_rows 0\n\
 # HELP re_enum_ghd_fallbacks GHD selections that fell back to a single bag.\n\
 # TYPE re_enum_ghd_fallbacks counter\n\
 re_enum_ghd_fallbacks 0\n\
+# HELP re_enum_ghd_races Bag races between a selected GHD and the single bag.\n\
+# TYPE re_enum_ghd_races counter\n\
+re_enum_ghd_races 0\n\
+# HELP re_enum_ghd_verdict_hits Cyclic builds that served a recorded GHD verdict.\n\
+# TYPE re_enum_ghd_verdict_hits counter\n\
+re_enum_ghd_verdict_hits 0\n\
 # HELP re_enum_reduce_passes Semi-join reducer passes.\n\
 # TYPE re_enum_reduce_passes counter\n\
 re_enum_reduce_passes 0\n\

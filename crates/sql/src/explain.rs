@@ -199,9 +199,16 @@ fn render_ghd_actuals(out: &mut String, report: &GhdReport) {
         );
     }
     if let Some(loser) = &report.race_loser {
+        // A plan opened before serves its recorded verdict: the race, and
+        // its waste, belong to the OPEN that decided.
+        let what = if report.recorded {
+            "ghd verdict (recorded)"
+        } else {
+            "ghd race"
+        };
         let _ = writeln!(
             out,
-            "  ghd race: winner={} intersections={} loser={} wasted_intersections={}",
+            "  {what}: winner={} intersections={} loser={} wasted_intersections={}",
             report.shape,
             report.intersections(),
             loser.shape,

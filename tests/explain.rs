@@ -625,12 +625,14 @@ fn every_surface_reports_the_planned_algorithm() {
         assert_eq!(cursor.plan_shape().is_some(), cyclic_part, "{sql}");
     }
     // A decomposition inside a union is as visible as one behind a single
-    // statement: on the cursor and in the server's `stats`.
+    // statement: on the cursor and in the server's `stats`. The server's
+    // last OPEN of the union was its second, a plan-cache hit, so its
+    // cyclic branch served the verdict the first OPEN recorded.
     let (union_sql, _, _) = statements.last().unwrap();
     let shape = exec.open(union_sql).unwrap().plan_shape();
     assert_eq!(shape.as_deref(), Some("branch 2: cycle-figure2"));
     assert_eq!(
         client.stats().unwrap().ghd_last_plan,
-        "branch 2: cycle-figure2"
+        "branch 2: cycle-figure2 [recorded]"
     );
 }

@@ -11,10 +11,16 @@
 //! how the query was spelled: the membership 4-cycle opened under all 24
 //! orders of its atoms gives the oracle sequence every time, and its
 //! single-bag walk stays within 2× of the declaration-order walk.
+//!
+//! A plan races once: the first OPEN of one `BranchPlan` records the
+//! winner, and every later OPEN of it builds the winner alone, with no
+//! selection phase, walking exactly the winner's own intersections and
+//! emitting the oracle sequence. An OPEN that is cancelled records nothing.
 
 mod common;
 
 use common::{ctx_at, reference_answers};
+use rankedenum::core::CancelToken;
 use rankedenum::prelude::*;
 use rankedenum::workloads::membership::WeightScheme;
 use rankedenum::workloads::DblpWorkload;
@@ -147,4 +153,142 @@ fn every_atom_order_of_the_four_cycle_serves_the_oracle_and_walks_alike() {
             "atom order {names:?}: single-bag walk {walk} against {declared} declared"
         );
     }
+}
+
+/// The plan `winner` names, built on its own.
+fn winner_plan(query: &JoinProjectQuery, db: &Database, winner: &str) -> GhdPlan {
+    if winner == "single-bag" {
+        GhdPlan::single_bag(query)
+    } else {
+        GhdPlan::cost_based(query, db).unwrap().plan
+    }
+}
+
+/// Open `plan` once under `ctx`: its report, its counters, whether
+/// selection ran (the `preprocess.ghd_select` phase), and its answers.
+fn open_once(
+    plan: &BranchPlan,
+    query: &JoinProjectQuery,
+    db: &Database,
+    ctx: &ExecContext,
+) -> (GhdReport, StatsSnapshot, bool, Vec<Tuple>) {
+    let (stream, phases) = rankedenum::obs::capture_phases(|| {
+        plan.open(query, db, SumRanking::value_sum(), ctx).unwrap()
+    });
+    let selected = phases
+        .iter()
+        .any(|(name, _)| name == "preprocess.ghd_select");
+    let report = stream.ghd_report().expect("a cyclic plan reports its GHD");
+    let stats = stream.stats_snapshot();
+    (report, stats, selected, stream.collect())
+}
+
+/// The recorded verdict of a cyclic `plan`, if an OPEN recorded one.
+fn recorded(plan: &BranchPlan) -> Option<&GhdReport> {
+    match plan {
+        BranchPlan::Cyclic(verdict) => verdict.recorded(),
+        other => panic!("not a cyclic plan: {:?}", other.algorithm()),
+    }
+}
+
+/// Plan `query` once and open that one plan three times, serially and on
+/// pools of two and four workers. The first OPEN races and `winner` wins;
+/// the second and third serve the recorded verdict: no selection, no race,
+/// exactly the intersections of `winner` built alone, the same report but
+/// for its `recorded` flag, and the oracle sequence every time.
+fn assert_verdict(query: &JoinProjectQuery, db: &Database, winner: &str) {
+    let ranking = SumRanking::value_sum();
+    let want = reference_answers(query, db, &ranking);
+    let alone = CyclicEnumerator::new(query, db, ranking, &winner_plan(query, db, winner))
+        .unwrap()
+        .plan_report()
+        .intersections();
+    for ctx in [ExecContext::serial(), ctx_at(2), ctx_at(4)] {
+        let threads = ctx.threads();
+        let plan = BranchPlan::of(query, false).unwrap();
+        assert_eq!(recorded(&plan), None, "a new plan has decided nothing");
+
+        let (raced, stats, selected, got) = open_once(&plan, query, db, &ctx);
+        assert_eq!(got, want, "{winner}, open 1, {threads} threads");
+        assert_eq!(raced.shape, winner, "{raced:?}");
+        assert!(!raced.recorded, "the first OPEN decides");
+        assert!(selected, "the first OPEN runs selection");
+        let loser = raced.race_loser.clone().expect("the first OPEN races");
+        assert_eq!((stats.ghd_races, stats.ghd_verdict_hits), (1, 0));
+        let verdict = recorded(&plan).expect("a successful OPEN records its winner");
+        assert_eq!(verdict.shape, winner);
+        assert_eq!(verdict.race_loser.as_ref(), Some(&loser));
+
+        for open in [2, 3] {
+            let (report, stats, selected, got) = open_once(&plan, query, db, &ctx);
+            let what = format!("{winner}, open {open}, {threads} threads");
+            assert_eq!(got, want, "{what}");
+            assert!(!selected, "{what}: a recorded verdict skips selection");
+            assert_eq!(
+                report,
+                GhdReport {
+                    recorded: true,
+                    ..raced.clone()
+                },
+                "{what}: the recorded plan builds as it did in the race"
+            );
+            assert_eq!(
+                report.intersections(),
+                alone,
+                "{what}: the winner's walk alone"
+            );
+            assert_eq!((stats.ghd_races, stats.ghd_verdict_hits), (0, 1), "{what}");
+        }
+    }
+}
+
+#[test]
+fn later_opens_of_a_plan_build_the_recorded_winner_alone() {
+    let dblp = dblp350();
+    for k in [2usize, 3] {
+        assert_verdict(&dblp.cycle(k).0.query, dblp.db(), "single-bag");
+    }
+    assert_verdict(&dblp.bowtie().0.query, dblp.db(), "cycle-split(0,4)");
+}
+
+#[test]
+fn the_annotated_shape_tells_a_race_from_a_recorded_verdict() {
+    let dblp = dblp350();
+    let (spec, _) = dblp.cycle(3);
+    let plan = BranchPlan::of(&spec.query, false).unwrap();
+    let ctx = ExecContext::serial();
+    let shape = || {
+        plan.open(&spec.query, dblp.db(), SumRanking::value_sum(), &ctx)
+            .unwrap()
+            .plan_shape()
+            .unwrap()
+    };
+    let first = shape();
+    let loser = first
+        .strip_prefix("single-bag [raced ")
+        .and_then(|rest| rest.strip_suffix(']'))
+        .unwrap_or_else(|| panic!("{first}"));
+    assert_eq!(shape(), format!("single-bag [recorded over {loser}]"));
+}
+
+#[test]
+fn a_cancelled_first_open_records_nothing_and_the_next_open_races() {
+    let dblp = dblp350();
+    let (spec, _) = dblp.cycle(2);
+    let plan = BranchPlan::of(&spec.query, false).unwrap();
+    let token = CancelToken::unbounded();
+    token.cancel();
+    let cancelled = ExecContext::serial().with_cancel_token(token);
+    let err = plan
+        .open(&spec.query, dblp.db(), SumRanking::value_sum(), &cancelled)
+        .err()
+        .expect("a tripped token fails the OPEN");
+    assert!(matches!(err, EnumError::Cancelled(_)), "{err:?}");
+    assert_eq!(recorded(&plan), None, "a cancelled OPEN records nothing");
+
+    let (report, stats, selected, _) =
+        open_once(&plan, &spec.query, dblp.db(), &ExecContext::serial());
+    assert!(selected && !report.recorded, "the next OPEN decides");
+    assert_eq!((stats.ghd_races, stats.ghd_verdict_hits), (1, 0));
+    assert!(recorded(&plan).is_some());
 }

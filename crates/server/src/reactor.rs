@@ -22,6 +22,11 @@
 //! `reactor.epoll_waits` / `reactor.wakeups` counters make observable (and
 //! testable).
 //!
+//! What a connection does next — ordering, the pipeline cap, broken
+//! framing — is decided by a machine that does no I/O (`conn`, with its
+//! own docs); this module is the driver that performs what it decides:
+//! the poll loop, the socket reads and writes, the pool and the workers.
+//!
 //! ## Who may write a socket
 //!
 //! Each connection's output half (`ConnShared`: the stream plus one
@@ -33,27 +38,6 @@
 //! reactor (`reactor_flushes`), which arms WRITE interest and finishes the
 //! job on writable events. While the reactor owns the leftover, workers
 //! append behind it and touch nothing else.
-//!
-//! ## Ordering and sessions
-//!
-//! Each connection has at most one batch *in flight* at a time: the
-//! reactor drains the complete requests a read brought into a queue,
-//! dispatches the queue as one job, and dispatches the next job only once
-//! the connection is idle again. "Idle" is shared state
-//! (`ConnShared::inflight`), not a message. The worker publishes it
-//! after appending its buffer but *before* the flush syscall: the
-//! client's next request can arrive the instant the bytes land, and the
-//! reactor must find the connection idle then (published after the write,
-//! every request-response exchange would lose that race and take the
-//! detour below). Responses still come back in request order — the
-//! pipelining contract — because a later batch's worker has to take the
-//! same output lock, behind bytes already queued. Two pipelined FETCHes
-//! on the same session can never race each other's cursor checkout, and
-//! different connections' jobs run truly in parallel across the pool.
-//!
-//! The per-connection pipeline cap is applied per read drain: requests
-//! beyond `max_pipeline` in one drain are answered — in order — with typed
-//! `overloaded` errors without ever being dispatched.
 //!
 //! ## When the wake pipe fires
 //!
@@ -91,20 +75,34 @@
 //! Parked sessions without a dispatched FETCH are deliberately left alone:
 //! clients resume sessions across reconnects.
 //!
+//! ## Accepting
+//!
+//! An accept error that leaves the connection in the backlog (`EMFILE`,
+//! `ENFILE`, `ENOMEM`, …) would keep the level-triggered listener ready,
+//! and the reactor would spin on it. Accepting pauses instead: the
+//! listener is deregistered, one `warn` is logged, and it is registered
+//! again at the next teardown (which frees a descriptor) or after 100 ms,
+//! the only timed poll wait the reactor makes.
+//!
 //! [`SessionTable::cancel_if_checked_out`]: crate::session::SessionTable::cancel_if_checked_out
 
-use crate::protocol::{Request, Response};
+mod conn;
+
+use crate::protocol::Response;
 use crate::server::{RankedQueryServer, ServerConfig, ServerHandle};
-use crate::wire::{self, InboundItem, Negotiation, WireProtocol};
+use crate::wire;
 use crate::work_queue::{CloseOnDrop, WorkQueue};
+use conn::{Batch, Next, Rearm, WorkItem};
 use re_net::{wait_events, Event, Interest, Poller, WakePipe};
+use re_obs::FieldValue;
 use std::collections::{HashMap, VecDeque};
-use std::io::{IoSlice, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Token of the wake pipe's read end.
 const WAKER: u64 = 0;
@@ -112,24 +110,15 @@ const WAKER: u64 = 0;
 const LISTENER: u64 = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN: u64 = 2;
-
-/// One parsed inbound item, queued on its connection until dispatch.
-enum WorkItem {
-    /// A well-formed request.
-    Request(Request),
-    /// A malformed request on intact framing: answered with this error.
-    Malformed(String),
-    /// Shed by the per-drain pipeline cap: answered with `overloaded`.
-    Shed,
-}
+/// How long accepting pauses after an error that leaves the backlog full.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
 
 /// One batch of a connection's queued items, run by a pool worker, which
 /// delivers the responses through `conn` itself.
 struct Job {
     token: u64,
     conn: Arc<ConnShared>,
-    protocol: WireProtocol,
-    items: Vec<WorkItem>,
+    batch: Batch,
 }
 
 /// The half of a connection the reactor shares with the worker running
@@ -167,6 +156,7 @@ struct Outbound {
 }
 
 /// What [`Outbound::flush`] left behind.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Flush {
     /// Everything queued is on the wire.
     Drained,
@@ -184,18 +174,15 @@ impl Outbound {
     /// one-byte short write followed by a full socket, which drives the
     /// leftover → reactor → WRITE-interest path whatever the socket
     /// buffers would have taken.
-    fn flush(&mut self, mut stream: &TcpStream, server: &RankedQueryServer) -> Flush {
+    fn flush(&mut self, mut stream: impl Write, server: &RankedQueryServer) -> Flush {
         while !self.outq.is_empty() {
             let short_write = re_fault::fire("reactor.flush").is_err();
             let written = if short_write {
                 stream.write(&self.outq[0][self.outpos..=self.outpos])
             } else {
-                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.outq.len());
-                for (i, buf) in self.outq.iter().enumerate() {
-                    let from = if i == 0 { self.outpos } else { 0 };
-                    slices.push(IoSlice::new(&buf[from..]));
-                }
-                stream.write_vectored(&slices)
+                let front = IoSlice::new(&self.outq[0][self.outpos..]);
+                let rest = self.outq.iter().skip(1).map(|buf| IoSlice::new(buf));
+                stream.write_vectored(&std::iter::once(front).chain(rest).collect::<Vec<_>>())
             };
             match written {
                 Ok(0) => return Flush::Dead,
@@ -203,19 +190,15 @@ impl Outbound {
                     server.bump_transport(|t| t.bytes_out = n as u64);
                     self.consume(n);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flush::Blocked,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Flush::Blocked,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return Flush::Dead,
             }
-            if short_write {
-                break;
+            if short_write && !self.outq.is_empty() {
+                return Flush::Blocked;
             }
         }
-        if self.outq.is_empty() {
-            Flush::Drained
-        } else {
-            Flush::Blocked
-        }
+        Flush::Drained
     }
 
     /// Drop the first `n` queued bytes, which the socket took.
@@ -244,6 +227,37 @@ impl ConnShared {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// No batch of this connection is on the pool.
+    fn idle(&self) -> bool {
+        !self.inflight.load(Ordering::SeqCst)
+    }
+
+    /// Reactor side of the poke handshake: ask the running batch's worker
+    /// for a poke when it ends, then look at [`Self::idle`] again.
+    fn ask_for_poke(&self) {
+        self.poke_when_done.store(true, Ordering::SeqCst);
+    }
+
+    /// Worker side of the poke handshake: publish the connection idle,
+    /// then [`Self::take_poke_request`].
+    fn publish_idle(&self) {
+        self.inflight.store(false, Ordering::SeqCst);
+    }
+
+    /// Whether the reactor asked for a poke, clearing the request.
+    fn take_poke_request(&self) -> bool {
+        self.poke_when_done.swap(false, Ordering::SeqCst)
+    }
+
+    /// Teardown's half of the disconnect handshake, before it cancels:
+    /// raise `closed` and drop the responses nobody will read.
+    fn raise_closed(&self) {
+        let mut out = self.lock_out();
+        self.closed.store(true, Ordering::SeqCst);
+        out.outq.clear();
+        out.outpos = 0;
+    }
+
     /// Worker side: queue a finished batch's responses, publish the
     /// connection idle, and put the bytes on the wire. Returns whether the
     /// reactor needs a poke (see the module docs for the three reasons).
@@ -257,8 +271,8 @@ impl ConnShared {
         // behind these — and before the write: once the bytes land the
         // client may answer at once, and the reactor must then find the
         // connection idle.
-        self.inflight.store(false, Ordering::SeqCst);
-        let mut poke = self.poke_when_done.swap(false, Ordering::SeqCst);
+        self.publish_idle();
+        let mut poke = self.take_poke_request();
         if !closed && !out.reactor_flushes {
             match out.flush(&self.stream, server) {
                 Flush::Drained => {}
@@ -272,30 +286,6 @@ impl ConnShared {
         }
         poke
     }
-}
-
-/// Per-connection state machine, private to the reactor thread.
-struct Conn {
-    shared: Arc<ConnShared>,
-    /// Negotiated from the first bytes; `None` until decided.
-    protocol: Option<WireProtocol>,
-    /// Raw bytes read but not yet parsed into complete requests.
-    inbuf: Vec<u8>,
-    /// Leading bytes of `inbuf` already searched for a line end
-    /// ([`wire::next_inbound_resuming`]).
-    inbuf_scanned: usize,
-    /// Parsed items not yet dispatched (at most one job in flight).
-    queued: VecDeque<WorkItem>,
-    /// Session ids of the last dispatched job's FETCHes — the sessions to
-    /// cancel if the peer disconnects before that job ends. Stale, and
-    /// ignored, once `shared.inflight` is clear.
-    inflight_fetches: Vec<u64>,
-    /// Framing broke (oversized length prefix or request line): close
-    /// once the final error response has flushed; bytes still arriving
-    /// are read and dropped.
-    framing_broken: bool,
-    /// The interest currently registered with the poller.
-    interest: Interest,
 }
 
 /// Serve the request protocol on `bind_addr` (e.g. `"127.0.0.1:0"`): one
@@ -332,7 +322,7 @@ pub fn serve(
             std::thread::spawn(move || {
                 while let Some(job) = jobs.pop() {
                     let mut buf = Vec::new();
-                    for item in job.items {
+                    for item in job.batch.items {
                         let response = match item {
                             WorkItem::Request(request) => {
                                 server.handle_caught(request, &job.conn.closed)
@@ -340,7 +330,7 @@ pub fn serve(
                             WorkItem::Malformed(message) => Response::error(message),
                             WorkItem::Shed => server.shed_pipeline_response(max_pipeline),
                         };
-                        wire::append_response(job.protocol, &response, &mut buf);
+                        wire::append_response(job.batch.protocol, &response, &mut buf);
                     }
                     if job.conn.deliver(&server, buf) {
                         // Token first, byte second: the reactor takes one
@@ -354,11 +344,11 @@ pub fn serve(
         })
         .collect();
 
-    let reactor = {
+    threads.push({
         let shutdown = Arc::clone(&shutdown);
         let waker = Arc::clone(&waker);
         std::thread::spawn(move || {
-            let mut r = Reactor {
+            Reactor {
                 server,
                 listener,
                 poller,
@@ -369,12 +359,12 @@ pub fn serve(
                 conns: HashMap::new(),
                 next_token: FIRST_CONN,
                 max_pipeline,
+                accept_paused_until: None,
                 ready_events: re_obs::global().histogram("reactor.ready_events"),
-            };
-            r.run();
+            }
+            .run();
         })
-    };
-    threads.push(reactor);
+    });
 
     Ok(ServerHandle::from_parts(addr, shutdown, waker, threads))
 }
@@ -390,9 +380,14 @@ struct Reactor {
     jobs: CloseOnDrop<Job>,
     /// Tokens of connections a worker poked the reactor about.
     attention_rx: mpsc::Receiver<u64>,
-    conns: HashMap<u64, Conn>,
+    /// Per connection, the half shared with workers and the machine that
+    /// decides what happens next.
+    conns: HashMap<u64, (Arc<ConnShared>, conn::Conn)>,
     next_token: u64,
     max_pipeline: usize,
+    /// Accepting is paused (the listener deregistered) until then, or
+    /// until the next teardown.
+    accept_paused_until: Option<Instant>,
     /// Histogram of ready events per poll wait: the reactor's batching
     /// factor under load, and proof of quiescence when idle.
     ready_events: Arc<re_obs::AtomicHistogram>,
@@ -402,10 +397,13 @@ impl Reactor {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            // Indefinite wait: with nothing to do the reactor makes *zero*
-            // syscalls — wakeups come only from sockets, the listener, or
-            // the wake pipe (a worker's poke, or shutdown).
-            if wait_events(&self.poller, &mut events, None).is_err() {
+            // Indefinite wait unless accepting is paused: with nothing to
+            // do the reactor makes *zero* syscalls — wakeups come only
+            // from sockets, the listener, or the wake pipe (a worker's
+            // poke, or shutdown).
+            let pause = self.accept_paused_until;
+            let timeout = pause.map(|until| until.saturating_duration_since(Instant::now()));
+            if wait_events(&self.poller, &mut events, timeout).is_err() {
                 return;
             }
             self.server.bump_transport(|t| t.epoll_waits = 1);
@@ -424,6 +422,9 @@ impl Reactor {
             if self.shutdown.load(Ordering::SeqCst) {
                 self.teardown_all();
                 return;
+            }
+            if pause.is_some_and(|until| until <= Instant::now()) {
+                self.resume_accept();
             }
         }
     }
@@ -450,48 +451,57 @@ impl Reactor {
                         self.server.bump_transport(|t| t.disconnects = 1);
                         continue;
                     }
-                    let conn = Conn {
-                        shared: Arc::new(ConnShared {
-                            stream,
-                            out: Mutex::default(),
-                            inflight: AtomicBool::new(false),
-                            poke_when_done: AtomicBool::new(false),
-                            closed: AtomicBool::new(false),
-                        }),
-                        protocol: None,
-                        inbuf: Vec::new(),
-                        inbuf_scanned: 0,
-                        queued: VecDeque::new(),
-                        inflight_fetches: Vec::new(),
-                        framing_broken: false,
-                        interest: Interest::READ,
-                    };
-                    self.conns.insert(token, conn);
+                    let shared = Arc::new(ConnShared {
+                        stream,
+                        out: Mutex::default(),
+                        inflight: AtomicBool::new(false),
+                        poke_when_done: AtomicBool::new(false),
+                        closed: AtomicBool::new(false),
+                    });
+                    self.conns.insert(token, (shared, conn::Conn::default()));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(e) => match e.kind() {
+                    ErrorKind::WouldBlock => return,
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted => continue,
+                    _ => return self.pause_accept(&e),
+                },
             }
         }
     }
 
-    /// Advance one connection's state machine on readiness.
+    /// Stop accepting after an error that leaves the connection in the
+    /// backlog, which would keep the listener ready (see the module docs).
+    fn pause_accept(&mut self, error: &std::io::Error) {
+        let _ = self.poller.deregister(self.listener.as_raw_fd());
+        self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
+        let error = error.to_string();
+        let fields = [("error", FieldValue::Str(&error))];
+        re_obs::log::warn("re_server", "accept paused", &fields);
+    }
+
+    /// Register the listener again if accepting is paused.
+    fn resume_accept(&mut self) {
+        if self.accept_paused_until.take().is_some() {
+            let fd = self.listener.as_raw_fd();
+            if self.poller.register(fd, LISTENER, Interest::READ).is_err() {
+                self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
+            }
+        }
+    }
+
+    /// Advance one connection on readiness.
     fn conn_ready(&mut self, token: u64, event: Event) {
         if event.writable && !self.flush_leftover(token) {
             return;
         }
-        if event.readable || event.hangup {
-            match self.read_and_parse(token, event.hangup) {
-                ReadOutcome::Open => {}
-                ReadOutcome::Closed => return self.teardown(token),
-            }
+        if (event.readable || event.hangup) && !self.read_and_parse(token, event.hangup) {
+            return self.teardown(token);
         }
         self.dispatch_queued(token);
     }
 
-    /// Read what the socket has, negotiate the protocol if still
-    /// undecided, and parse complete requests into the queue (applying the
-    /// per-drain pipeline cap).
+    /// Read what the socket has into the machine and end the drain there.
+    /// Returns `false` once the peer is gone (EOF or reset).
     ///
     /// One `read` per readiness report unless it filled the whole chunk:
     /// the poller is level-triggered, so bytes a short read left behind
@@ -499,87 +509,29 @@ impl Reactor {
     /// `EAGAIN` is a syscall per request for nothing. A hang-up is read
     /// through to EOF, so a peer that is gone is torn down in this round
     /// instead of having its last requests dispatched first.
-    fn read_and_parse(&mut self, token: u64, hangup: bool) -> ReadOutcome {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return ReadOutcome::Closed; // by an earlier event of this round
+    fn read_and_parse(&mut self, token: u64, hangup: bool) -> bool {
+        let Some((shared, machine)) = self.conns.get_mut(&token) else {
+            return false; // by an earlier event of this round
         };
-        let mut stream = &conn.shared.stream;
+        let mut stream = &shared.stream;
         let mut chunk = [0u8; 16 * 1024];
-        let mut peer_closed = false;
         loop {
             match stream.read(&mut chunk) {
-                Ok(0) => {
-                    peer_closed = true;
-                    break;
-                }
+                Ok(0) => return false,
                 Ok(n) => {
-                    if !conn.framing_broken {
-                        conn.inbuf.extend_from_slice(&chunk[..n]);
-                    }
+                    machine.received(&chunk[..n]);
                     self.server.bump_transport(|t| t.bytes_in = n as u64);
                     if n < chunk.len() && !hangup {
                         break;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    peer_closed = true; // reset: same cleanup as EOF
-                    break;
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false, // reset: same cleanup as EOF
             }
         }
-        let outcome = if peer_closed {
-            ReadOutcome::Closed
-        } else {
-            ReadOutcome::Open
-        };
-        let protocol = match conn.protocol {
-            Some(protocol) => protocol,
-            None => match wire::negotiate(&conn.inbuf) {
-                Negotiation::NeedMore => return outcome,
-                Negotiation::Json => WireProtocol::Json,
-                Negotiation::Binary => {
-                    conn.inbuf.drain(..wire::BINARY_MAGIC.len());
-                    WireProtocol::Binary
-                }
-            },
-        };
-        conn.protocol = Some(protocol);
-        if !conn.framing_broken {
-            let mut drained = 0usize;
-            loop {
-                let next =
-                    wire::next_inbound_resuming(protocol, &mut conn.inbuf, &mut conn.inbuf_scanned);
-                match next {
-                    Ok(None) => break,
-                    Ok(Some(item)) => {
-                        let item = if drained >= self.max_pipeline {
-                            WorkItem::Shed
-                        } else {
-                            match item {
-                                InboundItem::Request(request) => WorkItem::Request(request),
-                                InboundItem::Malformed(message) => WorkItem::Malformed(message),
-                            }
-                        };
-                        drained += 1;
-                        conn.queued.push_back(item);
-                    }
-                    Err(message) => {
-                        // Framing is unrecoverable: answer with a final
-                        // error (in order, behind anything queued) and
-                        // close once it has flushed.
-                        conn.queued.push_back(WorkItem::Malformed(message));
-                        conn.framing_broken = true;
-                        // Nothing parses this connection again: give the
-                        // buffer (up to the frame cap) back now.
-                        conn.inbuf = Vec::new();
-                        break;
-                    }
-                }
-            }
-        }
-        outcome
+        machine.parse(self.max_pipeline);
+        true
     }
 
     /// Answer `pokes` worker pokes: finish (or take over) the connection's
@@ -616,85 +568,56 @@ impl Reactor {
     }
 
     /// Reactor side of the output half: flush what a worker left behind
-    /// and hold WRITE interest exactly while bytes remain. Returns `false`
-    /// when the connection is gone (torn down here, or earlier).
+    /// and register the interest the machine wants. Returns `false` when
+    /// the connection is gone (torn down here, or earlier).
     fn flush_leftover(&mut self, token: u64) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some((shared, machine)) = self.conns.get_mut(&token) else {
             return false;
         };
         let flushed = {
-            let mut out = conn.shared.lock_out();
-            let flushed = out.flush(&conn.shared.stream, &self.server);
-            out.reactor_flushes = matches!(flushed, Flush::Blocked);
+            let mut out = shared.lock_out();
+            let flushed = out.flush(&shared.stream, &self.server);
+            out.reactor_flushes = flushed == Flush::Blocked;
             flushed
         };
-        let wanted = match flushed {
-            Flush::Drained => Interest::READ,
-            Flush::Blocked => Interest::READ_WRITE,
-            Flush::Dead => {
-                self.teardown(token);
-                return false;
-            }
+        let fd = shared.stream.as_raw_fd();
+        let alive = match machine.flushed(flushed) {
+            Rearm::Keep => true,
+            Rearm::To(interest) => self.poller.modify(fd, token, interest).is_ok(),
+            Rearm::Close => false,
         };
-        if wanted != conn.interest {
-            let fd = conn.shared.stream.as_raw_fd();
-            if self.poller.modify(fd, token, wanted).is_err() {
-                self.teardown(token);
-                return false;
-            }
-            conn.interest = wanted;
+        if !alive {
+            self.teardown(token);
         }
-        true
+        alive
     }
 
     /// Dispatch the queued requests as the next batch if the connection
     /// is idle — otherwise ask the running batch's worker for a poke — and
     /// close a broken-framing connection whose final error has flushed.
     fn dispatch_queued(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let conn = self.conns.get_mut(&token);
+        let Some((shared, machine)) = conn.filter(|(_, machine)| machine.awaits_idle()) else {
             return;
         };
-        let shared = &conn.shared;
-        // Only a negotiated connection parses items, so an unnegotiated
-        // one has nothing queued to dispatch.
-        if let (Some(protocol), false) = (conn.protocol, conn.queued.is_empty()) {
-            let mut idle = !shared.inflight.load(Ordering::SeqCst);
-            if !idle {
-                // Flag first, then look again: a worker that cleared
-                // `inflight` before this second load may already be past
-                // its test of the flag, so the dispatch is ours.
-                shared.poke_when_done.store(true, Ordering::SeqCst);
-                idle = !shared.inflight.load(Ordering::SeqCst);
-            }
-            if idle {
-                let items: Vec<WorkItem> = conn.queued.drain(..).collect();
-                conn.inflight_fetches = items
-                    .iter()
-                    .filter_map(|item| match item {
-                        WorkItem::Request(Request::Fetch { session, .. }) => Some(*session),
-                        _ => None,
-                    })
-                    .collect();
+        // Flag first, then look again: a worker that cleared `inflight`
+        // before the second look may already be past its test of the
+        // flag, so the dispatch is ours.
+        let idle = shared.idle() || {
+            shared.ask_for_poke();
+            shared.idle()
+        };
+        match machine.next(idle) {
+            Next::Dispatch(batch) => {
                 // The batch that answers a framing error is the
                 // connection's last: hear about its end to close.
-                shared
-                    .poke_when_done
-                    .store(conn.framing_broken, Ordering::SeqCst);
+                shared.poke_when_done.store(batch.last, Ordering::SeqCst);
                 shared.inflight.store(true, Ordering::SeqCst);
-                self.jobs.push(Job {
-                    token,
-                    conn: Arc::clone(shared),
-                    protocol,
-                    items,
-                });
+                let conn = Arc::clone(shared);
+                self.jobs.push(Job { token, conn, batch });
             }
-        }
-        if conn.framing_broken
-            && conn.queued.is_empty()
-            && !shared.inflight.load(Ordering::SeqCst)
-            && shared.lock_out().outq.is_empty()
-        {
-            self.teardown(token);
+            Next::CloseWhenDrained if shared.lock_out().outq.is_empty() => self.teardown(token),
+            Next::CloseWhenDrained | Next::Wait => {}
         }
     }
 
@@ -704,42 +627,306 @@ impl Reactor {
     /// — drop queued-but-undispatched requests and unread responses, and
     /// raise the closed flag, then cancel any in-flight FETCH's session, so
     /// no enumerator works for a reader that is gone (see the module docs).
+    /// A descriptor is free again, so a paused listener resumes.
     fn teardown(&mut self, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else {
+        let Some((shared, machine)) = self.conns.remove(&token) else {
             return;
         };
-        let stream = &conn.shared.stream;
-        let _ = self.poller.deregister(stream.as_raw_fd());
-        let _ = stream.shutdown(Shutdown::Both);
-        {
-            let mut out = conn.shared.lock_out();
-            conn.shared.closed.store(true, Ordering::SeqCst);
-            out.outq.clear();
-            out.outpos = 0;
-        }
+        let _ = self.poller.deregister(shared.stream.as_raw_fd());
+        let _ = shared.stream.shutdown(Shutdown::Both);
+        shared.raise_closed();
         self.server.bump_transport(|t| t.disconnects = 1);
-        if conn.shared.inflight.load(Ordering::SeqCst) {
-            for session in conn.inflight_fetches {
-                self.server.cancel_disconnected_fetch(session);
-            }
+        for &session in machine.cancels(shared.idle()) {
+            self.server.cancel_disconnected_fetch(session);
         }
+        self.resume_accept();
     }
 
     /// Shutdown: tear down every connection (cancelling in-flight
     /// fetches) and return; dropping the reactor then closes the job
     /// queue, so the workers drain it and exit.
     fn teardown_all(&mut self) {
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
+        for token in self.conns.keys().copied().collect::<Vec<u64>>() {
             self.teardown(token);
         }
     }
 }
 
-/// What a read drain learned about the peer.
-enum ReadOutcome {
-    /// Still connected.
-    Open,
-    /// EOF or reset: tear the connection down.
-    Closed,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Request;
+    use re_storage::{attr::attrs, Database, Relation};
+    use std::io;
+
+    /// One scripted answer of [`Socket`] to a write attempt.
+    #[derive(Clone, Copy)]
+    enum Answer {
+        /// Take up to this many bytes.
+        Take(usize),
+        Block,
+        Interrupt,
+        Zero,
+        Fail,
+    }
+
+    /// A scripted socket: answers each write attempt with the next
+    /// [`Answer`] (then takes everything) and keeps what it took.
+    #[derive(Default)]
+    struct Socket {
+        answers: VecDeque<Answer>,
+        taken: Vec<u8>,
+    }
+
+    impl Write for Socket {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut room = match self.answers.pop_front().unwrap_or(Answer::Take(usize::MAX)) {
+                Answer::Take(n) => n,
+                Answer::Block => return Err(ErrorKind::WouldBlock.into()),
+                Answer::Interrupt => return Err(ErrorKind::Interrupted.into()),
+                Answer::Zero => return Ok(0),
+                Answer::Fail => return Err(ErrorKind::ConnectionReset.into()),
+            };
+            let before = self.taken.len();
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.taken.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.taken.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `Outbound`'s stated invariant, and the bytes still queued.
+    fn left(out: &Outbound) -> Vec<u8> {
+        assert!(
+            out.outq.iter().all(|buf| !buf.is_empty()),
+            "an empty buffer queued"
+        );
+        match out.outq.front() {
+            Some(front) => assert!(out.outpos < front.len(), "outpos past the front buffer"),
+            None => assert_eq!(out.outpos, 0, "outpos of an empty queue"),
+        }
+        let mut left: Vec<u8> = out.outq.iter().flatten().copied().collect();
+        left.drain(..out.outpos);
+        left
+    }
+
+    /// One to three queued buffers of distinct bytes.
+    fn queues() -> Vec<Vec<Vec<u8>>> {
+        let shapes: [&[usize]; 5] = [&[1], &[5], &[3, 4], &[1, 1, 1], &[2, 1, 3]];
+        let mut next = 0u8;
+        let buf = |len: usize, next: &mut u8| -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    *next += 1;
+                    *next
+                })
+                .collect()
+        };
+        let queue = |shape: &[usize], next: &mut u8| shape.iter().map(|&n| buf(n, next)).collect();
+        shapes.iter().map(|shape| queue(shape, &mut next)).collect()
+    }
+
+    fn outbound(queue: &[Vec<u8>]) -> Outbound {
+        Outbound {
+            outq: queue.iter().cloned().collect(),
+            ..Outbound::default()
+        }
+    }
+
+    /// A server to count the bytes written against.
+    fn server() -> Arc<RankedQueryServer> {
+        RankedQueryServer::new(ServerConfig {
+            exec_threads: 1,
+            ..ServerConfig::default()
+        })
+    }
+
+    /// Flush `out` into `socket` under `answers`; check the invariant and
+    /// that the bytes taken and the bytes left are the bytes queued.
+    fn flush(
+        server: &RankedQueryServer,
+        out: &mut Outbound,
+        socket: &mut Socket,
+        answers: &[Answer],
+        all: &[u8],
+    ) -> Flush {
+        socket.answers = answers.iter().copied().collect();
+        let flushed = out.flush(&mut *socket, server);
+        let mut seen = socket.taken.clone();
+        seen.extend(left(out));
+        assert_eq!(seen, all, "taken then left are the queued bytes");
+        flushed
+    }
+
+    /// A short write at every byte offset of one to three buffers blocks
+    /// the flush there, and the next flush finishes from exactly there.
+    #[test]
+    fn a_short_write_at_every_offset_resumes_where_it_stopped() {
+        let server = server();
+        for queue in queues() {
+            let all = queue.concat();
+            for n in 1..all.len() {
+                let (mut out, mut socket) = (outbound(&queue), Socket::default());
+                let answers = [Answer::Take(n), Answer::Block];
+                assert_eq!(
+                    flush(&server, &mut out, &mut socket, &answers, &all),
+                    Flush::Blocked
+                );
+                assert_eq!(socket.taken, all[..n], "{queue:?}: took {n}");
+                assert_eq!(
+                    flush(&server, &mut out, &mut socket, &[], &all),
+                    Flush::Drained
+                );
+                assert_eq!(socket.taken, all);
+            }
+            // One byte per attempt: every attempt is a short write.
+            let (mut out, mut socket) = (outbound(&queue), Socket::default());
+            let answers = vec![Answer::Take(1); all.len()];
+            assert_eq!(
+                flush(&server, &mut out, &mut socket, &answers, &all),
+                Flush::Drained
+            );
+        }
+    }
+
+    /// `Interrupted` is retried, `WouldBlock` mid-queue stops the flush
+    /// until the next one, and `Ok(0)` or any other error reports a dead
+    /// socket, leaving the queue consistent.
+    #[test]
+    fn a_flush_retries_interrupts_and_reports_blocked_and_dead_sockets() {
+        use Answer::*;
+        let server = server();
+        for queue in queues() {
+            let all = queue.concat();
+            let first = queue[0].len();
+            // Blocked between two buffers; a lone buffer is drained first.
+            let mid = [Flush::Drained, Flush::Blocked][usize::from(queue.len() > 1)];
+            let cases: [(&[Answer], Flush); 5] = [
+                (&[Interrupt, Interrupt], Flush::Drained),
+                (&[Take(first), Block], mid),
+                (&[Take(first), Interrupt, Block], mid),
+                (&[Take(first - 1), Zero], Flush::Dead),
+                (&[Interrupt, Fail], Flush::Dead),
+            ];
+            for (answers, want) in cases {
+                let (mut out, mut socket) = (outbound(&queue), Socket::default());
+                assert_eq!(flush(&server, &mut out, &mut socket, answers, &all), want);
+                assert_eq!(
+                    flush(&server, &mut out, &mut socket, &[], &all),
+                    Flush::Drained
+                );
+            }
+        }
+    }
+
+    /// `consume` of every prefix keeps the invariant and drops exactly
+    /// that prefix.
+    #[test]
+    fn consume_drops_exactly_the_bytes_taken() {
+        for queue in queues() {
+            let all = queue.concat();
+            for n in 0..=all.len() {
+                let mut out = outbound(&queue);
+                out.consume(n);
+                assert_eq!(left(&out), all[n..], "{queue:?}: consumed {n}");
+            }
+        }
+    }
+
+    /// The six orders of two steps on each side that keep each side's own
+    /// order: `R` the reactor's next step, `W` the worker's.
+    const ORDERS: [&str; 6] = ["RRWW", "RWRW", "RWWR", "WRRW", "WRWR", "WWRR"];
+
+    /// The server half of a loopback connection, and its peer.
+    fn loopback() -> (ConnShared, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let shared = ConnShared {
+            stream: listener.accept().unwrap().0,
+            out: Mutex::default(),
+            inflight: AtomicBool::new(false),
+            poke_when_done: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+        };
+        (shared, peer)
+    }
+
+    /// The reactor found the connection busy with items queued: it asks
+    /// for a poke, then looks again. The batch's worker publishes the
+    /// connection idle, then takes the poke request. In every order the
+    /// reactor dispatches or the worker pokes it.
+    #[test]
+    fn no_order_of_the_poke_handshake_strands_a_queued_batch() {
+        let (shared, _peer) = loopback();
+        for order in ORDERS {
+            shared.inflight.store(true, Ordering::SeqCst);
+            shared.poke_when_done.store(false, Ordering::SeqCst);
+            let (mut reactor, mut worker) = (0, 0);
+            let (mut dispatches, mut pokes) = (false, false);
+            for side in order.chars() {
+                match (side, reactor, worker) {
+                    ('R', 0, _) => shared.ask_for_poke(),
+                    ('R', _, _) => dispatches = shared.idle(),
+                    (_, _, 0) => shared.publish_idle(),
+                    (_, _, _) => pokes = shared.take_poke_request(),
+                }
+                *if side == 'R' {
+                    &mut reactor
+                } else {
+                    &mut worker
+                } += 1;
+            }
+            assert!(dispatches || pokes, "{order}: neither dispatch nor poke");
+        }
+    }
+
+    /// Teardown raises `closed`, then cancels the lent sessions of the
+    /// in-flight FETCHes; the FETCH's worker checks its session out, then
+    /// reads `closed`. In every order the session ends cancelled: the
+    /// FETCH never re-parks it for a reader that is gone.
+    #[test]
+    fn no_order_of_the_disconnect_handshake_re_parks_the_session() {
+        let server = server();
+        let mut db = Database::new();
+        let rows = (1..=20).map(|v| vec![v]).collect::<Vec<_>>();
+        db.add_relation(Relation::with_tuples("T", attrs(["a"]), rows).unwrap())
+            .unwrap();
+        server.catalog().register("d", db);
+        for order in ORDERS {
+            let open = Request::Open {
+                db: "d".into(),
+                sql: "SELECT DISTINCT T.a FROM T ORDER BY T.a".into(),
+                deadline_millis: None,
+            };
+            let Response::Opened { session, .. } = server.handle(open) else {
+                panic!("{order}: OPEN failed");
+            };
+            let (shared, _peer) = loopback();
+            let (mut reactor, mut lent, mut gone) = (0, None, false);
+            for side in order.chars() {
+                match (side, reactor, &lent) {
+                    ('R', 0, _) => shared.raise_closed(),
+                    ('R', _, _) => server.cancel_disconnected_fetch(session),
+                    (_, _, None) => lent = Some(server.lend(session).unwrap()),
+                    (_, _, Some(_)) => gone = shared.closed.load(Ordering::SeqCst),
+                }
+                reactor += usize::from(side == 'R');
+            }
+            let _ = server.fetch_lent(lent.unwrap(), 3, gone);
+            let Err(Response::Error { code, .. }) = server.lend(session) else {
+                panic!("{order}: the session outlived its connection");
+            };
+            assert_eq!(code, "cancelled", "{order}");
+        }
+    }
 }

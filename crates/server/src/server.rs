@@ -14,7 +14,7 @@
 use crate::catalog::Catalog;
 use crate::plan_cache::PlanCache;
 use crate::protocol::{Request, Response, StatsReport, TransportCounters, WorkerCounters};
-use crate::session::{Ended, Gone, SessionTable};
+use crate::session::{Ended, Gone, Session, SessionTable};
 use rankedenum_core::{
     machine_threads, CancelKind, CancelToken, ExecContext, SharedStats, StatsSnapshot, WorkerPool,
 };
@@ -583,24 +583,36 @@ impl RankedQueryServer {
     /// then — the cancel found nothing to trip — sees it here, and one
     /// that took its session before has its token tripped.
     fn do_fetch(&self, id: u64, k: u64, peer_gone: Option<&AtomicBool>) -> Response {
-        // Cancelled and budget-evicted sessions get documented,
-        // distinguishable errors so clients can tell "re-OPEN and retry"
-        // from a typo'd id.
-        let mut session = match self.sessions.take(id) {
-            Ok(session) => session,
-            Err(Gone::Ended(Ended::Cancelled(kind))) => {
-                return Response::error_coded(format!("session {id}: {kind}"), kind.code());
+        match self.lend(id) {
+            Ok(session) => {
+                let gone = peer_gone.is_some_and(|gone| gone.load(Ordering::SeqCst));
+                self.fetch_lent(session, k, gone)
             }
-            Err(Gone::Ended(Ended::BudgetEvicted)) => {
-                return Response::error(format!(
-                    "session {id} was evicted to enforce the session memory budget"
-                ));
+            Err(response) => response,
+        }
+    }
+
+    /// A FETCH's first step: check session `id` out of the table. Cancelled
+    /// and budget-evicted sessions get documented, distinguishable errors
+    /// so clients can tell "re-OPEN and retry" from a typo'd id.
+    pub(crate) fn lend(&self, id: u64) -> Result<Session, Response> {
+        self.sessions.take(id).map_err(|gone| match gone {
+            Gone::Ended(Ended::Cancelled(kind)) => {
+                Response::error_coded(format!("session {id}: {kind}"), kind.code())
             }
-            Err(Gone::Unknown) => {
-                return Response::error(format!("unknown, expired or busy session {id}"));
-            }
-        };
-        if peer_gone.is_some_and(|gone| gone.load(Ordering::SeqCst)) {
+            Gone::Ended(Ended::BudgetEvicted) => Response::error(format!(
+                "session {id} was evicted to enforce the session memory budget"
+            )),
+            Gone::Unknown => Response::error(format!("unknown, expired or busy session {id}")),
+        })
+    }
+
+    /// A FETCH's page on the session [`Self::lend`] checked out.
+    /// `peer_gone` is the requesting connection's closed flag as read after
+    /// the checkout (see [`Self::do_fetch`]).
+    pub(crate) fn fetch_lent(&self, mut session: Session, k: u64, peer_gone: bool) -> Response {
+        let id = session.id;
+        if peer_gone {
             // Ended as if the disconnect had cancelled it while lent.
             let kind = CancelKind::Explicit;
             self.sessions.end(session, Some(kind));
